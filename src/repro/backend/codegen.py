@@ -30,11 +30,12 @@ Two emission tiers share this machinery (``FUSEFLOW_CODEGEN_TIER``):
 Both tiers are bit-exact against the interpreters: identical streams,
 per-node statistics, result tensors, and therefore identical timed
 metrics (the timed engine reads only stream lengths, stats, and node
-metadata).  Because they are interchangeable, the columnar tier delegates
-*runs* over tiny inputs (payload count below
-:func:`small_stream_cutoff`) to the token-tier kernel — numpy dispatch
-overhead dominates short arrays — so ``backend=codegen`` wins on every
-model regardless of stream length.
+metadata).  Because they are interchangeable, :func:`select_artifact`
+picks the tier a region runs under *before* anything is emitted — token
+for blocked payloads and for inputs below :func:`small_stream_cutoff`
+(numpy dispatch overhead dominates short arrays), columnar otherwise —
+so ``backend=codegen`` wins on every model regardless of stream length
+and a region pays emission and ``compile()`` only for the tier it runs.
 
 Two cache levels:
 
@@ -42,8 +43,11 @@ Two cache levels:
   idiom as the timed engine's plan cache): repeated executions of one
   graph reuse its compiled kernel;
 * per-source (keyed by the SHA-256 of the emitted source): structurally
-  identical regions from *different* graph objects share one code object
-  and pay ``compile()`` once per process.
+  identical regions share one code object and pay ``compile()`` once per
+  process.  Emitted source is *name-free* — tensor names reach a kernel
+  through its exec globals, never as literals (``_Emitter._name``) — so
+  the layers of a stack, which differ only in the tensors they touch,
+  are structurally identical in this sense.
 
 Regions containing a primitive kind the emitter does not know fall back
 to the columnar interpreter, per region, with a recorded reason — every
@@ -73,7 +77,7 @@ import weakref
 from array import array
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -117,6 +121,7 @@ __all__ = [
     "codegen_tier",
     "clear_codegen_caches",
     "numba_available",
+    "select_artifact",
     "small_stream_cutoff",
     "try_run_codegen",
 ]
@@ -143,13 +148,13 @@ def _numba_requested() -> bool:
 
 _TIERS = ("token", "columnar")
 
-#: Payload-count cutoff under which a columnar-tier run delegates to the
-#: token-tier kernel.  Calibrated on the BENCH_codegen golden points: the
-#: sae hot path probes at ~120-150 payloads per region and runs faster
-#: through plain Python loops than through numpy calls on short arrays,
-#: while the gcn / graphsage golden points probe at ~380-670 and win
-#: columnar (blocked gpt3 routes to the token tier separately, via the
-#: blocked-payload probe, regardless of size).
+#: Payload-count cutoff under which a run uses the token-tier kernel.
+#: Calibrated on the BENCH_codegen golden points: the sae hot path probes
+#: at ~120-150 payloads per region and runs faster through plain Python
+#: loops than through numpy calls on short arrays, while the gcn /
+#: graphsage golden points probe at ~380-670 and win columnar (blocked
+#: gpt3 routes to the token tier separately, via the blocked-payload
+#: probe, regardless of size).
 DEFAULT_SMALL_STREAM_CUTOFF = 256
 
 
@@ -170,12 +175,12 @@ def codegen_tier() -> str:
 
 
 def small_stream_cutoff() -> int:
-    """Adaptive-dispatch threshold (``FUSEFLOW_CODEGEN_SMALL_CUTOFF``).
+    """Tier-decision threshold (``FUSEFLOW_CODEGEN_SMALL_CUTOFF``).
 
-    When a columnar-tier kernel is about to run and the region's bound
-    input tensors carry fewer than this many payload values in total, the
-    run is delegated to the (bit-exact) token-tier kernel instead.  ``0``
-    disables the dispatch; unset/unparsable falls back to
+    A run whose bound input tensors carry fewer than this many payload
+    values in total goes to the (bit-exact) token-tier kernel instead of
+    the columnar one (:func:`select_artifact`).  ``0`` disables the
+    decision, blocked payloads included; unset/unparsable falls back to
     :data:`DEFAULT_SMALL_STREAM_CUTOFF`.
     """
     raw = os.environ.get("FUSEFLOW_CODEGEN_SMALL_CUTOFF", "").strip()
@@ -218,11 +223,6 @@ class RegionArtifact:
         The compiled kernel, or ``None`` when ``fallback`` is set.
     sha : str
         SHA-256 hex digest of ``source`` (the code-cache key).
-    probe : tuple of str
-        Tensor names the region scans/locates/gathers, used by the
-        adaptive small-stream dispatch to size a run before executing it.
-    probe_base : int
-        Emit-time-known payload contribution (replayed source streams).
     runs : int
         Executions of this kernel (for ``--profile`` amortization).
     run_seconds : float
@@ -241,8 +241,6 @@ class RegionArtifact:
     uses_numba: bool = False
     fn: Optional[Callable] = None
     sha: str = ""
-    probe: Tuple[str, ...] = ()
-    probe_base: int = 0
     runs: int = 0
     run_seconds: float = 0.0
 
@@ -251,13 +249,29 @@ class RegionArtifact:
 # Caches
 # ----------------------------------------------------------------------
 
-#: graph -> (topological order list, {tier: artifact}, retentions).  The
-#: order list's identity doubles as a structure-version tag: SAMGraph
-#: rebuilds it on mutation.  Weak keys bound this cache by graph
-#: lifetime.  ``retentions`` is a list of ``(sha, finalizer)`` pairs
-#: pinning source-cache entries (and their linecache registrations) for
-#: as long as the graph lives — see :func:`_retain_sha_locked`.
-_GRAPH_ARTIFACTS: "weakref.WeakKeyDictionary[SAMGraph, Tuple[Any, Dict[str, RegionArtifact], List[Tuple[str, Any]]]]" = (
+@dataclass
+class _GraphEntry:
+    """What the per-graph cache holds for one region graph.
+
+    ``order`` is the graph's topological order list; its identity doubles
+    as a structure-version tag (SAMGraph rebuilds it on mutation).
+    ``probe`` is the graph's :func:`_probe_spec` — it depends on the graph
+    alone, so the tier is chosen from it before anything is emitted.
+    ``tiers`` maps emission tier -> artifact.  ``retentions`` is a list of
+    ``(sha, finalizer)`` pairs pinning source-cache entries (and their
+    linecache registrations) for as long as the graph lives — see
+    :func:`_retain_sha_locked`.
+    """
+
+    order: List[str]
+    probe: Tuple[Tuple[str, ...], int]
+    tiers: Dict[str, RegionArtifact] = field(default_factory=dict)
+    retentions: List[Tuple[str, Any]] = field(default_factory=list)
+
+
+#: graph -> :class:`_GraphEntry`.  Weak keys bound this cache by graph
+#: lifetime.
+_GRAPH_ARTIFACTS: "weakref.WeakKeyDictionary[SAMGraph, _GraphEntry]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -278,10 +292,6 @@ _PENDING_SHA_RELEASES: List[str] = []
 #: live object, so an unbounded dict leaks every distinct emitted source
 #: for the life of a serve process.
 _CODE_CACHE: "OrderedDict[str, Any]" = OrderedDict()
-
-#: source sha -> linecache filenames registered for it, purged on eviction
-#: (multiple graphs may register the same source under different names).
-_CODE_FILES: Dict[str, List[str]] = {}
 
 #: Entry cap for the cross-graph source cache.
 CODE_CACHE_LIMIT = 256
@@ -316,7 +326,9 @@ def codegen_cache_info() -> Dict[str, int]:
         info = dict(_COUNTERS)
         info["code_entries"] = len(_CODE_CACHE)
         info["code_limit"] = CODE_CACHE_LIMIT
-        info["code_files"] = sum(len(v) for v in _CODE_FILES.values())
+        info["code_files"] = sum(
+            _kernel_filename(sha) in linecache.cache for sha in _CODE_CACHE
+        )
         info["retained_sources"] = len(_SHA_REFS)
     return info
 
@@ -334,32 +346,38 @@ def cached_artifacts(graph) -> Dict[str, "RegionArtifact"]:
         The region :class:`~repro.sam.graph.SAMGraph` to look up.
     """
     with _CACHE_LOCK:
-        cached = _GRAPH_ARTIFACTS.get(graph)
-        return dict(cached[1]) if cached is not None else {}
+        entry = _GRAPH_ARTIFACTS.get(graph)
+        return dict(entry.tiers) if entry is not None else {}
 
 
 def clear_codegen_caches() -> None:
     """Drop compiled artifacts and reset counters (tests only)."""
     with _CACHE_LOCK:
-        for _order, _tiers, retentions in _GRAPH_ARTIFACTS.values():
-            for _sha, finalizer in retentions:
+        for entry in _GRAPH_ARTIFACTS.values():
+            for _sha, finalizer in entry.retentions:
                 finalizer.detach()
         _GRAPH_ARTIFACTS.clear()
         _SHA_REFS.clear()
         _PENDING_SHA_RELEASES.clear()
-        for sha in list(_CODE_FILES):
+        for sha in list(_CODE_CACHE):
             _purge_code_entry_locked(sha)
-        _CODE_CACHE.clear()
-        _CODE_FILES.clear()
         for key in _COUNTERS:
             _COUNTERS[key] = 0
 
 
+def _kernel_filename(sha: str) -> str:
+    """The linecache name of a source.
+
+    Its hash alone, never a region's name: one code object serves every
+    region that emits this source.
+    """
+    return f"<fuseflow-codegen {sha[:12]}>"
+
+
 def _purge_code_entry_locked(sha: str) -> None:
-    """Drop one source-cache entry and its linecache registrations."""
+    """Drop one source-cache entry and its linecache registration."""
     _CODE_CACHE.pop(sha, None)
-    for filename in _CODE_FILES.pop(sha, ()):
-        linecache.cache.pop(filename, None)
+    linecache.cache.pop(_kernel_filename(sha), None)
 
 
 def _release_sha_locked(sha: str) -> None:
@@ -515,10 +533,13 @@ class _Emitter:
         self.order = order
         self.lines: List[str] = []
         self.indent = 1
-        # Runtime objects the source cannot express literally, injected
-        # into the exec globals per graph (names are deterministic given
-        # the source, so sharing the code object across graphs is sound).
+        # Runtime objects the source cannot express literally — and the
+        # tensor names it must not (see _name) — injected into the exec
+        # globals per graph (identifiers are deterministic given the
+        # source, so sharing the code object across graphs is sound).
         self.env: Dict[str, Any] = {}
+        # tensor name -> identifier bound to it in env.
+        self.names: Dict[str, str] = {}
         # (node_id, port) -> local variable holding the stream.
         self.var: Dict[Tuple[str, str], str] = {}
 
@@ -557,7 +578,11 @@ class _Emitter:
             prim = node.prim
             emitter = self._node_emitter(prim, node_id)
             self.w()
-            self.w(f"# -- {node_id}: {prim.describe()} --")
+            desc = prim.describe()
+            name = getattr(prim, "tensor_name", None)
+            if name is not None:
+                desc = desc.replace(f"({name}", f"({self._name(name)}", 1)
+            self.w(f"# -- {node_id}: {desc} --")
             self.w(f"_cur[0] = {node_id!r}")
             self.w(f"_st = stats[{node_id!r}]")
             outs = [f"s{i}_{p}" for p in prim.out_ports]
@@ -585,6 +610,23 @@ class _Emitter:
         self.env[name] = obj
         return name
 
+    def _name(self, tensor_name: str) -> str:
+        """Identifier standing for ``tensor_name`` in the emitted source.
+
+        Every tensor name the source mentions goes through here, so it
+        reaches the kernel through ``env`` and never as a literal:
+        regions that differ only in which tensors they touch (the layers
+        of a stack, the Q/K/V projections inside one) emit identical
+        source and share one code object.  Identifiers are numbered by
+        first appearance, which depends on the graph's structure alone.
+        """
+        ident = self.names.get(tensor_name)
+        if ident is None:
+            ident = self.names[tensor_name] = self._bind(
+                f"_T{len(self.names)}", tensor_name
+            )
+        return ident
+
     # -- per-kind emitters ----------------------------------------------
     def _emit_root(self, i, node_id, node, prim) -> None:
         self.w(f"s{i}_ref = [(1, 0), _DT]")
@@ -598,7 +640,7 @@ class _Emitter:
     def _emit_scan(self, i, node_id, node, prim) -> None:
         ref_in = self._in(node, "ref")
         dram = prim.dram
-        self.w(f"_t = _get_tensor(binding, {prim.tensor_name!r})")
+        self.w(f"_t = _get_tensor(binding, {self._name(prim.tensor_name)})")
         self.w(f"_lvl = _t.levels[{prim.level}]")
         self.w('_comp = _lvl.kind == "compressed"')
         self.w(f"s{i}_crd = []")
@@ -656,7 +698,7 @@ class _Emitter:
     def _emit_locate(self, i, node_id, node, prim) -> None:
         crd_in = self._in(node, "crd")
         dram = prim.dram
-        self.w(f"_t = _get_tensor(binding, {prim.tensor_name!r})")
+        self.w(f"_t = _get_tensor(binding, {self._name(prim.tensor_name)})")
         self.w(f"_lvl = _t.levels[{prim.level}]")
         self.w('_dense = _lvl.kind == "dense"')
         self.w(f"s{i}_ref = []")
@@ -851,7 +893,7 @@ class _Emitter:
     def _emit_array(self, i, node_id, node, prim) -> None:
         ref_in = self._in(node, "ref")
         dram = prim.dram
-        self.w(f"_t = _get_tensor(binding, {prim.tensor_name!r})")
+        self.w(f"_t = _get_tensor(binding, {self._name(prim.tensor_name)})")
         self.w("_vals = _t.values")
         self.w("_blocked = _vals.ndim > 1")
         self.w("_zero = np.zeros(_vals.shape[1:]) if _blocked else 0.0")
@@ -1191,7 +1233,7 @@ class _Emitter:
 
     def _emit_write(self, i, node_id, node, prim) -> None:
         n = len(prim.shape)
-        name = prim.tensor_name
+        name = self._name(prim.tensor_name)
         crd_ins = [self._in(node, f"crd{d}") for d in range(n)]
         val_in = self._in(node, "val")
         fmt = self._bind(f"_fmt{i}", prim.fmt)
@@ -1210,7 +1252,7 @@ class _Emitter:
         self.w("    if len(_ch) != len(_vals):")
         self.w(
             "        raise StreamProtocolError("
-            f"f\"writer {name}: level {{_depth}} crd/val fan-out \""
+            f"f\"writer {{{name}}}: level {{_depth}} crd/val fan-out \""
             "f\"mismatch ({len(_ch)} vs {len(_vals)})\")"
         )
         self.w("    for _j, _c in enumerate(_ch):")
@@ -1233,11 +1275,11 @@ class _Emitter:
             self.w("}")
         self.w(
             f"_tw = SparseTensor.from_coords({prim.shape!r}, {fmt}, "
-            f"_coords{i}, name={name!r})"
+            f"_coords{i}, name={name})"
         )
         if prim.dram:
             self.w("_st.dram_writes += _tw.bytes_total()")
-        self.w(f"results[{name!r}] = _tw")
+        self.w(f"results[{name}] = _tw")
         self.w(f"s{i}_tensor = []")
 
 
@@ -1352,7 +1394,7 @@ class _ColumnarEmitter(_Emitter):
             # one repeat/arange scatter.  Observable behavior (stats order,
             # error wording, emitted values) matches the per-token kernel
             # in sam/primitives/scanner.py exactly.
-            self.w(f"_t = _get_tensor(binding, {prim.tensor_name!r})")
+            self.w(f"_t = _get_tensor(binding, {self._name(prim.tensor_name)})")
             self.w(f"_lvl = _t.levels[{prim.level}]")
             self.w(f"_ki = {ref_in}.kinds")
             self.w(f"_di = {ref_in}.data")
@@ -1445,7 +1487,7 @@ class _ColumnarEmitter(_Emitter):
 
     def _cemit_locate(self, i, node_id, node, prim) -> None:
         crd_in = self._in(node, "crd")
-        self.w(f"_t = _get_tensor(binding, {prim.tensor_name!r})")
+        self.w(f"_t = _get_tensor(binding, {self._name(prim.tensor_name)})")
         self.w(f"_lvl = _t.levels[{prim.level}]")
         self.w(f"_kk = {crd_in}.kinds")
         self.w(f"_st.tokens_in += len({crd_in})")
@@ -1695,7 +1737,7 @@ class _ColumnarEmitter(_Emitter):
 
     def _cemit_array(self, i, node_id, node, prim) -> None:
         ref_in = self._in(node, "ref")
-        self.w(f"_t = _get_tensor(binding, {prim.tensor_name!r})")
+        self.w(f"_t = _get_tensor(binding, {self._name(prim.tensor_name)})")
         self.w("_vals = _t.values")
         self.w("if _vals.ndim > 1:")
         with self._indented():
@@ -1979,7 +2021,7 @@ class _ColumnarEmitter(_Emitter):
 
     def _cemit_write(self, i, node_id, node, prim) -> None:
         n = len(prim.shape)
-        name = prim.tensor_name
+        name = self._name(prim.tensor_name)
         crd_ins = [self._in(node, f"crd{d}") for d in range(n)]
         val_in = self._in(node, "val")
         fmt = self._bind(f"_fmt{i}", prim.fmt)
@@ -2005,7 +2047,7 @@ class _ColumnarEmitter(_Emitter):
                 self.w("if (_ck[_pay] != 0).any():")
                 self.w("    raise StreamProtocolError(")
                 self.w(
-                    f"        \"writer {name}: crd{d} carries "
+                    f"        f\"writer {{{name}}}: crd{d} carries "
                     "non-coordinate \""
                 )
                 self.w("        \"payload tokens\"")
@@ -2015,7 +2057,7 @@ class _ColumnarEmitter(_Emitter):
                     self.w("if len(_pl) != _m:")
                     self.w("    raise StreamProtocolError(")
                     self.w(
-                        f"        f\"writer {name}: level {d} crd/val "
+                        f"        f\"writer {{{name}}}: level {d} crd/val "
                         "fan-out \""
                     )
                     self.w("        f\"mismatch ({len(_pl)} vs {_m})\"")
@@ -2029,7 +2071,7 @@ class _ColumnarEmitter(_Emitter):
                     self.w("if _m and (len(_pl) <= int(_grp.max())):")
                     self.w("    raise StreamProtocolError(")
                     self.w(
-                        f"        f\"writer {name}: level {d} crd/val "
+                        f"        f\"writer {{{name}}}: level {d} crd/val "
                         "fan-out \""
                     )
                     self.w(
@@ -2050,11 +2092,11 @@ class _ColumnarEmitter(_Emitter):
             self.w("_coords = dict(zip(_paths, _vv.tolist()))")
             self.w(
                 f"_tw = SparseTensor.from_coords({prim.shape!r}, {fmt}, "
-                f"_coords, name={name!r})"
+                f"_coords, name={name})"
             )
             if prim.dram:
                 self.w("_st.dram_writes += _tw.bytes_total()")
-            self.w(f"results[{name!r}] = _tw")
+            self.w(f"results[{name}] = _tw")
             self.w(f"s{i}_tensor = _TS.empty()")
 
 
@@ -2087,7 +2129,6 @@ def _compile_artifact(
     started = time.perf_counter()
     emitter_cls = _ColumnarEmitter if tier == "columnar" else _Emitter
     emitter = emitter_cls(graph, order)
-    probe, probe_base = _probe_spec(graph, order)
     try:
         source = emitter.emit()
     except _Unsupported as exc:
@@ -2099,12 +2140,10 @@ def _compile_artifact(
             node_count=len(order),
             emit_seconds=time.perf_counter() - started,
             fallback=str(exc),
-            probe=probe,
-            probe_base=probe_base,
         )
     emit_seconds = time.perf_counter() - started
     sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    filename = f"<fuseflow-codegen {graph.name} {sha[:12]}>"
+    filename = _kernel_filename(sha)
     compile_started = time.perf_counter()
     with _CACHE_LOCK:
         code = _CODE_CACHE.get(sha)
@@ -2131,7 +2170,6 @@ def _compile_artifact(
                     source.splitlines(True),
                     filename,
                 )
-                _CODE_FILES.setdefault(sha, []).append(filename)
                 while len(_CODE_CACHE) > CODE_CACHE_LIMIT:
                     oldest = next(iter(_CODE_CACHE))
                     _purge_code_entry_locked(oldest)
@@ -2149,13 +2187,13 @@ def _compile_artifact(
         loc=source.count("\n"),
         node_count=len(order),
         emit_seconds=emit_seconds,
-        compile_seconds=time.perf_counter() - compile_started,
+        compile_seconds=(
+            0.0 if cached else time.perf_counter() - compile_started
+        ),
         code_cached=cached,
         uses_numba=uses_numba,
         fn=fn,
         sha=sha,
-        probe=probe,
-        probe_base=probe_base,
     )
 
 
@@ -2209,50 +2247,116 @@ def artifact_for(graph: SAMGraph, tier: Optional[str] = None) -> RegionArtifact:
     order = graph.topological_order()
     with _CACHE_LOCK:
         _drain_pending_releases_locked()
-        cached = _GRAPH_ARTIFACTS.get(graph)
-        if cached is not None and cached[0] is order:
-            incumbent = cached[1].get(tier)
-            if incumbent is not None:
-                _COUNTERS["artifact_hits"] += 1
-                return incumbent
+        incumbent = _graph_entry_locked(graph, order).tiers.get(tier)
+        if incumbent is not None:
+            _COUNTERS["artifact_hits"] += 1
+            return incumbent
         _COUNTERS["artifact_misses"] += 1
     artifact = _compile_artifact(graph, order, tier)
     with _CACHE_LOCK:
-        cached = _GRAPH_ARTIFACTS.get(graph)
-        if cached is None or cached[0] is not order:
-            if cached is not None:
-                # Structural mutation: the old tiers' sources no longer
-                # correspond to this graph — drop their linecache pins.
-                for sha, finalizer in cached[2]:
-                    if finalizer.detach():
-                        _release_sha_locked(sha)
-            cached = (order, {}, [])
-            _GRAPH_ARTIFACTS[graph] = cached
-        incumbent = cached[1].get(tier)
+        entry = _graph_entry_locked(graph, order)
+        incumbent = entry.tiers.get(tier)
         if incumbent is not None:
             return incumbent
-        cached[1][tier] = artifact
-        _retain_sha_locked(graph, artifact.sha, cached[2])
+        entry.tiers[tier] = artifact
+        _retain_sha_locked(graph, artifact.sha, entry.retentions)
     return artifact
 
 
-def _probe_size(artifact: RegionArtifact, binding: Dict[str, Any]):
-    """Adaptive-dispatch probe: (estimated input tokens, blocked payloads).
+def _graph_entry_locked(graph: SAMGraph, order: List[str]) -> _GraphEntry:
+    """The per-graph cache entry for ``graph`` as currently structured."""
+    entry = _GRAPH_ARTIFACTS.get(graph)
+    if entry is None or entry.order is not order:
+        if entry is not None:
+            # Structural mutation: the old tiers' sources no longer
+            # correspond to this graph — drop their linecache pins.
+            for sha, finalizer in entry.retentions:
+                if finalizer.detach():
+                    _release_sha_locked(sha)
+        entry = _GraphEntry(order, _probe_spec(graph, order))
+        _GRAPH_ARTIFACTS[graph] = entry
+    return entry
+
+
+def _probe_size(probe: Tuple[Tuple[str, ...], int], binding: Dict[str, Any]):
+    """Size a run from its binding: (estimated input tokens, blocked payloads).
 
     ``blocked`` is True when any probed tensor carries multi-dimensional
     payloads (e.g. gpt3's block-sparse matrices): those ride the ``objs``
     escape hatch through every columnar kernel, so the token tier's
     specialized loops are the faster choice regardless of stream length.
     """
-    size = artifact.probe_base
+    names, size = probe
     blocked = False
-    for name in artifact.probe:
+    for name in names:
         values = getattr(binding.get(name), "values", None)
         if values is not None:
             size += int(values.size)
             if values.ndim > 1:
                 blocked = True
     return size, blocked
+
+
+def select_artifact(
+    graph: SAMGraph,
+    *,
+    binding: Optional[Dict[str, Any]] = None,
+    decls: Optional[Dict[str, Any]] = None,
+) -> RegionArtifact:
+    """The kernel ``graph`` should run, its tier chosen *before* emitting.
+
+    The one tier decision, shared by the compile-time prewarm and the
+    run, so a region pays emission and ``compile()`` for the tier it will
+    execute and no other.  Blocked payloads escape every columnar kernel
+    and short streams drown in numpy call overhead; either way the token
+    tier's plain loops win (:data:`DEFAULT_SMALL_STREAM_CUTOFF`).
+    ``FUSEFLOW_CODEGEN_TIER=token`` always yields the token tier; cutoff
+    ``0`` always the columnar one (the differential suite uses that to
+    test the tier in isolation).
+
+    Parameters
+    ----------
+    graph:
+        A lowered region graph.
+    binding:
+        Run time: token when a tensor the region reads is *bound* with
+        blocked values (``values.ndim > 1``), or when the bound tensors
+        plus replayed source streams carry fewer than
+        :func:`small_stream_cutoff` payloads in total.
+    decls:
+        Compile time (no binding yet): token when a tensor the region
+        reads is *declared* blocked (``decls[name].fmt.is_blocked``).
+        Stream length is unknown until a binding exists, so size never
+        decides here.
+
+    Returns
+    -------
+    RegionArtifact
+        A region the columnar emitter cannot cover retries on the token
+        tier; ``fn`` is ``None`` when neither could emit it (the caller
+        then runs the region on the columnar interpreter).
+    """
+    tier = codegen_tier()
+    cutoff = small_stream_cutoff()
+    if tier == "columnar" and cutoff:
+        graph.ensure_validated()
+        with _CACHE_LOCK:
+            probe = _graph_entry_locked(graph, graph.topological_order()).probe
+        if binding is not None:
+            size, blocked = _probe_size(probe, binding)
+            if blocked or size < cutoff:
+                tier = "token"
+                with _CACHE_LOCK:
+                    _COUNTERS["token_dispatches"] += 1
+        elif decls is not None and any(
+            decl is not None and decl.fmt.is_blocked
+            for decl in map(decls.get, probe[0])
+        ):
+            tier = "token"
+    artifact = artifact_for(graph, tier)
+    if artifact.fn is None and tier == "columnar":
+        artifact = artifact_for(graph, "token")
+    return artifact
 
 
 def try_run_codegen(
@@ -2287,29 +2391,9 @@ def try_run_codegen(
     """
     from ..comal.functional import FunctionalResult
 
-    tier = codegen_tier()
-    artifact = artifact_for(graph, tier)
-    if artifact.fn is None and tier == "columnar":
-        # Region-level fallback: retry with the token tier before giving
-        # the region to the columnar interpreter.
-        artifact = artifact_for(graph, "token")
+    artifact = select_artifact(graph, binding=binding)
     if artifact.fn is None:
         return None
-    if artifact.tier == "columnar":
-        # Adaptive dispatch (cutoff 0 disables it, forcing the columnar
-        # kernels — the differential suite uses that to test the tier in
-        # isolation): blocked payloads escape every columnar kernel, and
-        # short streams drown in numpy call overhead.  Either way the
-        # token tier's plain loops win (DEFAULT_SMALL_STREAM_CUTOFF).
-        cutoff = small_stream_cutoff()
-        if cutoff:
-            size, blocked = _probe_size(artifact, binding)
-            if blocked or size < cutoff:
-                token_artifact = artifact_for(graph, "token")
-                if token_artifact.fn is not None:
-                    artifact = token_artifact
-                    with _CACHE_LOCK:
-                        _COUNTERS["token_dispatches"] += 1
     order = graph.topological_order()
     stats = {node_id: NodeStats() for node_id in order}
     results: Dict[str, Any] = {}

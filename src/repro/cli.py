@@ -300,6 +300,7 @@ def cmd_simulate(args) -> int:
 
             print()
             print("codegen backend per region (emit cost vs amortization):")
+            print(exe.diagnostics.codegen_summary())
             print(
                 f"{'region':24s} {'tier':>8s} {'LoC':>6s} {'emit':>10s} "
                 f"{'runs':>5s} {'run ms':>8s} {'emit/run':>9s}  status"
@@ -310,9 +311,9 @@ def cmd_simulate(args) -> int:
                     continue
                 diag = diags.get(region.graph.name)
                 fallback = diag.codegen_fallback if diag else ""
-                # One row per emitted tier: with adaptive dispatch a
-                # region's runs can land on the token tier even though
-                # the columnar tier was emitted (blocked/short streams).
+                # One row per emitted tier: a region whose streams turn
+                # out short at run time lands on the token tier although
+                # the declarations had it emit the columnar one.
                 arts = cached_artifacts(region.graph)
                 for tier in sorted(arts):
                     art = arts[tier]
@@ -334,7 +335,9 @@ def cmd_simulate(args) -> int:
                     if fallback:
                         status = f"fallback: {fallback}"
                     elif art.code_cached:
-                        status += ", cached code"
+                        # No compile() in the emit column: an identical
+                        # kernel was already compiled for another region.
+                        status += f", shared kernel {art.sha[:12]}"
                     print(
                         f"{region.graph.name:24s} {tier:>8s} {art.loc:6d} "
                         f"{emit_ms:8.2f}ms {art.runs:5d} {run_col} "
@@ -346,7 +349,7 @@ def cmd_simulate(args) -> int:
                 f"{info['artifact_misses']} miss(es); source cache: "
                 f"{info['code_hits']} hit(s), {info['code_misses']} "
                 f"miss(es); {info['fallbacks']} region fallback(s); "
-                f"{info['token_dispatches']} adaptive token dispatch(es)"
+                f"{info['token_dispatches']} run(s) sent to the token tier"
             )
     return 0
 

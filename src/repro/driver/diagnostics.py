@@ -53,9 +53,13 @@ class RegionDiagnostics:
     codegen_seconds: float = 0.0
     codegen_cached: bool = False
     codegen_fallback: str = ""
-    # Emission tier the region's kernel was generated with ("columnar"
-    # default, "token" when the columnar emitter could not cover a node).
+    # Emission tier the region's kernel was generated with: the tier the
+    # declarations say it will run under ("token" for blocked formats or
+    # when the columnar emitter could not cover a node, else "columnar").
     codegen_tier: str = ""
+    # First 12 hex digits of the emitted source's SHA-256.  Emission is
+    # name-free, so regions with equal digests share one code object.
+    codegen_sha: str = ""
 
     @property
     def order_fallbacks(self) -> int:
@@ -89,6 +93,22 @@ class CompileDiagnostics:
                 out.setdefault(name, []).append(region.name)
         return out
 
+    def codegen_summary(self) -> str:
+        """``N regions, M distinct kernels, K shared`` (empty off codegen).
+
+        A *shared* region found its code object already compiled — by an
+        earlier, structurally identical region — and so reports emission
+        time only; that is why its compile cost reads as zero.
+        """
+        kernels = [r for r in self.regions if r.codegen_loc]
+        if not kernels:
+            return ""
+        return (
+            f"{len(kernels)} region(s), "
+            f"{len({r.codegen_sha for r in kernels})} distinct kernel(s), "
+            f"{sum(r.codegen_cached for r in kernels)} shared"
+        )
+
     def describe(self) -> str:
         """Multi-line rendering: per-pass timings, then per-region stats."""
         lines = [
@@ -99,6 +119,9 @@ class CompileDiagnostics:
         for name in self.pass_names:
             seconds = self.pass_seconds.get(name, 0.0)
             lines.append(f"  pass {name:20s} {seconds * 1e3:8.2f} ms")
+        kernels = self.codegen_summary()
+        if kernels:
+            lines.append(f"  codegen: {kernels}")
         for region in self.regions:
             bits = [
                 f"{region.statements} stmt(s)",
@@ -132,7 +155,11 @@ class CompileDiagnostics:
                 bits.append(
                     f"codegen{tier} {region.codegen_loc} LoC in "
                     f"{region.codegen_seconds * 1e3:.2f} ms"
-                    + (" (cached)" if region.codegen_cached else "")
+                    + (
+                        f" (shared kernel {region.codegen_sha})"
+                        if region.codegen_cached
+                        else ""
+                    )
                 )
             lines.append(f"  region {region.name}: " + ", ".join(bits))
         return "\n".join(lines)

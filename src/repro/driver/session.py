@@ -353,20 +353,15 @@ class Session:
         observable via ``--profile``) instead of silently inflating the
         first execution.
         """
-        from ..backend.codegen import artifact_for
+        from ..backend.codegen import select_artifact
 
         by_name = {region.name: region for region in diagnostics.regions}
         for region in compiled.regions:
             if region.graph is None:
                 continue
-            artifact = artifact_for(region.graph)
-            if artifact.fn is None and artifact.tier == "columnar":
-                # Mirror the run-time tier chain: a region the columnar
-                # emitter cannot cover retries on the token tier before
-                # falling back to the interpreter.
-                token = artifact_for(region.graph, "token")
-                if token.fn is not None:
-                    artifact = token
+            # The tier the run will pick, as far as the declarations can
+            # tell (blocked formats); stream length decides at first run.
+            artifact = select_artifact(region.graph, decls=compiled.decls)
             diag = by_name.get(region.graph.name)
             if diag is None:
                 continue
@@ -375,6 +370,7 @@ class Session:
                 artifact.emit_seconds + artifact.compile_seconds
             )
             diag.codegen_cached = artifact.code_cached
+            diag.codegen_sha = artifact.sha[:12]
             diag.codegen_fallback = artifact.fallback
             diag.codegen_tier = artifact.tier if artifact.fn is not None else ""
 

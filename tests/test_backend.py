@@ -26,7 +26,11 @@ from repro.backend import (
     get_backend,
     resolve_backend_name,
 )
-from repro.backend.codegen import clear_codegen_caches, numba_available
+from repro.backend.codegen import (
+    cached_artifacts,
+    clear_codegen_caches,
+    numba_available,
+)
 from repro.comal.functional import run_functional
 from repro.comal.machines import RDA_MACHINE
 from repro.core.einsum.parser import parse_program
@@ -35,6 +39,7 @@ from repro.ftree import SparseTensor, csr, dense
 from repro.sam.graph import SAMGraph
 from repro.sam.primitives.base import Primitive
 from repro.sam.primitives.scanner import CrdSource, LevelScanner, Root
+from repro.sam.primitives.writer import TensorWriter
 from repro.sam.token import (
     VAL,
     StreamProtocolError,
@@ -44,6 +49,7 @@ from repro.sam.token import (
     streams_equal,
     val,
 )
+from repro.sweep import build_bundle
 from repro.sweep.spec import SweepPoint, SweepSpecError
 
 _PROGRAM = (
@@ -372,6 +378,254 @@ class TestKernelErrors:
         assert len(res.stream("src")) == 1
 
 
+def _force_tier(monkeypatch, tier):
+    """Run every region on ``tier`` whatever its streams look like."""
+    monkeypatch.setenv("FUSEFLOW_CODEGEN_TIER", tier)
+    monkeypatch.setenv("FUSEFLOW_CODEGEN_SMALL_CUTOFF", "0")
+
+
+class TestSharedKernelErrors:
+    """Two regions, one code object: errors still name the right region.
+
+    Emission is name-free, so structurally identical regions share the
+    code object the *first* one compiled.  Everything an error message
+    carries — region, node, tensor — must come from the region that
+    raised, never from the one that happened to compile the kernel.
+    """
+
+    @staticmethod
+    def _scan_graph(region, tensor):
+        graph = SAMGraph(region)
+        root = graph.add(Root(), node_id="root")
+        graph.add(
+            LevelScanner(tensor, 0),
+            {"ref": graph.port(root, "ref")},
+            node_id="scan",
+        )
+        return graph
+
+    @staticmethod
+    def _writer_graph(region, tensor):
+        # Two coordinates against one value: a fan-out mismatch the writer
+        # reports by name.
+        graph = SAMGraph(region)
+        crds = graph.add(
+            CrdSource([crd(0), crd(1), stop(0), done()], "c"), node_id="crds"
+        )
+        vals = graph.add(
+            CrdSource([val(1.0), stop(0), done()], "v"), node_id="vals"
+        )
+        graph.add(
+            TensorWriter(tensor, (4,), dense(1)),
+            {"crd0": graph.port(crds), "val": graph.port(vals)},
+            node_id="write",
+        )
+        return graph
+
+    @pytest.mark.parametrize("tier", ["token", "columnar"])
+    def test_unbound_tensor_in_second_region(self, tier, monkeypatch):
+        _force_tier(monkeypatch, tier)
+        clear_codegen_caches()
+        first = self._scan_graph("first", "A")
+        second = self._scan_graph("second", "B")
+        a = SparseTensor.from_dense(np.ones(3), dense(1), "A")
+        run_functional(first, {"A": a}, backend="codegen", cache=False)
+        with pytest.raises(KeyError) as excinfo:
+            run_functional(second, {"A": a}, backend="codegen", cache=False)
+        message = str(excinfo.value)
+        assert "tensor 'B' not bound" in message
+        assert "[codegen kernel, region 'second', node scan]" in message
+        assert "first" not in message
+        shared = artifact_for(second, tier)
+        assert shared.code_cached
+        assert shared.sha == artifact_for(first, tier).sha
+        assert "'A'" not in shared.source and "'B'" not in shared.source
+
+    @pytest.mark.parametrize("tier", ["token", "columnar"])
+    def test_protocol_error_in_second_region(self, tier, monkeypatch):
+        _force_tier(monkeypatch, tier)
+        clear_codegen_caches()
+        graphs = {
+            name: self._writer_graph(region, name)
+            for region, name in (("first", "W"), ("second", "V"))
+        }
+        for name, region in (("W", "first"), ("V", "second")):
+            with pytest.raises(StreamProtocolError) as excinfo:
+                run_functional(
+                    graphs[name], {}, backend="codegen", cache=False
+                )
+            message = str(excinfo.value)
+            assert f"writer {name}: level 0 crd/val fan-out" in message
+            assert f"[codegen kernel, region {region!r}, node write]" in message
+        shared = artifact_for(graphs["V"], tier)
+        assert shared.code_cached
+        assert shared.sha == artifact_for(graphs["W"], tier).sha
+
+    def test_linecache_name_carries_no_region(self, clean_env):
+        import linecache
+
+        clear_codegen_caches()
+        graph = self._scan_graph("first", "A")  # pins the registration
+        artifact = artifact_for(graph)
+        filename = f"<fuseflow-codegen {artifact.sha[:12]}>"
+        assert artifact.fn.__code__.co_filename == filename
+        assert linecache.getline(filename, 1).startswith("def _region_kernel")
+
+
+# ----------------------------------------------------------------------
+# Name-free emission + tier chosen before emission
+# ----------------------------------------------------------------------
+
+_GPT3_TWO_LAYERS = {
+    "seq_len": 16, "d_model": 8, "block": 4, "n_layers": 2, "seed": 0,
+}
+
+
+@pytest.fixture
+def default_tiering(clean_env):
+    """Default tier selection, whatever the CI step's environment says."""
+    clean_env.delenv("FUSEFLOW_CODEGEN_TIER", raising=False)
+    clean_env.delenv("FUSEFLOW_CODEGEN_SMALL_CUTOFF", raising=False)
+    clear_codegen_caches()
+    return clean_env
+
+
+class TestKernelSharing:
+    def _compile_gpt3(self, **session_args):
+        bundle = build_bundle(
+            SweepPoint.make("gpt3", model_args=_GPT3_TWO_LAYERS)
+        )
+        session = Session(
+            machine=RDA_MACHINE, backend="codegen", **session_args
+        )
+        exe, source = session.compile_detailed(
+            bundle.program, bundle.schedule("unfused")
+        )
+        return bundle, exe, source
+
+    def test_identical_layers_compile_once(self, default_tiering):
+        _, exe, _ = self._compile_gpt3()
+        regions = exe.diagnostics.regions
+        shas = {region.codegen_sha for region in regions}
+        assert all(shas) and len(shas) * 3 <= len(regions)
+        info = codegen_cache_info()
+        assert info["code_hits"] * 2 >= len(regions)
+        assert info["code_misses"] == len(shas)
+        # Shared regions still report the lines *they* emitted and are
+        # marked; only compile() was skipped.
+        shared = [region for region in regions if region.codegen_cached]
+        assert len(shared) == info["code_hits"]
+        assert all(region.codegen_loc > 0 for region in shared)
+        for region in exe.regions:
+            (artifact,) = cached_artifacts(region.graph).values()
+            assert artifact.loc == artifact.source.count("\n") > 0
+            assert artifact.code_cached == (artifact.compile_seconds == 0)
+        summary = exe.diagnostics.codegen_summary()
+        assert summary == (
+            f"{len(regions)} region(s), {len(shas)} distinct kernel(s), "
+            f"{len(shared)} shared"
+        )
+        assert f"codegen: {summary}" in exe.diagnostics.describe()
+        assert "(shared kernel " in exe.diagnostics.describe()
+
+    def test_declared_blocked_regions_emit_token_only(self, default_tiering):
+        bundle, exe, _ = self._compile_gpt3()
+        for when in ("compiled", "run"):
+            for region in exe.regions:
+                assert set(cached_artifacts(region.graph)) == {"token"}, when
+            exe(bundle.binding)
+        assert {r.codegen_tier for r in exe.diagnostics.regions} == {"token"}
+        # Every run was a token-tier decision; none emitted a second tier.
+        assert codegen_cache_info()["token_dispatches"] >= len(exe.regions)
+
+    def test_cutoff_zero_still_forces_columnar(self, default_tiering):
+        default_tiering.setenv("FUSEFLOW_CODEGEN_SMALL_CUTOFF", "0")
+        bundle, exe, _ = self._compile_gpt3()
+        exe(bundle.binding)
+        for region in exe.regions:
+            assert set(cached_artifacts(region.graph)) == {"columnar"}
+        assert codegen_cache_info()["token_dispatches"] == 0
+
+    def test_explicit_columnar_artifact_for_a_blocked_region(
+        self, default_tiering
+    ):
+        # Profilers and the traced replay name their tier; the decision
+        # only governs what compile and run pick for themselves.
+        _, exe, _ = self._compile_gpt3()
+        graph = exe.regions[0].graph
+        columnar = artifact_for(graph, "columnar")
+        assert columnar.tier == "columnar" and columnar.fn is not None
+        assert set(cached_artifacts(graph)) == {"columnar", "token"}
+
+    def test_short_streams_emit_token_at_first_run_only(self, default_tiering):
+        bundle = build_bundle(
+            SweepPoint.make("sae", model_args={"nodes": 16, "seed": 0})
+        )
+        session = Session(machine=RDA_MACHINE, backend="codegen")
+        exe = session.compile(bundle.program, bundle.schedule("unfused"))
+        # Nothing declared blocked and no binding yet: columnar only.
+        for region in exe.regions:
+            assert set(cached_artifacts(region.graph)) == {"columnar"}
+        exe(bundle.binding)
+        tiers = [cached_artifacts(region.graph) for region in exe.regions]
+        lazily = [t for t in tiers if "token" in t]
+        assert lazily, "no sae region fell under the small-stream cutoff"
+        for artifacts in lazily:
+            assert artifacts["token"].runs == 1
+            assert artifacts["columnar"].runs == 0
+        for artifacts in tiers:
+            if "token" not in artifacts:
+                assert artifacts["columnar"].runs == 1
+
+    def test_disk_hit_shares_kernels_too(self, default_tiering, tmp_path):
+        _, cold, source = self._compile_gpt3(disk_cache=str(tmp_path))
+        assert source == "compiled"
+        cold_info = codegen_cache_info()
+        # A restarted process: nothing compiled yet, the entry on disk.
+        clear_codegen_caches()
+        _, warm, source = self._compile_gpt3(disk_cache=str(tmp_path))
+        assert source == "disk"
+        info = codegen_cache_info()
+        assert info["code_hits"] == cold_info["code_hits"] > 0
+        assert info["code_misses"] == cold_info["code_misses"]
+        for region in warm.regions:
+            assert set(cached_artifacts(region.graph)) == {"token"}
+        assert [r.codegen_sha for r in warm.diagnostics.regions] == [
+            r.codegen_sha for r in cold.diagnostics.regions
+        ]
+
+    def test_shared_source_released_with_its_last_graph(self, default_tiering):
+        import gc
+        import linecache
+
+        # Two regions that differ only in tensor names share one source.
+        program = parse_program(
+            "tensor A(4, 5): csr\ntensor X(5, 3): dense\n"
+            "tensor B(4, 5): csr\ntensor Y(5, 3): dense\n"
+            "T(i, j) = A(i, k) * X(k, j)\n"
+            "U(i, j) = B(i, k) * Y(k, j)"
+        )
+        session = Session(machine=RDA_MACHINE, backend="codegen")
+        exe = session.compile(program)
+        first, second = (region.graph for region in exe.regions)
+        sha = artifact_for(first).sha
+        assert artifact_for(second).sha == sha
+        filename = f"<fuseflow-codegen {sha[:12]}>"
+        del exe, session
+        gc.collect()
+        assert codegen_cache_info()["retained_sources"] == 1
+        del first
+        gc.collect()
+        info = codegen_cache_info()
+        assert (info["retained_sources"], info["code_files"]) == (1, 1)
+        assert linecache.getline(filename, 1)
+        del second
+        gc.collect()
+        info = codegen_cache_info()
+        assert (info["retained_sources"], info["code_files"]) == (0, 0)
+        assert not linecache.getline(filename, 1)
+
+
 # ----------------------------------------------------------------------
 # Emission tiers (token vs columnar) and adaptive dispatch
 # ----------------------------------------------------------------------
@@ -480,23 +734,22 @@ class TestEmissionTiers:
             assert streams_equal(have.streams[key], want.streams[key]), key
 
     def test_probe_flags_blocked_payloads(self):
-        from repro.backend.codegen import RegionArtifact, _probe_size
+        from repro.backend.codegen import _probe_size
 
-        artifact = RegionArtifact(
-            region="r", tier="columnar", probe=("A",), probe_base=3
-        )
+        # The graph-level probe: names the region reads + source-stream floor.
+        probe = (("A",), 3)
 
         class _T:
             pass
 
         flat = _T()
         flat.values = np.zeros(7)
-        assert _probe_size(artifact, {"A": flat}) == (10, False)
+        assert _probe_size(probe, {"A": flat}) == (10, False)
         blocked = _T()
         blocked.values = np.zeros((4, 2, 2))
-        assert _probe_size(artifact, {"A": blocked}) == (19, True)
+        assert _probe_size(probe, {"A": blocked}) == (19, True)
         # Unbound probe tensors contribute nothing (and do not raise).
-        assert _probe_size(artifact, {}) == (3, False)
+        assert _probe_size(probe, {}) == (3, False)
 
 
 # ----------------------------------------------------------------------
@@ -515,7 +768,7 @@ class TestLinecacheBounds:
         exe = session.compile(program)
         graph = exe.regions[0].graph
         artifact = artifact_for(graph)
-        filename = f"<fuseflow-codegen {graph.name} {artifact.sha[:12]}>"
+        filename = f"<fuseflow-codegen {artifact.sha[:12]}>"
         assert linecache.getline(filename, 1)  # source is registered
         assert codegen_cache_info()["retained_sources"] >= 1
         # Drop every strong reference to the compiled program (the session

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import artifact_for
+from repro.backend import artifact_for, codegen_cache_info
+from repro.backend.codegen import clear_codegen_caches
 from repro.comal.engine import run_timed
 from repro.comal.functional import run_functional
 from repro.comal.machines import RDA_MACHINE
@@ -164,6 +165,49 @@ def test_columnar_tier_forced_matches(model, monkeypatch):
         assert np.array_equal(
             tensor.to_dense(), res["codegen"].tensors[name].to_dense()
         ), f"{model} tensor {name} diverged under the forced columnar tier"
+
+
+def test_shared_kernels_match_every_backend():
+    """Layers that share one code object still compute their own results.
+
+    gpt3's decoder blocks emit identical (name-free) source, so all but
+    the first layer run kernels compiled for another region, told apart
+    only by the names bound into their exec globals.  Under every tier
+    the environment selects, outputs and metrics must stay bit-exact
+    against both interpreters with stream checking on.
+    """
+    args = dict(POINTS["gpt3"], n_layers=2)
+    bundle = build_bundle(SweepPoint.make("gpt3", model_args=args))
+    clear_codegen_caches()
+    res = {}
+    for backend in ("interp", "columnar", "codegen"):
+        sess = Session(
+            machine=RDA_MACHINE,
+            backend=backend,
+            sim_cache=False,
+            debug_streams=True,
+        )
+        exe = sess.compile(bundle.program, bundle.schedule("unfused"))
+        res[backend] = exe(bundle.binding)
+    shas = [region.codegen_sha for region in exe.diagnostics.regions]
+    assert len(set(shas)) * 3 <= len(shas)
+    assert codegen_cache_info()["code_hits"] * 2 >= len(shas)
+    codegen = res["codegen"]
+    for backend in ("interp", "columnar"):
+        want = res[backend]
+        assert codegen.metrics.flops == want.metrics.flops
+        assert codegen.metrics.tokens == want.metrics.tokens
+        assert codegen.metrics.traffic_by_level() == (
+            want.metrics.traffic_by_level()
+        )
+        assert codegen.metrics.cycles == pytest.approx(
+            want.metrics.cycles, rel=1e-9
+        )
+        assert set(codegen.tensors) == set(want.tensors)
+        for name, tensor in want.tensors.items():
+            assert np.array_equal(
+                tensor.to_dense(), codegen.tensors[name].to_dense()
+            ), f"tensor {name} diverged from the {backend} backend"
 
 
 # ----------------------------------------------------------------------

@@ -212,6 +212,22 @@ class TestServer:
         assert payload["max_abs_err"] < 1e-6
         assert payload["metrics"]["cycles"] > 0
 
+    def test_compile_ms_header_times_the_compile_only(self, server):
+        # The header is the time inside compile_detailed, not the whole
+        # request: simulation and verification stay out of it, and a
+        # memory hit costs a dictionary lookup however long the run takes.
+        body = {"model": "gcn", "model_args": {"nodes": 20}, "schedule": "partial"}
+        _, headers, payload = _post(server, "/v1/simulate", body)
+        assert headers["X-Fuseflow-Cache"] == "compiled"
+        compile_ms = float(headers["X-Fuseflow-Compile-Ms"])
+        assert 0 < compile_ms <= payload["elapsed_ms"]
+        assert compile_ms >= payload["compile_seconds"] * 1e3
+        _, headers, payload = _post(server, "/v1/simulate", body)
+        assert headers["X-Fuseflow-Cache"] == "memory"
+        hit_ms = float(headers["X-Fuseflow-Compile-Ms"])
+        assert hit_ms <= payload["elapsed_ms"]
+        assert hit_ms < min(5.0, compile_ms)
+
     def test_program_text_compile(self, server):
         status, _, payload = _post(
             server, "/v1/compile", {"program": MM_PROGRAM, "name": "mm"}
