@@ -8,8 +8,7 @@ A *backend* turns a lowered SAMML region graph plus a tensor binding into a
   :class:`~repro.sam.token.TokenStream` columns (the default);
 * ``"codegen"`` — the code-generating backend in
   :mod:`repro.backend.codegen`, which emits and compiles one specialized
-  Python kernel per region and falls back to the columnar interpreter per
-  region when a primitive is unsupported.
+  Python kernel per region.
 
 All three produce identical streams, statistics, and result tensors — the
 interpreter is the executable specification, and

@@ -1,41 +1,43 @@
 """Code-generating backend: one compiled Python kernel per fusion region.
 
-Instead of walking the region graph node by node (paying a dict-dispatched
-``process`` call, an :class:`~repro.sam.primitives.base.ExecutionContext`,
-and per-port stream plumbing for every node on every execution), this
-backend walks the graph **once**, emits a single specialized Python source
-function that inlines every node's per-token logic — scanner/joiner/ALU/
-reduce/writer loops with the node's configuration folded in as constants
-and streams collapsed into local lists — compiles it with
-:func:`compile`/``exec``, and caches the artifact.
+Instead of walking the region graph node by node (assembling a dict of
+input streams from the edge table, looking up the node's stats and
+dispatching on the representation for every node on every execution),
+this backend walks the graph **once**, emits a single straight-line
+Python function for the region — streams collapsed into locals, dispatch
+unrolled — compiles it with :func:`compile`/``exec``, and caches the
+artifact.
 
-Two emission tiers share this machinery (``FUSEFLOW_CODEGEN_TIER``):
+Two emission tiers share this machinery:
 
-* **token** — the original tier: per-token Python loops over ``(kind,
-  payload)`` tuples, semantics copied line for line from the legacy
-  ``process`` kernels.  Fastest when streams are tiny (gpt3's blocked
-  streams), because it pays no numpy per-call overhead.
-* **columnar** (default) — kernels whose locals are the numpy arrays
-  backing each :class:`~repro.sam.token.TokenStream` (``kinds`` int8 /
-  ``data`` float64 / ``objs`` escape hatch).  The vectorized
-  ``process_columnar`` bodies from ``sam/primitives/`` are inlined with
-  node configuration and token-kind literals folded in as constants;
-  structure-preserving nodes (repsig, aligncheck) forward streams by
-  reference so nothing is rematerialized.  Nodes whose inputs carry
-  object payloads escape, per node, to the bound primitive's columnar
-  kernel; kinds with no columnar emitter bridge, per node, through the
-  token-tier body; regions the columnar emitter cannot handle at all
-  fall back to the token tier, then to the columnar interpreter.
+* **token** — every node is one call to its primitive's own ``process``
+  (the executable specification the differential suites compare
+  against) over ``(kind, payload)`` tuple lists.  Nothing is re-expressed:
+  what the tier buys is the unrolled dispatch, which is all that matters
+  when streams are tiny (gpt3's blocked streams), and it pays no numpy
+  per-call overhead.
+* **columnar** — kernels whose locals are the numpy arrays backing each
+  :class:`~repro.sam.token.TokenStream` (``kinds`` int8 / ``data``
+  float64 / ``objs`` escape hatch).  The vectorized ``process_columnar``
+  bodies from ``sam/primitives/`` are inlined with node configuration and
+  token-kind literals folded in as constants; structure-preserving nodes
+  (repsig, aligncheck) forward streams by reference so nothing is
+  rematerialized.  Nodes whose inputs carry object payloads, and kinds
+  with no inlined body, are emitted per node as a call to the bound
+  primitive's ``process_columnar``.
 
-Both tiers are bit-exact against the interpreters: identical streams,
-per-node statistics, result tensors, and therefore identical timed
-metrics (the timed engine reads only stream lengths, stats, and node
-metadata).  Because they are interchangeable, :func:`select_artifact`
-picks the tier a region runs under *before* anything is emitted — token
-for blocked payloads and for inputs below :func:`small_stream_cutoff`
-(numpy dispatch overhead dominates short arrays), columnar otherwise —
-so ``backend=codegen`` wins on every model regardless of stream length
-and a region pays emission and ``compile()`` only for the tier it runs.
+Every well-formed region can be emitted in either tier (the base-class
+``process_columnar`` bridges through ``process``), so nothing ever falls
+back to an interpreter.  Both tiers are bit-exact against the
+interpreters: identical streams, per-node statistics, result tensors, and
+therefore identical timed metrics (the timed engine reads only stream
+lengths, stats, and node metadata).  Because they are interchangeable,
+:func:`select_artifact` picks the tier a region runs under *before*
+anything is emitted — token for blocked payloads and for inputs below
+:func:`small_stream_cutoff` (numpy dispatch overhead dominates short
+arrays), columnar otherwise — so ``backend=codegen`` wins on every model
+regardless of stream length and a region pays emission and ``compile()``
+only for the tier it runs.
 
 Two cache levels:
 
@@ -44,26 +46,17 @@ Two cache levels:
   graph reuse its compiled kernel;
 * per-source (keyed by the SHA-256 of the emitted source): structurally
   identical regions share one code object and pay ``compile()`` once per
-  process.  Emitted source is *name-free* — tensor names reach a kernel
-  through its exec globals, never as literals (``_Emitter._name``) — so
-  the layers of a stack, which differ only in the tensors they touch,
-  are structurally identical in this sense.
-
-Regions containing a primitive kind the emitter does not know fall back
-to the columnar interpreter, per region, with a recorded reason — every
-model runs under ``--backend codegen`` regardless.
+  process.  Emitted source is *name-free* — tensor names and primitives
+  reach a kernel through its exec globals, never as literals
+  (``_Emitter._name`` / ``_bind``) — so the layers of a stack, which
+  differ only in the tensors they touch, are structurally identical in
+  this sense.
 
 Exceptions raised inside a generated kernel are re-raised with the node id
 and region name appended (protocol errors keep their type and message so
 ``pytest.raises(..., match=...)`` assertions hold under
 ``FUSEFLOW_BACKEND=codegen``); emitted sources are registered with
 :mod:`linecache` so tracebacks show real kernel lines, not ``<string>``.
-
-When :mod:`numba` is importable *and* ``FUSEFLOW_CODEGEN_NUMBA=1`` is set,
-kernels are additionally ``@njit``-wrapped, falling back to the plain
-compiled function on any numba typing failure (the kernels traffic in
-tuples, dicts, and tensor objects, which nopython mode typically rejects
-— see ``docs/backends.md`` for the caveats).
 """
 
 from __future__ import annotations
@@ -74,7 +67,6 @@ import os
 import threading
 import time
 import weakref
-from array import array
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -85,28 +77,19 @@ import numpy as np
 from ..ftree.tensor import SparseTensor
 from ..sam.graph import SAMGraph
 from ..sam.primitives.base import ExecutionContext, NodeStats
-from ..sam.primitives.compute import _BINARY_OPS, _UNARY_OPS
-from ..sam.primitives.fiberops import _apply_over_fiber, _layernorm, _softmax
+from ..sam.primitives.compute import _UNARY_OPS
+from ..sam.primitives.fiberops import _layernorm, _softmax
 from ..sam.primitives.joiner import (
     _check_controls,
-    _control_mismatch,
     _payload_columns,
     _require_aligned,
     _split_segments,
 )
 from ..sam.primitives.reduce import _segment_sums
-from ..sam.primitives.scanner import (
-    _B_CRD,
-    _B_DONE,
-    _B_REF,
-    _B_STOP,
-    _wrap_columns,
-)
 from ..sam.token import (
     StreamProtocolError,
     TokenStream,
     check_stream,
-    stream_to_nest,
     streams_equal,
 )
 from .base import Backend
@@ -118,32 +101,15 @@ __all__ = [
     "artifact_for",
     "cached_artifacts",
     "codegen_cache_info",
-    "codegen_tier",
     "clear_codegen_caches",
-    "numba_available",
     "select_artifact",
     "small_stream_cutoff",
     "try_run_codegen",
 ]
 
-_TRUTHY = ("1", "true", "yes", "on")
-
 
 class CodegenError(RuntimeError):
     """A generated kernel failed for a non-protocol reason."""
-
-
-def numba_available() -> bool:
-    """Whether :mod:`numba` can be imported (never installs anything)."""
-    try:
-        import numba  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
-def _numba_requested() -> bool:
-    return os.environ.get("FUSEFLOW_CODEGEN_NUMBA", "").lower() in _TRUTHY
 
 
 _TIERS = ("token", "columnar")
@@ -158,30 +124,16 @@ _TIERS = ("token", "columnar")
 DEFAULT_SMALL_STREAM_CUTOFF = 256
 
 
-def codegen_tier() -> str:
-    """The selected emission tier (``FUSEFLOW_CODEGEN_TIER``).
-
-    Returns ``"columnar"`` (the default) or ``"token"``.  Any other value
-    raises so typos fail loudly instead of silently changing tiers.
-    """
-    tier = os.environ.get("FUSEFLOW_CODEGEN_TIER", "").strip().lower()
-    if not tier:
-        return "columnar"
-    if tier not in _TIERS:
-        raise ValueError(
-            f"FUSEFLOW_CODEGEN_TIER must be one of {_TIERS}, got {tier!r}"
-        )
-    return tier
-
-
 def small_stream_cutoff() -> int:
     """Tier-decision threshold (``FUSEFLOW_CODEGEN_SMALL_CUTOFF``).
 
     A run whose bound input tensors carry fewer than this many payload
     values in total goes to the (bit-exact) token-tier kernel instead of
     the columnar one (:func:`select_artifact`).  ``0`` disables the
-    decision, blocked payloads included; unset/unparsable falls back to
-    :data:`DEFAULT_SMALL_STREAM_CUTOFF`.
+    decision, blocked payloads included, so every region runs columnar; a
+    value no input reaches (``10**9``) sends every run to the token tier
+    — how the differential suites test each tier in isolation.
+    Unset/unparsable falls back to :data:`DEFAULT_SMALL_STREAM_CUTOFF`.
     """
     raw = os.environ.get("FUSEFLOW_CODEGEN_SMALL_CUTOFF", "").strip()
     if not raw:
@@ -203,7 +155,7 @@ class RegionArtifact:
     tier : str
         Emission tier the artifact was built with (``token``/``columnar``).
     source : str
-        The emitted Python source (empty when the region fell back).
+        The emitted Python source.
     loc : int
         Emitted lines of code.
     node_count : int
@@ -212,15 +164,10 @@ class RegionArtifact:
         Wall time spent emitting the source.
     compile_seconds : float
         Wall time spent in ``compile()``/``exec`` (0 on a code-cache hit).
-    fallback : str
-        Empty when the region compiled; otherwise the reason the region
-        runs on the columnar interpreter instead.
     code_cached : bool
         True when the code object came from the per-source cache.
-    uses_numba : bool
-        True when the kernel was additionally ``@njit``-wrapped.
-    fn : callable or None
-        The compiled kernel, or ``None`` when ``fallback`` is set.
+    fn : callable
+        The compiled kernel.
     sha : str
         SHA-256 hex digest of ``source`` (the code-cache key).
     runs : int
@@ -236,9 +183,7 @@ class RegionArtifact:
     node_count: int = 0
     emit_seconds: float = 0.0
     compile_seconds: float = 0.0
-    fallback: str = ""
     code_cached: bool = False
-    uses_numba: bool = False
     fn: Optional[Callable] = None
     sha: str = ""
     runs: int = 0
@@ -307,7 +252,6 @@ _COUNTERS = {
     "code_hits": 0,
     "code_misses": 0,
     "code_evictions": 0,
-    "fallbacks": 0,
     "token_dispatches": 0,
 }
 
@@ -412,8 +356,6 @@ def _on_graph_collected(sha: str) -> None:
 
 def _retain_sha_locked(graph: SAMGraph, sha: str, retentions: List) -> None:
     """Pin a source-cache entry to ``graph``'s lifetime."""
-    if not sha:
-        return
     _SHA_REFS[sha] = _SHA_REFS.get(sha, 0) + 1
     finalizer = weakref.finalize(graph, _on_graph_collected, sha)
     finalizer.atexit = False
@@ -486,33 +428,23 @@ _FIBER_FNS: Dict[str, Callable] = {
 _SHARED_GLOBALS: Dict[str, Any] = {
     "np": np,
     "StreamProtocolError": StreamProtocolError,
-    "SparseTensor": SparseTensor,
-    "stream_to_nest": stream_to_nest,
-    "_apply_over_fiber": _apply_over_fiber,
-    "_require_aligned": _require_aligned,
-    "_control_mismatch": _control_mismatch,
-    "_get_tensor": _get_tensor,
+    "_Ctx": ExecutionContext,
     "_dbg": _dbg_check,
-    "_BINARY_OPS": _BINARY_OPS,
-    "_UNARY_OPS": _UNARY_OPS,
-    "_FIBER_FNS": _FIBER_FNS,
     # Columnar-tier runtime: the same helpers the interpreter kernels in
     # sam/primitives/ call, so emitted bodies stay line-for-line faithful.
-    "array": array,
+    "SparseTensor": SparseTensor,
+    "_require_aligned": _require_aligned,
+    "_get_tensor": _get_tensor,
+    "_UNARY_OPS": _UNARY_OPS,
+    "_FIBER_FNS": _FIBER_FNS,
     "check_stream": check_stream,
     "_TS": TokenStream,
-    "_Ctx": ExecutionContext,
     "_streams_equal": streams_equal,
     "_split_segments": _split_segments,
     "_check_controls": _check_controls,
     "_payload_columns": _payload_columns,
     "_segment_sums": _segment_sums,
     "_lvl_arrays": _level_arrays,
-    "_wrap_cols": _wrap_columns,
-    "_B_CRD": _B_CRD,
-    "_B_REF": _B_REF,
-    "_B_STOP": _B_STOP,
-    "_B_DONE": _B_DONE,
 }
 
 
@@ -521,12 +453,18 @@ _SHARED_GLOBALS: Dict[str, Any] = {
 # ----------------------------------------------------------------------
 
 
-class _Unsupported(Exception):
-    """Raised by an emitter to trigger region-level interpreter fallback."""
-
-
 class _Emitter:
-    """Walks one region graph and emits its kernel source."""
+    """Walks one region graph and emits its kernel source.
+
+    The base class is the **token** tier: every node is one call to its
+    primitive's own ``process`` — the executable specification — with the
+    interpreter's per-node dispatch (input-dict assembly from the edge
+    table, stats lookup, port plumbing) unrolled into straight-line code.
+    """
+
+    #: The primitive method a node without an inlined body is emitted as
+    #: a call to.
+    method = "process"
 
     def __init__(self, graph: SAMGraph, order: List[str]) -> None:
         self.graph = graph
@@ -556,16 +494,18 @@ class _Emitter:
             self.indent -= 1
 
     def _prelude(self) -> None:
-        self.w("_ET = (5, None)")
-        self.w("_DT = (4, None)")
+        # One ExecutionContext per run, shared by every primitive call;
+        # binding and results are the kernel's own dicts (no copy), so
+        # writers land their tensors where the caller reads them.
+        self.w(
+            "_ctx = _Ctx(None, scratchpad_bytes=scratchpad_bytes, "
+            "debug_streams=debug_streams)"
+        )
+        self.w("_ctx.binding = binding")
+        self.w("_ctx.results = results")
 
-    def _node_emitter(self, prim, node_id: str) -> Callable:
-        emitter = getattr(self, f"_emit_{prim.kind}", None)
-        if emitter is None:
-            raise _Unsupported(
-                f"unsupported primitive kind {prim.kind!r} at node {node_id}"
-            )
-        return emitter
+    def _node_emitter(self, prim) -> Callable:
+        return self._emit_prim_call
 
     def emit(self) -> str:
         self.lines.append(
@@ -576,7 +516,7 @@ class _Emitter:
         for i, node_id in enumerate(self.order):
             node = self.graph.nodes[node_id]
             prim = node.prim
-            emitter = self._node_emitter(prim, node_id)
+            emitter = self._node_emitter(prim)
             self.w()
             desc = prim.describe()
             name = getattr(prim, "tensor_name", None)
@@ -627,743 +567,49 @@ class _Emitter:
             )
         return ident
 
-    # -- per-kind emitters ----------------------------------------------
-    def _emit_root(self, i, node_id, node, prim) -> None:
-        self.w(f"s{i}_ref = [(1, 0), _DT]")
-        self.w("_st.tokens_out += 2")
-
-    def _emit_source(self, i, node_id, node, prim) -> None:
-        src = self._bind(f"_SRC{i}", prim.stream)
-        self.w(f"s{i}_out = list({src})")
-        self.w(f"_st.tokens_out += len(s{i}_out)")
-
-    def _emit_scan(self, i, node_id, node, prim) -> None:
-        ref_in = self._in(node, "ref")
-        dram = prim.dram
-        self.w(f"_t = _get_tensor(binding, {self._name(prim.tensor_name)})")
-        self.w(f"_lvl = _t.levels[{prim.level}]")
-        self.w('_comp = _lvl.kind == "compressed"')
-        self.w(f"s{i}_crd = []")
-        self.w(f"s{i}_ref = []")
-        self.w(f"_ca = s{i}_crd.append")
-        self.w(f"_ra = s{i}_ref.append")
-        self.w("_open = False")
-        if dram:
-            self.w("_ab = 0")
-        self.w(f"_st.tokens_in += len({ref_in})")
-        self.w(f"for _tok in {ref_in}:")
-        self.w("    _k = _tok[0]")
-        self.w("    if _k == 1:")
-        self.w("        if _open:")
-        self.w("            _ca((3, 0))")
-        self.w("            _ra((3, 0))")
-        self.w("        _coords, _children = _lvl.fiber(_tok[1])")
-        self.w("        for _c, _ch in zip(_coords, _children):")
-        self.w("            _ca((0, _c))")
-        self.w("            _ra((1, _ch))")
-        if dram:
-            self.w("        if _comp:")
-            self.w("            _ab += 8 + 4 * len(_coords)")
-        self.w("        _open = True")
-        self.w("    elif _k == 5:")
-        self.w("        if _open:")
-        self.w("            _ca((3, 0))")
-        self.w("            _ra((3, 0))")
-        self.w("        _open = True")
-        self.w("    elif _k == 3:")
-        self.w("        _p = _tok[1] + 1")
-        self.w("        _ca((3, _p))")
-        self.w("        _ra((3, _p))")
-        self.w("        _open = False")
-        self.w("    elif _k == 4:")
-        self.w("        if _open:")
-        self.w("            _ca((3, 0))")
-        self.w("            _ra((3, 0))")
-        self.w("        _ca(_DT)")
-        self.w("        _ra(_DT)")
-        self.w("    else:")
-        self.w(
-            "        raise StreamProtocolError("
-            "f\"scanner got unexpected token kind {_k}\")"
-        )
-        if dram:
-            self.w("if _comp:")
-            self.w("    _fp = _t.bytes_structure()")
-            self.w("    if _fp <= scratchpad_bytes:")
-            self.w("        _st.dram_reads += min(_ab, _fp)")
-            self.w("    else:")
-            self.w("        _st.dram_reads += _ab")
-        self.w(f"_st.tokens_out += len(s{i}_crd) + len(s{i}_ref)")
-
-    def _emit_locate(self, i, node_id, node, prim) -> None:
-        crd_in = self._in(node, "crd")
-        dram = prim.dram
-        self.w(f"_t = _get_tensor(binding, {self._name(prim.tensor_name)})")
-        self.w(f"_lvl = _t.levels[{prim.level}]")
-        self.w('_dense = _lvl.kind == "dense"')
-        self.w(f"s{i}_ref = []")
-        self.w(f"_o = s{i}_ref.append")
-        self.w(f"_st.tokens_in += len({crd_in})")
-        self.w(f"for _tok in {crd_in}:")
-        self.w("    _k = _tok[0]")
-        self.w("    if _k == 0:")
-        self.w("        if _dense:")
-        self.w("            _o((1, _tok[1]))")
-        self.w("        else:")
-        self.w("            _coords, _children = _lvl.fiber(0)")
-        self.w("            _found = False")
-        self.w("            for _c, _ch in zip(_coords, _children):")
-        self.w("                if _c == _tok[1]:")
-        self.w("                    _o((1, _ch))")
-        self.w("                    _found = True")
-        self.w("                    break")
-        self.w("            if not _found:")
-        self.w("                _o(_ET)")
-        if dram:
-            self.w("            _st.dram_reads += 8")
-        self.w("    elif _k == 3 or _k == 4 or _k == 5:")
-        self.w("        _o(_tok)")
-        self.w("    else:")
-        self.w(
-            "        raise StreamProtocolError("
-            "f\"locate got unexpected token kind {_k}\")"
-        )
-        self.w(f"_st.tokens_out += len(s{i}_ref)")
-
-    def _emit_joiner(self, i, node_id, node, prim, keep_all: bool) -> None:
-        kind = prim.kind
-        ca, ra = self._in(node, "crd_a"), self._in(node, "ref_a")
-        cb, rb = self._in(node, "crd_b"), self._in(node, "ref_b")
-        self.w(f"_require_aligned({ca}, {ra}, \"{kind}(a)\", {node_id!r})")
-        self.w(f"_require_aligned({cb}, {rb}, \"{kind}(b)\", {node_id!r})")
-        self.w(
-            f"_st.tokens_in += len({ca}) + len({cb}) + len({ra}) + len({rb})"
-        )
-        self.w(f"s{i}_crd = []")
-        self.w(f"s{i}_ref_a = []")
-        self.w(f"s{i}_ref_b = []")
-        self.w(f"_oc = s{i}_crd.append")
-        self.w(f"_oa = s{i}_ref_a.append")
-        self.w(f"_ob = s{i}_ref_b.append")
-        self.w("_ia = 0")
-        self.w("_ib = 0")
-        self.w(f"_na = len({ca})")
-        self.w(f"_nb = len({cb})")
-        self.w("while _ia < _na and _ib < _nb:")
-        self.w(f"    _ta = {ca}[_ia]")
-        self.w(f"    _tb = {cb}[_ib]")
-        self.w("    _ka = _ta[0]")
-        self.w("    _kb = _tb[0]")
-        self.w("    if _ka == 0 and _kb == 0:")
-        self.w("        _va = _ta[1]")
-        self.w("        _vb = _tb[1]")
-        self.w("        if _va == _vb:")
-        self.w("            _oc(_ta)")
-        self.w(f"            _oa({ra}[_ia])")
-        self.w(f"            _ob({rb}[_ib])")
-        self.w("            _ia += 1")
-        self.w("            _ib += 1")
-        self.w("        elif _va < _vb:")
-        if keep_all:
-            self.w("            _oc(_ta)")
-            self.w(f"            _oa({ra}[_ia])")
-            self.w("            _ob(_ET)")
-        self.w("            _ia += 1")
-        self.w("        else:")
-        if keep_all:
-            self.w("            _oc(_tb)")
-            self.w("            _oa(_ET)")
-            self.w(f"            _ob({rb}[_ib])")
-        self.w("            _ib += 1")
-        self.w("    elif _ka == 0:")
-        if keep_all:
-            self.w("        _oc(_ta)")
-            self.w(f"        _oa({ra}[_ia])")
-            self.w("        _ob(_ET)")
-        self.w("        _ia += 1")
-        self.w("    elif _kb == 0:")
-        if keep_all:
-            self.w("        _oc(_tb)")
-            self.w("        _oa(_ET)")
-            self.w(f"        _ob({rb}[_ib])")
-        self.w("        _ib += 1")
-        self.w("    else:")
-        self.w("        if _ta != _tb:")
-        self.w(
-            f"            raise _control_mismatch({kind!r}, {node_id!r}, "
-            "_ia, _ib, _ta, _tb)"
-        )
-        self.w("        _oc(_ta)")
-        self.w("        _oa(_ta)")
-        self.w("        _ob(_ta)")
-        self.w("        _ia += 1")
-        self.w("        _ib += 1")
-        self.w("        if _ka == 4:")
-        self.w("            break")
-        self.w(
-            f"_st.tokens_out += len(s{i}_crd) + len(s{i}_ref_a) "
-            f"+ len(s{i}_ref_b)"
-        )
-
-    def _emit_intersect(self, i, node_id, node, prim) -> None:
-        self._emit_joiner(i, node_id, node, prim, keep_all=False)
-
-    def _emit_union(self, i, node_id, node, prim) -> None:
-        self._emit_joiner(i, node_id, node, prim, keep_all=True)
-
-    #: Binary ops worth inlining as expressions (the rest call the table fn).
-    _INLINE_BINARY = {"add": "_va + _vb", "sub": "_va - _vb", "mul": "_va * _vb"}
-
-    def _emit_alu(self, i, node_id, node, prim) -> None:
-        a, b = self._in(node, "a"), self._in(node, "b")
-        op = prim.op
-        expr = self._INLINE_BINARY.get(op)
-        if expr is None:
-            self.w(f"_fn = _BINARY_OPS[{op!r}]")
-            expr = "_fn(_va, _vb)"
-        self.w(f"if len({a}) != len({b}):")
-        self.w(
-            "    raise StreamProtocolError("
-            f"f\"alu({op}): misaligned inputs ({{len({a})}} vs {{len({b})}})\")"
-        )
-        self.w(f"_st.tokens_in += len({a}) + len({b})")
-        self.w(f"s{i}_out = []")
-        self.w(f"_o = s{i}_out.append")
-        self.w("_ops = 0")
-        self.w(f"for _ta, _tb in zip({a}, {b}):")
-        self.w("    _ka = _ta[0]")
-        self.w("    if _ka == 3 or _ka == 4:")
-        self.w("        if _ta != _tb:")
-        self.w(
-            "            raise StreamProtocolError("
-            f"f\"alu({op}): control mismatch {{_ta}} vs {{_tb}}\")"
-        )
-        self.w("        _o(_ta)")
-        self.w("    elif _ka == 5 and _tb[0] == 5:")
-        self.w("        _o(_ta)")
-        self.w("    else:")
-        self.w("        _va = 0.0 if _ka == 5 else _ta[1]")
-        self.w("        _vb = 0.0 if _tb[0] == 5 else _tb[1]")
-        self.w(f"        _r = {expr}")
-        if op in ("bmm", "bmt"):
-            self.w("        if isinstance(_r, np.ndarray) and _r.ndim == 2:")
-            self.w(
-                "            _ops += 2 * _r.shape[0] * _r.shape[1] * ("
-                "_va.shape[1] if isinstance(_va, np.ndarray) "
-                "and _va.ndim == 2 else 1)"
-            )
-            self.w("        else:")
-            self.w(
-                "            _ops += int(_r.size) "
-                "if isinstance(_r, np.ndarray) else 1"
-            )
-        else:
-            self.w(
-                "        _ops += int(_r.size) "
-                "if isinstance(_r, np.ndarray) else 1"
-            )
-        self.w("        _o((2, _r))")
-        self.w("_st.ops += _ops")
-        self.w(f"_st.tokens_out += len(s{i}_out)")
-
-    def _emit_ualu(self, i, node_id, node, prim) -> None:
-        a = self._in(node, "a")
-        scaled = prim.scale != 1.0 or prim.offset != 0.0
-        self.w(f"_fn = _UNARY_OPS[{prim.op!r}]")
-        self.w(f"_st.tokens_in += len({a})")
-        self.w(f"s{i}_out = []")
-        self.w(f"_o = s{i}_out.append")
-        self.w("_ops = 0")
-        self.w(f"for _tok in {a}:")
-        self.w("    if _tok[0] == 2:")
-        if scaled:
-            self.w(f"        _x = {prim.scale!r} * _tok[1] + {prim.offset!r}")
-        else:
-            self.w("        _x = _tok[1]")
-        self.w("        _r = _fn(_x)")
-        self.w(
-            "        _ops += int(_r.size) if isinstance(_r, np.ndarray) else 1"
-        )
-        self.w("        _o((2, _r))")
-        self.w("    else:")
-        self.w("        _o(_tok)")
-        self.w("_st.ops += _ops")
-        self.w(f"_st.tokens_out += len(s{i}_out)")
-
-    def _emit_array(self, i, node_id, node, prim) -> None:
-        ref_in = self._in(node, "ref")
-        dram = prim.dram
-        self.w(f"_t = _get_tensor(binding, {self._name(prim.tensor_name)})")
-        self.w("_vals = _t.values")
-        self.w("_blocked = _vals.ndim > 1")
-        self.w("_zero = np.zeros(_vals.shape[1:]) if _blocked else 0.0")
-        if dram:
-            self.w(
-                "_eb = int(np.prod(_vals.shape[1:])) * 8 if _blocked else 8"
-            )
-            self.w("_nref = 0")
-        self.w(f"s{i}_val = []")
-        self.w(f"_o = s{i}_val.append")
-        self.w(f"_st.tokens_in += len({ref_in})")
-        self.w(f"for _tok in {ref_in}:")
-        self.w("    _k = _tok[0]")
-        self.w("    if _k == 1:")
-        self.w("        _o((2, _vals[_tok[1]]))")
-        if dram:
-            self.w("        _nref += 1")
-        self.w("    elif _k == 5:")
-        self.w("        _o((2, _zero))")
-        self.w("    elif _k == 3 or _k == 4:")
-        self.w("        _o(_tok)")
-        self.w("    else:")
-        self.w(
-            "        raise StreamProtocolError("
-            "f\"array got unexpected token kind {_k}\")"
-        )
-        if dram:
-            self.w("_fp = int(_vals.size) * 8")
-            self.w("_ab = _eb * _nref")
-            self.w("if _fp <= scratchpad_bytes:")
-            self.w("    _st.dram_reads += min(_ab, _fp)")
-            self.w("else:")
-            self.w("    _st.dram_reads += _ab")
-        self.w(f"_st.tokens_out += len(s{i}_val)")
-
-    def _emit_reduce(self, i, node_id, node, prim) -> None:
-        val_in = self._in(node, "val")
-        self.w(f"s{i}_val = []")
-        self.w(f"_o = s{i}_val.append")
-        self.w("_acc = None")
-        self.w("_ops = 0")
-        self.w(f"_st.tokens_in += len({val_in})")
-        self.w(f"for _tok in {val_in}:")
-        self.w("    _k = _tok[0]")
-        self.w("    if _k == 2:")
-        self.w("        if _acc is None:")
-        self.w("            _acc = _tok[1]")
-        self.w("        else:")
-        self.w("            _acc = _acc + _tok[1]")
-        self.w(
-            "            _ops += 1 if not isinstance(_acc, np.ndarray) "
-            "else int(_acc.size)"
-        )
-        self.w("    elif _k == 5:")
-        self.w("        if _acc is None:")
-        self.w("            _acc = 0.0")
-        self.w("    elif _k == 3:")
-        self.w("        _o((2, _acc if _acc is not None else 0.0))")
-        self.w("        _acc = None")
-        self.w("        if _tok[1] > 0:")
-        self.w("            _o((3, _tok[1] - 1))")
-        self.w("    elif _k == 4:")
-        self.w("        if _acc is not None:")
-        self.w("            _o((2, _acc))")
-        self.w("            _acc = None")
-        self.w("        _o(_DT)")
-        self.w("    else:")
-        self.w(
-            "        raise StreamProtocolError("
-            "f\"reduce got unexpected token kind {_k}\")"
-        )
-        self.w("_st.ops += _ops")
-        self.w(f"_st.tokens_out += len(s{i}_val)")
-
-    def _emit_vreduce(self, i, node_id, node, prim) -> None:
-        n = prim.order
-        val_in = self._in(node, "val")
-        crd_ins = [self._in(node, f"crd{d}") for d in range(n)]
-        self.w(f"_crds = [{', '.join(crd_ins)}]")
-        self.w(f"for _d in range({n}):")
-        self.w(f"    if len(_crds[_d]) != len({val_in}):")
-        self.w(
-            "        raise StreamProtocolError("
-            "f\"vreduce: crd{_d}/val misaligned \""
-            f"f\"({{len(_crds[_d])}} vs {{len({val_in})}})\")"
-        )
-        self.w(f"_st.tokens_in += len({val_in}) * {n + 1}")
-        self.w(f"_ocrds{i} = [[] for _d in range({n})]")
-        self.w(f"_oval{i} = []")
-        self.w(f"_acc{i} = {{}}")
-        self.w(f"def _emit_group{i}():")
-        self.w(f"    _keys = sorted(_acc{i})")
-        self.w("    _prev = None")
-        self.w("    for _key in _keys:")
-        self.w("        if _prev is not None:")
-        self.w("            _common = 0")
-        self.w(
-            f"            while _common < {n} "
-            "and _prev[_common] == _key[_common]:"
-        )
-        self.w("                _common += 1")
-        self.w(f"            for _d in range({n}):")
-        self.w("                if _common <= _d - 1:")
-        self.w(
-            f"                    _ocrds{i}[_d].append((3, _d - 1 - _common))"
-        )
-        self.w(f"            if _common <= {n - 2}:")
-        self.w(f"                _oval{i}.append((3, {n - 2} - _common))")
-        self.w(f"        for _d in range({n}):")
-        self.w(
-            "        "
-            "    if _prev is None or _key[: _d + 1] != _prev[: _d + 1]:"
-        )
-        self.w(f"                _ocrds{i}[_d].append((0, _key[_d]))")
-        self.w(f"        _oval{i}.append((2, _acc{i}[_key]))")
-        self.w("        _prev = _key")
-        self.w(f"    _acc{i}.clear()")
-        self.w(f"def _close_group{i}(_lvl):")
-        self.w(f"    _extra = _lvl - {n}")
-        self.w(f"    for _d in range({n}):")
-        self.w(f"        _ocrds{i}[_d].append((3, _d + _extra))")
-        self.w(f"    _oval{i}.append((3, _lvl - 1))")
-        self.w("_ops = 0")
-        self.w("_pos = 0")
-        self.w(f"for _tv in {val_in}:")
-        self.w("    _kv = _tv[0]")
-        self.w("    if _kv == 2 or _kv == 5:")
-        self.w("        _key = []")
-        self.w(f"        for _d in range({n}):")
-        self.w("            _tc = _crds[_d][_pos]")
-        self.w("            if _tc[0] != 0:")
-        self.w(
-            "                raise StreamProtocolError("
-            "f\"vreduce: crd{_d} token {_tc} does not align with value\")"
-        )
-        self.w("            _key.append(_tc[1])")
-        self.w("        _key_t = tuple(_key)")
-        self.w("        _value = 0.0 if _kv == 5 else _tv[1]")
-        self.w(f"        if _key_t in _acc{i}:")
-        self.w(f"            _acc{i}[_key_t] = _acc{i}[_key_t] + _value")
-        self.w(
-            "            _ops += int(_value.size) "
-            "if isinstance(_value, np.ndarray) else 1"
-        )
-        self.w("        else:")
-        self.w(f"            _acc{i}[_key_t] = _value")
-        self.w("    elif _kv == 3:")
-        self.w("        _lvl = _tv[1]")
-        self.w(f"        for _d in range({n}):")
-        self.w("            _tc = _crds[_d][_pos]")
-        self.w("            if _tc[0] != 3 or _tc[1] != _lvl:")
-        self.w(
-            "                raise StreamProtocolError("
-            "\"vreduce: stop tokens disagree\")"
-        )
-        self.w(f"        if _lvl >= {n}:")
-        self.w(f"            _emit_group{i}()")
-        self.w(f"            _close_group{i}(_lvl)")
-        self.w("    elif _kv == 4:")
-        self.w(f"        if _acc{i}:")
-        self.w(f"            _emit_group{i}()")
-        self.w(f"            _close_group{i}({n})")
-        self.w(f"        for _d in range({n}):")
-        self.w(f"            _ocrds{i}[_d].append(_DT)")
-        self.w(f"        _oval{i}.append(_DT)")
-        self.w("    else:")
-        self.w(
-            "        raise StreamProtocolError("
-            "f\"vreduce got unexpected token kind {_kv}\")"
-        )
-        self.w("    _pos += 1")
-        self.w("_st.ops += _ops")
-        self.w(
-            f"_st.tokens_out += sum(len(_s) for _s in _ocrds{i}) "
-            f"+ len(_oval{i})"
-        )
-        for d in range(n):
-            self.w(f"s{i}_crd{d} = _ocrds{i}[{d}]")
-        self.w(f"s{i}_val = _oval{i}")
-
-    def _emit_crddrop(self, i, node_id, node, prim) -> None:
-        crd_in, val_in = self._in(node, "crd"), self._in(node, "val")
-        self.w(f"if len({crd_in}) != len({val_in}):")
-        self.w(
-            "    raise StreamProtocolError(\"crddrop: crd/val misaligned\")"
-        )
-        self.w(f"_st.tokens_in += len({crd_in}) + len({val_in})")
-        self.w(f"s{i}_crd = []")
-        self.w(f"s{i}_val = []")
-        self.w(f"_oc = s{i}_crd.append")
-        self.w(f"_ov = s{i}_val.append")
-        self.w(f"for _tc, _tv in zip({crd_in}, {val_in}):")
-        self.w("    if _tc[0] == 0:")
-        self.w("        _v = _tv[1]")
-        self.w("        if isinstance(_v, np.ndarray):")
-        self.w("            _is_zero = float(np.abs(_v).max()) == 0.0")
-        self.w("        else:")
-        self.w("            _is_zero = _v == 0.0")
-        self.w("        if not _is_zero:")
-        self.w("            _oc(_tc)")
-        self.w("            _ov(_tv)")
-        self.w("    else:")
-        self.w("        _oc(_tc)")
-        self.w("        _ov(_tv)")
-        self.w(f"_st.tokens_out += len(s{i}_crd) + len(s{i}_val)")
-
-    def _emit_aligncheck(self, i, node_id, node, prim) -> None:
-        a, b = self._in(node, "a"), self._in(node, "b")
-        self.w(f"_st.tokens_in += len({a}) + len({b})")
-        self.w(f"if {a} != {b}:")
-        self.w(
-            "    raise StreamProtocolError("
-            "\"aligned-adopt streams differ; the fusion schedule requires a \""
-            "\"materialization boundary between these statements\")"
-        )
-        self.w(f"_st.tokens_out += len({a})")
-        self.w(f"s{i}_out = list({a})")
-
-    def _emit_repeat(self, i, node_id, node, prim) -> None:
-        base, rep = self._in(node, "base"), self._in(node, "rep")
-        self.w(f"_st.tokens_in += len({base}) + len({rep})")
-        self.w(f"s{i}_out = []")
-        self.w(f"_o = s{i}_out.append")
-        self.w("_bi = 0")
-        self.w(f"_nb = len({base})")
-        self.w(f"for _tok in {rep}:")
-        self.w("    _k = _tok[0]")
-        self.w("    if _k == 0:")
-        self.w(f"        _bk = {base}[_bi][0] if _bi < _nb else 4")
-        self.w("        if _bk == 3 or _bk == 4:")
-        self.w(
-            "            raise StreamProtocolError(\"repeat: rep stream has "
-            "coordinates but base has none current\")"
-        )
-        self.w(f"        _o({base}[_bi])")
-        self.w("    elif _k == 3:")
-        self.w("        _o(_tok)")
-        self.w(f"        _bk = {base}[_bi][0] if _bi < _nb else 4")
-        self.w("        if _bk != 3 and _bk != 4:")
-        self.w("            _bi += 1")
-        self.w("        if _tok[1] >= 1:")
-        self.w(f"            _bk = {base}[_bi][0] if _bi < _nb else 4")
-        self.w("            if _bk != 3:")
-        self.w(
-            "                raise StreamProtocolError("
-            "f\"repeat: rep stop {_tok[1]} expects a base stop \""
-            f"f\"{{_tok[1] - 1}}, found "
-            f"{{{base}[_bi] if _bi < _nb else 'EOS'}}\")"
-        )
-        self.w(f"            if {base}[_bi][1] != _tok[1] - 1:")
-        self.w(
-            "                raise StreamProtocolError("
-            "f\"repeat: rep stop {_tok[1]} mismatches base stop \""
-            f"f\"{{{base}[_bi][1]}}\")"
-        )
-        self.w("            _bi += 1")
-        self.w("    elif _k == 4:")
-        self.w("        _o(_DT)")
-        self.w("    else:")
-        self.w(
-            "        raise StreamProtocolError("
-            "f\"repeat: unexpected token kind {_k} on rep stream\")"
-        )
-        self.w(f"_st.tokens_out += len(s{i}_out)")
-
-    def _emit_repsig(self, i, node_id, node, prim) -> None:
-        crd_in = self._in(node, "crd")
-        self.w(f"s{i}_out = list({crd_in})")
-        self.w(f"_st.tokens_in += len(s{i}_out)")
-        self.w(f"_st.tokens_out += len(s{i}_out)")
-
-    def _emit_srepeat(self, i, node_id, node, prim) -> None:
-        base, rep = self._in(node, "base"), self._in(node, "rep")
-        self.w(f"_st.tokens_in += len({base}) + len({rep})")
-        self.w(
-            f"_pays = [_t for _t in {base} if _t[0] != 3 and _t[0] != 4]"
-        )
-        self.w("if len(_pays) != 1:")
-        self.w(
-            "    raise StreamProtocolError("
-            "f\"scalar repeat expects exactly one base payload, "
-            "got {len(_pays)}\")"
-        )
-        self.w("_p = _pays[0]")
-        self.w(f"s{i}_out = []")
-        self.w(f"_o = s{i}_out.append")
-        self.w(f"for _tok in {rep}:")
-        self.w("    _k = _tok[0]")
-        self.w("    if _k == 0:")
-        self.w("        _o(_p)")
-        self.w("    elif _k == 3 or _k == 4:")
-        self.w("        _o(_tok)")
-        self.w("    else:")
-        self.w(
-            "        raise StreamProtocolError("
-            "f\"scalar repeat: unexpected token kind {_k} on rep stream\")"
-        )
-        self.w(f"_st.tokens_out += len(s{i}_out)")
-
-    def _emit_fiberop(self, i, node_id, node, prim) -> None:
-        val_in = self._in(node, "val")
-        kind = prim.kind
-        fpe = prim.flops_per_elem
-        self.w(f"_fn = _FIBER_FNS[{kind!r}]")
-        self.w(f"s{i}_out = []")
-        self.w(f"_o = s{i}_out.append")
-        self.w(f"_buf{i} = []")
-        self.w(f"_st.tokens_in += len({val_in})")
-        self.w("_ops = 0")
-        self.w(f"for _tok in {val_in}:")
-        self.w("    _k = _tok[0]")
-        self.w("    if _k == 2:")
-        self.w(f"        _buf{i}.append(_tok[1])")
-        self.w("    elif _k == 5:")
-        self.w(f"        _buf{i}.append(0.0)")
-        self.w("    elif _k == 3 or _k == 4:")
-        self.w(f"        if _buf{i}:")
-        self.w(f"            for _r in _apply_over_fiber(_buf{i}, _fn):")
-        self.w("                _o((2, _r))")
-        self.w(
-            f"                _ops += {fpe} * (int(_r.size) "
-            "if isinstance(_r, np.ndarray) else 1)"
-        )
-        self.w(f"            _buf{i}.clear()")
-        self.w("        _o(_tok)")
-        self.w("    else:")
-        self.w(
-            "        raise StreamProtocolError("
-            f"f\"{kind} got token kind {{_k}}\")"
-        )
-        self.w("_st.ops += _ops")
-        self.w(f"_st.tokens_out += len(s{i}_out)")
-
-    _emit_softmax = _emit_fiberop
-    _emit_layernorm = _emit_fiberop
-    _emit_fibermax = _emit_fiberop
-
-    def _emit_write(self, i, node_id, node, prim) -> None:
-        n = len(prim.shape)
-        name = self._name(prim.tensor_name)
-        crd_ins = [self._in(node, f"crd{d}") for d in range(n)]
-        val_in = self._in(node, "val")
-        fmt = self._bind(f"_fmt{i}", prim.fmt)
-        self.w(
-            "_st.tokens_in += "
-            + " + ".join(f"len({s})" for s in crd_ins + [val_in])
-        )
-        self.w(f"_nests{i} = [")
-        for d, s in enumerate(crd_ins):
-            self.w(f"    stream_to_nest({s}, {d + 1}, check=debug_streams),")
-        self.w("]")
-        self.w(f"_vals{i} = stream_to_nest({val_in}, {n}, check=debug_streams)")
-        self.w(f"_coords{i} = {{}}")
-        self.w(f"def _rec{i}(_depth, _frames, _vals, _prefix):")
-        self.w("    _ch = _frames[0]")
-        self.w("    if len(_ch) != len(_vals):")
-        self.w(
-            "        raise StreamProtocolError("
-            f"f\"writer {{{name}}}: level {{_depth}} crd/val fan-out \""
-            "f\"mismatch ({len(_ch)} vs {len(_vals)})\")"
-        )
-        self.w("    for _j, _c in enumerate(_ch):")
-        self.w("        _path = _prefix + (_c,)")
-        self.w(f"        if _depth == {n - 1}:")
-        self.w(f"            _coords{i}[_path] = _vals[_j]")
-        self.w("        else:")
-        self.w(
-            f"            _rec{i}(_depth + 1, "
-            "[_f[_j] for _f in _frames[1:]], _vals[_j], _path)"
-        )
-        self.w(f"_rec{i}(0, _nests{i}, _vals{i}, ())")
-        if prim.drop_zeros:
-            self.w(f"_coords{i} = {{")
-            self.w(f"    _p: _v for _p, _v in _coords{i}.items()")
-            self.w(
-                "    if (np.abs(_v).max() if isinstance(_v, np.ndarray) "
-                "else abs(_v)) != 0.0"
-            )
-            self.w("}")
-        self.w(
-            f"_tw = SparseTensor.from_coords({prim.shape!r}, {fmt}, "
-            f"_coords{i}, name={name})"
-        )
-        if prim.dram:
-            self.w("_st.dram_writes += _tw.bytes_total()")
-        self.w(f"results[{name}] = _tw")
-        self.w(f"s{i}_tensor = []")
-
-
-class _ColumnarEmitter(_Emitter):
-    """Emits kernels over TokenStream columns instead of token tuples.
-
-    Per node the emitter picks, in order:
-
-    1. a ``_cemit_{kind}`` method — the inlined columnar body, specialized
-       with the node's configuration folded in (nodes whose inputs carry
-       object payloads guard with a whole-node escape to the bound
-       primitive's ``process_columnar``, reproducing the interpreter's
-       blocked paths — and their stats accounting — exactly);
-    2. the token-tier ``_emit_{kind}`` body bridged through
-       ``to_tokens()``/``from_tokens()`` at this node's ports only;
-    3. region-level fallback (``_Unsupported``) when neither exists.
-    """
-
-    tier = "columnar"
-
-    def _prelude(self) -> None:
-        super()._prelude()
-        self.w("_I8_VAL = np.int8(2)")
-        self.w("_I8_REF = np.int8(1)")
-        self.w("_I8_EMPTY = np.int8(5)")
-        # One ExecutionContext per run, shared by every escape-to-primitive
-        # call site; results is the kernel's dict so writer escapes land in
-        # the same place as inlined writers.
-        self.w(
-            "_ctx = _Ctx(None, scratchpad_bytes=scratchpad_bytes, "
-            "debug_streams=debug_streams)"
-        )
-        self.w("_ctx.binding = binding")
-        self.w("_ctx.results = results")
-
-    def _node_emitter(self, prim, node_id: str) -> Callable:
-        emitter = getattr(self, f"_cemit_{prim.kind}", None)
-        if emitter is not None:
-            return emitter
-        token_emitter = getattr(_Emitter, f"_emit_{prim.kind}", None)
-        if token_emitter is None:
-            raise _Unsupported(
-                f"unsupported primitive kind {prim.kind!r} at node {node_id}"
-            )
-
-        def bridged(i, nid, node, p, _fn=token_emitter):
-            self._emit_token_bridge(_fn, i, nid, node, p)
-
-        return bridged
-
-    def _emit_token_bridge(self, token_emitter, i, node_id, node, prim) -> None:
-        """Run one node through its token-tier body (per-node fallback)."""
-        self.w(f"# (token-tier bridge: no columnar emitter for {prim.kind!r})")
-        saved: Dict[Tuple[str, str], str] = {}
-        for port in prim.in_ports:
-            src = node.inputs[port]
-            key = (src.node_id, src.port)
-            if key in saved:
-                continue
-            saved[key] = self.var[key]
-            self.w(f"_tb{i}_{port} = {saved[key]}.to_tokens()")
-            self.var[key] = f"_tb{i}_{port}"
-        token_emitter(self, i, node_id, node, prim)
-        self.var.update(saved)
-        for port in prim.out_ports:
-            var = f"s{i}_{port}"
-            self.w(f"{var} = _TS.from_tokens({var})")
-
     def _emit_prim_call(self, i, node_id, node, prim) -> None:
-        """Escape hatch: run the bound primitive's columnar kernel whole.
+        """Emit one node as a call to the bound primitive's ``method``.
 
-        Used for input shapes the inlined bodies do not cover (object
-        payloads / blocked values); the primitive performs the exact
-        interpreter computation *and* stats accounting, so escapes must be
-        emitted before any inline stats updates.
+        The whole node block of the token tier, and the columnar tier's
+        escape for kinds and input shapes its inlined bodies do not cover
+        (object payloads / blocked values, out-of-tree primitives).  The
+        primitive performs the exact interpreter computation *and* stats
+        accounting, so an escape must be emitted before any inline stats
+        update.
         """
         pname = self._bind(f"_P{i}", prim)
         ins = ", ".join(
             f"{port!r}: {self._in(node, port)}" for port in prim.in_ports
         )
         self.w(f"_ctx.current_node = {node_id!r}")
-        self.w(f"_po{i} = {pname}.process_columnar({{{ins}}}, _ctx, _st)")
+        self.w(f"_po{i} = {pname}.{self.method}({{{ins}}}, _ctx, _st)")
         for port in prim.out_ports:
             self.w(f"s{i}_{port} = _po{i}[{port!r}]")
+
+
+class _ColumnarEmitter(_Emitter):
+    """Emits kernels over TokenStream columns instead of token tuples.
+
+    Per node the emitter uses its ``_cemit_{kind}`` method when one
+    exists — the inlined columnar body, specialized with the node's
+    configuration folded in (nodes whose inputs carry object payloads
+    guard with a whole-node escape to the bound primitive's
+    ``process_columnar``, reproducing the interpreter's blocked paths —
+    and their stats accounting — exactly) — and otherwise emits the node
+    as that ``process_columnar`` call outright (whose base-class default
+    bridges through ``process``, so any :class:`Primitive` is covered).
+    """
+
+    method = "process_columnar"
+
+    def _prelude(self) -> None:
+        super()._prelude()
+        self.w("_I8_VAL = np.int8(2)")
+        self.w("_I8_REF = np.int8(1)")
+        self.w("_I8_EMPTY = np.int8(5)")
+
+    def _node_emitter(self, prim) -> Callable:
+        return getattr(self, f"_cemit_{prim.kind}", self._emit_prim_call)
 
     # -- per-kind columnar emitters -------------------------------------
     def _cemit_root(self, i, node_id, node, prim) -> None:
@@ -2129,18 +1375,7 @@ def _compile_artifact(
     started = time.perf_counter()
     emitter_cls = _ColumnarEmitter if tier == "columnar" else _Emitter
     emitter = emitter_cls(graph, order)
-    try:
-        source = emitter.emit()
-    except _Unsupported as exc:
-        with _CACHE_LOCK:
-            _COUNTERS["fallbacks"] += 1
-        return RegionArtifact(
-            region=graph.name,
-            tier=tier,
-            node_count=len(order),
-            emit_seconds=time.perf_counter() - started,
-            fallback=str(exc),
-        )
+    source = emitter.emit()
     emit_seconds = time.perf_counter() - started
     sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
     filename = _kernel_filename(sha)
@@ -2178,8 +1413,6 @@ def _compile_artifact(
     namespace = dict(_SHARED_GLOBALS)
     namespace.update(emitter.env)
     exec(code, namespace)
-    fn = namespace["_region_kernel"]
-    fn, uses_numba = _maybe_njit(fn)
     return RegionArtifact(
         region=graph.name,
         tier=tier,
@@ -2191,35 +1424,12 @@ def _compile_artifact(
             0.0 if cached else time.perf_counter() - compile_started
         ),
         code_cached=cached,
-        uses_numba=uses_numba,
-        fn=fn,
+        fn=namespace["_region_kernel"],
         sha=sha,
     )
 
 
-def _maybe_njit(fn: Callable) -> Tuple[Callable, bool]:
-    """Optionally wrap ``fn`` with numba, falling back on typing failure."""
-    if not _numba_requested() or not numba_available():
-        return fn, False
-    import numba
-
-    try:
-        jitted = numba.njit(fn)
-    except Exception:
-        return fn, False
-
-    def wrapper(*args, _jitted=jitted, _plain=fn):
-        try:
-            return _jitted(*args)
-        except numba.errors.NumbaError:
-            # nopython typing rejected the kernel (tuple/dict/object
-            # traffic); the plain compiled function is the result.
-            return _plain(*args)
-
-    return wrapper, True
-
-
-def artifact_for(graph: SAMGraph, tier: Optional[str] = None) -> RegionArtifact:
+def artifact_for(graph: SAMGraph, tier: str = "columnar") -> RegionArtifact:
     """The compiled :class:`RegionArtifact` for ``graph``, cached per tier.
 
     Parameters
@@ -2229,17 +1439,15 @@ def artifact_for(graph: SAMGraph, tier: Optional[str] = None) -> RegionArtifact:
         (one slot per emission tier) and invalidated when the graph's
         topological order is rebuilt (i.e. on structural mutation).
     tier:
-        ``"token"`` or ``"columnar"``; ``None`` reads
-        :func:`codegen_tier` (the ``FUSEFLOW_CODEGEN_TIER`` selector).
+        ``"token"`` or ``"columnar"``.  Callers that want the tier a run
+        would pick use :func:`select_artifact` instead.
 
     Returns
     -------
     RegionArtifact
-        With ``fn`` set, or ``fallback`` naming the unsupported primitive.
+        The tier's artifact; every well-formed region emits in both.
     """
-    if tier is None:
-        tier = codegen_tier()
-    elif tier not in _TIERS:
+    if tier not in _TIERS:
         raise ValueError(
             f"unknown codegen tier {tier!r}; expected one of {_TIERS}"
         )
@@ -2310,9 +1518,6 @@ def select_artifact(
     execute and no other.  Blocked payloads escape every columnar kernel
     and short streams drown in numpy call overhead; either way the token
     tier's plain loops win (:data:`DEFAULT_SMALL_STREAM_CUTOFF`).
-    ``FUSEFLOW_CODEGEN_TIER=token`` always yields the token tier; cutoff
-    ``0`` always the columnar one (the differential suite uses that to
-    test the tier in isolation).
 
     Parameters
     ----------
@@ -2332,13 +1537,11 @@ def select_artifact(
     Returns
     -------
     RegionArtifact
-        A region the columnar emitter cannot cover retries on the token
-        tier; ``fn`` is ``None`` when neither could emit it (the caller
-        then runs the region on the columnar interpreter).
+        The chosen tier's artifact (emitted now if it was not cached).
     """
-    tier = codegen_tier()
+    tier = "columnar"
     cutoff = small_stream_cutoff()
-    if tier == "columnar" and cutoff:
+    if cutoff:
         graph.ensure_validated()
         with _CACHE_LOCK:
             probe = _graph_entry_locked(graph, graph.topological_order()).probe
@@ -2353,10 +1556,7 @@ def select_artifact(
             for decl in map(decls.get, probe[0])
         ):
             tier = "token"
-    artifact = artifact_for(graph, tier)
-    if artifact.fn is None and tier == "columnar":
-        artifact = artifact_for(graph, "token")
-    return artifact
+    return artifact_for(graph, tier)
 
 
 def try_run_codegen(
@@ -2375,9 +1575,8 @@ def try_run_codegen(
 
     Returns
     -------
-    FunctionalResult or None
-        ``None`` signals the caller to fall back to the columnar
-        interpreter (no tier could emit the region).
+    FunctionalResult
+        Streams, stats and results, bit-exact against the interpreters.
 
     Raises
     ------
@@ -2392,8 +1591,6 @@ def try_run_codegen(
     from ..comal.functional import FunctionalResult
 
     artifact = select_artifact(graph, binding=binding)
-    if artifact.fn is None:
-        return None
     order = graph.topological_order()
     stats = {node_id: NodeStats() for node_id in order}
     results: Dict[str, Any] = {}
@@ -2435,10 +1632,8 @@ class CodegenBackend(Backend):
 
     def describe(self) -> str:
         """One-line human-readable description."""
-        numba = "numba available" if numba_available() else "no numba"
         return (
             "codegen: per-region specialized Python kernels "
-            f"({codegen_tier()} emission tier, compile()/exec, {numba}; "
-            "unsupported nodes bridge to the token tier, unsupported "
-            "regions fall back to the columnar interpreter)"
+            "(compile()/exec; columnar emission tier, token tier for "
+            "blocked or short streams)"
         )

@@ -305,20 +305,15 @@ def cmd_simulate(args) -> int:
                 f"{'region':24s} {'tier':>8s} {'LoC':>6s} {'emit':>10s} "
                 f"{'runs':>5s} {'run ms':>8s} {'emit/run':>9s}  status"
             )
-            diags = {diag.name: diag for diag in exe.diagnostics.regions}
             for region in exe.regions:
                 if region.graph is None:
                     continue
-                diag = diags.get(region.graph.name)
-                fallback = diag.codegen_fallback if diag else ""
                 # One row per emitted tier: a region whose streams turn
                 # out short at run time lands on the token tier although
                 # the declarations had it emit the columnar one.
                 arts = cached_artifacts(region.graph)
                 for tier in sorted(arts):
                     art = arts[tier]
-                    if art.fn is None and not fallback:
-                        continue
                     emit_ms = (art.emit_seconds + art.compile_seconds) * 1e3
                     if art.runs:
                         run_ms = art.run_seconds * 1e3 / art.runs
@@ -332,9 +327,7 @@ def cmd_simulate(args) -> int:
                         amort = f"{'-':>9s}"
                         run_col = f"{'-':>8s}"
                         status = "unused tier"
-                    if fallback:
-                        status = f"fallback: {fallback}"
-                    elif art.code_cached:
+                    if art.code_cached:
                         # No compile() in the emit column: an identical
                         # kernel was already compiled for another region.
                         status += f", shared kernel {art.sha[:12]}"
@@ -348,8 +341,8 @@ def cmd_simulate(args) -> int:
                 f"artifact cache: {info['artifact_hits']} hit(s), "
                 f"{info['artifact_misses']} miss(es); source cache: "
                 f"{info['code_hits']} hit(s), {info['code_misses']} "
-                f"miss(es); {info['fallbacks']} region fallback(s); "
-                f"{info['token_dispatches']} run(s) sent to the token tier"
+                f"miss(es); {info['token_dispatches']} run(s) sent to the "
+                "token tier"
             )
     return 0
 

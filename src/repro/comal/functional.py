@@ -141,14 +141,12 @@ def run_functional(
     if mode == "codegen":
         from ..backend.codegen import try_run_codegen
 
-        result = try_run_codegen(
-            graph, binding, scratchpad_bytes, debug_streams
+        return _memoize(
+            graph,
+            binding,
+            memo_key,
+            try_run_codegen(graph, binding, scratchpad_bytes, debug_streams),
         )
-        if result is not None:
-            return _memoize(graph, binding, memo_key, result)
-        # Region uses a primitive the emitter does not support: fall back
-        # to the columnar interpreter for this graph (recorded in the
-        # region's RegionArtifact.fallback).
     columnar = mode != "interp"
     ctx = ExecutionContext(
         binding, scratchpad_bytes=scratchpad_bytes, debug_streams=debug_streams

@@ -46,16 +46,14 @@ class RegionDiagnostics:
     skipped_passes: Dict[str, str] = field(default_factory=dict)
     # Codegen backend (filled only when the session compiles under
     # backend="codegen"): emitted lines of code, emission + compile wall
-    # time, whether the compiled code object came from the cross-graph
-    # source cache, and the fallback reason when the region runs on the
-    # columnar interpreter instead.
+    # time, and whether the compiled code object came from the
+    # cross-graph source cache.
     codegen_loc: int = 0
     codegen_seconds: float = 0.0
     codegen_cached: bool = False
-    codegen_fallback: str = ""
     # Emission tier the region's kernel was generated with: the tier the
-    # declarations say it will run under ("token" for blocked formats or
-    # when the columnar emitter could not cover a node, else "columnar").
+    # declarations say it will run under ("token" for blocked formats,
+    # else "columnar").
     codegen_tier: str = ""
     # First 12 hex digits of the emitted source's SHA-256.  Emission is
     # name-free, so regions with equal digests share one code object.
@@ -148,9 +146,7 @@ class CompileDiagnostics:
                 bits.append(f"{region.spilled_outputs} output(s) spilled")
             if region.skipped_passes:
                 bits.append(f"skipped {sorted(region.skipped_passes)}")
-            if region.codegen_fallback:
-                bits.append(f"codegen fallback: {region.codegen_fallback}")
-            elif region.codegen_loc:
+            if region.codegen_loc:
                 tier = f" {region.codegen_tier}" if region.codegen_tier else ""
                 bits.append(
                     f"codegen{tier} {region.codegen_loc} LoC in "

@@ -371,8 +371,7 @@ class Session:
             )
             diag.codegen_cached = artifact.code_cached
             diag.codegen_sha = artifact.sha[:12]
-            diag.codegen_fallback = artifact.fallback
-            diag.codegen_tier = artifact.tier if artifact.fn is not None else ""
+            diag.codegen_tier = artifact.tier
 
     # ------------------------------------------------------------------
     # Convenience execution

@@ -34,6 +34,10 @@ Overload and failure behavior (see ``docs/reliability.md``):
 * **Load shedding.**  With ``max_inflight`` set, excess concurrent POSTs
   are refused immediately with a **503** and a ``Retry-After`` header
   instead of queueing without bound inside the thread pool.
+* **Bounded bodies.**  A POST whose ``Content-Length`` is missing,
+  non-numeric or negative gets a **400**, one above
+  :data:`MAX_BODY_BYTES` a **413**; either way the body is never read,
+  the connection is closed and the admission slot released.
 * **Graceful drain.**  :meth:`FuseFlowServer.drain` (wired to
   SIGTERM/SIGINT by the CLI) stops admitting new work (503), lets
   in-flight requests finish up to a timeout, then shuts down; health
@@ -64,6 +68,14 @@ from .protocol import ServeError, ServeRequest, parse_request
 __all__ = ["ServerState", "FuseFlowServer", "make_server"]
 
 _POST_ACTIONS = {"/v1/compile": "compile", "/v1/simulate": "simulate"}
+
+#: Largest request body read.  The largest valid ``/v1/simulate`` body —
+#: every key set, the model's arguments, a ``par`` and a ``splits`` entry
+#: per index — stays under 4 KiB, and the program text of an eight-layer
+#: gpt3 stack on ``/v1/compile`` is ~15 KiB; 1 MiB clears both many times
+#: over while a hostile ``Content-Length`` can no longer make a handler
+#: thread buffer without bound.
+MAX_BODY_BYTES = 1 << 20
 
 
 class ServerState:
@@ -382,7 +394,31 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            declared = (self.headers.get("Content-Length") or "").strip()
+            # Digits only: int() alone would take "-1" (read(-1) blocks
+            # until the client hangs up), "+5" and "1_0".
+            length = (
+                int(declared)
+                if declared.isascii() and declared.isdigit()
+                else -1
+            )
+            if not 0 <= length <= MAX_BODY_BYTES:
+                self.state.count_error()
+                # The body stays unread, so this connection cannot carry
+                # another request.
+                self.close_connection = True
+                if length < 0:
+                    code, error = 400, (
+                        "Content-Length must be a non-negative integer, "
+                        f"got {declared!r}"
+                    )
+                else:
+                    code, error = 413, (
+                        f"request body of {length} bytes exceeds the "
+                        f"{MAX_BODY_BYTES}-byte limit"
+                    )
+                self._send(code, {"error": error}, {"Connection": "close"})
+                return
             raw = self.rfile.read(length)
             try:
                 request = parse_request(raw, action)

@@ -2,6 +2,8 @@
 
 import os
 
+import pytest
+
 # The tier-1 suite runs with per-stream protocol validation on: every
 # stream produced by every simulated node is check_stream()-verified.
 # Production/benchmark runs leave this off (it is the hot-path validation
@@ -31,3 +33,20 @@ def pytest_addoption(parser):
             "an intentional timing-model change, then review the diff)"
         ),
     )
+
+
+@pytest.fixture
+def force_tier(monkeypatch):
+    """``force_tier(tier)``: run every codegen region on that emission tier.
+
+    Through the tier decision's one knob: cutoff ``0`` disables it (every
+    region columnar), a cutoff no input reaches sends every run to the
+    token tier — so a divergence in one tier cannot hide behind a
+    dispatch to the other.
+    """
+
+    def force(tier: str) -> None:
+        cutoff = {"columnar": 0, "token": 10**9}[tier]
+        monkeypatch.setenv("FUSEFLOW_CODEGEN_SMALL_CUTOFF", str(cutoff))
+
+    return force

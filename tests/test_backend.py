@@ -1,4 +1,4 @@
-"""Backend subsystem tests: selection, caching, fallback, and errors.
+"""Backend subsystem tests: selection, caching, tiers, and errors.
 
 Covers the :mod:`repro.backend` contract end to end:
 
@@ -9,10 +9,9 @@ Covers the :mod:`repro.backend` contract end to end:
   between compiles of the *same* program must miss the warm cache and
   yield a distinct executable (the regression satellite of PR 6);
 * codegen artifact/source caching and its counters;
-* per-region fallback to the columnar interpreter for primitives the
-  emitter does not know;
-* generated-kernel exceptions re-raised with node id + region context;
-* numba gating (optional, never required).
+* out-of-tree primitives the emitter has never heard of, emitted in both
+  tiers as a call to the primitive itself;
+* generated-kernel exceptions re-raised with node id + region context.
 """
 
 import numpy as np
@@ -26,11 +25,7 @@ from repro.backend import (
     get_backend,
     resolve_backend_name,
 )
-from repro.backend.codegen import (
-    cached_artifacts,
-    clear_codegen_caches,
-    numba_available,
-)
+from repro.backend.codegen import cached_artifacts, clear_codegen_caches
 from repro.comal.functional import run_functional
 from repro.comal.machines import RDA_MACHINE
 from repro.core.einsum.parser import parse_program
@@ -260,14 +255,13 @@ class TestCodegenCaches:
         exe = session.compile(program)
         assert exe.diagnostics.backend == "codegen"
         for region in exe.diagnostics.regions:
-            assert region.codegen_fallback == ""
             assert region.codegen_loc > 0
             assert region.codegen_seconds >= 0.0
         assert "backend codegen" in exe.diagnostics.describe()
 
 
 # ----------------------------------------------------------------------
-# Per-region fallback for unsupported primitives
+# Out-of-tree primitives: emitted as a call to the primitive itself
 # ----------------------------------------------------------------------
 
 
@@ -301,32 +295,37 @@ def _doubler_graph():
 
 
 class TestFallback:
-    def test_unknown_primitive_marks_fallback(self):
-        graph = _doubler_graph()
-        artifact = artifact_for(graph)
-        assert artifact.fn is None
-        assert "doubler2x" in artifact.fallback
-        assert "dbl" in artifact.fallback
+    """Nothing is unemittable: an unknown kind never leaves codegen."""
 
-    def test_fallback_execution_matches_interpreter(self):
+    def test_unknown_primitive_emits_in_both_tiers(self):
         graph = _doubler_graph()
-        via_codegen = run_functional(graph, {}, backend="codegen", cache=False)
-        reference = run_functional(graph, {}, columnar=True, cache=False)
-        assert set(via_codegen.streams) == set(reference.streams)
-        for key in reference.streams:
-            assert streams_equal(
-                via_codegen.streams[key], reference.streams[key]
-            ), key
-        for node_id, want in reference.stats.items():
-            have = via_codegen.stats[node_id]
-            assert have.tokens_in == want.tokens_in
-            assert have.tokens_out == want.tokens_out
-            assert have.ops == want.ops
+        for tier, method in (
+            ("token", "process"), ("columnar", "process_columnar")
+        ):
+            artifact = artifact_for(graph, tier)
+            assert artifact.fn is not None and artifact.loc > 0
+            assert f".{method}({{'a': s0_out}}, _ctx, _st)" in artifact.source
+            assert "# -- dbl: doubler2x --" in artifact.source
 
-    def test_fallback_counted(self):
-        clear_codegen_caches()
-        artifact_for(_doubler_graph())
-        assert codegen_cache_info()["fallbacks"] == 1
+    def test_fallback_execution_matches_interpreter(self, force_tier):
+        reference = run_functional(
+            _doubler_graph(), {}, backend="interp", debug_streams=True,
+            cache=False,
+        )
+        for tier in ("token", "columnar"):
+            force_tier(tier)
+            graph = _doubler_graph()
+            via_codegen = run_functional(
+                graph, {}, backend="codegen", debug_streams=True, cache=False
+            )
+            assert cached_artifacts(graph)[tier].runs == 1
+            assert set(cached_artifacts(graph)) == {tier}
+            assert set(via_codegen.streams) == set(reference.streams)
+            for key in reference.streams:
+                assert streams_equal(
+                    via_codegen.streams[key], reference.streams[key]
+                ), (tier, key)
+            assert via_codegen.stats == reference.stats, tier
 
 
 # ----------------------------------------------------------------------
@@ -378,12 +377,6 @@ class TestKernelErrors:
         assert len(res.stream("src")) == 1
 
 
-def _force_tier(monkeypatch, tier):
-    """Run every region on ``tier`` whatever its streams look like."""
-    monkeypatch.setenv("FUSEFLOW_CODEGEN_TIER", tier)
-    monkeypatch.setenv("FUSEFLOW_CODEGEN_SMALL_CUTOFF", "0")
-
-
 class TestSharedKernelErrors:
     """Two regions, one code object: errors still name the right region.
 
@@ -423,8 +416,8 @@ class TestSharedKernelErrors:
         return graph
 
     @pytest.mark.parametrize("tier", ["token", "columnar"])
-    def test_unbound_tensor_in_second_region(self, tier, monkeypatch):
-        _force_tier(monkeypatch, tier)
+    def test_unbound_tensor_in_second_region(self, tier, force_tier):
+        force_tier(tier)
         clear_codegen_caches()
         first = self._scan_graph("first", "A")
         second = self._scan_graph("second", "B")
@@ -442,8 +435,8 @@ class TestSharedKernelErrors:
         assert "'A'" not in shared.source and "'B'" not in shared.source
 
     @pytest.mark.parametrize("tier", ["token", "columnar"])
-    def test_protocol_error_in_second_region(self, tier, monkeypatch):
-        _force_tier(monkeypatch, tier)
+    def test_protocol_error_in_second_region(self, tier, force_tier):
+        force_tier(tier)
         clear_codegen_caches()
         graphs = {
             name: self._writer_graph(region, name)
@@ -484,7 +477,6 @@ _GPT3_TWO_LAYERS = {
 @pytest.fixture
 def default_tiering(clean_env):
     """Default tier selection, whatever the CI step's environment says."""
-    clean_env.delenv("FUSEFLOW_CODEGEN_TIER", raising=False)
     clean_env.delenv("FUSEFLOW_CODEGEN_SMALL_CUTOFF", raising=False)
     clear_codegen_caches()
     return clean_env
@@ -632,17 +624,6 @@ class TestKernelSharing:
 
 
 class TestEmissionTiers:
-    def test_tier_selector_env(self, monkeypatch):
-        from repro.backend.codegen import codegen_tier
-
-        monkeypatch.delenv("FUSEFLOW_CODEGEN_TIER", raising=False)
-        assert codegen_tier() == "columnar"
-        monkeypatch.setenv("FUSEFLOW_CODEGEN_TIER", "token")
-        assert codegen_tier() == "token"
-        monkeypatch.setenv("FUSEFLOW_CODEGEN_TIER", "simd")
-        with pytest.raises(ValueError):
-            codegen_tier()
-
     def test_tiers_cached_independently(self, clean_env):
         from repro.backend.codegen import cached_artifacts
 
@@ -667,22 +648,23 @@ class TestEmissionTiers:
         with pytest.raises(ValueError, match="unknown codegen tier"):
             artifact_for(exe.regions[0].graph, "simd")
 
-    def test_both_tiers_match_the_interpreter(self, clean_env, monkeypatch):
-        # Forced columnar (cutoff 0 disables adaptive dispatch) and forced
-        # token both reproduce the columnar interpreter exactly.
+    def test_both_tiers_match_the_interpreter(self, clean_env, force_tier):
+        # Forced columnar (cutoff 0 disables the tier decision) and forced
+        # token (a cutoff no input reaches) both reproduce the columnar
+        # interpreter exactly.
         program, binding = _program_and_binding()
         exe = Session(machine=RDA_MACHINE, backend="codegen").compile(program)
         graph = exe.regions[0].graph
         want = run_functional(
             graph, binding, columnar=True, cache=False
         )
-        for tier, cutoff in (("columnar", "0"), ("token", "0")):
-            monkeypatch.setenv("FUSEFLOW_CODEGEN_TIER", tier)
-            monkeypatch.setenv("FUSEFLOW_CODEGEN_SMALL_CUTOFF", cutoff)
+        for tier in ("columnar", "token"):
+            force_tier(tier)
             clear_codegen_caches()
             have = run_functional(
                 graph, binding, backend="codegen", cache=False
             )
+            assert cached_artifacts(graph)[tier].runs == 1
             for key in want.streams:
                 assert streams_equal(have.streams[key], want.streams[key]), (
                     tier,
@@ -691,13 +673,12 @@ class TestEmissionTiers:
             for node_id, stats in want.stats.items():
                 assert have.stats[node_id].tokens_out == stats.tokens_out, tier
 
-    def test_unsupported_node_bridges_through_token_emitter(
-        self, clean_env, monkeypatch
+    def test_node_without_columnar_body_is_a_process_columnar_call(
+        self, clean_env, monkeypatch, force_tier
     ):
-        # Deleting one _cemit_ handler must not fall the region back to
-        # the interpreter: the node rides the per-node token bridge
-        # (to_tokens -> token-emitter body -> from_tokens) and the kernel
-        # stays bit-exact.
+        # Deleting one _cemit_ handler leaves the node emitted as a call
+        # to the primitive's own columnar kernel, and the region's kernel
+        # bit-exact.
         from repro.backend.codegen import _ColumnarEmitter
 
         monkeypatch.delattr(_ColumnarEmitter, "_cemit_alu")
@@ -706,19 +687,31 @@ class TestEmissionTiers:
         exe = Session(machine=RDA_MACHINE, backend="codegen").compile(program)
         graph = exe.regions[0].graph
         artifact = artifact_for(graph, "columnar")
-        assert artifact.fallback == ""
-        assert ".to_tokens()" in artifact.source
-        assert "_TS.from_tokens(" in artifact.source
+        # The other nodes' own objs escapes are guarded ("if ….objs is
+        # not None:"); the alu's call is the node's whole block.
+        blocks = artifact.source.split("\n\n")
+        (alu,) = [block for block in blocks if ": alu(" in block]
+        assert ".process_columnar(" in alu and "objs" not in alu
+        assert ".to_tokens()" not in artifact.source
         want = run_functional(graph, binding, columnar=True, cache=False)
-        monkeypatch.setenv("FUSEFLOW_CODEGEN_SMALL_CUTOFF", "0")
+        force_tier("columnar")
         have = run_functional(graph, binding, backend="codegen", cache=False)
+        assert cached_artifacts(graph)["columnar"].runs == 1
         for key in want.streams:
             assert streams_equal(have.streams[key], want.streams[key]), key
-        for node_id, stats in want.stats.items():
-            assert have.stats[node_id].tokens_in == stats.tokens_in
-            assert have.stats[node_id].tokens_out == stats.tokens_out
-            assert have.stats[node_id].ops == stats.ops
+        assert have.stats == want.stats
         clear_codegen_caches()
+
+    def test_token_source_is_one_process_call_per_node(self, clean_env):
+        # The token tier re-expresses no primitive: per node one call to
+        # the primitive's own process, and no loop over tokens anywhere.
+        program, _ = _program_and_binding()
+        exe = Session(machine=RDA_MACHINE, backend="codegen").compile(program)
+        graph = exe.regions[0].graph
+        source = artifact_for(graph, "token").source
+        assert source.count(".process(") == len(graph.nodes)
+        assert "for " not in source and "while " not in source
+        assert "process_columnar" not in source
 
     def test_small_streams_dispatch_to_token_tier(self, clean_env, monkeypatch):
         monkeypatch.setenv("FUSEFLOW_CODEGEN_SMALL_CUTOFF", str(10**9))
@@ -809,20 +802,3 @@ class TestDocstrings:
                 assert "Parameters" in doc or doc.count("\n") == 0, (
                     f"{name}: numpydoc Parameters section missing"
                 )
-
-
-# ----------------------------------------------------------------------
-# Numba gating
-# ----------------------------------------------------------------------
-
-
-class TestNumba:
-    def test_numba_availability_is_boolean(self):
-        assert isinstance(numba_available(), bool)
-
-    def test_numba_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("FUSEFLOW_CODEGEN_NUMBA", raising=False)
-        clear_codegen_caches()
-        program, _ = _program_and_binding()
-        exe = Session(machine=RDA_MACHINE, backend="codegen").compile(program)
-        assert artifact_for(exe.regions[0].graph).uses_numba is False

