@@ -39,18 +39,24 @@ arrays), columnar otherwise — so ``backend=codegen`` wins on every model
 regardless of stream length and a region pays emission and ``compile()``
 only for the tier it runs.
 
-Two cache levels:
+Three cache levels:
 
 * per-graph (weak, validated by topological-order identity — the same
   idiom as the timed engine's plan cache): repeated executions of one
   graph reuse its compiled kernel;
-* per-source (keyed by the SHA-256 of the emitted source): structurally
-  identical regions share one code object and pay ``compile()`` once per
-  process.  Emitted source is *name-free* — tensor names and primitives
-  reach a kernel through its exec globals, never as literals
-  (``_Emitter._name`` / ``_bind``) — so the layers of a stack, which
-  differ only in the tensors they touch, are structurally identical in
-  this sense.
+* per-source in memory (keyed by the SHA-256 of the emitted source):
+  structurally identical regions share one code object and pay
+  ``compile()`` once per process.  Emitted source is *name-free* — tensor
+  names and primitives reach a kernel through its exec globals, never as
+  literals (``_Emitter._name`` / ``_bind``) — so the layers of a stack,
+  which differ only in the tensors they touch, are structurally identical
+  in this sense;
+* per-source on disk (same key, in the session's
+  :class:`~repro.driver.diskcache.DiskCache` directory when it has one):
+  a process that never compiled this source loads the marshalled code
+  object instead of calling ``compile()``.  Emission still runs and *is*
+  the address, so a kernel is only ever served for source this build just
+  emitted from this graph.
 
 Exceptions raised inside a generated kernel are re-raised with the node id
 and region name appended (protocol errors keep their type and message so
@@ -163,9 +169,13 @@ class RegionArtifact:
     emit_seconds : float
         Wall time spent emitting the source.
     compile_seconds : float
-        Wall time spent in ``compile()``/``exec`` (0 on a code-cache hit).
-    code_cached : bool
-        True when the code object came from the per-source cache.
+        Wall time spent obtaining the code object and ``exec``-ing it:
+        ``compile()`` when ``origin`` is ``compiled``, the validated disk
+        load when it is ``disk``, 0 on an in-memory hit.
+    origin : str
+        Where the code object came from: ``compiled`` (a real
+        ``compile()``), ``memory`` (the per-source cache — another region
+        already obtained it) or ``disk`` (the store's kernel file).
     fn : callable
         The compiled kernel.
     sha : str
@@ -183,11 +193,16 @@ class RegionArtifact:
     node_count: int = 0
     emit_seconds: float = 0.0
     compile_seconds: float = 0.0
-    code_cached: bool = False
+    origin: str = "compiled"
     fn: Optional[Callable] = None
     sha: str = ""
     runs: int = 0
     run_seconds: float = 0.0
+
+    @property
+    def code_cached(self) -> bool:
+        """True when the code object came from the in-memory source cache."""
+        return self.origin == "memory"
 
 
 # ----------------------------------------------------------------------
@@ -205,13 +220,16 @@ class _GraphEntry:
     ``tiers`` maps emission tier -> artifact.  ``retentions`` is a list of
     ``(sha, finalizer)`` pairs pinning source-cache entries (and their
     linecache registrations) for as long as the graph lives — see
-    :func:`_retain_sha_locked`.
+    :func:`_retain_sha_locked`.  ``store`` is the kernel store of the
+    session that compiled the graph (:func:`select_artifact`), kept here
+    so a tier first emitted at run time finds it too.
     """
 
     order: List[str]
     probe: Tuple[Tuple[str, ...], int]
     tiers: Dict[str, RegionArtifact] = field(default_factory=dict)
     retentions: List[Tuple[str, Any]] = field(default_factory=list)
+    store: Any = None
 
 
 #: graph -> :class:`_GraphEntry`.  Weak keys bound this cache by graph
@@ -251,6 +269,8 @@ _COUNTERS = {
     "artifact_misses": 0,
     "code_hits": 0,
     "code_misses": 0,
+    "code_disk_hits": 0,
+    "code_disk_writes": 0,
     "code_evictions": 0,
     "token_dispatches": 0,
 }
@@ -259,6 +279,9 @@ _COUNTERS = {
 def codegen_cache_info() -> Dict[str, int]:
     """Snapshot of the artifact/code cache counters (for ``--profile``).
 
+    ``code_misses`` counts in-memory misses; of those, ``code_disk_hits``
+    were loaded from a kernel store instead of compiled, and
+    ``code_disk_writes`` were compiled and written back to one.
     Includes ``code_entries``/``code_limit`` so a long-lived process can
     observe the bounded LRU's occupancy alongside the hit counters, and
     ``code_files``/``retained_sources`` so linecache growth stays
@@ -1370,8 +1393,13 @@ def _probe_spec(graph: SAMGraph, order: List[str]) -> Tuple[Tuple[str, ...], int
 
 
 def _compile_artifact(
-    graph: SAMGraph, order: List[str], tier: str
+    graph: SAMGraph, order: List[str], tier: str, store: Any
 ) -> RegionArtifact:
+    """Emit ``graph`` and obtain its kernel: memory, then disk, then compile.
+
+    ``store`` is the disk level — ``get_kernel``/``put_kernel`` by source
+    sha, a :class:`~repro.driver.diskcache.DiskCache` — or ``None``.
+    """
     started = time.perf_counter()
     emitter_cls = _ColumnarEmitter if tier == "columnar" else _Emitter
     emitter = emitter_cls(graph, order)
@@ -1380,17 +1408,25 @@ def _compile_artifact(
     sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
     filename = _kernel_filename(sha)
     compile_started = time.perf_counter()
+    origin = "memory"
     with _CACHE_LOCK:
         code = _CODE_CACHE.get(sha)
-        cached = code is not None
-        if cached:
+        if code is not None:
             _COUNTERS["code_hits"] += 1
             _CODE_CACHE.move_to_end(sha)
-    if not cached:
-        # compile() runs outside the lock (it is the slow part); the
-        # re-insert below keeps the cache single-valued under races.
-        code = compile(source, filename, "exec")
+    if code is None:
+        # The disk load and compile() run outside the lock (they are the
+        # slow part); the re-insert below keeps the cache single-valued
+        # under races.
+        code = store.get_kernel(sha) if store is not None else None
+        origin = "disk" if code is not None else "compiled"
+        written = False
+        if code is None:
+            code = compile(source, filename, "exec")
+            written = store is not None and store.put_kernel(sha, code)
         with _CACHE_LOCK:
+            _COUNTERS["code_disk_hits"] += origin == "disk"
+            _COUNTERS["code_disk_writes"] += written
             incumbent = _CODE_CACHE.get(sha)
             if incumbent is not None:
                 code = incumbent
@@ -1421,9 +1457,11 @@ def _compile_artifact(
         node_count=len(order),
         emit_seconds=emit_seconds,
         compile_seconds=(
-            0.0 if cached else time.perf_counter() - compile_started
+            0.0
+            if origin == "memory"
+            else time.perf_counter() - compile_started
         ),
-        code_cached=cached,
+        origin=origin,
         fn=namespace["_region_kernel"],
         sha=sha,
     )
@@ -1455,12 +1493,13 @@ def artifact_for(graph: SAMGraph, tier: str = "columnar") -> RegionArtifact:
     order = graph.topological_order()
     with _CACHE_LOCK:
         _drain_pending_releases_locked()
-        incumbent = _graph_entry_locked(graph, order).tiers.get(tier)
+        entry = _graph_entry_locked(graph, order)
+        incumbent = entry.tiers.get(tier)
         if incumbent is not None:
             _COUNTERS["artifact_hits"] += 1
             return incumbent
         _COUNTERS["artifact_misses"] += 1
-    artifact = _compile_artifact(graph, order, tier)
+    artifact = _compile_artifact(graph, order, tier, entry.store)
     with _CACHE_LOCK:
         entry = _graph_entry_locked(graph, order)
         incumbent = entry.tiers.get(tier)
@@ -1481,7 +1520,11 @@ def _graph_entry_locked(graph: SAMGraph, order: List[str]) -> _GraphEntry:
             for sha, finalizer in entry.retentions:
                 if finalizer.detach():
                     _release_sha_locked(sha)
-        entry = _GraphEntry(order, _probe_spec(graph, order))
+        entry = _GraphEntry(
+            order,
+            _probe_spec(graph, order),
+            store=entry.store if entry is not None else None,
+        )
         _GRAPH_ARTIFACTS[graph] = entry
     return entry
 
@@ -1510,6 +1553,7 @@ def select_artifact(
     *,
     binding: Optional[Dict[str, Any]] = None,
     decls: Optional[Dict[str, Any]] = None,
+    store: Any = None,
 ) -> RegionArtifact:
     """The kernel ``graph`` should run, its tier chosen *before* emitting.
 
@@ -1533,29 +1577,39 @@ def select_artifact(
         reads is *declared* blocked (``decls[name].fmt.is_blocked``).
         Stream length is unknown until a binding exists, so size never
         decides here.
+    store:
+        The compiling session's kernel store (its
+        :class:`~repro.driver.diskcache.DiskCache`), consulted by sha
+        before ``compile()`` and written back after one.  Remembered per
+        graph, so the run-time call — which knows no session — uses it
+        for a tier it emits late.
 
     Returns
     -------
     RegionArtifact
         The chosen tier's artifact (emitted now if it was not cached).
     """
+    graph.ensure_validated()
+    with _CACHE_LOCK:
+        entry = _graph_entry_locked(graph, graph.topological_order())
+        if store is not None:
+            entry.store = store
+        probe = entry.probe
     tier = "columnar"
     cutoff = small_stream_cutoff()
-    if cutoff:
-        graph.ensure_validated()
-        with _CACHE_LOCK:
-            probe = _graph_entry_locked(graph, graph.topological_order()).probe
-        if binding is not None:
-            size, blocked = _probe_size(probe, binding)
-            if blocked or size < cutoff:
-                tier = "token"
-                with _CACHE_LOCK:
-                    _COUNTERS["token_dispatches"] += 1
-        elif decls is not None and any(
-            decl is not None and decl.fmt.is_blocked
-            for decl in map(decls.get, probe[0])
-        ):
+    if not cutoff:
+        pass
+    elif binding is not None:
+        size, blocked = _probe_size(probe, binding)
+        if blocked or size < cutoff:
             tier = "token"
+            with _CACHE_LOCK:
+                _COUNTERS["token_dispatches"] += 1
+    elif decls is not None and any(
+        decl is not None and decl.fmt.is_blocked
+        for decl in map(decls.get, probe[0])
+    ):
+        tier = "token"
     return artifact_for(graph, tier)
 
 

@@ -327,10 +327,13 @@ def cmd_simulate(args) -> int:
                         amort = f"{'-':>9s}"
                         run_col = f"{'-':>8s}"
                         status = "unused tier"
-                    if art.code_cached:
+                    if art.origin == "memory":
                         # No compile() in the emit column: an identical
                         # kernel was already compiled for another region.
                         status += f", shared kernel {art.sha[:12]}"
+                    elif art.origin == "disk":
+                        # The emit column holds emission + the disk load.
+                        status += f", kernel {art.sha[:12]} from disk"
                     print(
                         f"{region.graph.name:24s} {tier:>8s} {art.loc:6d} "
                         f"{emit_ms:8.2f}ms {art.runs:5d} {run_col} "
@@ -341,8 +344,9 @@ def cmd_simulate(args) -> int:
                 f"artifact cache: {info['artifact_hits']} hit(s), "
                 f"{info['artifact_misses']} miss(es); source cache: "
                 f"{info['code_hits']} hit(s), {info['code_misses']} "
-                f"miss(es); {info['token_dispatches']} run(s) sent to the "
-                "token tier"
+                f"miss(es), {info['code_disk_hits']} loaded from disk, "
+                f"{info['code_disk_writes']} written to disk; "
+                f"{info['token_dispatches']} run(s) sent to the token tier"
             )
     return 0
 
@@ -716,10 +720,11 @@ def cmd_compile(args) -> int:
     session = _session(args)
     schedule = bundle.schedule(args.fusion)
     schedule.splits = _parse_splits(args.split)
-    exe = session.compile(bundle.program, schedule)
+    exe, source = session.compile_detailed(bundle.program, schedule)
     print(exe.compiled.describe())
     if args.diagnostics:
         print()
+        print(f"compile source: {source}")
         print(exe.diagnostics.describe())
     if args.show_graph:
         for region in exe.regions:

@@ -46,11 +46,13 @@ class RegionDiagnostics:
     skipped_passes: Dict[str, str] = field(default_factory=dict)
     # Codegen backend (filled only when the session compiles under
     # backend="codegen"): emitted lines of code, emission + compile wall
-    # time, and whether the compiled code object came from the
-    # cross-graph source cache.
+    # time, and where the code object came from — "compiled" (a real
+    # compile()), "memory" (the cross-graph source cache: an earlier,
+    # structurally identical region already obtained it) or "disk" (the
+    # disk cache's kernel file; the time is then emission + load).
     codegen_loc: int = 0
     codegen_seconds: float = 0.0
-    codegen_cached: bool = False
+    codegen_origin: str = ""
     # Emission tier the region's kernel was generated with: the tier the
     # declarations say it will run under ("token" for blocked formats,
     # else "columnar").
@@ -58,6 +60,11 @@ class RegionDiagnostics:
     # First 12 hex digits of the emitted source's SHA-256.  Emission is
     # name-free, so regions with equal digests share one code object.
     codegen_sha: str = ""
+
+    @property
+    def codegen_cached(self) -> bool:
+        """True when another region had already obtained this kernel."""
+        return self.codegen_origin == "memory"
 
     @property
     def order_fallbacks(self) -> int:
@@ -92,11 +99,14 @@ class CompileDiagnostics:
         return out
 
     def codegen_summary(self) -> str:
-        """``N regions, M distinct kernels, K shared`` (empty off codegen).
+        """``N regions, M distinct kernels, K shared, D from disk``.
 
-        A *shared* region found its code object already compiled — by an
-        earlier, structurally identical region — and so reports emission
-        time only; that is why its compile cost reads as zero.
+        Empty off codegen.  A *shared* region found its code object
+        already in memory — obtained by an earlier, structurally identical
+        region — and so reports emission time only; that is why its
+        compile cost reads as zero.  A region *from disk* loaded its
+        kernel from the disk cache instead of calling ``compile()``; the
+        rest (N - K - D) compiled theirs.
         """
         kernels = [r for r in self.regions if r.codegen_loc]
         if not kernels:
@@ -104,7 +114,8 @@ class CompileDiagnostics:
         return (
             f"{len(kernels)} region(s), "
             f"{len({r.codegen_sha for r in kernels})} distinct kernel(s), "
-            f"{sum(r.codegen_cached for r in kernels)} shared"
+            f"{sum(r.codegen_cached for r in kernels)} shared, "
+            f"{sum(r.codegen_origin == 'disk' for r in kernels)} from disk"
         )
 
     def describe(self) -> str:
@@ -151,11 +162,10 @@ class CompileDiagnostics:
                 bits.append(
                     f"codegen{tier} {region.codegen_loc} LoC in "
                     f"{region.codegen_seconds * 1e3:.2f} ms"
-                    + (
-                        f" (shared kernel {region.codegen_sha})"
-                        if region.codegen_cached
-                        else ""
-                    )
+                    + {
+                        "memory": f" (shared kernel {region.codegen_sha})",
+                        "disk": f" (kernel {region.codegen_sha} from disk)",
+                    }.get(region.codegen_origin, "")
                 )
             lines.append(f"  region {region.name}: " + ", ".join(bits))
         return "\n".join(lines)

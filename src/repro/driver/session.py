@@ -29,12 +29,20 @@ from ..core.schedule.schedule import Schedule, unfused
 from ..ftree.tensor import SparseTensor
 from ..reliability import fault_point
 from .compiled import CompiledProgram, ProgramResult
+from .diagnostics import CompileDiagnostics
 from .diskcache import DiskCache, entry_key
 from .executable import Executable
 from .pipeline import PassPipeline
 from .sweeping import sweep_schedules
 
 CacheKey = Tuple[str, str, str, str]
+
+
+def _entry_is_whole(entry: dict) -> bool:
+    """A disk entry holds what ``_load_or_compile`` is about to use."""
+    return isinstance(entry.get("compiled"), CompiledProgram) and isinstance(
+        entry.get("diagnostics"), CompileDiagnostics
+    )
 
 
 @dataclass(frozen=True)
@@ -46,6 +54,10 @@ class CacheInfo:
     ``disk_disabled_reason`` reports a disk cache whose write breaker
     tripped (see :class:`~repro.driver.diskcache.DiskCache`); ``None``
     while healthy or when no disk cache is configured.
+    ``disk_kernel_hits``/``disk_kernel_writes`` count code-generated
+    kernels loaded from / written to the disk cache instead of (after)
+    ``compile()``, and ``disk_rejected`` the cache files refused because
+    someone other than this user could have written them.
     """
 
     hits: int
@@ -55,6 +67,9 @@ class CacheInfo:
     disk_hits: int = 0
     disk_misses: int = 0
     disk_disabled_reason: Optional[str] = None
+    disk_kernel_hits: int = 0
+    disk_kernel_writes: int = 0
+    disk_rejected: int = 0
 
     def __str__(self) -> str:
         text = (
@@ -63,6 +78,13 @@ class CacheInfo:
         )
         if self.disk_hits or self.disk_misses:
             text += f", disk {self.disk_hits}/{self.disk_hits + self.disk_misses}"
+        if self.disk_kernel_hits or self.disk_kernel_writes:
+            text += (
+                f", kernels {self.disk_kernel_hits} from disk / "
+                f"{self.disk_kernel_writes} written"
+            )
+        if self.disk_rejected:
+            text += f", {self.disk_rejected} disk file(s) rejected"
         if self.disk_disabled_reason:
             text += f", disk {self.disk_disabled_reason}"
         return text
@@ -284,7 +306,7 @@ class Session:
         dkey = None
         if self.disk_cache is not None:
             dkey = self._disk_key(key)
-            entry = self.disk_cache.get(dkey)
+            entry = self.disk_cache.get(dkey, check=_entry_is_whole)
             with self._lock:
                 if entry is not None:
                     self._disk_hits += 1
@@ -345,13 +367,13 @@ class Session:
             backend=key[3],
         )
 
-    @staticmethod
-    def _prewarm_codegen(compiled: CompiledProgram, diagnostics) -> None:
+    def _prewarm_codegen(self, compiled: CompiledProgram, diagnostics) -> None:
         """Emit + compile every region kernel now, recording per-region cost.
 
         Codegen cost thereby lands in compile diagnostics (where it is
         observable via ``--profile``) instead of silently inflating the
-        first execution.
+        first execution.  The disk cache doubles as the kernel store, so
+        over a warm directory "compile" here is a load by source sha.
         """
         from ..backend.codegen import select_artifact
 
@@ -361,7 +383,9 @@ class Session:
                 continue
             # The tier the run will pick, as far as the declarations can
             # tell (blocked formats); stream length decides at first run.
-            artifact = select_artifact(region.graph, decls=compiled.decls)
+            artifact = select_artifact(
+                region.graph, decls=compiled.decls, store=self.disk_cache
+            )
             diag = by_name.get(region.graph.name)
             if diag is None:
                 continue
@@ -369,7 +393,7 @@ class Session:
             diag.codegen_seconds = (
                 artifact.emit_seconds + artifact.compile_seconds
             )
-            diag.codegen_cached = artifact.code_cached
+            diag.codegen_origin = artifact.origin
             diag.codegen_sha = artifact.sha[:12]
             diag.codegen_tier = artifact.tier
 
@@ -425,6 +449,11 @@ class Session:
     # ------------------------------------------------------------------
     def cache_info(self) -> CacheInfo:
         """Snapshot of the compile-cache counters (hits/misses/entries)."""
+        disk = (
+            self.disk_cache.info(scan=False)
+            if self.disk_cache is not None
+            else None
+        )
         with self._lock:
             return CacheInfo(
                 hits=self._hits,
@@ -433,11 +462,10 @@ class Session:
                 max_entries=self.cache_size,
                 disk_hits=self._disk_hits,
                 disk_misses=self._disk_misses,
-                disk_disabled_reason=(
-                    self.disk_cache.disabled_reason
-                    if self.disk_cache is not None
-                    else None
-                ),
+                disk_disabled_reason=disk.disabled_reason if disk else None,
+                disk_kernel_hits=disk.kernel_hits if disk else 0,
+                disk_kernel_writes=disk.kernel_writes if disk else 0,
+                disk_rejected=disk.rejected if disk else 0,
             )
 
     def clear_cache(self) -> None:

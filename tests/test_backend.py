@@ -465,6 +465,62 @@ class TestSharedKernelErrors:
         assert linecache.getline(filename, 1).startswith("def _region_kernel")
 
 
+class TestSharedKernelErrorsFromDisk(TestSharedKernelErrors):
+    """The same contract when no kernel was compiled in this process.
+
+    A warm directory already holds every kernel these tests emit; each
+    test then starts as a restarted process would (empty in-memory
+    caches) with that directory as its kernel store, so the code objects
+    raising the errors were unmarshalled, not compiled — region, node and
+    tensor still come from the region that raised, and tracebacks still
+    show kernel source lines.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _kernels_come_from_disk(self, tmp_path, monkeypatch):
+        import builtins
+
+        import repro.backend.codegen as cg
+        from repro.driver import DiskCache
+
+        store = DiskCache(str(tmp_path))
+        real = cg._compile_artifact
+        clear_codegen_caches()
+        for graph in (self._scan_graph("w", "Z"), self._writer_graph("w", "Z")):
+            graph.ensure_validated()
+            for tier in ("token", "columnar"):
+                real(graph, graph.topological_order(), tier, store)
+        assert store.info().kernels == 4
+        monkeypatch.setattr(
+            cg,
+            "_compile_artifact",
+            lambda graph, order, tier, _none: real(graph, order, tier, store),
+        )
+        real_compile = builtins.compile
+
+        def no_kernel_compiles(source, filename, *args, **kwargs):
+            assert not str(filename).startswith("<fuseflow-codegen ")
+            return real_compile(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "compile", no_kernel_compiles)
+        yield
+        info = codegen_cache_info()
+        assert info["code_disk_hits"] == info["code_misses"] == 1
+
+    def test_traceback_shows_kernel_source_lines(self, force_tier):
+        import traceback
+
+        force_tier("columnar")
+        clear_codegen_caches()
+        graph = self._scan_graph("second", "B")
+        with pytest.raises(KeyError) as excinfo:
+            run_functional(graph, {}, backend="codegen", cache=False)
+        assert artifact_for(graph, "columnar").origin == "disk"
+        text = "".join(traceback.format_exception(excinfo.value.__cause__))
+        assert 'File "<fuseflow-codegen ' in text
+        assert "_get_tensor(binding, _T0)" in text
+
+
 # ----------------------------------------------------------------------
 # Name-free emission + tier chosen before emission
 # ----------------------------------------------------------------------
@@ -515,7 +571,7 @@ class TestKernelSharing:
         summary = exe.diagnostics.codegen_summary()
         assert summary == (
             f"{len(regions)} region(s), {len(shas)} distinct kernel(s), "
-            f"{len(shared)} shared"
+            f"{len(shared)} shared, 0 from disk"
         )
         assert f"codegen: {summary}" in exe.diagnostics.describe()
         assert "(shared kernel " in exe.diagnostics.describe()
@@ -585,6 +641,29 @@ class TestKernelSharing:
         assert [r.codegen_sha for r in warm.diagnostics.regions] == [
             r.codegen_sha for r in cold.diagnostics.regions
         ]
+
+    def test_disk_hit_loads_kernels_and_says_so(self, default_tiering, tmp_path):
+        bundle, _, _ = self._compile_gpt3(disk_cache=str(tmp_path))
+        clear_codegen_caches()
+        _, warm, source = self._compile_gpt3(disk_cache=str(tmp_path))
+        assert source == "disk"
+        regions = warm.diagnostics.regions
+        shas = {region.codegen_sha for region in regions}
+        loaded = [r for r in regions if r.codegen_origin == "disk"]
+        info = codegen_cache_info()
+        assert len(loaded) == len(shas) == info["code_disk_hits"]
+        assert info["code_disk_writes"] == 0
+        assert {r.codegen_origin for r in regions} == {"disk", "memory"}
+        assert warm.diagnostics.codegen_summary().endswith(
+            f"{len(shas)} distinct kernel(s), "
+            f"{len(regions) - len(shas)} shared, {len(shas)} from disk"
+        )
+        assert warm.diagnostics.describe().count(" from disk)") == len(shas)
+        for region in warm.regions:
+            (artifact,) = cached_artifacts(region.graph).values()
+            # Load time is reported as such; only a memory hit reads 0.
+            assert (artifact.compile_seconds == 0) == (artifact.origin == "memory")
+        assert bundle.max_abs_err(warm(bundle.binding)) < 1e-9
 
     def test_shared_source_released_with_its_last_graph(self, default_tiering):
         import gc

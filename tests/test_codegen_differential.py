@@ -181,6 +181,71 @@ def test_token_tier_forced_matches(model, granularity, force_tier):
     _assert_forced_tier_matches(model, granularity, "token", "interp")
 
 
+@pytest.mark.parametrize("tier", ("token", "columnar"))
+@pytest.mark.parametrize("granularity", ("unfused", "partial", "full"))
+@pytest.mark.parametrize("model", sorted(POINTS))
+def test_disk_loaded_kernels_match_interp(
+    model, granularity, tier, force_tier, tmp_path
+):
+    """Kernels a restarted process unmarshals are the kernels it compiled.
+
+    A first session fills the directory (compile *and* run: the token
+    tier of an unblocked region is first emitted at run time); with the
+    in-memory caches dropped, a second one loads every kernel from disk —
+    zero compiled — and must reproduce ``interp`` region by region:
+    streams token for token, per-node statistics, output tensors, with
+    stream checking on.
+    """
+    force_tier(tier)
+    bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
+    schedule = bundle.schedule(granularity)
+    clear_codegen_caches()
+    Session(
+        machine=RDA_MACHINE, backend="codegen", disk_cache=str(tmp_path)
+    ).compile(bundle.program, schedule)(bundle.binding)
+    clear_codegen_caches()
+    session = Session(
+        machine=RDA_MACHINE, backend="codegen", disk_cache=str(tmp_path)
+    )
+    exe, source = session.compile_detailed(bundle.program, schedule)
+    assert source == "disk"
+    bind_i = dict(bundle.binding)
+    bind_g = dict(bundle.binding)
+    for region in exe.regions:
+        for orig, new_name, mode_order in region.transposes:
+            for bind in (bind_i, bind_g):
+                if new_name not in bind:
+                    bind[new_name] = bind[orig].permuted_copy(
+                        mode_order, name=new_name
+                    )
+        graph = region.graph
+        where = f"{model}/{granularity}/{tier}/{graph.name}"
+        interp = run_functional(
+            graph, bind_i, backend="interp", debug_streams=True, cache=False
+        )
+        codegen = run_functional(
+            graph, bind_g, backend="codegen", debug_streams=True, cache=False
+        )
+        artifacts = cached_artifacts(graph)
+        assert {t for t, a in artifacts.items() if a.runs} == {tier}, where
+        assert {a.origin for a in artifacts.values()} <= {"disk", "memory"}
+        assert set(codegen.streams) == set(interp.streams), where
+        for key in interp.streams:
+            assert streams_equal(
+                codegen.streams[key], interp.streams[key]
+            ), f"{where} stream {key} diverged"
+        assert codegen.stats == interp.stats, where
+        for name, tensor in interp.results.items():
+            assert np.array_equal(
+                tensor.to_dense(), codegen.results[name].to_dense()
+            ), f"{where} result {name} diverged"
+        bind_i.update(interp.results)
+        bind_g.update(codegen.results)
+    info = codegen_cache_info()
+    assert info["code_disk_hits"] == info["code_misses"] > 0
+    assert info["code_disk_writes"] == 0
+
+
 def test_shared_kernels_match_every_backend():
     """Layers that share one code object still compute their own results.
 
