@@ -46,5 +46,5 @@ def test_compile_time_under_750ms(benchmark):
 
     gcn = bundles["GCN"]
     # A fresh Session per iteration keeps this a cold-compile measurement;
-    # the default session behind compile_program would serve cache hits.
+    # a shared one would serve cache hits.
     benchmark(lambda: Session().compile(gcn.program, gcn.schedule("partial")))

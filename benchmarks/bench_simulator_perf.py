@@ -6,11 +6,11 @@ for every golden-model configuration on multiple machines, under three
 simulator configurations:
 
 ``legacy``
-    Tuple-list streams, per-token Python kernels, result memo off — the
-    pre-columnar baseline path.
+    ``backend="interp"``: tuple-list streams, per-token Python kernels,
+    result memo off — the pre-columnar baseline path.
 ``columnar``
-    Columnar ``TokenStream`` + vectorized kernels, result memo off — the
-    cold-start representation comparison.
+    ``backend="columnar"``: columnar ``TokenStream`` + vectorized kernels,
+    result memo off — the cold-start representation comparison.
 ``hot``
     Columnar kernels with the functional/timed result memo on — the
     production path repeated executions (sweep grids, autotune refinement,
@@ -61,9 +61,9 @@ MACHINE_NAMES = ("rda", "fpga")
 GRANULARITY = "full"
 
 MODES = (
-    ("legacy", {"columnar": False, "sim_cache": False}),
-    ("columnar", {"columnar": True, "sim_cache": False}),
-    ("hot", {"columnar": True, "sim_cache": True}),
+    ("legacy", {"backend": "interp", "sim_cache": False}),
+    ("columnar", {"backend": "columnar", "sim_cache": False}),
+    ("hot", {"backend": "columnar", "sim_cache": True}),
 )
 
 

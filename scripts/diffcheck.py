@@ -1,4 +1,4 @@
-"""Dev harness: compare legacy vs columnar execution on the golden models.
+"""Dev harness: compare interp vs columnar execution on the golden models.
 
 Usage: PYTHONPATH=src python scripts/diffcheck.py [model ...]
 """
@@ -37,14 +37,14 @@ def check_model(model):
                             mode_order, name=new_name
                         )
             g = region.graph
-            fl = run_functional(g, bind_l, RDA_MACHINE.scratchpad_bytes, columnar=False)
-            fc = run_functional(g, bind_c, RDA_MACHINE.scratchpad_bytes, columnar=True)
+            fl = run_functional(g, bind_l, RDA_MACHINE.scratchpad_bytes, backend="interp")
+            fc = run_functional(g, bind_c, RDA_MACHINE.scratchpad_bytes, backend="columnar")
             assert set(fl.streams) == set(fc.streams), (model, gran, g.name)
             for key in fl.streams:
                 sl, sc = fl.streams[key], fc.streams[key]
                 if not streams_equal(sc, sl):
                     print(f"STREAM MISMATCH {model}/{gran}/{g.name} {key}")
-                    print("  legacy  :", as_token_list(sl)[:20])
+                    print("  interp  :", as_token_list(sl)[:20])
                     print("  columnar:", as_token_list(sc)[:20])
                     return False
             for nid in fl.stats:
@@ -53,7 +53,7 @@ def check_model(model):
                     if getattr(a, f) != getattr(b, f):
                         print(
                             f"STATS MISMATCH {model}/{gran}/{g.name} {nid}.{f}: "
-                            f"legacy {getattr(a, f)} columnar {getattr(b, f)}"
+                            f"interp {getattr(a, f)} columnar {getattr(b, f)}"
                         )
                         return False
             for name in fl.results:

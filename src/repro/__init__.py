@@ -14,9 +14,6 @@ Public API surface:
 * :mod:`repro.driver` — the compile driver: :class:`Session` (cached
   compiles), :class:`PassPipeline` (named, pluggable passes), and
   :class:`Executable` (callable compiled programs with diagnostics).
-* :mod:`repro.pipeline` — **deprecated** legacy compile/execute free
-  functions (shims over the driver's default session that warn on every
-  call; use :class:`~repro.driver.Session`).
 """
 
 from . import comal, core, data, driver, ftree, models, sam
@@ -32,21 +29,15 @@ from .core.schedule.schedule import (
 )
 from .driver import (
     CompileDiagnostics,
+    CompiledProgram,
     Executable,
     PassPipeline,
+    ProgramResult,
     Session,
     default_session,
 )
 from .frontend.api import Linear, ModelBuilder
 from .ftree import Format, SparseTensor, csr, dcsr, dense, sparse_vector
-from .pipeline import (
-    CompiledProgram,
-    ProgramResult,
-    compare_schedules,
-    compile_program,
-    execute,
-    run,
-)
 
 __version__ = "1.0.0"
 
@@ -66,10 +57,6 @@ __all__ = [
     "dcsr",
     "dense",
     "sparse_vector",
-    "compile_program",
-    "execute",
-    "run",
-    "compare_schedules",
     "CompiledProgram",
     "ProgramResult",
     "Session",

@@ -1,10 +1,10 @@
-"""Pluggable execution backends for lowered fusion regions.
+"""Execution backends for lowered fusion regions.
 
 ``repro.backend`` separates *what* a region computes (the SAM token
 protocol, defined by the interpreter in :mod:`repro.comal.functional`)
-from *how* it is executed.  :mod:`repro.backend.base` defines the
-:class:`Backend` abstraction and name resolution;
-:mod:`repro.backend.codegen` adds the code-generating backend that emits
+from *how* it is executed.  :mod:`repro.backend.base` holds the backend
+names and the one rule that picks among them;
+:mod:`repro.backend.codegen` is the code-generating backend that emits
 one specialized, compiled Python kernel per region.
 
 The codegen module is imported lazily so that importing this package (as
@@ -12,31 +12,18 @@ The codegen module is imported lazily so that importing this package (as
 back into the functional executor mid-import.
 """
 
-from .base import (
-    BACKEND_NAMES,
-    Backend,
-    InterpreterBackend,
-    default_backend_name,
-    get_backend,
-    resolve_backend_name,
-)
+from .base import BACKEND_NAMES, resolve_backend_name
 
 __all__ = [
     "BACKEND_NAMES",
-    "Backend",
-    "InterpreterBackend",
-    "CodegenBackend",
     "CodegenError",
     "RegionArtifact",
     "artifact_for",
     "codegen_cache_info",
-    "default_backend_name",
-    "get_backend",
     "resolve_backend_name",
 ]
 
 _LAZY = {
-    "CodegenBackend",
     "CodegenError",
     "RegionArtifact",
     "artifact_for",

@@ -34,10 +34,10 @@ therefore identical timed metrics (the timed engine reads only stream
 lengths, stats, and node metadata).  Because they are interchangeable,
 :func:`select_artifact` picks the tier a region runs under *before*
 anything is emitted — token for blocked payloads and for inputs below
-:func:`small_stream_cutoff` (numpy dispatch overhead dominates short
-arrays), columnar otherwise — so ``backend=codegen`` wins on every model
-regardless of stream length and a region pays emission and ``compile()``
-only for the tier it runs.
+:data:`DEFAULT_SMALL_STREAM_CUTOFF` (numpy dispatch overhead dominates
+short arrays), columnar otherwise — so ``backend=codegen`` wins on every
+model regardless of stream length and a region pays emission and
+``compile()`` only for the tier it runs.
 
 Three cache levels:
 
@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import hashlib
 import linecache
-import os
 import threading
 import time
 import weakref
@@ -98,10 +97,8 @@ from ..sam.token import (
     check_stream,
     streams_equal,
 )
-from .base import Backend
 
 __all__ = [
-    "CodegenBackend",
     "CodegenError",
     "RegionArtifact",
     "artifact_for",
@@ -109,7 +106,6 @@ __all__ = [
     "codegen_cache_info",
     "clear_codegen_caches",
     "select_artifact",
-    "small_stream_cutoff",
     "try_run_codegen",
 ]
 
@@ -120,34 +116,17 @@ class CodegenError(RuntimeError):
 
 _TIERS = ("token", "columnar")
 
-#: Payload-count cutoff under which a run uses the token-tier kernel.
-#: Calibrated on the BENCH_codegen golden points: the sae hot path probes
-#: at ~120-150 payloads per region and runs faster through plain Python
-#: loops than through numpy calls on short arrays, while the gcn /
-#: graphsage golden points probe at ~380-670 and win columnar (blocked
-#: gpt3 routes to the token tier separately, via the blocked-payload
-#: probe, regardless of size).
+#: Payload-count cutoff under which a run uses the token-tier kernel
+#: (:func:`select_artifact`): numpy call overhead dominates short arrays,
+#: so plain Python loops win there.  256 separates the golden-scale sae
+#: regions (~120-150 payloads per region, faster on the token tier) from
+#: the gcn / graphsage ones (~380-670, faster columnar); blocked gpt3
+#: routes to the token tier separately, via the blocked-payload probe,
+#: regardless of size.  ``0`` disables the decision, blocked payloads
+#: included, so every region runs columnar; a value no input reaches
+#: sends every run to the token tier — how the ``force_tier`` test
+#: fixture pins each tier in isolation.
 DEFAULT_SMALL_STREAM_CUTOFF = 256
-
-
-def small_stream_cutoff() -> int:
-    """Tier-decision threshold (``FUSEFLOW_CODEGEN_SMALL_CUTOFF``).
-
-    A run whose bound input tensors carry fewer than this many payload
-    values in total goes to the (bit-exact) token-tier kernel instead of
-    the columnar one (:func:`select_artifact`).  ``0`` disables the
-    decision, blocked payloads included, so every region runs columnar; a
-    value no input reaches (``10**9``) sends every run to the token tier
-    — how the differential suites test each tier in isolation.
-    Unset/unparsable falls back to :data:`DEFAULT_SMALL_STREAM_CUTOFF`.
-    """
-    raw = os.environ.get("FUSEFLOW_CODEGEN_SMALL_CUTOFF", "").strip()
-    if not raw:
-        return DEFAULT_SMALL_STREAM_CUTOFF
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_SMALL_STREAM_CUTOFF
 
 
 @dataclass
@@ -1571,7 +1550,7 @@ def select_artifact(
         Run time: token when a tensor the region reads is *bound* with
         blocked values (``values.ndim > 1``), or when the bound tensors
         plus replayed source streams carry fewer than
-        :func:`small_stream_cutoff` payloads in total.
+        :data:`DEFAULT_SMALL_STREAM_CUTOFF` payloads in total.
     decls:
         Compile time (no binding yet): token when a tensor the region
         reads is *declared* blocked (``decls[name].fmt.is_blocked``).
@@ -1596,7 +1575,7 @@ def select_artifact(
             entry.store = store
         probe = entry.probe
     tier = "columnar"
-    cutoff = small_stream_cutoff()
+    cutoff = DEFAULT_SMALL_STREAM_CUTOFF
     if not cutoff:
         pass
     elif binding is not None:
@@ -1677,17 +1656,3 @@ def try_run_codegen(
     result.stats = stats
     result.results = results
     return result
-
-
-class CodegenBackend(Backend):
-    """Backend that executes regions through generated, compiled kernels."""
-
-    name = "codegen"
-
-    def describe(self) -> str:
-        """One-line human-readable description."""
-        return (
-            "codegen: per-region specialized Python kernels "
-            "(compile()/exec; columnar emission tier, token tier for "
-            "blocked or short streams)"
-        )

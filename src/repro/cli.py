@@ -175,7 +175,7 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
         choices=list(BACKEND_NAMES),
         help=(
             "execution backend: 'columnar' (vectorized interpreter, the "
-            "default), 'interp' (legacy tuple-list interpreter), or "
+            "default), 'interp' (per-token reference interpreter), or "
             "'codegen' (per-region compiled kernels; bit-exact, faster "
             "on deep regions).  Default follows FUSEFLOW_BACKEND."
         ),
@@ -235,9 +235,8 @@ def cmd_simulate(args) -> int:
     schedule.splits = _parse_splits(args.split)
     session = Session(
         machine=MACHINES[args.machine],
-        columnar=False if args.legacy_streams else None,
         debug_streams=True if args.debug_streams else None,
-        sim_cache=False if args.no_sim_cache else None,
+        sim_cache=not args.no_sim_cache,
         hierarchy=_hierarchy_arg(args),
         backend=args.backend,
         disk_cache=getattr(args, "cache_dir", None),
@@ -759,8 +758,6 @@ def main(argv: List[str] | None = None) -> int:
     p_sim.add_argument("--profile", action="store_true",
                        help="print the top-k busiest nodes (node_busy/node_finish)")
     p_sim.add_argument("--top", type=int, default=8, help="rows shown by --profile")
-    p_sim.add_argument("--legacy-streams", action="store_true",
-                       help="use the legacy tuple-list stream interpreter")
     p_sim.add_argument("--debug-streams", action="store_true",
                        help="validate the token protocol on every stream")
     p_sim.add_argument("--no-sim-cache", action="store_true",

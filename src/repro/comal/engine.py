@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..sam.graph import SAMGraph
-from .functional import FunctionalResult, default_sim_cache, run_functional
+from .functional import FunctionalResult, run_functional
 from .machines import Machine, RDA_MACHINE
 from .memory import MemoryModel
 
@@ -221,27 +221,23 @@ def run_timed(
     memory: MemoryModel | None = None,
     *,
     backend: Optional[str] = None,
-    columnar: Optional[bool] = None,
     debug_streams: Optional[bool] = None,
-    cache: Optional[bool] = None,
+    cache: bool = True,
 ) -> SimResult:
     """Run the timed simulation of ``graph`` on ``machine``.
 
     A pre-computed functional result may be supplied to avoid re-executing
     the graph; a shared memory model may be supplied to model contention
-    across graphs that run concurrently.  ``backend``/``columnar``/
-    ``debug_streams`` select the execution backend, stream representation,
-    and protocol checking of the
-    functional execution (see :func:`~repro.comal.functional.run_functional`).
+    across graphs that run concurrently.  ``backend``/``debug_streams``
+    select the execution backend and protocol checking of the functional
+    execution (see :func:`~repro.comal.functional.run_functional`).
 
     Timing is a pure function of the functional result and the machine, so
     when neither ``functional`` nor ``memory`` is supplied the result is
-    memoized alongside the functional memo (``cache``, default on; disable
-    with ``FUSEFLOW_NO_SIM_CACHE=1``).  A shared ``memory`` model always
-    bypasses the memo — its cross-graph contention state is a side effect.
+    memoized alongside the functional memo (``cache``, default on).  A
+    shared ``memory`` model always bypasses the memo — its cross-graph
+    contention state is a side effect.
     """
-    if cache is None:
-        cache = default_sim_cache()
     tkey = None
     if functional is None:
         func = run_functional(
@@ -249,7 +245,6 @@ def run_timed(
             binding,
             scratchpad_bytes=machine.scratchpad_bytes,
             backend=backend,
-            columnar=columnar,
             debug_streams=debug_streams,
             cache=cache,
         )

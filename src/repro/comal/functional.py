@@ -5,18 +5,19 @@ token streams of the SAM protocol.  This layer defines functional
 correctness; the timed executor in :mod:`repro.comal.engine` replays the
 same streams through a machine timing model.
 
-Two stream representations are supported:
+The node-walking loop here runs two of the three backends:
 
-* **columnar** (default): streams are
+* ``"columnar"`` (default): streams are
   :class:`~repro.sam.token.TokenStream` structure-of-arrays and primitives
   run their vectorized ``process_columnar`` kernels;
-* **legacy**: streams are tuple lists and primitives run their per-token
-  ``process`` loops.  Selected with ``columnar=False`` or the
-  ``FUSEFLOW_LEGACY_STREAMS=1`` environment variable.
+* ``"interp"``: streams are tuple lists and primitives run their per-token
+  ``process`` loops — the reference the differential suites compare
+  against.
 
-Both paths produce identical streams, statistics, and results — the
-differential tests in ``tests/test_columnar_differential.py`` enforce this
-model by model.
+``"codegen"`` hands the graph to :mod:`repro.backend.codegen` instead.  All
+three produce identical streams, statistics, and results —
+``tests/test_columnar_differential.py`` and
+``tests/test_codegen_differential.py`` enforce this model by model.
 
 Per-stream protocol validation (``check_stream``) costs a pass over every
 produced stream, so it is gated behind ``debug_streams=True`` (or
@@ -37,19 +38,9 @@ from ..sam.token import StreamProtocolError, check_stream
 _TRUTHY = ("1", "true", "yes", "on")
 
 
-def default_columnar() -> bool:
-    """Columnar streams unless FUSEFLOW_LEGACY_STREAMS is set."""
-    return os.environ.get("FUSEFLOW_LEGACY_STREAMS", "").lower() not in _TRUTHY
-
-
 def default_debug_streams() -> bool:
     """Per-stream protocol checks only when FUSEFLOW_DEBUG_STREAMS is set."""
     return os.environ.get("FUSEFLOW_DEBUG_STREAMS", "").lower() in _TRUTHY
-
-
-def default_sim_cache() -> bool:
-    """Result memoization unless FUSEFLOW_NO_SIM_CACHE is set."""
-    return os.environ.get("FUSEFLOW_NO_SIM_CACHE", "").lower() not in _TRUTHY
 
 
 #: Entries kept per graph in the functional/timed memo (a sweep touches a
@@ -99,17 +90,13 @@ def run_functional(
     scratchpad_bytes: int = 1 << 16,
     *,
     backend: Optional[str] = None,
-    columnar: Optional[bool] = None,
     debug_streams: Optional[bool] = None,
-    cache: Optional[bool] = None,
+    cache: bool = True,
 ) -> FunctionalResult:
     """Execute ``graph`` functionally with tensors bound by name.
 
     ``backend`` names the execution backend (``"interp"``, ``"columnar"``,
-    or ``"codegen"``); ``columnar`` is the pre-backend spelling that
-    selects between the two interpreter representations.  When both are
-    ``None`` the ``FUSEFLOW_BACKEND`` / ``FUSEFLOW_LEGACY_STREAMS``
-    environment defaults apply (see
+    or ``"codegen"``; ``None`` follows
     :func:`repro.backend.base.resolve_backend_name`).  ``debug_streams``
     enables per-stream protocol validation (``None`` reads
     ``FUSEFLOW_DEBUG_STREAMS``).  Validation of the graph structure itself
@@ -119,14 +106,12 @@ def run_functional(
     ``cache`` memoizes the result per (tensor identities, scratchpad, mode):
     functional execution is machine-independent apart from the scratchpad
     size, so schedule sweeps and repeated executions of a cached
-    ``Executable`` skip re-simulation entirely (``FUSEFLOW_NO_SIM_CACHE=1``
-    or ``cache=False`` disables).  Bound tensors are treated as immutable.
+    ``Executable`` skip re-simulation entirely (``cache=False`` disables).
+    Bound tensors are treated as immutable.
     """
-    mode = resolve_backend_name(backend, columnar)
+    mode = resolve_backend_name(backend)
     if debug_streams is None:
         debug_streams = default_debug_streams()
-    if cache is None:
-        cache = default_sim_cache()
     memo_key = None
     if cache:
         ids = _binding_key(graph, binding)

@@ -435,8 +435,7 @@ def _rebind(winner: Executable, machine: Machine) -> Executable:
         machine,
         winner.diagnostics,
         winner.fingerprint,
-        columnar=winner.columnar,
+        winner.backend,
         debug_streams=winner.debug_streams,
         sim_cache=winner.sim_cache,
-        backend=winner.backend,
     )

@@ -43,7 +43,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...backend.base import resolve_backend_name
 from ...comal.machines import Machine
 from ...driver.session import Session
 from ..einsum.ast import EinsumProgram
@@ -335,11 +334,9 @@ class Evaluator:
     def __init__(self, task: SearchTask, space: SearchSpace) -> None:
         self.task = task
         self.space = space
-        # Resolved execution backend the session simulates on; recorded
-        # per trace entry so saved traces state what produced the cycles.
-        self.backend = resolve_backend_name(
-            task.session.backend, task.session.columnar
-        )
+        # Execution backend the session simulates on; recorded per trace
+        # entry so saved traces state what produced the cycles.
+        self.backend = task.session.backend
         self.trace: List[Dict[str, object]] = []
         self.ranking: List[Tuple[str, float]] = []
         self.evaluations = 0

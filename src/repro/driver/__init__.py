@@ -14,8 +14,8 @@ This package is the redesigned public compile API:
   timings; extend via :func:`register_pass` or
   ``pipeline.with_pass(...)``.
 
-The legacy :mod:`repro.pipeline` free functions remain as thin shims over
-:func:`default_session`.
+:func:`default_session` is the process-wide session for callers that hold
+none of their own (``ModelBundle.run``, the tracing frontend).
 """
 
 from .compiled import (

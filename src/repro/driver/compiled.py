@@ -1,7 +1,6 @@
 """Compiled artifacts and the region-chaining executor.
 
-These dataclasses are the driver's output format (and the legacy
-:mod:`repro.pipeline` API surface, which re-exports them unchanged): a
+These dataclasses are the driver's output format: a
 :class:`CompiledProgram` is a list of per-region SAMML graphs plus the
 declaration registry grown during lowering, and :func:`execute_compiled`
 runs the region graphs in order on a machine, materializing region outputs
@@ -114,9 +113,8 @@ def execute_compiled(
     machine: Machine = RDA_MACHINE,
     *,
     backend: Optional[str] = None,
-    columnar: Optional[bool] = None,
     debug_streams: Optional[bool] = None,
-    cache: Optional[bool] = None,
+    cache: bool = True,
 ) -> ProgramResult:
     """Run all region graphs in order, chaining materialized outputs.
 
@@ -129,11 +127,10 @@ def execute_compiled(
         are bound as they materialize.
     machine:
         Timing model (and memory hierarchy) the regions simulate on.
-    backend, columnar, debug_streams, cache:
-        Execution backend, stream representation, per-stream protocol
-        checking, and result memoization of the underlying simulations
-        (``None`` = environment defaults; see
-        :mod:`repro.comal.functional` and :mod:`repro.backend`).
+    backend, debug_streams, cache:
+        Execution backend, per-stream protocol checking, and result
+        memoization of the underlying simulations (see
+        :func:`repro.comal.functional.run_functional`).
 
     Returns
     -------
@@ -176,7 +173,6 @@ def execute_compiled(
             bind,
             machine,
             backend=backend,
-            columnar=columnar,
             debug_streams=debug_streams,
             cache=cache,
         )

@@ -38,14 +38,10 @@ class Executable:
         Structured record of what the pipeline did while compiling.
     fingerprint:
         The Session cache key this executable was stored under.
-    columnar, debug_streams, sim_cache:
-        Simulation options inherited from the Session (``None`` = the
-        environment defaults).
-    backend:
-        The *resolved* execution backend name (``"interp"``,
-        ``"columnar"``, or ``"codegen"``) this executable was compiled
-        under; ``None`` defers to ``columnar`` / the environment (the
-        pre-backend behavior).
+    backend, debug_streams, sim_cache:
+        Execution options inherited from the Session: the resolved
+        backend name this executable was compiled under, per-stream
+        protocol checking, and result memoization.
     """
 
     def __init__(
@@ -53,23 +49,20 @@ class Executable:
         compiled: CompiledProgram,
         machine: Machine,
         diagnostics: CompileDiagnostics,
-        fingerprint: Tuple[str, ...] = (),
-        columnar: Optional[bool] = None,
+        fingerprint: Tuple[str, ...],
+        backend: str,
         debug_streams: Optional[bool] = None,
-        sim_cache: Optional[bool] = None,
-        backend: Optional[str] = None,
+        sim_cache: bool = True,
     ) -> None:
         self.compiled = compiled
         self.machine = machine
         self.diagnostics = diagnostics
         #: The Session cache key this executable was stored under.
         self.fingerprint = fingerprint
-        #: Simulation options inherited from the Session (None = env default).
-        self.columnar = columnar
+        #: Execution options inherited from the Session.
+        self.backend = backend
         self.debug_streams = debug_streams
         self.sim_cache = sim_cache
-        #: Resolved backend name, or None for the env/columnar default.
-        self.backend = backend
 
     # ------------------------------------------------------------------
     # Structure
@@ -139,7 +132,6 @@ class Executable:
             bind,
             machine or self.machine,
             backend=self.backend,
-            columnar=self.columnar,
             debug_streams=self.debug_streams,
             cache=self.sim_cache,
         )

@@ -101,19 +101,16 @@ class Session:
         Compile pass pipeline; default is :meth:`PassPipeline.default`.
     cache_size:
         Maximum cached executables (LRU eviction).
-    columnar, debug_streams, sim_cache:
+    debug_streams, sim_cache:
         Simulation options threaded into every executable this session
-        compiles: stream representation (columnar numpy kernels vs legacy
-        tuple lists), per-stream protocol checking, and functional/timed
-        result memoization.  ``None`` defers to the environment defaults
-        (``FUSEFLOW_LEGACY_STREAMS`` / ``FUSEFLOW_DEBUG_STREAMS`` /
-        ``FUSEFLOW_NO_SIM_CACHE``).
+        compiles: per-stream protocol checking (``None`` reads
+        ``FUSEFLOW_DEBUG_STREAMS`` at run time) and functional/timed
+        result memoization.
     backend:
         Execution backend name (``"interp"``, ``"columnar"``, or
-        ``"codegen"``).  ``None`` defers to ``columnar`` and then the
-        ``FUSEFLOW_BACKEND`` / ``FUSEFLOW_LEGACY_STREAMS`` environment
-        defaults (see :func:`repro.backend.base.resolve_backend_name`).
-        The resolved name is part of the compile-cache key, so an
+        ``"codegen"``); ``None`` means ``FUSEFLOW_BACKEND``, else
+        ``"columnar"``.  Resolved here, once: :attr:`backend` is always a
+        concrete name, and it is part of the compile-cache key, so an
         executable compiled under one backend is never served to another.
     hierarchy:
         Memory hierarchy: a preset name (``"fpga-small"``),
@@ -145,19 +142,14 @@ class Session:
         machine: Machine = RDA_MACHINE,
         pipeline: Optional[PassPipeline] = None,
         cache_size: int = 256,
-        columnar: Optional[bool] = None,
         debug_streams: Optional[bool] = None,
-        sim_cache: Optional[bool] = None,
+        sim_cache: bool = True,
         hierarchy: Optional[object] = None,
         backend: Optional[str] = None,
         disk_cache: Union[DiskCache, str, bool, None] = None,
     ) -> None:
         if cache_size < 1:
             raise ValueError("cache_size must be positive")
-        if backend is not None:
-            # Validate eagerly: a typo should fail at session construction,
-            # not at the first compile.
-            backend = resolve_backend_name(backend)
         # Memory hierarchy: keep the machine (which the timed engine reads)
         # and the place-memory pass (which decides placements at compile
         # time) in agreement.  ``hierarchy`` accepts a preset name,
@@ -178,17 +170,12 @@ class Session:
         self.machine = machine
         self.pipeline = pipeline
         self.cache_size = cache_size
-        #: Simulation options threaded into every executable this session
-        #: compiles: stream representation (columnar numpy kernels vs legacy
-        #: tuple lists), per-stream protocol checking, and functional/timed
-        #: result memoization.  ``None`` defers to the environment defaults
-        #: (FUSEFLOW_LEGACY_STREAMS / FUSEFLOW_DEBUG_STREAMS /
-        #: FUSEFLOW_NO_SIM_CACHE).
-        self.columnar = columnar
+        #: Execution options threaded into every executable this session
+        #: compiles.  The backend is resolved here so that a typo fails at
+        #: construction and the cache key never reads the environment.
+        self.backend = resolve_backend_name(backend)
         self.debug_streams = debug_streams
         self.sim_cache = sim_cache
-        #: Execution backend name; None defers to columnar/environment.
-        self.backend = backend
         if disk_cache is None:
             disk_cache = os.environ.get("FUSEFLOW_CACHE_DIR") or False
         if disk_cache is False:
@@ -222,15 +209,13 @@ class Session:
             ``(program.fingerprint(), schedule.fingerprint(),
             pipeline.fingerprint(), backend)`` — every input the compiler
             reads plus the execution backend the executable will run
-            under.  The backend is resolved at call time, so flipping
-            ``FUSEFLOW_BACKEND`` between compiles misses the cache rather
-            than serving an executable bound to the old backend.
+            under.
         """
         return (
             program.fingerprint(),
             schedule.fingerprint(),
             self.pipeline.fingerprint(),
-            resolve_backend_name(self.backend, self.columnar),
+            self.backend,
         )
 
     def compile(
@@ -302,7 +287,6 @@ class Session:
     def _load_or_compile(
         self, key: CacheKey, program: EinsumProgram, schedule: Schedule
     ) -> Tuple[Executable, str]:
-        resolved = key[3]
         dkey = None
         if self.disk_cache is not None:
             dkey = self._disk_key(key)
@@ -315,7 +299,7 @@ class Session:
             if entry is not None:
                 compiled = entry["compiled"]
                 diagnostics = entry["diagnostics"]
-                if resolved == "codegen":
+                if self.backend == "codegen":
                     self._prewarm_codegen(compiled, diagnostics)
                 return self._wrap(compiled, diagnostics, key), "disk"
         # Fault site: an injected raise/hang here behaves exactly like a
@@ -332,8 +316,8 @@ class Session:
             compile_seconds=time.perf_counter() - start,
         )
         diagnostics.compile_seconds = compiled.compile_seconds
-        diagnostics.backend = resolved
-        if resolved == "codegen":
+        diagnostics.backend = self.backend
+        if self.backend == "codegen":
             self._prewarm_codegen(compiled, diagnostics)
         if self.disk_cache is not None and dkey is not None:
             self.disk_cache.put(
@@ -344,7 +328,7 @@ class Session:
                     "meta": {
                         "program": program.name,
                         "schedule": schedule.name,
-                        "backend": resolved,
+                        "backend": self.backend,
                         "hierarchy": self.machine.hierarchy.describe(),
                         "compile_seconds": compiled.compile_seconds,
                         "created": time.time(),
@@ -361,10 +345,9 @@ class Session:
             self.machine,
             diagnostics,
             key,
-            columnar=self.columnar,
+            self.backend,
             debug_streams=self.debug_streams,
             sim_cache=self.sim_cache,
-            backend=key[3],
         )
 
     def _prewarm_codegen(self, compiled: CompiledProgram, diagnostics) -> None:
@@ -492,12 +475,12 @@ _DEFAULT_SESSION: Optional[Session] = None
 
 
 def default_session() -> Session:
-    """The process-wide Session backing the legacy ``repro.pipeline`` API.
+    """The process-wide Session behind ``ModelBundle.run`` and the frontend.
 
-    Sharing one cache here is what makes the old free functions
-    (``run``/``compare_schedules``) stop recompiling on every call: compiled
-    artifacts depend only on program/schedule/pipeline content, never on
-    tensor data, so reuse across callers is sound.
+    Sharing one cache is what keeps callers that hold no session of their
+    own from recompiling on every call: compiled artifacts depend only on
+    program/schedule/pipeline content, never on tensor data, so reuse
+    across callers is sound.
     """
     global _DEFAULT_SESSION
     if _DEFAULT_SESSION is None:

@@ -10,7 +10,7 @@ the MLIR Linalg + SparseTensor dialects.
 
 The :class:`ModelBuilder` also keeps the runtime binding (tensor name ->
 :class:`~repro.ftree.tensor.SparseTensor`) for declared inputs, so a traced
-model is immediately runnable through :mod:`repro.pipeline`.
+model is immediately runnable through a :class:`~repro.driver.Session`.
 """
 
 from __future__ import annotations

@@ -25,7 +25,12 @@ from ..comal.hierarchy import resolve_hierarchy
 from ..comal.machines import MACHINES
 from ..core.einsum.ast import EinsumError
 from ..core.einsum.parser import parse_program
-from ..sweep.spec import SYNTHETIC, SweepPoint, SweepSpecError
+from ..sweep.spec import (
+    _MODEL_ARG_NAMES,
+    SYNTHETIC,
+    SweepPoint,
+    SweepSpecError,
+)
 
 __all__ = ["ServeError", "ServeRequest", "parse_request"]
 
@@ -49,6 +54,36 @@ _ALLOWED_KEYS = frozenset(
 )
 
 _PROGRAM_SCHEDULES = ("unfused", "full")
+
+#: Largest value each size-valued ``model_args`` entry may take.  The body's
+#: bytes are bounded by the server; without this its *values* are not, and
+#: ``{"nodes": 10000000}`` wedges a handler thread building the graph.
+#: Checked at the HTTP door only — sweep specs are local files.  A small
+#: multiple of what is measured (``bench/`` stays <= nodes=192, seq_len=128,
+#: n_layers=4, default feature widths): at every cap at once a fully fused
+#: request simulates in ~12 s and ~1.5 GB, against ~1 s / 0.2 GB for the
+#: largest measured one.
+_MODEL_ARG_CAPS = {
+    "nodes": 256,
+    "features": 32,
+    "hidden": 32,
+    "classes": 32,
+    "seq_len": 256,
+    "d_model": 64,
+    "block": 64,
+    "n_layers": 8,
+    "ffn_mult": 4,
+}
+
+#: Largest mean degree (``nodes * density``) of a synthetic graph.  A fused
+#: schedule recomputes per two-hop path, so simulation grows with
+#: nodes * degree**2 and no per-field cap bounds it: at nodes=128, density
+#: 0.4 takes 12x the time and 7x the memory of density 0.1.  The largest
+#: measured graph (192 * 0.08) sits just under the bound.
+_MAX_GRAPH_DEGREE = 16
+#: ``nodes`` when a graph request leaves it out (``gcn_on_synthetic`` and
+#: ``graphsage_on_synthetic``).
+_DEFAULT_GRAPH_NODES = 200
 
 
 class ServeError(ValueError):
@@ -112,6 +147,43 @@ def _require_mapping(data: dict, field: str) -> dict:
     return value
 
 
+def _check_model_args(model: str, args: dict) -> None:
+    """Bound the values of the arguments ``model`` accepts.
+
+    Names the model does not accept are dropped downstream, so they are
+    not looked at here either.
+    """
+    for name in _MODEL_ARG_NAMES.get(model, ()):
+        if name not in args:
+            continue
+        value = args[name]
+        is_int = isinstance(value, int) and not isinstance(value, bool)
+        if name in _MODEL_ARG_CAPS:
+            cap = _MODEL_ARG_CAPS[name]
+            ok, want = is_int and 1 <= value <= cap, f"an integer in [1, {cap}]"
+        elif name in ("density", "weight_density"):
+            ok = (is_int or isinstance(value, float)) and 0 < value <= 1
+            want = "a number in (0, 1]"
+        elif name == "seed":
+            ok, want = is_int, "an integer"
+        elif name == "pattern":
+            ok, want = isinstance(value, str), "a string"
+        else:  # a new model argument has to be bounded on purpose
+            raise AssertionError(f"unclassified model argument {name!r}")
+        if not ok:
+            raise ServeError(
+                f"model_args[{name!r}] must be {want}, got {value!r}"
+            )
+    if "density" in args and "density" in _MODEL_ARG_NAMES.get(model, ()):
+        nodes = args.get("nodes", _DEFAULT_GRAPH_NODES)
+        if nodes * args["density"] > _MAX_GRAPH_DEGREE:
+            raise ServeError(
+                f"model_args['density'] must be at most {_MAX_GRAPH_DEGREE} / "
+                f"nodes = {_MAX_GRAPH_DEGREE / nodes:g} for {nodes} nodes, "
+                f"got {args['density']!r}"
+            )
+
+
 def parse_request(raw: bytes, action: str) -> ServeRequest:
     """Parse and validate one request body; raises :class:`ServeError`.
 
@@ -156,13 +228,16 @@ def parse_request(raw: bytes, action: str) -> ServeRequest:
 
     if has_model:
         schedule = str(data.get("schedule", "partial"))
+        model = str(data["model"])
+        model_args = _require_mapping(data, "model_args")
+        _check_model_args(model, model_args)
         try:
             point = SweepPoint.make(
-                model=str(data["model"]),
+                model=model,
                 dataset=str(data.get("dataset", SYNTHETIC)),
                 schedule=schedule,
                 machine=machine,
-                model_args=_require_mapping(data, "model_args"),
+                model_args=model_args,
                 par={
                     k: int(v) for k, v in _require_mapping(data, "par").items()
                 },

@@ -39,14 +39,15 @@ def pytest_addoption(parser):
 def force_tier(monkeypatch):
     """``force_tier(tier)``: run every codegen region on that emission tier.
 
-    Through the tier decision's one knob: cutoff ``0`` disables it (every
-    region columnar), a cutoff no input reaches sends every run to the
-    token tier — so a divergence in one tier cannot hide behind a
+    Through the tier decision's one constant: cutoff ``0`` disables it
+    (every region columnar), a cutoff no input reaches sends every run to
+    the token tier — so a divergence in one tier cannot hide behind a
     dispatch to the other.
     """
+    from repro.backend import codegen
 
     def force(tier: str) -> None:
         cutoff = {"columnar": 0, "token": 10**9}[tier]
-        monkeypatch.setenv("FUSEFLOW_CODEGEN_SMALL_CUTOFF", str(cutoff))
+        monkeypatch.setattr(codegen, "DEFAULT_SMALL_STREAM_CUTOFF", cutoff)
 
     return force

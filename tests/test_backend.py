@@ -2,12 +2,11 @@
 
 Covers the :mod:`repro.backend` contract end to end:
 
-* the four-layer resolution precedence (explicit ``backend`` > explicit
-  ``columnar`` > ``FUSEFLOW_BACKEND`` > ``FUSEFLOW_LEGACY_STREAMS``);
-* the backend registry singletons;
-* the compile cache incorporating backend identity — flipping the backend
-  between compiles of the *same* program must miss the warm cache and
-  yield a distinct executable (the regression satellite of PR 6);
+* the resolution rule (explicit ``backend`` > ``FUSEFLOW_BACKEND`` >
+  ``"columnar"``), applied once per Session;
+* the compile cache incorporating backend identity — the *same* program
+  under another backend must miss a warm cache and yield a distinct
+  executable (the regression satellite of PR 6);
 * codegen artifact/source caching and its counters;
 * out-of-tree primitives the emitter has never heard of, emitted in both
   tiers as a call to the primitive itself;
@@ -19,10 +18,8 @@ import pytest
 
 from repro.backend import (
     BACKEND_NAMES,
-    InterpreterBackend,
     artifact_for,
     codegen_cache_info,
-    get_backend,
     resolve_backend_name,
 )
 from repro.backend.codegen import cached_artifacts, clear_codegen_caches
@@ -68,9 +65,8 @@ def _program_and_binding(seed=0):
 
 @pytest.fixture
 def clean_env(monkeypatch):
-    """No backend-related environment overrides."""
+    """No backend-related environment override."""
     monkeypatch.delenv("FUSEFLOW_BACKEND", raising=False)
-    monkeypatch.delenv("FUSEFLOW_LEGACY_STREAMS", raising=False)
     return monkeypatch
 
 
@@ -83,23 +79,13 @@ class TestResolution:
     def test_default_is_columnar(self, clean_env):
         assert resolve_backend_name() == "columnar"
 
-    def test_legacy_env_selects_interp(self, clean_env):
-        clean_env.setenv("FUSEFLOW_LEGACY_STREAMS", "1")
-        assert resolve_backend_name() == "interp"
-
-    def test_backend_env_beats_legacy_env(self, clean_env):
-        clean_env.setenv("FUSEFLOW_LEGACY_STREAMS", "1")
+    def test_env_selects_backend(self, clean_env):
         clean_env.setenv("FUSEFLOW_BACKEND", "codegen")
         assert resolve_backend_name() == "codegen"
 
-    def test_columnar_arg_beats_env(self, clean_env):
-        clean_env.setenv("FUSEFLOW_BACKEND", "codegen")
-        assert resolve_backend_name(columnar=True) == "columnar"
-        assert resolve_backend_name(columnar=False) == "interp"
-
     def test_backend_arg_beats_everything(self, clean_env):
         clean_env.setenv("FUSEFLOW_BACKEND", "codegen")
-        assert resolve_backend_name("interp", columnar=True) == "interp"
+        assert resolve_backend_name("interp") == "interp"
 
     def test_name_is_normalized(self):
         assert resolve_backend_name("  Codegen ") == "codegen"
@@ -135,69 +121,37 @@ class TestResolution:
         assert "backend" not in base.label()
 
 
-class TestRegistry:
-    def test_singletons(self, clean_env):
-        for name in BACKEND_NAMES:
-            backend = get_backend(name)
-            assert backend is get_backend(name)
-            assert backend.name == name
-            assert name in backend.describe()
-
-    def test_default_lookup_follows_env(self, clean_env):
-        assert get_backend().name == "columnar"
-        clean_env.setenv("FUSEFLOW_BACKEND", "interp")
-        assert get_backend().name == "interp"
-
-    def test_interpreter_backend_names(self):
-        assert InterpreterBackend(columnar=True).name == "columnar"
-        assert InterpreterBackend(columnar=False).name == "interp"
-
-    def test_backend_run_matches_run_functional(self, clean_env):
-        program, binding = _program_and_binding()
-        session = Session(machine=RDA_MACHINE)
-        exe = session.compile(program)
-        graph = exe.regions[0].graph
-        for name in BACKEND_NAMES:
-            got = get_backend(name).run(
-                graph, binding, RDA_MACHINE.scratchpad_bytes, cache=False
-            )
-            want = run_functional(
-                graph,
-                binding,
-                RDA_MACHINE.scratchpad_bytes,
-                backend=name,
-                cache=False,
-            )
-            for key in want.streams:
-                assert streams_equal(got.streams[key], want.streams[key])
-
-
 # ----------------------------------------------------------------------
 # Compile cache x backend identity (the warm-cache flip regression)
 # ----------------------------------------------------------------------
 
 
 class TestCompileCache:
-    def test_backend_flip_misses_warm_cache(self, clean_env):
+    def test_backend_flip_misses_warm_cache(self, clean_env, tmp_path):
         program, _ = _program_and_binding()
-        session = Session(machine=RDA_MACHINE)
+        session = Session(machine=RDA_MACHINE, disk_cache=str(tmp_path))
         exe_columnar = session.compile(program)
         assert exe_columnar.backend == "columnar"
         assert session.compile(program) is exe_columnar  # warm hit
 
-        # Flipping the environment backend must miss the warm cache: the
-        # key is resolved at call time, so the cached columnar executable
-        # must not be served for a codegen request.
+        # Flipping the environment backend must miss the warm (disk)
+        # cache: a session built after the flip is a codegen session, and
+        # the cached columnar entry must not be served to it.
         clean_env.setenv("FUSEFLOW_BACKEND", "codegen")
-        exe_codegen = session.compile(program)
+        flipped = Session(machine=RDA_MACHINE, disk_cache=str(tmp_path))
+        exe_codegen, source = flipped.compile_detailed(program)
+        assert source == "compiled"
         assert exe_codegen is not exe_columnar
         assert exe_codegen.backend == "codegen"
         assert exe_codegen.diagnostics.backend == "codegen"
 
-        # Both entries stay warm under their own identity.
-        assert session.compile(program) is exe_codegen
-        clean_env.delenv("FUSEFLOW_BACKEND")
+        # The first session resolved its backend when it was built; both
+        # stay warm under their own identity.
         assert session.compile(program) is exe_columnar
+        assert flipped.compile(program) is exe_codegen
+        clean_env.delenv("FUSEFLOW_BACKEND")
+        warm = Session(machine=RDA_MACHINE, disk_cache=str(tmp_path))
+        assert warm.compile_detailed(program)[1] == "disk"
 
     def test_explicit_session_backend_beats_env(self, clean_env):
         clean_env.setenv("FUSEFLOW_BACKEND", "interp")
@@ -532,8 +486,7 @@ _GPT3_TWO_LAYERS = {
 
 @pytest.fixture
 def default_tiering(clean_env):
-    """Default tier selection, whatever the CI step's environment says."""
-    clean_env.delenv("FUSEFLOW_CODEGEN_SMALL_CUTOFF", raising=False)
+    """Default tier selection over empty codegen caches."""
     clear_codegen_caches()
     return clean_env
 
@@ -586,8 +539,10 @@ class TestKernelSharing:
         # Every run was a token-tier decision; none emitted a second tier.
         assert codegen_cache_info()["token_dispatches"] >= len(exe.regions)
 
-    def test_cutoff_zero_still_forces_columnar(self, default_tiering):
-        default_tiering.setenv("FUSEFLOW_CODEGEN_SMALL_CUTOFF", "0")
+    def test_cutoff_zero_still_forces_columnar(
+        self, default_tiering, force_tier
+    ):
+        force_tier("columnar")
         bundle, exe, _ = self._compile_gpt3()
         exe(bundle.binding)
         for region in exe.regions:
@@ -735,7 +690,7 @@ class TestEmissionTiers:
         exe = Session(machine=RDA_MACHINE, backend="codegen").compile(program)
         graph = exe.regions[0].graph
         want = run_functional(
-            graph, binding, columnar=True, cache=False
+            graph, binding, backend="columnar", cache=False
         )
         for tier in ("columnar", "token"):
             force_tier(tier)
@@ -772,7 +727,9 @@ class TestEmissionTiers:
         (alu,) = [block for block in blocks if ": alu(" in block]
         assert ".process_columnar(" in alu and "objs" not in alu
         assert ".to_tokens()" not in artifact.source
-        want = run_functional(graph, binding, columnar=True, cache=False)
+        want = run_functional(
+            graph, binding, backend="columnar", cache=False
+        )
         force_tier("columnar")
         have = run_functional(graph, binding, backend="codegen", cache=False)
         assert cached_artifacts(graph)["columnar"].runs == 1
@@ -792,8 +749,8 @@ class TestEmissionTiers:
         assert "for " not in source and "while " not in source
         assert "process_columnar" not in source
 
-    def test_small_streams_dispatch_to_token_tier(self, clean_env, monkeypatch):
-        monkeypatch.setenv("FUSEFLOW_CODEGEN_SMALL_CUTOFF", str(10**9))
+    def test_small_streams_dispatch_to_token_tier(self, clean_env, force_tier):
+        force_tier("token")
         clear_codegen_caches()
         program, binding = _program_and_binding()
         exe = Session(machine=RDA_MACHINE, backend="codegen").compile(program)
@@ -801,7 +758,9 @@ class TestEmissionTiers:
         before = codegen_cache_info()["token_dispatches"]
         have = run_functional(graph, binding, backend="codegen", cache=False)
         assert codegen_cache_info()["token_dispatches"] == before + 1
-        want = run_functional(graph, binding, columnar=True, cache=False)
+        want = run_functional(
+            graph, binding, backend="columnar", cache=False
+        )
         for key in want.streams:
             assert streams_equal(have.streams[key], want.streams[key]), key
 

@@ -67,11 +67,12 @@ class TestSimulate:
     def test_simulate_mode_flags(self, capsys):
         code = cli_main(
             ["simulate", "--model", "sae", "--nodes", "16", "--profile",
-             "--legacy-streams", "--no-sim-cache", "--debug-streams"]
+             "--backend", "interp", "--no-sim-cache", "--debug-streams"]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "busiest" in out
+        assert "backend    : interp" in out
 
     def test_simulate_hierarchy_reports_per_level_traffic(self, capsys):
         code = cli_main(

@@ -64,7 +64,7 @@ def test_streams_stats_and_timing_match(model, granularity, hierarchy):
                     )
         graph = region.graph
         columnar = run_functional(
-            graph, bind_c, machine.scratchpad_bytes, columnar=True
+            graph, bind_c, machine.scratchpad_bytes, backend="columnar"
         )
         codegen = run_functional(
             graph, bind_g, machine.scratchpad_bytes, backend="codegen"
@@ -251,9 +251,8 @@ def test_shared_kernels_match_every_backend():
 
     gpt3's decoder blocks emit identical (name-free) source, so all but
     the first layer run kernels compiled for another region, told apart
-    only by the names bound into their exec globals.  Under every tier
-    the environment selects, outputs and metrics must stay bit-exact
-    against both interpreters with stream checking on.
+    only by the names bound into their exec globals.  Outputs and metrics
+    must stay bit-exact against both interpreters with stream checking on.
     """
     args = dict(POINTS["gpt3"], n_layers=2)
     bundle = build_bundle(SweepPoint.make("gpt3", model_args=args))
@@ -287,6 +286,36 @@ def test_shared_kernels_match_every_backend():
             assert np.array_equal(
                 tensor.to_dense(), codegen.tensors[name].to_dense()
             ), f"tensor {name} diverged from the {backend} backend"
+
+
+# The cases above run under the default tier decision; run them once more
+# with every region forced onto the token tier, so a regression there
+# cannot hide behind the decision.  (Separate tests rather than a
+# parametrized fixture, which would rename every case above.)
+
+
+@pytest.mark.parametrize("hierarchy", HIERARCHIES)
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+@pytest.mark.parametrize("model", sorted(POINTS))
+def test_streams_stats_and_timing_match_on_token_tier(
+    model, granularity, hierarchy, force_tier
+):
+    force_tier("token")
+    test_streams_stats_and_timing_match(model, granularity, hierarchy)
+
+
+@pytest.mark.parametrize("hierarchy", HIERARCHIES)
+@pytest.mark.parametrize("model", sorted(POINTS))
+def test_end_to_end_metrics_and_traffic_match_on_token_tier(
+    model, hierarchy, force_tier
+):
+    force_tier("token")
+    test_end_to_end_metrics_and_traffic_match(model, hierarchy)
+
+
+def test_shared_kernels_match_every_backend_on_token_tier(force_tier):
+    force_tier("token")
+    test_shared_kernels_match_every_backend()
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +365,7 @@ def test_random_single_region_round_trip(kind, density, unary, seed):
     assert len(exe.regions) == 1
     graph = exe.regions[0].graph
     columnar = run_functional(
-        graph, binding, RDA_MACHINE.scratchpad_bytes, columnar=True,
+        graph, binding, RDA_MACHINE.scratchpad_bytes, backend="columnar",
         cache=False,
     )
     codegen = run_functional(

@@ -171,28 +171,20 @@ def _run_source_graph(stream, **kwargs):
 
 class TestExecutorModes:
     def test_columnar_mode_produces_token_streams(self):
-        res = _run_source_graph([crd(0), stop(0), done()], columnar=True)
+        res = _run_source_graph([crd(0), stop(0), done()], backend="columnar")
         assert isinstance(res.stream("src"), TokenStream)
 
     def test_legacy_mode_produces_lists(self):
-        res = _run_source_graph([crd(0), stop(0), done()], columnar=False)
+        res = _run_source_graph([crd(0), stop(0), done()], backend="interp")
         assert isinstance(res.stream("src"), list)
 
     def test_debug_streams_flags_protocol_violations(self):
         bad = [crd(0)]  # no done token
         with pytest.raises(StreamProtocolError, match="node src"):
-            _run_source_graph(bad, columnar=True, debug_streams=True)
+            _run_source_graph(bad, backend="columnar", debug_streams=True)
         # With checks off the malformed stream flows through untouched.
-        res = _run_source_graph(bad, columnar=True, debug_streams=False)
+        res = _run_source_graph(bad, backend="columnar", debug_streams=False)
         assert len(res.stream("src")) == 1
-
-    def test_env_default_columnar(self, monkeypatch):
-        from repro.comal.functional import default_columnar
-
-        monkeypatch.delenv("FUSEFLOW_LEGACY_STREAMS", raising=False)
-        assert default_columnar() is True
-        monkeypatch.setenv("FUSEFLOW_LEGACY_STREAMS", "1")
-        assert default_columnar() is False
 
 
 class TestSimulationMemo:
@@ -227,8 +219,8 @@ class TestSimulationMemo:
 
     def test_modes_do_not_share_entries(self):
         graph, binding = self._graph_and_binding()
-        col = run_functional(graph, binding, cache=True, columnar=True)
-        leg = run_functional(graph, binding, cache=True, columnar=False)
+        col = run_functional(graph, binding, cache=True, backend="columnar")
+        leg = run_functional(graph, binding, cache=True, backend="interp")
         assert col is not leg
         assert isinstance(leg.stream("scan", "crd"), list)
 

@@ -57,10 +57,10 @@ def test_streams_stats_and_timing_match(model, granularity, session):
                     )
         graph = region.graph
         legacy = run_functional(
-            graph, bind_l, RDA_MACHINE.scratchpad_bytes, columnar=False
+            graph, bind_l, RDA_MACHINE.scratchpad_bytes, backend="interp"
         )
         columnar = run_functional(
-            graph, bind_c, RDA_MACHINE.scratchpad_bytes, columnar=True
+            graph, bind_c, RDA_MACHINE.scratchpad_bytes, backend="columnar"
         )
 
         assert set(legacy.streams) == set(columnar.streams)
@@ -99,10 +99,8 @@ def test_end_to_end_metrics_match(model):
     """Full executable runs agree between representations (memo off)."""
     bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
     res = {}
-    for label, columnar in (("legacy", False), ("columnar", True)):
-        sess = Session(
-            machine=RDA_MACHINE, columnar=columnar, sim_cache=False
-        )
+    for label, backend in (("legacy", "interp"), ("columnar", "columnar")):
+        sess = Session(machine=RDA_MACHINE, backend=backend, sim_cache=False)
         exe = sess.compile(bundle.program, bundle.schedule("partial"))
         res[label] = exe(bundle.binding).metrics
     legacy, columnar = res["legacy"], res["columnar"]

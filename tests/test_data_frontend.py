@@ -23,7 +23,7 @@ from repro.frontend.api import Linear, ModelBuilder
 from repro.ftree import csr
 from repro.driver.session import default_session
 
-# Session-backed equivalent of the deprecated repro.pipeline.run shim.
+# One shared session: its compile cache spans this module's tests.
 run = default_session().run
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro import (
     Session,
-    compile_program,
     fully_fused,
     fused_groups,
     parse_program,
@@ -22,7 +21,6 @@ from repro.driver import (
     Pass,
     PassPipeline,
     PipelineError,
-    default_session,
 )
 from repro.frontend.api import ModelBuilder
 from repro.ftree import SparseTensor, csr, dense
@@ -173,16 +171,6 @@ class TestSessionCache:
         assert set(results) == {"unfused", "fully-fused"}
         # The fully-fused compile was served from cache.
         assert session.cache_info().hits == 1
-
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_legacy_shim_routes_through_default_session(self, gcn_layer):
-        # The shim is deprecated (see test_pipeline.py's TestDeprecation);
-        # this only pins that it still shares the default session's cache.
-        prog, _, _ = gcn_layer
-        schedule = fully_fused(prog)
-        first = compile_program(prog, schedule)
-        assert compile_program(prog, schedule) is first
-        assert default_session().compile(prog, schedule).compiled is first
 
 
 class TestPassPipeline:

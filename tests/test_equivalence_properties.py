@@ -17,7 +17,7 @@ from repro.core.schedule.schedule import cs_rewrite, fully_fused, fused_groups, 
 from repro.ftree import SparseTensor, csr, dense
 from repro.driver.session import default_session
 
-# Session-backed equivalent of the deprecated repro.pipeline.run shim.
+# One shared session: its compile cache spans this module's tests.
 run = default_session().run
 
 

@@ -14,7 +14,7 @@ from repro.comal import RDA_MACHINE
 from repro.models.gcn import gcn_on_synthetic
 from repro.driver.session import default_session
 
-# Session-backed equivalent of the deprecated repro.pipeline.run shim.
+# One shared session: its compile cache spans this module's tests.
 run = default_session().run
 
 

@@ -13,7 +13,7 @@ from repro.models.graphsage import graphsage_on_synthetic
 from repro.models.sae import build_sae
 from repro.driver.session import default_session
 
-# Session-backed equivalent of the deprecated repro.pipeline.run shim.
+# One shared session: its compile cache spans this module's tests.
 run = default_session().run
 
 GRANULARITIES = ("unfused", "partial", "full")

@@ -4,25 +4,16 @@ import numpy as np
 import pytest
 
 from repro import (
-    compare_schedules,
-    compile_program,
+    Session,
     cs_rewrite,
-    execute,
     fully_fused,
     fused_groups,
     parse_program,
-    run,
     unfused,
 )
 from repro.comal import FPGA_MACHINE, RDA_MACHINE
 from repro.core.schedule.schedule import Schedule, ScheduleError
 from repro.ftree import SparseTensor, csr, dense
-
-# This module is the regression suite for the deprecated repro.pipeline
-# shims (compile_program/execute/run/compare_schedules), so their
-# DeprecationWarning is expected noise everywhere except the test that
-# asserts it fires.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 GCN_LAYER = """
 tensor A(12, 12): csr
@@ -34,6 +25,11 @@ T1(i, h) = T0(i, f2) * W(f2, h)
 T2(i, h) = T1(i, h) + b(h)
 Y(i, h) = relu(T2(i, h))
 """
+
+
+@pytest.fixture
+def session():
+    return Session()
 
 
 @pytest.fixture
@@ -55,37 +51,37 @@ def gcn_layer():
 
 
 class TestCompile:
-    def test_unfused_region_count(self, gcn_layer):
+    def test_unfused_region_count(self, session, gcn_layer):
         prog, _, _ = gcn_layer
-        compiled = compile_program(prog, unfused(prog))
+        compiled = session.compile(prog, unfused(prog)).compiled
         assert len(compiled.regions) == 4
 
-    def test_fully_fused_single_region(self, gcn_layer):
+    def test_fully_fused_single_region(self, session, gcn_layer):
         prog, _, _ = gcn_layer
-        compiled = compile_program(prog, fully_fused(prog))
+        compiled = session.compile(prog, fully_fused(prog)).compiled
         assert len(compiled.regions) == 1
 
-    def test_compile_is_fast(self, gcn_layer):
+    def test_compile_is_fast(self, session, gcn_layer):
         """Paper: all models compile in < 750 ms."""
         prog, _, _ = gcn_layer
-        compiled = compile_program(prog, fully_fused(prog))
+        compiled = session.compile(prog, fully_fused(prog)).compiled
         assert compiled.compile_seconds < 0.75
 
-    def test_intermediate_decls_registered(self, gcn_layer):
+    def test_intermediate_decls_registered(self, session, gcn_layer):
         prog, _, _ = gcn_layer
-        compiled = compile_program(prog, unfused(prog))
+        compiled = session.compile(prog, unfused(prog)).compiled
         assert "T0" in compiled.decls
         assert compiled.decls["T0"].shape == (12, 6)
 
-    def test_describe(self, gcn_layer):
+    def test_describe(self, session, gcn_layer):
         prog, _, _ = gcn_layer
-        compiled = compile_program(prog, unfused(prog))
+        compiled = session.compile(prog, unfused(prog)).compiled
         text = compiled.describe()
         assert "unfused" in text and "4 region(s)" in text
 
-    def test_tables_recorded(self, gcn_layer):
+    def test_tables_recorded(self, session, gcn_layer):
         prog, _, _ = gcn_layer
-        compiled = compile_program(prog, fully_fused(prog))
+        compiled = session.compile(prog, fully_fused(prog)).compiled
         assert "fusion table" in compiled.regions[0].table_text
 
 
@@ -94,14 +90,16 @@ class TestExecute:
         "make_schedule",
         [unfused, fully_fused, lambda p: fused_groups(p, [[0, 1], [2, 3]])],
     )
-    def test_all_granularities_correct(self, gcn_layer, make_schedule):
+    def test_all_granularities_correct(
+        self, session, gcn_layer, make_schedule
+    ):
         prog, binding, expected = gcn_layer
-        result = run(prog, binding, make_schedule(prog))
+        result = session.run(prog, binding, make_schedule(prog))
         np.testing.assert_allclose(result.tensors["Y"].to_dense(), expected, atol=1e-12)
 
-    def test_fusion_reduces_traffic(self, gcn_layer):
+    def test_fusion_reduces_traffic(self, session, gcn_layer):
         prog, binding, _ = gcn_layer
-        results = compare_schedules(
+        results = session.compare_schedules(
             prog, binding, [unfused(prog), fully_fused(prog)]
         )
         assert (
@@ -109,21 +107,21 @@ class TestExecute:
             < results["unfused"].metrics.dram_bytes
         )
 
-    def test_kernel_count_matches_regions(self, gcn_layer):
+    def test_kernel_count_matches_regions(self, session, gcn_layer):
         prog, binding, _ = gcn_layer
-        result = run(prog, binding, unfused(prog))
+        result = session.run(prog, binding, unfused(prog))
         assert result.metrics.num_kernels == 4
 
-    def test_machines_differ(self, gcn_layer):
+    def test_machines_differ(self, session, gcn_layer):
         prog, binding, _ = gcn_layer
-        r1 = run(prog, binding, unfused(prog), machine=RDA_MACHINE)
-        r2 = run(prog, binding, unfused(prog), machine=FPGA_MACHINE)
+        r1 = session.run(prog, binding, unfused(prog), machine=RDA_MACHINE)
+        r2 = session.run(prog, binding, unfused(prog), machine=FPGA_MACHINE)
         assert r1.metrics.cycles != r2.metrics.cycles
 
-    def test_cs_rewrite_correct(self, gcn_layer):
+    def test_cs_rewrite_correct(self, session, gcn_layer):
         prog, binding, expected = gcn_layer
         schedule = cs_rewrite(prog, [[0, 1], [2], [3]])
-        result = run(prog, binding, schedule)
+        result = session.run(prog, binding, schedule)
         np.testing.assert_allclose(result.tensors["Y"].to_dense(), expected, atol=1e-12)
 
 
@@ -150,7 +148,7 @@ class TestScheduleValidation:
 
 
 class TestTransposedViews:
-    def test_pog_cycle_materializes_permuted_copy(self):
+    def test_pog_cycle_materializes_permuted_copy(self, session):
         """Two conflicting views of one tensor (B and B^T) cycle the POG;
         FuseFlow breaks the cycle with a permuted copy (Section 5, step 4)."""
         prog = parse_program(
@@ -159,14 +157,14 @@ class TestTransposedViews:
         rng = np.random.default_rng(1)
         b = (rng.random((5, 5)) < 0.5) * rng.random((5, 5))
         binding = {"B": SparseTensor.from_dense(b, csr(), "B")}
-        compiled = compile_program(prog, fully_fused(prog))
-        assert compiled.regions[0].transposes, "expected a permuted copy"
-        result = execute(compiled, binding)
+        exe = session.compile(prog, fully_fused(prog))
+        assert exe.regions[0].transposes, "expected a permuted copy"
+        result = exe(binding)
         np.testing.assert_allclose(
             result.tensors["Z"].to_dense(), b * b.T, atol=1e-12
         )
 
-    def test_infeasible_streaming_schedule_raises(self):
+    def test_infeasible_streaming_schedule_raises(self, session):
         """When neither streaming nor driven recompute can express a fused
         schedule, the compiler demands a materialization boundary."""
         from repro.core.tables.lower import LoweringError
@@ -180,7 +178,7 @@ F(i, l) = E(i, j2) * B(l, j2)
 """
         )
         with pytest.raises(LoweringError, match="materialize"):
-            compile_program(prog, fully_fused(prog))
+            session.compile(prog, fully_fused(prog))
         # The unfused schedule handles it via materialization.
         rng = np.random.default_rng(1)
         b = (rng.random((5, 5)) < 0.5) * rng.random((5, 5))
@@ -189,36 +187,8 @@ F(i, l) = E(i, j2) * B(l, j2)
             "B": SparseTensor.from_dense(b, csr(), "B"),
             "C": SparseTensor.from_dense(c, csr(), "C"),
         }
-        result = run(prog, binding, unfused(prog))
+        result = session.run(prog, binding, unfused(prog))
         np.testing.assert_allclose(
             result.tensors["F"].to_dense(), (b @ c) @ b.T, atol=1e-12
         )
 
-
-class TestDeprecation:
-    """The legacy free functions warn and point at the Session API."""
-
-    def test_run_emits_deprecation_warning(self, gcn_layer):
-        prog, binding, expected = gcn_layer
-        with pytest.warns(DeprecationWarning, match="Session.run"):
-            result = run(prog, binding, unfused(prog))
-        np.testing.assert_allclose(
-            result.tensors["Y"].to_dense(), expected, atol=1e-12
-        )
-
-    def test_compile_program_emits_deprecation_warning(self, gcn_layer):
-        prog, _, _ = gcn_layer
-        with pytest.warns(DeprecationWarning, match="Session.compile"):
-            compile_program(prog, unfused(prog))
-
-    def test_execute_emits_deprecation_warning(self, gcn_layer):
-        prog, binding, _ = gcn_layer
-        with pytest.warns(DeprecationWarning):
-            compiled = compile_program(prog, unfused(prog))
-        with pytest.warns(DeprecationWarning, match="Executable"):
-            execute(compiled, binding)
-
-    def test_compare_schedules_emits_deprecation_warning(self, gcn_layer):
-        prog, binding, _ = gcn_layer
-        with pytest.warns(DeprecationWarning, match="Session.compare_schedules"):
-            compare_schedules(prog, binding, [unfused(prog)])

@@ -147,6 +147,63 @@ class TestProtocol:
             with pytest.raises(ServeError, match=match):
                 parse_request(raw, action)
 
+    @pytest.mark.parametrize(
+        "model, args, field",
+        [
+            ("gcn", {"nodes": 10_000_000}, "nodes"),  # over the cap
+            ("gcn", {"nodes": 257}, "nodes"),  # one past it
+            ("gpt3", {"seq_len": 16, "n_layers": 9}, "n_layers"),
+            ("gcn", {"nodes": 192, "density": 1}, "density"),  # degree > 16
+            ("graphsage", {"density": 0.1}, "density"),  # 200 default nodes
+            ("gpt3", {"seq_len": 16, "n_layers": 0}, "n_layers"),
+            ("sae", {"nodes": -4}, "nodes"),
+            ("gcn", {"nodes": 24.0}, "nodes"),  # sizes are ints
+            ("gcn", {"nodes": True}, "nodes"),
+            ("sae", {"hidden": None}, "hidden"),
+            ("gcn", {"features": [12]}, "features"),
+            ("gcn", {"density": 0}, "density"),
+            ("sae", {"weight_density": 1.5}, "weight_density"),
+            ("gcn", {"density": "0.1"}, "density"),
+            ("gcn", {"seed": 1.5}, "seed"),
+            ("gcn", {"pattern": {"kind": "uniform"}}, "pattern"),
+        ],
+    )
+    def test_model_arg_values_are_bounded(self, model, args, field):
+        raw = json.dumps({"model": model, "model_args": args}).encode()
+        with pytest.raises(ServeError, match=rf"model_args\['{field}'\] must be"):
+            parse_request(raw, "simulate")
+
+    def test_in_range_model_args_are_accepted(self):
+        bodies = [
+            ("gcn", {"nodes": 192, "features": 12, "density": 0.08,
+                     "pattern": "uniform", "hidden": 8, "classes": 4,
+                     "seed": 2**31 - 2}),
+            ("sae", {"nodes": 48, "hidden": 5, "weight_density": 1}),
+            ("gpt3", {"seq_len": 128, "d_model": 8, "block": 4,
+                      "n_layers": 4, "ffn_mult": 2}),
+            # Every cap at once.
+            ("graphsage", {"nodes": 256, "density": 0.0625, "features": 32,
+                           "hidden": 32, "classes": 32}),
+            ("gpt3", {"seq_len": 256, "d_model": 64, "block": 64,
+                      "n_layers": 8, "ffn_mult": 4}),
+            # Arguments the model does not take are dropped, not judged.
+            ("sae", {"nodes": 16, "seq_len": 10**9, "density": None}),
+        ]
+        for model, args in bodies:
+            raw = json.dumps({"model": model, "model_args": args}).encode()
+            assert dict(parse_request(raw, "simulate").point.model_args) == args
+
+    def test_every_accepted_model_arg_is_classified(self):
+        """A new model argument must be bounded on purpose: an unclassified
+        name raises AssertionError here, not ServeError."""
+        from repro.sweep.spec import _MODEL_ARG_NAMES
+
+        for model, names in _MODEL_ARG_NAMES.items():
+            for name in names:
+                raw = json.dumps({"model": model, "model_args": {name: None}})
+                with pytest.raises(ServeError, match=name):
+                    parse_request(raw.encode(), "simulate")
+
 
 class TestSingleFlight:
     def test_concurrent_identical_work_runs_once(self):
@@ -257,8 +314,13 @@ class TestServer:
     def test_bad_request_is_400_and_counted(self, server):
         code, payload = _post_error(server, "/v1/compile", {"model": "nope"})
         assert code == 400 and "unknown model" in payload["error"]
+        code, payload = _post_error(
+            server, "/v1/simulate",
+            {"model": "gcn", "model_args": {"nodes": 10_000_000}},
+        )
+        assert code == 400 and "model_args['nodes']" in payload["error"]
         _, _, stats = _get(server, "/v1/stats")
-        assert stats["errors"] == 1
+        assert stats["errors"] == 2
 
     @pytest.mark.parametrize("declared", [None, "abc", "-1", "+5", "1e3"])
     def test_bad_content_length_is_400(self, server, declared):
