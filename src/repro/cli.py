@@ -65,7 +65,6 @@ from .sweep import (
     run_sweep,
     summarize,
     sweep_schedules,
-    write_bench_json,
     write_summary_json,
 )
 
@@ -497,11 +496,6 @@ def cmd_sweep_report(args) -> int:
     if args.json:
         write_summary_json(summary, args.json)
         print(f"\nwrote JSON summary to {args.json}")
-    if args.bench_json:
-        path = write_bench_json(
-            summary, None if args.bench_json == "auto" else args.bench_json
-        )
-        print(f"wrote BENCH payload to {path}")
     return 1 if summary["points_failed"] else 0
 
 
@@ -850,14 +844,12 @@ def main(argv: List[str] | None = None) -> int:
     p_sw_resume.set_defaults(fn=cmd_sweep_resume)
 
     p_sw_report = sweep_sub.add_parser(
-        "report", help="summarize a results file (text / JSON / BENCH json)"
+        "report", help="summarize a results file (text / JSON)"
     )
     p_sw_report.add_argument("--out", required=True, help="JSONL results file")
     p_sw_report.add_argument("--baseline", default=None,
                              help="override the baseline schedule")
     p_sw_report.add_argument("--json", default=None, help="write JSON summary here")
-    p_sw_report.add_argument("--bench-json", default=None,
-                             help="write BENCH_*.json here ('auto' for default name)")
     p_sw_report.set_defaults(fn=cmd_sweep_report)
 
     p_sw_quick = sweep_sub.add_parser(

@@ -10,7 +10,6 @@ from .hierarchy import (
     resolve_hierarchy,
 )
 from .machines import FPGA_MACHINE, GPU_MACHINE, MACHINES, RDA_MACHINE, Machine
-from .memory import MemoryModel
 from .metrics import ProgramMetrics, format_table, speedup_table
 from .trace import bottleneck, busy_by_class, chrome_trace, node_reports, render_report
 
@@ -24,7 +23,6 @@ __all__ = [
     "FPGA_MACHINE",
     "GPU_MACHINE",
     "MACHINES",
-    "MemoryModel",
     "BufferLevel",
     "HierarchySpec",
     "HIERARCHIES",

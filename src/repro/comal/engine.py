@@ -5,9 +5,11 @@ based on fully pipelined dataflow graphs" (paper Section 8.1).  This engine
 follows that model: every node is a pipelined unit with a per-token
 initiation interval (II) and a pipeline latency taken from a
 :class:`~repro.comal.machines.Machine`; token timestamps propagate along
-topological order with rate-based dependency tracking, and DRAM-touching
-nodes route their traffic through a shared bandwidth/latency
-:class:`~repro.comal.memory.MemoryModel`.
+topological order with rate-based dependency tracking.  A node that moves
+memory traffic paces its emissions at the bandwidth and latency of the level
+it was placed in (``machine.dram_bandwidth``/``dram_latency``, or its SRAM
+bank); each node streams at full port bandwidth, and contention is one
+global roofline per level over the whole graph's bytes.
 
 The result is a cycle count for the whole graph (the time the last token —
 and the last memory write — lands), plus per-node busy/finish accounting used
@@ -25,7 +27,6 @@ import numpy as np
 from ..sam.graph import SAMGraph
 from .functional import FunctionalResult, run_functional
 from .machines import Machine, RDA_MACHINE
-from .memory import MemoryModel
 
 
 @dataclass
@@ -218,7 +219,6 @@ def run_timed(
     binding: Dict[str, Any],
     machine: Machine = RDA_MACHINE,
     functional: FunctionalResult | None = None,
-    memory: MemoryModel | None = None,
     *,
     backend: Optional[str] = None,
     debug_streams: Optional[bool] = None,
@@ -227,16 +227,13 @@ def run_timed(
     """Run the timed simulation of ``graph`` on ``machine``.
 
     A pre-computed functional result may be supplied to avoid re-executing
-    the graph; a shared memory model may be supplied to model contention
-    across graphs that run concurrently.  ``backend``/``debug_streams``
-    select the execution backend and protocol checking of the functional
-    execution (see :func:`~repro.comal.functional.run_functional`).
+    the graph.  ``backend``/``debug_streams`` select the execution backend
+    and protocol checking of the functional execution (see
+    :func:`~repro.comal.functional.run_functional`).
 
     Timing is a pure function of the functional result and the machine, so
-    when neither ``functional`` nor ``memory`` is supplied the result is
-    memoized alongside the functional memo (``cache``, default on).  A
-    shared ``memory`` model always bypasses the memo — its cross-graph
-    contention state is a side effect.
+    when ``functional`` is not supplied the result is memoized alongside
+    the functional memo (``cache``, default on).
     """
     tkey = None
     if functional is None:
@@ -248,7 +245,7 @@ def run_timed(
             debug_streams=debug_streams,
             cache=cache,
         )
-        if cache and memory is None:
+        if cache:
             tkey = (id(func), id(machine))
             memo = graph.timed_cache
             if memo is not None:
@@ -257,13 +254,13 @@ def run_timed(
                     return entry[0]
     else:
         func = functional
-    mem = memory if memory is not None else machine.memory()
     # On-chip buffer level: nodes the place-memory pass marked "sram" are
     # paced through their bank instead of the DRAM port.  A machine without
     # an SRAM level serves every placement from DRAM (the placement is a
     # request, the machine is the authority).
     hier = machine.hierarchy
     sram = hier.sram if hier.has_sram else None
+    dram_total = 0
     sram_total = 0
     spill_total = 0
     fill_total = 0
@@ -322,7 +319,7 @@ def run_timed(
         if on_chip:
             port_bw, port_lat = sram.bandwidth, sram.latency
         else:
-            port_bw, port_lat = mem.bandwidth, mem.latency
+            port_bw, port_lat = machine.dram_bandwidth, machine.dram_latency
         if traffic and max_len:
             per_token = traffic / max_len
             schedule = _paced_times(schedule, per_token / port_bw, port_lat)
@@ -338,7 +335,7 @@ def run_timed(
                 sram_total += traffic
                 bank_bytes[mem_bank] = bank_bytes.get(mem_bank, 0) + traffic
             else:
-                mem.total_bytes += traffic
+                dram_total += traffic
                 # Classify the DRAM share of cross-region intermediates:
                 # an intermediate that did not stay on-chip is written out
                 # (spill) by its producer and read back (fill) by its
@@ -381,7 +378,7 @@ def run_timed(
     cycles = max(node_finish.values(), default=0.0)
     # Global bandwidth rooflines: all DRAM traffic shares one device, and
     # each SRAM bank serializes the traffic of the tensors it holds.
-    cycles = max(cycles, mem.total_bytes / mem.bandwidth)
+    cycles = max(cycles, dram_total / machine.dram_bandwidth)
     if sram is not None and bank_bytes:
         cycles = max(cycles, max(bank_bytes.values()) / sram.bandwidth)
     result = SimResult(

@@ -1,7 +1,8 @@
 """Two-level memory hierarchy: on-chip SRAM buffers over the HBM port.
 
-The flat :class:`~repro.comal.memory.MemoryModel` makes every materialized
-tensor a DRAM round trip, so fused and unfused schedules differ only in
+A DRAM-only machine (bandwidth and latency on
+:class:`~repro.comal.machines.Machine`) makes every materialized tensor a
+DRAM round trip, so fused and unfused schedules differ only in
 *how much* traffic they generate — capacity effects are invisible.  This
 module adds the missing level: a configurable on-chip buffer
 (:class:`BufferLevel`) with a byte capacity, a bank count, and per-bank

@@ -28,7 +28,6 @@ from .hierarchy import (
     HierarchySpec,
     resolve_hierarchy,
 )
-from .memory import MemoryModel
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,6 @@ class Machine:
 
     def latency_of(self, timing_class: str) -> float:
         return self.latency.get(timing_class, self.default_latency)
-
-    def memory(self) -> MemoryModel:
-        return MemoryModel(bandwidth=self.dram_bandwidth, latency=self.dram_latency)
 
     def scaled(self, **overrides) -> "Machine":
         """Return a copy with selected fields replaced."""

@@ -5,8 +5,8 @@ The analytical :class:`~repro.core.heuristic.model.FusionHeuristic` plus
 enough to *rank* fusion granularities, but it does not model tiling or
 parallelization and its absolute cycle predictions drift per model.  The
 repo already accumulates ground truth — sweep ``ResultStore`` JSONL files
-and ``BENCH_*.json`` payloads carry measured cycles next to the full
-schedule point — so this module closes the loop:
+and ``sweep report --json`` summaries carry measured cycles next to the
+full schedule point — so this module closes the loop:
 
 * :class:`HeuristicCostModel` — the raw analytical predictor, packaged
   behind the same :class:`CostModel` protocol the search strategies use.
@@ -405,8 +405,8 @@ def calibration_records(path: str) -> List[CalibrationRecord]:
     * ResultStore JSONL (``fuseflow sweep run`` output) — read directly;
     * SweepSpec JSON — the sweep is executed in-process and its results
       used (SweepSpec-driven calibration);
-    * BENCH payload JSON whose ``results`` entries embed ``point``
-      records (``fuseflow sweep report --bench-out``).
+    * a summary JSON (``fuseflow sweep report --json``), whose ``results``
+      entries carry each ok point's record and metrics.
     """
     from ...sweep.runner import run_sweep
     from ...sweep.spec import SweepSpec
@@ -433,22 +433,11 @@ def calibration_records(path: str) -> List[CalibrationRecord]:
         outcome = run_sweep(spec, store_path=None, workers=1)
         return _records_from_results(outcome.records)
     if isinstance(payload, dict) and "results" in payload:
-        results = []
-        for r in payload["results"]:
-            extra = r.get("extra") or {}
-            # Summary-JSON entries carry point/metrics at top level;
-            # BENCH entries nest the point under extra and flatten
-            # cycles into value.
-            metrics = r.get("metrics") or dict(extra, cycles=r.get("value"))
-            results.append(
-                {
-                    "status": r.get("status", "ok"),
-                    "point": r.get("point") or extra.get("point"),
-                    "metrics": metrics,
-                }
-            )
-        return _records_from_results(results)
+        # A summary lists only ok points, without a status field.
+        return _records_from_results(
+            [dict(r, status="ok") for r in payload["results"]]
+        )
     raise CostModelError(
-        f"{path!r}: not a ResultStore JSONL, SweepSpec JSON, or BENCH "
-        "payload with embedded points"
+        f"{path!r}: not a ResultStore JSONL, SweepSpec JSON, or sweep "
+        "summary JSON"
     )

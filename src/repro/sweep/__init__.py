@@ -11,9 +11,9 @@ a first-class workload instead of shell loops:
   per-worker model-bundle caches;
 * :class:`ResultStore` — append-only JSONL results with a spec header and
   resume-from-partial-results;
-* :func:`summarize` / :func:`render_summary` / :func:`write_bench_json` —
-  best-per-model, speedup-vs-baseline, and utilization aggregation, as
-  text, JSON, or a ``BENCH_*.json`` perf artifact;
+* :func:`summarize` / :func:`render_summary` / :func:`write_summary_json`
+  — best-per-model, speedup-vs-baseline, and utilization aggregation, as
+  text or JSON;
 * :func:`sweep_schedules` — the in-process primitive the autotuner,
   ``Session.compare_schedules``, and the benchmark harness drive their
   schedule loops through.
@@ -21,13 +21,7 @@ a first-class workload instead of shell loops:
 CLI: ``fuseflow sweep run|resume|report|quick``.
 """
 
-from .report import (
-    bench_payload,
-    render_summary,
-    summarize,
-    write_bench_json,
-    write_summary_json,
-)
+from .report import render_summary, summarize, write_summary_json
 from .runner import (
     ScheduleRun,
     SweepOutcome,
@@ -66,6 +60,4 @@ __all__ = [
     "summarize",
     "render_summary",
     "write_summary_json",
-    "bench_payload",
-    "write_bench_json",
 ]

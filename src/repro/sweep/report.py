@@ -4,15 +4,14 @@ Turns a pile of per-point result records into the quantities the paper's
 figures report: best configuration per model, speedup of each schedule over
 the baseline schedule within its (model, dataset, machine, pipeline) group,
 and utilization tables per machine.  The same summary renders as fixed-width
-text (``fuseflow sweep report``), as a JSON document for downstream tooling,
-and as a ``BENCH_*.json`` perf artifact (one named series per point, cycles
-as the value) so CI can track the trajectory over time.
+text (``fuseflow sweep report``) and as a JSON document for downstream
+tooling.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..comal.metrics import format_table
 
@@ -217,52 +216,3 @@ def write_summary_json(summary: Dict[str, object], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def bench_payload(summary: Dict[str, object]) -> Dict[str, object]:
-    """The ``BENCH_*.json`` perf-tracking payload for a sweep summary.
-
-    Format: one named series per point with cycles as the tracked value
-    (lower is better), plus enough metadata for dashboards to group series.
-    """
-    return {
-        "benchmark": f"sweep_{summary['name']}",
-        "unit": "cycles",
-        "lower_is_better": True,
-        "baseline_schedule": summary["baseline_schedule"],
-        "results": [
-            {
-                "name": r["label"],
-                "value": r["metrics"]["cycles"],
-                "extra": {
-                    "flops": r["metrics"]["flops"],
-                    "dram_bytes": r["metrics"]["dram_bytes"],
-                    "sram_bytes": r["metrics"].get("sram_bytes", 0),
-                    "spill_bytes": r["metrics"].get("spill_bytes", 0),
-                    "fill_bytes": r["metrics"].get("fill_bytes", 0),
-                    "tokens": r["metrics"]["tokens"],
-                    "point_id": r["point_id"],
-                    # Full point record so BENCH payloads double as
-                    # cost-model calibration inputs (the schedule knobs
-                    # are not recoverable from the opaque point_id).
-                    "point": r["point"],
-                },
-            }
-            for r in summary["results"]
-        ],
-    }
-
-
-def write_bench_json(summary: Dict[str, object], path: Optional[str] = None) -> str:
-    """Write the BENCH payload; default path is ``BENCH_sweep_<name>.json``.
-
-    Returns
-    -------
-    str
-        The path written, for logging.
-    """
-    path = path or f"BENCH_sweep_{summary['name']}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bench_payload(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path

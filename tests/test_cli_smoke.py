@@ -111,10 +111,8 @@ class TestSweepVerbs:
         assert "0 ran" in out and "12 resumed from store" in out
 
         json_path = str(tmp_path / "report.json")
-        bench_path = str(tmp_path / "BENCH_sweep_smoke.json")
         code = cli_main(
-            ["sweep", "report", "--out", out_path, "--json", json_path,
-             "--bench-json", bench_path]
+            ["sweep", "report", "--out", out_path, "--json", json_path]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -122,8 +120,6 @@ class TestSweepVerbs:
         with open(json_path) as fh:
             summary = json.load(fh)
         assert summary["points_ok"] == 12 and summary["verified"] is True
-        with open(bench_path) as fh:
-            assert len(json.load(fh)["results"]) == 12
 
     def test_run_with_hierarchies_axis(self, capsys, tmp_path):
         out_path = str(tmp_path / "hier.jsonl")

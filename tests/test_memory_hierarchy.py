@@ -1,8 +1,8 @@
-"""Memory hierarchy tests: MemoryModel edge cases, placement, spill/fill.
+"""Memory hierarchy tests: DRAM pacing edge cases, placement, spill/fill.
 
-Covers the flat DRAM model's corner behaviors (burst rounding, contention
-serialization, zero traffic), the HierarchySpec/preset registry, the
-place-memory pass's compile-time decisions, and the per-level traffic
+Covers the flat DRAM model's corner behaviors (contention serialization,
+late arrivals, the global roofline), the HierarchySpec/preset registry,
+the place-memory pass's compile-time decisions, and the per-level traffic
 accounting the timed engine reports in SimResult.
 """
 
@@ -15,8 +15,9 @@ from repro.comal import (
     RDA_MACHINE,
     BufferLevel,
     HierarchySpec,
-    MemoryModel,
+    engine,
     resolve_hierarchy,
+    run_timed,
 )
 from repro.core.einsum.parser import parse_program
 from repro.core.schedule.schedule import fully_fused, unfused
@@ -26,56 +27,37 @@ from repro.sweep import SweepPoint, SweepSpec, run_point
 
 
 # ----------------------------------------------------------------------
-# MemoryModel edge cases
+# DRAM pacing edge cases
 # ----------------------------------------------------------------------
 
 
 class TestMemoryModelEdges:
-    def test_burst_rounding_charges_service_not_stats(self):
-        """Sub-burst requests round service time up but count true bytes."""
-        mem = MemoryModel(bandwidth=2.0, latency=0.0, burst_bytes=32)
-        done = mem.access(0.0, 4)
-        assert done == 16.0  # 32-byte burst at 2 B/cycle
-        assert mem.total_bytes == 4  # stats keep the requested size
-        assert mem.total_requests == 1
-
     def test_contention_serializes_same_cycle_arrivals(self):
-        """Two same-cycle requests are served back to back, FIFO."""
-        mem = MemoryModel(bandwidth=1.0, latency=5.0, burst_bytes=1)
-        first = mem.access(0.0, 10)
-        second = mem.access(0.0, 10)
+        """Two same-cycle tokens are served back to back, in order."""
+        first, second = engine._paced_times([0.0, 0.0], 10.0, 5.0)
         assert first == 15.0  # 10 cycles service + latency
         assert second == 25.0  # waits for the port, then 10 + latency
-        assert mem.drain_time() == 20.0
 
     def test_late_arrival_does_not_wait(self):
-        mem = MemoryModel(bandwidth=1.0, latency=0.0, burst_bytes=1)
-        mem.access(0.0, 4)
-        assert mem.access(100.0, 4) == 104.0
-
-    def test_zero_traffic_is_free_and_uncounted(self):
-        mem = MemoryModel()
-        assert mem.access(7.0, 0) == 7.0
-        assert mem.total_bytes == 0
-        assert mem.total_requests == 0
-        assert mem.drain_time() == 0.0
-
-    def test_negative_bytes_clamped_to_zero(self):
-        mem = MemoryModel()
-        assert mem.access(3.0, -64) == 3.0
-        assert mem.total_bytes == 0
-
-    def test_reset_clears_port_and_counters(self):
-        mem = MemoryModel(bandwidth=1.0, latency=0.0, burst_bytes=1)
-        mem.access(0.0, 8)
-        mem.reset()
-        assert mem.next_free == 0.0
-        assert mem.total_bytes == 0
-        assert mem.access(0.0, 8) == 8.0
+        """A token arriving at an idle port is served as it arrives."""
+        assert engine._paced_times([0.0, 100.0], 4.0, 0.0) == [4.0, 100.0]
 
     def test_roofline_cycles(self):
-        mem = MemoryModel(bandwidth=4.0)
-        assert mem.roofline_cycles(64) == 16.0
+        """A starved DRAM port makes the global roofline the cycle count."""
+        prog = parse_program(
+            "tensor A(6, 6): csr\ntensor X(6, 4): dense\nT(i, j) = A(i, k) * X(k, j)"
+        )
+        exe = Session().compile(prog, fully_fused(prog))
+        rng = np.random.default_rng(0)
+        binding = {
+            "A": SparseTensor.from_dense(
+                (rng.random((6, 6)) < 0.4) * rng.random((6, 6)), csr(), "A"
+            ),
+            "X": SparseTensor.from_dense(rng.random((6, 4)), dense(2), "X"),
+        }
+        starved = RDA_MACHINE.scaled(dram_bandwidth=0.01, dram_latency=0.0)
+        result = exe(binding, machine=starved).region_results[0]
+        assert result.cycles == result.dram_bytes / 0.01
 
 
 # ----------------------------------------------------------------------

@@ -3,14 +3,16 @@ cost-model round trips.
 
 The exhaustive enumerate-rank-simulate path is the *oracle*: at small n
 it measures every feasible candidate, so a guided strategy that claims
-parity must land within 1% of its winner while simulating a fraction of
-the candidates.  Determinism is property-tested over seeds (hypothesis):
-the same seed must reproduce the identical ``search_trace``, and every
-schedule any seed visits must validate against the program.
+parity must land within 1% of its winner while simulating at least 10x
+fewer candidates.  The oracle runs once per process: these tests and the
+scorecard's ``ours-search`` row read the same
+:func:`repro.reproduce.search_parity`.  Determinism is property-tested
+over seeds (hypothesis): the same seed must reproduce the identical
+``search_trace``, and every schedule any seed visits must validate
+against the program.
 """
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -34,51 +36,19 @@ from repro.core.schedule.search import (
     get_strategy,
 )
 from repro.driver.session import Session
-from repro.models.gcn import gcn_on_synthetic
-from repro.models.gpt3 import build_gpt3
-from repro.models.graphsage import graphsage_on_synthetic
 from repro.models.sae import build_sae
-
-
-def _bundles():
-    """The BENCH_search model configurations: small-n oracle sizes."""
-    rng = np.random.default_rng(0)
-    return {
-        "gcn": gcn_on_synthetic(nodes=24, density=0.1, seed=0),
-        "graphsage": graphsage_on_synthetic(nodes=20, density=0.15, seed=0),
-        "sae": build_sae(rng.standard_normal((8, 16)), weight_density=0.4, seed=0),
-        "gpt3": build_gpt3(seq_len=16, d_model=8, block=4, n_layers=1),
-    }
+from repro.reproduce import search_bundles, search_parity
 
 
 @pytest.fixture(scope="module")
 def bundles():
-    return _bundles()
+    return search_bundles()
 
 
 @pytest.fixture(scope="module")
-def tuned(bundles):
+def tuned():
     """Exhaustive + guided results per model, shared across parity tests."""
-    results = {}
-    budgets = {"gcn": 6, "graphsage": 6, "sae": 3, "gpt3": 2}
-    for model, bundle in bundles.items():
-        stats = stats_from_binding(bundle.binding)
-        session = Session(cache_size=1024)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            exhaustive = autotune(
-                bundle.program, bundle.binding, stats, session=session,
-                simulate_top=64, max_candidates=64,
-            )
-        guided = {
-            strategy: autotune(
-                bundle.program, bundle.binding, stats, session=session,
-                strategy=strategy, budget=budgets[model], seed=0,
-            )
-            for strategy in ("beam", "evolutionary")
-        }
-        results[model] = (exhaustive, guided)
-    return results
+    return search_parity()
 
 
 class TestRegistry:
@@ -114,7 +84,12 @@ class TestExhaustiveParity:
     def test_guided_simulates_less(self, tuned, model):
         exhaustive, guided = tuned[model]
         for strategy, result in guided.items():
-            assert result.evaluations < exhaustive.evaluations, (model, strategy)
+            assert result.evaluations * 10 <= exhaustive.evaluations, (
+                model,
+                strategy,
+                result.evaluations,
+                exhaustive.evaluations,
+            )
 
     def test_tuned_schedule_fields(self, tuned):
         exhaustive, guided = tuned["gcn"]
@@ -220,19 +195,13 @@ class TestSearchSpace:
 
 class TestCostModelRoundTrip:
     @pytest.fixture(scope="class")
-    def records(self, bundles):
-        """Ground truth from an exhaustive run's measured trace (gcn)."""
+    def records(self, bundles, tuned):
+        """Ground truth from the exhaustive oracle's measured trace (gcn)."""
         bundle = bundles["gcn"]
         stats = stats_from_binding(bundle.binding)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            tuned = autotune(
-                bundle.program, bundle.binding, stats,
-                session=Session(cache_size=1024),
-                simulate_top=32, max_candidates=32,
-            )
+        exhaustive, _ = tuned["gcn"]
         out = []
-        for entry in tuned.search_trace:
+        for entry in exhaustive.search_trace:
             if entry["status"] != "ok":
                 continue
             out.append(
@@ -344,6 +313,19 @@ class TestCalibrationFromSweepArtifacts:
         assert "sae" in model.terms and "*" in model.terms
         assert model.terms["sae"].records == 3
 
+    def test_fit_from_summary_json(self, tmp_path):
+        from repro.sweep import SweepSpec, run_sweep, summarize, write_summary_json
+
+        spec = SweepSpec(
+            name="cal", models=["sae"], schedules=["unfused", "full"],
+            machines=["rda"], model_args={"nodes": 12},
+        )
+        outcome = run_sweep(spec, store_path=None, workers=1)
+        path = tmp_path / "report.json"
+        write_summary_json(summarize(outcome.records, name="cal"), str(path))
+        model = CalibratedCostModel().fit_from_store(str(path))
+        assert model.terms["sae"].records == 2
+
     def test_fit_from_spec_json_runs_in_process(self, tmp_path):
         from repro.sweep import SweepSpec
 
@@ -356,15 +338,11 @@ class TestCalibrationFromSweepArtifacts:
         model = CalibratedCostModel().fit_from_store(str(path))
         assert model.terms["sae"].records == 2
 
-    def test_calibrated_search_end_to_end(self, tmp_path, bundles):
+    def test_calibrated_search_end_to_end(self, bundles, tuned):
         """A calibrated model drives autotune and still reaches parity."""
         bundle = bundles["sae"]
         stats = stats_from_binding(bundle.binding)
-        session = Session(cache_size=1024)
-        exhaustive = autotune(
-            bundle.program, bundle.binding, stats, session=session,
-            simulate_top=32, max_candidates=32,
-        )
+        exhaustive, _ = tuned["sae"]
         records = [
             CalibrationRecord(
                 model_name="sae", program=bundle.program,
@@ -377,9 +355,9 @@ class TestCalibrationFromSweepArtifacts:
             for e in exhaustive.search_trace if e["status"] == "ok"
         ]
         calibrated = CalibratedCostModel().fit(records)
-        tuned = autotune(
-            bundle.program, bundle.binding, stats, session=session,
+        guided = autotune(
+            bundle.program, bundle.binding, stats, session=Session(),
             strategy="beam", budget=3, seed=0,
             cost_model=calibrated, model_name="sae",
         )
-        assert tuned.measured_cycles <= exhaustive.measured_cycles * 1.01
+        assert guided.measured_cycles <= exhaustive.measured_cycles * 1.01

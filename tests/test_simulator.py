@@ -1,14 +1,18 @@
 """Simulator tests: timing model, memory model, machines, metrics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.comal import engine
 from repro.comal import (
     FPGA_MACHINE,
     GPU_MACHINE,
     MACHINES,
     RDA_MACHINE,
-    MemoryModel,
     ProgramMetrics,
     format_table,
     run_functional,
@@ -39,30 +43,98 @@ def spmm_graph():
 
 
 class TestMemoryModel:
+    """DRAM pacing: ``served[k] = max(t[k], served[k-1] + bytes/bw) + latency``."""
+
     def test_latency_floor(self):
-        mem = MemoryModel(bandwidth=64.0, latency=100.0)
-        assert mem.access(0.0, 64) >= 100.0
+        assert engine._paced_times([0.0], 1.0, 100.0)[0] >= 100.0
 
     def test_bandwidth_serializes(self):
-        mem = MemoryModel(bandwidth=1.0, latency=0.0, burst_bytes=1)
-        t1 = mem.access(0.0, 10)
-        t2 = mem.access(0.0, 10)
+        t1, t2 = engine._paced_times([0.0, 0.0], 10.0, 0.0)
         assert t2 >= t1 + 10
 
-    def test_burst_rounds_up(self):
-        mem = MemoryModel(bandwidth=1.0, latency=0.0, burst_bytes=32)
-        mem.access(0.0, 1)
-        assert mem.next_free == 32.0
-
     def test_zero_bytes_free(self):
-        mem = MemoryModel()
-        assert mem.access(5.0, 0) == 5.0
+        assert engine._paced_times([5.0, 7.0], 0.0, 0.0) == [5.0, 7.0]
 
-    def test_reset(self):
-        mem = MemoryModel()
-        mem.access(0.0, 128)
-        mem.reset()
-        assert mem.total_bytes == 0 and mem.next_free == 0.0
+
+def _branches(fn, *args):
+    """``fn(*args)`` on the Python-loop branch and on the numpy branch."""
+    out = []
+    for threshold in (float("inf"), 0):
+        with mock.patch.object(engine, "_VECTOR_THRESHOLD", threshold):
+            out.append(np.asarray(fn(*args), dtype=np.float64))
+    return out
+
+
+#: Cycle timestamps as the engine produces them: non-negative, monotone.
+_times = st.lists(
+    st.floats(0.0, 1e6, allow_nan=False), min_size=1, max_size=300
+).map(sorted)
+#: Dyadic values (multiples of 1/64 below 2**20): every sum is exact, as
+#: for the machine tables' initiation intervals and latencies.
+_dyadic = st.integers(0, 1 << 26).map(lambda v: v / 64)
+_dyadic_times = st.lists(_dyadic, min_size=1, max_size=300).map(sorted)
+
+
+def _ulp_bound(loop, vec, n: int, *scales: float) -> None:
+    """Loop and closed form differ by at most ``n + 4`` ulps of the scale.
+
+    The loop accumulates one rounding per step; the closed form rounds a
+    constant number of times per element.
+    """
+    scale = max([*scales, float(np.max(np.abs(loop), initial=0.0))])
+    assert np.all(np.abs(loop - vec) <= (n + 4) * np.spacing(scale))
+
+
+class TestRecurrenceBranches:
+    """Both branches of each timing recurrence agree on the same inputs.
+
+    Golden traces only exercise whichever branch a stream's length picks,
+    so the branch switch at ``_VECTOR_THRESHOLD`` is pinned here: exactly
+    on dyadic inputs, within an ulp bound on arbitrary floats.
+    """
+
+    @given(_dyadic_times, st.integers(0, 300), _dyadic, _dyadic)
+    def test_emission_schedule_exact_on_dyadic(self, driver, length, ii, start):
+        loop, vec = _branches(engine._emission_schedule, driver, length, ii, start)
+        assert np.array_equal(loop, vec)
+
+    @given(
+        _times,
+        st.integers(0, 300),
+        st.floats(0.0, 64.0, allow_nan=False),
+        st.floats(0.0, 1e6, allow_nan=False),
+    )
+    def test_emission_schedule_ulp_bound(self, driver, length, ii, start):
+        loop, vec = _branches(engine._emission_schedule, driver, length, ii, start)
+        _ulp_bound(loop, vec, length, driver[-1], start + ii * (length + 1))
+
+    @given(_dyadic_times, _dyadic, _dyadic)
+    def test_paced_times_exact_on_dyadic(self, times, step, latency):
+        loop, vec = _branches(engine._paced_times, times, step, latency)
+        assert np.array_equal(loop, vec)
+
+    @given(
+        _times,
+        st.floats(0.0, 64.0, allow_nan=False),
+        st.floats(0.0, 1e3, allow_nan=False),
+    )
+    def test_paced_times_ulp_bound(self, times, step, latency):
+        loop, vec = _branches(engine._paced_times, times, step, latency)
+        _ulp_bound(loop, vec, len(times), times[-1] + step * (len(times) + 1) + latency)
+
+    @given(_times, st.integers(1, 64), st.floats(0.0, 1e3, allow_nan=False))
+    def test_tiled_times_bit_exact(self, times, tiles, bubble):
+        loop, vec = _branches(engine._tiled_times, times, tiles, bubble)
+        assert np.array_equal(loop, vec)
+
+    @given(_times, st.integers(1, 64), st.floats(0.0, 1e3, allow_nan=False))
+    def test_tiling_law(self, times, tiles, bubble):
+        """``tiles`` tiles move the last emission exactly (tiles - 1) bubbles."""
+        if len(times) < tiles:
+            times = times + [times[-1]] * (tiles - len(times))
+        for tiled in _branches(engine._tiled_times, times, tiles, bubble):
+            assert tiled[-1] == times[-1] + bubble * (tiles - 1)
+            assert np.all(np.diff(tiled) >= 0)
 
 
 class TestMachines:

@@ -12,7 +12,6 @@ from repro.sweep import (
     SweepRunner,
     SweepSpec,
     SweepSpecError,
-    bench_payload,
     build_bundle,
     compatible_datasets,
     render_summary,
@@ -20,7 +19,6 @@ from repro.sweep import (
     run_sweep,
     summarize,
     sweep_schedules,
-    write_bench_json,
     write_summary_json,
 )
 from repro.sweep.runner import clear_worker_caches
@@ -494,6 +492,20 @@ class TestReport:
             for schedule, speedup in entry["speedup"].items():
                 assert speedup == pytest.approx(base / entry["cycles"][schedule])
 
+    @pytest.mark.parametrize("machine", ["rda", "fpga"])
+    def test_paper_shape_per_machine(self, records, machine):
+        """Partial fusion wins for gcn, full fusion for sae, on each machine."""
+        summary = summarize(records, name="t")
+        speedup = {
+            e["model"]: e["speedup"]
+            for e in summary["speedups"]
+            if e["machine"] == machine
+        }
+        assert speedup["gcn"]["partial"] > max(1.0, speedup["gcn"]["full"])
+        assert speedup["sae"]["full"] > speedup["sae"]["partial"] > 1.0
+        best = summary["best_per_model"]
+        assert (best["gcn"]["schedule"], best["sae"]["schedule"]) == ("partial", "full")
+
     def test_best_per_model_is_minimum(self, records):
         summary = summarize(records, name="t")
         for model, best in summary["best_per_model"].items():
@@ -517,25 +529,9 @@ class TestReport:
         assert "speedup" in text and "best point" in text
         assert "gcn/synthetic/partial/rda" in text
 
-    def test_json_and_bench_outputs(self, records, tmp_path):
+    def test_json_output(self, records, tmp_path):
         summary = summarize(records, name="t")
         json_path = str(tmp_path / "summary.json")
         write_summary_json(summary, json_path)
         with open(json_path) as fh:
             assert json.load(fh)["points_ok"] == 12
-
-        bench_path = write_bench_json(summary, str(tmp_path / "BENCH_t.json"))
-        with open(bench_path) as fh:
-            payload = json.load(fh)
-        assert payload == bench_payload(summary)
-        assert payload["benchmark"] == "sweep_t"
-        assert payload["unit"] == "cycles"
-        assert len(payload["results"]) == 12
-        assert all(r["value"] > 0 for r in payload["results"])
-
-    def test_bench_default_filename(self, records, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        summary = summarize(records, name="t")
-        path = write_bench_json(summary)
-        assert os.path.basename(path) == "BENCH_sweep_t.json"
-        assert os.path.exists(path)
