@@ -4,15 +4,16 @@ FuseFlow exposes its optimization knobs through a CLI: users pick a model
 and any of the six schedule axes — fusion granularity, dataflow ordering,
 parallelization, index splitting, mask folding, and the global-iteration
 rewrite — and the tool compiles, simulates, and reports
-cycles/FLOPs/bytes.  Beyond single runs there are three search entry
-points: ``estimate`` ranks schedules with the analytical heuristic,
-``autotune`` enumerates and simulates the fusion × split space, and
-``tune`` runs guided search (``beam``/``evolutionary``/``exhaustive``
-strategies) over the joint space under a simulation budget, optionally
-guided by a cost model calibrated from recorded sweeps.  All compilation
-goes through one driver :class:`~repro.driver.Session` per invocation, so
-sweeps, autotuning, and search steps reuse compiled executables instead
-of re-lowering.
+cycles/FLOPs/bytes.  Beyond single runs there are two search entry
+points: ``estimate`` ranks schedules with the analytical heuristic, and
+``tune`` searches the joint space under a simulation budget —
+``exhaustive`` enumerates and simulates the fusion × split space,
+``beam``/``evolutionary`` run guided search, optionally steered by a cost
+model calibrated from recorded sweeps.  Every verb describes its
+experiment as one :class:`~repro.sweep.spec.SweepPoint` (the record a
+sweep spec and a serve body also build), and all compilation goes through
+one driver :class:`~repro.driver.Session` per invocation, so sweeps and
+search steps reuse compiled executables instead of re-lowering.
 
 Examples::
 
@@ -29,8 +30,9 @@ Examples::
     fuseflow sweep resume --out sweep.jsonl
     fuseflow sweep report --out sweep.jsonl --json report.json
     fuseflow estimate --model gcn
-    fuseflow autotune --model sae --nodes 16
-    fuseflow autotune --model gcn --hierarchy fpga-small --split x1=4 --split x1=8
+    fuseflow tune --model sae --nodes 16 --strategy exhaustive --budget 3
+    fuseflow tune --model gcn --hierarchy fpga-small --strategy exhaustive \
+        --split x1=4 --split x1=8
     fuseflow tune --model gcn --strategy beam --budget 6 --seed 0
     fuseflow tune --model gpt3 --strategy evolutionary --budget 4 \
         --calibrate sweep.jsonl --cost-model gpt3-costmodel.json
@@ -41,26 +43,24 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List
-
-import numpy as np
+from dataclasses import replace
+from typing import Dict, List, Optional
 
 from .backend import BACKEND_NAMES
-from .comal.hierarchy import HIERARCHIES, resolve_hierarchy
+from .comal.hierarchy import HIERARCHIES
 from .comal.machines import MACHINES
 from .core.heuristic.model import stats_from_binding
 from .core.heuristic.prune import rank_schedules
 from .core.schedule.autotune import autotune
 from .core.schedule.search import STRATEGIES as SEARCH_STRATEGIES
 from .driver import Session
-from .models.common import VERIFY_TOLERANCE, ModelBundle
-from .models.gcn import gcn_on_synthetic
-from .models.gpt3 import build_gpt3
-from .models.graphsage import graphsage_on_synthetic
-from .models.sae import build_sae
+from .models.common import VERIFY_TOLERANCE
 from .sweep import (
     ResultStore,
+    SweepPoint,
     SweepSpec,
+    SweepSpecError,
+    build_bundle,
     render_summary,
     run_sweep,
     summarize,
@@ -68,82 +68,62 @@ from .sweep import (
     write_summary_json,
 )
 
-
-def _build_model(args) -> ModelBundle:
-    if args.model == "gcn":
-        return gcn_on_synthetic(nodes=args.nodes, density=args.density)
-    if args.model == "graphsage":
-        return graphsage_on_synthetic(nodes=args.nodes, density=args.density)
-    if args.model == "sae":
-        rng = np.random.default_rng(0)
-        return build_sae(rng.random((5, args.nodes)), hidden=args.nodes // 2)
-    if args.model == "gpt3":
-        return build_gpt3(
-            seq_len=args.seq_len, d_model=args.d_model, block=args.block
-        )
-    raise SystemExit(f"unknown model {args.model!r}")
+#: Builder arguments every model verb passes explicitly, defaults included,
+#: so a CLI run and ``run_point`` of the point it builds are one experiment.
+_MODEL_ARG_FLAGS = ("nodes", "density", "seq_len", "d_model", "block")
 
 
-def _session(args) -> Session:
-    return Session(
-        machine=MACHINES[args.machine],
-        hierarchy=_hierarchy_arg(args),
-        backend=getattr(args, "backend", None),
-        disk_cache=getattr(args, "cache_dir", None),
-    )
-
-
-def _hierarchy_arg(args):
-    """Validate the --hierarchy flag early, with a CLI-friendly error."""
-    value = getattr(args, "hierarchy", None)
-    if value is None:
-        return None
-    try:
-        resolve_hierarchy(value)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    return value
-
-
-def _parse_par(specs: List[str]) -> Dict[str, int]:
-    par: Dict[str, int] = {}
-    for spec in specs or []:
-        if "=" not in spec:
-            raise SystemExit(f"--par expects index=factor, got {spec!r}")
-        idx, factor = spec.split("=", 1)
-        par[idx] = int(factor)
-    return par
-
-
-def _parse_split_config(text: str) -> Dict[str, int]:
-    """Parse one split configuration: ``"i=8"`` or ``"i=8,j=4"`` or ``"none"``."""
-    if text.strip().lower() in ("", "none"):
-        return {}
-    splits: Dict[str, int] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if "=" not in part:
-            raise SystemExit(f"--split expects index=tiles, got {part!r}")
-        idx, tiles = part.split("=", 1)
-        idx = idx.strip()
-        if not idx:
-            raise SystemExit(f"--split expects index=tiles, got {part!r}")
-        try:
-            count = int(tiles)
-        except ValueError:
-            raise SystemExit(f"--split tile count must be an int, got {tiles!r}")
-        if count < 1:
-            raise SystemExit(f"--split tile count must be >= 1, got {count}")
-        splits[idx] = count
-    return splits
-
-
-def _parse_splits(specs: List[str]) -> Dict[str, int]:
-    """Merge repeated ``--split`` flags into one schedule splits dict."""
+def _factors(specs: Optional[List[str]], flag: str) -> Dict[str, int]:
+    """Merge ``--par`` / ``--split`` / ``--splits`` texts
+    (``INDEX=N[,INDEX=N]`` or ``none``); the point validates the values."""
+    unit = "factor" if flag == "--par" else "tiles"
     merged: Dict[str, int] = {}
-    for spec in specs or []:
-        merged.update(_parse_split_config(spec))
+    for text in specs or []:
+        if text.strip().lower() in ("", "none"):
+            continue
+        for part in text.split(","):
+            index, sep, value = part.strip().partition("=")
+            try:
+                number = int(value) if sep else None
+            except ValueError:
+                number = None
+            if number is None:
+                raise SystemExit(
+                    f"{flag} expects index={unit}[,index={unit}], "
+                    f"got {part.strip()!r}"
+                )
+            merged[index.strip()] = number
     return merged
+
+
+def _point(args, par=None, splits=None) -> SweepPoint:
+    """The experiment a model verb's flags describe; exits if it is invalid."""
+    point = SweepPoint.make(
+        args.model,
+        schedule=getattr(args, "fusion", "partial"),
+        machine=args.machine,
+        model_args={name: getattr(args, name) for name in _MODEL_ARG_FLAGS},
+        par=par,
+        splits=splits,
+        hierarchy=args.hierarchy or "flat",
+        backend=args.backend or "",
+    )
+    try:
+        point.validate()
+    except SweepSpecError as exc:
+        raise SystemExit(str(exc)) from None
+    return point
+
+
+def _session(args, point: SweepPoint) -> Session:
+    return Session(
+        machine=MACHINES[point.machine],
+        hierarchy=point.hierarchy,
+        backend=point.backend or None,
+        disk_cache=args.cache_dir,
+        debug_streams=True if getattr(args, "debug_streams", False) else None,
+        sim_cache=not getattr(args, "no_sim_cache", False),
+    )
 
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
@@ -187,7 +167,7 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
             "index splitting (tiling): iterate INDEX in TILES sequential "
             "tiles, e.g. --split x1=8 or --split x1=8,x7=8; repeatable "
             "(merged into one schedule — sweep quick applies it to every "
-            "granularity; for autotune each flag is one candidate "
+            "granularity; for tune each flag is one candidate "
             "configuration co-optimized against fusion; estimate's "
             "analytical heuristic ignores it)"
         ),
@@ -204,12 +184,10 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_run(args) -> int:
-    bundle = _build_model(args)
-    schedule = bundle.schedule(args.fusion)
-    schedule.par = _parse_par(args.par)
-    schedule.splits = _parse_splits(args.split)
-    session = _session(args)
-    exe = session.compile(bundle.program, schedule)
+    point = _point(args, _factors(args.par, "--par"), _factors(args.split, "--split"))
+    bundle = build_bundle(point)
+    schedule = point.schedule_for(bundle)
+    exe = _session(args, point).compile(bundle.program, schedule)
     result = exe(bundle.binding)
     err = bundle.max_abs_err(result)
     m = result.metrics
@@ -228,18 +206,10 @@ def cmd_run(args) -> int:
 
 def cmd_simulate(args) -> int:
     """Simulate one schedule; ``--profile`` prints the busiest nodes."""
-    bundle = _build_model(args)
-    schedule = bundle.schedule(args.fusion)
-    schedule.par = _parse_par(args.par)
-    schedule.splits = _parse_splits(args.split)
-    session = Session(
-        machine=MACHINES[args.machine],
-        debug_streams=True if args.debug_streams else None,
-        sim_cache=not args.no_sim_cache,
-        hierarchy=_hierarchy_arg(args),
-        backend=args.backend,
-        disk_cache=getattr(args, "cache_dir", None),
-    )
+    point = _point(args, _factors(args.par, "--par"), _factors(args.split, "--split"))
+    bundle = build_bundle(point)
+    schedule = point.schedule_for(bundle)
+    session = _session(args, point)
     exe = session.compile(bundle.program, schedule)
     result = exe(bundle.binding)
     m = result.metrics
@@ -360,21 +330,21 @@ def cmd_sweep_quick(args) -> int:
     parallelization, index splitting, mask folding, global rewrite —
     under a simulation budget, use ``tune``.
     """
-    bundle = _build_model(args)
-    session = _session(args)
-    schedules = bundle.schedules(("unfused", "partial", "full"))
-    splits = _parse_splits(args.split)
-    for schedule in schedules:
-        schedule.splits = dict(splits)
+    point = _point(args, splits=_factors(args.split, "--split"))
+    bundle = build_bundle(point)
+    granularities = ("unfused", "partial", "full")
+    schedules = [
+        replace(point, schedule=gran).schedule_for(bundle) for gran in granularities
+    ]
     runs = sweep_schedules(
-        session,
+        _session(args, point),
         bundle.program,
         bundle.binding,
         schedules,
     )
     baseline = runs[0].cycles if runs else 1.0
     print(f"{'granularity':12s} {'cycles':>12s} {'speedup':>8s} {'flops':>12s} {'bytes':>12s}")
-    for gran, run in zip(("unfused", "partial", "full"), runs):
+    for gran, run in zip(granularities, runs):
         m = run.result.metrics
         print(
             f"{gran:12s} {m.cycles:12.0f} {baseline / m.cycles:8.2f} "
@@ -400,7 +370,7 @@ def _sweep_spec_from_args(args) -> SweepSpec:
         pipelines = [_split_csv(spec) for spec in args.pipeline]
     splits_axis = None
     if getattr(args, "splits", None):
-        splits_axis = [_parse_split_config(spec) for spec in args.splits]
+        splits_axis = [_factors([spec], "--splits") for spec in args.splits]
     backends_axis = None
     if getattr(args, "backends", None):
         # "default" names the session-default baseline (the empty string
@@ -418,7 +388,7 @@ def _sweep_spec_from_args(args) -> SweepSpec:
         hierarchies=_split_csv(args.hierarchies) if args.hierarchies else None,
         pipelines=pipelines,
         model_args=model_args,
-        par=_parse_par(args.par),
+        par=_factors(args.par, "--par"),
         splits=splits_axis,
         backends=backends_axis,
         baseline_schedule=args.baseline,
@@ -500,7 +470,8 @@ def cmd_sweep_report(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    bundle = _build_model(args)
+    point = _point(args)
+    bundle = build_bundle(point)
     if args.split:
         print(
             "note: the analytical heuristic does not model index splitting; "
@@ -512,10 +483,7 @@ def cmd_estimate(args) -> int:
     schedules = bundle.schedules()
     # The heuristic sees the hierarchy through the machine's (pinned)
     # operand budget; it does not model intermediate placement.
-    machine = MACHINES[args.machine]
-    hierarchy = _hierarchy_arg(args)
-    if hierarchy is not None:
-        machine = machine.with_hierarchy(hierarchy)
+    machine = MACHINES[point.machine].with_hierarchy(point.hierarchy)
     ranked = rank_schedules(bundle.program, schedules, stats, machine)
     print(f"{'rank':>4s} {'schedule':14s} {'est cycles':>12s} {'est flops':>14s} {'est bytes':>14s}")
     for i, entry in enumerate(ranked):
@@ -526,70 +494,34 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def cmd_autotune(args) -> int:
-    bundle = _build_model(args)
-    session = _session(args)
-    stats = stats_from_binding(bundle.binding)
-    # Each --split flag is one candidate split configuration; the unsplit
-    # baseline is always enumerated first, so the tuner co-optimizes
-    # tiling against fusion granularity.
-    split_axis = [_parse_split_config(s) for s in args.split or []]
-    try:
-        tuned = autotune(
-            bundle.program,
-            bundle.binding,
-            stats,
-            session=session,
-            simulate_top=args.simulate_top,
-            max_candidates=args.max_candidates,
-            splits=split_axis or None,
-        )
-    except RuntimeError as exc:
-        print(f"autotune failed: {exc}", file=sys.stderr)
-        return 1
-    print(f"model      : {bundle.name}")
-    print(f"considered : {tuned.candidates_considered} candidate(s), "
-          f"simulated {tuned.candidates_simulated}")
-    if tuned.partitions_dropped:
-        print(f"truncated  : {tuned.partitions_dropped} of "
-              f"{tuned.partition_space} contiguous partitions dropped by "
-              f"--max-candidates {args.max_candidates} (kept subset is "
-              "deterministic, taken from both granularity ends; the "
-              "fully-fused and fully-unfused baselines always survive)")
-    for name, cycles in tuned.ranking:
-        marker = " <- best" if name == tuned.best.name else ""
-        print(f"  {name:20s} {cycles:12.0f} cycles{marker}")
-    print(f"winner     : {tuned.best.name} at {tuned.measured_cycles:.0f} cycles")
-    before = session.cache_info()
-    exe = session.compile(bundle.program, tuned.best)
-    after = session.cache_info()
-    served = "cache hit" if after.hits > before.hits else "cache miss"
-    print(f"cache      : {after} (winner recompile: {served})")
-    if args.verify:
-        err = bundle.max_abs_err(exe(bundle.binding))
-        print(f"max |err|  : {err:.3e} (vs dense reference)")
-        return 0 if err < VERIFY_TOLERANCE else 1
-    return 0
-
-
 def cmd_tune(args) -> int:
-    """Guided search over the joint schedule space (see docs/scheduling.md).
+    """Schedule search over the joint space (see docs/scheduling.md).
 
-    ``--strategy`` picks a registered search strategy; ``--budget`` caps
-    successful simulations; ``--seed`` makes stochastic strategies
-    reproducible (identical invocations print identical traces).  A cost
-    model calibrated from recorded sweeps steers the search:
-    ``--calibrate`` fits one from a results file / spec and ``--cost-model``
-    loads (or, combined with ``--calibrate``, saves) the JSON artifact.
+    ``--strategy`` picks a registered search strategy — ``exhaustive``
+    enumerates fusion partitions × ``--split`` candidates, ranks them with
+    the cost model and simulates the best ``--budget``; ``beam`` and
+    ``evolutionary`` search by local moves.  ``--budget`` caps successful
+    simulations; ``--seed`` makes stochastic strategies reproducible
+    (identical invocations print identical traces).  A cost model
+    calibrated from recorded sweeps steers the search: ``--calibrate``
+    fits one from a results file / spec and ``--cost-model`` loads (or,
+    combined with ``--calibrate``, saves) the JSON artifact.
     """
     from .core.heuristic.costmodel import CalibratedCostModel
 
-    bundle = _build_model(args)
-    session = _session(args)
+    point = _point(args)
+    bundle = build_bundle(point)
+    session = _session(args, point)
     stats = stats_from_binding(bundle.binding)
-    split_axis = [_parse_split_config(s) for s in args.split or []]
-    # Each --par flag is one candidate parallelization configuration.
-    par_axis = [_parse_par([p]) for p in args.par or []]
+    # Each --split / --par flag is one candidate configuration the search
+    # may pick (the unsplit, unparallelized baseline is always a candidate);
+    # each passes the check a point's own factors do.
+    split_axis = [_factors([s], "--split") for s in args.split or []]
+    par_axis = [_factors([p], "--par") for p in args.par or []]
+    for config in split_axis:
+        _point(args, splits=config)
+    for config in par_axis:
+        _point(args, par=config)
     cost_model = None
     if args.calibrate:
         try:
@@ -636,6 +568,12 @@ def cmd_tune(args) -> int:
     print(f"evaluated  : {tuned.evaluations} simulation(s) of "
           f"{tuned.candidates_considered} candidate point(s) "
           f"(budget {args.budget})")
+    if tuned.partitions_dropped:
+        print(f"truncated  : {tuned.partitions_dropped} of "
+              f"{tuned.partition_space} contiguous partitions dropped by "
+              f"--max-candidates {args.max_candidates} (kept subset is "
+              "deterministic, taken from both granularity ends; the "
+              "fully-fused and fully-unfused baselines always survive)")
     for name, cycles in tuned.ranking:
         marker = " <- best" if name == tuned.best.name else ""
         print(f"  {name:28s} {cycles:12.0f} cycles{marker}")
@@ -709,11 +647,11 @@ def cmd_serve(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    bundle = _build_model(args)
-    session = _session(args)
-    schedule = bundle.schedule(args.fusion)
-    schedule.splits = _parse_splits(args.split)
-    exe, source = session.compile_detailed(bundle.program, schedule)
+    point = _point(args, splits=_factors(args.split, "--split"))
+    bundle = build_bundle(point)
+    exe, source = _session(args, point).compile_detailed(
+        bundle.program, point.schedule_for(bundle)
+    )
     print(exe.compiled.describe())
     if args.diagnostics:
         print()
@@ -894,22 +832,11 @@ def main(argv: List[str] | None = None) -> int:
     _add_model_args(p_est)
     p_est.set_defaults(fn=cmd_estimate)
 
-    p_tune = sub.add_parser(
-        "autotune", help="search fusion schedules (heuristic prune + simulate)"
-    )
-    _add_model_args(p_tune)
-    p_tune.add_argument("--simulate-top", type=int, default=3,
-                        help="simulate the k best-estimated candidates")
-    p_tune.add_argument("--max-candidates", type=int, default=64,
-                        help="cap on enumerated fusion partitions")
-    p_tune.add_argument("--verify", action="store_true",
-                        help="run the winner and check against the dense reference")
-    p_tune.set_defaults(fn=cmd_autotune)
-
     p_guided = sub.add_parser(
         "tune",
-        help="guided schedule search (beam/evolutionary/exhaustive) under "
-             "a simulation budget, optionally cost-model calibrated",
+        help="schedule search (exhaustive enumeration, or guided "
+             "beam/evolutionary) under a simulation budget, optionally "
+             "cost-model calibrated",
     )
     _add_model_args(p_guided)
     p_guided.add_argument("--strategy", default="beam",
@@ -929,10 +856,11 @@ def main(argv: List[str] | None = None) -> int:
     p_guided.add_argument("--calibrate", default=None, metavar="PATH",
                           help="fit the cost model from a sweep artifact "
                                "first: a ResultStore JSONL, a SweepSpec "
-                               "JSON (executed in-process), or a BENCH "
-                               "payload with embedded points")
+                               "JSON (executed in-process), or a sweep "
+                               "summary JSON (`sweep report --json`)")
     p_guided.add_argument("--max-candidates", type=int, default=64,
-                          help="enumeration cap for the exhaustive strategy")
+                          help="enumeration cap for the exhaustive strategy "
+                               "(fusion partitions x split candidates)")
     p_guided.add_argument("--par", action="append", metavar="INDEX=FACTOR",
                           help="candidate parallelization configuration; "
                                "repeatable (each flag is one config the "

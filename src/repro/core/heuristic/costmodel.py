@@ -350,11 +350,10 @@ def _records_from_results(
     # repro.sweep at module load (sweep imports the driver which imports
     # core — a cycle).
     from ...comal.machines import MACHINES
-    from ...sweep.spec import SweepPoint, build_bundle
+    from ...sweep.spec import SweepPoint, bundle_for
     from .model import stats_from_binding
 
-    bundles: Dict[Tuple, object] = {}
-    stats_cache: Dict[Tuple, Mapping[str, TensorStats]] = {}
+    stats_cache: Dict[int, Tuple[object, Mapping[str, TensorStats]]] = {}
     out: List[CalibrationRecord] = []
     for record in results:
         if record.get("status") != "ok":
@@ -365,32 +364,22 @@ def _records_from_results(
         if not point_rec or cycles is None:
             continue
         point = SweepPoint.from_record(point_rec)
-        # model_args is already a sorted tuple of (key, value) pairs.
-        bundle_key = (point.model, point.dataset, point.model_args)
-        if bundle_key not in bundles:
-            bundles[bundle_key] = build_bundle(point)
-            stats_cache[bundle_key] = stats_from_binding(
-                bundles[bundle_key].binding
-            )
-        bundle = bundles[bundle_key]
+        bundle = bundle_for(point)
+        if id(bundle) not in stats_cache:
+            # Holding the bundle keeps its id from being reused.
+            stats_cache[id(bundle)] = (bundle, stats_from_binding(bundle.binding))
+        stats = stats_cache[id(bundle)][1]
         try:
-            schedule = bundle.schedule(point.schedule)
+            schedule = point.schedule_for(bundle)
         except Exception:
             continue
-        if point.par:
-            schedule.par = dict(point.par)
-        if point.splits:
-            schedule.splits = dict(point.splits)
-        machine = MACHINES[point.machine]
-        if point.hierarchy != "flat":
-            machine = machine.with_hierarchy(point.hierarchy)
         out.append(
             CalibrationRecord(
                 model_name=point.model,
                 program=bundle.program,
                 schedule=schedule,
-                stats=stats_cache[bundle_key],
-                machine=machine,
+                stats=stats,
+                machine=MACHINES[point.machine].with_hierarchy(point.hierarchy),
                 cycles=float(cycles),
             )
         )

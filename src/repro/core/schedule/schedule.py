@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..einsum.ast import EinsumProgram
-from .split import validate_split_item
+from .split import validate_par_item, validate_split_item
 
 
 class ScheduleError(ValueError):
@@ -73,11 +73,13 @@ class Schedule:
                 raise ScheduleError(
                     f"region {region} must list statements in program order"
                 )
-        for index_var, tiles in self.splits.items():
-            try:
+        try:
+            for index_var, tiles in self.splits.items():
                 validate_split_item(index_var, tiles)
-            except ValueError as exc:
-                raise ScheduleError(str(exc)) from None
+            for index_var, factor in self.par.items():
+                validate_par_item(index_var, factor)
+        except ValueError as exc:
+            raise ScheduleError(str(exc)) from None
 
     def fingerprint(self) -> str:
         """Stable content hash over every knob the compiler reads.

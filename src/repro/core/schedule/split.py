@@ -47,6 +47,17 @@ def tile_index_name(index_var: str, tiles: int) -> str:
     return f"{index_var}{TILE_ORDER_SUFFIX}{tiles}"
 
 
+def _validate_factor(index_var: object, value: object, kind: str, noun: str) -> None:
+    if not isinstance(index_var, str) or not index_var:
+        raise ValueError(
+            f"{kind} index names must be non-empty strings, got {index_var!r}"
+        )
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(
+            f"{noun} for {index_var!r} must be an int >= 1, got {value!r}"
+        )
+
+
 def validate_split_item(index_var: object, tiles: object) -> None:
     """The one shared validation rule for a ``splits`` entry.
 
@@ -57,15 +68,12 @@ def validate_split_item(index_var: object, tiles: object) -> None:
     and the autotuner all wrap this — keeping four layers from drifting
     apart on what a legal split is.
     """
-    if not isinstance(index_var, str) or not index_var:
-        raise ValueError(
-            f"split index names must be non-empty strings, got {index_var!r}"
-        )
-    if not isinstance(tiles, int) or isinstance(tiles, bool) or tiles < 1:
-        raise ValueError(
-            f"split tile count for {index_var!r} must be an int >= 1, "
-            f"got {tiles!r}"
-        )
+    _validate_factor(index_var, tiles, "split", "split tile count")
+
+
+def validate_par_item(index_var: object, factor: object) -> None:
+    """The same rule for a ``par`` entry (index variable -> lane factor)."""
+    _validate_factor(index_var, factor, "parallelization", "parallelization factor")
 
 
 def is_tile_index(name: str) -> bool:

@@ -7,8 +7,8 @@ the handler threads share:
   backend), all attached to one :class:`~repro.driver.diskcache.DiskCache`
   — so a serve process restarted over a warm cache directory answers its
   first compile with a read-and-unpickle;
-* a model-bundle cache (tracing a model once per process, like sweep
-  workers);
+* model bundles from :func:`~repro.sweep.spec.bundle_for` (tracing a
+  model once per process, shared with sweep workers);
 * a :class:`~repro.serve.dedup.SingleFlight` collapsing identical
   in-flight requests onto one execution.
 
@@ -61,7 +61,7 @@ from ..driver.diskcache import DiskCache
 from ..driver.session import Session
 from ..models.common import VERIFY_TOLERANCE
 from ..reliability import fault_point
-from ..sweep.spec import build_bundle
+from ..sweep.spec import bundle_for
 from .dedup import SingleFlight, WaitTimeout
 from .protocol import ServeError, ServeRequest, parse_request
 
@@ -115,7 +115,6 @@ class ServerState:
         self.flight = SingleFlight()
         self._lock = threading.Lock()
         self._sessions: Dict[Tuple[str, str, str], Session] = {}
-        self._bundles: Dict[Tuple[str, str, tuple], Any] = {}
         self._requests = 0
         self._compiles = 0
         self._errors = 0
@@ -198,19 +197,6 @@ class ServerState:
                 self._sessions[key] = session
             return session
 
-    def bundle_for(self, point):
-        """The cached model bundle for a point (traced once per process)."""
-        key = (point.model, point.dataset, tuple(point.model_args))
-        with self._lock:
-            bundle = self._bundles.get(key)
-        if bundle is not None:
-            return bundle
-        bundle = build_bundle(point)
-        with self._lock:
-            # Another thread may have traced the same model meanwhile;
-            # keep the incumbent so callers share one bundle.
-            return self._bundles.setdefault(key, bundle)
-
     # ------------------------------------------------------------------
     # Request execution
     # ------------------------------------------------------------------
@@ -256,11 +242,9 @@ class ServerState:
         )
         bundle = None
         if request.point is not None:
-            bundle = self.bundle_for(request.point)
+            bundle = bundle_for(request.point)
             program = bundle.program
-            schedule = bundle.schedule(request.schedule)
-            schedule.par = dict(request.point.par)
-            schedule.splits = dict(request.point.splits)
+            schedule = request.point.schedule_for(bundle)
         else:
             program = parse_program(request.program_text, request.program_name)
             schedule = (

@@ -20,9 +20,6 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from ..backend.base import BACKEND_NAMES
-from ..comal.hierarchy import resolve_hierarchy
-from ..comal.machines import MACHINES
 from ..core.einsum.ast import EinsumError
 from ..core.einsum.parser import parse_program
 from ..sweep.spec import (
@@ -30,6 +27,7 @@ from ..sweep.spec import (
     SYNTHETIC,
     SweepPoint,
     SweepSpecError,
+    validate_target,
 )
 
 __all__ = ["ServeError", "ServeRequest", "parse_request"]
@@ -231,25 +229,20 @@ def parse_request(raw: bytes, action: str) -> ServeRequest:
         model = str(data["model"])
         model_args = _require_mapping(data, "model_args")
         _check_model_args(model, model_args)
+        point = SweepPoint.make(
+            model=model,
+            dataset=str(data.get("dataset", SYNTHETIC)),
+            schedule=schedule,
+            machine=machine,
+            model_args=model_args,
+            par=_require_mapping(data, "par"),
+            splits=_require_mapping(data, "splits"),
+            hierarchy=hierarchy,
+            backend=backend,
+        )
         try:
-            point = SweepPoint.make(
-                model=model,
-                dataset=str(data.get("dataset", SYNTHETIC)),
-                schedule=schedule,
-                machine=machine,
-                model_args=model_args,
-                par={
-                    k: int(v) for k, v in _require_mapping(data, "par").items()
-                },
-                splits={
-                    k: int(v)
-                    for k, v in _require_mapping(data, "splits").items()
-                },
-                hierarchy=hierarchy,
-                backend=backend,
-            )
             point.validate()
-        except (SweepSpecError, TypeError, ValueError) as exc:
+        except SweepSpecError as exc:
             raise ServeError(str(exc)) from None
         return ServeRequest(
             action=action,
@@ -276,19 +269,10 @@ def parse_request(raw: bytes, action: str) -> ServeRequest:
             f"program-text requests support schedule in "
             f"{_PROGRAM_SCHEDULES}, got {schedule!r}"
         )
-    if machine not in MACHINES:
-        raise ServeError(
-            f"unknown machine {machine!r}; expected one of {sorted(MACHINES)}"
-        )
     try:
-        resolve_hierarchy(hierarchy)
-    except ValueError as exc:
+        validate_target(machine, hierarchy, backend)
+    except SweepSpecError as exc:
         raise ServeError(str(exc)) from None
-    if backend and backend not in BACKEND_NAMES:
-        raise ServeError(
-            f"unknown backend {backend!r}; expected one of {BACKEND_NAMES} "
-            "(or '' for the session default)"
-        )
     name = str(data.get("name", "program"))
     try:
         # Parse eagerly so a syntax error is a clean 400 at the door, not

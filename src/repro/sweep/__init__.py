@@ -5,10 +5,11 @@ pipeline × machine) points simulated under comal.  This package makes that
 a first-class workload instead of shell loops:
 
 * :class:`SweepSpec` / :class:`SweepPoint` — declarative cartesian grids
-  and explicit point lists with stable, fingerprint-derived point IDs;
+  and explicit point lists with stable, fingerprint-derived point IDs; a
+  point is also what a CLI invocation and a serve body build;
+* :func:`bundle_for` — the process's one model-bundle cache;
 * :class:`SweepRunner` / :func:`run_sweep` — multiprocessing fan-out with
-  per-worker :class:`~repro.driver.session.Session` compile caches and
-  per-worker model-bundle caches;
+  per-worker :class:`~repro.driver.session.Session` compile caches;
 * :class:`ResultStore` — append-only JSONL results with a spec header and
   resume-from-partial-results;
 * :func:`summarize` / :func:`render_summary` / :func:`write_summary_json`
@@ -37,6 +38,7 @@ from .spec import (
     SweepSpec,
     SweepSpecError,
     build_bundle,
+    bundle_for,
     compatible_datasets,
 )
 from .store import ResultStore, ResultStoreError
@@ -48,6 +50,7 @@ __all__ = [
     "SYNTHETIC",
     "compatible_datasets",
     "build_bundle",
+    "bundle_for",
     "SweepRunner",
     "SweepOutcome",
     "run_sweep",

@@ -9,10 +9,11 @@ Two layers:
 * :class:`SweepRunner` — the process-parallel engine: expands a
   :class:`~repro.sweep.spec.SweepSpec`, skips points already completed in
   the :class:`~repro.sweep.store.ResultStore` (resume), and fans the rest
-  out over worker processes.  Each worker keeps module-level caches — one
-  ``Session`` per (machine, pipeline) and one model bundle per
-  (model, dataset, args) — so points sharing a model or a compile
-  fingerprint pay tracing/lowering once per worker, not once per point.
+  out over worker processes.  Each worker keeps one ``Session`` per
+  (machine, pipeline, hierarchy, backend) and takes model bundles from
+  :func:`~repro.sweep.spec.bundle_for`, so points sharing a model or a
+  compile fingerprint pay tracing/lowering once per worker, not once per
+  point.
 
 Every point is functionally verified against its bundle's dense reference;
 the per-point record carries ``max_abs_err`` so a sweep doubles as a
@@ -45,7 +46,7 @@ from ..driver.pipeline import PassPipeline
 from ..driver.session import Session
 from ..driver.sweeping import ScheduleRun, sweep_schedules
 from ..reliability import fault_point
-from .spec import SweepPoint, SweepSpec, build_bundle
+from .spec import _BUNDLES, SweepPoint, SweepSpec, bundle_for
 from .store import ResultStore, ResultStoreError
 
 __all__ = [
@@ -92,11 +93,10 @@ def _is_transient(record: Dict[str, object]) -> bool:
 # Worker-side execution (used both inline and in worker processes)
 # ----------------------------------------------------------------------
 
-# Per-process caches.  In a worker process these live for the pool's
+# Per-process sessions.  In a worker process these live for the pool's
 # lifetime, so every point handed to that worker shares compile work via
-# the Session cache and tracing work via the bundle cache.
+# the Session cache (and tracing work via ``bundle_for``).
 _SESSIONS: Dict[Tuple[str, Tuple[str, ...], str, str, str], Session] = {}
-_BUNDLES: Dict[Tuple[str, str, Tuple[Tuple[str, object], ...]], object] = {}
 
 # Persistent compile-cache directory worker sessions attach to.  ``None``
 # defers to Session's own resolution (the FUSEFLOW_CACHE_DIR environment
@@ -139,15 +139,6 @@ def _session_for(
     return session
 
 
-def _bundle_for(point: SweepPoint):
-    key = (point.model, point.dataset, tuple(point.model_args))
-    bundle = _BUNDLES.get(key)
-    if bundle is None:
-        bundle = build_bundle(point)
-        _BUNDLES[key] = bundle
-    return bundle
-
-
 def run_point(point: SweepPoint) -> Dict[str, object]:
     """Execute one sweep point; never raises — failures become records.
 
@@ -184,13 +175,11 @@ def run_point(point: SweepPoint) -> Dict[str, object]:
         # Keyed by the human-readable label so ``match=`` globs can target
         # e.g. ``*unfused*`` without knowing content-hash point IDs.
         fault_point("sweep.point", key=point.label())
-        bundle = _bundle_for(point)
+        bundle = bundle_for(point)
         session = _session_for(
             point.machine, point.pipeline, point.hierarchy, point.backend
         )
-        schedule = bundle.schedule(point.schedule)
-        schedule.par = dict(point.par)
-        schedule.splits = dict(point.splits)
+        schedule = point.schedule_for(bundle)
         before = session.cache_info()
         executable = session.compile(bundle.program, schedule)
         cache_hit = session.cache_info().hits > before.hits
@@ -247,11 +236,6 @@ def run_point(point: SweepPoint) -> Dict[str, object]:
     return base
 
 
-def _run_point_record(record: Dict[str, object]) -> Dict[str, object]:
-    """Pool entrypoint: points travel as JSON-safe records."""
-    return run_point(SweepPoint.from_record(record))
-
-
 def _worker_main(conn, cache_dir: Optional[str]) -> None:
     """Worker-process loop: recv a point record, run it, send the result.
 
@@ -269,7 +253,7 @@ def _worker_main(conn, cache_dir: Optional[str]) -> None:
             if message is None:
                 break
             try:
-                conn.send(_run_point_record(message))
+                conn.send(run_point(SweepPoint.from_record(message)))
             except (BrokenPipeError, OSError):
                 break  # supervisor went away; nothing left to report to
     finally:
@@ -280,7 +264,7 @@ def _worker_main(conn, cache_dir: Optional[str]) -> None:
 
 
 def clear_worker_caches() -> None:
-    """Drop the per-process session/bundle caches (tests, memory pressure)."""
+    """Drop the per-process sessions and shared bundles (tests, memory pressure)."""
     _SESSIONS.clear()
     _BUNDLES.clear()
 

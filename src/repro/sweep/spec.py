@@ -9,19 +9,25 @@ fingerprint idiom of the driver (sha256 over a sorted textual rendering of
 every field the experiment reads), so a results file written today still
 matches the same grid tomorrow and ``sweep resume`` can skip completed
 points by ID alone.
+
+A :class:`SweepPoint` is also what a ``fuseflow`` CLI invocation, a
+``/v1/*`` serve body and a cost-model calibration record build: the one
+description of "which experiment".
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..backend.base import BACKEND_NAMES
 from ..comal.hierarchy import resolve_hierarchy
 from ..comal.machines import MACHINES
-from ..core.schedule.split import validate_split_item
+from ..core.schedule.schedule import Schedule
+from ..core.schedule.split import validate_par_item, validate_split_item
 from ..data.registry import GPT3_DATASET, GRAPH_DATASETS, SAE_DATASETS
 from ..driver.pipeline import DEFAULT_PASS_ORDER
 from ..models.common import ModelBundle
@@ -46,6 +52,24 @@ def compatible_datasets(model: str) -> List[str]:
     if model == "gpt3":
         return [GPT3_DATASET.name, SYNTHETIC]
     raise SweepSpecError(f"unknown model {model!r}")
+
+
+def validate_target(machine: str, hierarchy: str, backend: str) -> None:
+    """Raise :class:`SweepSpecError` for an unknown machine, hierarchy or
+    backend (``""`` = session default): where any experiment runs."""
+    if machine not in MACHINES:
+        raise SweepSpecError(
+            f"unknown machine {machine!r}; expected one of {sorted(MACHINES)}"
+        )
+    try:
+        resolve_hierarchy(hierarchy)
+    except ValueError as exc:
+        raise SweepSpecError(str(exc)) from None
+    if backend and backend not in BACKEND_NAMES:
+        raise SweepSpecError(
+            f"unknown backend {backend!r}; expected one of "
+            f"{BACKEND_NAMES} (or '' for the session default)"
+        )
 
 
 def _freeze_args(args: Optional[Dict[str, object]]) -> Tuple[Tuple[str, object], ...]:
@@ -87,15 +111,10 @@ class SweepPoint:
     schedule: str = "partial"
     machine: str = "rda"
     pipeline: Tuple[str, ...] = DEFAULT_PASS_ORDER
-    # Keyword overrides for the model builder, sorted for hashability.
     model_args: Tuple[Tuple[str, object], ...] = ()
-    # Index-variable parallelization factors applied to the schedule.
     par: Tuple[Tuple[str, int], ...] = ()
-    # Index-variable tile counts applied to the schedule (index splitting).
     splits: Tuple[Tuple[str, int], ...] = ()
-    # Memory-hierarchy preset (see repro.comal.hierarchy.HIERARCHIES).
     hierarchy: str = "flat"
-    # Execution backend ("" = worker session default).
     backend: str = ""
 
     @classmethod
@@ -118,10 +137,9 @@ class SweepPoint:
         pass no-ops it, so ``splits={'x1': 1}`` must collapse into the
         unsplit baseline (same point ID, no duplicate compile) rather than
         masquerade as a distinct tiled configuration.  Invalid counts
-        (0, negatives, bools) are kept so :meth:`validate` rejects them.
+        (0, negatives, bools, floats) are kept so :meth:`validate` rejects
+        them.
         """
-        # Only the exact no-op (1) collapses; invalid counts (0, -3, bools,
-        # non-ints) are kept so validate() rejects them loudly.
         normalized = {
             k: v
             for k, v in (splits or {}).items()
@@ -141,7 +159,7 @@ class SweepPoint:
         )
 
     def validate(self) -> None:
-        """Reject unknown models/datasets/schedules/machines/hierarchies.
+        """Reject unknown models/datasets/schedules/targets and bad factors.
 
         Raises
         ------
@@ -162,25 +180,23 @@ class SweepPoint:
                 f"unknown schedule {self.schedule!r}; expected one of "
                 f"{SCHEDULE_NAMES}"
             )
-        if self.machine not in MACHINES:
-            raise SweepSpecError(
-                f"unknown machine {self.machine!r}; expected one of "
-                f"{sorted(MACHINES)}"
-            )
+        validate_target(self.machine, self.hierarchy, self.backend)
         try:
-            resolve_hierarchy(self.hierarchy)
+            for index_var, tiles in self.splits:
+                validate_split_item(index_var, tiles)
+            for index_var, factor in self.par:
+                validate_par_item(index_var, factor)
         except ValueError as exc:
             raise SweepSpecError(str(exc)) from None
-        if self.backend and self.backend not in BACKEND_NAMES:
-            raise SweepSpecError(
-                f"unknown backend {self.backend!r}; expected one of "
-                f"{BACKEND_NAMES} (or '' for the session default)"
-            )
-        for index_var, tiles in self.splits:
-            try:
-                validate_split_item(index_var, tiles)
-            except ValueError as exc:
-                raise SweepSpecError(str(exc)) from None
+
+    def schedule_for(self, bundle: ModelBundle) -> Schedule:
+        """The bundle's schedule at this point's granularity, ``par`` and
+        ``splits`` applied — what every caller compiles for this point."""
+        return replace(
+            bundle.schedule(self.schedule),
+            par=dict(self.par),
+            splits=dict(self.splits),
+        )
 
     # ------------------------------------------------------------------
     # Identity
@@ -250,7 +266,8 @@ class SweepPoint:
 
         Covers everything the point ID hashes (args the model reads,
         pipeline variants, parallelization), so two points with different
-        IDs never share a label — BENCH series names key on this.
+        IDs never share a label — the sweep report's per-point rows and the
+        ``sweep.point`` fault site key on this.
         """
         bits = [self.model, self.dataset, self.schedule, self.machine]
         if self.hierarchy != "flat":
@@ -297,9 +314,7 @@ class SweepPoint:
             pipeline=record.get("pipeline", DEFAULT_PASS_ORDER),
             model_args=record.get("model_args") or {},
             par=record.get("par") or {},
-            splits={
-                k: int(v) for k, v in (record.get("splits") or {}).items()
-            },
+            splits=record.get("splits") or {},
             hierarchy=record.get("hierarchy", "flat"),
             backend=record.get("backend", ""),
         )
@@ -331,7 +346,9 @@ def build_bundle(point: SweepPoint) -> ModelBundle:
 
     Deterministic: dataset seeds come from the Table 2 registry and
     synthetic builders take an explicit seed (default 0), so the same point
-    always yields the same program, binding, and reference.
+    always yields the same program, binding, and reference.  Uncached on
+    purpose, so every call traces a fresh bundle; shared callers use
+    :func:`bundle_for`.
     """
     import numpy as np
 
@@ -369,6 +386,25 @@ def build_bundle(point: SweepPoint) -> ModelBundle:
         args.setdefault("d_model", entry.sim_features)
         args.setdefault("seed", entry.seed)
     return build_gpt3(**args)
+
+
+# The process's traced models (sweep workers, serve threads, calibration).
+_BUNDLES: Dict[Tuple, ModelBundle] = {}
+_BUNDLES_LOCK = threading.Lock()
+
+
+def bundle_for(point: SweepPoint) -> ModelBundle:
+    """:func:`build_bundle` once per process, keyed by the model arguments
+    the builder reads; when two threads trace one model the first wins."""
+    args = _filtered_args(point.model, dict(point.model_args))
+    key = (point.model, point.dataset, tuple(args.items()))
+    with _BUNDLES_LOCK:
+        bundle = _BUNDLES.get(key)
+    if bundle is None:
+        bundle = build_bundle(point)
+        with _BUNDLES_LOCK:
+            bundle = _BUNDLES.setdefault(key, bundle)
+    return bundle
 
 
 @dataclass
@@ -537,14 +573,12 @@ class SweepSpec:
             hierarchies=record.get("hierarchies"),
             pipelines=record.get("pipelines"),
             model_args=dict(record.get("model_args") or {}),
-            par={k: int(v) for k, v in (record.get("par") or {}).items()},
+            # Factors are validated by points(), never coerced (2.7 is not 2).
+            par=dict(record.get("par") or {}),
             splits=(
                 None
                 if record.get("splits") is None
-                else [
-                    {k: int(v) for k, v in config.items()}
-                    for config in record["splits"]
-                ]
+                else [dict(config) for config in record["splits"]]
             ),
             backends=record.get("backends"),
             extra_points=[

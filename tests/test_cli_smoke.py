@@ -219,8 +219,8 @@ class TestEstimateAutotuneCompile:
 
     def test_autotune_with_verify(self, capsys):
         code = cli_main(
-            ["autotune", "--model", "sae", "--nodes", "16",
-             "--simulate-top", "2", "--verify"]
+            ["tune", "--model", "sae", "--nodes", "16",
+             "--strategy", "exhaustive", "--budget", "2", "--verify"]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -409,6 +409,16 @@ class TestEntryPoint:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             cli_main(["frobnicate"])
+
+    def test_verb_inventory(self, capsys):
+        """The verbs are exactly these; a new one has to be added here."""
+        with pytest.raises(SystemExit):
+            cli_main(["--help"])
+        out = capsys.readouterr().out
+        verbs = out.split("{", 1)[1].split("}", 1)[0].split(",")
+        assert verbs == [
+            "run", "simulate", "sweep", "serve", "estimate", "tune", "compile"
+        ]
 
     def test_unknown_model_exits(self):
         with pytest.raises(SystemExit):

@@ -511,7 +511,8 @@ class TestFrontendSessionAPI:
 class TestCLI:
     def test_autotune_subcommand(self, capsys):
         code = cli_main(
-            ["autotune", "--model", "sae", "--nodes", "12", "--verify"]
+            ["tune", "--model", "sae", "--nodes", "12", "--strategy",
+             "exhaustive", "--budget", "3", "--verify"]
         )
         out = capsys.readouterr().out
         assert code == 0

@@ -319,8 +319,15 @@ class TestServer:
             {"model": "gcn", "model_args": {"nodes": 10_000_000}},
         )
         assert code == 400 and "model_args['nodes']" in payload["error"]
+        # A zero par factor used to pass the door and fail inside the
+        # parallelize pass as a 500.
+        code, payload = _post_error(
+            server, "/v1/simulate",
+            {"model": "gcn", "model_args": {"nodes": 24}, "par": {"x9": 0}},
+        )
+        assert code == 400 and "factor for 'x9'" in payload["error"]
         _, _, stats = _get(server, "/v1/stats")
-        assert stats["errors"] == 2
+        assert stats["errors"] == 3
 
     @pytest.mark.parametrize("declared", [None, "abc", "-1", "+5", "1e3"])
     def test_bad_content_length_is_400(self, server, declared):

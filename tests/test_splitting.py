@@ -622,9 +622,10 @@ class TestSplitCLI:
     def test_autotune_with_split_axis(self, capsys):
         rc = cli_main(
             [
-                "autotune", "--model", "gcn", "--nodes", "24", "--density",
+                "tune", "--model", "gcn", "--nodes", "24", "--density",
                 "0.1", "--hierarchy", "fpga-small", "--split", "x1=4",
-                "--simulate-top", "4", "--max-candidates", "16",
+                "--strategy", "exhaustive", "--budget", "4",
+                "--max-candidates", "16",
             ]
         )
         assert rc == 0

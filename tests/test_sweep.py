@@ -13,6 +13,7 @@ from repro.sweep import (
     SweepSpec,
     SweepSpecError,
     build_bundle,
+    bundle_for,
     compatible_datasets,
     render_summary,
     run_point,
@@ -104,8 +105,8 @@ class TestSpec:
             assert "synthetic" in compatible_datasets(model)
 
     def test_labels_distinguish_model_args(self):
-        # BENCH series are keyed by label: distinct point IDs must never
-        # share one.
+        # Report rows and fault-site globs key on the label: distinct point
+        # IDs must never share one.
         a = SweepPoint.make("gcn", model_args={"nodes": 24})
         b = SweepPoint.make("gcn", model_args={"nodes": 48})
         assert a.point_id != b.point_id
@@ -273,12 +274,11 @@ class TestRunPoint:
     def test_verification_failure_is_a_failed_point(self, monkeypatch):
         # A point that executes but disagrees with the dense reference must
         # be retryable (status error), not a silently wrong success.
-        import repro.sweep.runner as runner_mod
-
         point = SweepPoint.make("sae", schedule="full", model_args=SMALL_ARGS)
-        bundle = build_bundle(point)
-        bundle.reference = bundle.reference + 1.0  # corrupt the oracle
-        monkeypatch.setattr(runner_mod, "_bundle_for", lambda p: bundle)
+        bundle = bundle_for(point)
+        # Corrupt the oracle of the shared bundle run_point will use;
+        # monkeypatch restores it for later tests.
+        monkeypatch.setattr(bundle, "reference", bundle.reference + 1.0)
         record = run_point(point)
         assert record["status"] == "error"
         assert record["verified"] is False
