@@ -28,11 +28,11 @@ tuned = autotune(
     bundle.binding,
     stats,
     candidates=bundle.schedules(),  # unfused / partial / full
-    simulate_top=3,
+    budget=3,
 )
 print(
     f"\nautotuner: considered {tuned.candidates_considered} candidates, "
-    f"simulated {tuned.candidates_simulated}"
+    f"simulated {tuned.evaluations}"
 )
 for name, cycles in tuned.ranking:
     print(f"  {name:14s} {cycles:10.0f} cycles")

@@ -64,7 +64,6 @@ from .sweep import (
     render_summary,
     run_sweep,
     summarize,
-    sweep_schedules,
     write_summary_json,
 )
 
@@ -336,16 +335,13 @@ def cmd_sweep_quick(args) -> int:
     schedules = [
         replace(point, schedule=gran).schedule_for(bundle) for gran in granularities
     ]
-    runs = sweep_schedules(
-        _session(args, point),
-        bundle.program,
-        bundle.binding,
-        schedules,
-    )
-    baseline = runs[0].cycles if runs else 1.0
+    results = _session(args, point).compare_schedules(
+        bundle.program, bundle.binding, schedules
+    ).values()
+    baseline = next(iter(results)).metrics.cycles
     print(f"{'granularity':12s} {'cycles':>12s} {'speedup':>8s} {'flops':>12s} {'bytes':>12s}")
-    for gran, run in zip(granularities, runs):
-        m = run.result.metrics
+    for gran, result in zip(granularities, results):
+        m = result.metrics
         print(
             f"{gran:12s} {m.cycles:12.0f} {baseline / m.cycles:8.2f} "
             f"{m.flops:12d} {m.dram_bytes:12d}"
@@ -497,7 +493,7 @@ def cmd_estimate(args) -> int:
 def cmd_tune(args) -> int:
     """Schedule search over the joint space (see docs/scheduling.md).
 
-    ``--strategy`` picks a registered search strategy — ``exhaustive``
+    ``--strategy`` picks a search strategy — ``exhaustive``
     enumerates fusion partitions × ``--split`` candidates, ranks them with
     the cost model and simulates the best ``--budget``; ``beam`` and
     ``evolutionary`` search by local moves.  ``--budget`` caps successful

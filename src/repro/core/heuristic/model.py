@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...comal.machines import RDA_MACHINE
 from ..einsum.ast import EinsumProgram, MULTIPLICATIVE_OPS, Statement
 from ..fusion.fuse import FusedEinsum, fold_masks, fuse_region, merge_contractions
 from ..schedule.schedule import Schedule, unfused
@@ -69,11 +70,6 @@ class FusionHeuristic:
 
     VALUE_BYTES = 8
     CRD_BYTES = 4
-    # On-chip residency threshold, matching the simulator's scratchpad.
-    # Default mirrors Machine.scratchpad_bytes; pass the target machine's
-    # value (rank_schedules does) so hierarchy-pinned operand budgets
-    # shift the estimates the same way they shift simulated traffic.
-    scratchpad_bytes = 1 << 16
 
     def __init__(
         self,
@@ -84,8 +80,13 @@ class FusionHeuristic:
         self.program = program
         self.stats = dict(stats)
         self.sizes = program.index_sizes()
-        if scratchpad_bytes is not None:
-            self.scratchpad_bytes = scratchpad_bytes
+        # On-chip residency threshold, matching the simulator's
+        # scratchpad.  Pass the target machine's value (rank_schedules
+        # and the cost models do) so hierarchy-pinned operand budgets
+        # shift the estimates the same way they shift simulated traffic.
+        if scratchpad_bytes is None:
+            scratchpad_bytes = RDA_MACHINE.scratchpad_bytes
+        self.scratchpad_bytes = scratchpad_bytes
 
     # ------------------------------------------------------------------
     def estimate(self, schedule: Schedule | None = None) -> HeuristicEstimate:

@@ -12,12 +12,8 @@ from .search import (
     STRATEGIES,
     Evaluator,
     SearchPoint,
-    SearchResult,
     SearchSpace,
-    SearchStrategy,
     SearchTask,
-    get_strategy,
-    register_strategy,
 )
 from .schedule import (
     Schedule,
@@ -60,9 +56,5 @@ __all__ = [
     "SearchPoint",
     "SearchSpace",
     "SearchTask",
-    "SearchResult",
-    "SearchStrategy",
     "Evaluator",
-    "get_strategy",
-    "register_strategy",
 ]

@@ -8,11 +8,12 @@ heuristic for pruning (Section 7).  This module composes them:
 
 1. enumerate candidate fusion schedules (all contiguous partitions up to a
    budget, or user-supplied candidates),
-2. rank them with the FLOPs/bytes heuristic under a machine roofline,
+2. rank them with the cost model under the session's machine,
 3. simulate only the top-k survivors and return the measured winner.
 
 This mirrors the paper's design-space-exploration methodology (56
-configurations, heuristic pruning of suboptimal ones).
+configurations, heuristic pruning of suboptimal ones).  The guided
+strategies that replace step 1 live in :mod:`.search`.
 """
 
 from __future__ import annotations
@@ -20,15 +21,12 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ...comal.machines import Machine, RDA_MACHINE
 from ...driver.executable import Executable
 from ...driver.session import Session
-from ...driver.sweeping import sweep_schedules
 from ..einsum.ast import EinsumProgram
-from ..heuristic.model import FusionHeuristic, TensorStats
-from ..heuristic.prune import roofline_score
+from ..heuristic.model import TensorStats
 from .schedule import Schedule, fused_groups
 from .split import validate_split_item
 
@@ -40,7 +38,6 @@ class TunedSchedule:
     best: Schedule
     measured_cycles: float
     candidates_considered: int
-    candidates_simulated: int
     ranking: List[Tuple[str, float]] = field(default_factory=list)
     # The winner's compiled form, served from the session cache (no extra
     # lowering beyond the simulation that measured it).
@@ -52,10 +49,11 @@ class TunedSchedule:
     # positions within a layer), but the winner is only best *within* it.
     partition_space: int = 0
     partitions_dropped: int = 0
-    # Which ``SearchStrategy`` produced this result ("exhaustive" is the
-    # classic enumerate-rank-simulate path), how many simulations the
-    # search actually spent, and the step-by-step trace of every evaluated
-    # schedule (JSON-safe dicts; identical across runs for a fixed seed).
+    # Which search strategy produced this result ("exhaustive" is the
+    # classic enumerate-rank-simulate path), how many successful
+    # simulations the search spent (one ``ranking`` entry each), and the
+    # step-by-step trace of every evaluated schedule (JSON-safe dicts;
+    # identical across runs for a fixed seed).
     strategy: str = "exhaustive"
     evaluations: int = 0
     search_trace: List[Dict[str, object]] = field(default_factory=list)
@@ -152,22 +150,24 @@ def _split_suffix(config: Mapping[str, int]) -> str:
 
 
 def _dedupe_configs(
-    splits: Optional[Sequence[Mapping[str, int]]],
+    axis: Optional[Sequence[Mapping[str, int]]],
+    validate: Callable[[object, object], None] = validate_split_item,
 ) -> List[Dict[str, int]]:
-    """The split-axis configurations, unsplit first, duplicates dropped.
+    """One search axis's configurations, baseline first, duplicates dropped.
 
-    The exact no-op tile count 1 is normalized away (the split-indices
-    pass no-ops it), so ``{'x1': 1}`` collapses into the unsplit baseline
-    instead of consuming candidate budget on a byte-identical duplicate.
-    Invalid counts (< 1) raise — the same loud rejection
-    ``Schedule.validate``/``SweepPoint.validate`` give them — rather than
-    silently degrading the search to fusion-only.
+    Builds the split axis (``validate_split_item``) and the par axis
+    (``validate_par_item``) for every strategy.  The exact no-op factor 1
+    is normalized away (the passes no-op it), so ``{'x1': 1}`` collapses
+    into the baseline instead of consuming candidate budget on a
+    byte-identical duplicate.  Invalid factors (< 1, non-int) raise — the
+    same loud rejection ``Schedule.validate``/``SweepPoint.validate`` give
+    them — rather than silently dropping that part of the space.
     """
     configs: List[Dict[str, int]] = [{}]
-    for config in splits or ():
-        for idx, tiles in config.items():
-            validate_split_item(idx, tiles)
-        frozen = {idx: tiles for idx, tiles in config.items() if tiles > 1}
+    for config in axis or ():
+        for idx, factor in config.items():
+            validate(idx, factor)
+        frozen = {idx: factor for idx, factor in config.items() if factor > 1}
         if frozen and frozen not in configs:
             configs.append(frozen)
     return configs
@@ -254,38 +254,38 @@ def autotune(
     binding: Dict[str, object],
     stats: Dict[str, TensorStats],
     candidates: Sequence[Schedule] | None = None,
-    machine: Machine | None = None,
-    simulate_top: int = 3,
+    *,
+    budget: int = 3,
     max_candidates: int = 64,
     session: Session | None = None,
     splits: Optional[Sequence[Mapping[str, int]]] = None,
     strategy: str = "exhaustive",
-    budget: Optional[int] = None,
     cost_model: Optional[object] = None,
     seed: int = 0,
     par_options: Optional[Sequence[Mapping[str, int]]] = None,
     model_name: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> TunedSchedule:
     """Pick the best schedule via guided search + simulation.
 
     Candidate schedules that fail to compile (infeasible streaming under the
-    POG) are skipped — an unfused boundary always exists as a fallback.
+    POG) are traced and skipped — an unfused boundary always exists as a
+    fallback.
 
-    Compilation goes through ``session`` (a fresh one per call by default):
-    every simulated candidate lands in the session's compile cache, so the
+    Every simulation runs through ``session`` (a fresh default one per call
+    when omitted), on its machine and backend: build
+    ``Session(machine=..., backend=...)`` to tune for another target.
+    Every simulated candidate lands in the session's compile cache, so the
     returned winner's :attr:`TunedSchedule.executable` — and any later
     ``session.compile`` of the tuned schedule — costs no further lowering.
     Guided strategies revisit points across search steps; revisits are
     compile-cache hits, not recompiles.
 
-    ``strategy`` picks a registered
-    :class:`~repro.core.schedule.search.SearchStrategy`: ``"exhaustive"``
-    (enumerate → rank → simulate top-k; the classic path), ``"beam"``, or
-    ``"evolutionary"`` (local-move search guided by ``cost_model``).
-    ``budget`` caps *successful* simulations — the same convention as
-    ``sweep_schedules(limit=...)``; it defaults to ``simulate_top``.
-    ``cost_model`` is any
+    ``strategy`` names one of :data:`~repro.core.schedule.search.STRATEGIES`:
+    ``"exhaustive"`` (rank the candidates → simulate the top ``budget``),
+    ``"beam"``, or ``"evolutionary"`` (local-move search guided by
+    ``cost_model``).  Explicit ``candidates`` run the exhaustive strategy;
+    without them it enumerates up to ``max_candidates`` schedules.
+    ``budget`` caps *successful* simulations.  ``cost_model`` is any
     :class:`~repro.core.heuristic.costmodel.CostModel` (default: the raw
     analytical heuristic; pass a fitted
     :class:`~repro.core.heuristic.costmodel.CalibratedCostModel` to rank
@@ -296,146 +296,41 @@ def autotune(
     ``splits`` adds a bounded index-splitting axis (ignored when explicit
     ``candidates`` are given) and ``par_options`` a parallelization axis
     (guided strategies only): the search co-optimizes both against fusion
-    granularity.  The analytical heuristic does not model tiling, so split
-    variants of a partition tie on their estimate and the simulation stage
-    is what separates them — raise ``simulate_top``/``budget`` accordingly
-    when sweeping splits.
+    granularity.  Both are validated for every strategy.  The analytical
+    heuristic does not model tiling, so split variants of a partition tie
+    on their estimate and the simulation stage is what separates them —
+    raise ``budget`` accordingly when sweeping splits.
 
     Enumeration truncation is surfaced, never silent: when the
     ``max_candidates`` cap drops contiguous partitions, the drop count
     lands in :attr:`TunedSchedule.partitions_dropped` (and
     ``contiguous_partitions`` warns); the kept subset is deterministic and
     always retains the fully-fused and fully-unfused baselines.
-
-    ``backend`` selects the execution backend candidate simulations run on
-    (``"interp"``/``"columnar"``/``"codegen"`` — all bit-exact, so the
-    winner is backend-independent but the search wall time is not); it is
-    threaded into the default session and recorded in every
-    ``search_trace`` entry.  Incompatible with an explicit ``session``,
-    which fixes its own backend.
     """
-    if session is None:
-        session = Session(machine=machine or RDA_MACHINE, backend=backend)
-    elif backend is not None:
-        raise ValueError(
-            "autotune(backend=...) conflicts with an explicit session; "
-            "construct the Session with backend=... instead"
-        )
-    machine = machine or session.machine
-    if candidates:
-        # Explicit candidate lists bypass the search space: rank and
-        # simulate exactly what the caller supplied (legacy path).
-        return _tune_candidates(
-            program, binding, stats, list(candidates), machine,
-            simulate_top if budget is None else budget, session,
-        )
-    # Lazy import: search imports this module for the exhaustive strategy.
+    # Lazy import: search imports this module for enumeration.
     from ..heuristic.costmodel import HeuristicCostModel
-    from .search import SearchTask, get_strategy
+    from .search import STRATEGIES, SearchSpace, SearchTask
 
-    runner = get_strategy(strategy)
+    if strategy not in STRATEGIES:
+        raise KeyError(
+            f"unknown search strategy {strategy!r}; choose from "
+            f"{', '.join(sorted(STRATEGIES))}"
+        )
+    if candidates and strategy != "exhaustive":
+        raise ValueError(
+            f"explicit candidates run the exhaustive strategy, not {strategy!r}"
+        )
     task = SearchTask(
         program=program,
         binding=binding,
         stats=stats,
-        machine=machine,
-        session=session,
+        session=session or Session(),
         cost_model=cost_model or HeuristicCostModel(),
-        budget=simulate_top if budget is None else budget,
+        budget=budget,
+        space=SearchSpace(program, split_configs=splits, par_configs=par_options),
         seed=seed,
         model_name=model_name,
-        splits=splits,
-        par_options=par_options,
         max_candidates=max_candidates,
+        candidates=list(candidates) if candidates else None,
     )
-    outcome = runner.run(task)
-    winner = session.compile(program, outcome.best)  # cache hit
-    winner = _rebind(winner, machine)
-    return TunedSchedule(
-        best=outcome.best,
-        measured_cycles=outcome.measured_cycles,
-        candidates_considered=outcome.candidates_considered,
-        candidates_simulated=outcome.evaluations,
-        ranking=outcome.ranking,
-        executable=winner,
-        partition_space=outcome.partition_space,
-        partitions_dropped=outcome.partitions_dropped,
-        strategy=runner.name,
-        evaluations=outcome.evaluations,
-        search_trace=outcome.trace,
-    )
-
-
-def _tune_candidates(
-    program: EinsumProgram,
-    binding: Dict[str, object],
-    stats: Dict[str, TensorStats],
-    candidates: List[Schedule],
-    machine: Machine,
-    simulate_top: int,
-    session: Session,
-) -> TunedSchedule:
-    """Rank and simulate an explicit candidate list (pre-search semantics)."""
-    heuristic = FusionHeuristic(program, stats)
-    scored: List[Tuple[float, Schedule]] = []
-    for schedule in candidates:
-        try:
-            estimate = heuristic.estimate(schedule)
-        except Exception:
-            continue
-        scored.append((roofline_score(estimate, machine), schedule))
-    scored.sort(key=lambda pair: pair[0])
-
-    # The simulate-top-k stage is an in-process schedule sweep: infeasible
-    # candidates are skipped without consuming budget (an unfused boundary
-    # always exists as a fallback).
-    runs = sweep_schedules(
-        session,
-        program,
-        binding,
-        [schedule for _, schedule in scored],
-        machine=machine,
-        limit=simulate_top,
-        skip_errors=True,
-    )
-    simulated = len(runs)
-    ranking: List[Tuple[str, float]] = [(r.schedule.name, r.cycles) for r in runs]
-    best_schedule: Optional[Schedule] = None
-    best_cycles = float("inf")
-    for run in runs:
-        if run.cycles < best_cycles:
-            best_cycles = run.cycles
-            best_schedule = run.schedule
-    if best_schedule is None:
-        raise RuntimeError("no candidate schedule could be compiled and run")
-    winner = _rebind(session.compile(program, best_schedule), machine)
-    return TunedSchedule(
-        best=best_schedule,
-        measured_cycles=best_cycles,
-        candidates_considered=len(scored),
-        candidates_simulated=simulated,
-        ranking=ranking,
-        executable=winner,
-        strategy="exhaustive",
-        evaluations=simulated,
-    )
-
-
-def _rebind(winner: Executable, machine: Machine) -> Executable:
-    """Bind a cached executable to the machine the tuning measured on.
-
-    The caller may have paired an explicit machine with a session built
-    for a different one; the rebound handle shares the cached compile
-    artifacts.
-    """
-    if winner.machine is machine:
-        return winner
-    return Executable(
-        winner.compiled,
-        machine,
-        winner.diagnostics,
-        winner.fingerprint,
-        winner.backend,
-        debug_streams=winner.debug_streams,
-        sim_cache=winner.sim_cache,
-    )
+    return STRATEGIES[strategy](task)

@@ -17,23 +17,26 @@ are the five elementary moves:
 * **bump** the split configuration,
 * **toggle** the parallelization configuration.
 
-Strategies live behind the :data:`STRATEGIES` registry:
+The strategies are the three functions in :data:`STRATEGIES`:
 
-* ``exhaustive`` — the classic enumerate → cost-model rank → simulate
-  top-k path (today's :func:`~.autotune.autotune` semantics, bitwise);
+* ``exhaustive`` — cost-model rank ``task.candidates`` (the caller's
+  explicit list, else the enumerated partition × split-config space) and
+  simulate the top ``budget``;
 * ``beam`` — cost-model-guided beam search over local moves, then
   simulate the ``budget`` best predicted points;
 * ``evolutionary`` — seeded mutation/selection over points
   (``numpy.random.default_rng``), same simulate-top-budget finish.
 
-Everything is deterministic for a fixed seed: neighbor generation is
-ordered, ties break on the point key, and randomness comes only from the
-seeded generator — identical invocations produce identical
-``search_trace`` lists.  Simulation budget counts *successful* runs, the
-same convention as ``sweep_schedules(limit=...)``: an infeasible
-candidate is skipped without consuming budget.  All compilation goes
-through one :class:`~repro.driver.session.Session`, so revisited points
-and the final winner are compile-cache hits.
+Every simulation goes through :meth:`Evaluator.measure`, so all three
+count, dedup and trace alike.  Everything is deterministic for a fixed
+seed: neighbor generation is ordered, ties break on the point key, and
+randomness comes only from the seeded generator — identical invocations
+produce identical ``search_trace`` lists.  Simulation budget counts
+*successful* runs: an infeasible candidate is traced but consumes no
+budget.  All compilation goes through one
+:class:`~repro.driver.session.Session`, whose machine and backend every
+simulation uses, so revisited points and the final winner are
+compile-cache hits.
 """
 
 from __future__ import annotations
@@ -43,39 +46,28 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...comal.machines import Machine
 from ...driver.session import Session
 from ..einsum.ast import EinsumProgram
 from ..fusion.fuse import fuse_region
-from ..heuristic.costmodel import CostModel, HeuristicCostModel
+from ..heuristic.costmodel import CostModel
 from ..heuristic.model import TensorStats
+from .autotune import (
+    TunedSchedule,
+    _dedupe_configs,
+    _enumeration_plan,
+    enumerate_schedules,
+    partition_space_size,
+)
 from .schedule import Schedule
+from .split import validate_par_item, validate_split_item
 
-#: Registered search strategies (name -> factory returning a runner).
-STRATEGIES: Dict[str, Callable[[], "SearchStrategy"]] = {}
-
-
-def register_strategy(name: str):
-    """Class decorator adding a strategy to :data:`STRATEGIES`."""
-
-    def wrap(cls):
-        cls.name = name
-        STRATEGIES[name] = cls
-        return cls
-
-    return wrap
-
-
-def get_strategy(name: str) -> "SearchStrategy":
-    """Instantiate a registered strategy; unknown names list the options."""
-    try:
-        factory = STRATEGIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown search strategy {name!r}; registered: "
-            f"{', '.join(sorted(STRATEGIES))}"
-        ) from None
-    return factory()
+#: Dataflow orders considered per region: the compiler's default plus
+#: one alternative.
+ORDER_LIMIT = 2
+#: Points a beam generation keeps.
+BEAM_WIDTH = 4
+#: Evolutionary population: half survivors, half their mutants.
+POPULATION = 16
 
 
 @dataclass(frozen=True)
@@ -99,28 +91,23 @@ class SearchPoint:
 
 
 class SearchSpace:
-    """Neighbor generation and point→schedule materialization."""
+    """Neighbor generation and point→schedule materialization.
+
+    The split and par axes are validated and deduplicated here, once, for
+    every strategy: a bad factor raises instead of making its points
+    silently unreachable.
+    """
 
     def __init__(
         self,
         program: EinsumProgram,
         split_configs: Optional[Sequence[Mapping[str, int]]] = None,
         par_configs: Optional[Sequence[Mapping[str, int]]] = None,
-        order_limit: int = 2,
     ) -> None:
         self.program = program
         self.n = len(program.statements)
-        self.split_configs: List[Dict[str, int]] = [{}]
-        for config in split_configs or ():
-            frozen = {k: v for k, v in config.items() if v > 1}
-            if frozen and frozen not in self.split_configs:
-                self.split_configs.append(frozen)
-        self.par_configs: List[Dict[str, int]] = [{}]
-        for config in par_configs or ():
-            frozen = {k: v for k, v in config.items() if v > 1}
-            if frozen and frozen not in self.par_configs:
-                self.par_configs.append(frozen)
-        self.order_limit = order_limit
+        self.split_configs = _dedupe_configs(split_configs, validate_split_item)
+        self.par_configs = _dedupe_configs(par_configs, validate_par_item)
         self._orders: Dict[Tuple[int, ...], List[Optional[List[str]]]] = {}
 
     # ------------------------------------------------------------------
@@ -149,21 +136,18 @@ class SearchSpace:
         cached = self._orders.get(key)
         if cached is None:
             cached = [None]
-            if self.order_limit > 1:
-                try:
-                    fused = fuse_region(
-                        self.program, list(key), name="search-orders"
-                    )
-                    # The compiler's default pick is already choice 0;
-                    # re-listing it would burn simulation budget on a
-                    # byte-identical compile.
-                    default = fused.first_order()
-                    for order in fused.valid_orders(limit=self.order_limit):
-                        order = list(order)
-                        if order != default and order not in cached[1:]:
-                            cached.append(order)
-                except Exception:
-                    pass
+            try:
+                fused = fuse_region(self.program, list(key), name="search-orders")
+                # The compiler's default pick is already choice 0;
+                # re-listing it would burn simulation budget on a
+                # byte-identical compile.
+                default = fused.first_order()
+                for order in fused.valid_orders(limit=ORDER_LIMIT):
+                    order = list(order)
+                    if order != default and order not in cached[1:]:
+                        cached.append(order)
+            except Exception:
+                pass
             self._orders[key] = cached
         return cached
 
@@ -288,52 +272,37 @@ class SearchSpace:
 
 @dataclass
 class SearchTask:
-    """Everything a strategy needs to run one search."""
+    """Everything a strategy needs to run one search.
+
+    ``candidates`` (exhaustive only) is the caller's explicit schedule
+    list; ``None`` enumerates ``max_candidates`` schedules over ``space``'s
+    split axis instead.
+    """
 
     program: EinsumProgram
     binding: Dict[str, object]
     stats: Mapping[str, TensorStats]
-    machine: Machine
     session: Session
     cost_model: CostModel
     budget: int
+    space: SearchSpace
     seed: int = 0
     model_name: Optional[str] = None
-    splits: Optional[Sequence[Mapping[str, int]]] = None
-    par_options: Optional[Sequence[Mapping[str, int]]] = None
     max_candidates: int = 64
-    order_limit: int = 2
-    beam_width: int = 4
-    generations: Optional[int] = None
-    population: int = 16
-
-
-@dataclass
-class SearchResult:
-    """A strategy's outcome, consumed by :func:`~.autotune.autotune`."""
-
-    best: Schedule
-    measured_cycles: float
-    candidates_considered: int
-    evaluations: int
-    ranking: List[Tuple[str, float]]
-    trace: List[Dict[str, object]]
-    partition_space: int = 0
-    partitions_dropped: int = 0
+    candidates: Optional[List[Schedule]] = None
 
 
 class Evaluator:
-    """Simulation bookkeeping shared by the guided strategies.
+    """The one place a search simulates a schedule.
 
     Deduplicates by schedule content fingerprint, counts only successful
     simulations against the budget, and appends one JSON-safe trace entry
-    per *attempted* evaluation (failures included, so a trace replays the
-    search exactly).
+    per *attempted* evaluation (failures included, with the exception
+    type as the reason, so a trace replays the search exactly).
     """
 
-    def __init__(self, task: SearchTask, space: SearchSpace) -> None:
+    def __init__(self, task: SearchTask) -> None:
         self.task = task
-        self.space = space
         # Execution backend the session simulates on; recorded per trace
         # entry so saved traces state what produced the cycles.
         self.backend = task.session.backend
@@ -352,17 +321,16 @@ class Evaluator:
             self.task.program,
             schedule,
             self.task.stats,
-            self.task.machine,
+            self.task.session.machine,
             model_name=self.task.model_name,
         )
 
     def measure(
-        self, point: SearchPoint, move: str, predicted: float
+        self, schedule: Schedule, move: str, predicted: float
     ) -> Optional[float]:
-        """Simulate one point; returns cycles or ``None`` on failure."""
+        """Simulate one schedule; returns cycles or ``None`` on failure."""
         if self.exhausted():
             return None
-        schedule = self.space.schedule_for(point)
         fingerprint = schedule.fingerprint()
         if fingerprint in self._measured:  # revisit: free, not re-traced
             return self._measured[fingerprint]
@@ -378,10 +346,7 @@ class Evaluator:
         }
         try:
             result = self.task.session.run(
-                self.task.program,
-                self.task.binding,
-                schedule,
-                machine=self.task.machine,
+                self.task.program, self.task.binding, schedule
             )
             cycles = float(result.metrics.cycles)
         except Exception as exc:
@@ -402,63 +367,50 @@ class Evaluator:
         return cycles
 
 
-class SearchStrategy:
-    """Base class; subclasses implement :meth:`run`."""
-
-    name = "base"
-
-    def run(self, task: SearchTask) -> SearchResult:  # pragma: no cover
-        raise NotImplementedError
-
-
-def _finish(task: SearchTask, space: SearchSpace, ev: Evaluator) -> SearchResult:
+def _finish(
+    ev: Evaluator, strategy: str, considered: int, dropped: int = 0
+) -> TunedSchedule:
+    task = ev.task
     if ev.best is None:
         raise RuntimeError(
             "no candidate schedule could be compiled and run within the "
             f"budget of {task.budget} simulation(s)"
         )
-    from .autotune import partition_space_size
-
-    return SearchResult(
+    return TunedSchedule(
         best=ev.best,
         measured_cycles=ev.best_cycles,
-        candidates_considered=len(ev.trace),
-        evaluations=ev.evaluations,
+        candidates_considered=considered,
         ranking=ev.ranking,
-        trace=ev.trace,
-        partition_space=partition_space_size(space.n),
-        partitions_dropped=0,
+        executable=task.session.compile(task.program, ev.best),  # cache hit
+        partition_space=partition_space_size(task.space.n),
+        partitions_dropped=dropped,
+        strategy=strategy,
+        evaluations=ev.evaluations,
+        search_trace=ev.trace,
     )
 
 
-def _simulate_pool(
-    task: SearchTask,
-    space: SearchSpace,
-    ev: Evaluator,
-    pool: Dict[Tuple, Tuple[float, str, SearchPoint]],
-) -> None:
+Pool = Dict[Tuple, Tuple[float, str, SearchPoint]]
+
+
+def _simulate_pool(ev: Evaluator, pool: Pool) -> None:
     """Spend the budget on the pool's best predicted points, in order."""
     ordered = sorted(pool.values(), key=lambda item: (item[0], item[2].key))
     for predicted, move, point in ordered:
         if ev.exhausted():
             break
-        ev.measure(point, move, predicted)
+        ev.measure(ev.task.space.schedule_for(point), move, predicted)
 
 
 def _explore(
-    task: SearchTask,
-    space: SearchSpace,
     ev: Evaluator,
-    frontier: List[Tuple[SearchPoint, str]],
-    select: Callable[
-        [Dict[Tuple, Tuple[float, str, SearchPoint]], int],
-        List[Tuple[SearchPoint, str]],
-    ],
+    select: Callable[[Pool, int], List[Tuple[SearchPoint, str]]],
     rounds: int,
     width: int,
-) -> Dict[Tuple, Tuple[float, str, SearchPoint]]:
-    """Shared explore loop: expand → score (cheap) → select next frontier."""
-    pool: Dict[Tuple, Tuple[float, str, SearchPoint]] = {}
+) -> Pool:
+    """Shared explore loop from the seeds: expand → score (cheap) → select."""
+    space = ev.task.space
+    pool: Pool = {}
 
     def score(point: SearchPoint, move: str) -> None:
         if point.key in pool:
@@ -469,6 +421,7 @@ def _explore(
             return  # heuristic can't cost it; unreachable by this search
         pool[point.key] = (predicted, move, point)
 
+    frontier = [(p, "seed") for p in space.seeds()]
     for point, move in frontier:
         score(point, move)
     for _ in range(rounds):
@@ -484,174 +437,91 @@ def _explore(
     return pool
 
 
-@register_strategy("exhaustive")
-class ExhaustiveStrategy(SearchStrategy):
-    """Today's path: enumerate, cost-model rank, simulate top-``budget``.
+def _best_predicted(pool: Pool, width: int) -> List[Tuple[SearchPoint, str]]:
+    ordered = sorted(pool.values(), key=lambda item: (item[0], item[2].key))
+    return [(point, move) for _, move, point in ordered[:width]]
 
-    Kept behind the registry so ``autotune(strategy="exhaustive")`` and
-    the legacy positional call are one code path; semantics (candidate
-    cap, deterministic truncation, skip-on-error) are unchanged.
+
+def exhaustive_search(task: SearchTask) -> TunedSchedule:
+    """Cost-model rank the candidates, simulate the top ``budget``.
+
+    Candidates are ``task.candidates`` when the caller gave them, else
+    the enumerated partition × split-config space (deterministic
+    truncation, reported as ``partitions_dropped``).
     """
-
-    def run(self, task: SearchTask) -> SearchResult:
-        from .autotune import (
-            _enumeration_plan,
-            enumerate_schedules,
-            partition_space_size,
-        )
-
-        n = len(task.program.statements)
+    candidates, dropped = task.candidates, 0
+    if candidates is None:
+        splits = task.space.split_configs
         candidates = enumerate_schedules(
-            task.program, task.max_candidates, splits=task.splits
+            task.program, task.max_candidates, splits=splits
         )
-        _, _, dropped = _enumeration_plan(n, task.max_candidates, task.splits)
-        scored: List[Tuple[float, int, Schedule]] = []
-        for i, schedule in enumerate(candidates):
-            try:
-                predicted = task.cost_model.predict(
-                    task.program,
-                    schedule,
-                    task.stats,
-                    task.machine,
-                    model_name=task.model_name,
-                )
-            except Exception:
-                continue
-            scored.append((predicted, i, schedule))
-        scored.sort(key=lambda item: item[:2])
-
-        space = SearchSpace(task.program, split_configs=task.splits)
-        ev = Evaluator(task, space)
-        for predicted, _, schedule in scored:
-            if ev.exhausted():
-                break
-            # Bypass point coordinates: enumerated schedules already
-            # carry names/splits; share the evaluator's budget + trace
-            # machinery by inlining its measure body on the schedule.
-            fingerprint = schedule.fingerprint()
-            if fingerprint in ev._measured:
-                continue
-            entry: Dict[str, object] = {
-                "step": len(ev.trace),
-                "move": "enumerate",
-                "schedule": schedule.name,
-                "regions": [list(r) for r in schedule.regions],
-                "splits": dict(schedule.splits),
-                "par": dict(schedule.par),
-                "predicted": float(predicted),
-                "backend": ev.backend,
-            }
-            try:
-                result = task.session.run(
-                    task.program, task.binding, schedule, machine=task.machine
-                )
-                cycles = float(result.metrics.cycles)
-            except Exception as exc:
-                ev._measured[fingerprint] = None
-                entry["status"] = "error"
-                entry["error"] = type(exc).__name__
-                ev.trace.append(entry)
-                continue
-            ev._measured[fingerprint] = cycles
-            ev.evaluations += 1
-            entry["status"] = "ok"
-            entry["cycles"] = cycles
-            ev.trace.append(entry)
-            ev.ranking.append((schedule.name, cycles))
-            if cycles < ev.best_cycles:
-                ev.best_cycles = cycles
-                ev.best = schedule
-        result = _finish(task, space, ev)
-        result.candidates_considered = len(scored)
-        result.partition_space = partition_space_size(n)
-        result.partitions_dropped = dropped
-        return result
+        _, _, dropped = _enumeration_plan(task.space.n, task.max_candidates, splits)
+    ev = Evaluator(task)
+    scored: List[Tuple[float, int, Schedule]] = []
+    for i, schedule in enumerate(candidates):
+        try:
+            scored.append((ev.predict(schedule), i, schedule))
+        except Exception:
+            continue
+    scored.sort(key=lambda item: item[:2])
+    for predicted, _, schedule in scored:
+        if ev.exhausted():
+            break
+        ev.measure(schedule, "enumerate", predicted)
+    return _finish(ev, "exhaustive", len(scored), dropped)
 
 
-@register_strategy("beam")
-class BeamStrategy(SearchStrategy):
+def beam_search(task: SearchTask) -> TunedSchedule:
     """Cost-model-guided beam search over local moves.
 
     Exploration is *cheap* (cost-model calls only): starting from the
     fully-fused and fully-unfused anchors, each generation expands the
-    beam's neighbors and keeps the ``beam_width`` best predicted points.
-    Simulation happens once at the end, spending ``budget`` successful
-    runs on the pool's best predictions — so a 10x-smaller budget than
-    exhaustive enumeration still reaches deep schedules (a 4-region
-    partition of a 22-statement program is ~12 merges from unfused).
+    beam's neighbors and keeps the :data:`BEAM_WIDTH` best predicted
+    points.  Simulation happens once at the end, spending ``budget``
+    successful runs on the pool's best predictions — so a 10x-smaller
+    budget than exhaustive enumeration still reaches deep schedules (a
+    4-region partition of a 22-statement program is ~12 merges from
+    unfused).
     """
-
-    def run(self, task: SearchTask) -> SearchResult:
-        space = SearchSpace(
-            task.program,
-            split_configs=task.splits,
-            par_configs=task.par_options,
-            order_limit=task.order_limit,
-        )
-        ev = Evaluator(task, space)
-        rounds = task.generations
-        if rounds is None:
-            rounds = space.n + 4  # enough merges to cross the whole space
-
-        def select(pool, width):
-            ordered = sorted(
-                pool.values(), key=lambda item: (item[0], item[2].key)
-            )
-            return [(point, move) for _, move, point in ordered[:width]]
-
-        frontier = [(p, "seed") for p in space.seeds()]
-        pool = _explore(
-            task, space, ev, frontier, select, rounds, task.beam_width
-        )
-        _simulate_pool(task, space, ev, pool)
-        result = _finish(task, space, ev)
-        result.candidates_considered = len(pool)
-        return result
+    ev = Evaluator(task)
+    rounds = task.space.n + 4  # enough merges to cross the whole space
+    pool = _explore(ev, _best_predicted, rounds, BEAM_WIDTH)
+    _simulate_pool(ev, pool)
+    return _finish(ev, "beam", len(pool))
 
 
-@register_strategy("evolutionary")
-class EvolutionaryStrategy(SearchStrategy):
+def evolutionary_search(task: SearchTask) -> TunedSchedule:
     """Seeded mutate/select search (``numpy.random.default_rng``).
 
-    The population starts from the two anchors plus random mutants;
-    each generation keeps the best-predicted half and refills with
-    mutations of survivors.  All randomness flows from ``task.seed``, so
-    traces are reproducible; the simulate-top-``budget`` finish matches
-    :class:`BeamStrategy`.
+    The population starts from the two anchors; each generation keeps the
+    best-predicted half and refills with mutations of survivors.  All
+    randomness flows from ``task.seed``, so traces are reproducible; the
+    simulate-top-``budget`` finish matches :func:`beam_search`.
     """
+    space = task.space
+    ev = Evaluator(task)
+    rng = np.random.default_rng(task.seed)
 
-    def run(self, task: SearchTask) -> SearchResult:
-        space = SearchSpace(
-            task.program,
-            split_configs=task.splits,
-            par_configs=task.par_options,
-            order_limit=task.order_limit,
-        )
-        ev = Evaluator(task, space)
-        rng = np.random.default_rng(task.seed)
-        rounds = task.generations
-        if rounds is None:
-            rounds = max(4, space.n // 2 + 2)
+    def mutate(point: SearchPoint) -> Tuple[str, SearchPoint]:
+        options = space.neighbors(point)
+        if not options:
+            return ("seed", point)
+        return options[int(rng.integers(len(options)))]
 
-        def mutate(point: SearchPoint) -> Tuple[str, SearchPoint]:
-            options = space.neighbors(point)
-            if not options:
-                return ("seed", point)
-            return options[int(rng.integers(len(options)))]
+    def select(pool: Pool, width: int) -> List[Tuple[SearchPoint, str]]:
+        survivors = _best_predicted(pool, width)
+        mutants = [mutate(point) for point, _ in survivors]
+        return survivors + [(p, m) for m, p in mutants]
 
-        def select(pool, width):
-            ordered = sorted(
-                pool.values(), key=lambda item: (item[0], item[2].key)
-            )
-            survivors = [(point, move) for _, move, point in ordered[:width]]
-            mutants = [mutate(point) for point, _ in survivors]
-            return survivors + [(p, m) for m, p in mutants]
+    rounds = max(4, space.n // 2 + 2)
+    pool = _explore(ev, select, rounds, POPULATION // 2)
+    _simulate_pool(ev, pool)
+    return _finish(ev, "evolutionary", len(pool))
 
-        frontier = [(p, "seed") for p in space.seeds()]
-        pool = _explore(
-            task, space, ev, frontier, select, rounds, task.population // 2
-        )
-        _simulate_pool(task, space, ev, pool)
-        result = _finish(task, space, ev)
-        result.candidates_considered = len(pool)
-        return result
+
+#: Search strategy name -> function from a task to its tuned result.
+STRATEGIES: Dict[str, Callable[[SearchTask], TunedSchedule]] = {
+    "exhaustive": exhaustive_search,
+    "beam": beam_search,
+    "evolutionary": evolutionary_search,
+}

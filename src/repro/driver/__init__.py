@@ -42,7 +42,6 @@ from .passes import (
 )
 from .pipeline import DEFAULT_PASS_ORDER, PassPipeline, PipelineError
 from .session import CacheInfo, Session, default_session
-from .sweeping import ScheduleRun, sweep_schedules
 
 __all__ = [
     "Session",
@@ -50,8 +49,6 @@ __all__ = [
     "CacheInfo",
     "DiskCache",
     "DiskCacheInfo",
-    "ScheduleRun",
-    "sweep_schedules",
     "Executable",
     "PassPipeline",
     "PipelineError",

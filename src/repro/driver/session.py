@@ -33,7 +33,6 @@ from .diagnostics import CompileDiagnostics
 from .diskcache import DiskCache, entry_key
 from .executable import Executable
 from .pipeline import PassPipeline
-from .sweeping import sweep_schedules
 
 CacheKey = Tuple[str, str, str, str]
 
@@ -417,14 +416,19 @@ class Session:
     ) -> Dict[str, ProgramResult]:
         """Run the program under several schedules (fusion sweeps).
 
+        The one in-process schedule loop: every compile is cached, and the
+        first schedule that fails to compile or run raises.  (Schedule
+        search, which skips infeasible candidates, is
+        :func:`~repro.core.schedule.autotune.autotune`.)
+
         Returns
         -------
         dict
-            Schedule name -> :class:`ProgramResult`, one per schedule.
+            Schedule name -> :class:`ProgramResult`, in input order.
         """
         return {
-            run.schedule.name: run.result
-            for run in sweep_schedules(self, program, binding, schedules, machine)
+            schedule.name: self.run(program, binding, schedule, machine)
+            for schedule in schedules
         }
 
     # ------------------------------------------------------------------

@@ -50,7 +50,7 @@ from .data import (
     table2_rows,
     weighted_adjacency,
 )
-from .driver import Session, sweep_schedules
+from .driver import Session
 from .ftree import Format, LevelKind, SparseTensor, csr, dense
 from .models import (
     build_gcn,
@@ -112,17 +112,13 @@ def verified_run(bundle, schedule, machine=RDA_MACHINE):
 
 def fusion_sweep(bundle, machine=RDA_MACHINE, granularities=GRANULARITIES):
     """Speedup over the first granularity, per granularity, all verified."""
-    runs = sweep_schedules(
-        SESSION,
-        bundle.program,
-        bundle.binding,
-        bundle.schedules(granularities),
-        machine=machine,
+    results = SESSION.compare_schedules(
+        bundle.program, bundle.binding, bundle.schedules(granularities), machine
     )
     cycles = {}
-    for granularity, run in zip(granularities, runs):
-        bundle.verify(run.result)
-        cycles[granularity] = run.cycles
+    for granularity, result in zip(granularities, results.values()):
+        bundle.verify(result)
+        cycles[granularity] = result.metrics.cycles
     return {g: cycles[granularities[0]] / c for g, c in cycles.items()}
 
 
@@ -779,7 +775,7 @@ def search_parity():
                 bundle.binding,
                 stats,
                 session=session,
-                simulate_top=64,
+                budget=64,
                 max_candidates=64,
             )
         guided = {

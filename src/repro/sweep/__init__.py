@@ -14,23 +14,21 @@ a first-class workload instead of shell loops:
   resume-from-partial-results;
 * :func:`summarize` / :func:`render_summary` / :func:`write_summary_json`
   — best-per-model, speedup-vs-baseline, and utilization aggregation, as
-  text or JSON;
-* :func:`sweep_schedules` — the in-process primitive the autotuner,
-  ``Session.compare_schedules``, and the benchmark harness drive their
-  schedule loops through.
+  text or JSON.
+
+One program under several schedules in-process is
+``Session.compare_schedules``.
 
 CLI: ``fuseflow sweep run|resume|report|quick``.
 """
 
 from .report import render_summary, summarize, write_summary_json
 from .runner import (
-    ScheduleRun,
     SweepOutcome,
     SweepRunner,
     run_point,
     run_sweep,
     set_worker_cache_dir,
-    sweep_schedules,
 )
 from .spec import (
     SYNTHETIC,
@@ -56,8 +54,6 @@ __all__ = [
     "run_sweep",
     "run_point",
     "set_worker_cache_dir",
-    "sweep_schedules",
-    "ScheduleRun",
     "ResultStore",
     "ResultStoreError",
     "summarize",

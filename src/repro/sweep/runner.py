@@ -1,19 +1,13 @@
 """Sweep execution: fan points out across workers with shared compile caches.
 
-Two layers:
-
-* :func:`sweep_schedules` — the in-process primitive (re-exported from
-  :mod:`repro.driver.sweeping`, where it lives below the autotuner,
-  ``Session.compare_schedules``, and the benchmark harness that all drive
-  their loops through it).
-* :class:`SweepRunner` — the process-parallel engine: expands a
-  :class:`~repro.sweep.spec.SweepSpec`, skips points already completed in
-  the :class:`~repro.sweep.store.ResultStore` (resume), and fans the rest
-  out over worker processes.  Each worker keeps one ``Session`` per
-  (machine, pipeline, hierarchy, backend) and takes model bundles from
-  :func:`~repro.sweep.spec.bundle_for`, so points sharing a model or a
-  compile fingerprint pay tracing/lowering once per worker, not once per
-  point.
+:class:`SweepRunner` is the process-parallel engine: it expands a
+:class:`~repro.sweep.spec.SweepSpec`, skips points already completed in
+the :class:`~repro.sweep.store.ResultStore` (resume), and fans the rest
+out over worker processes.  Each worker keeps one ``Session`` per
+(machine, pipeline, hierarchy, backend) and takes model bundles from
+:func:`~repro.sweep.spec.bundle_for`, so points sharing a model or a
+compile fingerprint pay tracing/lowering once per worker, not once per
+point.
 
 Every point is functionally verified against its bundle's dense reference;
 the per-point record carries ``max_abs_err`` so a sweep doubles as a
@@ -44,14 +38,11 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from ..comal.machines import MACHINES
 from ..driver.pipeline import PassPipeline
 from ..driver.session import Session
-from ..driver.sweeping import ScheduleRun, sweep_schedules
 from ..reliability import fault_point
 from .spec import _BUNDLES, SweepPoint, SweepSpec, bundle_for
 from .store import ResultStore, ResultStoreError
 
 __all__ = [
-    "ScheduleRun",
-    "sweep_schedules",
     "SweepRunner",
     "SweepOutcome",
     "run_sweep",

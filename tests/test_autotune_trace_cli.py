@@ -69,7 +69,7 @@ class TestAutotune:
             bundle.binding,
             stats,
             candidates=bundle.schedules(),
-            simulate_top=3,
+            budget=3,
         )
         # The tuned pick must match the exhaustive simulation winner.
         cycles = {
@@ -78,13 +78,13 @@ class TestAutotune:
         }
         assert tuned.best.name == min(cycles, key=cycles.get)
         assert tuned.measured_cycles == pytest.approx(min(cycles.values()))
-        assert tuned.candidates_simulated <= 3
+        assert tuned.evaluations <= 3
 
     def test_autotune_enumerated_space(self, bundle):
         stats = stats_from_binding(bundle.binding)
         tuned = autotune(
             bundle.program, bundle.binding, stats,
-            simulate_top=2, max_candidates=12,
+            budget=2, max_candidates=12,
         )
         assert tuned.candidates_considered > 2
         # The winner beats (or ties) the unfused baseline.

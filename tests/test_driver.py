@@ -416,7 +416,7 @@ class TestAutotuneThroughSession:
         prog, binding, _ = gcn_layer
         session = Session()
         stats = stats_from_binding(binding)
-        tuned = autotune(prog, binding, stats, session=session, simulate_top=3)
+        tuned = autotune(prog, binding, stats, session=session, budget=3)
         assert tuned.executable is session.compile(prog, tuned.best)
         assert session.cache_info().hits >= 2
 
@@ -435,7 +435,7 @@ class TestAutotuneThroughSession:
         monkeypatch.setattr(RegionLowerer, "lower", counted)
         stats = stats_from_binding(binding)
         session = Session()
-        tuned = autotune(prog, binding, stats, session=session, simulate_top=3)
+        tuned = autotune(prog, binding, stats, session=session, budget=3)
         after_tune = lowerings["n"]
         assert after_tune > 0
         # Serving-style reuse of the winner: zero additional lowerings.
@@ -448,15 +448,14 @@ class TestAutotuneThroughSession:
         assert lowerings["n"] > after_tune
 
     def test_explicit_machine_binds_winner(self, gcn_layer):
-        """An explicit machine paired with a differently-built session must
-        yield a winner executable bound to the machine the tuning measured
-        on, so tuned.executable(binding) reproduces measured_cycles."""
+        """Tuning on a session built for another machine must yield a
+        winner executable bound to the machine the tuning measured on, so
+        tuned.executable(binding) reproduces measured_cycles."""
         prog, binding, _ = gcn_layer
-        session = Session()  # RDA machine
         stats = stats_from_binding(binding)
         tuned = autotune(
             prog, binding, stats,
-            machine=FPGA_MACHINE, session=session, simulate_top=2,
+            session=Session(machine=FPGA_MACHINE), budget=2,
         )
         assert tuned.executable.machine is FPGA_MACHINE
         assert tuned.executable(binding).metrics.cycles == pytest.approx(
@@ -471,7 +470,7 @@ class TestAutotuneThroughSession:
             bundle.binding,
             stats,
             candidates=bundle.schedules(),
-            simulate_top=3,
+            budget=3,
             session=session,
         )
         cycles = {

@@ -108,12 +108,12 @@ class TestAutotuneReporting:
                 gcn.binding,
                 stats,
                 max_candidates=8,
-                simulate_top=3,
+                budget=3,
                 session=Session(),
             )
 
     def test_ranking_is_measured_cycles_per_simulated_candidate(self, tuned):
-        assert len(tuned.ranking) == tuned.candidates_simulated
+        assert len(tuned.ranking) == tuned.evaluations
         names = [name for name, _ in tuned.ranking]
         assert len(set(names)) == len(names)
         for name, cycles in tuned.ranking:

@@ -33,7 +33,6 @@ from repro.core.schedule.search import (
     STRATEGIES,
     SearchPoint,
     SearchSpace,
-    get_strategy,
 )
 from repro.driver.session import Session
 from repro.models.sae import build_sae
@@ -55,15 +54,79 @@ class TestRegistry:
     def test_registered_strategies(self):
         assert {"exhaustive", "beam", "evolutionary"} <= set(STRATEGIES)
 
-    def test_get_strategy_unknown_lists_options(self):
-        with pytest.raises(KeyError, match="beam"):
-            get_strategy("no-such-strategy")
-
     def test_autotune_unknown_strategy_raises(self, bundles):
         bundle = bundles["sae"]
         stats = stats_from_binding(bundle.binding)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="beam"):
             autotune(bundle.program, bundle.binding, stats, strategy="nope")
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+@pytest.mark.parametrize("axis", ["splits", "par_options"])
+@pytest.mark.parametrize("factor", [0, 2.5])
+def test_bad_factor_raises_for_every_strategy(bundles, strategy, axis, factor):
+    """Both search axes are validated up front, whatever the strategy."""
+    bundle = bundles["sae"]
+    stats = stats_from_binding(bundle.binding)
+    with pytest.raises(ValueError, match="must be an int >= 1"):
+        autotune(
+            bundle.program, bundle.binding, stats, session=Session(),
+            strategy=strategy, budget=1, **{axis: [{"x1": factor}]},
+        )
+
+
+class TestExplicitCandidates:
+    """Explicit candidates run the exhaustive strategy's measuring loop."""
+
+    @pytest.fixture(scope="class")
+    def gcn(self, bundles):
+        bundle = bundles["gcn"]
+        return bundle, stats_from_binding(bundle.binding)
+
+    def test_trace_ok_entries_are_the_ranking(self, gcn):
+        bundle, stats = gcn
+        tuned = autotune(
+            bundle.program, bundle.binding, stats, session=Session(),
+            candidates=bundle.schedules(), budget=3,
+        )
+        ok = [(e["schedule"], e["cycles"]) for e in tuned.search_trace
+              if e["status"] == "ok"]
+        assert ok == tuned.ranking
+        assert {e["move"] for e in tuned.search_trace} == {"enumerate"}
+        assert tuned.strategy == "exhaustive"
+        assert tuned.partitions_dropped == 0
+
+    def test_ranked_by_cost_model_on_session_machine(self, gcn):
+        bundle, stats = gcn
+        schedules = bundle.schedules()
+        session = Session(hierarchy="fpga-small")
+        heuristic = HeuristicCostModel()
+        machines = []
+
+        class Reversed(HeuristicCostModel):
+            def predict(self, program, schedule, stats, machine, model_name=None):
+                machines.append(machine)
+                return -heuristic.predict(program, schedule, stats, machine)
+
+        scores = [
+            -heuristic.predict(bundle.program, s, stats, session.machine)
+            for s in schedules
+        ]
+        first_pick = schedules[scores.index(min(scores))].name
+        tuned = autotune(
+            bundle.program, bundle.binding, stats, session=session,
+            candidates=schedules, budget=1, cost_model=Reversed(),
+        )
+        assert [name for name, _ in tuned.ranking] == [first_pick]
+        assert machines and all(m is session.machine for m in machines)
+
+    def test_guided_strategy_rejects_candidates(self, gcn):
+        bundle, stats = gcn
+        with pytest.raises(ValueError, match="exhaustive"):
+            autotune(
+                bundle.program, bundle.binding, stats,
+                candidates=bundle.schedules(), strategy="beam",
+            )
 
 
 class TestExhaustiveParity:
@@ -97,7 +160,7 @@ class TestExhaustiveParity:
         assert guided["beam"].strategy == "beam"
         assert guided["evolutionary"].strategy == "evolutionary"
         for result in (exhaustive, *guided.values()):
-            assert result.evaluations == result.candidates_simulated
+            assert result.evaluations == len(result.ranking)
             assert len(result.search_trace) >= result.evaluations
             assert result.executable is not None
 

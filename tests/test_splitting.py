@@ -444,7 +444,7 @@ class TestAutotuneSplits:
                 gcn_bundle.binding,
                 stats,
                 max_candidates=8,
-                simulate_top=2,
+                budget=2,
                 session=Session(),
             )
         assert tuned.partition_space == partition_space_size(
@@ -463,7 +463,7 @@ class TestAutotuneSplits:
             gcn_bundle.binding,
             stats,
             max_candidates=8,
-            simulate_top=4,
+            budget=4,
             session=session,
             splits=[config],
         )

@@ -19,7 +19,6 @@ from repro.sweep import (
     run_point,
     run_sweep,
     summarize,
-    sweep_schedules,
     write_summary_json,
 )
 from repro.sweep.runner import clear_worker_caches
@@ -445,22 +444,23 @@ class TestSweepDiskCache:
 
 class TestScheduleSweep:
     def test_limit_counts_only_successes(self):
+        from repro.core.heuristic.model import stats_from_binding
+        from repro.core.schedule.autotune import autotune
         from repro.core.schedule.schedule import Schedule
-        from repro.driver import Session
 
         bundle = build_bundle(SweepPoint.make("gcn", model_args=SMALL_ARGS))
-        session = Session()
         bad = Schedule(name="bad", regions=[[0]])  # misses statements
-        schedules = [bad, *bundle.schedules()]
-        runs = sweep_schedules(
-            session,
+        tuned = autotune(
             bundle.program,
             bundle.binding,
-            schedules,
-            limit=2,
-            skip_errors=True,
+            stats_from_binding(bundle.binding),
+            candidates=[bad, *bundle.schedules()],
+            budget=2,
         )
-        assert [r.schedule.name for r in runs] == ["unfused", "partial"]
+        assert tuned.evaluations == 2
+        assert tuned.candidates_considered == 3
+        assert "bad" not in [name for name, _ in tuned.ranking]
+        assert "bad" not in [entry["schedule"] for entry in tuned.search_trace]
 
     def test_errors_raise_without_skip(self):
         from repro.core.schedule.schedule import Schedule, ScheduleError
@@ -468,8 +468,7 @@ class TestScheduleSweep:
 
         bundle = build_bundle(SweepPoint.make("gcn", model_args=SMALL_ARGS))
         with pytest.raises(ScheduleError):
-            sweep_schedules(
-                Session(),
+            Session().compare_schedules(
                 bundle.program,
                 bundle.binding,
                 [Schedule(name="bad", regions=[[0]])],
