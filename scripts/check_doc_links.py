@@ -6,7 +6,8 @@ directory) for Markdown links and image references, resolves relative
 targets against the linking file, and reports targets that do not exist.
 External links (``http(s)://``, ``mailto:``) and pure in-page anchors
 (``#section``) are skipped; a ``file.md#anchor`` target is checked for the
-file part only.
+file part only.  Fenced code blocks and inline code spans are not Markdown
+links, so text such as `` `table[key](arg)` `` inside them is ignored.
 
 Usage::
 
@@ -28,6 +29,16 @@ from typing import Iterator, List, Tuple
 _INLINE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _REFDEF = re.compile(r"^\s*\[[^\]]+\]:\s+(\S+)", re.MULTILINE)
 
+#: Fenced code blocks: an opening run of 3+ backticks or tildes, up to a
+#: closing run of the same character at least as long (or the end).
+_FENCE = re.compile(
+    r"^ {0,3}(`{3,}|~{3,})[^\n]*\n.*?(?:^ {0,3}\1[`~]*[ \t]*$|\Z)",
+    re.MULTILINE | re.DOTALL,
+)
+#: Inline code spans: a backtick run closed by a run of the same length,
+#: within one paragraph.
+_CODE_SPAN = re.compile(r"(?<!`)(`+)(?!`)((?:(?!\n[ \t]*\n).)+?)(?<!`)\1(?!`)", re.DOTALL)
+
 #: Directories never worth scanning.
 _SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules", ".venv"}
 
@@ -41,8 +52,19 @@ def iter_markdown_files(root: str) -> Iterator[str]:
                 yield os.path.join(dirpath, name)
 
 
+def strip_code(text: str) -> str:
+    """``text`` with fenced blocks and inline code spans blanked out.
+
+    Line breaks inside fenced blocks are kept, so reference definitions
+    stay at the start of their lines.
+    """
+    text = _FENCE.sub(lambda m: "\n" * m.group(0).count("\n"), text)
+    return _CODE_SPAN.sub(" ", text)
+
+
 def iter_links(text: str) -> Iterator[str]:
-    """Yield every link target in one Markdown document."""
+    """Yield every link target in one Markdown document, outside code."""
+    text = strip_code(text)
     for match in _INLINE.finditer(text):
         yield match.group(1)
     for match in _REFDEF.finditer(text):

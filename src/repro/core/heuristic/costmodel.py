@@ -37,7 +37,7 @@ import numpy as np
 from ...comal.machines import Machine
 from ..einsum.ast import EinsumProgram
 from ..schedule.schedule import Schedule
-from .model import FusionHeuristic, TensorStats
+from .model import FusionHeuristic, HeuristicEstimate, TensorStats, stats_key
 from .prune import roofline_score
 
 COSTMODEL_VERSION = 1
@@ -90,15 +90,48 @@ class CostModel:
 class HeuristicCostModel(CostModel):
     """The analytical FLOPs/bytes heuristic behind the CostModel protocol.
 
-    A per-``(program, scratchpad)`` :class:`FusionHeuristic` is cached so
-    a search evaluating hundreds of neighbors pays the per-program setup
-    once, and per-schedule estimates are memoized by content fingerprint
-    (local moves revisit schedules; the heuristic is pure).
+    One :class:`FusionHeuristic` is cached per ``(program, scratchpad,
+    stats)`` so a search evaluating hundreds of neighbors pays the
+    per-program setup once and shares the heuristic's region memos, and
+    its machine-independent estimates are memoized by schedule
+    fingerprint (local moves revisit schedules; the heuristic is pure).
+    The roofline score is applied per call, so machines that differ only
+    in bandwidth or peak never share a prediction.
     """
 
     def __init__(self) -> None:
-        self._heuristics: Dict[Tuple[int, Optional[int]], FusionHeuristic] = {}
-        self._scores: Dict[Tuple[int, Optional[int], str, str], float] = {}
+        self._heuristics: Dict[
+            tuple, Tuple[FusionHeuristic, Dict[str, HeuristicEstimate]]
+        ] = {}
+
+    def estimate(
+        self,
+        program: EinsumProgram,
+        schedule: Schedule,
+        stats: Mapping[str, TensorStats],
+        machine: Machine,
+    ) -> HeuristicEstimate:
+        """The (memoized) heuristic estimate of ``schedule``."""
+        # Stats are matched by content: a caller may re-predict the same
+        # program under changed densities.  The entry's heuristic holds
+        # the program, so ``id(program)`` cannot be reused while it lives.
+        key = (
+            id(program),
+            machine.scratchpad_bytes,
+            tuple(sorted((name, stats_key(st)) for name, st in stats.items())),
+        )
+        entry = self._heuristics.get(key)
+        if entry is None:
+            heuristic = FusionHeuristic(
+                program, dict(stats), scratchpad_bytes=machine.scratchpad_bytes
+            )
+            entry = self._heuristics[key] = (heuristic, {})
+        heuristic, estimates = entry
+        fingerprint = schedule.fingerprint()
+        estimate = estimates.get(fingerprint)
+        if estimate is None:
+            estimate = estimates[fingerprint] = heuristic.estimate(schedule)
+        return estimate
 
     def features(
         self,
@@ -108,14 +141,7 @@ class HeuristicCostModel(CostModel):
         machine: Machine,
     ) -> List[float]:
         """The calibration feature vector (see :data:`FEATURE_NAMES`)."""
-        key = (id(program), machine.scratchpad_bytes)
-        heuristic = self._heuristics.get(key)
-        if heuristic is None:
-            heuristic = FusionHeuristic(
-                program, dict(stats), scratchpad_bytes=machine.scratchpad_bytes
-            )
-            self._heuristics[key] = heuristic
-        estimate = heuristic.estimate(schedule)
+        estimate = self.estimate(program, schedule, stats, machine)
         score = roofline_score(estimate, machine)
         split_product = 1.0
         for tiles in schedule.splits.values():
@@ -143,19 +169,8 @@ class HeuristicCostModel(CostModel):
         machine: Machine,
         model_name: Optional[str] = None,
     ) -> float:
-        key = (
-            id(program),
-            machine.scratchpad_bytes,
-            machine.name,
-            schedule.fingerprint(),
-        )
-        cached = self._scores.get(key)
-        if cached is None:
-            cached = math.expm1(
-                self.features(program, schedule, stats, machine)[0]
-            )
-            self._scores[key] = cached
-        return cached
+        estimate = self.estimate(program, schedule, stats, machine)
+        return math.expm1(_log1p(roofline_score(estimate, machine)))
 
 
 @dataclass

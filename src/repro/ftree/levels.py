@@ -18,7 +18,7 @@ Two level kinds are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -79,10 +79,3 @@ class CompressedLevel:
 
 
 Level = DenseLevel | CompressedLevel
-
-
-def iter_fibers(level: Level, num_parents: int) -> Iterator[Tuple[int, Sequence[int], Sequence[int]]]:
-    """Yield ``(parent_pos, coords, child_positions)`` for each fiber."""
-    for p in range(num_parents):
-        coords, children = level.fiber(p)
-        yield p, coords, children

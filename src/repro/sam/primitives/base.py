@@ -125,7 +125,3 @@ class Primitive:
     def touches_dram(self) -> bool:
         """True when the node moves data to/from off-chip memory."""
         return False
-
-
-def count_tokens(streams: Dict[str, Stream]) -> int:
-    return sum(len(s) for s in streams.values())

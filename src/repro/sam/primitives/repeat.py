@@ -11,7 +11,7 @@ in SpMM, Figure 9 of the paper).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -25,18 +25,9 @@ from ..token import (
     VAL,
     Stream,
     StreamProtocolError,
-    Token,
     TokenStream,
 )
 from .base import ExecutionContext, NodeStats, Primitive
-
-
-def _payloads(stream: Stream) -> Iterator[Token]:
-    """Yield only payload-carrying tokens of ``stream``."""
-    for token in stream:
-        kind = token[0]
-        if kind == REF or kind == VAL or kind == EMPTY or kind == CRD:
-            yield token
 
 
 class Repeat(Primitive):

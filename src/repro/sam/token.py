@@ -85,11 +85,6 @@ def empty() -> Token:
     return EMPTY_TOKEN
 
 
-def is_control(token: Token) -> bool:
-    """Return True for stop/done tokens, which carry no payload data."""
-    return token[0] == STOP or token[0] == DONE
-
-
 def is_payload(token: Token) -> bool:
     """Return True for crd/ref/val/empty tokens."""
     kind = token[0]
@@ -249,20 +244,6 @@ def stream_to_nest(stream: Sequence[Token], depth: int, *, check: bool = True) -
                 stack[idx - 1].append(stack[idx])
                 stack[idx] = []
     return stack[0]
-
-
-def strip_done(stream: Sequence[Token]) -> List[Token]:
-    """Return ``stream`` without its trailing done token."""
-    if stream and stream[-1][0] == DONE:
-        return list(stream[:-1])
-    return list(stream)
-
-
-def append_done(stream: List[Token]) -> List[Token]:
-    """Return ``stream`` with a done token appended (idempotent)."""
-    if stream and stream[-1][0] == DONE:
-        return stream
-    return stream + [DONE_TOKEN]
 
 
 def count_kind(stream: Iterable[Token], kind: int) -> int:

@@ -1,5 +1,8 @@
 """Fusion heuristic tests: estimates track the simulator, pruning works."""
 
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,9 @@ from repro.core.heuristic.model import (
     estimate_schedule,
     stats_from_binding,
 )
+from repro.core.heuristic.costmodel import HeuristicCostModel
 from repro.core.heuristic.prune import prune_schedules, rank_schedules, roofline_score
+from repro.core.schedule.schedule import Schedule
 from repro.comal import RDA_MACHINE
 from repro.models.gcn import gcn_on_synthetic
 from repro.driver.session import default_session
@@ -21,6 +26,12 @@ run = default_session().run
 @pytest.fixture(scope="module")
 def gcn():
     return gcn_on_synthetic(nodes=40, density=0.08, seed=0)
+
+
+@pytest.fixture(scope="module")
+def gcn64():
+    bundle = gcn_on_synthetic(nodes=64, seed=1)
+    return bundle, stats_from_binding(bundle.binding)
 
 
 class TestTensorStats:
@@ -150,3 +161,87 @@ class TestAutotuneReporting:
         reset_truncation_warnings()
         with pytest.warns(UserWarning, match="kept 3 of 64"):
             contiguous_partitions(7, max_partitions=3)
+
+
+class TestMemo:
+    """The region memos change no estimate; cached predictions stay keyed
+    by everything they depend on."""
+
+    @pytest.mark.parametrize("model", ["gcn", "graphsage", "sae", "gpt3"])
+    def test_long_lived_heuristic_matches_fresh(self, model):
+        from repro.core.fusion.fuse import fuse_region
+        from repro.core.schedule.autotune import enumerate_schedules
+        from repro.reproduce import search_bundles
+
+        bundle = search_bundles()[model]
+        program = bundle.program
+        stats = stats_from_binding(bundle.binding)
+        variants = []
+        for base in enumerate_schedules(program, max_candidates=16):
+            widest = max(range(len(base.regions)), key=lambda p: len(base.regions[p]))
+            orders = fuse_region(program, base.regions[widest]).valid_orders(limit=4)
+            variants += [
+                base,
+                replace(base, fold_masks=False),
+                replace(base, global_rewrite=True),
+                replace(base, orders={widest: orders[-1]}),
+            ]
+        schedules = variants * 2  # every schedule is revisited
+        random.Random(0).shuffle(schedules)
+        memo = FusionHeuristic(program, stats)
+        for schedule in schedules:
+            fresh = FusionHeuristic(program, stats).estimate(schedule)
+            assert memo.estimate(schedule) == fresh, schedule.describe()
+
+    def test_region_recosted_when_its_inputs_change(self):
+        """Region [2] fuses the same either way, but the rewrite of region
+        [0, 1] changes the density of the T1 it reads."""
+        from repro.core.einsum.parser import parse_program
+
+        program = parse_program(
+            """
+            tensor A(16, 16): csr
+            tensor B(16, 16): csr
+            tensor C(16, 16): csr
+            T0(i, j) = A(i, k) * B(k, j)
+            T1(i, l) = T0(i, j) * C(j, l)
+            T2(i, l) = relu(T1(i, l))
+            """
+        )
+        stats = {
+            name: TensorStats(shape=(16, 16), density=0.1) for name in "ABC"
+        }
+        chain = Schedule(name="chain", regions=[[0, 1], [2]])
+        merged = replace(chain, global_rewrite=True)
+        memo = FusionHeuristic(program, stats)
+        for schedule in (chain, merged, chain):
+            fresh = FusionHeuristic(program, stats).estimate(schedule)
+            assert memo.estimate(schedule) == fresh
+        assert memo.estimate(chain).per_region[1] != memo.estimate(merged).per_region[1]
+
+    def test_reused_cost_model_sees_changed_stats(self, gcn64):
+        bundle, stats = gcn64
+        denser = {
+            name: replace(st, density=min(1.0, 4 * st.density))
+            for name, st in stats.items()
+        }
+        schedule = bundle.schedule("partial")
+        shared = HeuristicCostModel()
+        shared.predict(bundle.program, schedule, stats, RDA_MACHINE)
+        fresh = HeuristicCostModel().predict(
+            bundle.program, schedule, denser, RDA_MACHINE
+        )
+        assert shared.predict(bundle.program, schedule, denser, RDA_MACHINE) == fresh
+
+    def test_machines_sharing_a_name_do_not_share_predictions(self, gcn64):
+        bundle, stats = gcn64
+        schedule = bundle.schedule("partial")
+        slow = RDA_MACHINE.scaled(dram_bandwidth=RDA_MACHINE.dram_bandwidth / 8)
+        assert slow.name == RDA_MACHINE.name
+        shared = HeuristicCostModel()
+        fast_cycles = shared.predict(bundle.program, schedule, stats, RDA_MACHINE)
+        slow_cycles = shared.predict(bundle.program, schedule, stats, slow)
+        assert slow_cycles == HeuristicCostModel().predict(
+            bundle.program, schedule, stats, slow
+        )
+        assert slow_cycles > fast_cycles
