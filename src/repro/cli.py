@@ -8,12 +8,12 @@ cycles/FLOPs/bytes.  Beyond single runs there are two search entry
 points: ``estimate`` ranks schedules with the analytical heuristic, and
 ``tune`` searches the joint space under a simulation budget —
 ``exhaustive`` enumerates and simulates the fusion × split space,
-``beam``/``evolutionary`` run guided search, optionally steered by a cost
-model calibrated from recorded sweeps.  Every verb describes its
-experiment as one :class:`~repro.sweep.spec.SweepPoint` (the record a
-sweep spec and a serve body also build), and all compilation goes through
-one driver :class:`~repro.driver.Session` per invocation, so sweeps and
-search steps reuse compiled executables instead of re-lowering.
+``beam``/``evolutionary`` run guided search steered by the same
+heuristic.  Every verb describes its experiment as one
+:class:`~repro.sweep.spec.SweepPoint` (the record a sweep spec and a serve
+body also build), and all compilation goes through one driver
+:class:`~repro.driver.Session` per invocation, so sweeps and search steps
+reuse compiled executables instead of re-lowering.
 
 Examples::
 
@@ -34,8 +34,7 @@ Examples::
     fuseflow tune --model gcn --hierarchy fpga-small --strategy exhaustive \
         --split x1=4 --split x1=8
     fuseflow tune --model gcn --strategy beam --budget 6 --seed 0
-    fuseflow tune --model gpt3 --strategy evolutionary --budget 4 \
-        --calibrate sweep.jsonl --cost-model gpt3-costmodel.json
+    fuseflow tune --model gpt3 --strategy evolutionary --budget 4
     fuseflow compile --model sae --fusion full --show-graph --diagnostics
 """
 
@@ -498,13 +497,9 @@ def cmd_tune(args) -> int:
     the cost model and simulates the best ``--budget``; ``beam`` and
     ``evolutionary`` search by local moves.  ``--budget`` caps successful
     simulations; ``--seed`` makes stochastic strategies reproducible
-    (identical invocations print identical traces).  A cost model
-    calibrated from recorded sweeps steers the search: ``--calibrate``
-    fits one from a results file / spec and ``--cost-model`` loads (or,
-    combined with ``--calibrate``, saves) the JSON artifact.
+    (identical invocations print identical traces).  A ``--budget``
+    below 1 or a ``--max-candidates`` below 2 exits with a usage message.
     """
-    from .core.heuristic.costmodel import CalibratedCostModel
-
     point = _point(args)
     bundle = build_bundle(point)
     session = _session(args, point)
@@ -518,26 +513,6 @@ def cmd_tune(args) -> int:
         _point(args, splits=config)
     for config in par_axis:
         _point(args, par=config)
-    cost_model = None
-    if args.calibrate:
-        try:
-            cost_model = CalibratedCostModel().fit_from_store(args.calibrate)
-        except Exception as exc:
-            raise SystemExit(f"calibration failed: {exc}")
-        terms = cost_model.terms.get(args.model) or cost_model.terms.get("*")
-        if terms is not None:
-            print(f"calibrated : {terms.records} record(s) from "
-                  f"{args.calibrate} (rmse {terms.rmse:.3f} vs raw "
-                  f"{terms.raw_rmse:.3f}, log-cycles)")
-        if args.cost_model:
-            cost_model.save(args.cost_model)
-            print(f"cost model : written to {args.cost_model}")
-    elif args.cost_model:
-        try:
-            cost_model = CalibratedCostModel.load(args.cost_model)
-        except Exception as exc:
-            raise SystemExit(f"loading cost model failed: {exc}")
-        print(f"cost model : loaded from {args.cost_model}")
     try:
         tuned = autotune(
             bundle.program,
@@ -547,12 +522,12 @@ def cmd_tune(args) -> int:
             strategy=args.strategy,
             budget=args.budget,
             seed=args.seed,
-            cost_model=cost_model,
-            model_name=args.model,
             max_candidates=args.max_candidates,
             splits=split_axis or None,
             par_options=par_axis or None,
         )
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     except (RuntimeError, KeyError) as exc:
         print(f"tune failed: {exc}", file=sys.stderr)
         return 1
@@ -831,8 +806,7 @@ def main(argv: List[str] | None = None) -> int:
     p_guided = sub.add_parser(
         "tune",
         help="schedule search (exhaustive enumeration, or guided "
-             "beam/evolutionary) under a simulation budget, optionally "
-             "cost-model calibrated",
+             "beam/evolutionary) under a simulation budget",
     )
     _add_model_args(p_guided)
     p_guided.add_argument("--strategy", default="beam",
@@ -845,15 +819,6 @@ def main(argv: List[str] | None = None) -> int:
     p_guided.add_argument("--seed", type=int, default=0,
                           help="search seed; identical invocations produce "
                                "identical traces (default: 0)")
-    p_guided.add_argument("--cost-model", default=None, metavar="PATH",
-                          help="calibrated cost-model JSON artifact to load "
-                               "(or to write, when combined with "
-                               "--calibrate)")
-    p_guided.add_argument("--calibrate", default=None, metavar="PATH",
-                          help="fit the cost model from a sweep artifact "
-                               "first: a ResultStore JSONL, a SweepSpec "
-                               "JSON (executed in-process), or a sweep "
-                               "summary JSON (`sweep report --json`)")
     p_guided.add_argument("--max-candidates", type=int, default=64,
                           help="enumeration cap for the exhaustive strategy "
                                "(fusion partitions x split candidates)")

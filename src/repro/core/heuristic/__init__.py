@@ -1,32 +1,16 @@
-"""Analytical fusion heuristic, schedule pruning, and calibrated cost models."""
+"""Analytical fusion heuristic, schedule ranking, and the search cost model."""
 
-from .costmodel import (
-    COSTMODEL_VERSION,
-    CalibratedCostModel,
-    CalibrationRecord,
-    CostModel,
-    CostModelError,
-    HeuristicCostModel,
-    calibration_records,
-)
-from .model import FusionHeuristic, HeuristicEstimate, TensorStats, estimate_schedule, stats_from_binding
-from .prune import RankedSchedule, prune_schedules, rank_schedules, roofline_score
+from .costmodel import HeuristicCostModel
+from .model import FusionHeuristic, HeuristicEstimate, TensorStats, stats_from_binding
+from .prune import RankedSchedule, rank_schedules, roofline_score
 
 __all__ = [
     "FusionHeuristic",
     "HeuristicEstimate",
     "TensorStats",
-    "estimate_schedule",
     "stats_from_binding",
     "rank_schedules",
-    "prune_schedules",
     "RankedSchedule",
     "roofline_score",
-    "CostModel",
-    "CostModelError",
     "HeuristicCostModel",
-    "CalibratedCostModel",
-    "CalibrationRecord",
-    "calibration_records",
-    "COSTMODEL_VERSION",
 ]

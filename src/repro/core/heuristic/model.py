@@ -445,12 +445,3 @@ class FusionHeuristic:
                 mem += access
             mem += min(mult, 1.0) * density * space * self.CRD_BYTES
         return flops, mem
-
-
-def estimate_schedule(
-    program: EinsumProgram,
-    schedule: Schedule,
-    stats: Dict[str, TensorStats],
-) -> HeuristicEstimate:
-    """Convenience wrapper: estimate one schedule's cost."""
-    return FusionHeuristic(program, stats).estimate(schedule)

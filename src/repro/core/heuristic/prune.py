@@ -10,7 +10,7 @@ dataflow machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ...comal.machines import Machine, RDA_MACHINE
 from ..einsum.ast import EinsumProgram
@@ -53,15 +53,3 @@ def rank_schedules(
         r.score = roofline_score(r.estimate, machine)
     ranked.sort(key=lambda r: r.score)
     return ranked
-
-
-def prune_schedules(
-    program: EinsumProgram,
-    schedules: Sequence[Schedule],
-    stats: Dict[str, TensorStats],
-    keep: int = 3,
-    machine: Machine = RDA_MACHINE,
-) -> List[Schedule]:
-    """Keep the ``keep`` most promising schedules for full simulation."""
-    ranked = rank_schedules(program, schedules, stats, machine)
-    return [r.schedule for r in ranked[: max(keep, 1)]]

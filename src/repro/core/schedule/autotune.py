@@ -285,13 +285,17 @@ def autotune(
     ``"beam"``, or ``"evolutionary"`` (local-move search guided by
     ``cost_model``).  Explicit ``candidates`` run the exhaustive strategy;
     without them it enumerates up to ``max_candidates`` schedules.
-    ``budget`` caps *successful* simulations.  ``cost_model`` is any
-    :class:`~repro.core.heuristic.costmodel.CostModel` (default: the raw
-    analytical heuristic; pass a fitted
-    :class:`~repro.core.heuristic.costmodel.CalibratedCostModel` to rank
-    with per-model corrections).  ``seed`` makes stochastic strategies
-    reproducible: identical invocations produce identical
-    :attr:`TunedSchedule.search_trace` lists.
+    ``budget`` caps *successful* simulations.  ``cost_model`` is a
+    :class:`~repro.core.heuristic.costmodel.HeuristicCostModel` (default:
+    a fresh one; pass one to share its memos across searches, or a
+    subclass to observe predictions).  ``seed`` makes stochastic
+    strategies reproducible: identical invocations produce identical
+    :attr:`TunedSchedule.search_trace` lists.  ``model_name`` is accepted
+    for existing callers and ignored.
+
+    Raises :class:`ValueError` before any search work for a ``budget``
+    below 1, a ``max_candidates`` below 2 (the cap that keeps both
+    baselines) or an empty explicit ``candidates`` list.
 
     ``splits`` adds a bounded index-splitting axis (ignored when explicit
     ``candidates`` are given) and ``par_options`` a parallelization axis
@@ -316,6 +320,17 @@ def autotune(
             f"unknown search strategy {strategy!r}; choose from "
             f"{', '.join(sorted(STRATEGIES))}"
         )
+    if budget < 1:
+        raise ValueError(f"autotune budget must be an int >= 1, got {budget!r}")
+    if max_candidates < 2:
+        raise ValueError(
+            f"autotune max_candidates must be an int >= 2, got {max_candidates!r}"
+        )
+    if candidates is not None and not candidates:
+        raise ValueError(
+            "autotune candidates must name at least one schedule "
+            "(pass None to enumerate)"
+        )
     if candidates and strategy != "exhaustive":
         raise ValueError(
             f"explicit candidates run the exhaustive strategy, not {strategy!r}"
@@ -329,7 +344,6 @@ def autotune(
         budget=budget,
         space=SearchSpace(program, split_configs=splits, par_configs=par_options),
         seed=seed,
-        model_name=model_name,
         max_candidates=max_candidates,
         candidates=list(candidates) if candidates else None,
     )

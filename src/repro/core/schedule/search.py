@@ -49,7 +49,7 @@ import numpy as np
 from ...driver.session import Session
 from ..einsum.ast import EinsumProgram
 from ..fusion.fuse import fuse_region
-from ..heuristic.costmodel import CostModel
+from ..heuristic.costmodel import HeuristicCostModel
 from ..heuristic.model import TensorStats
 from .autotune import (
     TunedSchedule,
@@ -283,11 +283,10 @@ class SearchTask:
     binding: Dict[str, object]
     stats: Mapping[str, TensorStats]
     session: Session
-    cost_model: CostModel
+    cost_model: HeuristicCostModel
     budget: int
     space: SearchSpace
     seed: int = 0
-    model_name: Optional[str] = None
     max_candidates: int = 64
     candidates: Optional[List[Schedule]] = None
 
@@ -322,7 +321,6 @@ class Evaluator:
             schedule,
             self.task.stats,
             self.task.session.machine,
-            model_name=self.task.model_name,
         )
 
     def measure(

@@ -10,9 +10,8 @@ every field the experiment reads), so a results file written today still
 matches the same grid tomorrow and ``sweep resume`` can skip completed
 points by ID alone.
 
-A :class:`SweepPoint` is also what a ``fuseflow`` CLI invocation, a
-``/v1/*`` serve body and a cost-model calibration record build: the one
-description of "which experiment".
+A :class:`SweepPoint` is also what a ``fuseflow`` CLI invocation and a
+``/v1/*`` serve body build: the one description of "which experiment".
 """
 
 from __future__ import annotations
@@ -388,7 +387,7 @@ def build_bundle(point: SweepPoint) -> ModelBundle:
     return build_gpt3(**args)
 
 
-# The process's traced models (sweep workers, serve threads, calibration).
+# The process's traced models (sweep workers, serve threads).
 _BUNDLES: Dict[Tuple, ModelBundle] = {}
 _BUNDLES_LOCK = threading.Lock()
 

@@ -314,46 +314,27 @@ class TestTune:
                 ["tune", "--model", "gcn", *SMALL, "--strategy", "randomly"]
             )
 
-    def test_tune_calibrate_save_load_cycle(self, capsys, tmp_path):
-        store = tmp_path / "cal.jsonl"
-        assert cli_main(
-            ["sweep", "run", "--quiet", "--models", "sae", "--machines",
-             "rda", "--nodes", "16", "--workers", "2", "--out", str(store)]
-        ) == 0
-        capsys.readouterr()
-        artifact = tmp_path / "costmodel.json"
-        code = cli_main(
-            ["tune", "--model", "sae", "--nodes", "16", "--budget", "2",
-             "--calibrate", str(store), "--cost-model", str(artifact)]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "calibrated :" in out and "rmse" in out
-        assert artifact.exists()
-        code = cli_main(
-            ["tune", "--model", "sae", "--nodes", "16", "--budget", "2",
-             "--cost-model", str(artifact)]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert f"loaded from {artifact}" in out
-
-    def test_tune_bad_calibration_file_exits(self, tmp_path):
-        bad = tmp_path / "junk.json"
-        bad.write_text('{"hello": 1}')
-        with pytest.raises(SystemExit, match="calibration failed"):
-            cli_main(
-                ["tune", "--model", "sae", "--nodes", "16", "--calibrate",
-                 str(bad)]
-            )
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--budget", "0"], "budget must be an int >= 1, got 0"),
+            (["--budget", "-1"], "budget must be an int >= 1, got -1"),
+            (["--max-candidates", "0"], "max_candidates must be an int >= 2, got 0"),
+            (["--max-candidates", "1"], "max_candidates must be an int >= 2, got 1"),
+        ],
+    )
+    def test_tune_bad_search_limits_exit_with_usage(self, flags, message):
+        with pytest.raises(SystemExit, match=message):
+            cli_main(["tune", "--model", "sae", "--nodes", "16", *flags])
 
     def test_tune_help_lists_strategies(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["tune", "--help"])
         out = " ".join(capsys.readouterr().out.split())
-        for flag in ("--strategy", "--budget", "--seed", "--cost-model",
-                     "--calibrate", "--trace-out"):
+        for flag in ("--strategy", "--budget", "--seed", "--trace-out"):
             assert flag in out
+        for flag in ("--cost-model", "--calibrate"):
+            assert flag not in out
         for strategy in ("beam", "evolutionary", "exhaustive"):
             assert strategy in out
 

@@ -1,4 +1,4 @@
-"""Fusion heuristic tests: estimates track the simulator, pruning works."""
+"""Fusion heuristic tests: estimates track the simulator, ranking works."""
 
 import random
 from dataclasses import replace
@@ -9,11 +9,10 @@ import pytest
 from repro.core.heuristic.model import (
     FusionHeuristic,
     TensorStats,
-    estimate_schedule,
     stats_from_binding,
 )
 from repro.core.heuristic.costmodel import HeuristicCostModel
-from repro.core.heuristic.prune import prune_schedules, rank_schedules, roofline_score
+from repro.core.heuristic.prune import rank_schedules, roofline_score
 from repro.core.schedule.schedule import Schedule
 from repro.comal import RDA_MACHINE
 from repro.models.gcn import gcn_on_synthetic
@@ -73,7 +72,7 @@ class TestEstimates:
 
     def test_per_region_breakdown(self, gcn):
         stats = stats_from_binding(gcn.binding)
-        est = estimate_schedule(gcn.program, gcn.schedule("partial"), stats)
+        est = FusionHeuristic(gcn.program, stats).estimate(gcn.schedule("partial"))
         assert len(est.per_region) == 2
         assert est.operational_intensity() > 0
 
@@ -89,17 +88,17 @@ class TestPruning:
         """The heuristic's top pick matches the simulator's winner."""
         stats = stats_from_binding(gcn.binding)
         schedules = gcn.schedules()
-        kept = prune_schedules(gcn.program, schedules, stats, keep=1)
+        best_by_heuristic = rank_schedules(gcn.program, schedules, stats)[0]
         sim_cycles = {
             s.name: run(gcn.program, gcn.binding, s).metrics.cycles
             for s in schedules
         }
         best_by_sim = min(sim_cycles, key=sim_cycles.get)
-        assert kept[0].name == best_by_sim
+        assert best_by_heuristic.schedule.name == best_by_sim
 
     def test_roofline_score_positive(self, gcn):
         stats = stats_from_binding(gcn.binding)
-        est = estimate_schedule(gcn.program, gcn.schedule("partial"), stats)
+        est = FusionHeuristic(gcn.program, stats).estimate(gcn.schedule("partial"))
         assert roofline_score(est, RDA_MACHINE) > 0
 
 

@@ -1,5 +1,5 @@
 """Guided-search tests: exhaustive-parity oracle, seeded determinism,
-cost-model round trips.
+argument validation.
 
 The exhaustive enumerate-rank-simulate path is the *oracle*: at small n
 it measures every feasible candidate, so a guided strategy that claims
@@ -19,13 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comal.machines import RDA_MACHINE
-from repro.core.heuristic.costmodel import (
-    CalibratedCostModel,
-    CalibrationRecord,
-    CostModelError,
-    HeuristicCostModel,
-)
+from repro.core.heuristic.costmodel import HeuristicCostModel
 from repro.core.heuristic.model import stats_from_binding
 from repro.core.schedule.autotune import autotune
 from repro.core.schedule.schedule import Schedule
@@ -75,6 +69,26 @@ def test_bad_factor_raises_for_every_strategy(bundles, strategy, axis, factor):
         )
 
 
+@pytest.mark.parametrize(
+    "limits, message",
+    [
+        (dict(budget=0), "budget must be an int >= 1, got 0"),
+        (dict(budget=-1), "budget must be an int >= 1, got -1"),
+        (dict(max_candidates=0), "max_candidates must be an int >= 2, got 0"),
+        (dict(max_candidates=1), "max_candidates must be an int >= 2, got 1"),
+        (dict(candidates=[]), "candidates must name at least one schedule"),
+    ],
+)
+def test_bad_search_limits_raise_before_search(bundles, limits, message):
+    """Unusable limits fail up front, not as an empty search's RuntimeError."""
+    bundle = bundles["sae"]
+    stats = stats_from_binding(bundle.binding)
+    session = Session()
+    with pytest.raises(ValueError, match=message):
+        autotune(bundle.program, bundle.binding, stats, session=session, **limits)
+    assert session.cache_info().misses == 0
+
+
 class TestExplicitCandidates:
     """Explicit candidates run the exhaustive strategy's measuring loop."""
 
@@ -104,7 +118,7 @@ class TestExplicitCandidates:
         machines = []
 
         class Reversed(HeuristicCostModel):
-            def predict(self, program, schedule, stats, machine, model_name=None):
+            def predict(self, program, schedule, stats, machine):
                 machines.append(machine)
                 return -heuristic.predict(program, schedule, stats, machine)
 
@@ -254,173 +268,3 @@ class TestSearchSpace:
         schedule = space.schedule_for(point)
         assert schedule.splits == {"x1": 4}
         assert schedule.par == {"i": 2}
-
-
-class TestCostModelRoundTrip:
-    @pytest.fixture(scope="class")
-    def records(self, bundles, tuned):
-        """Ground truth from the exhaustive oracle's measured trace (gcn)."""
-        bundle = bundles["gcn"]
-        stats = stats_from_binding(bundle.binding)
-        exhaustive, _ = tuned["gcn"]
-        out = []
-        for entry in exhaustive.search_trace:
-            if entry["status"] != "ok":
-                continue
-            out.append(
-                CalibrationRecord(
-                    model_name="gcn",
-                    program=bundle.program,
-                    schedule=Schedule(
-                        name=entry["schedule"],
-                        regions=[list(r) for r in entry["regions"]],
-                        splits=dict(entry["splits"]),
-                        par=dict(entry["par"]),
-                    ),
-                    stats=stats,
-                    machine=RDA_MACHINE,
-                    cycles=entry["cycles"],
-                )
-            )
-        assert len(out) >= 10
-        return out
-
-    def test_fit_save_load_bit_stable(self, records, tmp_path):
-        model = CalibratedCostModel().fit(records)
-        first = tmp_path / "cm1.json"
-        second = tmp_path / "cm2.json"
-        model.save(str(first))
-        CalibratedCostModel.load(str(first)).save(str(second))
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_monotone_improvement_vs_raw_heuristic(self, records):
-        """Calibration never fits worse than the raw score predictor."""
-        model = CalibratedCostModel().fit(records)
-        for name, terms in model.terms.items():
-            assert terms.rmse <= terms.raw_rmse + 1e-12, (name, terms)
-        assert model.terms["gcn"].rmse < model.terms["gcn"].raw_rmse
-
-    def test_loaded_model_predicts_identically(self, records, tmp_path):
-        bundle_record = records[0]
-        model = CalibratedCostModel().fit(records)
-        path = tmp_path / "cm.json"
-        model.save(str(path))
-        loaded = CalibratedCostModel.load(str(path))
-        args = (
-            bundle_record.program,
-            bundle_record.schedule,
-            bundle_record.stats,
-            bundle_record.machine,
-        )
-        assert model.predict(*args, model_name="gcn") == loaded.predict(
-            *args, model_name="gcn"
-        )
-
-    def test_prediction_clamped_to_roofline(self, records):
-        """Predictions never undershoot the analytical lower bound."""
-        model = CalibratedCostModel().fit(records)
-        base = HeuristicCostModel()
-        for record in records[:5]:
-            args = (
-                record.program,
-                record.schedule,
-                record.stats,
-                record.machine,
-            )
-            assert model.predict(*args, model_name="gcn") >= base.predict(
-                *args
-            ) * (1 - 1e-9)
-
-    def test_unknown_model_falls_back_to_global(self, records):
-        model = CalibratedCostModel().fit(records)
-        record = records[0]
-        value = model.predict(
-            record.program, record.schedule, record.stats, record.machine,
-            model_name="never-seen",
-        )
-        assert value > 0
-
-    def test_empty_fit_raises(self):
-        with pytest.raises(CostModelError):
-            CalibratedCostModel().fit([])
-
-    def test_load_rejects_non_artifact(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text('{"hello": 1}')
-        with pytest.raises(CostModelError, match="not a cost-model"):
-            CalibratedCostModel.load(str(path))
-
-    def test_load_rejects_wrong_version(self, records, tmp_path):
-        model = CalibratedCostModel().fit(records)
-        path = tmp_path / "cm.json"
-        model.save(str(path))
-        payload = json.loads(path.read_text())
-        payload["version"] = 999
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CostModelError, match="version"):
-            CalibratedCostModel.load(str(path))
-
-
-class TestCalibrationFromSweepArtifacts:
-    def test_fit_from_resultstore_jsonl(self, tmp_path):
-        from repro.sweep import SweepSpec, run_sweep
-
-        spec = SweepSpec(
-            name="cal", models=["sae"], schedules=["unfused", "partial", "full"],
-            machines=["rda"], model_args={"nodes": 12},
-        )
-        store = tmp_path / "cal.jsonl"
-        outcome = run_sweep(spec, store_path=str(store), workers=1)
-        assert outcome.failed == 0
-        model = CalibratedCostModel().fit_from_store(str(store))
-        assert "sae" in model.terms and "*" in model.terms
-        assert model.terms["sae"].records == 3
-
-    def test_fit_from_summary_json(self, tmp_path):
-        from repro.sweep import SweepSpec, run_sweep, summarize, write_summary_json
-
-        spec = SweepSpec(
-            name="cal", models=["sae"], schedules=["unfused", "full"],
-            machines=["rda"], model_args={"nodes": 12},
-        )
-        outcome = run_sweep(spec, store_path=None, workers=1)
-        path = tmp_path / "report.json"
-        write_summary_json(summarize(outcome.records, name="cal"), str(path))
-        model = CalibratedCostModel().fit_from_store(str(path))
-        assert model.terms["sae"].records == 2
-
-    def test_fit_from_spec_json_runs_in_process(self, tmp_path):
-        from repro.sweep import SweepSpec
-
-        spec = SweepSpec(
-            name="cal", models=["sae"], schedules=["unfused", "full"],
-            machines=["rda"], model_args={"nodes": 12},
-        )
-        path = tmp_path / "spec.json"
-        spec.save(str(path))
-        model = CalibratedCostModel().fit_from_store(str(path))
-        assert model.terms["sae"].records == 2
-
-    def test_calibrated_search_end_to_end(self, bundles, tuned):
-        """A calibrated model drives autotune and still reaches parity."""
-        bundle = bundles["sae"]
-        stats = stats_from_binding(bundle.binding)
-        exhaustive, _ = tuned["sae"]
-        records = [
-            CalibrationRecord(
-                model_name="sae", program=bundle.program,
-                schedule=Schedule(
-                    name=e["schedule"], regions=[list(r) for r in e["regions"]],
-                    splits=dict(e["splits"]), par=dict(e["par"]),
-                ),
-                stats=stats, machine=RDA_MACHINE, cycles=e["cycles"],
-            )
-            for e in exhaustive.search_trace if e["status"] == "ok"
-        ]
-        calibrated = CalibratedCostModel().fit(records)
-        guided = autotune(
-            bundle.program, bundle.binding, stats, session=Session(),
-            strategy="beam", budget=3, seed=0,
-            cost_model=calibrated, model_name="sae",
-        )
-        assert guided.measured_cycles <= exhaustive.measured_cycles * 1.01
