@@ -2,7 +2,7 @@
 
 Builds SpMM (the paper's Figure 9 running example) from Einsum text,
 compiles it through the driver Session — cross-expression fusion + fusion
-tables, run as a pass pipeline — into a SAMML dataflow graph, runs the
+tables, run as the compile flow — into a SAMML dataflow graph, runs the
 Comal-like simulator, and verifies against numpy.
 
 Run:  python examples/quickstart.py

@@ -12,8 +12,9 @@ Public API surface:
 * :mod:`repro.models` / :mod:`repro.data` — the evaluation's model zoo and
   dataset generators.
 * :mod:`repro.driver` — the compile driver: :class:`Session` (cached
-  compiles), :class:`PassPipeline` (named, pluggable passes), and
-  :class:`Executable` (callable compiled programs with diagnostics).
+  compiles), :class:`PassPipeline` (the fixed compile flow, whose every
+  ablation is a schedule field or the hierarchy), and :class:`Executable`
+  (callable compiled programs with diagnostics).
 """
 
 from . import comal, core, data, driver, ftree, models, sam

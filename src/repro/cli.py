@@ -272,8 +272,6 @@ def cmd_simulate(args) -> int:
                 f"{'runs':>5s} {'run ms':>8s} {'emit/run':>9s}  status"
             )
             for region in exe.regions:
-                if region.graph is None:
-                    continue
                 # One row per emitted tier: a region whose streams turn
                 # out short at run time lands on the token tier although
                 # the declarations had it emit the columnar one.
@@ -360,9 +358,6 @@ def _sweep_spec_from_args(args) -> SweepSpec:
         value = getattr(args, key, None)
         if value is not None:
             model_args[key] = value
-    pipelines = None
-    if args.pipeline:
-        pipelines = [_split_csv(spec) for spec in args.pipeline]
     splits_axis = None
     if getattr(args, "splits", None):
         splits_axis = [_factors([spec], "--splits") for spec in args.splits]
@@ -381,7 +376,6 @@ def _sweep_spec_from_args(args) -> SweepSpec:
         schedules=_split_csv(args.schedules),
         machines=_split_csv(args.machines),
         hierarchies=_split_csv(args.hierarchies) if args.hierarchies else None,
-        pipelines=pipelines,
         model_args=model_args,
         par=_factors(args.par, "--par"),
         splits=splits_axis,
@@ -701,8 +695,6 @@ def main(argv: List[str] | None = None) -> int:
                                "(interp, columnar, codegen; 'default' for "
                                "the session default), gridded against "
                                "every other axis")
-    p_sw_run.add_argument("--pipeline", action="append",
-                          help="comma-separated pass names; repeatable for variants")
     p_sw_run.add_argument("--baseline", default="unfused",
                           help="schedule speedups are reported against")
     p_sw_run.add_argument("--nodes", type=int, default=None, help="graph nodes / SAE dim")

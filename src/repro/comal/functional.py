@@ -100,7 +100,7 @@ def run_functional(
     :func:`repro.backend.base.resolve_backend_name`).  ``debug_streams``
     enables per-stream protocol validation (``None`` reads
     ``FUSEFLOW_DEBUG_STREAMS``).  Validation of the graph structure itself
-    happens once per graph object — the compile pipeline validates at
+    happens once per graph object — the compile flow validates at
     compile time, so cached executables pay nothing here.
 
     ``cache`` memoizes the result per (tensor identities, scratchpad, mode):

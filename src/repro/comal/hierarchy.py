@@ -10,7 +10,7 @@ bandwidth/latency, combined with the existing DRAM parameters into a
 :class:`HierarchySpec`.
 
 Placement is decided at compile time by the ``place-memory`` pass
-(:class:`repro.driver.passes.PlaceMemory`): intermediates that cross fusion
+(:func:`repro.driver.passes.place_memory`): intermediates that cross fusion
 regions are kept in the on-chip buffer while capacity lasts, and *spill* to
 DRAM once it runs out; reads of a spilled intermediate are *fills*.  The
 timed engine (:mod:`repro.comal.engine`) then paces each node's traffic
@@ -103,7 +103,7 @@ class HierarchySpec:
         return self.sram is not None and self.sram.capacity_bytes > 0
 
     def config(self) -> Tuple:
-        """Hashable parameterization, folded into pipeline fingerprints."""
+        """Hashable parameterization, folded into compile-flow fingerprints."""
         if self.sram is None:
             return (self.name,)
         return (

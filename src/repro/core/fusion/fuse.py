@@ -24,6 +24,7 @@ and supports emitting the single fully fused Einsum string of Figure 8c.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -569,3 +570,66 @@ def merge_contractions(fused: FusedEinsum) -> FusedEinsum:
         transposed_views=fused.transposed_views,
         index_sizes=fused.index_sizes,
     )
+
+
+#: The compile flow's front-end passes, in order (see :func:`front_end`).
+FRONT_END_PASSES: Tuple[str, ...] = (
+    "fuse-regions",
+    "fold-masks",
+    "merge-contractions",
+)
+
+
+def front_end_skips(schedule, sids: Sequence[int]) -> Dict[str, str]:
+    """Why ``fold-masks`` / ``merge-contractions`` skip a region.
+
+    Both rewrite across statements, so a singleton region skips them;
+    otherwise the schedule's ``fold_masks`` / ``global_rewrite`` decide.
+    A pass absent from the result runs.
+    """
+    skips: Dict[str, str] = {}
+    if not schedule.fold_masks:
+        skips["fold-masks"] = "disabled by schedule"
+    elif len(sids) < 2:
+        skips["fold-masks"] = "singleton region"
+    if not schedule.global_rewrite:
+        skips["merge-contractions"] = "schedule has no global rewrite"
+    elif len(sids) < 2:
+        skips["merge-contractions"] = "singleton region"
+    return skips
+
+
+def front_end(
+    program: EinsumProgram,
+    sids: Sequence[int],
+    skips: Dict[str, str],
+    name: str,
+    extra_orders: Dict[int, Sequence[str]] | None = None,
+    decls: Dict[str, object] | None = None,
+    seconds: Dict[str, float] | None = None,
+) -> FusedEinsum:
+    """The compile flow's first three passes over one region.
+
+    ``fuse-regions`` (:func:`fuse_region`), then ``fold-masks`` and
+    ``merge-contractions`` unless ``skips`` (from :func:`front_end_skips`)
+    names them.  The compiler and the fusion heuristic both fuse through
+    here; ``seconds``, when given, accumulates each pass's wall time under
+    its name.
+    """
+    start = time.perf_counter()
+    fused = fuse_region(
+        program, sids, name=name, extra_orders=extra_orders, decls=decls
+    )
+    ends = [("fuse-regions", time.perf_counter())]
+    for pass_name, rewrite in (
+        ("fold-masks", fold_masks),
+        ("merge-contractions", merge_contractions),
+    ):
+        if pass_name not in skips:
+            fused = rewrite(fused)
+        ends.append((pass_name, time.perf_counter()))
+    if seconds is not None:
+        for pass_name, end in ends:
+            seconds[pass_name] = seconds.get(pass_name, 0.0) + end - start
+            start = end
+    return fused

@@ -34,7 +34,7 @@ import numpy as np
 
 from ...comal.machines import RDA_MACHINE
 from ..einsum.ast import EinsumProgram, MULTIPLICATIVE_OPS, Statement
-from ..fusion.fuse import FusedEinsum, fold_masks, fuse_region, merge_contractions
+from ..fusion.fuse import FusedEinsum, front_end, front_end_skips
 from ..schedule.schedule import Schedule, unfused
 
 
@@ -142,12 +142,15 @@ class FusionHeuristic:
         estimate = HeuristicEstimate()
         known_stats = dict(self.stats)
         for pos, sids in enumerate(schedule.regions):
-            fold = schedule.fold_masks and len(sids) > 1
-            rewrite = schedule.global_rewrite and len(sids) > 1
-            key = (tuple(sids), fold, rewrite)
+            skips = front_end_skips(schedule, sids)
+            rewrite = "merge-contractions" not in skips
+            key = (tuple(sids), "fold-masks" not in skips, rewrite)
             region = self._fused.get(key)
             if region is None:
-                region = self._fused[key] = _FusedRegion(self._fuse(key))
+                # The compiler's own front end, though without the grown
+                # declarations and statement orders the compiler passes.
+                fused = front_end(self.program, sids, skips, name="h-r")
+                region = self._fused[key] = _FusedRegion(fused)
             order = schedule.orders.get(pos) or region.first_order()
             flops, nbytes = self._region_cost(key, region, order, known_stats)
             estimate.flops += flops
@@ -155,15 +158,6 @@ class FusionHeuristic:
             name = f"h-r{pos}_global" if rewrite else f"h-r{pos}"
             estimate.per_region.append((name, flops, nbytes))
         return estimate
-
-    def _fuse(self, key: RegionKey) -> FusedEinsum:
-        sids, fold, rewrite = key
-        fused = fuse_region(self.program, sids, name="h-r")
-        if fold:
-            fused = fold_masks(fused)
-        if rewrite:
-            fused = merge_contractions(fused)
-        return fused
 
     def _region_cost(
         self,

@@ -22,7 +22,7 @@ Producer->consumer edges are lowered in one of three modes:
     lose on GCN/GraphSAGE (Section 8.3).
 ``materialize``
     Region boundary: the producer writes a tensor through DRAM and the
-    consumer re-scans it (orchestrated by the pipeline, not this module).
+    consumer re-scans it (orchestrated by the compile flow, not this module).
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from ..sam.graph import SAMGraph
 class CompiledRegion:
     """One fused region's compiled form."""
 
-    graph: Optional[SAMGraph]
+    graph: SAMGraph
     fused: FusedEinsum
     order: List[str]
     output_specs: List[OutputSpec]
@@ -63,7 +63,7 @@ class CompiledProgram:
 
     def total_nodes(self) -> int:
         """Total SAMML node count across all lowered regions."""
-        return sum(r.graph.node_count() for r in self.regions if r.graph)
+        return sum(r.graph.node_count() for r in self.regions)
 
     def describe(self) -> str:
         """Multi-line summary: per-region orders, node counts, outputs."""
@@ -73,9 +73,6 @@ class CompiledProgram:
             f"{self.compile_seconds * 1e3:.1f} ms"
         ]
         for region in self.regions:
-            if region.graph is None:
-                lines.append(f"  <unlowered region over {region.order}>")
-                continue
             lines.append(
                 f"  {region.graph.name}: order {region.order}, "
                 f"{region.graph.node_count()} nodes, outputs "
@@ -121,7 +118,7 @@ def execute_compiled(
     Parameters
     ----------
     compiled:
-        The compiled program (every region must carry a lowered graph).
+        The compiled program.
     binding:
         Tensor name -> tensor for the program's inputs; region outputs
         are bound as they materialize.
@@ -135,22 +132,12 @@ def execute_compiled(
     Returns
     -------
     ProgramResult
-
-    Raises
-    ------
-    RuntimeError
-        If a region was never lowered (pipeline missing ``lower-region``).
     """
     bind: Dict[str, Any] = dict(binding)
     metrics = ProgramMetrics(label=compiled.schedule.name)
     produced: Dict[str, SparseTensor] = {}
     region_results: List[SimResult] = []
     for region in compiled.regions:
-        if region.graph is None:
-            raise RuntimeError(
-                f"region {region.order} was never lowered to a graph; "
-                "the compiling pipeline is missing its 'lower-region' pass"
-            )
         for orig, new_name, mode_order in region.transposes:
             if new_name not in bind:
                 source = bind[orig]

@@ -16,7 +16,7 @@ from typing import Dict, List, Tuple
 
 @dataclass
 class RegionDiagnostics:
-    """What the pipeline did to one fusion region."""
+    """What the compile flow did to one fusion region."""
 
     name: str
     position: int

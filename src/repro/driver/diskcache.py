@@ -4,7 +4,7 @@ The Session cache (PR 1) is in-memory and per-process: every new process
 re-pays compilation even for the schedules autotune, sweeps, and serving
 traffic hit over and over.  :class:`DiskCache` is the second cache level —
 a directory of entries keyed by the sha256 of everything the compiler
-reads (program, schedule, pipeline, backend, hierarchy), each holding a
+reads (program, schedule, compile flow, backend, hierarchy), each holding a
 pickled :class:`~repro.driver.compiled.CompiledProgram` plus its compile
 diagnostics and metadata.  A warm cache directory turns a cold process's
 compile into a read-and-unpickle.
@@ -122,7 +122,7 @@ def entry_key(*parts: str) -> str:
     ----------
     *parts:
         Canonical fingerprint strings, typically ``(program, schedule,
-        pipeline, backend, hierarchy)``.  Same idiom as
+        flow, backend, hierarchy)``.  Same idiom as
         ``EinsumProgram.fingerprint``: a sha256 over a newline-joined
         textual rendering, so the key depends only on content.
     """

@@ -3,7 +3,7 @@
 An :class:`Executable` is a compiled program bound to a machine: call it
 on a binding (``exe(binding)`` or ``exe.run(A=..., X=...)``) to simulate,
 introspect it with :meth:`describe`, and read the structured
-:attr:`diagnostics` the pipeline collected while compiling it.  Executables
+:attr:`diagnostics` the compiler collected while compiling it.  Executables
 are immutable and safe to share — the Session cache hands the same object
 back for every fingerprint-identical compile.
 """
@@ -31,11 +31,11 @@ class Executable:
     Parameters
     ----------
     compiled:
-        The region graphs and declaration registry from the pipeline.
+        The region graphs and declaration registry from the compile flow.
     machine:
         Default timing model for executions (overridable per call).
     diagnostics:
-        Structured record of what the pipeline did while compiling.
+        Structured record of what the compile flow did.
     fingerprint:
         The Session cache key this executable was stored under.
     backend, debug_streams, sim_cache:

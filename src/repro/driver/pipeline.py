@@ -1,190 +1,108 @@
-"""The pass pipeline: an ordered, reconfigurable list of named passes.
+"""The compile flow: one fixed function of (program, schedule, hierarchy).
 
-A :class:`PassPipeline` is immutable in use: ``without``/``with_pass``/
-``reordered`` return new pipelines, so a Session can hand out derived
-configurations without invalidating its compile cache (the pipeline's
-:meth:`fingerprint` is part of the cache key).
+Every region of a schedule goes through the same seven passes in
+:data:`DEFAULT_PASS_ORDER`.  Whether an optional pass changes anything is
+the schedule's or the hierarchy's say, never the flow's:
 
-``run`` feeds each fusion region of a schedule through the pass list in
-order, timing every pass and collecting :class:`CompileDiagnostics`.
+* ``fold-masks`` — ``Schedule.fold_masks``;
+* ``merge-contractions`` — ``Schedule.global_rewrite``;
+* ``split-indices`` — ``Schedule.splits``;
+* ``place-memory`` — the memory hierarchy;
+* ``parallelize`` — ``Schedule.par``.
+
+``run`` times every pass and collects :class:`CompileDiagnostics`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from ..comal.hierarchy import FLAT_HIERARCHY, resolve_hierarchy
 from ..core.einsum.ast import EinsumProgram, TensorDecl
+from ..core.fusion.fuse import FRONT_END_PASSES, front_end, front_end_skips
 from ..core.schedule.schedule import Schedule
 from .compiled import CompiledRegion
 from .diagnostics import CompileDiagnostics, RegionDiagnostics
-from .passes import PASS_REGISTRY, Pass, PassContext, RegionState
+from .passes import BACK_END, MAX_ORDER_ATTEMPTS, PassContext, RegionState
 
-#: The standard compile flow (paper Figure 6 plus memory placement and
-#: index splitting): splitting is scheduled *before* lowering (the tile
-#: decision shapes the dataflow order and the placement footprints), and
-#: placement runs right after lowering so every materialized edge gets a
-#: hierarchy level before parallelization retimes the compute lanes.
+#: The compile flow (paper Figure 6 plus memory placement and index
+#: splitting): splitting is scheduled *before* lowering (the tile decision
+#: shapes the dataflow order and the placement footprints), and placement
+#: runs right after lowering so every materialized edge gets a hierarchy
+#: level before parallelization retimes the compute lanes.
 DEFAULT_PASS_ORDER: Tuple[str, ...] = (
-    "fuse-regions",
-    "fold-masks",
-    "merge-contractions",
-    "split-indices",
-    "lower-region",
-    "place-memory",
-    "parallelize",
+    *FRONT_END_PASSES,
+    *(name for name, _ in BACK_END),
 )
 
 
 class PipelineError(RuntimeError):
-    """Raised for malformed pipelines (unknown, duplicate, misordered passes)."""
+    """Raised when asked for a pass order other than the compile flow's."""
 
 
 class PassPipeline:
-    """An ordered list of passes applied region-by-region."""
+    """The compile flow for one memory hierarchy.
 
-    def __init__(self, passes: Sequence[Pass]) -> None:
-        self.passes: List[Pass] = list(passes)
-        names = self.names()
-        dupes = {n for n in names if names.count(n) > 1}
-        if dupes:
-            raise PipelineError(f"duplicate pass name(s) {sorted(dupes)}")
+    Parameters
+    ----------
+    hierarchy:
+        Anything :func:`~repro.comal.hierarchy.resolve_hierarchy` accepts;
+        ``place-memory`` places region outputs in it.  A hierarchy without
+        a usable on-chip level places exactly like the flat one, so it
+        compiles (and fingerprints) as flat.
+    """
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
+    def __init__(self, hierarchy=None) -> None:
+        spec = resolve_hierarchy(hierarchy)
+        self.hierarchy = spec if spec.has_sram else FLAT_HIERARCHY
+
     @classmethod
     def default(cls) -> "PassPipeline":
-        """The standard fuse → fold → merge → lower → parallelize flow."""
-        return cls([PASS_REGISTRY[name]() for name in DEFAULT_PASS_ORDER])
+        """The flow on the flat hierarchy."""
+        return cls()
 
     @classmethod
     def from_names(cls, names: Sequence[str]) -> "PassPipeline":
-        """Build a pipeline of registered passes by name.
-
-        Parameters
-        ----------
-        names:
-            Pass names, in execution order; each must be registered in
-            :data:`~repro.driver.passes.PASS_REGISTRY`.
+        """The flat-hierarchy flow, given its own pass names.
 
         Raises
         ------
         PipelineError
-            For unknown or duplicate names.
+            Unless ``names`` is :data:`DEFAULT_PASS_ORDER`: the order is
+            fixed, and every ablation is a schedule field or the hierarchy.
         """
-        missing = [n for n in names if n not in PASS_REGISTRY]
-        if missing:
+        if tuple(names) != DEFAULT_PASS_ORDER:
             raise PipelineError(
-                f"unknown pass name(s) {missing}; "
-                f"registered: {sorted(PASS_REGISTRY)}"
+                f"the compile flow is fixed: {list(DEFAULT_PASS_ORDER)}, got "
+                f"{list(names)}; ablate through the schedule (fold_masks, "
+                "global_rewrite, splits, par) or the hierarchy instead"
             )
-        return cls([PASS_REGISTRY[n]() for n in names])
+        return cls()
 
     def names(self) -> List[str]:
         """Pass names in execution order."""
-        return [p.name for p in self.passes]
+        return list(DEFAULT_PASS_ORDER)
 
-    def without(self, *names: str) -> "PassPipeline":
-        """A new pipeline with the named passes removed.
-
-        Raises
-        ------
-        PipelineError
-            If any name is not in this pipeline.
-        """
-        self._check_known(names)
-        return PassPipeline([p for p in self.passes if p.name not in names])
-
-    def with_pass(
-        self,
-        new_pass: Pass,
-        before: Optional[str] = None,
-        after: Optional[str] = None,
-    ) -> "PassPipeline":
-        """A new pipeline with ``new_pass`` inserted (appended by default).
-
-        Parameters
-        ----------
-        new_pass:
-            The pass instance to insert.
-        before, after:
-            Anchor pass name; give at most one.
-
-        Returns
-        -------
-        PassPipeline
-            The extended pipeline; this one is unchanged.
-        """
-        if before is not None and after is not None:
-            raise PipelineError("give at most one of before/after")
-        anchor = before if before is not None else after
-        if anchor is None:
-            return PassPipeline([*self.passes, new_pass])
-        self._check_known((anchor,))
-        index = self.names().index(anchor) + (0 if before is not None else 1)
-        return PassPipeline([*self.passes[:index], new_pass, *self.passes[index:]])
-
-    def with_hierarchy(self, hierarchy) -> "PassPipeline":
-        """A new pipeline whose ``place-memory`` pass uses ``hierarchy``.
-
-        Parameters
-        ----------
-        hierarchy:
-            Anything :func:`repro.comal.hierarchy.resolve_hierarchy`
-            accepts (preset name, ``"preset@bytes"``, or a spec).
-
-        Returns
-        -------
-        PassPipeline
-            A copy with the existing ``place-memory`` pass replaced by one
-            configured for ``hierarchy`` — or, if this pipeline has no
-            placement pass, with one appended after ``lower-region``.
-        """
-        from .passes import PlaceMemory
-
-        new_pass = PlaceMemory(hierarchy)
-        if "place-memory" in self.names():
-            return PassPipeline(
-                [new_pass if p.name == "place-memory" else p for p in self.passes]
-            )
-        if "lower-region" in self.names():
-            return self.with_pass(new_pass, after="lower-region")
-        return self.with_pass(new_pass)
-
-    def reordered(self, names: Sequence[str]) -> "PassPipeline":
-        """A new pipeline running this one's passes in the given order."""
-        if sorted(names) != sorted(self.names()):
-            raise PipelineError(
-                f"reordered names {list(names)} must be a permutation of "
-                f"{self.names()}"
-            )
-        by_name = {p.name: p for p in self.passes}
-        return PassPipeline([by_name[n] for n in names])
-
-    def _check_known(self, names: Sequence[str]) -> None:
-        unknown = [n for n in names if n not in self.names()]
-        if unknown:
-            raise PipelineError(
-                f"pass name(s) {unknown} not in pipeline {self.names()}"
-            )
-
-    # ------------------------------------------------------------------
-    # Identity
-    # ------------------------------------------------------------------
     def fingerprint(self) -> str:
-        """Stable hash of pass names, order, and per-pass configuration."""
-        parts = [f"{p.name} {p.config()}" for p in self.passes]
+        """Stable hash of the pass names, order and configuration.
+
+        The rendering predates the fixed flow (one ``"name config"`` line
+        per pass) and is kept so compile-cache keys, disk-cache entries and
+        recorded sweep fingerprints stay valid.
+        """
+        configs = {
+            "lower-region": (MAX_ORDER_ATTEMPTS,),
+            "place-memory": self.hierarchy.config(),
+        }
+        parts = [f"{name} {configs.get(name, ())}" for name in DEFAULT_PASS_ORDER]
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
-    # ------------------------------------------------------------------
-    # Driving
-    # ------------------------------------------------------------------
     def run(
         self, program: EinsumProgram, schedule: Schedule
     ) -> Tuple[List[CompiledRegion], Dict[str, TensorDecl], CompileDiagnostics]:
-        """Compile every region of ``schedule`` through the pass list.
+        """Compile every region of ``schedule`` through the flow.
 
         Parameters
         ----------
@@ -199,62 +117,63 @@ class PassPipeline:
             ``(regions, decls, diagnostics)``: one
             :class:`~repro.driver.compiled.CompiledRegion` per fusion
             region, the grown declaration registry, and the structured
-            :class:`~repro.driver.diagnostics.CompileDiagnostics`.
+            :class:`~repro.driver.diagnostics.CompileDiagnostics` (with
+            per-pass ``pass_seconds``).
         """
         program.validate()
         schedule.validate(program)
-        if (
-            any(tiles > 1 for tiles in schedule.splits.values())
-            and "split-indices" not in self.names()
-        ):
-            # Unlike a hierarchy without place-memory (a meaningful
-            # placement ablation), splits without the split pass do
-            # literally nothing — compiling would produce results labeled
-            # as tiled that never were.
-            raise PipelineError(
-                f"schedule {schedule.name!r} requests index splits "
-                f"{schedule.splits} but this pipeline has no "
-                f"'split-indices' pass ({self.names()}); add the pass or "
-                "clear schedule.splits"
-            )
         diagnostics = CompileDiagnostics(
             program=program.name,
             schedule=schedule.name,
             pass_names=self.names(),
         )
         ctx = PassContext(
-            program=program, schedule=schedule, decls=dict(program.decls)
+            program=program,
+            schedule=schedule,
+            hierarchy=self.hierarchy,
+            decls=dict(program.decls),
         )
+        seconds = diagnostics.pass_seconds
         regions: List[CompiledRegion] = []
         for position, sids in enumerate(schedule.regions):
+            name = f"{schedule.name}-r{position}"
             state = RegionState(
                 position=position,
                 sids=list(sids),
-                name=f"{schedule.name}-r{position}",
-                diag=RegionDiagnostics(
-                    name=f"{schedule.name}-r{position}",
-                    position=position,
-                    sids=list(sids),
-                ),
+                name=name,
+                diag=RegionDiagnostics(name=name, position=position, sids=list(sids)),
             )
             diagnostics.regions.append(state.diag)
-            for pass_ in self.passes:
-                self._check_requirements(pass_, state)
+            skips = front_end_skips(schedule, sids)
+            state.diag.skipped_passes.update(skips)
+            state.fused = front_end(
+                program,
+                sids,
+                skips,
+                name=name,
+                extra_orders={
+                    sid: order
+                    for sid, order in schedule.stmt_orders.items()
+                    if sid in sids
+                },
+                decls=ctx.decls,
+                seconds=seconds,
+            )
+            state.diag.statements = len(state.fused.statements)
+            for pass_name, run_pass in BACK_END:
                 start = time.perf_counter()
-                pass_.run(ctx, state)
-                elapsed = time.perf_counter() - start
-                diagnostics.pass_seconds[pass_.name] = (
-                    diagnostics.pass_seconds.get(pass_.name, 0.0) + elapsed
+                run_pass(ctx, state)
+                seconds[pass_name] = (
+                    seconds.get(pass_name, 0.0) + time.perf_counter() - start
                 )
-            if state.graph is not None:
-                # Validate at compile time so executions (which may replay a
-                # cached Executable thousands of times) never re-validate.
-                state.graph.validate()
+            # Validate at compile time so executions (which may replay a
+            # cached Executable thousands of times) never re-validate.
+            state.graph.validate()
             regions.append(
                 CompiledRegion(
                     graph=state.graph,
                     fused=state.fused,
-                    order=list(state.order) if state.order else [],
+                    order=list(state.order),
                     output_specs=list(state.output_specs),
                     table_text=state.table_text,
                     transposes=list(state.transposes),
@@ -262,26 +181,5 @@ class PassPipeline:
             )
         return regions, ctx.decls, diagnostics
 
-    @staticmethod
-    def _check_requirements(pass_: Pass, state: RegionState) -> None:
-        missing = [
-            attr for attr in pass_.requires if getattr(state, attr) is None
-        ]
-        if missing:
-            raise PipelineError(
-                f"pass {pass_.name!r} needs region state {missing} which no "
-                "earlier pass produced; is the pipeline missing or "
-                "misordering its producer?"
-            )
-        premature = [
-            attr for attr in pass_.forbids if getattr(state, attr) is not None
-        ]
-        if premature:
-            raise PipelineError(
-                f"pass {pass_.name!r} must run before region state "
-                f"{premature} exists (a later pass materializes its "
-                "decisions); is the pipeline misordered?"
-            )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PassPipeline({self.names()})"
+        return f"PassPipeline({self.hierarchy.name!r})"

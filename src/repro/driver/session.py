@@ -1,15 +1,14 @@
-"""The Session: machine + pipeline + fingerprint-keyed compile cache.
+"""The Session: machine + compile flow + fingerprint-keyed compile cache.
 
-A :class:`Session` owns a simulated machine and a :class:`PassPipeline`,
-and memoizes compilation: the cache key is the canonical content
-fingerprint of the program, the schedule, and the pipeline configuration
-— every knob the compiler reads, fusion regions through ``par`` and
-``splits`` — so any in-place mutation of a schedule (or a differently
-configured pipeline) misses the cache rather than serving a stale
-executable, while
-repeated identical compiles — autotuning sweeps, benchmark loops, serving
-the same model over and over — return the same :class:`Executable` object
-at dictionary-lookup cost.
+A :class:`Session` owns a simulated machine and memoizes compilation
+through the compile flow for that machine's hierarchy: the cache key is
+the canonical content fingerprint of the program, the schedule, and the
+flow — every knob the compiler reads, fusion regions through ``par`` and
+``splits`` — so any in-place mutation of a schedule misses the cache
+rather than serving a stale executable, while repeated identical
+compiles — autotuning sweeps, benchmark loops, serving the same model
+over and over — return the same :class:`Executable` object at
+dictionary-lookup cost.
 """
 
 from __future__ import annotations
@@ -97,7 +96,9 @@ class Session:
     machine:
         Timing model simulations run on (default: the RDA machine).
     pipeline:
-        Compile pass pipeline; default is :meth:`PassPipeline.default`.
+        Accepted for existing callers and ignored: the compile flow is
+        fixed, and :attr:`pipeline` is always the flow for this session's
+        hierarchy.
     cache_size:
         Maximum cached executables (LRU eviction).
     debug_streams, sim_cache:
@@ -116,11 +117,9 @@ class Session:
         ``"preset@capacity_bytes"``, or a
         :class:`~repro.comal.hierarchy.HierarchySpec`.  Configures the
         machine (timed engine + scratchpad budget, via
-        :meth:`Machine.with_hierarchy`) and the pipeline's ``place-memory``
-        pass so they agree; ``None`` inherits the machine's.  A supplied
-        pipeline *without* a ``place-memory`` pass is left alone — that is
-        the placement ablation, and the SRAM level then simply goes
-        unused.
+        :meth:`Machine.with_hierarchy`); ``None`` inherits the machine's.
+        The compiler places memory in the machine's hierarchy, so the two
+        always agree; the no-on-chip-buffer ablation is ``"flat"``.
     disk_cache:
         Second cache level behind the in-memory one: a
         :class:`~repro.driver.diskcache.DiskCache`, a cache-directory
@@ -139,7 +138,7 @@ class Session:
     def __init__(
         self,
         machine: Machine = RDA_MACHINE,
-        pipeline: Optional[PassPipeline] = None,
+        pipeline: object = None,
         cache_size: int = 256,
         debug_streams: Optional[bool] = None,
         sim_cache: bool = True,
@@ -149,25 +148,13 @@ class Session:
     ) -> None:
         if cache_size < 1:
             raise ValueError("cache_size must be positive")
-        # Memory hierarchy: keep the machine (which the timed engine reads)
-        # and the place-memory pass (which decides placements at compile
-        # time) in agreement.  ``hierarchy`` accepts a preset name,
-        # "preset@capacity_bytes", or a HierarchySpec; None inherits
-        # whatever hierarchy the machine already carries.  An explicitly
-        # supplied pipeline *without* a place-memory pass is respected —
-        # that is the placement ablation — so the pass is configured where
-        # present, never force-inserted.
         if hierarchy is not None:
             spec = resolve_hierarchy(hierarchy)
             if spec is not machine.hierarchy:
                 machine = machine.with_hierarchy(spec)
-        else:
-            spec = machine.hierarchy
-        pipeline = pipeline or PassPipeline.default()
-        if spec.has_sram and "place-memory" in pipeline.names():
-            pipeline = pipeline.with_hierarchy(spec)
         self.machine = machine
-        self.pipeline = pipeline
+        #: The compile flow; it places memory in the machine's hierarchy.
+        self.pipeline = PassPipeline(machine.hierarchy)
         self.cache_size = cache_size
         #: Execution options threaded into every executable this session
         #: compiles.  The backend is resolved here so that a typo fails at
@@ -207,7 +194,8 @@ class Session:
         tuple of str
             ``(program.fingerprint(), schedule.fingerprint(),
             pipeline.fingerprint(), backend)`` — every input the compiler
-            reads plus the execution backend the executable will run
+            reads (the flow's fingerprint covers the hierarchy it places
+            memory in) plus the execution backend the executable will run
             under.
         """
         return (
@@ -248,7 +236,7 @@ class Session:
         tuple
             ``(executable, source)`` where ``source`` is ``"memory"``
             (in-memory cache hit), ``"disk"`` (loaded from the persistent
-            cache), or ``"compiled"`` (fresh pipeline run).  The serve
+            cache), or ``"compiled"`` (fresh compile).  The serve
             front end surfaces this as the ``X-Fuseflow-Cache`` header.
         """
         schedule = schedule or unfused(program)
@@ -276,10 +264,10 @@ class Session:
     def _disk_key(self, key: CacheKey) -> str:
         """The disk-cache key: the session key plus the memory hierarchy.
 
-        The in-memory key omits the hierarchy because a Session's pipeline
-        fingerprint already reflects its configured ``place-memory`` pass;
-        on disk, entries from differently-configured sessions share one
-        directory, so the hierarchy is hashed in explicitly.
+        The in-memory key covers the hierarchy only through the flow's
+        fingerprint, which reads every hierarchy without an on-chip level
+        as flat; on disk, entries from differently-configured sessions
+        share one directory, so the hierarchy is hashed in explicitly.
         """
         return entry_key(*key, self.machine.hierarchy.describe())
 
@@ -361,8 +349,6 @@ class Session:
 
         by_name = {region.name: region for region in diagnostics.regions}
         for region in compiled.regions:
-            if region.graph is None:
-                continue
             # The tier the run will pick, as far as the declarations can
             # tell (blocked formats); stream length decides at first run.
             artifact = select_artifact(
@@ -471,7 +457,7 @@ class Session:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<Session machine={self.machine.name!r} "
-            f"pipeline={self.pipeline.names()} cache={self.cache_info()}>"
+            f"hierarchy={self.machine.hierarchy.name!r} cache={self.cache_info()}>"
         )
 
 
@@ -483,7 +469,7 @@ def default_session() -> Session:
 
     Sharing one cache is what keeps callers that hold no session of their
     own from recompiling on every call: compiled artifacts depend only on
-    program/schedule/pipeline content, never on tensor data, so reuse
+    program/schedule/hierarchy content, never on tensor data, so reuse
     across callers is sound.
     """
     global _DEFAULT_SESSION

@@ -93,7 +93,7 @@ class ModelBundle:
         """Compile this model at a granularity via the driver Session.
 
         Returns a callable :class:`~repro.driver.Executable`; pass a
-        session to control the machine/pipeline or share a compile cache,
+        session to control the machine/hierarchy or share a compile cache,
         otherwise the process-wide default session is used.
         """
         from ..driver.session import default_session

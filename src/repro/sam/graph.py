@@ -238,7 +238,7 @@ class SAMGraph:
     def ensure_validated(self) -> None:
         """Validate once; repeated calls on an unchanged graph are free.
 
-        The compile pipeline validates every lowered graph at compile time,
+        The compile flow validates every lowered graph at compile time,
         so executions of cached executables skip validation entirely; graphs
         built by hand (tests, notebooks) still get checked on first run.
         """

@@ -1,7 +1,7 @@
 """Parallel experiment-sweep subsystem.
 
 The paper's evaluation is a sweep — many (model × dataset × schedule ×
-pipeline × machine) points simulated under comal.  This package makes that
+machine × hierarchy) points simulated under comal.  This package makes that
 a first-class workload instead of shell loops:
 
 * :class:`SweepSpec` / :class:`SweepPoint` — declarative cartesian grids

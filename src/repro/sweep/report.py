@@ -2,7 +2,8 @@
 
 Turns a pile of per-point result records into the quantities the paper's
 figures report: best configuration per model, speedup of each schedule over
-the baseline schedule within its (model, dataset, machine, pipeline) group,
+the baseline schedule within its (model, dataset, machine, hierarchy,
+splits) group,
 and utilization tables per machine.  The same summary renders as fixed-width
 text (``fuseflow sweep report``) and as a JSON document for downstream
 tooling.
@@ -15,7 +16,7 @@ from typing import Dict, List, Tuple
 
 from ..comal.metrics import format_table
 
-GroupKey = Tuple[str, str, str, str, str, str]
+GroupKey = Tuple[str, str, str, str, str]
 
 
 def _group_key(record: Dict[str, object]) -> GroupKey:
@@ -24,22 +25,15 @@ def _group_key(record: Dict[str, object]) -> GroupKey:
     The splits axis is part of the key (like the hierarchy axis): a tiled
     and an untiled point share a schedule name, so omitting it would let
     them overwrite each other's cycles in the speedup table.  Pre-splitting
-    records have no ``splits`` field and group under the empty config —
-    and the pipeline is rendered via ``SweepPoint.grouping_pipeline`` (the
-    same helper point IDs use) so resumed pre-splitting records land in
-    the same group as their newly-computed siblings.
+    records have no ``splits`` field and group under the empty config.
     """
-    from .spec import SweepPoint
-
     point = record["point"]
     splits = point.get("splits") or {}
-    pipeline = SweepPoint.grouping_pipeline(point["pipeline"], splits)
     return (
         point["model"],
         point["dataset"],
         point["machine"],
         point.get("hierarchy", "flat"),
-        "+".join(pipeline),
         ",".join(f"{k}={v}" for k, v in sorted(splits.items())),
     )
 
@@ -62,7 +56,7 @@ def summarize(
         output / :meth:`~repro.sweep.store.ResultStore.records`).
     baseline_schedule:
         The schedule speedups are computed against, within each
-        (model, dataset, machine, hierarchy, pipeline, splits) group.
+        (model, dataset, machine, hierarchy, splits) group.
     name:
         Sweep name echoed into the summary.
 
@@ -93,7 +87,7 @@ def summarize(
             }
 
     # Speedup of each schedule over the baseline schedule, grouped by
-    # (model, dataset, machine, pipeline).
+    # (model, dataset, machine, hierarchy, splits).
     groups: Dict[GroupKey, Dict[str, float]] = {}
     for record in ok:
         key = _group_key(record)
@@ -108,8 +102,7 @@ def summarize(
             "dataset": key[1],
             "machine": key[2],
             "hierarchy": key[3],
-            "pipeline": key[4],
-            "splits": key[5],
+            "splits": key[4],
             "cycles": cycles_by_schedule,
             "baseline": baseline_schedule,
             "speedup": {

@@ -4,7 +4,7 @@
 :class:`~repro.sweep.spec.SweepSpec`, skips points already completed in
 the :class:`~repro.sweep.store.ResultStore` (resume), and fans the rest
 out over worker processes.  Each worker keeps one ``Session`` per
-(machine, pipeline, hierarchy, backend) and takes model bundles from
+(machine, hierarchy, backend) and takes model bundles from
 :func:`~repro.sweep.spec.bundle_for`, so points sharing a model or a
 compile fingerprint pay tracing/lowering once per worker, not once per
 point.
@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..comal.machines import MACHINES
-from ..driver.pipeline import PassPipeline
 from ..driver.session import Session
 from ..reliability import fault_point
 from .spec import _BUNDLES, SweepPoint, SweepSpec, bundle_for
@@ -87,7 +86,7 @@ def _is_transient(record: Dict[str, object]) -> bool:
 # Per-process sessions.  In a worker process these live for the pool's
 # lifetime, so every point handed to that worker shares compile work via
 # the Session cache (and tracing work via ``bundle_for``).
-_SESSIONS: Dict[Tuple[str, Tuple[str, ...], str, str, str], Session] = {}
+_SESSIONS: Dict[Tuple[str, str, str, str], Session] = {}
 
 # Persistent compile-cache directory worker sessions attach to.  ``None``
 # defers to Session's own resolution (the FUSEFLOW_CACHE_DIR environment
@@ -108,19 +107,13 @@ def set_worker_cache_dir(cache_dir: Optional[str]) -> None:
     _CACHE_DIR = cache_dir
 
 
-def _session_for(
-    machine: str,
-    pipeline: Tuple[str, ...],
-    hierarchy: str = "flat",
-    backend: str = "",
-) -> Session:
-    """The per-process Session for (machine, pipeline, hierarchy, backend)."""
-    key = (machine, tuple(pipeline), hierarchy, backend, _CACHE_DIR or "")
+def _session_for(machine: str, hierarchy: str = "flat", backend: str = "") -> Session:
+    """The per-process Session for (machine, hierarchy, backend)."""
+    key = (machine, hierarchy, backend, _CACHE_DIR or "")
     session = _SESSIONS.get(key)
     if session is None:
         session = Session(
             machine=MACHINES[machine],
-            pipeline=PassPipeline.from_names(pipeline),
             cache_size=1024,
             hierarchy=hierarchy,
             backend=backend or None,
@@ -167,9 +160,7 @@ def run_point(point: SweepPoint) -> Dict[str, object]:
         # e.g. ``*unfused*`` without knowing content-hash point IDs.
         fault_point("sweep.point", key=point.label())
         bundle = bundle_for(point)
-        session = _session_for(
-            point.machine, point.pipeline, point.hierarchy, point.backend
-        )
+        session = _session_for(point.machine, point.hierarchy, point.backend)
         schedule = point.schedule_for(bundle)
         before = session.cache_info()
         executable = session.compile(bundle.program, schedule)

@@ -1,7 +1,7 @@
 """Declarative sweep specifications: grids and points over the design space.
 
 The paper's evaluation is a sweep — many (model × dataset × schedule ×
-pipeline × machine) points simulated under comal to produce each figure.  A
+machine × hierarchy) points simulated under comal to produce each figure.  A
 :class:`SweepSpec` captures such an experiment declaratively: cartesian
 grids plus explicit extra points, each resolving to a :class:`SweepPoint`
 with a stable content-derived identifier.  Point IDs reuse the canonical
@@ -20,7 +20,7 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..backend.base import BACKEND_NAMES
 from ..comal.hierarchy import resolve_hierarchy
@@ -71,20 +71,60 @@ def validate_target(machine: str, hierarchy: str, backend: str) -> None:
         )
 
 
+#: The compile flow as point ids render it: every pass, with
+#: ``split-indices`` left out of unsplit points so that results files
+#: written before the pass existed keep their ids.
+_FLOW_ID = str(list(DEFAULT_PASS_ORDER))
+_UNSPLIT_FLOW = tuple(n for n in DEFAULT_PASS_ORDER if n != "split-indices")
+_UNSPLIT_FLOW_ID = str(list(_UNSPLIT_FLOW))
+
+#: What decides whether each optional pass of the fixed flow does anything.
+_PASS_GATES = {
+    "fold-masks": "Schedule.fold_masks",
+    "merge-contractions": "Schedule.global_rewrite (the 'cs' schedule)",
+    "split-indices": "splits",
+    "place-memory": "hierarchy ('flat' has no on-chip buffer)",
+    "parallelize": "par",
+}
+
+
+def _check_flow(field_name: str, names: Sequence[str]) -> None:
+    """Accept a recorded pass list only if it is the fixed compile flow.
+
+    Results and spec files from before the flow was fixed record one; the
+    default order (with or without ``split-indices``) still loads.
+
+    Raises
+    ------
+    SweepSpecError
+        For any other list, naming what to ablate with instead.
+    """
+    if tuple(names) in (DEFAULT_PASS_ORDER, _UNSPLIT_FLOW):
+        return
+    missing = [name for name in _PASS_GATES if name not in names]
+    gates = [f"{name}: {_PASS_GATES[name]}" for name in missing or _PASS_GATES]
+    raise SweepSpecError(
+        f"{field_name} {list(names)} is not the compile flow "
+        f"{list(DEFAULT_PASS_ORDER)}, which is fixed; ablate a pass through "
+        f"the field that gates it ({'; '.join(gates)})"
+    )
+
+
 def _freeze_args(args: Optional[Dict[str, object]]) -> Tuple[Tuple[str, object], ...]:
     return tuple(sorted((args or {}).items()))
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One experiment: a model on a dataset under a schedule, pipeline, machine.
+    """One experiment: a model on a dataset under a schedule, on a machine.
 
     Attributes
     ----------
     model, dataset, schedule, machine:
         The grid coordinates of the experiment.
     pipeline:
-        Compiler pass names, in order.
+        The compile flow's pass names (a constant, not a field: every
+        point compiles through the same fixed flow).
     model_args:
         Keyword overrides for the model builder, sorted for hashability.
     par:
@@ -109,7 +149,7 @@ class SweepPoint:
     dataset: str = SYNTHETIC
     schedule: str = "partial"
     machine: str = "rda"
-    pipeline: Tuple[str, ...] = DEFAULT_PASS_ORDER
+    pipeline: ClassVar[Tuple[str, ...]] = DEFAULT_PASS_ORDER
     model_args: Tuple[Tuple[str, object], ...] = ()
     par: Tuple[Tuple[str, int], ...] = ()
     splits: Tuple[Tuple[str, int], ...] = ()
@@ -123,7 +163,6 @@ class SweepPoint:
         dataset: str = SYNTHETIC,
         schedule: str = "partial",
         machine: str = "rda",
-        pipeline: Sequence[str] = DEFAULT_PASS_ORDER,
         model_args: Optional[Dict[str, object]] = None,
         par: Optional[Dict[str, int]] = None,
         splits: Optional[Dict[str, int]] = None,
@@ -149,7 +188,6 @@ class SweepPoint:
             dataset=dataset,
             schedule=schedule,
             machine=machine,
-            pipeline=tuple(pipeline),
             model_args=_freeze_args(model_args),
             par=_freeze_args(par),  # type: ignore[arg-type]
             splits=_freeze_args(normalized),  # type: ignore[arg-type]
@@ -200,24 +238,6 @@ class SweepPoint:
     # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------
-    @staticmethod
-    def grouping_pipeline(pipeline, splits) -> List[str]:
-        """Pipeline rendering for point IDs and report grouping.
-
-        Without splits, the split-indices pass is a no-op, so a pipeline
-        containing it compiles byte-identically to one without it; it is
-        dropped from the rendering in that case so pre-splitting results
-        files keep their point IDs (`sweep resume` compatibility) and old
-        records share speedup groups with new ones.  With splits present
-        the full pipeline is used — an explicit with/without-split-indices
-        ablation then gets distinct IDs.  The report's ``_group_key``
-        calls this same helper so the two renderings cannot drift.
-        """
-        names = list(pipeline)
-        if not splits:
-            names = [n for n in names if n != "split-indices"]
-        return names
-
     def fingerprint(self) -> str:
         """Stable content hash over every field the experiment reads.
 
@@ -230,21 +250,17 @@ class SweepPoint:
         # spec broadcasting e.g. {'nodes', 'density'} across models gives
         # the same ID as one listing only the relevant keys.
         args = _filtered_args(self.model, dict(self.model_args))
-        pipeline_for_id = self.grouping_pipeline(self.pipeline, self.splits)
         parts = [
             f"model {self.model}",
             f"dataset {self.dataset}",
             f"schedule {self.schedule}",
             f"machine {self.machine}",
-            f"pipeline {pipeline_for_id}",
+            f"pipeline {_FLOW_ID if self.splits else _UNSPLIT_FLOW_ID}",
             f"model_args {sorted(args.items())}",
             f"par {sorted(self.par)}",
         ]
         # Appended only when non-flat so gridding hierarchies never churns
-        # the IDs of flat points.  (Note: IDs also hash the pipeline, and
-        # place-memory joining DEFAULT_PASS_ORDER was a one-time ID churn —
-        # resuming a pre-hierarchy results file re-runs its points, which
-        # is correct-but-wasteful since the default compile flow changed.)
+        # the IDs of flat points.
         if self.hierarchy != "flat":
             parts.append(f"hierarchy {self.hierarchy}")
         # Same idiom for the split axis: unsplit points keep their IDs.
@@ -264,9 +280,9 @@ class SweepPoint:
         """Human-readable point name for tables and logs.
 
         Covers everything the point ID hashes (args the model reads,
-        pipeline variants, parallelization), so two points with different
-        IDs never share a label — the sweep report's per-point rows and the
-        ``sweep.point`` fault site key on this.
+        parallelization, splits, hierarchy, backend), so two points with
+        different IDs never share a label — the sweep report's per-point
+        rows and the ``sweep.point`` fault site key on this.
         """
         bits = [self.model, self.dataset, self.schedule, self.machine]
         if self.hierarchy != "flat":
@@ -274,8 +290,6 @@ class SweepPoint:
         args = _filtered_args(self.model, dict(self.model_args))
         if args:
             bits.append(",".join(f"{k}={v}" for k, v in sorted(args.items())))
-        if tuple(self.pipeline) != DEFAULT_PASS_ORDER:
-            bits.append("+".join(self.pipeline))
         if self.par:
             bits.append(",".join(f"{k}={v}" for k, v in self.par))
         if self.splits:
@@ -304,13 +318,19 @@ class SweepPoint:
 
     @classmethod
     def from_record(cls, record: Dict[str, object]) -> "SweepPoint":
-        """Rebuild a point from :meth:`to_record` output (old files: flat)."""
+        """Rebuild a point from :meth:`to_record` output (old files: flat).
+
+        Raises
+        ------
+        SweepSpecError
+            If the record names a ``pipeline`` other than the compile flow.
+        """
+        _check_flow("pipeline", record.get("pipeline", DEFAULT_PASS_ORDER))
         return cls.make(
             model=record["model"],
             dataset=record.get("dataset", SYNTHETIC),
             schedule=record.get("schedule", "partial"),
             machine=record.get("machine", "rda"),
-            pipeline=record.get("pipeline", DEFAULT_PASS_ORDER),
             model_args=record.get("model_args") or {},
             par=record.get("par") or {},
             splits=record.get("splits") or {},
@@ -421,8 +441,6 @@ class SweepSpec:
     # Memory-hierarchy presets; None means flat only.  Accepts the
     # "preset@capacity_bytes" form for buffer-size grids.
     hierarchies: Optional[List[str]] = None
-    # Pass-name lists; None means the default pipeline only.
-    pipelines: Optional[List[List[str]]] = None
     # Builder keyword overrides broadcast to every grid point (filtered to
     # each model's accepted arguments).
     model_args: Dict[str, object] = field(default_factory=dict)
@@ -454,11 +472,10 @@ class SweepSpec:
         points: List[SweepPoint] = []
         seen: set = set()
         matched_datasets: set = set()
-        pipelines = self.pipelines or [list(DEFAULT_PASS_ORDER)]
         hierarchies = self.hierarchies or ["flat"]
-        # Falsy (None or []) falls back to unsplit-only, matching how the
-        # pipelines axis treats an empty list — an empty split axis must
-        # not zero out the whole grid.
+        # Falsy (None or []) falls back to unsplit-only, matching the
+        # hierarchy and backend axes — an empty split axis must not zero
+        # out the whole grid.
         split_axis = self.splits or [{}]
         backend_axis = self.backends or [""]
         for model in self.models:
@@ -473,23 +490,21 @@ class SweepSpec:
                         for hierarchy in hierarchies:
                             for split_config in split_axis:
                                 for backend in backend_axis:
-                                    for pipeline in pipelines:
-                                        point = SweepPoint.make(
-                                            model=model,
-                                            dataset=dataset,
-                                            schedule=schedule,
-                                            machine=machine,
-                                            pipeline=pipeline,
-                                            model_args=self.model_args,
-                                            par=self.par,
-                                            splits=split_config,
-                                            hierarchy=hierarchy,
-                                            backend=backend,
-                                        )
-                                        point.validate()
-                                        if point.point_id not in seen:
-                                            seen.add(point.point_id)
-                                            points.append(point)
+                                    point = SweepPoint.make(
+                                        model=model,
+                                        dataset=dataset,
+                                        schedule=schedule,
+                                        machine=machine,
+                                        model_args=self.model_args,
+                                        par=self.par,
+                                        splits=split_config,
+                                        hierarchy=hierarchy,
+                                        backend=backend,
+                                    )
+                                    point.validate()
+                                    if point.point_id not in seen:
+                                        seen.add(point.point_id)
+                                        points.append(point)
         if self.datasets is not None:
             # A dataset no listed model can use is a typo or a missing
             # model, not cross-model mixing; silently shrinking the grid
@@ -545,7 +560,6 @@ class SweepSpec:
             "hierarchies": (
                 None if self.hierarchies is None else list(self.hierarchies)
             ),
-            "pipelines": self.pipelines,
             "model_args": dict(self.model_args),
             "par": dict(self.par),
             "splits": (
@@ -562,7 +576,16 @@ class SweepSpec:
 
     @classmethod
     def from_record(cls, record: Dict[str, object]) -> "SweepSpec":
-        """Rebuild a spec from :meth:`to_record` output (missing keys default)."""
+        """Rebuild a spec from :meth:`to_record` output (missing keys default).
+
+        Raises
+        ------
+        SweepSpecError
+            If the record grids over pass lists other than the compile flow
+            (specs written before the flow was fixed carry that axis).
+        """
+        for names in record.get("pipelines") or []:
+            _check_flow("pipeline", names)
         return cls(
             name=record.get("name", "sweep"),
             models=list(record.get("models", ["gcn", "sae"])),
@@ -570,7 +593,6 @@ class SweepSpec:
             schedules=list(record.get("schedules", ["unfused", "partial", "full"])),
             machines=list(record.get("machines", ["rda", "fpga"])),
             hierarchies=record.get("hierarchies"),
-            pipelines=record.get("pipelines"),
             model_args=dict(record.get("model_args") or {}),
             # Factors are validated by points(), never coerced (2.7 is not 2).
             par=dict(record.get("par") or {}),

@@ -15,13 +15,7 @@ from repro.comal import FPGA_MACHINE
 from repro.core.heuristic.model import stats_from_binding
 from repro.core.schedule.autotune import autotune
 from repro.core.tables.lower import LoweringError, RegionLowerer
-from repro.driver import (
-    DEFAULT_PASS_ORDER,
-    LowerRegion,
-    Pass,
-    PassPipeline,
-    PipelineError,
-)
+from repro.driver import DEFAULT_PASS_ORDER, PassPipeline, PipelineError
 from repro.frontend.api import ModelBuilder
 from repro.ftree import SparseTensor, csr, dense
 from repro.models.gcn import gcn_on_synthetic
@@ -103,14 +97,26 @@ class TestFingerprints:
         assert schedule.fingerprint() == before
 
     def test_pipeline_fingerprint_sees_config(self):
-        assert (
-            PassPipeline.default().fingerprint()
-            != PassPipeline.default().without("fold-masks").fingerprint()
+        """The flow's one configuration is the hierarchy it places in."""
+        flat = PassPipeline.default().fingerprint()
+        assert PassPipeline("fpga-small").fingerprint() != flat
+        assert PassPipeline("fpga-small@1024").fingerprint() != (
+            PassPipeline("fpga-small").fingerprint()
         )
-        custom = PassPipeline.default().without("lower-region").with_pass(
-            LowerRegion(max_attempts=7), before="parallelize"
+        # No usable on-chip level places exactly like flat, and keys so.
+        assert PassPipeline("fpga-small@0").fingerprint() == flat
+
+    def test_cache_key_pins(self, gcn_layer):
+        """Literal keys read before the flow was fixed: compile-cache and
+        disk keys (and warm cache directories) stay valid."""
+        prog, _, _ = gcn_layer
+        schedule = fully_fused(prog)
+        assert Session().cache_key(prog, schedule)[2][:16] == "1c9a8456a956a06f"
+        small = Session(hierarchy="fpga-small", backend="columnar").cache_key(
+            prog, schedule
         )
-        assert custom.fingerprint() != PassPipeline.default().fingerprint()
+        assert small[2][:16] == "11f2cbca2c875711"
+        assert small[3] == "columnar"
 
 
 class TestSessionCache:
@@ -178,74 +184,46 @@ class TestPassPipeline:
         assert tuple(PassPipeline.default().names()) == DEFAULT_PASS_ORDER
 
     def test_without_pass_still_compiles_correctly(self, gcn_layer):
+        """The fold-masks ablation is the schedule's ``fold_masks``."""
         prog, binding, expected = gcn_layer
-        session = Session(pipeline=PassPipeline.default().without("fold-masks"))
-        exe = session.compile(prog, fully_fused(prog))
-        assert "fold-masks" not in exe.diagnostics.pass_seconds
+        schedule = fully_fused(prog)
+        schedule.fold_masks = False
+        exe = Session().compile(prog, schedule)
+        skipped = exe.diagnostics.regions[0].skipped_passes
+        assert skipped["fold-masks"] == "disabled by schedule"
         np.testing.assert_allclose(
             exe(binding).tensors["Y"].to_dense(), expected, atol=1e-12
         )
 
-    def test_reordered_fold_and_merge(self, gcn_layer):
-        prog, binding, expected = gcn_layer
-        pipeline = PassPipeline.default().reordered(
-            ["fuse-regions", "merge-contractions", "fold-masks",
-             "split-indices", "lower-region", "place-memory", "parallelize"]
-        )
-        exe = Session(pipeline=pipeline).compile(prog, fully_fused(prog))
-        np.testing.assert_allclose(
-            exe(binding).tensors["Y"].to_dense(), expected, atol=1e-12
-        )
+    def test_misordered_pipeline_raises(self):
+        with pytest.raises(PipelineError, match="fixed"):
+            PassPipeline.from_names(
+                ["parallelize", "fuse-regions", "fold-masks",
+                 "merge-contractions", "split-indices", "lower-region",
+                 "place-memory"]
+            )
 
-    def test_misordered_pipeline_raises(self, gcn_layer):
-        prog, _, _ = gcn_layer
-        pipeline = PassPipeline.default().reordered(
-            ["parallelize", "fuse-regions", "fold-masks",
-             "merge-contractions", "split-indices", "lower-region",
-             "place-memory"]
-        )
-        with pytest.raises(PipelineError, match="parallelize"):
-            Session(pipeline=pipeline).compile(prog, unfused(prog))
-
-    def test_missing_producer_raises(self, gcn_layer):
-        prog, _, _ = gcn_layer
-        pipeline = PassPipeline.default().without("fuse-regions")
-        with pytest.raises(PipelineError, match="fused"):
-            Session(pipeline=pipeline).compile(prog, unfused(prog))
+    def test_missing_producer_raises(self):
+        with pytest.raises(PipelineError, match="fixed"):
+            PassPipeline.from_names(DEFAULT_PASS_ORDER[1:])
 
     def test_unknown_names_rejected(self):
-        with pytest.raises(PipelineError, match="no-such-pass"):
-            PassPipeline.default().without("no-such-pass")
-        with pytest.raises(PipelineError, match="unknown"):
+        with pytest.raises(PipelineError, match=r"fixed.*'unknown'"):
             PassPipeline.from_names(["fuse-regions", "unknown"])
-        with pytest.raises(PipelineError, match="permutation"):
-            PassPipeline.default().reordered(["fuse-regions"])
 
     def test_duplicate_passes_rejected(self):
-        with pytest.raises(PipelineError, match="duplicate"):
-            PassPipeline.default().with_pass(LowerRegion())
+        with pytest.raises(PipelineError, match="fixed"):
+            PassPipeline.from_names([*DEFAULT_PASS_ORDER, "lower-region"])
 
-    def test_custom_pass_plugs_in(self, gcn_layer):
-        prog, binding, expected = gcn_layer
-
-        class CountNodes(Pass):
-            name = "count-nodes"
-            requires = ("graph",)
-
-            def __init__(self):
-                self.counts = []
-
-            def run(self, ctx, region):
-                self.counts.append(region.graph.node_count())
-
-        counter = CountNodes()
-        pipeline = PassPipeline.default().with_pass(counter, after="lower-region")
-        exe = Session(pipeline=pipeline).compile(prog, unfused(prog))
-        assert counter.counts and all(c > 0 for c in counter.counts)
-        assert "count-nodes" in exe.diagnostics.pass_seconds
-        np.testing.assert_allclose(
-            exe(binding).tensors["Y"].to_dense(), expected, atol=1e-12
-        )
+    def test_pipeline_argument_is_ignored(self, gcn_layer):
+        """``Session(pipeline=)`` stays accepted for existing callers; the
+        flow always follows the session's hierarchy."""
+        prog, _, _ = gcn_layer
+        session = Session(pipeline=PassPipeline.default(), hierarchy="fpga-small")
+        assert session.pipeline.hierarchy.name == "fpga-small"
+        assert session.cache_key(prog, unfused(prog)) == Session(
+            hierarchy="fpga-small"
+        ).cache_key(prog, unfused(prog))
 
 
 class TestDiagnostics:

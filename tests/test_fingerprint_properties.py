@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.einsum.ast import EinsumProgram
 from repro.core.einsum.parser import parse_program
 from repro.core.schedule.schedule import Schedule
-from repro.driver import PassPipeline
+from repro.driver import DEFAULT_PASS_ORDER, PassPipeline
 from repro.ftree import csr, dense
 from repro.sweep import SweepPoint
 
@@ -245,8 +245,10 @@ class TestDerivedIdentities:
             default.fingerprint() == PassPipeline.default().fingerprint()
         )
         assert (
-            default.without("fold-masks").fingerprint() != default.fingerprint()
+            PassPipeline.from_names(DEFAULT_PASS_ORDER).fingerprint()
+            == default.fingerprint()
         )
+        assert PassPipeline("fpga-small").fingerprint() != default.fingerprint()
 
     @given(
         model=st.sampled_from(["gcn", "sae"]),

@@ -21,7 +21,7 @@ from repro.comal import (
 )
 from repro.core.einsum.parser import parse_program
 from repro.core.schedule.schedule import fully_fused, unfused
-from repro.driver import PassPipeline, PlaceMemory, Session
+from repro.driver import PassPipeline, Session
 from repro.ftree import SparseTensor, csr, dense
 from repro.sweep import SweepPoint, SweepSpec, run_point
 
@@ -309,14 +309,12 @@ class TestSessionHierarchy:
     def test_hierarchy_configures_machine_and_pipeline(self):
         session = Session(hierarchy="fpga-small")
         assert session.machine.hierarchy.name == "fpga-small"
-        place = [p for p in session.pipeline.passes if p.name == "place-memory"]
-        assert place and place[0].hierarchy.name == "fpga-small"
+        assert session.pipeline.hierarchy.name == "fpga-small"
 
     def test_machine_hierarchy_inherited_when_arg_omitted(self):
         machine = RDA_MACHINE.with_hierarchy("asic-small")
         session = Session(machine=machine)
-        place = [p for p in session.pipeline.passes if p.name == "place-memory"]
-        assert place[0].hierarchy.name == "asic-small"
+        assert session.pipeline.hierarchy.name == "asic-small"
 
     def test_different_hierarchies_miss_the_compile_cache(self, two_stage):
         prog, _, _ = two_stage
@@ -324,31 +322,22 @@ class TestSessionHierarchy:
         b = Session(hierarchy="fpga-small@256")
         assert a.cache_key(prog, unfused(prog)) != b.cache_key(prog, unfused(prog))
 
-    def test_pipeline_with_hierarchy_appends_when_missing(self):
-        pipeline = PassPipeline.default().without("place-memory")
-        configured = pipeline.with_hierarchy("fpga-small")
-        names = configured.names()
-        assert names.index("place-memory") == names.index("lower-region") + 1
-
     def test_session_respects_placement_ablation(self, two_stage):
-        """An explicit pipeline without place-memory stays placement-free."""
+        """The no-on-chip-buffer ablation is the flat hierarchy: nothing is
+        placed on chip and all traffic goes to DRAM."""
         prog, binding, _ = two_stage
-        pipeline = PassPipeline.default().without("place-memory")
-        session = Session(pipeline=pipeline, hierarchy="fpga-small")
-        assert "place-memory" not in session.pipeline.names()
-        # The SRAM level goes unused: nothing was placed, all traffic DRAM.
-        metrics = session.run(prog, binding, unfused(prog)).metrics
-        assert metrics.sram_bytes == 0
-        # Machine still carries the hierarchy (and its operand budget).
-        assert session.machine.hierarchy.name == "fpga-small"
+        flat = Session(hierarchy="flat").run(prog, binding, unfused(prog))
+        assert flat.metrics.sram_bytes == 0
+        small = Session(hierarchy="fpga-small").run(prog, binding, unfused(prog))
+        assert small.metrics.sram_bytes > 0
 
     def test_place_memory_config_in_fingerprint(self):
         default = PassPipeline.default()
-        small = default.with_hierarchy("fpga-small")
+        small = PassPipeline("fpga-small")
         assert default.fingerprint() != small.fingerprint()
-        assert PlaceMemory("fpga-small").config() == small.passes[
-            small.names().index("place-memory")
-        ].config()
+        assert Session(hierarchy="fpga-small").pipeline.fingerprint() == (
+            small.fingerprint()
+        )
 
 
 # ----------------------------------------------------------------------

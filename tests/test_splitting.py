@@ -184,7 +184,7 @@ class TestApplySplit:
 
 
 # ----------------------------------------------------------------------
-# The split-indices pass through the pipeline
+# The split-indices pass through the compile flow
 # ----------------------------------------------------------------------
 
 
@@ -222,21 +222,6 @@ class TestSplitIndicesPass:
         assert tiled_levels(exe.regions[0].graph) == []
         assert not any("." in idx for idx in exe.regions[0].order)
 
-    def test_misordered_split_pass_rejected(self, gcn_bundle):
-        """split-indices after lower-region would scale footprints without
-        ever tiling the graph — the pipeline refuses the ordering."""
-        from repro.driver import PassPipeline
-        from repro.driver.pipeline import PipelineError
-
-        bad = PassPipeline.default().reordered(
-            ["fuse-regions", "fold-masks", "merge-contractions",
-             "lower-region", "split-indices", "place-memory", "parallelize"]
-        )
-        schedule = unfused(gcn_bundle.program)
-        schedule.splits = {"x1": 8}
-        with pytest.raises(PipelineError, match="must run before"):
-            Session(pipeline=bad).compile(gcn_bundle.program, schedule)
-
     def test_par_cannot_target_tile_index(self, gcn_bundle):
         """The synthetic outer tile index is time-multiplexed, not a lane
         level: a par factor naming it is skipped, never applied."""
@@ -259,21 +244,6 @@ class TestSplitIndicesPass:
             for node in exe.regions[0].graph.nodes.values()
         )
         assert gcn_bundle.max_abs_err(exe(gcn_bundle.binding)) < 1e-6
-
-    def test_splits_require_the_pass(self, gcn_bundle):
-        """A pipeline without split-indices must reject split schedules —
-        silently compiling untiled would mislabel every result."""
-        from repro.driver import PassPipeline
-        from repro.driver.pipeline import PipelineError
-
-        pipeline = PassPipeline.default().without("split-indices")
-        schedule = unfused(gcn_bundle.program)
-        schedule.splits = {"x1": 8}
-        with pytest.raises(PipelineError, match="split-indices"):
-            Session(pipeline=pipeline).compile(gcn_bundle.program, schedule)
-        # The exact no-op (tiles=1) stays compilable on such pipelines.
-        schedule.splits = {"x1": 1}
-        Session(pipeline=pipeline).compile(gcn_bundle.program, schedule)
 
     def test_split_converts_spill_to_sram(self, gcn_bundle):
         session = Session(hierarchy="fpga-small")
@@ -489,7 +459,7 @@ OLD_DEFAULT_ORDER = (
 class TestSweepSplits:
     def test_unsplit_point_ids_survive_pipeline_growth(self):
         """A pre-splitting results file must resume against the new grid."""
-        old = SweepPoint.make("gcn", pipeline=OLD_DEFAULT_ORDER)
+        old = SweepPoint.from_record({"model": "gcn", "pipeline": OLD_DEFAULT_ORDER})
         new = SweepPoint.make("gcn")
         assert old.point_id == new.point_id
 

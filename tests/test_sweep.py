@@ -144,6 +144,39 @@ class TestSpec:
         assert len(points) == 13  # 12 grid + 1 novel (dup collapses)
         assert points[-1].model == "gpt3"
 
+    def test_point_id_pins(self):
+        """Literal ids read before the compile flow was fixed: results
+        files written then still resume against the same points."""
+        assert SweepPoint.make("gcn").point_id == "3417072089224bde"
+        split = SweepPoint.make("gcn", splits={"x1": 8})
+        assert split.point_id == "67d3c7abf7902a4b"
+        small = SweepPoint.make("gpt3", hierarchy="fpga-small")
+        assert small.point_id == "4511d9dcdb0b1c6a"
+        codegen = SweepPoint.make("sae", backend="codegen")
+        assert codegen.point_id == "8cb264dd7583c6f9"
+
+    def test_default_pipeline_records_still_load(self):
+        """Records written with the configurable pipeline carry its default
+        order, with or without split-indices; both name the fixed flow."""
+        record = SweepPoint.make("gcn", splits={"x1": 8}).to_record()
+        assert SweepPoint.from_record(record).point_id == "67d3c7abf7902a4b"
+        spec = small_spec().to_record()
+        spec["pipelines"] = [list(SweepPoint.pipeline)]
+        assert SweepSpec.from_record(spec).points() == small_spec().points()
+
+    def test_custom_pipelines_are_rejected(self):
+        """A pass ablation is a schedule field or the hierarchy now, and
+        the error names the field to set."""
+        no_fold = [n for n in SweepPoint.pipeline if n != "fold-masks"]
+        with pytest.raises(SweepSpecError, match="fold_masks"):
+            SweepPoint.from_record({"model": "gcn", "pipeline": no_fold})
+        spec = small_spec().to_record()
+        spec["pipelines"] = [list(SweepPoint.pipeline), ["fuse-regions", "lower-region"]]
+        with pytest.raises(SweepSpecError, match="hierarchy") as info:
+            SweepSpec.from_record(spec)
+        for field_name in ("global_rewrite", "splits", "par"):
+            assert field_name in str(info.value)
+
     def test_build_bundle_dataset_variants(self):
         gcn = build_bundle(SweepPoint.make("gcn", dataset="cora"))
         assert gcn.program is not None and gcn.reference is not None
