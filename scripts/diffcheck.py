@@ -1,12 +1,19 @@
-"""Dev harness: compare interp vs columnar execution on the golden models.
+"""Dev harness: compare every executor against interp on the golden models.
+
+The executors are the ``columnar`` interpreter and the ``codegen`` backend
+with each emission tier forced (``codegen/token``, ``codegen/columnar``);
+each must reproduce the ``interp`` reference's streams, per-node stats,
+result tensors and timed cycles exactly.
 
 Usage: PYTHONPATH=src python scripts/diffcheck.py [model ...]
 """
 
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
+from repro.backend import codegen
 from repro.comal.engine import run_timed
 from repro.comal.functional import run_functional
 from repro.comal.machines import RDA_MACHINE
@@ -21,54 +28,97 @@ POINTS = {
     "gpt3": {"seq_len": 16, "d_model": 8, "block": 4, "n_layers": 1, "seed": 0},
 }
 
+#: executor label -> (run_functional backend, forced codegen tier or None);
+#: the first is the reference the others must match.
+EXECUTORS = {
+    "interp": ("interp", None),
+    "columnar": ("columnar", None),
+    "codegen/token": ("codegen", "token"),
+    "codegen/columnar": ("codegen", "columnar"),
+}
+
+
+@contextmanager
+def forced_tier(tier):
+    """Run every codegen region on ``tier`` through the tier decision's
+    one constant (as the tests' ``force_tier`` fixture does)."""
+    saved = codegen.DEFAULT_SMALL_STREAM_CUTOFF
+    if tier is not None:
+        codegen.DEFAULT_SMALL_STREAM_CUTOFF = {"columnar": 0, "token": 10**9}[tier]
+    try:
+        yield
+    finally:
+        codegen.DEFAULT_SMALL_STREAM_CUTOFF = saved
+
+
+def run_region(g, bind, label):
+    backend, tier = EXECUTORS[label]
+    with forced_tier(tier):
+        return run_functional(
+            g, bind, RDA_MACHINE.scratchpad_bytes, backend=backend, cache=False
+        )
+
+
+def compare(where, label, fl, fc):
+    """First difference between the interp result ``fl`` and ``fc``."""
+    if set(fl.streams) != set(fc.streams):
+        return f"STREAM SET MISMATCH {where} ({label})"
+    for key in fl.streams:
+        sl, sc = fl.streams[key], fc.streams[key]
+        if not streams_equal(sc, sl):
+            return (
+                f"STREAM MISMATCH {where} {key}\n"
+                f"  interp  : {as_token_list(sl)[:20]}\n"
+                f"  {label}: {as_token_list(sc)[:20]}"
+            )
+    for nid in fl.stats:
+        a, b = fl.stats[nid], fc.stats[nid]
+        for f in ("tokens_in", "tokens_out", "ops", "dram_reads", "dram_writes"):
+            if getattr(a, f) != getattr(b, f):
+                return (
+                    f"STATS MISMATCH {where} {nid}.{f}: "
+                    f"interp {getattr(a, f)} {label} {getattr(b, f)}"
+                )
+    for name in fl.results:
+        if not np.array_equal(fl.results[name].to_dense(), fc.results[name].to_dense()):
+            return f"RESULT MISMATCH {where} {name} ({label})"
+    return None
+
 
 def check_model(model):
     bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
     session = Session(machine=RDA_MACHINE)
+    labels = list(EXECUTORS)
     for gran in ("unfused", "partial", "full"):
         exe = session.compile(bundle.program, bundle.schedule(gran))
-        bind_l = dict(bundle.binding)
-        bind_c = dict(bundle.binding)
+        binds = {label: dict(bundle.binding) for label in labels}
         for region in exe.regions:
             for orig, new_name, mode_order in region.transposes:
-                for bind in (bind_l, bind_c):
+                for bind in binds.values():
                     if new_name not in bind:
                         bind[new_name] = bind[orig].permuted_copy(
                             mode_order, name=new_name
                         )
             g = region.graph
-            fl = run_functional(g, bind_l, RDA_MACHINE.scratchpad_bytes, backend="interp")
-            fc = run_functional(g, bind_c, RDA_MACHINE.scratchpad_bytes, backend="columnar")
-            assert set(fl.streams) == set(fc.streams), (model, gran, g.name)
-            for key in fl.streams:
-                sl, sc = fl.streams[key], fc.streams[key]
-                if not streams_equal(sc, sl):
-                    print(f"STREAM MISMATCH {model}/{gran}/{g.name} {key}")
-                    print("  interp  :", as_token_list(sl)[:20])
-                    print("  columnar:", as_token_list(sc)[:20])
-                    return False
-            for nid in fl.stats:
-                a, b = fl.stats[nid], fc.stats[nid]
-                for f in ("tokens_in", "tokens_out", "ops", "dram_reads", "dram_writes"):
-                    if getattr(a, f) != getattr(b, f):
-                        print(
-                            f"STATS MISMATCH {model}/{gran}/{g.name} {nid}.{f}: "
-                            f"interp {getattr(a, f)} columnar {getattr(b, f)}"
+            where = f"{model}/{gran}/{g.name}"
+            runs = {label: run_region(g, binds[label], label) for label in labels}
+            fl = runs["interp"]
+            rl = run_timed(g, binds["interp"], RDA_MACHINE, functional=fl)
+            for label in labels[1:]:
+                problem = compare(where, label, fl, runs[label])
+                if problem is None:
+                    rc = run_timed(g, binds[label], RDA_MACHINE, functional=runs[label])
+                    if abs(rl.cycles - rc.cycles) > 1e-9 * max(rl.cycles, 1.0):
+                        problem = (
+                            f"CYCLES MISMATCH {where}: interp {rl.cycles} "
+                            f"{label} {rc.cycles}"
                         )
-                        return False
-            for name in fl.results:
-                tl, tc = fl.results[name], fc.results[name]
-                if not np.array_equal(tl.to_dense(), tc.to_dense()):
-                    print(f"RESULT MISMATCH {model}/{gran}/{g.name} {name}")
+                if problem is not None:
+                    print(problem)
                     return False
-            rl = run_timed(g, bind_l, RDA_MACHINE, functional=fl)
-            rc = run_timed(g, bind_c, RDA_MACHINE, functional=fc)
-            if abs(rl.cycles - rc.cycles) > 1e-9 * max(rl.cycles, 1.0):
-                print(f"CYCLES MISMATCH {model}/{gran}/{g.name}: {rl.cycles} vs {rc.cycles}")
-                return False
-            for bind, f in ((bind_l, fl), (bind_c, fc)):
-                bind.update(f.results)
-    print(f"{model}: OK")
+            for label, f in runs.items():
+                binds[label].update(f.results)
+    print(f"{model}: OK ({', '.join(EXECUTORS)} agree)")
     return True
 
 

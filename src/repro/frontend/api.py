@@ -232,9 +232,6 @@ class ModelBuilder:
         wanted = set(labels)
         return [sid for sid, lab in sorted(self.labels.items()) if lab in wanted]
 
-    def all_sids(self) -> List[int]:
-        return list(range(len(self.program.statements)))
-
 
 class Linear:
     """A dense (or sparse-weight) linear layer: ``y = x W + b``."""

@@ -18,7 +18,7 @@ Two level kinds are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,9 @@ class CompressedLevel:
     size: int
     pos: List[int] = field(default_factory=lambda: [0])
     crd: List[int] = field(default_factory=list)
+    _arrays: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def kind(self) -> str:
@@ -67,6 +70,24 @@ class CompressedLevel:
         """Return (coords, child positions) of the fiber at ``pos``."""
         start, end = self.pos[pos], self.pos[pos + 1]
         return self.crd[start:end], range(start, end)
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Cached int64 views of ``pos``/``crd`` for vectorized scans.
+
+        The cache is keyed on list lengths, so a level that is still being
+        built (:meth:`append_fiber`) never serves a stale view.
+        """
+        cached = self._arrays
+        if (
+            cached is None
+            or len(cached[0]) != len(self.pos)
+            or len(cached[1]) != len(self.crd)
+        ):
+            cached = self._arrays = (
+                np.asarray(self.pos, dtype=np.int64),
+                np.asarray(self.crd, dtype=np.int64),
+            )
+        return cached
 
     def append_fiber(self, coords: Sequence[int]) -> None:
         """Append one fiber's coordinates (used by level writers)."""

@@ -323,10 +323,6 @@ class SparseTensor:
             self.to_dense(), fmt=fmt, name=name or f"{self.name}_perm"
         )
 
-    def with_name(self, name: str) -> "SparseTensor":
-        """Return self relabeled (shallow; shares storage)."""
-        return SparseTensor(name, self.shape, self.fmt, self.levels, self.values)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SparseTensor({self.name!r}, shape={self.shape}, fmt={self.fmt.name()}, "

@@ -71,7 +71,6 @@ class SAMGraph:
         # validation result are computed once per structural change.
         self._topo_cache: Optional[List[str]] = None
         self._validated = False
-        self._tensor_names_cache: Optional[List[str]] = None
         self._input_tensor_names_cache: Optional[List[str]] = None
         # Executor-owned memoization slots (see repro.comal.functional /
         # repro.comal.engine); cleared on structural change.
@@ -118,7 +117,6 @@ class SAMGraph:
         self.nodes[node_id] = node
         self._topo_cache = None
         self._validated = False
-        self._tensor_names_cache = None
         self._input_tensor_names_cache = None
         self.func_cache = None
         self.timed_cache = None
@@ -142,10 +140,6 @@ class SAMGraph:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def predecessors(self, node_id: str) -> Iterator[str]:
-        for port in self.nodes[node_id].inputs.values():
-            yield port.node_id
-
     def successors(self, node_id: str) -> Iterator[str]:
         for other in self.nodes.values():
             for port in other.inputs.values():
@@ -189,18 +183,6 @@ class SAMGraph:
             raise GraphError("graph contains a cycle")
         self._topo_cache = order
         return order
-
-    def tensor_names(self) -> List[str]:
-        """All tensor names referenced by scanners/arrays in this graph."""
-        if self._tensor_names_cache is not None:
-            return self._tensor_names_cache
-        names = []
-        for node in self.nodes.values():
-            name = getattr(node.prim, "tensor_name", None)
-            if name is not None and name not in names:
-                names.append(name)
-        self._tensor_names_cache = names
-        return names
 
     def input_tensor_names(self) -> List[str]:
         """Tensor names this graph *reads* (scanners/locators/arrays).

@@ -10,7 +10,6 @@ protocol (Section 2 of the paper).
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict
 
 import numpy as np
@@ -29,21 +28,6 @@ from ..token import (
     TokenStream,
 )
 from .base import ExecutionContext, NodeStats, Primitive
-
-#: Single-byte kind codes for building columnar kind arrays with bytearray
-#: (CRD=0 .. EMPTY=5 fit in a byte; bytearray extend/append is C-speed).
-_B_CRD = bytes((CRD,))
-_B_REF = bytes((REF,))
-_B_STOP = bytes((STOP,))
-_B_DONE = bytes((DONE,))
-
-
-def _wrap_columns(kinds: bytearray, data: array) -> TokenStream:
-    """Zero-ish-copy wrap of builder columns into a TokenStream."""
-    return TokenStream(
-        np.frombuffer(bytes(kinds), dtype=np.int8),
-        np.frombuffer(data, dtype=np.float64) if len(data) else np.empty(0),
-    )
 
 
 class Root(Primitive):
@@ -147,86 +131,94 @@ class LevelScanner(Primitive):
         return {"crd": crd_out, "ref": ref_out}
 
     def process_columnar(self, ins, ctx: ExecutionContext, stats: NodeStats) -> Dict[str, TokenStream]:
-        """Columnar scan: per-input-token control flow, per-fiber bulk emit.
+        """Columnar scan: a CSR-style expansion with no per-token loop.
 
-        The Python loop runs once per *input* token (references and stops);
-        each fiber's coordinates and child references are emitted with
-        C-speed ``extend`` of the level's slice/range, so the cost no longer
-        scales with the (much larger) output token count.
+        Per-input-token output counts come from shifted-kind masks, their
+        cumsum gives each token's output offset, and every fiber's
+        coordinates and child references land in one ``repeat``/``arange``
+        gather.  Streams, stats and error text match :meth:`process`.
         """
         ref_in = ins["ref"]
         tensor = ctx.tensor(self.tensor_name)
         level = tensor.levels[self.level]
-        compressed = level.kind == "compressed"
-        n = len(ref_in)
-        stats.tokens_in += n
         if ref_in.has_objs():
             # Opaque reference handles: bridge through the legacy kernel.
             return super().process_columnar(ins, ctx, stats)
-
-        kinds_in = ref_in.kinds.tolist()
-        data_in = ref_in.data
-        # Shared control skeleton; separate payload kinds per output stream.
-        crd_kinds = bytearray()
-        ref_kinds = bytearray()
-        crd_data = array("d")
-        ref_data = array("d")
-        open_fiber = False
-        nnz = 0
-        n_fibers = 0
-        for i, kind in enumerate(kinds_in):
-            if kind == REF:
-                if open_fiber:
-                    crd_kinds += _B_STOP
-                    ref_kinds += _B_STOP
-                    crd_data.append(0.0)
-                    ref_data.append(0.0)
-                coords, children = level.fiber(int(data_in[i]))
-                m = len(coords)
-                crd_kinds += _B_CRD * m
-                ref_kinds += _B_REF * m
-                crd_data.extend(coords)
-                ref_data.extend(children)
-                nnz += m
-                n_fibers += 1
-                open_fiber = True
-            elif kind == EMPTY:
-                if open_fiber:
-                    crd_kinds += _B_STOP
-                    ref_kinds += _B_STOP
-                    crd_data.append(0.0)
-                    ref_data.append(0.0)
-                open_fiber = True
-            elif kind == STOP:
-                crd_kinds += _B_STOP
-                ref_kinds += _B_STOP
-                lvl = data_in[i] + 1.0
-                crd_data.append(lvl)
-                ref_data.append(lvl)
-                open_fiber = False
-            elif kind == DONE:
-                if open_fiber:
-                    crd_kinds += _B_STOP
-                    ref_kinds += _B_STOP
-                    crd_data.append(0.0)
-                    ref_data.append(0.0)
-                crd_kinds += _B_DONE
-                ref_kinds += _B_DONE
-                crd_data.append(0.0)
-                ref_data.append(0.0)
-            else:
-                raise StreamProtocolError(f"scanner got unexpected token kind {kind}")
-        if compressed and self.dram:
+        kinds = ref_in.kinds
+        data = ref_in.data
+        n = len(kinds)
+        stats.tokens_in += n
+        is_ref = kinds == REF
+        is_stop = kinds == STOP
+        is_done = kinds == DONE
+        opens = is_ref | (kinds == EMPTY)
+        bad = ~(opens | is_stop | is_done)
+        if bad.any():
+            kind = int(kinds[np.argmax(bad)])
+            raise StreamProtocolError(f"scanner got unexpected token kind {kind}")
+        # A fiber is open before token t iff the last REF/EMPTY/STOP token
+        # strictly before t was a REF or EMPTY (DONE leaves it untouched);
+        # REF, EMPTY and DONE close an open fiber with a level-0 stop.
+        last = np.where(opens | is_stop, np.arange(n), -1)
+        np.maximum.accumulate(last, out=last)
+        was_open = np.zeros(n, dtype=bool)
+        if n > 1:
+            prev = last[:-1]
+            seen = prev >= 0
+            was_open[1:][seen] = opens[prev[seen]]
+        closes = was_open & (opens | is_done)
+        refs = data[is_ref].astype(np.int64)
+        n_fibers = len(refs)
+        if level.kind == "dense":
+            starts = refs * level.size
+            lens = np.full(n_fibers, level.size, dtype=np.int64)
+        else:
+            pos, crd = level.arrays()
+            starts = pos[refs]
+            lens = pos[refs + 1] - starts
+        nnz = int(lens.sum())
+        counts = closes.astype(np.int64)
+        counts[is_ref] += lens
+        counts[is_stop] += 1
+        counts[is_done] += 1
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        total = int(offsets[n])
+        first = offsets[:-1]
+        crd_kinds = np.full(total, CRD, dtype=np.int8)
+        ref_kinds = np.full(total, REF, dtype=np.int8)
+        crd_data = np.zeros(total, dtype=np.float64)
+        ref_data = np.zeros(total, dtype=np.float64)
+        for slots, kind in (
+            (first[closes], STOP),
+            (first[is_stop], STOP),
+            (first[is_done] + closes[is_done], DONE),
+        ):
+            crd_kinds[slots] = kind
+            ref_kinds[slots] = kind
+        stop_slots = first[is_stop]
+        crd_data[stop_slots] = ref_data[stop_slots] = data[is_stop] + 1.0
+        if nnz:
+            fiber_start = np.zeros(n_fibers, dtype=np.int64)
+            np.cumsum(lens[:-1], out=fiber_start[1:])
+            within = np.arange(nnz, dtype=np.int64)
+            within -= np.repeat(fiber_start, lens)
+            slots = np.repeat(first[is_ref] + closes[is_ref], lens) + within
+            children = np.repeat(starts, lens) + within
+            crd_data[slots] = within if level.kind == "dense" else crd[children]
+            ref_data[slots] = children
+        if level.kind == "compressed" and self.dram:
+            # pos pair per fiber + one crd entry per nonzero, 4 bytes each.
             access_bytes = 8 * n_fibers + 4 * nnz
             footprint = tensor.bytes_structure()
             if footprint <= ctx.scratchpad_bytes:
                 stats.dram_reads += min(access_bytes, footprint)
             else:
                 stats.dram_reads += access_bytes
-        stats.tokens_out += len(crd_kinds) + len(ref_kinds)
+        stats.tokens_out += 2 * total
         return {
-            "crd": _wrap_columns(crd_kinds, crd_data),
-            "ref": _wrap_columns(ref_kinds, ref_data),
+            "crd": TokenStream(crd_kinds, crd_data),
+            "ref": TokenStream(ref_kinds, ref_data),
         }
 
 

@@ -438,22 +438,10 @@ class TokenStream:
     # ------------------------------------------------------------------
     # Columnar helpers used by vectorized kernels
     # ------------------------------------------------------------------
-    def control_mask(self) -> np.ndarray:
-        """Boolean mask of stop/done tokens."""
-        return (self.kinds == STOP) | (self.kinds == DONE)
-
-    def payload_mask(self) -> np.ndarray:
-        """Boolean mask of crd/ref/val/empty tokens."""
-        return ~self.control_mask()
-
     def gather(self, index: np.ndarray) -> "TokenStream":
         """Positional gather preserving kinds/payloads (fancy indexing)."""
         objs = self.objs[index] if self.objs is not None else None
         return TokenStream(self.kinds[index], self.data[index], objs)
-
-    def int_payloads(self, mask_or_index) -> np.ndarray:
-        """Numeric payloads at selected positions as an int64 array."""
-        return self.data[mask_or_index].astype(np.int64)
 
     def has_objs(self) -> bool:
         return self.objs is not None

@@ -13,6 +13,8 @@ Covers the :mod:`repro.backend` contract end to end:
 * generated-kernel exceptions re-raised with node id + region context.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -472,7 +474,8 @@ class TestSharedKernelErrorsFromDisk(TestSharedKernelErrors):
         assert artifact_for(graph, "columnar").origin == "disk"
         text = "".join(traceback.format_exception(excinfo.value.__cause__))
         assert 'File "<fuseflow-codegen ' in text
-        assert "_get_tensor(binding, _T0)" in text
+        # The kernel frame shows the scanner node's call line.
+        assert re.search(r"_po\d+ = _P\d+\.process_columnar\(", text)
 
 
 # ----------------------------------------------------------------------
@@ -707,26 +710,21 @@ class TestEmissionTiers:
             for node_id, stats in want.stats.items():
                 assert have.stats[node_id].tokens_out == stats.tokens_out, tier
 
-    def test_node_without_columnar_body_is_a_process_columnar_call(
-        self, clean_env, monkeypatch, force_tier
+    def test_columnar_source_is_one_process_columnar_call_per_node(
+        self, clean_env, force_tier
     ):
-        # Deleting one _cemit_ handler leaves the node emitted as a call
-        # to the primitive's own columnar kernel, and the region's kernel
-        # bit-exact.
-        from repro.backend.codegen import _ColumnarEmitter
-
-        monkeypatch.delattr(_ColumnarEmitter, "_cemit_alu")
+        # The columnar tier re-expresses no primitive either: per node one
+        # call to the primitive's own process_columnar, no loop over
+        # tokens, and the region's kernel bit-exact.
         clear_codegen_caches()
         program, binding = _program_and_binding()
         exe = Session(machine=RDA_MACHINE, backend="codegen").compile(program)
         graph = exe.regions[0].graph
-        artifact = artifact_for(graph, "columnar")
-        # The other nodes' own objs escapes are guarded ("if ….objs is
-        # not None:"); the alu's call is the node's whole block.
-        blocks = artifact.source.split("\n\n")
-        (alu,) = [block for block in blocks if ": alu(" in block]
-        assert ".process_columnar(" in alu and "objs" not in alu
-        assert ".to_tokens()" not in artifact.source
+        source = artifact_for(graph, "columnar").source
+        assert source.count(".process_columnar(") == len(graph.nodes)
+        assert "for " not in source and "while " not in source
+        assert ".process(" not in source
+        assert ".to_tokens()" not in source
         want = run_functional(
             graph, binding, backend="columnar", cache=False
         )

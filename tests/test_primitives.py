@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ftree import SparseTensor, csr, dense, sparse_vector
+from repro.ftree import SparseTensor, csr, dcsr, dense, sparse_vector
 from repro.sam.primitives import (
     AlignCheck,
     BinaryALU,
@@ -32,12 +32,14 @@ from repro.sam.token import (
     REF,
     VAL,
     StreamProtocolError,
+    TokenStream,
     crd,
     done,
     nest_to_stream,
     pretty,
     ref,
     stop,
+    streams_equal,
     val,
 )
 
@@ -94,6 +96,97 @@ class TestLevelScanner:
             {"ref": [ref(0), ref(1), stop(0), done()]}, ctx, stats
         )
         assert stats.dram_reads > 0
+
+
+_SCAN_FORMATS = {"csr": csr, "dcsr": dcsr, "dense": lambda: dense(2)}
+
+
+@st.composite
+def _scan_case(draw):
+    """A 2-D tensor (empty fibers included), one of its levels, and a
+    reference stream into that level: any mix of REF / EMPTY / nested STOP
+    / DONE tokens, so DONE may arrive while a fiber is open."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    mask = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    array = np.arange(1.0, rows * cols + 1) * np.array(mask)
+    fmt = _SCAN_FORMATS[draw(st.sampled_from(sorted(_SCAN_FORMATS)))]()
+    tensor = SparseTensor.from_dense(array.reshape(rows, cols), fmt, "T")
+    level = draw(st.integers(0, 1))
+    parents = 1 if level == 0 else tensor.levels[0].num_children(1)
+    # References weigh double: re-reading fibers is what pushes access
+    # bytes past the structure footprint.
+    refs = [st.integers(0, parents - 1).map(ref)] * 2 if parents else []
+    token = st.one_of(
+        st.just(EMPTY_TOKEN), st.integers(0, 2).map(stop), st.just(done()), *refs
+    )
+    tokens = draw(st.lists(token, max_size=16))
+    # Structure footprint either fits the scratchpad or exceeds it by a byte.
+    spad = tensor.bytes_structure() - (0 if draw(st.booleans()) else 1)
+    return tensor, level, tokens, spad, draw(st.booleans())
+
+
+def _scan_both(tensor, level, tokens, spad, dram, *, objs=False):
+    """Run one scanner through ``process`` and ``process_columnar``."""
+    scanner = LevelScanner("T", level, dram=dram)
+    columns = TokenStream.from_tokens(tokens)
+    if objs:
+        columns = TokenStream(
+            columns.kinds, columns.data, np.full(len(tokens), None, dtype=object)
+        )
+    runs = []
+    for method, stream in (
+        (scanner.process, tokens),
+        (scanner.process_columnar, columns),
+    ):
+        stats = NodeStats()
+        ctx = ExecutionContext({"T": tensor}, scratchpad_bytes=spad)
+        runs.append((method({"ref": stream}, ctx, stats), stats))
+    return runs
+
+
+class TestScannerColumnarMatchesProcess:
+    """``LevelScanner.process_columnar`` is the scanner's only vectorized
+    copy (the codegen columnar tier calls it too): it must reproduce
+    ``process`` token for token, stat for stat."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_scan_case(), st.booleans())
+    def test_streams_and_stats_match(self, case, objs):
+        (want, want_stats), (have, have_stats) = _scan_both(*case, objs=objs)
+        for port in ("crd", "ref"):
+            assert isinstance(have[port], TokenStream)
+            assert streams_equal(have[port], want[port]), port
+        # tokens_in / tokens_out / dram_reads, and the rest of NodeStats.
+        assert have_stats == want_stats
+
+    @settings(max_examples=50, deadline=None)
+    @given(_scan_case(), st.sampled_from([crd(0), val(1.5)]), st.integers(0, 12))
+    def test_bad_token_kind_raises_the_same_error(self, case, bad, at):
+        tensor, level, tokens, spad, dram = case
+        tokens = tokens[:at] + [bad] + tokens[at:]
+        scanner = LevelScanner("T", level, dram=dram)
+        messages = []
+        for method, stream in (
+            (scanner.process, tokens),
+            (scanner.process_columnar, TokenStream.from_tokens(tokens)),
+        ):
+            with pytest.raises(StreamProtocolError) as excinfo:
+                method({"ref": stream}, ExecutionContext({"T": tensor}), NodeStats())
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("scanner got unexpected token kind ")
+
+    def test_dram_reads_charged_both_sides_of_the_scratchpad(self):
+        tensor = SparseTensor.from_dense(
+            np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 3.0]]), csr(), "T"
+        )
+        tokens = [ref(0), ref(1), ref(0), stop(0), done()]
+        footprint = tensor.bytes_structure()
+        access = 3 * 8 + 4 * (2 + 1 + 2)
+        assert access > footprint
+        for spad, charged in ((footprint, footprint), (footprint - 1, access)):
+            for _out, stats in _scan_both(tensor, 1, tokens, spad, True):
+                assert stats.dram_reads == charged
 
 
 class TestLocate:
