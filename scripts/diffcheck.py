@@ -1,19 +1,18 @@
-"""Dev harness: compare every executor against interp on the golden models.
+"""Dev harness: compare every backend against interp on the golden models.
 
-The executors are the ``columnar`` interpreter and the ``codegen`` backend
-with each emission tier forced (``codegen/token``, ``codegen/columnar``);
-each must reproduce the ``interp`` reference's streams, per-node stats,
-result tensors and timed cycles exactly.
+The backends are ``columnar`` (every region on the columnar tier) and
+``codegen`` (the per-region tier rule); each must reproduce the ``interp``
+reference's streams, per-node stats, result tensors and timed cycles
+exactly.
 
 Usage: PYTHONPATH=src python scripts/diffcheck.py [model ...]
 """
 
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
-from repro.backend import codegen
+from repro.backend import BACKEND_NAMES
 from repro.comal.engine import run_timed
 from repro.comal.functional import run_functional
 from repro.comal.machines import RDA_MACHINE
@@ -28,35 +27,10 @@ POINTS = {
     "gpt3": {"seq_len": 16, "d_model": 8, "block": 4, "n_layers": 1, "seed": 0},
 }
 
-#: executor label -> (run_functional backend, forced codegen tier or None);
-#: the first is the reference the others must match.
-EXECUTORS = {
-    "interp": ("interp", None),
-    "columnar": ("columnar", None),
-    "codegen/token": ("codegen", "token"),
-    "codegen/columnar": ("codegen", "columnar"),
-}
-
-
-@contextmanager
-def forced_tier(tier):
-    """Run every codegen region on ``tier`` through the tier decision's
-    one constant (as the tests' ``force_tier`` fixture does)."""
-    saved = codegen.DEFAULT_SMALL_STREAM_CUTOFF
-    if tier is not None:
-        codegen.DEFAULT_SMALL_STREAM_CUTOFF = {"columnar": 0, "token": 10**9}[tier]
-    try:
-        yield
-    finally:
-        codegen.DEFAULT_SMALL_STREAM_CUTOFF = saved
-
-
-def run_region(g, bind, label):
-    backend, tier = EXECUTORS[label]
-    with forced_tier(tier):
-        return run_functional(
-            g, bind, RDA_MACHINE.scratchpad_bytes, backend=backend, cache=False
-        )
+def run_region(g, bind, backend):
+    return run_functional(
+        g, bind, RDA_MACHINE.scratchpad_bytes, backend=backend, cache=False
+    )
 
 
 def compare(where, label, fl, fc):
@@ -88,7 +62,7 @@ def compare(where, label, fl, fc):
 def check_model(model):
     bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
     session = Session(machine=RDA_MACHINE)
-    labels = list(EXECUTORS)
+    labels = list(BACKEND_NAMES)  # interp first: the reference
     for gran in ("unfused", "partial", "full"):
         exe = session.compile(bundle.program, bundle.schedule(gran))
         binds = {label: dict(bundle.binding) for label in labels}
@@ -118,7 +92,7 @@ def check_model(model):
                     return False
             for label, f in runs.items():
                 binds[label].update(f.results)
-    print(f"{model}: OK ({', '.join(EXECUTORS)} agree)")
+    print(f"{model}: OK ({', '.join(labels)} agree)")
     return True
 
 

@@ -3,9 +3,12 @@
 ``"interp"`` is the per-token reference interpreter (tuple-list streams),
 ``"columnar"`` the vectorized interpreter over
 :class:`~repro.sam.token.TokenStream` columns (the default), and
-``"codegen"`` the generated-kernel backend in :mod:`repro.backend.codegen`.
-All three produce identical streams, statistics, and result tensors;
-``tests/test_codegen_differential.py`` enforces that model by model.
+``"codegen"`` the per-region tier rule: each region runs on the token tier
+when its binding is blocked or short, and columnar otherwise (see
+:func:`repro.comal.functional.run_functional`; the name is historical).
+All three run one node loop and produce identical streams, statistics,
+and result tensors; ``tests/test_codegen_differential.py`` enforces that
+model by model.
 
 The rule: an explicit name wins, else ``FUSEFLOW_BACKEND``, else
 ``"columnar"``.  A :class:`~repro.driver.session.Session` applies it once,

@@ -153,8 +153,9 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
         help=(
             "execution backend: 'columnar' (vectorized interpreter, the "
             "default), 'interp' (per-token reference interpreter), or "
-            "'codegen' (per-region compiled kernels; bit-exact, faster "
-            "on deep regions).  Default follows FUSEFLOW_BACKEND."
+            "'codegen' (the per-region tier rule: interp for blocked or "
+            "short inputs, columnar otherwise; bit-exact, the name is "
+            "historical).  Default follows FUSEFLOW_BACKEND."
         ),
     )
     parser.add_argument(
@@ -260,58 +261,6 @@ def cmd_simulate(args) -> int:
             f"{'total':24s} {levels['dram']:10d} {levels['sram']:10d} "
             f"{levels['spill']:9d} {levels['fill']:9d}"
         )
-        if exe.diagnostics.backend == "codegen":
-            from .backend import codegen_cache_info
-            from .backend.codegen import cached_artifacts
-
-            print()
-            print("codegen backend per region (emit cost vs amortization):")
-            print(exe.diagnostics.codegen_summary())
-            print(
-                f"{'region':24s} {'tier':>8s} {'LoC':>6s} {'emit':>10s} "
-                f"{'runs':>5s} {'run ms':>8s} {'emit/run':>9s}  status"
-            )
-            for region in exe.regions:
-                # One row per emitted tier: a region whose streams turn
-                # out short at run time lands on the token tier although
-                # the declarations had it emit the columnar one.
-                arts = cached_artifacts(region.graph)
-                for tier in sorted(arts):
-                    art = arts[tier]
-                    emit_ms = (art.emit_seconds + art.compile_seconds) * 1e3
-                    if art.runs:
-                        run_ms = art.run_seconds * 1e3 / art.runs
-                        amort = f"{emit_ms / art.runs:7.2f}ms"
-                        status = (
-                            "amortized" if emit_ms < art.run_seconds * 1e3
-                            else "paying off"
-                        )
-                        run_col = f"{run_ms:8.3f}"
-                    else:
-                        amort = f"{'-':>9s}"
-                        run_col = f"{'-':>8s}"
-                        status = "unused tier"
-                    if art.origin == "memory":
-                        # No compile() in the emit column: an identical
-                        # kernel was already compiled for another region.
-                        status += f", shared kernel {art.sha[:12]}"
-                    elif art.origin == "disk":
-                        # The emit column holds emission + the disk load.
-                        status += f", kernel {art.sha[:12]} from disk"
-                    print(
-                        f"{region.graph.name:24s} {tier:>8s} {art.loc:6d} "
-                        f"{emit_ms:8.2f}ms {art.runs:5d} {run_col} "
-                        f"{amort}  {status}"
-                    )
-            info = codegen_cache_info()
-            print(
-                f"artifact cache: {info['artifact_hits']} hit(s), "
-                f"{info['artifact_misses']} miss(es); source cache: "
-                f"{info['code_hits']} hit(s), {info['code_misses']} "
-                f"miss(es), {info['code_disk_hits']} loaded from disk, "
-                f"{info['code_disk_writes']} written to disk; "
-                f"{info['token_dispatches']} run(s) sent to the token tier"
-            )
     return 0
 
 

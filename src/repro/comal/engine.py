@@ -177,6 +177,26 @@ def _tiled_times(times, tiles: int, bubble: float):
     return np.asarray(times, dtype=np.float64) + bubble * ((k * tiles) // n)
 
 
+def _port_times(schedule, n: int, max_len: int, lat: float):
+    """Arrival times of an ``n``-token output port of a node.
+
+    The node emits on ``schedule`` (``max_len`` entries, one per token of
+    its longest port); a shorter port's token ``k`` leaves with emission
+    ``k * max_len // n``, and every token arrives ``lat`` later.  Short
+    ports resample in Python, long ones with one numpy gather.
+    """
+    if n == max_len:
+        if isinstance(schedule, list):
+            return [t + lat for t in schedule]
+        return schedule + lat
+    if n == 0:
+        return ()
+    if n < _VECTOR_THRESHOLD:
+        return [schedule[(k * max_len) // n] + lat for k in range(n)]
+    idx = np.minimum(max_len - 1, (np.arange(n, dtype=np.int64) * max_len) // n)
+    return np.asarray(schedule)[idx] + lat
+
+
 #: Shared empty out-port map (avoids allocating one per portless node).
 _NO_PORTS: Dict[str, Any] = {}
 
@@ -349,22 +369,9 @@ def run_timed(
                     fill_total += traffic
 
         for port, stream in out_ports.items():
-            n = len(stream)
-            if n == max_len:
-                if isinstance(schedule, list):
-                    times = [t + lat for t in schedule]
-                else:
-                    times = schedule + lat
-            elif n == 0:
-                times = ()
-            elif n < _VECTOR_THRESHOLD:
-                times = [schedule[(k * max_len) // n] + lat for k in range(n)]
-            else:
-                idx = np.minimum(
-                    max_len - 1, (np.arange(n, dtype=np.int64) * max_len) // n
-                )
-                times = np.asarray(schedule)[idx] + lat
-            port_times[(node_id, port)] = times
+            port_times[(node_id, port)] = _port_times(
+                schedule, len(stream), max_len, lat
+            )
 
         busy = max_len * ii
         node_busy[node_id] = busy

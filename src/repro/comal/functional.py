@@ -5,17 +5,24 @@ token streams of the SAM protocol.  This layer defines functional
 correctness; the timed executor in :mod:`repro.comal.engine` replays the
 same streams through a machine timing model.
 
-The node-walking loop here runs two of the three backends:
+One node-walking loop runs all three backends; they differ only in the
+primitive method each node is one call to:
 
 * ``"columnar"`` (default): streams are
   :class:`~repro.sam.token.TokenStream` structure-of-arrays and primitives
   run their vectorized ``process_columnar`` kernels;
 * ``"interp"``: streams are tuple lists and primitives run their per-token
   ``process`` loops — the reference the differential suites compare
-  against.
+  against;
+* ``"codegen"``: the per-region tier rule (the name is historical: it once
+  emitted a Python kernel per region).  A region runs ``process`` when a
+  tensor it reads is bound with blocked payloads or when its input carries
+  fewer than :data:`DEFAULT_SMALL_STREAM_CUTOFF` payloads — numpy's
+  per-call cost dominates short arrays, and blocked payloads ride the
+  ``objs`` escape hatch through every columnar kernel — and
+  ``process_columnar`` otherwise.
 
-``"codegen"`` hands the graph to :mod:`repro.backend.codegen` instead.  All
-three produce identical streams, statistics, and results —
+All three produce identical streams, statistics, and results —
 ``tests/test_columnar_differential.py`` and
 ``tests/test_codegen_differential.py`` enforce this model by model.
 
@@ -46,6 +53,60 @@ def default_debug_streams() -> bool:
 #: Entries kept per graph in the functional/timed memo (a sweep touches a
 #: handful of bindings per graph at most; executions dominate).
 _CACHE_ENTRIES = 4
+
+#: Payload-count cutoff under which backend ``codegen`` runs a region on
+#: the token tier (``process``): numpy call overhead dominates short
+#: arrays, so plain Python loops win there.  256 separates the
+#: golden-scale sae regions (~120-150 payloads per region, faster on the
+#: token tier) from the gcn / graphsage ones (~380-670, faster columnar);
+#: blocked gpt3 routes to the token tier separately, via the
+#: blocked-payload probe, regardless of size.
+DEFAULT_SMALL_STREAM_CUTOFF = 256
+
+
+def _probe_spec(graph: SAMGraph, order: List[str]) -> Tuple[Tuple[str, ...], int]:
+    """Tensor names + constant token floor used to size a run's input.
+
+    The tier rule estimates how much work a run carries by summing the nnz
+    of the tensors the region reads plus the length of any replayed source
+    streams; both are knowable without executing.
+    """
+    names: Dict[str, None] = {}
+    base = 0
+    for node_id in order:
+        prim = graph.nodes[node_id].prim
+        if prim.kind in ("scan", "array", "locate"):
+            names[prim.tensor_name] = None
+        elif prim.kind == "source":
+            base += len(prim.stream)
+    return tuple(names), base
+
+
+def _probe_size(probe: Tuple[Tuple[str, ...], int], binding: Dict[str, Any]):
+    """Size a run from its binding: (estimated input tokens, blocked payloads).
+
+    ``blocked`` is True when any probed tensor carries multi-dimensional
+    payloads (e.g. gpt3's block-sparse matrices): those ride the ``objs``
+    escape hatch through every columnar kernel, so the token tier's plain
+    loops are the faster choice regardless of stream length.
+    """
+    names, size = probe
+    blocked = False
+    for name in names:
+        values = getattr(binding.get(name), "values", None)
+        if values is not None:
+            size += int(values.size)
+            if values.ndim > 1:
+                blocked = True
+    return size, blocked
+
+
+def _runs_columnar(mode: str, graph: SAMGraph, order: List[str], binding) -> bool:
+    """The tier a run takes: fixed by ``interp``/``columnar``, else the rule."""
+    if mode != "codegen":
+        return mode == "columnar"
+    size, blocked = _probe_size(_probe_spec(graph, order), binding)
+    return not blocked and size >= DEFAULT_SMALL_STREAM_CUTOFF
 
 
 def _binding_key(graph: SAMGraph, binding: Dict[str, Any]) -> Optional[Tuple]:
@@ -96,7 +157,7 @@ def run_functional(
     """Execute ``graph`` functionally with tensors bound by name.
 
     ``backend`` names the execution backend (``"interp"``, ``"columnar"``,
-    or ``"codegen"``; ``None`` follows
+    or ``"codegen"``, the per-region tier rule; ``None`` follows
     :func:`repro.backend.base.resolve_backend_name`).  ``debug_streams``
     enables per-stream protocol validation (``None`` reads
     ``FUSEFLOW_DEBUG_STREAMS``).  Validation of the graph structure itself
@@ -123,21 +184,12 @@ def run_functional(
                 if entry is not None:
                     return entry[0]
     graph.ensure_validated()
-    if mode == "codegen":
-        from ..backend.codegen import try_run_codegen
-
-        return _memoize(
-            graph,
-            binding,
-            memo_key,
-            try_run_codegen(graph, binding, scratchpad_bytes, debug_streams),
-        )
-    columnar = mode != "interp"
+    order = graph.topological_order()
+    columnar = _runs_columnar(mode, graph, order, binding)
     ctx = ExecutionContext(
         binding, scratchpad_bytes=scratchpad_bytes, debug_streams=debug_streams
     )
     result = FunctionalResult()
-    order = graph.topological_order()
     result.order = order
     for node_id in order:
         node = graph.nodes[node_id]

@@ -44,27 +44,9 @@ class RegionDiagnostics:
     sram_reserved: int = 0
     # Passes that ran but decided they did not apply, with a reason.
     skipped_passes: Dict[str, str] = field(default_factory=dict)
-    # Codegen backend (filled only when the session compiles under
-    # backend="codegen"): emitted lines of code, emission + compile wall
-    # time, and where the code object came from — "compiled" (a real
-    # compile()), "memory" (the cross-graph source cache: an earlier,
-    # structurally identical region already obtained it) or "disk" (the
-    # disk cache's kernel file; the time is then emission + load).
+    # Kernel lines emitted for this region.  Nothing is emitted any more,
+    # so it reads 0; kept for frozen ``bench/``, which sums it.
     codegen_loc: int = 0
-    codegen_seconds: float = 0.0
-    codegen_origin: str = ""
-    # Emission tier the region's kernel was generated with: the tier the
-    # declarations say it will run under ("token" for blocked formats,
-    # else "columnar").
-    codegen_tier: str = ""
-    # First 12 hex digits of the emitted source's SHA-256.  Emission is
-    # name-free, so regions with equal digests share one code object.
-    codegen_sha: str = ""
-
-    @property
-    def codegen_cached(self) -> bool:
-        """True when another region had already obtained this kernel."""
-        return self.codegen_origin == "memory"
 
     @property
     def order_fallbacks(self) -> int:
@@ -98,26 +80,6 @@ class CompileDiagnostics:
                 out.setdefault(name, []).append(region.name)
         return out
 
-    def codegen_summary(self) -> str:
-        """``N regions, M distinct kernels, K shared, D from disk``.
-
-        Empty off codegen.  A *shared* region found its code object
-        already in memory — obtained by an earlier, structurally identical
-        region — and so reports emission time only; that is why its
-        compile cost reads as zero.  A region *from disk* loaded its
-        kernel from the disk cache instead of calling ``compile()``; the
-        rest (N - K - D) compiled theirs.
-        """
-        kernels = [r for r in self.regions if r.codegen_loc]
-        if not kernels:
-            return ""
-        return (
-            f"{len(kernels)} region(s), "
-            f"{len({r.codegen_sha for r in kernels})} distinct kernel(s), "
-            f"{sum(r.codegen_cached for r in kernels)} shared, "
-            f"{sum(r.codegen_origin == 'disk' for r in kernels)} from disk"
-        )
-
     def describe(self) -> str:
         """Multi-line rendering: per-pass timings, then per-region stats."""
         lines = [
@@ -128,9 +90,6 @@ class CompileDiagnostics:
         for name in self.pass_names:
             seconds = self.pass_seconds.get(name, 0.0)
             lines.append(f"  pass {name:20s} {seconds * 1e3:8.2f} ms")
-        kernels = self.codegen_summary()
-        if kernels:
-            lines.append(f"  codegen: {kernels}")
         for region in self.regions:
             bits = [
                 f"{region.statements} stmt(s)",
@@ -157,15 +116,5 @@ class CompileDiagnostics:
                 bits.append(f"{region.spilled_outputs} output(s) spilled")
             if region.skipped_passes:
                 bits.append(f"skipped {sorted(region.skipped_passes)}")
-            if region.codegen_loc:
-                tier = f" {region.codegen_tier}" if region.codegen_tier else ""
-                bits.append(
-                    f"codegen{tier} {region.codegen_loc} LoC in "
-                    f"{region.codegen_seconds * 1e3:.2f} ms"
-                    + {
-                        "memory": f" (shared kernel {region.codegen_sha})",
-                        "disk": f" (kernel {region.codegen_sha} from disk)",
-                    }.get(region.codegen_origin, "")
-                )
             lines.append(f"  region {region.name}: " + ", ".join(bits))
         return "\n".join(lines)

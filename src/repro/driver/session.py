@@ -52,10 +52,8 @@ class CacheInfo:
     ``disk_disabled_reason`` reports a disk cache whose write breaker
     tripped (see :class:`~repro.driver.diskcache.DiskCache`); ``None``
     while healthy or when no disk cache is configured.
-    ``disk_kernel_hits``/``disk_kernel_writes`` count code-generated
-    kernels loaded from / written to the disk cache instead of (after)
-    ``compile()``, and ``disk_rejected`` the cache files refused because
-    someone other than this user could have written them.
+    ``disk_rejected`` counts the cache files refused because someone other
+    than this user could have written them.
     """
 
     hits: int
@@ -65,8 +63,6 @@ class CacheInfo:
     disk_hits: int = 0
     disk_misses: int = 0
     disk_disabled_reason: Optional[str] = None
-    disk_kernel_hits: int = 0
-    disk_kernel_writes: int = 0
     disk_rejected: int = 0
 
     def __str__(self) -> str:
@@ -76,11 +72,6 @@ class CacheInfo:
         )
         if self.disk_hits or self.disk_misses:
             text += f", disk {self.disk_hits}/{self.disk_hits + self.disk_misses}"
-        if self.disk_kernel_hits or self.disk_kernel_writes:
-            text += (
-                f", kernels {self.disk_kernel_hits} from disk / "
-                f"{self.disk_kernel_writes} written"
-            )
         if self.disk_rejected:
             text += f", {self.disk_rejected} disk file(s) rejected"
         if self.disk_disabled_reason:
@@ -284,11 +275,10 @@ class Session:
                 else:
                     self._disk_misses += 1
             if entry is not None:
-                compiled = entry["compiled"]
-                diagnostics = entry["diagnostics"]
-                if self.backend == "codegen":
-                    self._prewarm_codegen(compiled, diagnostics)
-                return self._wrap(compiled, diagnostics, key), "disk"
+                return (
+                    self._wrap(entry["compiled"], entry["diagnostics"], key),
+                    "disk",
+                )
         # Fault site: an injected raise/hang here behaves exactly like a
         # compiler bug or a pathological schedule — what sweep retries and
         # serve deadlines are tested against.
@@ -304,8 +294,6 @@ class Session:
         )
         diagnostics.compile_seconds = compiled.compile_seconds
         diagnostics.backend = self.backend
-        if self.backend == "codegen":
-            self._prewarm_codegen(compiled, diagnostics)
         if self.disk_cache is not None and dkey is not None:
             self.disk_cache.put(
                 dkey,
@@ -336,34 +324,6 @@ class Session:
             debug_streams=self.debug_streams,
             sim_cache=self.sim_cache,
         )
-
-    def _prewarm_codegen(self, compiled: CompiledProgram, diagnostics) -> None:
-        """Emit + compile every region kernel now, recording per-region cost.
-
-        Codegen cost thereby lands in compile diagnostics (where it is
-        observable via ``--profile``) instead of silently inflating the
-        first execution.  The disk cache doubles as the kernel store, so
-        over a warm directory "compile" here is a load by source sha.
-        """
-        from ..backend.codegen import select_artifact
-
-        by_name = {region.name: region for region in diagnostics.regions}
-        for region in compiled.regions:
-            # The tier the run will pick, as far as the declarations can
-            # tell (blocked formats); stream length decides at first run.
-            artifact = select_artifact(
-                region.graph, decls=compiled.decls, store=self.disk_cache
-            )
-            diag = by_name.get(region.graph.name)
-            if diag is None:
-                continue
-            diag.codegen_loc = artifact.loc
-            diag.codegen_seconds = (
-                artifact.emit_seconds + artifact.compile_seconds
-            )
-            diag.codegen_origin = artifact.origin
-            diag.codegen_sha = artifact.sha[:12]
-            diag.codegen_tier = artifact.tier
 
     # ------------------------------------------------------------------
     # Convenience execution
@@ -436,8 +396,6 @@ class Session:
                 disk_hits=self._disk_hits,
                 disk_misses=self._disk_misses,
                 disk_disabled_reason=disk.disabled_reason if disk else None,
-                disk_kernel_hits=disk.kernel_hits if disk else 0,
-                disk_kernel_writes=disk.kernel_writes if disk else 0,
                 disk_rejected=disk.rejected if disk else 0,
             )
 

@@ -238,27 +238,22 @@ class TestEstimateAutotuneCompile:
         assert "fuse-regions" in out and "lower-region" in out
 
     def test_warm_start_reports_kernels_from_disk(self, capsys, tmp_path):
-        """What CI's warm-start smoke greps, and ``simulate --profile`` too."""
-        from repro.backend.codegen import clear_codegen_caches
-
+        """What CI's warm-start smoke greps: the second compile is a disk
+        hit.  The compiled program is all there is to load — no kernel is
+        emitted, so none is reported — and ``simulate --profile`` runs
+        under the tier rule from the same directory."""
         argv = ["--model", "gpt3", "--seq-len", "16", "--backend", "codegen",
                 "--cache-dir", str(tmp_path)]
         outs = []
         for _ in range(2):
-            clear_codegen_caches()  # a restarted process
             assert cli_main(["compile", *argv, "--diagnostics"]) == 0
             outs.append(capsys.readouterr().out)
         assert "compile source: compiled" in outs[0]
-        assert "4 distinct kernel(s), 4 shared, 0 from disk" in outs[0]
         assert "compile source: disk" in outs[1]
-        assert "4 distinct kernel(s), 4 shared, 4 from disk" in outs[1]
-        assert outs[1].count(" from disk)") == 4
-        clear_codegen_caches()
+        assert all("kernel" not in out for out in outs)
         assert cli_main(["simulate", *argv, "--profile"]) == 0
         out = capsys.readouterr().out
-        assert "8 region(s), 4 distinct kernel(s), 4 shared, 4 from disk" in out
-        assert out.count(", kernel ") == 4  # one status per loaded row
-        assert "4 miss(es), 4 loaded from disk, 0 written to disk" in out
+        assert "memory traffic per region" in out and "kernel" not in out
 
     def test_compile_show_graph_and_table(self, capsys):
         code = cli_main(

@@ -1,13 +1,20 @@
-"""Differential tests: the codegen backend vs the columnar interpreter.
+"""Differential tests across the backend names: interp, columnar, codegen.
 
-The interpreter is the executable specification; the codegen backend must
-reproduce it *exactly* for every golden model at its canonical
-configuration, across fusion granularities and memory hierarchies: same
-streams token for token, same per-node statistics (tokens/ops/DRAM bytes),
-same output tensors bit for bit, the same timed metrics, and the same
-per-level memory traffic.  This is the contract that lets ``--backend
-codegen`` substitute for the interpreter without regenerating any golden
-trace.
+The ``interp`` interpreter is the executable specification; the other
+two backends must reproduce it *exactly* for every golden model at its
+canonical configuration, across fusion granularities and memory
+hierarchies: same streams token for token, same per-node statistics, same
+output tensors bit for bit, the same timed metrics, and the same
+per-level memory traffic.  This is the contract that lets any backend
+substitute for another without regenerating a golden trace.
+
+All three run one node loop and differ only in the tier each region runs
+on: ``interp`` is the token tier, ``columnar`` the columnar tier, and
+``codegen`` the per-region tier rule choosing between them.  The cases
+named for the token tier check ``interp`` against ``columnar``, the ones
+named for the columnar tier check ``columnar`` against ``interp``, and the
+rest check ``codegen`` against ``interp`` — so every pair is pinned and a
+divergence in one tier cannot hide behind the rule's choice of the other.
 
 Mirrors ``tests/test_columnar_differential.py`` (the representation axis)
 and ``tests/test_split_differential.py`` (the tiling axis) for the backend
@@ -18,8 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import codegen_cache_info
-from repro.backend.codegen import cached_artifacts, clear_codegen_caches
+from repro.backend import BACKEND_NAMES
 from repro.comal.engine import run_timed
 from repro.comal.functional import run_functional
 from repro.comal.machines import RDA_MACHINE
@@ -41,224 +47,182 @@ POINTS = {
 GRANULARITIES = ("unfused", "partial")
 HIERARCHIES = ("flat", "fpga-small")
 
-STAT_FIELDS = ("tokens_in", "tokens_out", "ops", "dram_reads", "dram_writes")
+#: The backend that runs each tier on its own.
+TIER_BACKEND = {"token": "interp", "columnar": "columnar"}
+
+
+def _bind_transposes(region, *bindings):
+    for orig, new_name, mode_order in region.transposes:
+        for bind in bindings:
+            if new_name not in bind:
+                bind[new_name] = bind[orig].permuted_copy(
+                    mode_order, name=new_name
+                )
+
+
+def _assert_regions_match(where, want, have):
+    """Functional results of one region: streams, full stats, tensors."""
+    assert set(have.streams) == set(want.streams), where
+    for key in want.streams:
+        assert streams_equal(have.streams[key], want.streams[key]), (
+            f"{where} stream {key} diverged"
+        )
+    assert have.stats == want.stats, where
+    assert set(have.results) == set(want.results), where
+    for name, tensor in want.results.items():
+        assert np.array_equal(
+            tensor.to_dense(), have.results[name].to_dense()
+        ), f"{where} result {name} diverged"
+
+
+def _region_by_region(model, granularity, hierarchy, backend, reference):
+    """``backend`` against ``reference``, region by region, timing included."""
+    bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
+    session = Session(machine=RDA_MACHINE, hierarchy=hierarchy)
+    exe = session.compile(bundle.program, bundle.schedule(granularity))
+    machine = session.machine
+    bind_r = dict(bundle.binding)
+    bind_b = dict(bundle.binding)
+    for region in exe.regions:
+        _bind_transposes(region, bind_r, bind_b)
+        graph = region.graph
+        where = f"{model}/{granularity}/{hierarchy}/{graph.name}"
+        want = run_functional(
+            graph, bind_r, machine.scratchpad_bytes, backend=reference
+        )
+        have = run_functional(
+            graph, bind_b, machine.scratchpad_bytes, backend=backend
+        )
+        _assert_regions_match(where, want, have)
+
+        timed_r = run_timed(graph, bind_r, machine, functional=want)
+        timed_b = run_timed(graph, bind_b, machine, functional=have)
+        assert timed_b.flops == timed_r.flops
+        assert timed_b.dram_bytes == timed_r.dram_bytes
+        assert timed_b.sram_bytes == timed_r.sram_bytes
+        assert timed_b.tokens == timed_r.tokens
+        assert timed_b.cycles == timed_r.cycles, where
+        assert timed_b.node_busy == timed_r.node_busy, where
+
+        bind_r.update(want.results)
+        bind_b.update(have.results)
+
+
+def _end_to_end(model, granularity, hierarchy, backend, reference):
+    """Full executions agree on metrics incl. per-level memory traffic."""
+    bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
+    res = {}
+    for name in (reference, backend):
+        sess = Session(
+            machine=RDA_MACHINE,
+            hierarchy=hierarchy,
+            backend=name,
+            sim_cache=False,
+            debug_streams=True,
+        )
+        exe = sess.compile(bundle.program, bundle.schedule(granularity))
+        res[name] = exe(bundle.binding)
+    want, have = res[reference].metrics, res[backend].metrics
+    where = f"{model}/{granularity}/{hierarchy}: {backend} vs {reference}"
+    assert have.flops == want.flops, where
+    assert have.tokens == want.tokens, where
+    assert have.traffic_by_level() == want.traffic_by_level(), where
+    assert have.cycles == want.cycles, where
+    assert have.kernel_cycles == want.kernel_cycles, where
+    assert set(res[backend].tensors) == set(res[reference].tensors), where
+    for name, tensor in res[reference].tensors.items():
+        assert np.array_equal(
+            tensor.to_dense(), res[backend].tensors[name].to_dense()
+        ), f"{where} tensor {name} diverged"
 
 
 @pytest.mark.parametrize("hierarchy", HIERARCHIES)
 @pytest.mark.parametrize("granularity", GRANULARITIES)
 @pytest.mark.parametrize("model", sorted(POINTS))
 def test_streams_stats_and_timing_match(model, granularity, hierarchy):
-    """Region-by-region bit-exactness: streams, stats, tensors, cycles."""
-    bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
-    session = Session(machine=RDA_MACHINE, hierarchy=hierarchy)
-    exe = session.compile(bundle.program, bundle.schedule(granularity))
-    machine = session.machine
-    bind_c = dict(bundle.binding)
-    bind_g = dict(bundle.binding)
-    for region in exe.regions:
-        for orig, new_name, mode_order in region.transposes:
-            for bind in (bind_c, bind_g):
-                if new_name not in bind:
-                    bind[new_name] = bind[orig].permuted_copy(
-                        mode_order, name=new_name
-                    )
-        graph = region.graph
-        columnar = run_functional(
-            graph, bind_c, machine.scratchpad_bytes, backend="columnar"
-        )
-        codegen = run_functional(
-            graph, bind_g, machine.scratchpad_bytes, backend="codegen"
-        )
-
-        assert set(columnar.streams) == set(codegen.streams)
-        for key in columnar.streams:
-            assert streams_equal(codegen.streams[key], columnar.streams[key]), (
-                f"{model}/{granularity}/{hierarchy}/{graph.name} "
-                f"stream {key} diverged"
-            )
-        for node_id, want in columnar.stats.items():
-            have = codegen.stats[node_id]
-            for fieldname in STAT_FIELDS:
-                assert getattr(have, fieldname) == getattr(want, fieldname), (
-                    f"{model}/{granularity}/{hierarchy}/{graph.name} "
-                    f"{node_id}.{fieldname}"
-                )
-        for name, tensor in columnar.results.items():
-            assert np.array_equal(
-                tensor.to_dense(), codegen.results[name].to_dense()
-            ), f"{model}/{granularity}/{hierarchy} result {name} diverged"
-
-        timed_c = run_timed(graph, bind_c, machine, functional=columnar)
-        timed_g = run_timed(graph, bind_g, machine, functional=codegen)
-        assert timed_g.flops == timed_c.flops
-        assert timed_g.dram_bytes == timed_c.dram_bytes
-        assert timed_g.sram_bytes == timed_c.sram_bytes
-        assert timed_g.tokens == timed_c.tokens
-        assert timed_g.cycles == pytest.approx(timed_c.cycles, rel=1e-9)
-        for node_id, busy in timed_c.node_busy.items():
-            assert timed_g.node_busy[node_id] == pytest.approx(busy, rel=1e-9)
-
-        bind_c.update(columnar.results)
-        bind_g.update(codegen.results)
+    """The tier rule, region by region: streams, stats, tensors, cycles."""
+    _region_by_region(model, granularity, hierarchy, "codegen", "interp")
 
 
 @pytest.mark.parametrize("hierarchy", HIERARCHIES)
 @pytest.mark.parametrize("model", sorted(POINTS))
 def test_end_to_end_metrics_and_traffic_match(model, hierarchy):
-    """Full executions agree on metrics incl. per-level memory traffic."""
-    bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
-    res = {}
-    for backend in ("columnar", "codegen"):
-        sess = Session(
-            machine=RDA_MACHINE,
-            hierarchy=hierarchy,
-            backend=backend,
-            sim_cache=False,
-        )
-        exe = sess.compile(bundle.program, bundle.schedule("partial"))
-        res[backend] = exe(bundle.binding)
-    columnar, codegen = res["columnar"].metrics, res["codegen"].metrics
-    assert codegen.flops == columnar.flops
-    assert codegen.tokens == columnar.tokens
-    assert codegen.traffic_by_level() == columnar.traffic_by_level()
-    assert codegen.cycles == pytest.approx(columnar.cycles, rel=1e-9)
-    assert codegen.kernel_cycles == pytest.approx(
-        columnar.kernel_cycles, rel=1e-9
-    )
-    for name, tensor in res["columnar"].tensors.items():
-        assert np.array_equal(
-            tensor.to_dense(), res["codegen"].tensors[name].to_dense()
-        ), f"{model}/{hierarchy} tensor {name} diverged"
-
-
-def _assert_forced_tier_matches(model, granularity, tier, reference):
-    """With every region on ``tier`` (``force_tier``), match ``reference``."""
-    bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
-    res = {}
-    for backend in (reference, "codegen"):
-        sess = Session(
-            machine=RDA_MACHINE,
-            backend=backend,
-            sim_cache=False,
-            debug_streams=True,
-        )
-        exe = sess.compile(bundle.program, bundle.schedule(granularity))
-        res[backend] = exe(bundle.binding)
-    for region in exe.regions:
-        ran = {
-            name
-            for name, artifact in cached_artifacts(region.graph).items()
-            if artifact.runs
-        }
-        assert ran == {tier}, f"{model}/{granularity}/{region.graph.name}"
-    want, codegen = res[reference].metrics, res["codegen"].metrics
-    assert codegen.flops == want.flops
-    assert codegen.tokens == want.tokens
-    assert codegen.traffic_by_level() == want.traffic_by_level()
-    assert codegen.cycles == pytest.approx(want.cycles, rel=1e-9)
-    for name, tensor in res[reference].tensors.items():
-        assert np.array_equal(
-            tensor.to_dense(), res["codegen"].tensors[name].to_dense()
-        ), f"{model}/{granularity} tensor {name} diverged on the {tier} tier"
+    """The tier rule end to end, per-level memory traffic included."""
+    _end_to_end(model, "partial", hierarchy, "codegen", "interp")
 
 
 @pytest.mark.parametrize("model", sorted(POINTS))
-def test_columnar_tier_forced_matches(model, force_tier):
-    """The columnar emission tier is bit-exact on its own.
+def test_columnar_tier_forced_matches(model):
+    """The columnar tier on every region is bit-exact on its own.
 
     gpt3's blocked payloads exercise the per-node ``objs`` escape hatch
     on the same path.
     """
-    force_tier("columnar")
-    _assert_forced_tier_matches(model, "partial", "columnar", "columnar")
+    _end_to_end(model, "partial", "flat", TIER_BACKEND["columnar"], "interp")
 
 
 @pytest.mark.parametrize("granularity", ("unfused", "partial", "full"))
 @pytest.mark.parametrize("model", sorted(POINTS))
-def test_token_tier_forced_matches(model, granularity, force_tier):
-    """The token tier — unrolled ``process`` calls — against ``interp``."""
-    force_tier("token")
-    _assert_forced_tier_matches(model, granularity, "token", "interp")
+def test_token_tier_forced_matches(model, granularity):
+    """The token tier on every region, at every granularity."""
+    _end_to_end(model, granularity, "flat", TIER_BACKEND["token"], "columnar")
 
 
 @pytest.mark.parametrize("tier", ("token", "columnar"))
 @pytest.mark.parametrize("granularity", ("unfused", "partial", "full"))
 @pytest.mark.parametrize("model", sorted(POINTS))
-def test_disk_loaded_kernels_match_interp(
-    model, granularity, tier, force_tier, tmp_path
-):
-    """Kernels a restarted process unmarshals are the kernels it compiled.
+def test_disk_loaded_kernels_match_interp(model, granularity, tier, tmp_path):
+    """What a restarted process unpickles runs as what it compiled.
 
-    A first session fills the directory (compile *and* run: the token
-    tier of an unblocked region is first emitted at run time); with the
-    in-memory caches dropped, a second one loads every kernel from disk —
-    zero compiled — and must reproduce ``interp`` region by region:
-    streams token for token, per-node statistics, output tensors, with
-    stream checking on.
+    A first session fills the directory; a second one, under the backend
+    that runs ``tier``, is served the compiled program from disk and must
+    reproduce ``interp`` on a fresh compile region by region: streams
+    token for token, per-node statistics, output tensors, with stream
+    checking on.
     """
-    force_tier(tier)
     bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
     schedule = bundle.schedule(granularity)
-    clear_codegen_caches()
+    backend = TIER_BACKEND[tier]
     Session(
-        machine=RDA_MACHINE, backend="codegen", disk_cache=str(tmp_path)
-    ).compile(bundle.program, schedule)(bundle.binding)
-    clear_codegen_caches()
-    session = Session(
-        machine=RDA_MACHINE, backend="codegen", disk_cache=str(tmp_path)
-    )
-    exe, source = session.compile_detailed(bundle.program, schedule)
+        machine=RDA_MACHINE, backend=backend, disk_cache=str(tmp_path)
+    ).compile(bundle.program, schedule)
+    exe, source = Session(
+        machine=RDA_MACHINE, backend=backend, disk_cache=str(tmp_path)
+    ).compile_detailed(bundle.program, schedule)
     assert source == "disk"
+    fresh = Session(machine=RDA_MACHINE, backend="interp").compile(
+        bundle.program, schedule
+    )
     bind_i = dict(bundle.binding)
-    bind_g = dict(bundle.binding)
-    for region in exe.regions:
-        for orig, new_name, mode_order in region.transposes:
-            for bind in (bind_i, bind_g):
-                if new_name not in bind:
-                    bind[new_name] = bind[orig].permuted_copy(
-                        mode_order, name=new_name
-                    )
-        graph = region.graph
-        where = f"{model}/{granularity}/{tier}/{graph.name}"
+    bind_d = dict(bundle.binding)
+    for ref_region, region in zip(fresh.regions, exe.regions, strict=True):
+        _bind_transposes(ref_region, bind_i)
+        _bind_transposes(region, bind_d)
+        where = f"{model}/{granularity}/{tier}/{region.graph.name}"
         interp = run_functional(
-            graph, bind_i, backend="interp", debug_streams=True, cache=False
+            ref_region.graph, bind_i, backend="interp", debug_streams=True,
+            cache=False,
         )
-        codegen = run_functional(
-            graph, bind_g, backend="codegen", debug_streams=True, cache=False
+        loaded = run_functional(
+            region.graph, bind_d, backend=backend, debug_streams=True,
+            cache=False,
         )
-        artifacts = cached_artifacts(graph)
-        assert {t for t, a in artifacts.items() if a.runs} == {tier}, where
-        assert {a.origin for a in artifacts.values()} <= {"disk", "memory"}
-        assert set(codegen.streams) == set(interp.streams), where
-        for key in interp.streams:
-            assert streams_equal(
-                codegen.streams[key], interp.streams[key]
-            ), f"{where} stream {key} diverged"
-        assert codegen.stats == interp.stats, where
-        for name, tensor in interp.results.items():
-            assert np.array_equal(
-                tensor.to_dense(), codegen.results[name].to_dense()
-            ), f"{where} result {name} diverged"
+        _assert_regions_match(where, interp, loaded)
         bind_i.update(interp.results)
-        bind_g.update(codegen.results)
-    info = codegen_cache_info()
-    assert info["code_disk_hits"] == info["code_misses"] > 0
-    assert info["code_disk_writes"] == 0
+        bind_d.update(loaded.results)
 
 
-def test_shared_kernels_match_every_backend():
-    """Layers that share one code object still compute their own results.
+def test_shared_kernels_match_every_backend(reference="interp"):
+    """The layers of a stack compute their own results under every backend.
 
-    gpt3's decoder blocks emit identical (name-free) source, so all but
-    the first layer run kernels compiled for another region, told apart
-    only by the names bound into their exec globals.  Outputs and metrics
-    must stay bit-exact against both interpreters with stream checking on.
+    gpt3's decoder blocks are structurally identical regions told apart
+    only by the tensors they touch.  Outputs and metrics must stay
+    bit-exact against ``reference`` with stream checking on.
     """
     args = dict(POINTS["gpt3"], n_layers=2)
     bundle = build_bundle(SweepPoint.make("gpt3", model_args=args))
-    clear_codegen_caches()
     res = {}
-    for backend in ("interp", "columnar", "codegen"):
+    for backend in BACKEND_NAMES:
         sess = Session(
             machine=RDA_MACHINE,
             backend=backend,
@@ -267,55 +231,43 @@ def test_shared_kernels_match_every_backend():
         )
         exe = sess.compile(bundle.program, bundle.schedule("unfused"))
         res[backend] = exe(bundle.binding)
-    shas = [region.codegen_sha for region in exe.diagnostics.regions]
-    assert len(set(shas)) * 3 <= len(shas)
-    assert codegen_cache_info()["code_hits"] * 2 >= len(shas)
-    codegen = res["codegen"]
-    for backend in ("interp", "columnar"):
-        want = res[backend]
-        assert codegen.metrics.flops == want.metrics.flops
-        assert codegen.metrics.tokens == want.metrics.tokens
-        assert codegen.metrics.traffic_by_level() == (
+    want = res[reference]
+    for backend, have in res.items():
+        assert have.metrics.flops == want.metrics.flops
+        assert have.metrics.tokens == want.metrics.tokens
+        assert have.metrics.traffic_by_level() == (
             want.metrics.traffic_by_level()
         )
-        assert codegen.metrics.cycles == pytest.approx(
-            want.metrics.cycles, rel=1e-9
-        )
-        assert set(codegen.tensors) == set(want.tensors)
+        assert have.metrics.cycles == want.metrics.cycles
+        assert set(have.tensors) == set(want.tensors)
         for name, tensor in want.tensors.items():
             assert np.array_equal(
-                tensor.to_dense(), codegen.tensors[name].to_dense()
-            ), f"tensor {name} diverged from the {backend} backend"
+                tensor.to_dense(), have.tensors[name].to_dense()
+            ), f"tensor {name}: {backend} diverged from {reference}"
 
 
-# The cases above run under the default tier decision; run them once more
-# with every region forced onto the token tier, so a regression there
-# cannot hide behind the decision.  (Separate tests rather than a
-# parametrized fixture, which would rename every case above.)
+# The token tier checked against the columnar one, over the same cases.
 
 
 @pytest.mark.parametrize("hierarchy", HIERARCHIES)
 @pytest.mark.parametrize("granularity", GRANULARITIES)
 @pytest.mark.parametrize("model", sorted(POINTS))
 def test_streams_stats_and_timing_match_on_token_tier(
-    model, granularity, hierarchy, force_tier
+    model, granularity, hierarchy
 ):
-    force_tier("token")
-    test_streams_stats_and_timing_match(model, granularity, hierarchy)
+    _region_by_region(
+        model, granularity, hierarchy, TIER_BACKEND["token"], "columnar"
+    )
 
 
 @pytest.mark.parametrize("hierarchy", HIERARCHIES)
 @pytest.mark.parametrize("model", sorted(POINTS))
-def test_end_to_end_metrics_and_traffic_match_on_token_tier(
-    model, hierarchy, force_tier
-):
-    force_tier("token")
-    test_end_to_end_metrics_and_traffic_match(model, hierarchy)
+def test_end_to_end_metrics_and_traffic_match_on_token_tier(model, hierarchy):
+    _end_to_end(model, "partial", hierarchy, TIER_BACKEND["token"], "columnar")
 
 
-def test_shared_kernels_match_every_backend_on_token_tier(force_tier):
-    force_tier("token")
-    test_shared_kernels_match_every_backend()
+def test_shared_kernels_match_every_backend_on_token_tier():
+    test_shared_kernels_match_every_backend(reference=TIER_BACKEND["token"])
 
 
 # ----------------------------------------------------------------------
@@ -360,28 +312,17 @@ def _single_region_graphs(kind, density, unary, seed):
     seed=st.integers(0, 10_000),
 )
 def test_random_single_region_round_trip(kind, density, unary, seed):
-    """Random single-region graphs round-trip bit-exactly through codegen."""
+    """Random single-region graphs run bit-exactly under every backend."""
     exe, binding = _single_region_graphs(kind, density, unary, seed)
     assert len(exe.regions) == 1
     graph = exe.regions[0].graph
-    columnar = run_functional(
-        graph, binding, RDA_MACHINE.scratchpad_bytes, backend="columnar",
+    want = run_functional(
+        graph, binding, RDA_MACHINE.scratchpad_bytes, backend="interp",
         cache=False,
     )
-    codegen = run_functional(
-        graph, binding, RDA_MACHINE.scratchpad_bytes, backend="codegen",
-        cache=False,
-    )
-    assert set(columnar.streams) == set(codegen.streams)
-    for key in columnar.streams:
-        assert streams_equal(codegen.streams[key], columnar.streams[key]), key
-    for node_id, want in columnar.stats.items():
-        have = codegen.stats[node_id]
-        for fieldname in STAT_FIELDS:
-            assert getattr(have, fieldname) == getattr(want, fieldname), (
-                f"{node_id}.{fieldname}"
-            )
-    for name, tensor in columnar.results.items():
-        assert np.array_equal(
-            tensor.to_dense(), codegen.results[name].to_dense()
-        ), name
+    for backend in ("columnar", "codegen"):
+        have = run_functional(
+            graph, binding, RDA_MACHINE.scratchpad_bytes, backend=backend,
+            cache=False,
+        )
+        _assert_regions_match(backend, want, have)

@@ -2,11 +2,10 @@
 
 Covers the disk cache's safety contract — atomic writes under concurrent
 writer *processes*, torn/corrupt entries degrading to misses, LRU
-eviction order, the who-may-write trust check — for both file kinds it
-holds (compile entries and code-generated kernels), plus the cache levels
+eviction order, the who-may-write trust check — plus the cache levels
 composed: cross-session and cross-process warm starts that skip the pass
-pipeline *and* every ``compile()`` of a kernel, and the Session compile
-cache hammered from many threads (the serve front end's access pattern).
+pipeline, and the Session compile cache hammered from many threads (the
+serve front end's access pattern).
 """
 
 import hashlib
@@ -22,13 +21,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.backend.codegen import (
-    cached_artifacts,
-    clear_codegen_caches,
-    codegen_cache_info,
-)
 from repro.driver import DiskCache, Session
-from repro.driver.diskcache import ENTRY_MAGIC, KERNEL_MAGIC, entry_key
+from repro.driver.diskcache import ENTRY_MAGIC, entry_key
 from repro.models.gcn import gcn_on_synthetic
 
 
@@ -173,158 +167,8 @@ class TestDiskCache:
 
 
 # ----------------------------------------------------------------------
-# The second file kind: code-generated kernels, by source sha
-# ----------------------------------------------------------------------
-
-
-def _kernel(text="x = 1\n"):
-    sha = hashlib.sha256(text.encode()).hexdigest()
-    return sha, compile(text, f"<fuseflow-codegen {sha[:12]}>", "exec")
-
-
-def _rewrite(path, edit):
-    with open(path, "rb") as fh:
-        blob = bytearray(fh.read())
-    with open(path, "wb") as fh:
-        fh.write(bytes(edit(blob)))
-
-
-def _flip_last(blob):
-    blob[-1] ^= 0xFF
-    return blob
-
-
-_DAMAGE = {
-    "truncated": lambda blob: blob[: len(blob) // 2],
-    "bit-flipped": _flip_last,
-    "foreign-magic": lambda blob: b"XXXX0000" + blob[8:],
-    # Right format, another interpreter's bytecode: never unmarshalled.
-    "other-bytecode": lambda blob: blob[:8] + b"\x00\x00\r\n" + blob[12:],
-}
-
-
-class TestKernelFiles:
-    def test_put_get_roundtrip(self, tmp_path):
-        cache = DiskCache(str(tmp_path))
-        sha, code = _kernel()
-        assert cache.get_kernel(sha) is None
-        assert cache.put_kernel(sha, code)
-        assert cache.get_kernel(sha) == code
-        path = cache.kernel_path_for(sha)
-        # The bench harness (and info().entries) count .ffc files.
-        assert os.path.exists(path) and not path.endswith(".ffc")
-        info = cache.info()
-        assert (info.kernels, info.kernel_hits, info.kernel_writes) == (1, 1, 1)
-        assert (info.entries, info.hits, info.misses, info.writes) == (0,) * 4
-
-    def test_existing_kernel_is_not_rewritten(self, tmp_path):
-        cache = DiskCache(str(tmp_path))
-        sha, code = _kernel()
-        assert cache.put_kernel(sha, code)
-        os.utime(cache.kernel_path_for(sha), (1000, 1000))
-        assert not cache.put_kernel(sha, code)  # identical by construction
-        assert os.stat(cache.kernel_path_for(sha)).st_mtime == 1000
-        assert cache.info().kernel_writes == 1
-
-    @pytest.mark.parametrize("damage", sorted(_DAMAGE))
-    def test_damaged_kernel_is_a_miss_and_removed(self, tmp_path, damage):
-        cache = DiskCache(str(tmp_path))
-        sha, code = _kernel()
-        cache.put_kernel(sha, code)
-        path = cache.kernel_path_for(sha)
-        _rewrite(path, _DAMAGE[damage])
-        assert cache.get_kernel(sha) is None
-        assert not os.path.exists(path)
-        assert cache.info().corrupt == 1
-        assert cache.put_kernel(sha, code) and cache.get_kernel(sha) == code
-
-    @pytest.mark.parametrize("damage", sorted(_DAMAGE))
-    def test_session_recompiles_and_rewrites_damaged_kernels(
-        self, bundle, tmp_path, damage
-    ):
-        schedule = bundle.schedule("partial")
-
-        def restart():
-            clear_codegen_caches()
-            session = Session(backend="codegen", disk_cache=str(tmp_path))
-            exe, source = session.compile_detailed(bundle.program, schedule)
-            return session, exe, source, codegen_cache_info()
-
-        restart()
-        kernels = [n for n in os.listdir(str(tmp_path)) if n.endswith(".ffk")]
-        for name in kernels:
-            _rewrite(os.path.join(str(tmp_path), name), _DAMAGE[damage])
-        session, exe, source, info = restart()
-        assert source == "disk"  # the entry is fine; its kernels are not
-        assert info["code_disk_hits"] == 0
-        assert info["code_disk_writes"] == info["code_misses"] == len(kernels)
-        assert session.disk_cache.info().corrupt == len(kernels)
-        assert {r.codegen_origin for r in exe.diagnostics.regions} <= {
-            "compiled", "memory"
-        }
-        assert bundle.max_abs_err(exe(bundle.binding)) < 1e-9
-        _, _, source, info = restart()
-        assert source == "disk"
-        assert info["code_disk_hits"] == info["code_misses"] == len(kernels)
-
-    def test_kernel_magic_carries_the_bytecode_version(self):
-        import importlib.util
-
-        assert KERNEL_MAGIC.endswith(importlib.util.MAGIC_NUMBER)
-
-    def test_other_interpreters_kernel_is_left_in_place(self, tmp_path):
-        cache = DiskCache(str(tmp_path))
-        sha, code = _kernel()
-        theirs = os.path.join(str(tmp_path), f"{sha}.cpython-27.ffk")
-        with open(theirs, "wb") as fh:
-            fh.write(b"another interpreter's kernel")
-        assert cache.get_kernel(sha) is None
-        assert cache.put_kernel(sha, code)
-        assert cache.get_kernel(sha) == code
-        with open(theirs, "rb") as fh:
-            assert fh.read() == b"another interpreter's kernel"
-        assert cache.info().corrupt == 0
-
-    def test_byte_cap_and_lru_cover_kernels(self, tmp_path):
-        cache = DiskCache(str(tmp_path), max_bytes=4096)
-        kernels = [_kernel(f"x = {i!r}\n" + "y = 0\n" * 40) for i in range(12)]
-        old_sha, old_code = kernels[0]
-        cache.put_kernel(old_sha, old_code)
-        cache.put(entry_key("e"), {"pad": "x" * 256})
-        os.utime(cache.kernel_path_for(old_sha), (1000, 1000))
-        os.utime(cache.path_for(entry_key("e")), (2000, 2000))
-        # A hit refreshes the kernel's recency: the entry is now the LRU.
-        assert cache.get_kernel(old_sha) is not None
-        for sha, code in kernels[1:]:
-            cache.put_kernel(sha, code)
-        info = cache.info()
-        assert info.total_bytes <= 4096 and info.evictions > 0
-        assert info.entries == 0 and 0 < info.kernels < len(kernels)
-        # Untouched since: the first kernel aged out before the recent ones.
-        assert cache.get_kernel(old_sha) is None
-        assert cache.get_kernel(kernels[-1][0]) is not None
-
-    def test_entry_cap_counts_entries_only(self, tmp_path):
-        cache = DiskCache(str(tmp_path), max_entries=2)
-        for i in range(4):
-            cache.put_kernel(*_kernel(f"x = {i}\n"))
-        for i in range(3):
-            cache.put(entry_key(str(i)), {"i": i})
-        info = cache.info()
-        assert (info.entries, info.kernels, info.evictions) == (2, 4, 1)
-
-    def test_clear_empties_both_kinds(self, tmp_path):
-        cache = DiskCache(str(tmp_path))
-        cache.put(entry_key("e"), {"v": 1})
-        cache.put_kernel(*_kernel())
-        assert cache.clear() == 2
-        info = cache.info()
-        assert (info.entries, info.kernels, info.total_bytes) == (0, 0, 0)
-
-
-# ----------------------------------------------------------------------
 # Who may write the directory: nothing another user could have written
-# is unpickled or unmarshalled
+# is unpickled
 # ----------------------------------------------------------------------
 
 
@@ -362,43 +206,29 @@ class TestTrustBoundary:
     def test_entries_and_kernels_are_written_private(self, tmp_path):
         cache = DiskCache(str(tmp_path))
         cache.put(entry_key("e"), {"v": 1})
-        sha, code = _kernel()
-        cache.put_kernel(sha, code)
-        for path in (cache.path_for(entry_key("e")), cache.kernel_path_for(sha)):
-            assert os.stat(path).st_mode & 0o777 == 0o600
+        assert os.stat(cache.path_for(entry_key("e"))).st_mode & 0o777 == 0o600
 
     def test_session_recompiles_past_refused_files(self, tmp_path):
         bundle = gcn_on_synthetic(nodes=16, density=0.2, seed=0)
         schedule = bundle.schedule("partial")
-        clear_codegen_caches()
         Session(backend="codegen", disk_cache=str(tmp_path)).compile(
             bundle.program, schedule
         )
-        names = sorted(os.listdir(str(tmp_path)))
-        kernels = [n for n in names if n.endswith(".ffk")]
-        assert kernels and len(names) == len(kernels) + 1
-        for name in names:  # a 0666 entry and 0666 kernels
-            os.chmod(os.path.join(str(tmp_path), name), 0o666)
-        clear_codegen_caches()
+        (name,) = os.listdir(str(tmp_path))
+        path = os.path.join(str(tmp_path), name)
+        os.chmod(path, 0o666)
         session = Session(backend="codegen", disk_cache=str(tmp_path))
         exe, source = session.compile_detailed(bundle.program, schedule)
         assert source == "compiled"
-        info = codegen_cache_info()
-        assert info["code_disk_hits"] == 0
-        assert info["code_misses"] == len(kernels)
-        assert session.cache_info().disk_rejected == len(names)
+        assert session.cache_info().disk_rejected == 1
         assert "rejected" in str(session.cache_info())
         assert bundle.max_abs_err(exe(bundle.binding)) < 1e-9
-        # The recompile replaced every refused file with a private one.
-        for name in names:
-            mode = os.stat(os.path.join(str(tmp_path), name)).st_mode
-            assert mode & 0o777 == 0o600, name
-        clear_codegen_caches()
+        # The recompile replaced the refused file with a private one.
+        assert os.stat(path).st_mode & 0o777 == 0o600
         _, source = Session(
             backend="codegen", disk_cache=str(tmp_path)
         ).compile_detailed(bundle.program, schedule)
         assert source == "disk"
-        assert codegen_cache_info()["code_disk_hits"] == len(kernels)
 
 
 # ----------------------------------------------------------------------
@@ -569,8 +399,9 @@ class TestSessionDiskCache:
 
 
 # ----------------------------------------------------------------------
-# The restart, on purpose: a fresh interpreter over a warm directory goes
-# disk -> exec and never calls compile() on emitted source
+# The restart, on purpose: a fresh interpreter over a warm directory is
+# served every compile from disk, and no process ever calls compile() on
+# generated source
 # ----------------------------------------------------------------------
 
 _RESTART_SCRIPT = r"""
@@ -586,7 +417,6 @@ def counting(source, filename, *args, **kwargs):
 
 builtins.compile = counting
 
-from repro.backend.codegen import cached_artifacts, codegen_cache_info
 from repro.driver import Session
 from repro.sweep import SweepPoint, build_bundle
 
@@ -598,36 +428,14 @@ for model, args, granularity in classes:
     exe, source = session.compile_detailed(
         bundle.program, bundle.schedule(granularity)
     )
-    after_compile = codegen_cache_info()
-    result = exe(bundle.binding)
-    artifacts = [
-        artifact
-        for region in exe.regions
-        for artifact in cached_artifacts(region.graph).values()
-    ]
     rows.append({
         "source": source,
-        "err": bundle.max_abs_err(result),
-        "summary": exe.diagnostics.codegen_summary(),
-        "origins": sorted({a.origin for a in artifacts}),
-        "lazy_token": sum(
-            a.tier == "token" and r.codegen_tier != "token"
-            for r, region in zip(exe.diagnostics.regions, exe.regions)
-            for a in cached_artifacts(region.graph).values()
-        ),
-        "zero_load_seconds": sum(
-            a.origin == "disk" and a.compile_seconds <= 0 for a in artifacts
-        ),
-        "written_at_run": codegen_cache_info()["code_disk_writes"]
-        - after_compile["code_disk_writes"],
+        "err": bundle.max_abs_err(exe(bundle.binding)),
+        "loc": sum(r.codegen_loc for r in exe.diagnostics.regions),
     })
-info = codegen_cache_info()
 print(json.dumps({
     "rows": rows,
     "compile_calls": len(compiled),
-    "code_misses": info["code_misses"],
-    "code_disk_hits": info["code_disk_hits"],
-    "code_disk_writes": info["code_disk_writes"],
     "disk": str(session.cache_info()),
 }))
 """
@@ -666,41 +474,20 @@ class TestRestart:
         cache_dir = str(tmp_path / "cache")
         cold = _fresh_process(cache_dir, _RESTART_CLASSES)
         assert {row["source"] for row in cold["rows"]} == {"compiled"}
-        assert cold["code_disk_hits"] == 0
-        assert cold["compile_calls"] == cold["code_misses"] > 0
-        assert cold["code_disk_writes"] == cold["code_misses"]
-        kernels = [n for n in os.listdir(cache_dir) if n.endswith(".ffk")]
-        assert len(kernels) == cold["code_misses"]
-        assert not [n for n in os.listdir(cache_dir) if n.startswith(".tmp-")]
+        names = os.listdir(cache_dir)
+        assert len(names) == len(_RESTART_CLASSES)
+        assert all(name.endswith(".ffc") for name in names)
 
         warm = _fresh_process(cache_dir, _RESTART_CLASSES)
-        assert warm["compile_calls"] == 0
-        assert warm["code_disk_writes"] == 0
-        # Every in-memory miss — one per distinct kernel — was a disk load.
-        assert warm["code_disk_hits"] == warm["code_misses"] == len(kernels)
-        assert f"kernels {len(kernels)} from disk / 0 written" in warm["disk"]
+        for process in (cold, warm):
+            assert process["compile_calls"] == 0
+            assert {row["loc"] for row in process["rows"]} == {0}
+        assert f"disk {len(_RESTART_CLASSES)}/{len(_RESTART_CLASSES)}" in (
+            warm["disk"]
+        )
         for row, cold_row in zip(warm["rows"], cold["rows"]):
             assert row["source"] == "disk"
             assert row["err"] < 1e-9 and row["err"] == cold_row["err"]
-            assert "compiled" not in row["origins"], row
-            # compile_seconds of a disk kernel is its load time, not 0.
-            assert row["zero_load_seconds"] == 0
-
-    def test_kernel_first_compiled_at_run_time_is_persisted(self, tmp_path):
-        # sae's sub-cutoff regions compile columnar at prewarm and pick
-        # the token tier at first run — long after the Session call that
-        # knew the store.  That late kernel must reach the directory too.
-        cache_dir = str(tmp_path / "cache")
-        sae = [c for c in _RESTART_CLASSES if c[0] == "sae" and c[2] == "unfused"]
-        cold = _fresh_process(cache_dir, sae)
-        (row,) = cold["rows"]
-        assert row["lazy_token"] > 0 and row["written_at_run"] > 0
-        warm = _fresh_process(cache_dir, sae)
-        (row,) = warm["rows"]
-        assert row["lazy_token"] > 0 and row["written_at_run"] == 0
-        assert warm["compile_calls"] == 0
-        assert warm["code_disk_hits"] == warm["code_misses"]
-        assert row["origins"] in (["disk"], ["disk", "memory"])
 
 
 def _compile_gpt3_into(cache_dir: str, barrier, queue) -> None:
@@ -716,10 +503,11 @@ def _compile_gpt3_into(cache_dir: str, barrier, queue) -> None:
     session = Session(backend="codegen", disk_cache=cache_dir)
     barrier.wait(timeout=120)
     exe = session.compile(bundle.program, bundle.schedule("unfused"))
+    result = exe(bundle.binding)
     queue.put(
         {
-            "err": bundle.max_abs_err(exe(bundle.binding)),
-            "shas": sorted({r.codegen_sha for r in exe.diagnostics.regions}),
+            "err": bundle.max_abs_err(result),
+            "cycles": result.metrics.cycles,
         }
     )
 
@@ -742,14 +530,11 @@ class TestConcurrentKernelWriters:
             p.join(timeout=120)
             assert p.exitcode == 0
         assert reports[0] == reports[1] and reports[0]["err"] < 1e-9
-        # One whole file per sha, whoever won each rename; no strays.
-        names = os.listdir(cache_dir)
-        assert not [n for n in names if n.startswith(".tmp-")]
-        kernels = sorted(n for n in names if n.endswith(".ffk"))
-        assert [n[:12] for n in kernels] == reports[0]["shas"]
+        # One whole entry, whoever won the rename; no strays.
+        (name,) = os.listdir(cache_dir)
+        assert name.endswith(".ffc")
         cache = DiskCache(cache_dir)
-        for name in kernels:
-            assert cache.get_kernel(name.split(".")[0]) is not None
+        assert cache.get(name[: -len(".ffc")]) is not None
         assert cache.info().corrupt == 0
 
 

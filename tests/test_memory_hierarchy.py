@@ -23,7 +23,7 @@ from repro.core.einsum.parser import parse_program
 from repro.core.schedule.schedule import fully_fused, unfused
 from repro.driver import PassPipeline, Session
 from repro.ftree import SparseTensor, csr, dense
-from repro.sweep import SweepPoint, SweepSpec, run_point
+from repro.sweep import SweepPoint, SweepSpec, build_bundle, run_point
 
 
 # ----------------------------------------------------------------------
@@ -303,6 +303,53 @@ class TestPerLevelAccounting:
         np.testing.assert_allclose(
             demoted.tensors["U"].to_dense(), reference, atol=1e-12
         )
+
+
+#: The canonical golden configurations (tests/test_golden_traces.py).
+_GOLDEN = {
+    "gcn": {"nodes": 30, "density": 0.1, "seed": 0},
+    "graphsage": {"nodes": 30, "density": 0.1, "seed": 0},
+    "sae": {"nodes": 16, "seed": 0},
+    "gpt3": {"seq_len": 16, "d_model": 8, "block": 4, "n_layers": 1, "seed": 0},
+}
+
+#: One slow bank: every on-chip byte queues on one port, so the SRAM
+#: roofline, not any single node's pacing, sets the cycle count.
+_ONE_SLOW_BANK = resolve_hierarchy("fpga-small").scaled(banks=1, bandwidth=0.5)
+
+
+class TestRooflineLaws:
+    """No region finishes before its memory traffic can have moved.
+
+    ``cycles >= dram_bytes / dram_bandwidth`` and ``cycles >= sram_bytes /
+    (banks * bandwidth)``: the banks together serve at most that many
+    bytes per cycle.  Per-node pacing alone does not guarantee the second
+    law — nodes sharing a bank overlap — so the one-slow-bank hierarchy
+    must make it bind, with equality, somewhere.
+    """
+
+    @pytest.mark.parametrize("model", sorted(_GOLDEN))
+    def test_cycles_respect_dram_and_sram_rooflines(self, model):
+        bundle = build_bundle(SweepPoint.make(model, model_args=_GOLDEN[model]))
+        bound = False
+        for hierarchy in ("fpga-small", _ONE_SLOW_BANK):
+            session = Session(hierarchy=hierarchy, sim_cache=False)
+            machine = session.machine
+            sram = machine.hierarchy.sram
+            for granularity in ("unfused", "partial"):
+                result = session.run(
+                    bundle.program, bundle.binding, bundle.schedule(granularity)
+                )
+                for region in result.region_results:
+                    dram_floor = region.dram_bytes / machine.dram_bandwidth
+                    sram_floor = region.sram_bytes / (sram.banks * sram.bandwidth)
+                    where = (granularity, region.cycles)
+                    assert region.cycles >= dram_floor, where
+                    assert region.cycles >= sram_floor, where
+                    if hierarchy is _ONE_SLOW_BANK and region.sram_bytes:
+                        bound |= region.cycles == sram_floor
+        # gpt3's blocked intermediates stay off chip at this capacity.
+        assert bound or model == "gpt3"
 
 
 class TestSessionHierarchy:

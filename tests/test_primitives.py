@@ -146,7 +146,7 @@ def _scan_both(tensor, level, tokens, spad, dram, *, objs=False):
 
 class TestScannerColumnarMatchesProcess:
     """``LevelScanner.process_columnar`` is the scanner's only vectorized
-    copy (the codegen columnar tier calls it too): it must reproduce
+    copy (every backend's columnar tier calls it): it must reproduce
     ``process`` token for token, stat for stat."""
 
     @settings(max_examples=200, deadline=None)

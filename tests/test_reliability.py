@@ -406,88 +406,26 @@ class TestDiskCacheBreaker:
 
 
 class TestKernelStoreFaults:
-    """The disk -> ``compile()`` fallback, driven on purpose.
+    """A sick disk under backend ``codegen`` degrades to compiling."""
 
-    Kernels share the entries' fault sites, so a sick disk under the
-    codegen backend degrades to compiling — with a verified result —
-    instead of failing the request, and feeds the same breaker.
-    """
-
-    @staticmethod
-    def _warm(cache_dir):
-        from repro.backend.codegen import clear_codegen_caches
+    def test_every_read_failing_is_a_cold_compile(self, tmp_path):
         from repro.driver import Session
         from repro.models.gcn import gcn_on_synthetic
 
         bundle = gcn_on_synthetic(nodes=16, density=0.2, seed=0)
         schedule = bundle.schedule("partial")
-        clear_codegen_caches()
-        Session(backend="codegen", disk_cache=cache_dir).compile(
+        Session(backend="codegen", disk_cache=str(tmp_path)).compile(
             bundle.program, schedule
         )
-        clear_codegen_caches()  # a restarted process
-        return bundle, schedule
-
-    def test_get_fault_on_a_kernel_falls_back_to_compile(self, tmp_path):
-        from repro.backend.codegen import codegen_cache_info
-        from repro.driver import Session
-
-        bundle, schedule = self._warm(str(tmp_path))
-        session = Session(backend="codegen", disk_cache=str(tmp_path))
-        # Call 1 reads the entry; call 2 is the first kernel load.
-        with injected_faults("diskcache.get:raise@nth=2"):
-            exe, source = session.compile_detailed(bundle.program, schedule)
-        assert source == "disk"
-        info = codegen_cache_info()
-        assert info["code_misses"] >= 2
-        assert info["code_disk_hits"] == info["code_misses"] - 1
-        # The file it could not read is whole: nothing to rewrite.
-        assert info["code_disk_writes"] == 0
-        origins = [r.codegen_origin for r in exe.diagnostics.regions]
-        assert origins.count("compiled") == 1 and "disk" in origins
-        assert bundle.max_abs_err(exe(bundle.binding)) < 1e-9
-        assert session.disk_cache.info().corrupt == 0
-
-    def test_every_read_failing_is_a_cold_compile(self, tmp_path):
-        from repro.backend.codegen import codegen_cache_info
-        from repro.driver import Session
-
-        bundle, schedule = self._warm(str(tmp_path))
         before = sorted(os.listdir(str(tmp_path)))
         session = Session(backend="codegen", disk_cache=str(tmp_path))
         with injected_faults("diskcache.get:raise"):
             exe, source = session.compile_detailed(bundle.program, schedule)
         assert source == "compiled"
-        assert codegen_cache_info()["code_disk_hits"] == 0
-        # Whole files already in place were not rewritten kernel by kernel.
+        # The entry it could not read was rewritten in place, not beside.
         assert sorted(os.listdir(str(tmp_path))) == before
-        assert session.disk_cache.info().kernel_writes == 0
+        assert session.disk_cache.info().corrupt == 0
         assert bundle.max_abs_err(exe(bundle.binding)) < 1e-9
-
-    def test_kernel_put_failures_trip_the_breaker(self, tmp_path):
-        from repro.backend.codegen import (
-            clear_codegen_caches,
-            codegen_cache_info,
-        )
-        from repro.driver import Session
-        from repro.models.gcn import gcn_on_synthetic
-
-        bundle = gcn_on_synthetic(nodes=16, density=0.2, seed=0)
-        cache = DiskCache(str(tmp_path), put_failure_limit=2)
-        session = Session(backend="codegen", disk_cache=cache)
-        clear_codegen_caches()
-        with injected_faults("diskcache.put:raise"):
-            exe = session.compile(bundle.program, bundle.schedule("unfused"))
-        # Two kernel writes failed, the breaker opened, and the remaining
-        # kernels and the entry were never attempted.
-        reason = cache.disabled_reason
-        assert reason is not None and "2 consecutive" in reason
-        info = cache.info()
-        assert (info.put_failures, info.kernel_writes, info.writes) == (2, 0, 0)
-        assert codegen_cache_info()["code_disk_writes"] == 0
-        assert os.listdir(str(tmp_path)) == []
-        assert bundle.max_abs_err(exe(bundle.binding)) < 1e-9
-        assert session.cache_info().disk_disabled_reason == reason
 
 
 # ----------------------------------------------------------------------
@@ -737,13 +675,11 @@ class TestServeDrain:
 
 
 class TestCodegenCompileFaults:
-    """Artifact-cache consistency when a codegen compile is interrupted.
+    """A compile interrupted under ``backend="codegen"`` leaves nothing behind.
 
-    The satellite contract: a fault injected at the ``compile`` site
-    while ``backend="codegen"`` must leave no half-registered source in
-    the sha256 code cache — the retry compiles cleanly and every
-    registered source stays accounted for (``code_files`` matches the
-    cache's linecache registrations, retained shas have live owners).
+    A fault at the ``compile`` site must leave no executable in the
+    session cache and no file in its disk cache; the retry compiles
+    cleanly.
     """
 
     def _program_binding(self):
@@ -766,104 +702,40 @@ class TestCodegenCompileFaults:
         return program, binding
 
     def test_interrupted_compile_leaves_caches_consistent(self):
-        from repro.backend.codegen import (
-            clear_codegen_caches,
-            codegen_cache_info,
-        )
         from repro.comal.machines import RDA_MACHINE
         from repro.driver import Session
 
-        clear_codegen_caches()
         program, binding = self._program_binding()
         session = Session(machine=RDA_MACHINE, backend="codegen")
         with injected_faults("compile:raise@nth=1"):
             with pytest.raises(InjectedFault):
                 session.compile(program)
-            # Nothing was emitted for the aborted compile: no orphaned
-            # sha256 entries, no dangling linecache registrations.
-            info = codegen_cache_info()
-            assert info["retained_sources"] == 0
-            assert info["code_files"] == 0
+            assert session.cache_info().entries == 0
             # The retry (same session, same plan — the fault was one-shot)
             # compiles and runs.
             exe = session.compile(program)
-        result = exe(binding)
-        assert result.metrics.tokens > 0
-        info = codegen_cache_info()
-        # Every cached code object is linecache-registered exactly once
-        # and every retained source backs a live artifact.
-        assert info["code_files"] == info["code_entries"]
-        assert info["retained_sources"] == info["code_entries"]
+        assert session.cache_info().entries == 1
+        assert exe(binding).metrics.tokens > 0
 
     def test_interrupted_compile_leaves_no_partial_kernel_file(self, tmp_path):
-        # With a kernel store behind the session, an abort between
-        # compile() and the write-back must leave the directory as clean
-        # as the in-memory caches: no orphan temp file, no kernel under a
-        # sha nothing retained.
-        import repro.backend.codegen as cg
+        # An abort in the entry write-back, or before it, must leave the
+        # directory clean: no orphan temp file, no entry.
         from repro.driver import Session
 
-        cg.clear_codegen_caches()
         program, binding = self._program_binding()
         cache = DiskCache(str(tmp_path))
         session = Session(backend="codegen", disk_cache=cache)
         with injected_faults("diskcache.put:crash@nth=1"):
             # crash in the main process downgrades to a raise the cache
-            # absorbs: the kernel write fails, the compile goes on.
+            # absorbs: the entry write fails, the compile goes on.
             exe = session.compile(program)
-        names = os.listdir(str(tmp_path))
-        assert not [n for n in names if n.startswith(".tmp-")]
-        assert [n for n in names if n.endswith(".ffc")]
+        assert os.listdir(str(tmp_path)) == []
         assert cache.info().put_failures == 1
-        info = cg.codegen_cache_info()
-        assert info["code_files"] == info["code_entries"]
-        assert info["retained_sources"] == info["code_entries"]
         assert exe(binding).metrics.tokens > 0
         with injected_faults("compile:raise@nth=1"):
-            cg.clear_codegen_caches()
-            cache.clear()
             with pytest.raises(InjectedFault):
                 Session(backend="codegen", disk_cache=cache).compile(program)
         assert os.listdir(str(tmp_path)) == []
-        assert cg.codegen_cache_info()["retained_sources"] == 0
-
-    def test_interrupted_emit_retries_cleanly(self, monkeypatch):
-        # Deeper than the compile-site fault: die *inside* artifact
-        # emission (after source generation, before the artifact is
-        # retained) and verify the retry re-emits without double
-        # registration or a stale half-artifact.
-        import repro.backend.codegen as cg
-
-        clear = cg.clear_codegen_caches
-        clear()
-        program, binding = self._program_binding()
-        from repro.comal.machines import RDA_MACHINE
-        from repro.driver import Session
-
-        real = cg._compile_artifact
-        calls = {"n": 0}
-
-        def flaky(graph, order, tier, store):
-            calls["n"] += 1
-            artifact = real(graph, order, tier, store)
-            if calls["n"] == 1:
-                raise InjectedFault("codegen.emit", graph.name)
-            return artifact
-
-        monkeypatch.setattr(cg, "_compile_artifact", flaky)
-        session = Session(machine=RDA_MACHINE, backend="codegen")
-        with pytest.raises(InjectedFault):
-            session.compile(program)
-        # The aborted emit compiled a code object but never retained it:
-        # the artifact cache must not serve a half-registered entry.
-        info = cg.codegen_cache_info()
-        assert info["retained_sources"] == 0
-        exe = session.compile(program)
-        result = exe(binding)
-        assert result.metrics.tokens > 0
-        info = cg.codegen_cache_info()
-        assert info["code_files"] == info["code_entries"]
-        assert info["retained_sources"] == info["code_entries"]
 
 
 class TestServeStatsSurface:
@@ -883,16 +755,14 @@ class TestServeStatsSurface:
         assert stats["disk_cache"]["disabled_reason"] is None
 
     def test_stats_reports_kernel_store_counters(self, hardened_server):
+        # Under backend codegen the disk cache holds compile entries only.
         body = dict(SMALL, backend="codegen")
         assert _post_raw(hardened_server, "/v1/compile", body)[0] == 200
         _, stats = _get_raw(hardened_server, "/v1/stats")
         disk = stats["disk_cache"]
-        assert disk["kernels"] == disk["kernel_writes"] > 0
-        assert (disk["kernel_hits"], disk["rejected"]) == (0, 0)
-        assert disk["entries"] == 1
-        assert f"{disk['kernels']} written" in "".join(
-            stats["sessions"].values()
-        )
+        assert disk["entries"] == disk["writes"] == 1
+        assert disk["rejected"] == 0
+        assert not [key for key in disk if "kernel" in key]
 
     def test_compile_fault_is_a_500_not_a_crash(self, hardened_server):
         with injected_faults("compile:raise@nth=1"):

@@ -127,6 +127,22 @@ class TestRecurrenceBranches:
         loop, vec = _branches(engine._tiled_times, times, tiles, bubble)
         assert np.array_equal(loop, vec)
 
+    @given(
+        st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=2, max_size=200)
+        .map(sorted),
+        st.floats(0.0, 1e3, allow_nan=False),
+        st.booleans(),
+    )
+    def test_port_resampling_bit_exact(self, schedule, lat, as_array):
+        """A shorter port's times, for every ``0 < n < max_len``."""
+        if as_array:
+            schedule = np.asarray(schedule)
+        max_len = len(schedule)
+        for n in range(1, max_len):
+            loop, vec = _branches(engine._port_times, schedule, n, max_len, lat)
+            assert loop.shape == (n,)
+            assert np.array_equal(loop, vec), n
+
     @given(_times, st.integers(1, 64), st.floats(0.0, 1e3, allow_nan=False))
     def test_tiling_law(self, times, tiles, bubble):
         """``tiles`` tiles move the last emission exactly (tiles - 1) bubbles."""
