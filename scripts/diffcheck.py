@@ -28,9 +28,7 @@ POINTS = {
 }
 
 def run_region(g, bind, backend):
-    return run_functional(
-        g, bind, RDA_MACHINE.scratchpad_bytes, backend=backend, cache=False
-    )
+    return run_functional(g, bind, RDA_MACHINE.scratchpad_bytes, backend=backend)
 
 
 def compare(where, label, fl, fc):

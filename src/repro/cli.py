@@ -607,7 +607,7 @@ def main(argv: List[str] | None = None) -> int:
     p_sim.add_argument("--debug-streams", action="store_true",
                        help="validate the token protocol on every stream")
     p_sim.add_argument("--no-sim-cache", action="store_true",
-                       help="disable functional/timed result memoization")
+                       help="disable the simulator result memo")
     p_sim.set_defaults(fn=cmd_simulate)
 
     p_sweep = sub.add_parser(

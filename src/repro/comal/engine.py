@@ -18,14 +18,16 @@ for utilization reporting.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..backend.base import resolve_backend_name
 from ..sam.graph import SAMGraph
-from .functional import FunctionalResult, run_functional
+from .functional import FunctionalResult, default_debug_streams, run_functional
 from .machines import Machine, RDA_MACHINE
 
 
@@ -234,6 +236,29 @@ def _timing_plan(graph: SAMGraph, order: List[str]) -> List[Tuple]:
     return plan
 
 
+#: Entries kept per graph in the simulator memo.  A sweep touches a handful
+#: of bindings per graph; frozen ``bench/wl_codegen.py`` rotates 6 bindings
+#: per class and must never be served by the memo, so the cap stays below 6.
+_CACHE_ENTRIES = 4
+#: Serve threads share executables, so several runs may fill one graph's
+#: memo at once: insertion and eviction hold this lock (lookups are one
+#: dict read).
+_MEMO_LOCK = threading.Lock()
+
+
+def _binding_key(graph: SAMGraph, binding: Dict[str, Any]) -> Optional[Tuple]:
+    """Identity key of the tensors this graph reads, or None if unbound.
+
+    Simulation is a pure function of the graph, the bound tensor *objects*
+    (tensors are immutable once built) and the machine, so object identity
+    is a sound memo key as long as the entry pins the tensors alive.
+    """
+    try:
+        return tuple(id(binding[name]) for name in graph.input_tensor_names())
+    except KeyError:
+        return None
+
+
 def run_timed(
     graph: SAMGraph,
     binding: Dict[str, Any],
@@ -247,31 +272,39 @@ def run_timed(
     """Run the timed simulation of ``graph`` on ``machine``.
 
     A pre-computed functional result may be supplied to avoid re-executing
-    the graph.  ``backend``/``debug_streams`` select the execution backend
-    and protocol checking of the functional execution (see
-    :func:`~repro.comal.functional.run_functional`).
+    the graph; it is used as is and nothing is memoized.  Otherwise the
+    graph runs through :func:`~repro.comal.functional.run_functional` with
+    ``backend``/``debug_streams`` (execution backend and protocol checking),
+    and the returned ``functional`` keeps ``stats``, ``results`` and
+    ``order`` but no token streams unless ``debug_streams`` is on: streams
+    are only needed to time the run.
 
-    Timing is a pure function of the functional result and the machine, so
-    when ``functional`` is not supplied the result is memoized alongside
-    the functional memo (``cache``, default on).
+    This is the one simulator memo (``cache``, default on).  It is keyed
+    on the bound tensors' identities, the backend, ``debug_streams`` and
+    the (frozen) machine's identity, is looked up before the functional
+    run, and keeps at most :data:`_CACHE_ENTRIES` results per graph, each
+    pinning its tensors and machine so the ids stay valid.
     """
-    tkey = None
+    memo_key = None
     if functional is None:
+        mode = resolve_backend_name(backend)
+        if debug_streams is None:
+            debug_streams = default_debug_streams()
+        ids = _binding_key(graph, binding) if cache else None
+        if ids is not None:
+            memo_key = (ids, mode, debug_streams, id(machine))
+            memo = graph.timed_cache
+            if memo is not None:
+                entry = memo.get(memo_key)
+                if entry is not None:
+                    return entry[0]
         func = run_functional(
             graph,
             binding,
             scratchpad_bytes=machine.scratchpad_bytes,
-            backend=backend,
+            backend=mode,
             debug_streams=debug_streams,
-            cache=cache,
         )
-        if cache:
-            tkey = (id(func), id(machine))
-            memo = graph.timed_cache
-            if memo is not None:
-                entry = memo.get(tkey)
-                if entry is not None:
-                    return entry[0]
     else:
         func = functional
     # On-chip buffer level: nodes the place-memory pass marked "sram" are
@@ -402,12 +435,15 @@ def run_timed(
         fill_bytes=fill_total,
         hierarchy=hier.name,
     )
-    if tkey is not None:
-        memo = graph.timed_cache
-        if memo is None:
-            memo = graph.timed_cache = {}
-        # Pin func and machine so the id()-based key stays valid.
-        memo[tkey] = (result, func, machine)
-        while len(memo) > 8:
-            memo.pop(next(iter(memo)))
+    if functional is None and not debug_streams:
+        func.streams = {}
+    if memo_key is not None:
+        pinned = [binding[n] for n in graph.input_tensor_names()]
+        with _MEMO_LOCK:
+            memo = graph.timed_cache
+            if memo is None:
+                memo = graph.timed_cache = {}
+            memo[memo_key] = (result, pinned, machine)
+            while len(memo) > _CACHE_ENTRIES:
+                del memo[next(iter(memo))]
     return result

@@ -50,10 +50,6 @@ def default_debug_streams() -> bool:
     return os.environ.get("FUSEFLOW_DEBUG_STREAMS", "").lower() in _TRUTHY
 
 
-#: Entries kept per graph in the functional/timed memo (a sweep touches a
-#: handful of bindings per graph at most; executions dominate).
-_CACHE_ENTRIES = 4
-
 #: Payload-count cutoff under which backend ``codegen`` runs a region on
 #: the token tier (``process``): numpy call overhead dominates short
 #: arrays, so plain Python loops win there.  256 separates the
@@ -109,20 +105,6 @@ def _runs_columnar(mode: str, graph: SAMGraph, order: List[str], binding) -> boo
     return not blocked and size >= DEFAULT_SMALL_STREAM_CUTOFF
 
 
-def _binding_key(graph: SAMGraph, binding: Dict[str, Any]) -> Optional[Tuple]:
-    """Identity key of the tensors this graph reads, or None if unbound.
-
-    Functional execution is a pure function of the graph and the bound
-    tensor *objects* (tensors are immutable once built), so object identity
-    is a sound memo key as long as the entry pins the tensors alive.
-    """
-    names = graph.input_tensor_names()
-    try:
-        return tuple(id(binding[name]) for name in names)
-    except KeyError:
-        return None
-
-
 @dataclass
 class FunctionalResult:
     """Streams and statistics from one functional execution."""
@@ -164,25 +146,14 @@ def run_functional(
     happens once per graph object — the compile flow validates at
     compile time, so cached executables pay nothing here.
 
-    ``cache`` memoizes the result per (tensor identities, scratchpad, mode):
-    functional execution is machine-independent apart from the scratchpad
-    size, so schedule sweeps and repeated executions of a cached
-    ``Executable`` skip re-simulation entirely (``cache=False`` disables).
-    Bound tensors are treated as immutable.
+    Every call executes: the one simulator memo is
+    :func:`repro.comal.engine.run_timed`'s, and the result returned here
+    keeps every token stream.  ``cache`` is accepted and ignored (frozen
+    ``bench/`` passes ``cache=False``; delete at the bench re-cut).
     """
     mode = resolve_backend_name(backend)
     if debug_streams is None:
         debug_streams = default_debug_streams()
-    memo_key = None
-    if cache:
-        ids = _binding_key(graph, binding)
-        if ids is not None:
-            memo_key = (scratchpad_bytes, mode, debug_streams, ids)
-            memo = graph.func_cache
-            if memo is not None:
-                entry = memo.get(memo_key)
-                if entry is not None:
-                    return entry[0]
     graph.ensure_validated()
     order = graph.topological_order()
     columnar = _runs_columnar(mode, graph, order, binding)
@@ -218,25 +189,4 @@ def run_functional(
             result.streams[(node_id, port_name)] = stream
     result.stats = ctx.stats
     result.results = ctx.results
-    return _memoize(graph, binding, memo_key, result)
-
-
-def _memoize(
-    graph: SAMGraph,
-    binding: Dict[str, Any],
-    memo_key: Optional[Tuple],
-    result: FunctionalResult,
-) -> FunctionalResult:
-    """Store ``result`` in the graph's functional memo (if enabled)."""
-    if memo_key is not None:
-        memo = graph.func_cache
-        if memo is None:
-            memo = graph.func_cache = {}
-        # Pin the bound tensors so the id()-based key stays valid.
-        memo[memo_key] = (
-            result,
-            [binding[n] for n in graph.input_tensor_names()],
-        )
-        while len(memo) > _CACHE_ENTRIES:
-            memo.pop(next(iter(memo)))
     return result

@@ -16,10 +16,8 @@ counting them reproduces the design-space sizes of Table 4.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from collections import deque
+from typing import Any, Dict, Iterator, List, Sequence, Set, Tuple
 
 
 class OrderConflictError(ValueError):
@@ -30,45 +28,80 @@ class PartialOrderGraph:
     """Directed constraint graph over index variables."""
 
     def __init__(self) -> None:
-        self.graph = nx.DiGraph()
+        # index -> {successor: {"tags": set, "reason": str}}; indices and
+        # successors both keep insertion order, which fixes the order in
+        # which every algorithm below visits them.
+        self._succ: Dict[str, Dict[str, Dict[str, Any]]] = {}
 
     def add_index(self, index: str) -> None:
-        self.graph.add_node(index)
+        self._succ.setdefault(index, {})
 
     def add_constraint(self, outer: str, inner: str, tag: str, reason: str = "") -> None:
         """Require ``outer`` to precede ``inner``; ``tag`` groups edges."""
         if outer == inner:
             return
-        if self.graph.has_edge(outer, inner):
-            self.graph[outer][inner]["tags"].add(tag)
+        self.add_index(outer)
+        self.add_index(inner)
+        edge = self._succ[outer].get(inner)
+        if edge is not None:
+            edge["tags"].add(tag)
         else:
-            self.graph.add_edge(outer, inner, tags={tag}, reason=reason)
+            self._succ[outer][inner] = {"tags": {tag}, "reason": reason}
 
     @property
     def indices(self) -> List[str]:
-        return list(self.graph.nodes)
+        return list(self._succ)
+
+    def _edges(self) -> List[Tuple[str, str]]:
+        return [(u, v) for u, succ in self._succ.items() for v in succ]
+
+    def _in_degrees(self) -> Dict[str, int]:
+        degree = dict.fromkeys(self._succ, 0)
+        for succ in self._succ.values():
+            for v in succ:
+                degree[v] += 1
+        return degree
 
     def is_acyclic(self) -> bool:
-        return nx.is_directed_acyclic_graph(self.graph)
+        return not self.find_cycle()
 
     def find_cycle(self) -> List[Tuple[str, str]]:
-        """Return the edges of one cycle, or [] if acyclic."""
-        try:
-            return [(edge[0], edge[1]) for edge in nx.find_cycle(self.graph)]
-        except nx.NetworkXNoCycle:
-            return []
+        """Return the edges of one cycle, or [] if acyclic.
+
+        Depth-first from each index in insertion order; the first edge back
+        into the active path closes the cycle.
+        """
+        done: Set[str] = set()
+        for root in self._succ:
+            if root in done:
+                continue
+            path = [root]
+            stack = [iter(self._succ[root])]
+            while stack:
+                for succ in stack[-1]:
+                    if succ in path:
+                        cycle = path[path.index(succ):] + [succ]
+                        return list(zip(cycle, cycle[1:]))
+                    if succ not in done:
+                        path.append(succ)
+                        stack.append(iter(self._succ[succ]))
+                        break
+                else:
+                    stack.pop()
+                    done.add(path.pop())
+        return []
 
     def edge_tags(self, outer: str, inner: str) -> Set[str]:
-        return set(self.graph[outer][inner]["tags"])
+        return set(self._succ[outer][inner]["tags"])
 
     def remove_tag(self, tag: str) -> int:
         """Drop every edge carrying only ``tag``; return edges removed."""
         removed = 0
-        for u, v in list(self.graph.edges):
-            tags = self.graph[u][v]["tags"]
+        for u, v in self._edges():
+            tags = self._succ[u][v]["tags"]
             tags.discard(tag)
             if not tags:
-                self.graph.remove_edge(u, v)
+                del self._succ[u][v]
                 removed += 1
         return removed
 
@@ -81,7 +114,7 @@ class PartialOrderGraph:
             raise OrderConflictError(f"POG has a cycle: {self.find_cycle()}")
         rank = {idx: i for i, idx in enumerate(preference or [])}
         order: List[str] = []
-        indegree = {n: self.graph.in_degree(n) for n in self.graph.nodes}
+        indegree = self._in_degrees()
         ready = sorted(
             (n for n, d in indegree.items() if d == 0),
             key=lambda n: rank.get(n, len(rank)),
@@ -89,30 +122,68 @@ class PartialOrderGraph:
         while ready:
             node = ready.pop(0)
             order.append(node)
-            for succ in self.graph.successors(node):
+            for succ in self._succ[node]:
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
                     ready.append(succ)
             ready.sort(key=lambda n: rank.get(n, len(rank)))
-        if len(order) != self.graph.number_of_nodes():
+        if len(order) != len(self._succ):
             raise OrderConflictError("cycle detected during topological sort")
         return order
 
     def all_orders(self, limit: int = 1000) -> Iterator[List[str]]:
-        """Yield valid topological orders (up to ``limit``)."""
+        """Yield valid topological orders (up to ``limit``).
+
+        Knuth and Szwarcfiter's algorithm ("A Structured Program to Generate
+        All Topological Sorting Arrangements", IPL 2(6), 1974) over a deque
+        of ready indices.  Callers take a prefix of the enumeration, so its
+        order is part of the compiler's behaviour; ``tests/test_fusion.py``
+        pins it.
+        """
         if not self.is_acyclic():
             raise OrderConflictError(f"POG has a cycle: {self.find_cycle()}")
-        for count, order in enumerate(nx.all_topological_sorts(self.graph)):
-            if count >= limit:
+        count = self._in_degrees()
+        ready = deque(n for n, d in count.items() if d == 0)
+        bases: List[str] = []  # first index chosen at each position
+        current: List[str] = []
+        yielded = 0
+        while True:
+            if len(current) == len(count):
+                if yielded >= limit:
+                    return
+                yield list(current)
+                yielded += 1
+                while current:
+                    q = current.pop()
+                    for succ in self._succ[q]:
+                        count[succ] += 1
+                    while ready and count[ready[-1]] > 0:
+                        ready.pop()
+                    # Rotate q to the front; once the position's first choice
+                    # is back at the end, every choice there has been tried.
+                    ready.appendleft(q)
+                    if ready[-1] == bases[-1]:
+                        bases.pop()
+                    else:
+                        break
+            else:
+                q = ready.pop()
+                for succ in self._succ[q]:
+                    count[succ] -= 1
+                    if count[succ] == 0:
+                        ready.append(succ)
+                current.append(q)
+                if len(bases) < len(current):
+                    bases.append(q)
+            if not bases:
                 return
-            yield list(order)
 
     def is_valid_order(self, order: Sequence[str]) -> bool:
         """Check that ``order`` respects every constraint."""
         pos = {idx: i for i, idx in enumerate(order)}
-        if set(pos) != set(self.graph.nodes):
+        if set(pos) != set(self._succ):
             return False
-        return all(pos[u] < pos[v] for u, v in self.graph.edges)
+        return all(pos[u] < pos[v] for u, v in self._edges())
 
     def count_orders(self, cap: int = 10**9) -> int:
         """Count linear extensions exactly (bitmask DP), capped at ``cap``.
@@ -120,7 +191,7 @@ class PartialOrderGraph:
         Exponential in index count; fused ML regions have tens of indices at
         most, and the cap bounds the work as the paper caps its search space.
         """
-        nodes = list(self.graph.nodes)
+        nodes = list(self._succ)
         n = len(nodes)
         if n == 0:
             return 1
@@ -128,7 +199,7 @@ class PartialOrderGraph:
             return cap
         index_of = {node: i for i, node in enumerate(nodes)}
         preds = [0] * n
-        for u, v in self.graph.edges:
+        for u, v in self._edges():
             preds[index_of[v]] |= 1 << index_of[u]
         dp = [0] * (1 << n)
         dp[0] = 1
@@ -148,7 +219,7 @@ class PartialOrderGraph:
 
     def describe(self) -> str:
         lines = ["POG:"]
-        for u, v in sorted(self.graph.edges):
-            tags = ",".join(sorted(self.graph[u][v]["tags"]))
+        for u, v in sorted(self._edges()):
+            tags = ",".join(sorted(self._succ[u][v]["tags"]))
             lines.append(f"  {u} -> {v}  [{tags}]")
         return "\n".join(lines)

@@ -125,9 +125,9 @@ def execute_compiled(
     machine:
         Timing model (and memory hierarchy) the regions simulate on.
     backend, debug_streams, cache:
-        Execution backend, per-stream protocol checking, and result
-        memoization of the underlying simulations (see
-        :func:`repro.comal.functional.run_functional`).
+        Execution backend, per-stream protocol checking, and the
+        simulator memo of each region's run (see
+        :func:`repro.comal.engine.run_timed`).
 
     Returns
     -------

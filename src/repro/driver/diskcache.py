@@ -73,6 +73,9 @@ ENTRY_MAGIC = b"FFDC0002"
 
 _DIGEST_BYTES = 32  # sha256
 _SUFFIX = ".ffc"
+#: Kernel files written by builds that still generated code.  Nothing reads
+#: them any more; every directory scan deletes them.
+_STALE_SUFFIX = ".ffk"
 
 
 def _only_we_can_write(stat: os.stat_result) -> bool:
@@ -355,13 +358,19 @@ class DiskCache:
     # Eviction
     # ------------------------------------------------------------------
     def _files(self) -> List[Tuple[float, int, str]]:
-        """(mtime, size, path) for every entry file, oldest first."""
+        """(mtime, size, path) for every entry file, oldest first.
+
+        Stale kernel files met on the way are deleted.
+        """
         out: List[Tuple[float, int, str]] = []
         try:
             names = os.listdir(self.root)
         except OSError:
             return out
         for name in names:
+            if name.endswith(_STALE_SUFFIX):
+                self._remove(os.path.join(self.root, name))
+                continue
             if not name.endswith(_SUFFIX):
                 continue
             path = os.path.join(self.root, name)

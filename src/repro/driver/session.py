@@ -95,8 +95,8 @@ class Session:
     debug_streams, sim_cache:
         Simulation options threaded into every executable this session
         compiles: per-stream protocol checking (``None`` reads
-        ``FUSEFLOW_DEBUG_STREAMS`` at run time) and functional/timed
-        result memoization.
+        ``FUSEFLOW_DEBUG_STREAMS`` at run time) and the simulator memo
+        (:func:`repro.comal.engine.run_timed`).
     backend:
         Execution backend name (``"interp"``, ``"columnar"``, or
         ``"codegen"``); ``None`` means ``FUSEFLOW_BACKEND``, else

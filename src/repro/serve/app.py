@@ -332,6 +332,21 @@ class ServerState:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "fuseflow-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # Unbuffered, the headers and the body left as two sends, and on a
+    # keep-alive connection the second waited for the client's delayed ACK
+    # of the first (~40 ms).  TCP_NODELAY alone removes that wait; the
+    # buffer (io.DEFAULT_BUFFER_SIZE, 8 KiB) also makes a reply that fits
+    # in it one send, which measured ~10 % faster on serve_mix.  A larger
+    # reply still leaves as headers, then body.
+    wbufsize = -1
+    disable_nagle_algorithm = True
+
+    def handle_expect_100(self) -> bool:
+        # The interim reply must leave before the body is read, not with
+        # the final one.
+        ok = super().handle_expect_100()
+        self.wfile.flush()
+        return ok
 
     # ------------------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -441,6 +456,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
+        # Before the request leaves the in-flight count, so a drain that
+        # waits for it never stops the process with a reply unsent.
+        self.wfile.flush()
 
 
 class FuseFlowServer(ThreadingHTTPServer):

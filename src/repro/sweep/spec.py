@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
@@ -407,9 +408,13 @@ def build_bundle(point: SweepPoint) -> ModelBundle:
     return build_gpt3(**args)
 
 
-# The process's traced models (sweep workers, serve threads).
-_BUNDLES: Dict[Tuple, ModelBundle] = {}
+# The process's traced models (sweep workers, serve threads), least recently
+# used first.  A server sees one key per distinct ``model_args`` body, so the
+# cache is bounded like a Session's compile cache (its default
+# ``cache_size``); an LRU, because a FIFO evicts the hot bundles.
+_BUNDLES: "OrderedDict[Tuple, ModelBundle]" = OrderedDict()
 _BUNDLES_LOCK = threading.Lock()
+_BUNDLE_ENTRIES = 256
 
 
 def bundle_for(point: SweepPoint) -> ModelBundle:
@@ -419,10 +424,15 @@ def bundle_for(point: SweepPoint) -> ModelBundle:
     key = (point.model, point.dataset, tuple(args.items()))
     with _BUNDLES_LOCK:
         bundle = _BUNDLES.get(key)
-    if bundle is None:
-        bundle = build_bundle(point)
-        with _BUNDLES_LOCK:
-            bundle = _BUNDLES.setdefault(key, bundle)
+        if bundle is not None:
+            _BUNDLES.move_to_end(key)
+            return bundle
+    bundle = build_bundle(point)
+    with _BUNDLES_LOCK:
+        bundle = _BUNDLES.setdefault(key, bundle)
+        _BUNDLES.move_to_end(key)
+        while len(_BUNDLES) > _BUNDLE_ENTRIES:
+            _BUNDLES.popitem(last=False)
     return bundle
 
 

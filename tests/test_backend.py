@@ -210,12 +210,10 @@ class TestFallback:
     def test_fallback_execution_matches_interpreter(self):
         reference = run_functional(
             _doubler_graph(), {}, backend="interp", debug_streams=True,
-            cache=False,
         )
         for backend in BACKEND_NAMES:
             have = run_functional(
                 _doubler_graph(), {}, backend=backend, debug_streams=True,
-                cache=False,
             )
             assert set(have.streams) == set(reference.streams)
             for key in reference.streams:
@@ -246,9 +244,7 @@ class TestKernelErrors:
     def test_missing_tensor_keeps_keyerror_with_context(self):
         for backend in BACKEND_NAMES:
             with pytest.raises(KeyError) as excinfo:
-                run_functional(
-                    self._scan_graph(), {}, backend=backend, cache=False
-                )
+                run_functional(self._scan_graph(), {}, backend=backend)
             assert "tensor 'A' not bound (have [])" in str(excinfo.value)
 
     def test_protocol_error_keeps_type_and_message(self):
@@ -256,9 +252,7 @@ class TestKernelErrors:
             graph = SAMGraph("badproto")
             graph.add(CrdSource([crd(0)], "s"), node_id="src")  # no done token
             with pytest.raises(StreamProtocolError) as excinfo:
-                run_functional(
-                    graph, {}, backend=backend, debug_streams=True, cache=False
-                )
+                run_functional(graph, {}, backend=backend, debug_streams=True)
             assert "node src port 'out'" in str(excinfo.value), backend
 
     def test_checks_off_matches_interpreter_leniency(self):
@@ -267,7 +261,7 @@ class TestKernelErrors:
             graph = SAMGraph("lenient")
             graph.add(CrdSource([crd(0)], "s"), node_id="src")
             res = run_functional(
-                graph, {}, backend=backend, debug_streams=False, cache=False
+                graph, {}, backend=backend, debug_streams=False
             )
             assert len(res.stream("src")) == 1, backend
 
@@ -298,9 +292,9 @@ class TestEmissionTiers:
         program, binding = _program_and_binding()
         exe = Session(machine=RDA_MACHINE).compile(program)
         graph = exe.regions[0].graph
-        want = run_functional(graph, binding, backend="interp", cache=False)
+        want = run_functional(graph, binding, backend="interp")
         for backend in BACKEND_NAMES:
-            have = run_functional(graph, binding, backend=backend, cache=False)
+            have = run_functional(graph, binding, backend=backend)
             for key in want.streams:
                 assert streams_equal(have.streams[key], want.streams[key]), (
                     backend,
@@ -325,10 +319,10 @@ class TestEmissionTiers:
         assert _size(graph, small) == (small["A"].values.size + 15, False)
         assert _size(graph, small)[0] < cutoff <= _size(graph, {"A": a, "X": x})[0]
         for binding, columnar in ((small, False), ({"A": a, "X": x}, True)):
-            run = run_functional(graph, binding, backend="codegen", cache=False)
+            run = run_functional(graph, binding, backend="codegen")
             assert _ran_columnar(run) is columnar
             for backend in ("interp", "columnar"):
-                run = run_functional(graph, binding, backend=backend, cache=False)
+                run = run_functional(graph, binding, backend=backend)
                 assert _ran_columnar(run) is (backend == "columnar")
 
     def test_probe_flags_blocked_payloads(self, clean_env):
@@ -355,7 +349,7 @@ class TestEmissionTiers:
         graph = exe.regions[0].graph
         size, is_blocked = _size(graph, bundle.binding)
         assert is_blocked and size >= functional.DEFAULT_SMALL_STREAM_CUTOFF
-        run = run_functional(graph, bundle.binding, backend="codegen", cache=False)
+        run = run_functional(graph, bundle.binding, backend="codegen")
         assert not _ran_columnar(run)
 
 

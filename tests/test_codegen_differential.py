@@ -201,11 +201,9 @@ def test_disk_loaded_kernels_match_interp(model, granularity, tier, tmp_path):
         where = f"{model}/{granularity}/{tier}/{region.graph.name}"
         interp = run_functional(
             ref_region.graph, bind_i, backend="interp", debug_streams=True,
-            cache=False,
         )
         loaded = run_functional(
             region.graph, bind_d, backend=backend, debug_streams=True,
-            cache=False,
         )
         _assert_regions_match(where, interp, loaded)
         bind_i.update(interp.results)
@@ -318,11 +316,9 @@ def test_random_single_region_round_trip(kind, density, unary, seed):
     graph = exe.regions[0].graph
     want = run_functional(
         graph, binding, RDA_MACHINE.scratchpad_bytes, backend="interp",
-        cache=False,
     )
     for backend in ("columnar", "codegen"):
         have = run_functional(
             graph, binding, RDA_MACHINE.scratchpad_bytes, backend=backend,
-            cache=False,
         )
         _assert_regions_match(backend, want, have)

@@ -153,6 +153,29 @@ class TestDiskCache:
         assert cache.clear() == 3
         assert cache.info().entries == 0
 
+    # Builds that generated code left marshalled kernels beside the
+    # entries; nothing reads them, and no cap counted them.
+    @staticmethod
+    def _plant_stale_kernel(root):
+        stale = root / ("ab" * 32 + ".ffk")
+        stale.write_bytes(b"FFKC0001" + b"\0" * 64)
+        return stale
+
+    def test_clear_removes_stale_kernel_files(self, tmp_path):
+        cache = DiskCache(str(tmp_path))
+        cache.put(entry_key("k"), {"v": 1})
+        self._plant_stale_kernel(tmp_path)
+        assert cache.clear() == 1  # entries; the stale kernel goes uncounted
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_eviction_removes_stale_kernel_files(self, tmp_path):
+        cache = DiskCache(str(tmp_path))
+        stale = self._plant_stale_kernel(tmp_path)
+        cache.put(entry_key("k"), {"v": 1})
+        assert not stale.exists()
+        assert cache.get(entry_key("k")) == {"v": 1}
+        assert cache.info().evictions == 0
+
     def test_previous_format_entry_reads_as_a_miss(self, tmp_path):
         # RegionDiagnostics gained a field, so the magic moved on: a file
         # an older build wrote must not be unpickled into the new classes.

@@ -12,6 +12,7 @@ import os
 import re
 import sys
 import threading
+from collections import OrderedDict
 from dataclasses import replace
 
 import pytest
@@ -187,6 +188,26 @@ class TestSharedBundles:
         assert not any(thread.is_alive() for thread in threads)
         assert len(got) == count
         assert all(bundle is bundle_for(point) for bundle in got)
+
+    def test_bundle_cache_is_a_bounded_lru(self, monkeypatch):
+        """300 distinct bodies leave 256 bundles; a hot one survives."""
+        from repro.sweep import spec
+
+        # Stub bundles in a private cache, so no other test can see them.
+        monkeypatch.setattr(spec, "_BUNDLES", OrderedDict())
+        monkeypatch.setattr(spec, "build_bundle", lambda point: object())
+
+        def point(seed):
+            return SweepPoint.make("sae", model_args={"nodes": 12, "seed": seed})
+
+        hot = bundle_for(point(0))
+        for seed in range(1, 300):
+            bundle_for(point(seed))
+            assert bundle_for(point(0)) is hot  # a hit moves it to the end
+        assert len(spec._BUNDLES) == 256
+        # The least recently used went first: seeds 1..44 are gone.
+        seeds = [dict(key[2])["seed"] for key in spec._BUNDLES]
+        assert seeds == list(range(45, 300)) + [0]
 
     def test_schedule_for_applies_par_and_splits(self):
         point = SweepPoint.make(

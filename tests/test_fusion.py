@@ -1,7 +1,14 @@
 """Cross-expression fusion algorithm tests (paper Section 5)."""
 
+import itertools
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.einsum.parser import parse_program
 from repro.core.fusion.fuse import fold_masks, fuse_region, merge_contractions
@@ -62,6 +69,131 @@ class TestPOG:
         assert pog.is_valid_order(["i", "j"])
         assert not pog.is_valid_order(["j", "i"])
         assert not pog.is_valid_order(["i"])
+
+
+#: One POG edit: ("index", i) | ("edge", i, j, tag) with i < j | ("drop", tag).
+#: Edges only run from lower to higher label number, so every POG is a DAG.
+_POG_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("index"), st.integers(0, 6)),
+        st.tuples(
+            st.just("edge"), st.integers(0, 5), st.integers(1, 6), st.sampled_from("ab")
+        ).filter(lambda op: op[1] < op[2]),
+        st.tuples(st.just("drop"), st.sampled_from("ab")),
+    ),
+    max_size=14,
+)
+
+
+def _replay(ops, labels, pog, nx_graph=None):
+    for op in ops:
+        if op[0] == "index":
+            pog.add_index(labels[op[1]])
+            if nx_graph is not None:
+                nx_graph.add_node(labels[op[1]])
+        elif op[0] == "edge":
+            u, v = labels[op[1]], labels[op[2]]
+            pog.add_constraint(u, v, tag=op[3])
+            if nx_graph is not None:
+                if nx_graph.has_edge(u, v):
+                    nx_graph[u][v]["tags"].add(op[3])
+                else:
+                    nx_graph.add_edge(u, v, tags={op[3]})
+        else:
+            pog.remove_tag(op[1])
+            if nx_graph is not None:
+                for u, v in list(nx_graph.edges):
+                    nx_graph[u][v]["tags"].discard(op[1])
+                    if not nx_graph[u][v]["tags"]:
+                        nx_graph.remove_edge(u, v)
+
+
+class TestPOGOrderEnumeration:
+    """``all_orders`` keeps networkx's enumeration order: callers take a prefix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ops=_POG_OPS,
+        labels=st.permutations([f"x{i}" for i in range(7)]),
+        limit=st.sampled_from([1, 2, 5, 1000]),
+    )
+    def test_all_orders_match_networkx(self, ops, labels, limit):
+        nx = pytest.importorskip("networkx")
+        pog, graph = PartialOrderGraph(), nx.DiGraph()
+        _replay(ops, labels, pog, graph)
+        assert pog.indices == list(graph.nodes)
+        want = itertools.islice(nx.all_topological_sorts(graph), limit)
+        assert list(pog.all_orders(limit)) == [list(order) for order in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(edges=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=10))
+    def test_cycles_match_networkx(self, edges):
+        nx = pytest.importorskip("networkx")
+        pog, graph = PartialOrderGraph(), nx.DiGraph()
+        for u, v in edges:
+            if u != v:
+                pog.add_constraint(f"x{u}", f"x{v}", tag="t")
+                graph.add_edge(f"x{u}", f"x{v}")
+        assert pog.is_acyclic() == nx.is_directed_acyclic_graph(graph)
+        try:
+            want = [(edge[0], edge[1]) for edge in nx.find_cycle(graph)]
+        except nx.NetworkXNoCycle:
+            want = []
+        assert pog.find_cycle() == want
+
+    def test_empty_pog_has_one_empty_order(self):
+        assert list(PartialOrderGraph().all_orders()) == [[]]
+        assert list(PartialOrderGraph().all_orders(limit=0)) == []
+
+    @staticmethod
+    def _region_pog(model, model_args, granularity, region):
+        from repro import Session
+        from repro.sweep import SweepPoint, build_bundle
+
+        bundle = build_bundle(SweepPoint.make(model, model_args=model_args))
+        exe = Session().compile(bundle.program, bundle.schedule(granularity))
+        return exe.compiled.regions[region].fused.pog
+
+    def test_gcn_region_orders_are_pinned(self):
+        pog = self._region_pog("gcn", {"nodes": 12}, "full", 0)
+        assert list(pog.all_orders(limit=4)) == [
+            ["x19", "x12", "u0", "x5", "x15", "x20"]
+        ]
+
+    def test_gpt3_region_orders_are_pinned(self):
+        args = {"seq_len": 16, "d_model": 8, "block": 4, "n_layers": 1}
+        pog = self._region_pog("gpt3", args, "partial", 0)
+        assert pog.count_orders() == 6
+        assert list(pog.all_orders(limit=4)) == [
+            ["x16", "x14", "x17", "x12", "x7"],
+            ["x16", "x14", "x17", "x7", "x12"],
+            ["x16", "x14", "x12", "x7", "x17"],
+            ["x16", "x14", "x12", "x17", "x7"],
+        ]
+
+
+def test_compiles_and_runs_without_networkx():
+    """Nothing under ``repro`` needs networkx, ``repro.cli`` included."""
+    code = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "import repro.cli\n"
+        "from repro import Session\n"
+        "from repro.sweep import SweepPoint, build_bundle\n"
+        "args = {'seq_len': 16, 'd_model': 8, 'block': 4, 'n_layers': 1}\n"
+        "bundle = build_bundle(SweepPoint.make('gpt3', model_args=args))\n"
+        "exe = Session().compile(bundle.program, bundle.schedule('partial'))\n"
+        "result = exe(bundle.binding)\n"
+        "assert result.metrics.cycles > 0\n"
+        "assert bundle.max_abs_err(result) < 1e-6\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 GCN_TEXT = """

@@ -19,7 +19,7 @@ def _declared_dependencies():
     }
 
 
-def test_every_third_party_import_is_a_declared_dependency():
+def _third_party_imports():
     imported = {}
     for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -31,11 +31,15 @@ def test_every_third_party_import_is_a_declared_dependency():
                 continue
             for name in names:
                 imported.setdefault(name.split(".")[0], path.name)
-    third_party = {
+    return {
         name: where
         for name, where in imported.items()
         if name not in sys.stdlib_module_names and name != "repro"
     }
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    third_party = _third_party_imports()
     declared = _declared_dependencies()
     undeclared = {
         name: where
@@ -44,3 +48,10 @@ def test_every_third_party_import_is_a_declared_dependency():
     }
     assert not undeclared, f"imported but not in [project] dependencies: {undeclared}"
     assert "numpy" in third_party  # the scan sees something
+
+
+def test_every_declared_dependency_is_imported():
+    """An unused dependency costs every install and, if imported, every start."""
+    imported = {name.lower() for name in _third_party_imports()}
+    unused = _declared_dependencies() - imported
+    assert not unused, f"in [project] dependencies but never imported: {unused}"

@@ -8,7 +8,10 @@ show up under genuine concurrency.
 
 import http.client
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -435,3 +438,96 @@ class TestServer:
         ):
             assert key in stats, key
         assert stats["disk_cache"]["writes"] >= 1
+
+
+class _CountingSocket(socket.socket):
+    """An accepted connection that counts the sends it makes."""
+
+    sends = 0
+
+    def send(self, data, *args):
+        self.sends += 1
+        return super().send(data, *args)
+
+    def sendall(self, data, *args):
+        self.sends += 1
+        return super().sendall(data, *args)
+
+
+class TestTransport:
+    """A keep-alive reply leaves in one write, so no delayed ACK stalls it."""
+
+    @staticmethod
+    def _count_sends(server):
+        accepted = []
+        accept = server.get_request
+
+        def get_request():
+            conn, addr = accept()
+            counted = _CountingSocket(
+                conn.family, conn.type, conn.proto, fileno=conn.detach()
+            )
+            accepted.append(counted)
+            return counted, addr
+
+        server.get_request = get_request
+        return accepted
+
+    @staticmethod
+    def _exchange(conn, method, path, body=None):
+        data = None if body is None else json.dumps(body).encode("utf-8")
+        conn.request(method, path, body=data)
+        resp = conn.getresponse()
+        payload = json.loads(resp.read())
+        return resp.status, payload
+
+    def test_each_keep_alive_reply_is_one_write(self, server):
+        accepted = self._count_sends(server)
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=120)
+        body = {"model": "sae", "model_args": {"nodes": 12}, "schedule": "partial"}
+        try:
+            replies = [
+                self._exchange(conn, "GET", "/healthz"),
+                self._exchange(conn, "POST", "/v1/simulate", body),
+                self._exchange(conn, "POST", "/v1/simulate", body),
+                self._exchange(conn, "POST", "/v1/compile", {"model": "nope"}),
+                self._exchange(conn, "GET", "/v1/stats"),
+            ]
+        finally:
+            conn.close()
+        assert [status for status, _ in replies] == [200, 200, 200, 400, 200]
+        assert len(accepted) == 1  # one persistent connection
+        assert accepted[0].sends == len(replies)
+
+    def test_memory_hits_beat_the_delayed_ack_floor(self, server):
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=120)
+        body = {"model": "sae", "model_args": {"nodes": 12}, "schedule": "partial"}
+        try:
+            self._exchange(conn, "POST", "/v1/simulate", body)  # compile + run
+            times = []
+            for _ in range(10):
+                start = time.perf_counter()
+                status, payload = self._exchange(conn, "POST", "/v1/simulate", body)
+                times.append((time.perf_counter() - start) * 1e3)
+                assert status == 200 and payload["cache"] == "memory"
+        finally:
+            conn.close()
+        # A two-write reply waits ~40 ms on the client's delayed ACK.
+        assert statistics.median(times) < 20.0, times
+
+    def test_expect_100_continue_is_answered_before_the_body(self, server):
+        host, port = server.server_address[:2]
+        body = json.dumps({"model": "sae", "model_args": {"nodes": 12}}).encode()
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/compile HTTP/1.1\r\n"
+                + f"Host: {host}\r\nContent-Length: {len(body)}\r\n".encode()
+                + b"Expect: 100-continue\r\n\r\n"
+            )
+            interim = sock.recv(4096)
+            assert interim.startswith(b"HTTP/1.1 100"), interim
+            sock.sendall(body)
+            final = sock.recv(65536)
+        assert final.startswith(b"HTTP/1.1 200"), final
