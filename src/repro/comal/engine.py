@@ -124,16 +124,20 @@ def _emission_schedule(
             append(t)
             prev = t
         return times
-    k = np.arange(length, dtype=np.float64)
-    if n_in:
-        idx = np.minimum(
-            n_in - 1, (np.arange(length, dtype=np.int64) * n_in) // length
-        )
-        dep = np.asarray(driver, dtype=np.float64)[idx]
+    # ii*k for k = 0..length: the ramp is its first `length` entries,
+    # the ii*(k+1) floor its last `length`.
+    steps = np.arange(length + 1, dtype=np.float64)
+    steps *= ii
+    ramp = steps[:-1]
+    if n_in == length:
+        run = np.subtract(driver, ramp)
+    elif n_in:
+        idx = (np.arange(length, dtype=np.int64) * n_in) // length
+        run = np.asarray(driver, dtype=np.float64)[idx]
+        run -= ramp
     else:
-        dep = np.full(length, start, dtype=np.float64)
-    ramp = ii * k
-    return np.maximum(start + ii * (k + 1.0), ramp + np.maximum.accumulate(dep - ramp))
+        run = np.subtract(start, ramp)
+    return _ramp_max(run, steps, start)
 
 
 def _paced_times(times, step: float, latency: float):
@@ -154,12 +158,29 @@ def _paced_times(times, step: float, latency: float):
             append(served + latency)
             prev = served
         return out
-    k = np.arange(len(times), dtype=np.float64)
-    ramp = step * k
-    served = np.maximum(
-        step * (k + 1.0), ramp + np.maximum.accumulate(np.asarray(times) - ramp)
-    )
-    return served + latency
+    steps = np.arange(len(times) + 1, dtype=np.float64)
+    steps *= step
+    served = _ramp_max(np.subtract(times, steps[:-1]), steps, None)
+    served += latency
+    return served
+
+
+def _ramp_max(run, steps, start):
+    """``max(start + ii*(k+1), ii*k + prefix_max(run))``, in place.
+
+    ``steps`` holds ``ii*k`` for ``k = 0 .. n`` and ``run`` the dependency
+    minus its first ``n`` entries (the ramp).  Both are overwritten, so a
+    long schedule allocates no temporaries; ``start=None`` adds nothing.
+    Each step is the operation the expression names, on the same
+    operands, so the result is bit-identical to evaluating it with
+    temporaries.
+    """
+    np.maximum.accumulate(run, out=run)
+    run += steps[:-1]
+    floor = steps[1:]
+    if start is not None:
+        floor += start
+    return np.maximum(floor, run, out=run)
 
 
 def _tiled_times(times, tiles: int, bubble: float):

@@ -32,41 +32,79 @@ from ..token import (
 from .base import ExecutionContext, NodeStats, Primitive
 
 
-def _segment_sums(
-    values: np.ndarray, seg_of_value: np.ndarray, n_segments: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-segment left-to-right sums and element counts.
+def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Left-to-right sums of consecutive segments of ``values``.
 
-    The legacy kernels accumulate strictly sequentially; numpy's
-    ``reduceat``/``sum`` use pairwise summation, which reassociates and can
-    differ in the last bit.  To stay bit-identical this adds in *rounds* —
-    round ``r`` adds the ``r``-th element of every still-unfinished segment —
-    which is sequential per segment but vectorized across segments.
-    Segments with no elements sum to 0.0.
+    Segment ``s`` is the next ``counts[s]`` elements.  ``process`` adds a
+    fiber's values one at a time; numpy's ``reduceat``/``sum`` add pairwise,
+    which reassociates and can differ in the last bit.  ``np.add.accumulate``
+    is sequential, so a few segments take it one at a time.  Many segments
+    add in *rounds* instead: ordered longest first, the segments still
+    open at round ``r`` are a prefix, and round ``r`` adds their ``r``-th
+    elements in one vector step, so the whole sum costs one pass over
+    ``values`` plus one numpy call per round.  Segments with no elements
+    sum to 0.0.
     """
-    counts = np.bincount(seg_of_value, minlength=n_segments)
+    n_segments = len(counts)
     sums = np.zeros(n_segments, dtype=np.float64)
     if not len(values):
-        return sums, counts
+        return sums
+    starts = np.cumsum(counts) - counts
     if n_segments < 4:
-        # Few segments: a per-segment Python walk beats round dispatch.
-        vl = values.tolist()
-        pos = 0
-        for s, c in enumerate(counts.tolist()):
+        for s, (lo, c) in enumerate(zip(starts.tolist(), counts.tolist())):
             if c:
-                acc = vl[pos]
-                for j in range(pos + 1, pos + c):
-                    acc = acc + vl[j]
-                sums[s] = acc
-                pos += c
-        return sums, counts
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    nonempty = counts > 0
-    sums[nonempty] = values[starts[nonempty]]
-    for r in range(1, int(counts.max())):
-        live = counts > r
-        sums[live] = sums[live] + values[starts[live] + r]
-    return sums, counts
+                sums[s] = np.add.accumulate(values[lo : lo + c])[-1]
+        return sums
+    order = np.argsort(-counts, kind="stable")
+    n_open = n_segments - np.cumsum(np.bincount(counts))
+    cursor = starts[order]
+    acc = values[np.minimum(cursor, len(values) - 1)]
+    for r in range(1, len(n_open) - 1):
+        live = int(n_open[r])
+        cursor = cursor[:live] + 1
+        acc[:live] += values[cursor]
+    sums[order] = acc
+    sums[counts == 0] = 0.0
+    return sums
+
+
+def _sorted_rows(group: np.ndarray, keys: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Stable sort of payloads by ``(group, keys...)`` and the row starts.
+
+    ``group`` is non-decreasing.  A row is a run of equal ``(group,
+    keys...)`` in sorted order.  The columns pack into one int64 key when
+    their spans fit, and one stable argsort of it is about twice as fast
+    as ``np.lexsort`` of the columns, which remains for keys that would
+    overflow.  Stability keeps each row's payloads in stream order, which
+    the left-to-right sums rely on.
+    """
+    n = len(group)
+    if not n:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    packed = group
+    bound = int(group[-1]) + 1
+    for k in keys:
+        lo = int(k.min())
+        span = int(k.max()) - lo + 1
+        bound *= span
+        if bound >= 1 << 63:
+            packed = None
+            break
+        packed = packed * span + (k - lo)
+    change = np.ones(n, dtype=bool)
+    if packed is not None:
+        order = np.argsort(packed, kind="stable")
+        p = packed[order]
+        np.not_equal(p[1:], p[:-1], out=change[1:])
+    else:
+        order = np.lexsort(tuple(reversed(keys)) + (group,))
+        g = group[order]
+        np.not_equal(g[1:], g[:-1], out=change[1:])
+        for k in keys:
+            ks = k[order]
+            change[1:] |= ks[1:] != ks[:-1]
+    return order, np.nonzero(change)[0]
 
 
 class Reduce(Primitive):
@@ -134,7 +172,8 @@ class Reduce(Primitive):
         seg_of_val = np.searchsorted(stop_pos, val_pos)
         seg_of_empty = np.searchsorted(stop_pos, empty_pos)
         n_segments = n_stops + 1  # + trailing segment before done
-        sums, val_counts = _segment_sums(ts.data[val_pos], seg_of_val, n_segments)
+        val_counts = np.bincount(seg_of_val, minlength=n_segments)
+        sums = _segment_sums(ts.data[val_pos], val_counts)
         empty_counts = np.bincount(seg_of_empty, minlength=n_segments)
 
         # FLOPs: one add per VAL accumulated onto a live accumulator.  The
@@ -149,14 +188,19 @@ class Reduce(Primitive):
         stats.ops += int(
             np.sum(val_counts[has_vals] - 1) + np.count_nonzero(early_empty)
         )
+        # ``process`` starts such a sum from the EMPTY's 0.0: adding it
+        # last only turns an all -0.0 sum into +0.0, as starting from it does.
+        sums[early_empty] += 0.0
 
         # Output layout: one VAL per stop (+ a shallower stop for levels
-        # > 0), a trailing VAL when the last segment saw any payload, done.
-        trailing = bool(has_vals[-1] or empty_counts[-1] > 0)
+        # > 0), then — only when DONE ends the stream, as in ``process`` —
+        # a trailing VAL when the last segment saw any payload, and done.
+        has_done = bool(n and kinds[-1] == DONE)
+        trailing = has_done and bool(has_vals[-1] or empty_counts[-1] > 0)
         deep = stop_levels > 0
         sizes = 1 + deep.astype(np.int64)
         offsets = np.concatenate([[0], np.cumsum(sizes)])
-        total = int(offsets[-1]) + (1 if trailing else 0) + 1
+        total = int(offsets[-1]) + trailing + has_done
         out_kinds = np.full(total, VAL, dtype=np.int8)
         out_data = np.zeros(total, dtype=np.float64)
         val_slots = offsets[:-1]
@@ -166,8 +210,9 @@ class Reduce(Primitive):
         out_data[deep_slots] = (stop_levels[deep] - 1).astype(np.float64)
         if trailing:
             out_data[total - 2] = sums[n_stops]
-        out_kinds[total - 1] = DONE
-        out_data[total - 1] = 0.0
+        if has_done:
+            out_kinds[total - 1] = DONE
+            out_data[total - 1] = 0.0
         out = TokenStream(out_kinds, out_data)
         stats.tokens_out += total
         return {"val": out}
@@ -305,18 +350,24 @@ class VectorReducer(Primitive):
         kinds = val.kinds
         n = len(val)
         is_empty = kinds == EMPTY
-        if val.has_objs() and is_empty.any():
-            # Mixed block/zero accumulators: bridge through the legacy path.
-            return super().process_columnar(ins, ctx, stats)
+        pay_pos = np.nonzero((kinds == VAL) | is_empty)[0]
+        blocked = val.has_objs()
+        if blocked:
+            blocks = val.objs[pay_pos].tolist()
+            shape = blocks[0].shape if blocks and isinstance(blocks[0], np.ndarray) else None
+            if is_empty.any() or any(
+                not isinstance(b, np.ndarray) or b.shape != shape for b in blocks
+            ):
+                # Mixed block/zero accumulators: bridge through ``process``.
+                return super().process_columnar(ins, ctx, stats)
         stats.tokens_in += n * (n_ord + 1)
         bad = np.nonzero((kinds == CRD) | (kinds == REF))[0]
         if bad.size:
             raise StreamProtocolError(
                 f"vreduce got unexpected token kind {int(kinds[bad[0]])}"
             )
-        pay_pos = np.nonzero((kinds == VAL) | is_empty)[0]
-        stop_pos = np.nonzero(kinds == STOP)[0]
-        stop_levels = val.data[stop_pos].astype(np.int64)
+        is_stop = kinds == STOP
+        stop_pos = np.nonzero(is_stop)[0]
         for d, s in enumerate(crds):
             ck = s.kinds
             badp = pay_pos[ck[pay_pos] != CRD]
@@ -329,145 +380,98 @@ class VectorReducer(Primitive):
             if bads.any():
                 raise StreamProtocolError("vreduce: stop tokens disagree")
 
-        boundary = stop_levels >= n_ord
-        flush_pos = stop_pos[boundary]
-        flush_levels = stop_levels[boundary]
-        n_flush = len(flush_pos)
-        group = np.searchsorted(flush_pos, pay_pos)
-
-        key_cols = [c.data[pay_pos].astype(np.int64) for c in crds]
-        if len(pay_pos):
-            sort_idx = np.lexsort(tuple(reversed(key_cols)) + (group,))
-            g_sorted = group[sort_idx]
-            k_sorted = [k[sort_idx] for k in key_cols]
-            change = np.ones(len(pay_pos), dtype=bool)
-            change[1:] = g_sorted[1:] != g_sorted[:-1]
-            for k in k_sorted:
-                change[1:] |= k[1:] != k[:-1]
-            row_starts = np.nonzero(change)[0]
-        else:
-            sort_idx = np.empty(0, dtype=np.int64)
-            g_sorted = np.empty(0, dtype=np.int64)
-            k_sorted = [np.empty(0, dtype=np.int64) for _ in range(n_ord)]
-            row_starts = np.empty(0, dtype=np.int64)
+        # A stop of level >= order closes a reduction group; payload p
+        # belongs to the group numbered by the flushes before it.
+        is_flush = is_stop & (val.data >= n_ord)
+        flush_levels = val.data[is_flush].astype(np.int64)
+        n_flush = len(flush_levels)
+        group = np.cumsum(is_flush, dtype=np.int64)[pay_pos]
+        keys = [c.data[pay_pos].astype(np.int64) for c in crds]
+        order, row_starts = _sorted_rows(group, keys)
         n_rows = len(row_starts)
-        row_group = g_sorted[row_starts]
-        row_keys = [k[row_starts] for k in k_sorted]
-
-        blocked = val.has_objs()
+        row_group = group[order[row_starts]]
+        row_keys = [k[order[row_starts]] for k in keys]
+        counts = np.diff(row_starts, append=len(pay_pos))
         if not blocked:
-            values = val.data[pay_pos]
-            v_sorted = values[sort_idx]
-            row_of_elem = np.cumsum(change) - 1 if n_rows else np.empty(0, np.int64)
-            row_sums, _ = _segment_sums(v_sorted, row_of_elem, n_rows)
-            stats.ops += len(pay_pos) - n_rows
-            sums_list: List[Any] = row_sums.tolist()
+            row_sums: Any = _segment_sums(val.data[pay_pos][order], counts)
+            block_size = 1
         else:
-            blocks = [val.objs[i] for i in pay_pos.tolist()]
-            shape = blocks[0].shape if blocks else ()
-            if any(
-                not isinstance(b, np.ndarray) or b.shape != shape for b in blocks
-            ):
-                return super().process_columnar(ins, ctx, stats)
-            ends = np.append(row_starts[1:], len(pay_pos))
-            sums_list = []
-            sorted_blocks = [blocks[i] for i in sort_idx.tolist()]
-            for s, e in zip(row_starts.tolist(), ends.tolist()):
+            sorted_blocks = [blocks[i] for i in order.tolist()]
+            row_sums = []
+            for s, c in zip(row_starts.tolist(), counts.tolist()):
                 acc = sorted_blocks[s]
-                for j in range(s + 1, e):
+                for j in range(s + 1, s + c):
                     acc = acc + sorted_blocks[j]
-                sums_list.append(acc)
-            block_size = int(np.prod(shape)) if shape else 1
-            stats.ops += (len(pay_pos) - n_rows) * block_size
+                row_sums.append(acc)
+            block_size = int(np.prod(shape)) if blocks else 1
+        stats.ops += (len(pay_pos) - n_rows) * block_size
 
-        # ---- emission (python over output rows; inputs already reduced) ----
-        crd_kinds = [bytearray() for _ in range(n_ord)]
-        crd_data = [[] for _ in range(n_ord)]
-        val_kinds = bytearray()
-        val_data: List[float] = []
-        val_objs: List[Any] = []
-
-        row_group_l = row_group.tolist()
-        row_key_l = list(zip(*(rk.tolist() for rk in row_keys))) if n_rows else []
-        flush_levels_l = flush_levels.tolist()
-
-        def emit_rows(r0: int, r1: int) -> None:
-            prev = None
-            for r in range(r0, r1):
-                key = row_key_l[r]
-                if prev is not None:
-                    common = 0
-                    while common < n_ord and prev[common] == key[common]:
-                        common += 1
-                    for d in range(n_ord):
-                        if common <= d - 1:
-                            crd_kinds[d].append(STOP)
-                            crd_data[d].append(d - 1 - common)
-                    if common <= n_ord - 2:
-                        val_kinds.append(STOP)
-                        val_data.append(n_ord - 2 - common)
-                        if blocked:
-                            val_objs.append(None)
-                for d in range(n_ord):
-                    if prev is None or key[: d + 1] != prev[: d + 1]:
-                        crd_kinds[d].append(CRD)
-                        crd_data[d].append(key[d])
-                val_kinds.append(VAL)
-                if blocked:
-                    val_data.append(0.0)
-                    val_objs.append(sums_list[r])
-                else:
-                    val_data.append(sums_list[r])
-                prev = key
-
-        def close_group(level: int) -> None:
-            extra = level - n_ord
-            for d in range(n_ord):
-                crd_kinds[d].append(STOP)
-                crd_data[d].append(d + extra)
-            val_kinds.append(STOP)
-            val_data.append(level - 1)
-            if blocked:
-                val_objs.append(None)
-
-        row = 0
-        for g in range(n_flush):
-            r1 = row
-            while r1 < n_rows and row_group_l[r1] == g:
-                r1 += 1
-            emit_rows(row, r1)
-            close_group(flush_levels_l[g])
-            row = r1
-        has_done = n > 0 and kinds[-1] == DONE
-        if has_done:
-            if row < n_rows:
-                emit_rows(row, n_rows)
-                close_group(n_ord)
-            for d in range(n_ord):
-                crd_kinds[d].append(DONE)
-                crd_data[d].append(0.0)
-            val_kinds.append(DONE)
-            val_data.append(0.0)
-            if blocked:
-                val_objs.append(None)
+        # ---- emission: every output position computed at once ----
+        # Rows after the last flush form a group only when DONE ends the
+        # stream; a cut stream drops them, as ``process`` does.
+        has_done = bool(n and kinds[-1] == DONE)
+        if not has_done:
+            n_rows = int(np.searchsorted(row_group, n_flush))
+            row_group = row_group[:n_rows]
+            row_keys = [k[:n_rows] for k in row_keys]
+        close_levels = flush_levels
+        if has_done and n_rows and row_group[-1] == n_flush:
+            close_levels = np.append(flush_levels, n_ord)
+        n_closes = len(close_levels)
+        # common[r]: length of the key prefix row r shares with the row
+        # before it in its group; -1 opens a group.
+        common = np.full(n_rows, -1, dtype=np.int64)
+        if n_rows:
+            same = row_group[1:] == row_group[:-1]
+            common[1:][same] = 0
+            for k in row_keys:
+                same &= k[1:] == k[:-1]
+                common[1:] += same
+        # Group g's rows end where rows of groups <= g end; its close
+        # follows them, after the g closes before it.
+        group_ends = np.searchsorted(row_group, np.arange(n_closes), side="right")
 
         outs: Dict[str, TokenStream] = {}
         for d in range(n_ord):
-            outs[f"crd{d}"] = TokenStream(
-                np.frombuffer(bytes(crd_kinds[d]), dtype=np.int8),
-                np.asarray(crd_data[d], dtype=np.float64),
-            )
+            # Row r emits stop(d - 1 - common) when a level above d changed
+            # inside its group, then crd when its first d + 1 keys are new.
+            has_stop = (common >= 0) & (common < d)
+            has_crd = common <= d
+            width = has_stop + has_crd.astype(np.int64)
+            ends = np.zeros(n_rows + 1, dtype=np.int64)
+            np.cumsum(width, out=ends[1:])
+            first = ends[:-1] + row_group
+            total = int(ends[-1]) + n_closes + has_done
+            out_kinds = np.empty(total, dtype=np.int8)
+            out_data = np.empty(total, dtype=np.float64)
+            stop_at = first[has_stop]
+            out_kinds[stop_at] = STOP
+            out_data[stop_at] = (d - 1) - common[has_stop]
+            crd_at = (first + has_stop)[has_crd]
+            out_kinds[crd_at] = CRD
+            out_data[crd_at] = row_keys[d][has_crd]
+            close_at = ends[group_ends] + np.arange(n_closes)
+            out_kinds[close_at] = STOP
+            out_data[close_at] = close_levels + (d - n_ord)
+            if has_done:
+                out_kinds[-1] = DONE
+                out_data[-1] = 0.0
+            outs[f"crd{d}"] = TokenStream(out_kinds, out_data)
+        # The value stream has the innermost coordinate stream's shape:
+        # every row emits, with its sum where crd{order-1} has its key.
+        val_kinds = out_kinds.copy()
+        val_kinds[crd_at] = VAL
+        val_data = out_data.copy()
         objs_col: Optional[np.ndarray] = None
-        if blocked:
-            objs_col = np.array([*val_objs, None], dtype=object)[:-1]
-        outs["val"] = TokenStream(
-            np.frombuffer(bytes(val_kinds), dtype=np.int8),
-            np.asarray(val_data, dtype=np.float64),
-            objs_col,
-        )
-        stats.tokens_out += sum(len(outs[f"crd{d}"]) for d in range(n_ord)) + len(
-            outs["val"]
-        )
+        if not blocked:
+            val_data[crd_at] = row_sums[:n_rows]
+        else:
+            val_data[crd_at] = 0.0
+            objs_col = np.full(len(val_kinds), None, dtype=object)
+            for i, block in zip(crd_at.tolist(), row_sums):
+                objs_col[i] = block
+        outs["val"] = TokenStream(val_kinds, val_data, objs_col)
+        stats.tokens_out += sum(len(s) for s in outs.values())
         return outs
 
 

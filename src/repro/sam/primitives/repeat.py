@@ -151,6 +151,10 @@ class Repeat(Primitive):
         out_data = rep.data.copy()
         out_objs = None
         if crd_pos.size:
+            if not nb:
+                raise StreamProtocolError(
+                    "repeat: rep stream has coordinates but base has none current"
+                )
             fiber_of_crd = np.searchsorted(stop_pos, crd_pos)
             src = np.asarray(cursors, dtype=np.int64)[fiber_of_crd]
             valid = src < nb

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.ftree import SparseTensor, csr, dcsr, dense, sparse_vector
 from repro.sam.primitives import (
@@ -28,6 +28,7 @@ from repro.sam.primitives import (
 from repro.sam.primitives.repeat import ScalarRepeat
 from repro.sam.token import (
     CRD,
+    DONE,
     EMPTY_TOKEN,
     REF,
     VAL,
@@ -440,6 +441,232 @@ class TestVectorReducer:
                 VectorReducer(1),
                 {"crd0": [crd(0), done()], "val": [done()]},
             )
+
+
+def _both_kernels(prim, ins):
+    """``prim`` through ``process`` and ``process_columnar``.
+
+    Returns ``((outs, stats), (outs, stats))``; when either side rejects
+    the input, asserts that both raise :class:`StreamProtocolError` and
+    returns None.
+    """
+    runs, errors = [], []
+    for method, wrap in (
+        (prim.process, list),
+        (prim.process_columnar, TokenStream.from_tokens),
+    ):
+        stats = NodeStats()
+        try:
+            outs = method({p: wrap(t) for p, t in ins.items()}, ExecutionContext({}), stats)
+        except StreamProtocolError:
+            errors.append(method)
+            continue
+        runs.append((outs, stats))
+    if errors:
+        assert len(errors) == 2, f"only {errors[0].__name__} raised"
+        return None
+    return runs
+
+
+def _assert_same_run(runs):
+    (want, want_stats), (have, have_stats) = runs
+    assert set(have) == set(want)
+    for port, stream in want.items():
+        assert isinstance(have[port], TokenStream)
+        assert streams_equal(have[port], stream), port
+        if have[port].objs is None:
+            # Bit for bit: the sign of a zero sum too.
+            payloads = [t[1] if t[1] is not None else 0.0 for t in stream]
+            assert np.array_equal(np.signbit(payloads), np.signbit(have[port].data)), port
+    assert have_stats == want_stats
+
+
+#: Scalars whose sums round differently when reassociated, and a -0.0.
+_SUMMANDS = st.sampled_from([0.1, 0.2, 0.3, -0.7, 1e16, -1e16, 1.0, -0.0])
+
+
+class TestReduceColumnarMatchesProcess:
+    """``Reduce.process_columnar`` sums fibers in vector rounds; it must
+    reproduce ``process``, cut streams and signed zeros included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(_SUMMANDS.map(val), st.just(EMPTY_TOKEN), st.integers(0, 2).map(stop)),
+            max_size=40,
+        ),
+        st.booleans(),
+    )
+    def test_streams_and_stats_match(self, tokens, ended):
+        runs = _both_kernels(Reduce(), {"val": tokens + [done()] * ended})
+        _assert_same_run(runs)
+
+    def test_empty_then_negative_zero_sums_to_positive_zero(self):
+        tokens = [EMPTY_TOKEN, val(-0.0), stop(0), done()]
+        (want, _), (have, _) = _both_kernels(Reduce(), {"val": tokens})
+        assert not np.signbit(have["val"].data[0]) and not np.signbit(want["val"][0][1])
+
+
+@st.composite
+def _vreduce_case(draw):
+    """An order-1 or -2 vector reduction: aligned ``crd{d}`` / ``val``
+    streams with scalar or block payloads, ``EMPTY`` values,
+    stops of every level up to ``order + 1`` (so empty groups and absorbed
+    fiber stops), ending in DONE or cut before it."""
+    order = draw(st.integers(1, 2))
+    blocked = draw(st.booleans())
+    # Blocks of one shape reduce in the kernel; mixed shapes bridge.
+    width = 2 if draw(st.booleans()) else 1
+    value = st.lists(_SUMMANDS, min_size=width, max_size=2).map(np.array) if blocked else _SUMMANDS
+    payload = st.tuples(
+        st.lists(st.integers(0, 3), min_size=order, max_size=order),
+        st.one_of(value.map(val), st.just(EMPTY_TOKEN)) if draw(st.booleans()) else value.map(val),
+    )
+    level = st.integers(0, order + 1)
+    steps = draw(st.lists(st.one_of(payload, payload, level), max_size=32))
+    ins = {f"crd{d}": [] for d in range(order)}
+    ins["val"] = []
+    for step in steps:
+        if isinstance(step, int):
+            for stream in ins.values():
+                stream.append(stop(step))
+        else:
+            for d, c in enumerate(step[0]):
+                ins[f"crd{d}"].append(crd(c))
+            ins["val"].append(step[1])
+    if draw(st.booleans()):
+        for stream in ins.values():
+            stream.append(done())
+    return order, ins
+
+
+class TestVectorReducerColumnarMatchesProcess:
+    """``VectorReducer.process_columnar`` computes every output position
+    with array arithmetic; it must reproduce ``process`` token for token,
+    bit for bit and stat for stat, and reject what it rejects."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_vreduce_case())
+    def test_streams_and_stats_match(self, case):
+        order, ins = case
+        runs = _both_kernels(VectorReducer(order), ins)
+        assert runs is not None
+        _assert_same_run(runs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 2),
+        st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, 2), _SUMMANDS), min_size=17, max_size=80
+        ),
+    )
+    def test_long_rows_sum_in_stream_order(self, order, rows):
+        """Rows of 8+ summands in one group: a pairwise or unstable
+        reduction rounds differently from ``process``."""
+        ins = {
+            "crd0": [crd(c) for c, _, _ in rows] + [stop(order), done()],
+            "val": [val(v) for _, _, v in rows] + [stop(order), done()],
+        }
+        if order == 2:
+            ins["crd1"] = [crd(c) for _, c, _ in rows] + [stop(order), done()]
+        _assert_same_run(_both_kernels(VectorReducer(order), ins))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_vreduce_case(), st.data())
+    def test_malformed_input_raises_on_both_sides(self, case, data):
+        order, ins = case
+        ports = sorted(ins)  # crd0 [, crd1], val
+        kind = data.draw(st.sampled_from(["misalign", "inject", "corrupt"]))
+        if kind == "misalign":
+            port = data.draw(st.sampled_from(ports))
+            at = data.draw(st.integers(0, len(ins[port])))
+            ins[port].insert(at, crd(0) if port != "val" else val(1.0))
+        elif kind == "inject":
+            # A coordinate or reference on every port at one position:
+            # ``val`` never carries either.
+            at = data.draw(st.integers(0, len(ins["val"])))
+            bad = data.draw(st.sampled_from([crd(1), ref(1)]))
+            for p in ports:
+                ins[p].insert(at, bad)
+        else:
+            # Swap a coordinate for a stop, or a stop for a coordinate or
+            # another level; ``process`` reads no coordinate beside DONE.
+            stream = ins[data.draw(st.sampled_from(ports[:-1]))]
+            where = [i for i, t in enumerate(stream) if t[0] != DONE]
+            assume(where)
+            at = data.draw(st.sampled_from(where))
+            token = stream[at]
+            stream[at] = stop(0) if token[0] == CRD else (
+                crd(0) if data.draw(st.booleans()) else stop(token[1] + 1)
+            )
+        assert _both_kernels(VectorReducer(order), ins) is None
+
+    def test_cut_stream_drops_the_open_group(self):
+        ins = {"crd0": [crd(1), stop(1), crd(0)], "val": [val(2.0), stop(1), val(3.0)]}
+        runs = _both_kernels(VectorReducer(1), ins)
+        _assert_same_run(runs)
+        assert pretty(runs[1][0]["val"]) == "2.0 S0"
+
+
+@st.composite
+def _repeat_case(draw):
+    """A base stream and a rep stream one level deeper, built from one
+    fibertree (empty fibers on either side included), optionally broken by
+    one dropped or inserted token or cut short (down to nothing)."""
+    shape = draw(st.integers(0, 2))
+    leaf = st.integers(0, 9)
+    if shape == 0:
+        # A root reference broadcast over one fiber.
+        base = [ref(draw(leaf)), done()]
+        rep = nest_to_stream(draw(st.lists(leaf, max_size=4)), CRD)
+    else:
+        nest = draw(
+            st.lists(leaf, max_size=4)
+            if shape == 1
+            else st.lists(st.lists(leaf, max_size=3), max_size=3)
+        )
+
+        def deepen(node):
+            if isinstance(node, list):
+                return [deepen(child) for child in node]
+            return draw(st.lists(leaf, max_size=3))
+
+        base = nest_to_stream(nest, REF)
+        rep = nest_to_stream(deepen(nest), CRD)
+    target = draw(st.sampled_from([base, rep]))
+    at = draw(st.integers(0, len(target)))
+    damage = draw(st.sampled_from(["none", "none", "drop", "insert", "cut"]))
+    if damage == "drop" and at < len(target):
+        del target[at]
+    elif damage == "insert":
+        token = draw(st.sampled_from([crd(5), ref(5), val(5.0), stop(0), stop(1), done()]))
+        target.insert(at, token)
+    elif damage == "cut":
+        del target[at:]
+    return {"base": base, "rep": rep}
+
+
+class TestRepeatColumnarMatchesProcess:
+    """``Repeat.process_columnar`` walks fiber boundaries in Python and
+    broadcasts with one gather; it must reproduce ``process`` or raise
+    the same error class."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_repeat_case())
+    def test_streams_and_stats_match(self, ins):
+        runs = _both_kernels(Repeat(), ins)
+        if runs is not None:
+            _assert_same_run(runs)
+
+    def test_empty_base_with_coordinates_raises(self):
+        ins = {"base": [], "rep": [crd(1), stop(0), done()]}
+        prim = Repeat()
+        for method, wrap in (
+            (prim.process, list),
+            (prim.process_columnar, TokenStream.from_tokens),
+        ):
+            with pytest.raises(StreamProtocolError, match="base has none current"):
+                method({p: wrap(t) for p, t in ins.items()}, ExecutionContext({}), NodeStats())
 
 
 class TestCrdDrop:

@@ -153,6 +153,81 @@ class TestRecurrenceBranches:
             assert np.all(np.diff(tiled) >= 0)
 
 
+
+def _emission_reference(driver, length, ii, start):
+    """The long-schedule closed form as first written, with temporaries."""
+    n_in = len(driver)
+    k = np.arange(length, dtype=np.float64)
+    if n_in:
+        idx = np.minimum(n_in - 1, (np.arange(length, dtype=np.int64) * n_in) // length)
+        dep = np.asarray(driver, dtype=np.float64)[idx]
+    else:
+        dep = np.full(length, start, dtype=np.float64)
+    ramp = ii * k
+    return np.maximum(start + ii * (k + 1.0), ramp + np.maximum.accumulate(dep - ramp))
+
+
+def _paced_reference(times, step, latency):
+    k = np.arange(len(times), dtype=np.float64)
+    ramp = step * k
+    served = np.maximum(
+        step * (k + 1.0), ramp + np.maximum.accumulate(np.asarray(times) - ramp)
+    )
+    return served + latency
+
+
+_long_times = st.lists(
+    st.floats(0.0, 1e6, allow_nan=False), min_size=engine._VECTOR_THRESHOLD, max_size=400
+).map(sorted)
+
+
+class TestClosedFormsBitExact:
+    """The in-place closed forms equal the expressions they evaluate bit
+    for bit, on arbitrary floats: an ulp bound would let a last-bit change
+    move golden cycle counts."""
+
+    @given(
+        _long_times,
+        st.sampled_from(["equal", "shorter", "longer", "none"]),
+        st.integers(0, 200),
+        st.booleans(),
+        st.floats(0.0, 64.0, allow_nan=False),
+        st.floats(0.0, 1e6, allow_nan=False),
+    )
+    def test_emission_schedule(self, times, n_in, extra, as_array, ii, start):
+        length = len(times)
+        driver = {
+            "equal": times,
+            "shorter": times[: max(1, length - 1 - extra)],
+            "longer": times + [times[-1]] * (1 + extra),
+            "none": [],
+        }[n_in]
+        if as_array:
+            driver = np.asarray(driver, dtype=np.float64)
+        before = np.array(driver, dtype=np.float64, copy=True)
+        have = engine._emission_schedule(driver, length, ii, start)
+        want = _emission_reference(driver, length, ii, start)
+        assert np.array_equal(have, want)
+        assert np.array_equal(np.signbit(have), np.signbit(want))
+        assert np.array_equal(np.asarray(driver, dtype=np.float64), before)
+
+    @given(
+        _long_times,
+        st.booleans(),
+        st.floats(0.0, 64.0, allow_nan=False),
+        st.floats(0.0, 1e3, allow_nan=False),
+    )
+    def test_paced_times(self, times, as_array, step, latency):
+        if as_array:
+            times = np.asarray(times, dtype=np.float64)
+        before = np.array(times, dtype=np.float64, copy=True)
+        have = engine._paced_times(times, step, latency)
+        want = _paced_reference(times, step, latency)
+        assert np.array_equal(have, want)
+        assert np.array_equal(np.signbit(have), np.signbit(want))
+        assert np.array_equal(np.asarray(times, dtype=np.float64), before)
+
+
 class TestMachines:
     def test_registry(self):
         assert set(MACHINES) == {"rda", "fpga", "gpu"}
