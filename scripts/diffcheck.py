@@ -1,9 +1,13 @@
 """Dev harness: compare every backend against interp on the golden models.
 
-The backends are ``columnar`` (every region on the columnar tier) and
-``codegen`` (the per-region tier rule); each must reproduce the ``interp``
-reference's streams, per-node stats, result tensors and timed cycles
-exactly.
+The backends are ``columnar`` and ``codegen``; each must reproduce the
+``interp`` reference's streams, per-node stats, result tensors and timed
+cycles exactly.  Each model's line reports how many regions every backend
+ran on the token and on the columnar tier (read off the stream type): a
+region that reads a blocked tensor (gpt3) runs the token tier under every
+backend, so the check fails when ``columnar`` ran no region on the
+columnar tier for a scalar model (gcn, graphsage, sae), where that would
+leave the columnar kernels unchecked.
 
 Usage: PYTHONPATH=src python scripts/diffcheck.py [model ...]
 """
@@ -17,7 +21,7 @@ from repro.comal.engine import run_timed
 from repro.comal.functional import run_functional
 from repro.comal.machines import RDA_MACHINE
 from repro.driver import Session
-from repro.sam.token import streams_equal, as_token_list
+from repro.sam.token import TokenStream, as_token_list, streams_equal
 from repro.sweep import SweepPoint, build_bundle
 
 POINTS = {
@@ -26,6 +30,10 @@ POINTS = {
     "sae": {"nodes": 16, "seed": 0},
     "gpt3": {"seq_len": 16, "d_model": 8, "block": 4, "n_layers": 1, "seed": 0},
 }
+
+#: Models with scalar payloads only: backend columnar must run some of
+#: their regions on the columnar tier.
+SCALAR_MODELS = ("gcn", "graphsage", "sae")
 
 def run_region(g, bind, backend):
     return run_functional(g, bind, RDA_MACHINE.scratchpad_bytes, backend=backend)
@@ -57,10 +65,18 @@ def compare(where, label, fl, fc):
     return None
 
 
+def tier_of(result):
+    """The tier a region ran on, read off its streams' representation."""
+    columnar = any(isinstance(s, TokenStream) for s in result.streams.values())
+    return "columnar" if columnar else "token"
+
+
 def check_model(model):
+    """Per-backend ``{tier: regions}`` counts, or None on a mismatch."""
     bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
     session = Session(machine=RDA_MACHINE)
     labels = list(BACKEND_NAMES)  # interp first: the reference
+    tiers = {label: {"token": 0, "columnar": 0} for label in labels}
     for gran in ("unfused", "partial", "full"):
         exe = session.compile(bundle.program, bundle.schedule(gran))
         binds = {label: dict(bundle.binding) for label in labels}
@@ -87,14 +103,29 @@ def check_model(model):
                         )
                 if problem is not None:
                     print(problem)
-                    return False
+                    return None
             for label, f in runs.items():
                 binds[label].update(f.results)
-    print(f"{model}: OK ({', '.join(labels)} agree)")
-    return True
+                tiers[label][tier_of(f)] += 1
+    counts = "; ".join(
+        f"{label} {t['token']} token / {t['columnar']} columnar"
+        for label, t in tiers.items()
+    )
+    print(f"{model}: OK ({', '.join(labels)} agree); regions: {counts}")
+    return tiers
+
+
+def main(models):
+    ok = True
+    for model in models:
+        tiers = check_model(model)
+        if tiers is None:
+            ok = False
+        elif model in SCALAR_MODELS and not tiers["columnar"]["columnar"]:
+            print(f"{model}: backend columnar ran no region on the columnar tier")
+            ok = False
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    models = sys.argv[1:] or list(POINTS)
-    ok = all([check_model(m) for m in models])
-    sys.exit(0 if ok else 1)
+    sys.exit(main(sys.argv[1:] or list(POINTS)))

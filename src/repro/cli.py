@@ -153,9 +153,10 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
         help=(
             "execution backend: 'columnar' (vectorized interpreter, the "
             "default), 'interp' (per-token reference interpreter), or "
-            "'codegen' (the per-region tier rule: interp for blocked or "
-            "short inputs, columnar otherwise; bit-exact, the name is "
-            "historical).  Default follows FUSEFLOW_BACKEND."
+            "'codegen' (columnar, except that short inputs run interp; "
+            "bit-exact, the name is historical).  Regions that read "
+            "blocked tensors run interp under every backend.  Default "
+            "follows FUSEFLOW_BACKEND."
         ),
     )
     parser.add_argument(

@@ -5,22 +5,23 @@ token streams of the SAM protocol.  This layer defines functional
 correctness; the timed executor in :mod:`repro.comal.engine` replays the
 same streams through a machine timing model.
 
-One node-walking loop runs all three backends; they differ only in the
-primitive method each node is one call to:
+One node-walking loop runs all three backends; each run takes one of two
+tiers, which differ only in the primitive method each node is one call to:
+the *token tier* (tuple-list streams, per-token ``process`` loops) or the
+*columnar tier* (:class:`~repro.sam.token.TokenStream` structure-of-arrays,
+vectorized ``process_columnar`` kernels).  The tier rule:
 
-* ``"columnar"`` (default): streams are
-  :class:`~repro.sam.token.TokenStream` structure-of-arrays and primitives
-  run their vectorized ``process_columnar`` kernels;
-* ``"interp"``: streams are tuple lists and primitives run their per-token
-  ``process`` loops — the reference the differential suites compare
-  against;
-* ``"codegen"``: the per-region tier rule (the name is historical: it once
-  emitted a Python kernel per region).  A region runs ``process`` when a
-  tensor it reads is bound with blocked payloads or when its input carries
-  fewer than :data:`DEFAULT_SMALL_STREAM_CUTOFF` payloads — numpy's
-  per-call cost dominates short arrays, and blocked payloads ride the
-  ``objs`` escape hatch through every columnar kernel — and
-  ``process_columnar`` otherwise.
+* ``"interp"`` always runs the token tier — the reference the
+  differential suites compare against;
+* under any other backend, a region that reads a tensor bound with
+  blocked payloads (gpt3's block-sparse matrices) runs the token tier:
+  a columnar stream holds scalars only, so block semantics live in
+  ``process`` alone;
+* otherwise ``"columnar"`` (default) runs the columnar tier, and
+  ``"codegen"`` (the name is historical: it once emitted a Python kernel
+  per region) runs the columnar tier only when the region's input carries
+  at least :data:`DEFAULT_SMALL_STREAM_CUTOFF` payloads — numpy's
+  per-call cost dominates short arrays.
 
 All three produce identical streams, statistics, and results —
 ``tests/test_columnar_differential.py`` and
@@ -55,7 +56,7 @@ def default_debug_streams() -> bool:
 #: arrays, so plain Python loops win there.  256 separates the
 #: golden-scale sae regions (~120-150 payloads per region, faster on the
 #: token tier) from the gcn / graphsage ones (~380-670, faster columnar);
-#: blocked gpt3 routes to the token tier separately, via the
+#: blocked gpt3 takes the token tier under every backend, via the
 #: blocked-payload probe, regardless of size.
 DEFAULT_SMALL_STREAM_CUTOFF = 256
 
@@ -82,9 +83,9 @@ def _probe_size(probe: Tuple[Tuple[str, ...], int], binding: Dict[str, Any]):
     """Size a run from its binding: (estimated input tokens, blocked payloads).
 
     ``blocked`` is True when any probed tensor carries multi-dimensional
-    payloads (e.g. gpt3's block-sparse matrices): those ride the ``objs``
-    escape hatch through every columnar kernel, so the token tier's plain
-    loops are the faster choice regardless of stream length.
+    payloads (e.g. gpt3's block-sparse matrices): a columnar stream holds
+    scalars only, so such a run takes the token tier regardless of its
+    length.
     """
     names, size = probe
     blocked = False
@@ -98,11 +99,14 @@ def _probe_size(probe: Tuple[Tuple[str, ...], int], binding: Dict[str, Any]):
 
 
 def _runs_columnar(mode: str, graph: SAMGraph, order: List[str], binding) -> bool:
-    """The tier a run takes: fixed by ``interp``/``columnar``, else the rule."""
-    if mode != "codegen":
-        return mode == "columnar"
+    """The tier a run takes: token for ``interp`` or a blocked region, else
+    columnar under ``columnar`` and the size cutoff under ``codegen``."""
+    if mode == "interp":
+        return False
     size, blocked = _probe_size(_probe_spec(graph, order), binding)
-    return not blocked and size >= DEFAULT_SMALL_STREAM_CUTOFF
+    if blocked:
+        return False
+    return mode == "columnar" or size >= DEFAULT_SMALL_STREAM_CUTOFF
 
 
 @dataclass

@@ -101,11 +101,11 @@ class Primitive:
     ) -> Dict[str, TokenStream]:
         """Columnar-path counterpart of :meth:`process`.
 
-        Hot primitives override this with vectorized numpy kernels; the
-        default bridges through the legacy tuple-list implementation so
-        exotic primitives stay correct without a rewrite.  Either way the
-        observable semantics — streams, stats, errors — match the legacy
-        path token for token.
+        Every in-tree primitive overrides this with a vectorized numpy
+        kernel over scalar payloads; the default bridges through the
+        legacy tuple-list implementation so out-of-tree primitives stay
+        correct without a rewrite.  Either way the observable semantics
+        — streams, stats, errors — match the legacy path token for token.
         """
         legacy_ins = {
             port: stream.to_tokens() if isinstance(stream, TokenStream) else stream

@@ -4,16 +4,18 @@ ALUs operate elementwise over positionally aligned value streams.  Values may
 be scalars or dense numpy blocks (blocked formats); all operators broadcast
 through numpy, and the ``bmm`` operator performs block matrix multiplication
 for contractions over blocked tensors.  EMPTY tokens behave as zeros.
+Blocks have one kernel, ``process``: the columnar kernels take scalar
+payloads only, as a region that reads a blocked tensor runs the token tier.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict
 
 import numpy as np
 
 from ..token import (
+    BLOCKED_ON_TOKEN_TIER,
     CRD,
     DONE,
     EMPTY,
@@ -25,31 +27,6 @@ from ..token import (
     TokenStream,
 )
 from .base import ExecutionContext, NodeStats, Primitive
-
-
-def _objs_from_list(blocks: List[Any], n: int, positions: np.ndarray) -> np.ndarray:
-    """Object column of length ``n`` with ``blocks`` placed at ``positions``.
-
-    The ``[*blocks, None]`` trick forces an object array without numpy
-    trying to broadcast uniform-shaped ndarrays into a single block.
-    """
-    objs = np.full(n, None, dtype=object)
-    if len(blocks):
-        objs[positions] = np.array([*blocks, None], dtype=object)[:-1]
-    return objs
-
-
-def _uniform_block_shape(values: List[Any]):
-    """Common ndarray shape of every element, or None if mixed/scalar."""
-    shape = None
-    for v in values:
-        if not isinstance(v, np.ndarray):
-            return None
-        if shape is None:
-            shape = v.shape
-        elif v.shape != shape:
-            return None
-    return shape
 
 
 def _as_value(token, zero=0.0):
@@ -175,78 +152,13 @@ class BinaryALU(Primitive):
         both_empty = (ka == EMPTY) & (kb == EMPTY)
         compute = ~ctrl & ~both_empty
         out_kinds = np.where(compute, np.int8(VAL), ka)
-
-        if a.objs is None and b.objs is None:
-            # Scalar fast path: one vectorized op over the value columns
-            # (EMPTY payloads are zero by construction, matching _as_value).
-            result = _vec_binary(self.op, a.data, b.data)
-            out_data = np.where(compute, result, a.data)
-            stats.ops += int(np.count_nonzero(compute))
-            out = TokenStream(out_kinds, out_data)
-            stats.tokens_out += n
-            return {"out": out}
-
-        pos = np.nonzero(compute)[0]
-        va_list = _value_list(a, pos)
-        vb_list = _value_list(b, pos)
-        shape_a = _uniform_block_shape(va_list)
-        shape_b = _uniform_block_shape(vb_list)
-        out_data = np.where(ctrl, a.data, 0.0)
-        if shape_a is not None and shape_a == shape_b and len(pos):
-            blocks_a = np.stack(va_list)
-            blocks_b = np.stack(vb_list)
-            if self.op in ("bmm", "bmt") and len(shape_a) == 2:
-                other = (
-                    blocks_b if self.op == "bmm" else blocks_b.transpose(0, 2, 1)
-                )
-                res = np.matmul(blocks_a, other)
-                stats.ops += len(pos) * 2 * res.shape[1] * res.shape[2] * shape_a[1]
-            else:
-                res = _vec_binary(self.op, blocks_a, blocks_b)
-                stats.ops += res.size
-            objs = _objs_from_list(list(res), n, pos)
-            out = TokenStream(out_kinds, out_data, objs)
-            stats.tokens_out += n
-            return {"out": out}
-
-        # Mixed scalar/block payloads: per-token fallback with legacy
-        # semantics (and legacy FLOP accounting).
-        fn = self._fn
-        objs = np.full(n, None, dtype=object)
-        for i, va, vb in zip(pos.tolist(), va_list, vb_list):
-            result = fn(va, vb)
-            if (
-                self.op in ("bmm", "bmt")
-                and isinstance(result, np.ndarray)
-                and result.ndim == 2
-            ):
-                stats.ops += 2 * result.shape[0] * result.shape[1] * (
-                    va.shape[1]
-                    if isinstance(va, np.ndarray) and va.ndim == 2
-                    else 1
-                )
-            else:
-                stats.ops += _flops_of(result)
-            if isinstance(result, np.ndarray):
-                objs[i] = result
-            else:
-                out_data[i] = result
-        out = TokenStream(out_kinds, out_data, objs)
+        # One vectorized op over the value columns (EMPTY payloads are zero
+        # by construction, matching _as_value).
+        result = _vec_binary(self.op, a.data, b.data)
+        out_data = np.where(compute, result, a.data)
+        stats.ops += int(np.count_nonzero(compute))
         stats.tokens_out += n
-        return {"out": out}
-
-
-def _value_list(ts: TokenStream, pos: np.ndarray) -> List[Any]:
-    """Payload values at ``pos`` with ``_as_value`` semantics (EMPTY -> 0)."""
-    data = ts.data
-    objs = ts.objs
-    if objs is None:
-        return [data[i].item() for i in pos.tolist()]
-    out: List[Any] = []
-    for i in pos.tolist():
-        o = objs[i]
-        out.append(o if o is not None else data[i].item())
-    return out
+        return {"out": TokenStream(out_kinds, out_data)}
 
 
 def _vec_binary(op: str, a, b):
@@ -350,45 +262,15 @@ class UnaryALU(Primitive):
         stats.tokens_in += n
         kinds = a.kinds
         is_val = kinds == VAL
-        scaled = self.scale != 1.0 or self.offset != 0.0
-
-        if a.objs is None:
-            x = a.data
-            if scaled:
-                x = self.scale * x + self.offset
-            with np.errstate(all="ignore"):
-                result = self._fn(x)
-            out_data = np.where(is_val, result, a.data)
-            stats.ops += int(np.count_nonzero(is_val))
-            stats.tokens_out += n
-            return {"out": TokenStream(kinds, out_data)}
-
-        pos = np.nonzero(is_val)[0]
-        values = _value_list(a, pos)
-        shape = _uniform_block_shape(values)
-        out_data = np.where(is_val, 0.0, a.data)
-        if shape is not None and len(pos):
-            x = np.stack(values)
-            if scaled:
-                x = self.scale * x + self.offset
-            res = self._fn(x)
-            stats.ops += res.size
-            objs = _objs_from_list(list(res), n, pos)
-            stats.tokens_out += n
-            return {"out": TokenStream(kinds, out_data, objs)}
-
-        objs = np.full(n, None, dtype=object)
-        for i, x in zip(pos.tolist(), values):
-            if scaled:
-                x = self.scale * x + self.offset
+        x = a.data
+        if self.scale != 1.0 or self.offset != 0.0:
+            x = self.scale * x + self.offset
+        with np.errstate(all="ignore"):
             result = self._fn(x)
-            stats.ops += _flops_of(result)
-            if isinstance(result, np.ndarray):
-                objs[i] = result
-            else:
-                out_data[i] = result
+        out_data = np.where(is_val, result, a.data)
+        stats.ops += int(np.count_nonzero(is_val))
         stats.tokens_out += n
-        return {"out": TokenStream(kinds, out_data, objs)}
+        return {"out": TokenStream(kinds, out_data)}
 
 
 class ValArray(Primitive):
@@ -444,9 +326,11 @@ class ValArray(Primitive):
 
     def process_columnar(self, ins, ctx: ExecutionContext, stats: NodeStats) -> Dict[str, TokenStream]:
         ref_in = ins["ref"]
-        tensor = ctx.tensor(self.tensor_name)
-        values = tensor.values
-        blocked = values.ndim > 1
+        values = ctx.tensor(self.tensor_name).values
+        if values.ndim > 1:
+            raise StreamProtocolError(
+                f"array({self.tensor_name}): {BLOCKED_ON_TOKEN_TIER}"
+            )
         n = len(ref_in)
         stats.tokens_in += n
         kinds = ref_in.kinds
@@ -461,21 +345,8 @@ class ValArray(Primitive):
         idx = ref_in.data[ref_pos].astype(np.int64)
         out_kinds = np.where(is_ref | is_empty, np.int8(VAL), kinds)
         out_data = np.where(is_ref | is_empty, 0.0, ref_in.data)
-        objs = None
-        if blocked:
-            elem_bytes = int(np.prod(values.shape[1:])) * 8
-            objs = _objs_from_list(list(values[idx]), n, ref_pos)
-            empty_pos = np.nonzero(is_empty)[0]
-            if empty_pos.size:
-                # One shared zero block, as in the legacy kernel.
-                zero = np.zeros(values.shape[1:])
-                fill = np.empty(len(empty_pos), dtype=object)
-                fill.fill(zero)
-                objs[empty_pos] = fill
-        else:
-            elem_bytes = 8
-            out_data[ref_pos] = values[idx]
-        access_bytes = elem_bytes * len(ref_pos)
+        out_data[ref_pos] = values[idx]
+        access_bytes = 8 * len(ref_pos)
         if self.dram:
             footprint = int(values.size) * 8
             if footprint <= ctx.scratchpad_bytes:
@@ -483,4 +354,4 @@ class ValArray(Primitive):
             else:
                 stats.dram_reads += access_bytes
         stats.tokens_out += n
-        return {"val": TokenStream(out_kinds, out_data, objs)}
+        return {"val": TokenStream(out_kinds, out_data)}

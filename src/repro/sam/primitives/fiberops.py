@@ -128,34 +128,15 @@ class FiberOp(Primitive):
         out_data = ts.data.copy()
         # Fiber boundaries within the payload-position array.
         bounds = np.searchsorted(pay_pos, ctrl_pos)
-        blocked = ts.objs is not None
-        out_objs = np.full(n, None, dtype=object) if blocked else None
-        if blocked:
-            values_all = [
-                ts.objs[i] if ts.objs[i] is not None else ts.data[i].item()
-                for i in pay_pos.tolist()
-            ]
-        else:
-            values_all = ts.data[pay_pos]
+        values_all = ts.data[pay_pos]
         start = 0
         for end in bounds.tolist():
             if end > start:
-                if blocked:
-                    results = _apply_over_fiber(values_all[start:end], self._fn)
-                    for j, r in zip(range(start, end), results):
-                        stats.ops += self.flops_per_elem * (
-                            int(r.size) if isinstance(r, np.ndarray) else 1
-                        )
-                        if isinstance(r, np.ndarray):
-                            out_objs[pay_pos[j]] = r
-                        else:
-                            out_data[pay_pos[j]] = r
-                else:
-                    seg = values_all[start:end]
-                    out_data[pay_pos[start:end]] = self._fn(seg, axis=0)
-                    stats.ops += self.flops_per_elem * (end - start)
+                seg = values_all[start:end]
+                out_data[pay_pos[start:end]] = self._fn(seg, axis=0)
+                stats.ops += self.flops_per_elem * (end - start)
             start = end
-        out = TokenStream(out_kinds, out_data, out_objs)
+        out = TokenStream(out_kinds, out_data)
         stats.tokens_out += n
         return {"out": out}
 

@@ -115,27 +115,20 @@ def _check_controls(
 
 def _payload_columns(
     ref: TokenStream, pos: np.ndarray, present: Optional[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Kind/data/obj columns of ``ref`` tokens forwarded at ``pos``.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Kind/data columns of ``ref`` tokens forwarded at ``pos``.
 
     ``present`` (union only) marks which output slots have a token on this
     side; absent slots become EMPTY padding.
     """
     if present is None:
-        kinds = ref.kinds[pos]
-        data = ref.data[pos]
-        objs = ref.objs[pos] if ref.objs is not None else None
-        return kinds, data, objs
+        return ref.kinds[pos], ref.data[pos]
     n_out = len(present)
     kinds = np.full(n_out, EMPTY, dtype=np.int8)
     data = np.zeros(n_out, dtype=np.float64)
     kinds[present] = ref.kinds[pos]
     data[present] = ref.data[pos]
-    objs = None
-    if ref.objs is not None:
-        objs = np.full(n_out, None, dtype=object)
-        objs[present] = ref.objs[pos]
-    return kinds, data, objs
+    return kinds, data
 
 
 class _Joiner(Primitive):
@@ -245,8 +238,8 @@ class _Joiner(Primitive):
             pos_b = pay_b[jb]
             out_coords = coords_a[ja]
             out_segs = seg_a[ja]
-            ka, da, oa = _payload_columns(ref_a, pos_a, None)
-            kb, db, ob = _payload_columns(ref_b, pos_b, None)
+            ka, da = _payload_columns(ref_a, pos_a, None)
+            kb, db = _payload_columns(ref_b, pos_b, None)
         else:
             keys = np.union1d(key_a, key_b)
             ia = np.searchsorted(key_a, keys)
@@ -262,8 +255,8 @@ class _Joiner(Primitive):
             pos_a = pay_a[ia_c[in_a]] if len(key_a) else np.empty(0, dtype=np.int64)
             pos_b = pay_b[ib_c[in_b]] if len(key_b) else np.empty(0, dtype=np.int64)
             out_segs, out_coords = np.divmod(keys, c_span)
-            ka, da, oa = _payload_columns(ref_a, pos_a, in_a)
-            kb, db, ob = _payload_columns(ref_b, pos_b, in_b)
+            ka, da = _payload_columns(ref_a, pos_a, in_a)
+            kb, db = _payload_columns(ref_b, pos_b, in_b)
 
         # Interleave payload groups with the shared control skeleton: the
         # j-th control token closes segment j, so its sort key is the
@@ -285,19 +278,15 @@ class _Joiner(Primitive):
             [out_coords.astype(np.float64), ctrl_data]
         )[order]
 
-        def side(kinds, data, objs):
-            out_kinds = np.concatenate([kinds, ctrl_kinds])[order]
-            out_data = np.concatenate([data, ctrl_data])[order]
-            out_objs = None
-            if objs is not None:
-                out_objs = np.concatenate(
-                    [objs, np.full(n_ctrl, None, dtype=object)]
-                )[order]
-            return TokenStream(out_kinds, out_data, out_objs)
+        def side(kinds, data):
+            return TokenStream(
+                np.concatenate([kinds, ctrl_kinds])[order],
+                np.concatenate([data, ctrl_data])[order],
+            )
 
         out_crd = TokenStream(crd_kinds, crd_data)
-        out_ra = side(ka, da, oa)
-        out_rb = side(kb, db, ob)
+        out_ra = side(ka, da)
+        out_rb = side(kb, db)
         stats.tokens_out += len(out_crd) + len(out_ra) + len(out_rb)
         return {"crd": out_crd, "ref_a": out_ra, "ref_b": out_rb}
 

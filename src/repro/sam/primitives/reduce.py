@@ -12,7 +12,7 @@ distinguishes FuseFlow's lowering from prior global-iteration compilers.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -30,6 +30,19 @@ from ..token import (
     streams_equal,
 )
 from .base import ExecutionContext, NodeStats, Primitive
+
+
+def _require_done_last(kinds: np.ndarray, who: str) -> None:
+    """Raise when a done token precedes the end of the stream.
+
+    A reducer's accumulator spans the whole stream, so tokens after an
+    early done have no well-defined group; both kernels reject them.
+    """
+    early = np.flatnonzero(kinds[:-1] == DONE)
+    if early.size:
+        raise StreamProtocolError(
+            f"{who}: done token at position {int(early[0])} is not last"
+        )
 
 
 def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -122,8 +135,9 @@ class Reduce(Primitive):
     def process(self, ins, ctx: ExecutionContext, stats: NodeStats) -> Dict[str, Stream]:
         out: Stream = []
         acc: Any = None
-        stats.tokens_in += len(ins["val"])
-        for token in ins["val"]:
+        stream = ins["val"]
+        stats.tokens_in += len(stream)
+        for i, token in enumerate(stream):
             kind = token[0]
             if kind == VAL:
                 if acc is None:
@@ -140,6 +154,10 @@ class Reduce(Primitive):
                 if token[1] > 0:
                     out.append((STOP, token[1] - 1))
             elif kind == DONE:
+                if i != len(stream) - 1:
+                    raise StreamProtocolError(
+                        f"reduce: done token at position {i} is not last"
+                    )
                 if acc is not None:
                     out.append((VAL, acc))
                     acc = None
@@ -151,9 +169,6 @@ class Reduce(Primitive):
 
     def process_columnar(self, ins, ctx: ExecutionContext, stats: NodeStats) -> Dict[str, TokenStream]:
         ts = ins["val"]
-        if ts.has_objs():
-            # Blocked reductions are rare; bridge through the legacy kernel.
-            return super().process_columnar(ins, ctx, stats)
         n = len(ts)
         stats.tokens_in += n
         kinds = ts.kinds
@@ -162,6 +177,7 @@ class Reduce(Primitive):
             raise StreamProtocolError(
                 f"reduce got unexpected token kind {int(kinds[bad[0]])}"
             )
+        _require_done_last(kinds, "reduce")
         stop_pos = np.nonzero(kinds == STOP)[0]
         stop_levels = ts.data[stop_pos].astype(np.int64)
         n_stops = len(stop_pos)
@@ -325,6 +341,10 @@ class VectorReducer(Primitive):
                     close_group(level)
                 # Stops below the reduction boundary are absorbed.
             elif kv == DONE:
+                if pos != len(val_in) - 1:
+                    raise StreamProtocolError(
+                        f"vreduce: done token at position {pos} is not last"
+                    )
                 if acc:
                     emit_group()
                     close_group(n)
@@ -351,21 +371,13 @@ class VectorReducer(Primitive):
         n = len(val)
         is_empty = kinds == EMPTY
         pay_pos = np.nonzero((kinds == VAL) | is_empty)[0]
-        blocked = val.has_objs()
-        if blocked:
-            blocks = val.objs[pay_pos].tolist()
-            shape = blocks[0].shape if blocks and isinstance(blocks[0], np.ndarray) else None
-            if is_empty.any() or any(
-                not isinstance(b, np.ndarray) or b.shape != shape for b in blocks
-            ):
-                # Mixed block/zero accumulators: bridge through ``process``.
-                return super().process_columnar(ins, ctx, stats)
         stats.tokens_in += n * (n_ord + 1)
         bad = np.nonzero((kinds == CRD) | (kinds == REF))[0]
         if bad.size:
             raise StreamProtocolError(
                 f"vreduce got unexpected token kind {int(kinds[bad[0]])}"
             )
+        _require_done_last(kinds, "vreduce")
         is_stop = kinds == STOP
         stop_pos = np.nonzero(is_stop)[0]
         for d, s in enumerate(crds):
@@ -392,19 +404,8 @@ class VectorReducer(Primitive):
         row_group = group[order[row_starts]]
         row_keys = [k[order[row_starts]] for k in keys]
         counts = np.diff(row_starts, append=len(pay_pos))
-        if not blocked:
-            row_sums: Any = _segment_sums(val.data[pay_pos][order], counts)
-            block_size = 1
-        else:
-            sorted_blocks = [blocks[i] for i in order.tolist()]
-            row_sums = []
-            for s, c in zip(row_starts.tolist(), counts.tolist()):
-                acc = sorted_blocks[s]
-                for j in range(s + 1, s + c):
-                    acc = acc + sorted_blocks[j]
-                row_sums.append(acc)
-            block_size = int(np.prod(shape)) if blocks else 1
-        stats.ops += (len(pay_pos) - n_rows) * block_size
+        row_sums = _segment_sums(val.data[pay_pos][order], counts)
+        stats.ops += len(pay_pos) - n_rows
 
         # ---- emission: every output position computed at once ----
         # Rows after the last flush form a group only when DONE ends the
@@ -462,15 +463,8 @@ class VectorReducer(Primitive):
         val_kinds = out_kinds.copy()
         val_kinds[crd_at] = VAL
         val_data = out_data.copy()
-        objs_col: Optional[np.ndarray] = None
-        if not blocked:
-            val_data[crd_at] = row_sums[:n_rows]
-        else:
-            val_data[crd_at] = 0.0
-            objs_col = np.full(len(val_kinds), None, dtype=object)
-            for i, block in zip(crd_at.tolist(), row_sums):
-                objs_col[i] = block
-        outs["val"] = TokenStream(val_kinds, val_data, objs_col)
+        val_data[crd_at] = row_sums[:n_rows]
+        outs["val"] = TokenStream(val_kinds, val_data)
         stats.tokens_out += sum(len(s) for s in outs.values())
         return outs
 
@@ -520,17 +514,7 @@ class CrdDrop(Primitive):
         is_crd = crd_in.kinds == CRD
         # EMPTY val tokens are never "zero": their legacy payload is None,
         # which the zero test keeps — only real zero *values* are dropped.
-        not_empty = val_in.kinds != EMPTY
-        if val_in.objs is None:
-            zero = (val_in.data == 0.0) & not_empty
-        else:
-            zero = np.zeros(n, dtype=bool)
-            for i in np.nonzero(is_crd & not_empty)[0].tolist():
-                v = val_in.objs[i]
-                if v is None:
-                    zero[i] = val_in.data[i] == 0.0
-                else:
-                    zero[i] = float(np.abs(v).max()) == 0.0
+        zero = (val_in.data == 0.0) & (val_in.kinds != EMPTY)
         keep = np.nonzero(~(is_crd & zero))[0]
         out_crd = crd_in.gather(keep)
         out_val = val_in.gather(keep)

@@ -11,7 +11,7 @@ in SpMM, Figure 9 of the paper).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -149,7 +149,6 @@ class Repeat(Primitive):
         crd_pos = np.nonzero(rk == CRD)[0]
         out_kinds = rk.copy()
         out_data = rep.data.copy()
-        out_objs = None
         if crd_pos.size:
             if not nb:
                 raise StreamProtocolError(
@@ -167,10 +166,7 @@ class Repeat(Primitive):
                 )
             out_kinds[crd_pos] = kinds_at
             out_data[crd_pos] = base_data[src_k]
-            if base.objs is not None:
-                out_objs = np.full(n, None, dtype=object)
-                out_objs[crd_pos] = base.objs[src_k]
-        out = TokenStream(out_kinds, out_data, out_objs)
+        out = TokenStream(out_kinds, out_data)
         stats.tokens_out += n
         return {"out": out}
 
@@ -258,12 +254,6 @@ class ScalarRepeat(Primitive):
         is_crd = rk == CRD
         out_kinds = np.where(is_crd, bk[p], rk)
         out_data = np.where(is_crd, base.data[p], rep.data)
-        out_objs = None
-        if base.objs is not None and base.objs[p] is not None:
-            out_objs = np.full(n, None, dtype=object)
-            fill = np.empty(int(np.count_nonzero(is_crd)), dtype=object)
-            fill.fill(base.objs[p])
-            out_objs[is_crd] = fill
-        out = TokenStream(out_kinds, out_data, out_objs)
+        out = TokenStream(out_kinds, out_data)
         stats.tokens_out += n
         return {"out": out}

@@ -141,9 +141,6 @@ class LevelScanner(Primitive):
         ref_in = ins["ref"]
         tensor = ctx.tensor(self.tensor_name)
         level = tensor.levels[self.level]
-        if ref_in.has_objs():
-            # Opaque reference handles: bridge through the legacy kernel.
-            return super().process_columnar(ins, ctx, stats)
         kinds = ref_in.kinds
         data = ref_in.data
         n = len(kinds)

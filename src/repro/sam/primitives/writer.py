@@ -158,28 +158,13 @@ class TensorWriter(Primitive):
                     )
                 cols.append(payloads[group] if m else payloads[:0])
 
-        if val.objs is None:
-            vals = val.data[val_pos]
-            if self.drop_zeros:
-                keep = vals != 0.0
-                vals = vals[keep]
-                cols = [c[keep] for c in cols]
-            values: List[Any] = vals.tolist()
-        else:
-            values = [
-                val.objs[i] if val.objs[i] is not None else val.data[i].item()
-                for i in val_pos.tolist()
-            ]
-            if self.drop_zeros:
-                keep_l = [
-                    (np.abs(v).max() if isinstance(v, np.ndarray) else abs(v)) != 0.0
-                    for v in values
-                ]
-                keep = np.asarray(keep_l, dtype=bool)
-                values = [v for v, k in zip(values, keep_l) if k]
-                cols = [c[keep] for c in cols]
+        vals = val.data[val_pos]
+        if self.drop_zeros:
+            keep = vals != 0.0
+            vals = vals[keep]
+            cols = [c[keep] for c in cols]
 
         paths = zip(*(c.tolist() for c in cols)) if n else iter(())
-        coords = dict(zip(paths, values))
+        coords = dict(zip(paths, vals.tolist()))
         self._build(coords, ctx, stats)
         return {"tensor": TokenStream.empty()}

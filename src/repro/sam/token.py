@@ -14,7 +14,9 @@ Tokens are plain tuples ``(kind, payload)`` for speed.  Kinds:
 ``REF``
     A reference (position) into the next tensor level, or into a value array.
 ``VAL``
-    A numeric value (Python float/int or a numpy block for blocked formats).
+    A numeric value (Python float/int or a numpy block for blocked formats;
+    blocks live only in tuple-list streams, never in a columnar
+    :class:`TokenStream`).
 ``STOP``
     ``stop(n)`` closes ``n + 1`` nested fibers: ``S0`` ends the current fiber,
     ``S1`` ends the current fiber and its parent, and so on.
@@ -31,7 +33,7 @@ uses heavily.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -264,45 +266,47 @@ _INT_PAYLOAD_KINDS = frozenset((CRD, REF, STOP))
 _NUMERIC_TYPES = (int, float, np.integer, np.floating, np.bool_)
 
 
+#: Why a columnar stream refuses a non-scalar payload.
+BLOCKED_ON_TOKEN_TIER = (
+    "blocked payloads run on the token tier (process), not in a columnar "
+    "stream"
+)
+
+
 class TokenStream:
     """Columnar (structure-of-arrays) representation of a token stream.
 
     Instead of a ``List[Tuple[int, Any]]`` walked one token at a time, a
-    :class:`TokenStream` holds three parallel columns:
+    :class:`TokenStream` holds two parallel columns:
 
     ``kinds``
         ``int8`` array of token kinds (``CRD``/``REF``/``VAL``/...).
     ``data``
         ``float64`` array of numeric payloads — coordinates, reference
         positions, stop levels, and scalar values.  Zero for payload-free
-        tokens (done/empty) and for object payloads.
-    ``objs``
-        Optional ``object`` array (same length) carrying non-scalar payloads
-        — numpy blocks of blocked formats, opaque reference handles.  ``None``
-        when every payload is numeric; positions without an object payload
-        hold ``None``.
+        tokens (done/empty).
+
+    Every payload is a scalar: a region that reads a blocked tensor (numpy
+    block payloads) runs the token tier's ``process`` under every backend
+    (see :mod:`repro.comal.functional`), and :meth:`from_tokens` rejects a
+    block.
 
     The class implements the sequence protocol over logical ``(kind,
     payload)`` tuples, so diagnostic code (``pretty``, error paths, the
-    legacy-fallback kernels) can treat either representation uniformly;
-    vectorized kernels operate on the columns directly.
+    bridge for primitives without a columnar kernel) can treat either
+    representation uniformly; vectorized kernels operate on the columns
+    directly.
 
     Conversion to/from the legacy tuple-list form is lossless up to numeric
     type (a coordinate round-trips as an equal Python int; scalar values
     round-trip as equal floats).
     """
 
-    __slots__ = ("kinds", "data", "objs")
+    __slots__ = ("kinds", "data")
 
-    def __init__(
-        self,
-        kinds: np.ndarray,
-        data: np.ndarray,
-        objs: Optional[np.ndarray] = None,
-    ) -> None:
+    def __init__(self, kinds: np.ndarray, data: np.ndarray) -> None:
         self.kinds = kinds
         self.data = data
-        self.objs = objs
 
     # ------------------------------------------------------------------
     # Construction
@@ -313,57 +317,35 @@ class TokenStream:
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[Token]) -> "TokenStream":
-        """Convert a legacy tuple-list stream to columnar form."""
+        """Convert a legacy tuple-list stream to columnar form.
+
+        Raises :class:`StreamProtocolError` on a non-scalar payload.
+        """
         if isinstance(tokens, TokenStream):
             return tokens
         n = len(tokens)
         kinds = np.empty(n, dtype=np.int8)
         data = np.zeros(n, dtype=np.float64)
-        objs: Optional[np.ndarray] = None
         for i, (kind, payload) in enumerate(tokens):
             kinds[i] = kind
             if payload is None or kind == DONE or kind == EMPTY:
                 continue
-            if isinstance(payload, _NUMERIC_TYPES):
-                data[i] = payload
-            else:
-                if objs is None:
-                    objs = np.full(n, None, dtype=object)
-                objs[i] = payload
-        return cls(kinds, data, objs)
-
-    @classmethod
-    def build(
-        cls,
-        kinds: np.ndarray,
-        data: np.ndarray,
-        objs: Optional[np.ndarray] = None,
-    ) -> "TokenStream":
-        """Build from freshly computed columns, normalizing dtypes."""
-        return cls(
-            np.ascontiguousarray(kinds, dtype=np.int8),
-            np.ascontiguousarray(data, dtype=np.float64),
-            objs,
-        )
+            if not isinstance(payload, _NUMERIC_TYPES):
+                raise StreamProtocolError(
+                    f"non-scalar payload at position {i}: {BLOCKED_ON_TOKEN_TIER}"
+                )
+            data[i] = payload
+        return cls(kinds, data)
 
     @classmethod
     def concat(cls, parts: Sequence["TokenStream"]) -> "TokenStream":
         """Concatenate several columnar streams."""
         if not parts:
             return cls.empty()
-        kinds = np.concatenate([p.kinds for p in parts])
-        data = np.concatenate([p.data for p in parts])
-        objs = None
-        if any(p.objs is not None for p in parts):
-            objs = np.concatenate(
-                [
-                    p.objs
-                    if p.objs is not None
-                    else np.full(len(p), None, dtype=object)
-                    for p in parts
-                ]
-            )
-        return cls(kinds, data, objs)
+        return cls(
+            np.concatenate([p.kinds for p in parts]),
+            np.concatenate([p.data for p in parts]),
+        )
 
     # ------------------------------------------------------------------
     # Conversion
@@ -372,7 +354,6 @@ class TokenStream:
         """Convert back to the legacy tuple-list form."""
         kinds = self.kinds
         data = self.data
-        objs = self.objs
         out: Stream = []
         append = out.append
         for i in range(len(kinds)):
@@ -381,8 +362,6 @@ class TokenStream:
                 append(DONE_TOKEN)
             elif kind == EMPTY:
                 append(EMPTY_TOKEN)
-            elif objs is not None and objs[i] is not None:
-                append((kind, objs[i]))
             elif kind == VAL:
                 append((kind, data[i].item()))
             else:
@@ -401,16 +380,13 @@ class TokenStream:
             return DONE_TOKEN
         if kind == EMPTY:
             return EMPTY_TOKEN
-        if self.objs is not None and self.objs[i] is not None:
-            return (kind, self.objs[i])
         if kind == VAL:
             return (kind, self.data[i].item())
         return (kind, int(self.data[i]))
 
     def __getitem__(self, index: Union[int, slice]):
         if isinstance(index, slice):
-            objs = self.objs[index] if self.objs is not None else None
-            return TokenStream(self.kinds[index], self.data[index], objs)
+            return TokenStream(self.kinds[index], self.data[index])
         if index < 0:
             index += len(self.kinds)
         return self.token_at(index)
@@ -440,11 +416,7 @@ class TokenStream:
     # ------------------------------------------------------------------
     def gather(self, index: np.ndarray) -> "TokenStream":
         """Positional gather preserving kinds/payloads (fancy indexing)."""
-        objs = self.objs[index] if self.objs is not None else None
-        return TokenStream(self.kinds[index], self.data[index], objs)
-
-    def has_objs(self) -> bool:
-        return self.objs is not None
+        return TokenStream(self.kinds[index], self.data[index])
 
 
 def _check_columnar(stream: "TokenStream", *, allow_empty_tokens: bool = True) -> None:
@@ -504,11 +476,9 @@ def streams_equal(a: Sequence[Token], b: Sequence[Token]) -> bool:
     if len(a) != len(b):
         return False
     if isinstance(a, TokenStream) and isinstance(b, TokenStream):
-        if not np.array_equal(a.kinds, b.kinds):
-            return False
-        if a.objs is None and b.objs is None:
-            return bool(np.array_equal(a.data, b.data))
-        # Mixed numeric/object payloads: fall through to tokenwise compare.
+        return bool(
+            np.array_equal(a.kinds, b.kinds) and np.array_equal(a.data, b.data)
+        )
     return all(token_equal(ta, tb) for ta, tb in zip(a, b))
 
 

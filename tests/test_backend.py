@@ -7,8 +7,9 @@ Covers the :mod:`repro.backend` contract end to end:
 * the compile cache incorporating backend identity — the *same* program
   under another backend must miss a warm cache and yield a distinct
   executable;
-* ``codegen``'s per-region tier rule: the token tier (``process``) for a
-  blocked or short binding, the columnar tier otherwise;
+* the per-region tier rule: the token tier (``process``) for ``interp``
+  and for a blocked binding under every backend, else the columnar tier
+  under ``columnar`` and, past the size cutoff, under ``codegen``;
 * out-of-tree primitives the executor has never heard of, run under every
   backend;
 * errors raised while a region runs keep their type and message under
@@ -285,6 +286,24 @@ def _size(graph, binding):
     return functional._probe_size(probe, binding)
 
 
+def _scalar_graph_and_bindings():
+    """A scalar region and two bindings: under and at/above the cutoff."""
+    cutoff = functional.DEFAULT_SMALL_STREAM_CUTOFF
+    program = parse_program(
+        "tensor A(24, 24): csr\ntensor X(24, 16): dense\n"
+        "T(i, j) = A(i, k) * X(k, j)"
+    )
+    graph = Session(machine=RDA_MACHINE).compile(program).regions[0].graph
+    rng = np.random.default_rng(0)
+    x = SparseTensor.from_dense(rng.random((24, 16)), dense(2), "X")
+    a = SparseTensor.from_dense(rng.random((24, 24)), csr(), "A")
+    small = _program_and_binding()[1]
+    large = {"A": a, "X": x}
+    assert _size(graph, small) == (small["A"].values.size + 15, False)
+    assert _size(graph, small)[0] < cutoff <= _size(graph, large)[0]
+    return graph, small, large
+
+
 class TestEmissionTiers:
     def test_both_tiers_match_the_interpreter(self, clean_env):
         # Every backend — token, columnar and the rule choosing between
@@ -305,20 +324,8 @@ class TestEmissionTiers:
     def test_small_streams_dispatch_to_token_tier(self, clean_env):
         # Below the cutoff the rule runs the token tier, at or above it
         # the columnar one; interp and columnar ignore the size.
-        cutoff = functional.DEFAULT_SMALL_STREAM_CUTOFF
-        program = parse_program(
-            "tensor A(24, 24): csr\ntensor X(24, 16): dense\n"
-            "T(i, j) = A(i, k) * X(k, j)"
-        )
-        graph = Session(machine=RDA_MACHINE).compile(program).regions[0].graph
-        rng = np.random.default_rng(0)
-        x = SparseTensor.from_dense(rng.random((24, 16)), dense(2), "X")
-        a_dense = rng.random((24, 24))
-        a = SparseTensor.from_dense(a_dense, csr(), "A")
-        small = _program_and_binding()[1]
-        assert _size(graph, small) == (small["A"].values.size + 15, False)
-        assert _size(graph, small)[0] < cutoff <= _size(graph, {"A": a, "X": x})[0]
-        for binding, columnar in ((small, False), ({"A": a, "X": x}, True)):
+        graph, small, large = _scalar_graph_and_bindings()
+        for binding, columnar in ((small, False), (large, True)):
             run = run_functional(graph, binding, backend="codegen")
             assert _ran_columnar(run) is columnar
             for backend in ("interp", "columnar"):
@@ -340,17 +347,29 @@ class TestEmissionTiers:
         assert functional._probe_size(probe, {"A": blocked}) == (19, True)
         # Unbound probe tensors contribute nothing (and do not raise).
         assert functional._probe_size(probe, {}) == (3, False)
-        # Blocked payloads send a region to the token tier however large
-        # it is: gpt3's first region reads blocked weights past the cutoff.
+
+    @pytest.mark.parametrize("backend", ["columnar", "codegen"])
+    def test_tier_rule_pins(self, clean_env, backend):
+        # A blocked region runs the token tier under every backend, past
+        # the cutoff too (gpt3's first region reads blocked weights); a
+        # scalar region at or above the cutoff runs the
+        # columnar tier; under it is the one case where ``columnar``
+        # (columnar tier) and ``codegen`` (token tier) differ.
         bundle = build_bundle(SweepPoint.make("gpt3", model_args=_GPT3))
         exe = Session(machine=RDA_MACHINE).compile(
             bundle.program, bundle.schedule("unfused")
         )
-        graph = exe.regions[0].graph
-        size, is_blocked = _size(graph, bundle.binding)
+        blocked = exe.regions[0].graph
+        size, is_blocked = _size(blocked, bundle.binding)
         assert is_blocked and size >= functional.DEFAULT_SMALL_STREAM_CUTOFF
-        run = run_functional(graph, bundle.binding, backend="codegen")
-        assert not _ran_columnar(run)
+        assert not _ran_columnar(
+            run_functional(blocked, bundle.binding, backend=backend)
+        )
+        graph, small, large = _scalar_graph_and_bindings()
+        assert _ran_columnar(run_functional(graph, large, backend=backend))
+        assert _ran_columnar(run_functional(graph, small, backend=backend)) is (
+            backend == "columnar"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,10 @@ per-level memory traffic.  This is the contract that lets any backend
 substitute for another without regenerating a golden trace.
 
 All three run one node loop and differ only in the tier each region runs
-on: ``interp`` is the token tier, ``columnar`` the columnar tier, and
-``codegen`` the per-region tier rule choosing between them.  The cases
+on: ``interp`` is the token tier, ``columnar`` the columnar tier for every
+scalar region, and ``codegen`` the columnar tier only past a size cutoff.
+A region that reads a blocked tensor (gpt3) runs the token tier under
+every backend.  The cases
 named for the token tier check ``interp`` against ``columnar``, the ones
 named for the columnar tier check ``columnar`` against ``interp``, and the
 rest check ``codegen`` against ``interp`` — so every pair is pinned and a
@@ -47,7 +49,7 @@ POINTS = {
 GRANULARITIES = ("unfused", "partial")
 HIERARCHIES = ("flat", "fpga-small")
 
-#: The backend that runs each tier on its own.
+#: The backend that runs each tier on its own (scalar regions, for columnar).
 TIER_BACKEND = {"token": "interp", "columnar": "columnar"}
 
 
@@ -153,10 +155,9 @@ def test_end_to_end_metrics_and_traffic_match(model, hierarchy):
 
 @pytest.mark.parametrize("model", sorted(POINTS))
 def test_columnar_tier_forced_matches(model):
-    """The columnar tier on every region is bit-exact on its own.
+    """The columnar tier on every scalar region is bit-exact on its own.
 
-    gpt3's blocked payloads exercise the per-node ``objs`` escape hatch
-    on the same path.
+    gpt3's blocked regions run the token tier here as under every backend.
     """
     _end_to_end(model, "partial", "flat", TIER_BACKEND["columnar"], "interp")
 

@@ -98,15 +98,13 @@ class TestRoundtrip:
             columnar_ok = False
         assert legacy_ok == columnar_ok
 
-    def test_block_payloads_roundtrip(self):
-        block = np.arange(6.0).reshape(2, 3)
-        stream = [val(block), val(1.5), stop(0), done()]
-        ts = TokenStream.from_tokens(stream)
-        assert ts.has_objs()
-        back = ts.to_tokens()
-        assert np.array_equal(back[0][1], block)
-        assert back[1] == (VAL, 1.5)
-        assert streams_equal(ts, stream)
+    def test_block_payloads_rejected(self):
+        # Blocked payloads run on the token tier; a columnar stream holds
+        # scalars only, and a size-1 block is not silently squeezed.
+        for block in (np.arange(6.0).reshape(2, 3), np.ones(1)):
+            stream = [val(1.5), val(block), stop(0), done()]
+            with pytest.raises(StreamProtocolError, match="position 1: blocked payloads"):
+                TokenStream.from_tokens(stream)
 
 
 class TestSequenceProtocol:
@@ -326,16 +324,27 @@ def _both_ways(prim, ins):
     return legacy, columnar
 
 
+def _process(prim, ins):
+    """``prim.process`` on tuple-list streams: blocked payloads' only kernel."""
+    return prim.process(dict(ins), ExecutionContext({}), NodeStats())
+
+
 class TestKernelFallbacks:
-    """Blocked/mixed payload shapes that exercise the bridge and loop paths."""
+    """Payload shapes off the columnar kernels' vectorized paths.
+
+    Blocked payloads run on the token tier under every backend, so their
+    cases check ``process`` alone; the scalar cases check that both
+    kernels agree.
+    """
 
     def test_reduce_blocked_bridges_to_legacy(self):
         from repro.sam.primitives.reduce import Reduce
 
         b = np.ones((2, 2))
         stream = [val(b), val(2 * b), stop(0), val(3 * b), stop(1), done()]
-        legacy, columnar = _both_ways(Reduce(), {"val": stream})
-        assert np.array_equal(columnar["val"][0][1], 3 * b)
+        out = _process(Reduce(), {"val": stream})["val"]
+        assert np.array_equal(out[0][1], 3 * b)
+        assert np.array_equal(out[1][1], 3 * b)
 
     def test_vreduce_blocked_with_empty_bridges(self):
         from repro.sam.primitives.reduce import VectorReducer
@@ -343,7 +352,8 @@ class TestKernelFallbacks:
         b = np.ones((2, 2))
         crd0 = [crd(0), crd(0), stop(1), done()]
         vals = [val(b), empty(), stop(1), done()]
-        _both_ways(VectorReducer(1), {"crd0": crd0, "val": vals})
+        out = _process(VectorReducer(1), {"crd0": crd0, "val": vals})["val"]
+        assert np.array_equal(out[0][1], b)
 
     def test_vreduce_blocked_uniform_accumulates(self):
         from repro.sam.primitives.reduce import VectorReducer
@@ -351,10 +361,10 @@ class TestKernelFallbacks:
         b = np.arange(4.0).reshape(2, 2)
         crd0 = [crd(1), crd(0), crd(1), stop(1), done()]
         vals = [val(b), val(2 * b), val(3 * b), stop(1), done()]
-        legacy, columnar = _both_ways(VectorReducer(1), {"crd0": crd0, "val": vals})
+        out = _process(VectorReducer(1), {"crd0": crd0, "val": vals})["val"]
         # keys sorted: 0 -> 2b, 1 -> b + 3b
-        assert np.array_equal(columnar["val"][0][1], 2 * b)
-        assert np.array_equal(columnar["val"][1][1], 4 * b)
+        assert np.array_equal(out[0][1], 2 * b)
+        assert np.array_equal(out[1][1], 4 * b)
 
     def test_binary_alu_mixed_block_scalar_loop_path(self):
         from repro.sam.primitives.compute import BinaryALU
@@ -362,26 +372,20 @@ class TestKernelFallbacks:
         b = np.ones((2, 2))
         a_in = [val(b), val(2.0), stop(0), done()]
         b_in = [val(3.0), val(b), stop(0), done()]
-        _both_ways(BinaryALU("mul"), {"a": a_in, "b": b_in})
-
-    def test_binary_alu_blocked_batch_matmul(self):
-        from repro.sam.primitives.compute import BinaryALU
-
-        rng = np.random.default_rng(0)
-        blocks_a = [rng.random((3, 3)) for _ in range(4)]
-        blocks_b = [rng.random((3, 3)) for _ in range(4)]
-        a_in = [val(x) for x in blocks_a] + [stop(0), done()]
-        b_in = [val(x) for x in blocks_b] + [stop(0), done()]
-        for op in ("bmm", "bmt", "add"):
-            _both_ways(BinaryALU(op), {"a": a_in, "b": b_in})
+        out = _process(BinaryALU("mul"), {"a": a_in, "b": b_in})["out"]
+        assert np.array_equal(out[0][1], 3 * b)
+        assert np.array_equal(out[1][1], 2 * b)
 
     def test_unary_alu_blocked_and_scaled(self):
-        from repro.sam.primitives.compute import UnaryALU
+        from repro.sam.primitives.compute import UnaryALU, _gelu
 
         b = np.linspace(-1, 1, 4).reshape(2, 2)
         stream = [val(b), empty(), val(2 * b), stop(0), done()]
-        _both_ways(UnaryALU("relu"), {"a": stream})
-        _both_ways(UnaryALU("gelu", scale=0.5, offset=1.0), {"a": stream})
+        out = _process(UnaryALU("relu"), {"a": stream})["out"]
+        assert np.array_equal(out[0][1], np.maximum(b, 0.0))
+        assert out[1] == empty()
+        out = _process(UnaryALU("gelu", scale=0.5, offset=1.0), {"a": stream})["out"]
+        assert np.array_equal(out[2][1], _gelu(0.5 * (2 * b) + 1.0))
 
     def test_scalar_repeat_block_payload(self):
         from repro.sam.primitives.repeat import ScalarRepeat
@@ -389,8 +393,8 @@ class TestKernelFallbacks:
         b = np.ones((2, 2))
         base = [val(b), stop(0), done()]
         rep = [crd(0), crd(1), stop(0), crd(2), stop(1), done()]
-        legacy, columnar = _both_ways(ScalarRepeat(), {"base": base, "rep": rep})
-        assert np.array_equal(columnar["out"][0][1], b)
+        out = _process(ScalarRepeat(), {"base": base, "rep": rep})["out"]
+        assert [t[1] is b for t in out if t[0] == VAL] == [True] * 3
 
     def test_crddrop_keeps_empty_val_tokens(self):
         # Union padding: an EMPTY val token is not a zero *value* — the
@@ -403,6 +407,19 @@ class TestKernelFallbacks:
         assert legacy["crd"] == [crd(0), crd(1), stop(0), done()]
         assert legacy["val"] == [val(5.0), empty(), stop(0), done()]
 
+    def test_value_array_blocked_tensor_stays_on_token_tier(self):
+        from repro.ftree import SparseTensor, blocked_csr
+        from repro.sam.primitives.compute import ValArray
+
+        dense_blocks = np.arange(16.0).reshape(4, 4)
+        ctx = ExecutionContext({"B": SparseTensor.from_dense(dense_blocks, blocked_csr(2, 2), "B")})
+        refs = [ref(0), empty(), stop(0), done()]
+        out = ValArray("B").process({"ref": refs}, ctx, NodeStats())["val"]
+        assert np.array_equal(out[0][1], dense_blocks[:2, :2])
+        assert np.array_equal(out[1][1], np.zeros((2, 2)))
+        with pytest.raises(StreamProtocolError, match=r"array\(B\): blocked payloads"):
+            ValArray("B").process_columnar({"ref": as_columnar(refs)}, ctx, NodeStats())
+
     def test_crddrop_blocked_zero_blocks(self):
         from repro.sam.primitives.reduce import CrdDrop
 
@@ -410,16 +427,8 @@ class TestKernelFallbacks:
         b = np.ones((2, 2))
         crds = [crd(0), crd(1), crd(2), stop(0), done()]
         vals = [val(b), val(zero), val(2 * b), stop(0), done()]
-        legacy, columnar = _both_ways(CrdDrop(), {"crd": crds, "val": vals})
-        assert len(columnar["crd"]) == 4  # zero block dropped
-
-    def test_fiberop_blocked_softmax(self):
-        from repro.sam.primitives.fiberops import FiberSoftmax
-
-        rng = np.random.default_rng(1)
-        blocks = [rng.random((2, 2)) for _ in range(3)]
-        stream = [val(x) for x in blocks] + [stop(0)] + [val(blocks[0]), stop(1), done()]
-        _both_ways(FiberSoftmax(), {"val": stream})
+        out = _process(CrdDrop(), {"crd": crds, "val": vals})
+        assert out["crd"] == [crd(0), crd(2), stop(0), done()]  # zero block dropped
 
     def test_repeat_empty_base_fibers(self):
         from repro.sam.primitives.repeat import Repeat

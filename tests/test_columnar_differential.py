@@ -6,6 +6,10 @@ per-token execution *exactly*: same streams token for token, same per-node
 statistics (tokens/ops/DRAM bytes), same output tensors bit for bit, and
 the same timed metrics.  This is the contract that lets the golden traces
 in ``tests/golden/`` stand unregenerated across the representation change.
+
+gpt3 reads blocked tensors in every region, and a region that reads a
+blocked tensor runs the token tier under every backend: its case pins
+that ``columnar`` keeps it there.
 """
 
 import numpy as np
@@ -27,6 +31,9 @@ POINTS = {
 }
 
 GRANULARITIES = ("unfused", "partial", "full")
+
+#: Models whose every region reads a blocked tensor (the token tier).
+BLOCKED_MODELS = ("gpt3",)
 
 STAT_FIELDS = ("tokens_in", "tokens_out", "ops", "dram_reads", "dram_writes")
 
@@ -66,7 +73,7 @@ def test_streams_stats_and_timing_match(model, granularity, session):
         assert set(legacy.streams) == set(columnar.streams)
         for key in legacy.streams:
             got = columnar.streams[key]
-            assert isinstance(got, TokenStream), key
+            assert isinstance(got, TokenStream) is (model not in BLOCKED_MODELS), key
             assert streams_equal(got, legacy.streams[key]), (
                 f"{model}/{granularity}/{graph.name} stream {key} diverged"
             )

@@ -126,14 +126,10 @@ def _scan_case(draw):
     return tensor, level, tokens, spad, draw(st.booleans())
 
 
-def _scan_both(tensor, level, tokens, spad, dram, *, objs=False):
+def _scan_both(tensor, level, tokens, spad, dram):
     """Run one scanner through ``process`` and ``process_columnar``."""
     scanner = LevelScanner("T", level, dram=dram)
     columns = TokenStream.from_tokens(tokens)
-    if objs:
-        columns = TokenStream(
-            columns.kinds, columns.data, np.full(len(tokens), None, dtype=object)
-        )
     runs = []
     for method, stream in (
         (scanner.process, tokens),
@@ -151,9 +147,9 @@ class TestScannerColumnarMatchesProcess:
     ``process`` token for token, stat for stat."""
 
     @settings(max_examples=200, deadline=None)
-    @given(_scan_case(), st.booleans())
-    def test_streams_and_stats_match(self, case, objs):
-        (want, want_stats), (have, have_stats) = _scan_both(*case, objs=objs)
+    @given(_scan_case())
+    def test_streams_and_stats_match(self, case):
+        (want, want_stats), (have, have_stats) = _scan_both(*case)
         for port in ("crd", "ref"):
             assert isinstance(have[port], TokenStream)
             assert streams_equal(have[port], want[port]), port
@@ -474,15 +470,24 @@ def _assert_same_run(runs):
     for port, stream in want.items():
         assert isinstance(have[port], TokenStream)
         assert streams_equal(have[port], stream), port
-        if have[port].objs is None:
-            # Bit for bit: the sign of a zero sum too.
-            payloads = [t[1] if t[1] is not None else 0.0 for t in stream]
-            assert np.array_equal(np.signbit(payloads), np.signbit(have[port].data)), port
+        # Bit for bit: the sign of a zero sum too.
+        payloads = [t[1] if t[1] is not None else 0.0 for t in stream]
+        assert np.array_equal(np.signbit(payloads), np.signbit(have[port].data)), port
     assert have_stats == want_stats
 
 
 #: Scalars whose sums round differently when reassociated, and a -0.0.
 _SUMMANDS = st.sampled_from([0.1, 0.2, 0.3, -0.7, 1e16, -1e16, 1.0, -0.0])
+
+
+def _assert_early_done_rejected(prim, ins):
+    """Both kernels reject a done token that is not the stream's last."""
+    for method, wrap in (
+        (prim.process, list),
+        (prim.process_columnar, TokenStream.from_tokens),
+    ):
+        with pytest.raises(StreamProtocolError, match="done token at position 1 is not last"):
+            method({p: wrap(t) for p, t in ins.items()}, ExecutionContext({}), NodeStats())
 
 
 class TestReduceColumnarMatchesProcess:
@@ -506,21 +511,21 @@ class TestReduceColumnarMatchesProcess:
         (want, _), (have, _) = _both_kernels(Reduce(), {"val": tokens})
         assert not np.signbit(have["val"].data[0]) and not np.signbit(want["val"][0][1])
 
+    def test_early_done_raises_on_both_kernels(self):
+        _assert_early_done_rejected(Reduce(), {"val": [val(1.0), done(), val(2.0), done()]})
+
 
 @st.composite
 def _vreduce_case(draw):
     """An order-1 or -2 vector reduction: aligned ``crd{d}`` / ``val``
-    streams with scalar or block payloads, ``EMPTY`` values,
+    streams with scalar payloads, ``EMPTY`` values,
     stops of every level up to ``order + 1`` (so empty groups and absorbed
     fiber stops), ending in DONE or cut before it."""
     order = draw(st.integers(1, 2))
-    blocked = draw(st.booleans())
-    # Blocks of one shape reduce in the kernel; mixed shapes bridge.
-    width = 2 if draw(st.booleans()) else 1
-    value = st.lists(_SUMMANDS, min_size=width, max_size=2).map(np.array) if blocked else _SUMMANDS
+    value = _SUMMANDS.map(val)
     payload = st.tuples(
         st.lists(st.integers(0, 3), min_size=order, max_size=order),
-        st.one_of(value.map(val), st.just(EMPTY_TOKEN)) if draw(st.booleans()) else value.map(val),
+        st.one_of(value, st.just(EMPTY_TOKEN)) if draw(st.booleans()) else value,
     )
     level = st.integers(0, order + 1)
     steps = draw(st.lists(st.one_of(payload, payload, level), max_size=32))
@@ -606,6 +611,12 @@ class TestVectorReducerColumnarMatchesProcess:
         runs = _both_kernels(VectorReducer(1), ins)
         _assert_same_run(runs)
         assert pretty(runs[1][0]["val"]) == "2.0 S0"
+
+    def test_early_done_raises_on_both_kernels(self):
+        _assert_early_done_rejected(
+            VectorReducer(1),
+            {"crd0": [crd(0), done(), crd(0), done()], "val": [val(1.0), done(), val(2.0), done()]},
+        )
 
 
 @st.composite
