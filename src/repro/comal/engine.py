@@ -293,12 +293,16 @@ def run_timed(
     """Run the timed simulation of ``graph`` on ``machine``.
 
     A pre-computed functional result may be supplied to avoid re-executing
-    the graph; it is used as is and nothing is memoized.  Otherwise the
+    the graph; nothing is memoized then.  Pending operand reads (a run made
+    with ``scratchpad_bytes=None``, as a sweep's shared stage is) are
+    charged at ``machine.scratchpad_bytes`` in a copy, so the supplied
+    result is never mutated.  The engine reads port lengths, never
+    tokens.  Otherwise the
     graph runs through :func:`~repro.comal.functional.run_functional` with
     ``backend``/``debug_streams`` (execution backend and protocol checking),
     and the returned ``functional`` keeps ``stats``, ``results`` and
-    ``order`` but no token streams unless ``debug_streams`` is on: streams
-    are only needed to time the run.
+    ``order`` but no token streams (nor their lengths) unless
+    ``debug_streams`` is on: they are only needed to time the run.
 
     This is the one simulator memo (``cache``, default on).  It is keyed
     on the bound tensors' identities, the backend, ``debug_streams`` and
@@ -327,7 +331,7 @@ def run_timed(
             debug_streams=debug_streams,
         )
     else:
-        func = functional
+        func = functional.resolved(machine.scratchpad_bytes)
     # On-chip buffer level: nodes the place-memory pass marked "sram" are
     # paced through their bank instead of the DRAM port.  A machine without
     # an SRAM level serves every placement from DRAM (the placement is a
@@ -344,11 +348,11 @@ def run_timed(
     node_finish: Dict[str, float] = {}
     node_busy: Dict[str, float] = {}
 
-    # Group output streams by producing node once — the per-node dict
-    # comprehension over *all* streams was quadratic in graph size.
-    streams_by_node: Dict[str, Dict[str, Any]] = {}
-    for (nid, port), stream in func.streams.items():
-        streams_by_node.setdefault(nid, {})[port] = stream
+    # Group output port lengths by producing node once — the per-node
+    # dict comprehension over *all* ports was quadratic in graph size.
+    lengths_by_node: Dict[str, Dict[str, int]] = {}
+    for (nid, port), length in func.lengths.items():
+        lengths_by_node.setdefault(nid, {})[port] = length
 
     for (
         node_id,
@@ -374,8 +378,8 @@ def run_timed(
                 n_driver = len(arr)
         start = float(driver[0]) if n_driver else 0.0
 
-        out_ports = streams_by_node.get(node_id, _NO_PORTS)
-        max_len = max((len(s) for s in out_ports.values()), default=0)
+        out_ports = lengths_by_node.get(node_id, _NO_PORTS)
+        max_len = max(out_ports.values(), default=0)
 
         schedule = _emission_schedule(driver, max_len, ii, start)
         if tiles > 1 and max_len:
@@ -422,9 +426,9 @@ def run_timed(
                 elif mem_role == "fill" or mem_role == "intermediate":
                     fill_total += traffic
 
-        for port, stream in out_ports.items():
+        for port, length in out_ports.items():
             port_times[(node_id, port)] = _port_times(
-                schedule, len(stream), max_len, lat
+                schedule, length, max_len, lat
             )
 
         busy = max_len * ii
@@ -457,7 +461,7 @@ def run_timed(
         hierarchy=hier.name,
     )
     if functional is None and not debug_streams:
-        func.streams = {}
+        func.streams, func.lengths = {}, {}
     if memo_key is not None:
         pinned = [binding[n] for n in graph.input_tensor_names()]
         with _MEMO_LOCK:

@@ -35,7 +35,7 @@ produced stream, so it is gated behind ``debug_streams=True`` (or
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..backend.base import resolve_backend_name
@@ -111,12 +111,14 @@ def _runs_columnar(mode: str, graph: SAMGraph, order: List[str], binding) -> boo
 
 @dataclass
 class FunctionalResult:
-    """Streams and statistics from one functional execution."""
+    """Streams and statistics from one functional execution; ``lengths``
+    (each port's token count, all the timed engine reads) outlives them."""
 
     streams: Dict[Tuple[str, str], Any] = field(default_factory=dict)
     stats: Dict[str, NodeStats] = field(default_factory=dict)
     results: Dict[str, Any] = field(default_factory=dict)
     order: List[str] = field(default_factory=list)
+    lengths: Dict[Tuple[str, str], int] = field(default_factory=dict)
 
     def stream(self, node_id: str, port: str = "out"):
         return self.streams[(node_id, port)]
@@ -130,11 +132,29 @@ class FunctionalResult:
     def total_tokens(self) -> int:
         return sum(s.tokens_out for s in self.stats.values())
 
+    def resolved(self, scratchpad_bytes: int) -> "FunctionalResult":
+        """A copy whose stats with pending operand reads are copies charged at
+        ``scratchpad_bytes`` (the rest depend on no machine and are shared)."""
+        pending = [nid for nid, s in self.stats.items() if s.residency]
+        if not pending:
+            return self
+        stats = dict(self.stats)
+        for nid in pending:
+            stats[nid] = copy = replace(stats[nid])
+            copy.charge(scratchpad_bytes)
+        return FunctionalResult(
+            streams=self.streams,
+            stats=stats,
+            results=dict(self.results),
+            order=self.order,
+            lengths=self.lengths,
+        )
+
 
 def run_functional(
     graph: SAMGraph,
     binding: Dict[str, Any],
-    scratchpad_bytes: int = 1 << 16,
+    scratchpad_bytes: Optional[int] = 1 << 16,
     *,
     backend: Optional[str] = None,
     debug_streams: Optional[bool] = None,
@@ -150,6 +170,12 @@ def run_functional(
     happens once per graph object — the compile flow validates at
     compile time, so cached executables pay nothing here.
 
+    Execution is machine-free: each operand read is recorded as an
+    ``(access, footprint)`` pair on its node's stats, and the run's end
+    charges the pairs to ``dram_reads`` at ``scratchpad_bytes``.  ``None``
+    leaves them pending, so :func:`repro.comal.engine.run_timed` can time
+    one run on many machines (:meth:`FunctionalResult.resolved`).
+
     Every call executes: the one simulator memo is
     :func:`repro.comal.engine.run_timed`'s, and the result returned here
     keeps every token stream.  ``cache`` is accepted and ignored (frozen
@@ -161,9 +187,7 @@ def run_functional(
     graph.ensure_validated()
     order = graph.topological_order()
     columnar = _runs_columnar(mode, graph, order, binding)
-    ctx = ExecutionContext(
-        binding, scratchpad_bytes=scratchpad_bytes, debug_streams=debug_streams
-    )
+    ctx = ExecutionContext(binding, debug_streams=debug_streams)
     result = FunctionalResult()
     result.order = order
     for node_id in order:
@@ -191,6 +215,11 @@ def run_functional(
                         f"node {node_id} port {port_name!r}: {exc}"
                     ) from exc
             result.streams[(node_id, port_name)] = stream
+            result.lengths[(node_id, port_name)] = len(stream)
+    if scratchpad_bytes is not None:
+        for stats in ctx.stats.values():
+            if stats.residency:
+                stats.charge(scratchpad_bytes)
     result.stats = ctx.stats
     result.results = ctx.results
     return result

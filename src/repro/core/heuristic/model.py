@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ...comal.machines import RDA_MACHINE
+from ...sam.primitives.base import residency_charge
 from ..einsum.ast import EinsumProgram, MULTIPLICATIVE_OPS, Statement
 from ..fusion.fuse import FusedEinsum, front_end, front_end_skips
 from ..schedule.schedule import Schedule, unfused
@@ -392,7 +393,7 @@ class FusionHeuristic:
             if src.tensor not in producer_of and src.tensor in self.program.decls:
                 footprint = count * self.VALUE_BYTES
                 access = mult * footprint
-                mem = min(access, footprint) if footprint <= self.scratchpad_bytes else access
+                mem = residency_charge(access, footprint, self.scratchpad_bytes)
             return mult * per_elem * count, mem
         # Contraction: innermost co-iteration points.
         points = self._expected_points(
@@ -433,9 +434,6 @@ class FusionHeuristic:
             space = float(np.prod([sizes.get(i, 1) for i in acc.indices]))
             footprint = density * space * self.VALUE_BYTES * acc_block
             access = mult * points * self.VALUE_BYTES * acc_block
-            if footprint <= self.scratchpad_bytes:
-                mem += min(access, footprint)
-            else:
-                mem += access
+            mem += residency_charge(access, footprint, self.scratchpad_bytes)
             mem += min(mult, 1.0) * density * space * self.CRD_BYTES
         return flops, mem

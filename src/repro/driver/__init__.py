@@ -21,6 +21,7 @@ none of their own (``ModelBundle.run``, the tracing frontend).
 from .compiled import (
     CompiledProgram,
     CompiledRegion,
+    FunctionalRun,
     ProgramResult,
     execute_compiled,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "RegionDiagnostics",
     "CompiledProgram",
     "CompiledRegion",
+    "FunctionalRun",
     "ProgramResult",
     "execute_compiled",
 ]

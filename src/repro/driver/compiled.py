@@ -13,6 +13,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..comal.engine import SimResult, run_timed
+from ..comal.functional import (
+    FunctionalResult,
+    default_debug_streams,
+    run_functional,
+)
 from ..comal.machines import Machine, RDA_MACHINE
 from ..comal.metrics import ProgramMetrics
 from ..core.einsum.ast import EinsumProgram, TensorDecl
@@ -61,6 +66,21 @@ class CompiledProgram:
         state["transpose_cache"] = {}
         return state
 
+    def signature(self) -> Tuple:
+        """Per region, its name and each node's (id, kind) in topological
+        order: a :class:`FunctionalRun` times only a compile whose
+        signature equals its own."""
+        return tuple(
+            (
+                r.graph.name,
+                tuple(
+                    (nid, r.graph.nodes[nid].prim.kind)
+                    for nid in r.graph.topological_order()
+                ),
+            )
+            for r in self.regions
+        )
+
     def total_nodes(self) -> int:
         """Total SAMML node count across all lowered regions."""
         return sum(r.graph.node_count() for r in self.regions)
@@ -104,15 +124,28 @@ class ProgramResult:
         return self.tensors[name]
 
 
+@dataclass
+class FunctionalRun:
+    """The machine-free stage of one execution: per region, its functional
+    result (operand reads pending, streams only under ``debug_streams``)
+    and its permuted copies' DRAM bytes.  ``signature`` is the compile's
+    :meth:`CompiledProgram.signature`."""
+
+    signature: Tuple
+    regions: List[FunctionalResult] = field(default_factory=list)
+    transposes: List[Tuple[int, ...]] = field(default_factory=list)
+
+
 def execute_compiled(
     compiled: CompiledProgram,
     binding: Dict[str, SparseTensor],
-    machine: Machine = RDA_MACHINE,
+    machine: Optional[Machine] = RDA_MACHINE,
     *,
     backend: Optional[str] = None,
     debug_streams: Optional[bool] = None,
     cache: bool = True,
-) -> ProgramResult:
+    run: Optional[FunctionalRun] = None,
+):
     """Run all region graphs in order, chaining materialized outputs.
 
     Parameters
@@ -123,22 +156,31 @@ def execute_compiled(
         Tensor name -> tensor for the program's inputs; region outputs
         are bound as they materialize.
     machine:
-        Timing model (and memory hierarchy) the regions simulate on.
+        Timing model (and memory hierarchy) the regions simulate on;
+        ``None`` returns the :class:`FunctionalRun` alone.
     backend, debug_streams, cache:
         Execution backend, per-stream protocol checking, and the
         simulator memo of each region's run (see
         :func:`repro.comal.engine.run_timed`).
+    run:
+        A :class:`FunctionalRun` to time on ``machine`` instead of
+        executing (``binding`` is then unused).
 
     Returns
     -------
-    ProgramResult
+    ProgramResult, or FunctionalRun when ``machine`` is None.
     """
     bind: Dict[str, Any] = dict(binding)
     metrics = ProgramMetrics(label=compiled.schedule.name)
     produced: Dict[str, SparseTensor] = {}
     region_results: List[SimResult] = []
-    for region in compiled.regions:
-        for orig, new_name, mode_order in region.transposes:
+    staged = FunctionalRun(compiled.signature()) if machine is None else None
+    if debug_streams is None:
+        debug_streams = default_debug_streams()
+    for index, region in enumerate(compiled.regions):
+        # Timing a run binds no copies: its functional stage recorded them.
+        extras = [] if run is None else run.transposes[index]
+        for orig, new_name, mode_order in region.transposes if run is None else ():
             if new_name not in bind:
                 source = bind[orig]
                 tkey = (id(source), new_name)
@@ -152,20 +194,35 @@ def execute_compiled(
                     compiled.transpose_cache[(id(source), f"{new_name}#src")] = source
                 bind[new_name] = copy
                 # A permuted copy is a DRAM round trip of the whole tensor.
-                extra = 2 * source.bytes_total()
+                extras.append(2 * source.bytes_total())
+        if staged is not None:
+            func = run_functional(
+                region.graph, bind, None, backend=backend, debug_streams=debug_streams
+            )
+            if not debug_streams:
+                func.streams = {}
+            staged.regions.append(func)
+            staged.transposes.append(tuple(extras))
+            results = func.results
+        else:
+            for extra in extras:
                 metrics.dram_bytes += extra
                 metrics.cycles += extra / machine.dram_bandwidth
-        result = run_timed(
-            region.graph,
-            bind,
-            machine,
-            backend=backend,
-            debug_streams=debug_streams,
-            cache=cache,
-        )
-        metrics.add(result, region.graph.name)
-        for name, tensor in result.results.items():
+            result = run_timed(
+                region.graph,
+                bind,
+                machine,
+                run.regions[index] if run is not None else None,
+                backend=backend,
+                debug_streams=debug_streams,
+                cache=cache,
+            )
+            metrics.add(result, region.graph.name)
+            region_results.append(result)
+            results = result.results
+        for name, tensor in results.items():
             bind[name] = tensor
             produced[name] = tensor
-        region_results.append(result)
+    if staged is not None:
+        return staged
     return ProgramResult(metrics=metrics, tensors=produced, region_results=region_results)

@@ -6,6 +6,8 @@ introspect it with :meth:`describe`, and read the structured
 :attr:`diagnostics` the compiler collected while compiling it.  Executables
 are immutable and safe to share — the Session cache hands the same object
 back for every fingerprint-identical compile.
+A call is a machine-free :meth:`Executable.functional` run timed on a
+machine by :meth:`Executable.time`; sweeps call the two stages apart.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from ..ftree.tensor import SparseTensor
 from .compiled import (
     CompiledProgram,
     CompiledRegion,
+    FunctionalRun,
     ProgramResult,
     execute_compiled,
 )
@@ -134,6 +137,29 @@ class Executable:
             backend=self.backend,
             debug_streams=self.debug_streams,
             cache=self.sim_cache,
+        )
+
+    def functional(self, binding: Dict[str, SparseTensor]) -> FunctionalRun:
+        """Run every region with no machine: all :meth:`time` needs."""
+        return execute_compiled(
+            self.compiled, binding, None, backend=self.backend, debug_streams=self.debug_streams
+        )
+
+    def time(
+        self, run: FunctionalRun, machine: Optional[Machine] = None
+    ) -> ProgramResult:
+        """Time a :meth:`functional` run on ``machine`` (default: this
+        executable's), bit-identical to calling it.  ``run`` may come from
+        another compile whose region graphs match this one's node for node
+        (another hierarchy's, say); ValueError otherwise."""
+        if run.signature != self.compiled.signature():
+            raise ValueError(
+                "functional run is of a different compile: region graphs "
+                "differ in node ids or kinds"
+            )
+        return execute_compiled(
+            self.compiled, {}, machine or self.machine,
+            backend=self.backend, debug_streams=self.debug_streams, run=run,
         )
 
     def run(

@@ -14,6 +14,14 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..token import Stream, TokenStream
 
 
+def residency_charge(access, footprint, capacity):
+    """DRAM bytes one operand read costs beside a ``capacity``-byte
+    scratchpad: a tensor that fits is charged at most its footprint (the
+    compulsory traffic), one that does not every access.  The simulator
+    and the fusion heuristic's estimates share this rule."""
+    return min(access, footprint) if footprint <= capacity else access
+
+
 @dataclass
 class NodeStats:
     """Per-node instrumentation collected during functional execution.
@@ -21,7 +29,9 @@ class NodeStats:
     ``tokens_in``/``tokens_out`` count every token moved through the node.
     ``ops`` counts arithmetic operations (FLOPs for ALU-class nodes).
     ``dram_reads``/``dram_writes`` count bytes exchanged with off-chip memory
-    (zero for nodes operating purely on on-chip streams).
+    (zero for nodes operating purely on on-chip streams).  ``residency``
+    holds one ``(access, footprint)`` pair per operand read, pending until
+    :meth:`charge` charges them at a machine's scratchpad.
     """
 
     tokens_in: int = 0
@@ -29,6 +39,7 @@ class NodeStats:
     ops: int = 0
     dram_reads: int = 0
     dram_writes: int = 0
+    residency: Tuple[Tuple[int, int], ...] = ()
 
     def merge(self, other: "NodeStats") -> None:
         self.tokens_in += other.tokens_in
@@ -36,24 +47,36 @@ class NodeStats:
         self.ops += other.ops
         self.dram_reads += other.dram_reads
         self.dram_writes += other.dram_writes
+        self.residency += other.residency
+
+    def read_operand(self, access: int, footprint: int) -> None:
+        """Record a read of ``access`` bytes from a ``footprint``-byte tensor."""
+        self.residency += ((access, footprint),)
+
+    def charge(self, capacity: int) -> None:
+        """Charge every pending operand read to ``dram_reads`` at a
+        ``capacity``-byte scratchpad (:func:`residency_charge`)."""
+        for access, footprint in self.residency:
+            self.dram_reads += residency_charge(access, footprint, capacity)
+        self.residency = ()
 
 
 class ExecutionContext:
-    """Carries tensor bindings and stats collection through execution."""
+    """Carries tensor bindings and stats collection through execution.
+
+    It holds no machine: operand reads are recorded on the node's stats
+    (:meth:`NodeStats.read_operand`) and charged where the run is timed.
+    """
 
     def __init__(
         self,
         binding: Dict[str, Any] | None = None,
-        scratchpad_bytes: int = 1 << 16,
         debug_streams: bool = False,
     ) -> None:
         self.binding: Dict[str, Any] = dict(binding or {})
         self.stats: Dict[str, NodeStats] = {}
         # Tensors produced by writer nodes during execution.
         self.results: Dict[str, Any] = {}
-        # On-chip scratchpad capacity: tensors that fit are charged DRAM
-        # traffic once (compulsory), not per re-access.
-        self.scratchpad_bytes = scratchpad_bytes
         # When True, every produced stream is protocol-checked (check_stream)
         # and writers re-validate their inputs; costs a pass per stream, so
         # it is off on hot paths and turned on by tests / debugging sessions.

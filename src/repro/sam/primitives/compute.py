@@ -315,12 +315,7 @@ class ValArray(Primitive):
             else:
                 raise StreamProtocolError(f"array got unexpected token kind {kind}")
         if self.dram:
-            footprint = int(values.size) * 8
-            if footprint <= ctx.scratchpad_bytes:
-                # Fits on chip: only compulsory traffic hits DRAM.
-                stats.dram_reads += min(access_bytes, footprint)
-            else:
-                stats.dram_reads += access_bytes
+            stats.read_operand(access_bytes, int(values.size) * 8)
         stats.tokens_out += len(out)
         return {"val": out}
 
@@ -346,12 +341,7 @@ class ValArray(Primitive):
         out_kinds = np.where(is_ref | is_empty, np.int8(VAL), kinds)
         out_data = np.where(is_ref | is_empty, 0.0, ref_in.data)
         out_data[ref_pos] = values[idx]
-        access_bytes = 8 * len(ref_pos)
         if self.dram:
-            footprint = int(values.size) * 8
-            if footprint <= ctx.scratchpad_bytes:
-                stats.dram_reads += min(access_bytes, footprint)
-            else:
-                stats.dram_reads += access_bytes
+            stats.read_operand(8 * len(ref_pos), int(values.size) * 8)
         stats.tokens_out += n
         return {"val": TokenStream(out_kinds, out_data)}

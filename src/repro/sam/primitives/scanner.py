@@ -122,11 +122,7 @@ class LevelScanner(Primitive):
             else:
                 raise StreamProtocolError(f"scanner got unexpected token kind {kind}")
         if compressed and self.dram:
-            footprint = tensor.bytes_structure()
-            if footprint <= ctx.scratchpad_bytes:
-                stats.dram_reads += min(access_bytes, footprint)
-            else:
-                stats.dram_reads += access_bytes
+            stats.read_operand(access_bytes, tensor.bytes_structure())
         stats.tokens_out += len(crd_out) + len(ref_out)
         return {"crd": crd_out, "ref": ref_out}
 
@@ -206,12 +202,7 @@ class LevelScanner(Primitive):
             ref_data[slots] = children
         if level.kind == "compressed" and self.dram:
             # pos pair per fiber + one crd entry per nonzero, 4 bytes each.
-            access_bytes = 8 * n_fibers + 4 * nnz
-            footprint = tensor.bytes_structure()
-            if footprint <= ctx.scratchpad_bytes:
-                stats.dram_reads += min(access_bytes, footprint)
-            else:
-                stats.dram_reads += access_bytes
+            stats.read_operand(8 * n_fibers + 4 * nnz, tensor.bytes_structure())
         stats.tokens_out += 2 * total
         return {
             "crd": TokenStream(crd_kinds, crd_data),

@@ -9,6 +9,10 @@ out over worker processes.  Each worker keeps one ``Session`` per
 compile fingerprint pay tracing/lowering once per worker, not once per
 point.
 
+Execution is staged (``docs/sweeps.md``): a worker runs each group of
+points that differ only in machine and hierarchy functionally once, and
+times that run per point; dispatch keeps a worker on its group.
+
 Every point is functionally verified against its bundle's dense reference;
 the per-point record carries ``max_abs_err`` so a sweep doubles as a
 correctness regression over the whole grid.
@@ -33,9 +37,10 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..comal.machines import MACHINES
+from ..driver.compiled import FunctionalRun
 from ..driver.session import Session
 from ..reliability import fault_point
 from .spec import _BUNDLES, SweepPoint, SweepSpec, bundle_for
@@ -88,6 +93,10 @@ def _is_transient(record: Dict[str, object]) -> bool:
 # the Session cache (and tracing work via ``bundle_for``).
 _SESSIONS: Dict[Tuple[str, str, str, str], Session] = {}
 
+# Per-process stage cache: the functional run of the last group run here,
+# by stage key (one entry: a worker gets its group's points back to back).
+_STAGE: Dict[str, FunctionalRun] = {}
+
 # Persistent compile-cache directory worker sessions attach to.  ``None``
 # defers to Session's own resolution (the FUSEFLOW_CACHE_DIR environment
 # variable, else no disk cache).  Set via :func:`set_worker_cache_dir` —
@@ -129,8 +138,8 @@ def run_point(point: SweepPoint) -> Dict[str, object]:
     Parameters
     ----------
     point:
-        The experiment to run; bundle and session come from the
-        per-process caches.
+        The experiment to run; bundle, session and the functional run of
+        its group come from the per-process caches.
 
     Returns
     -------
@@ -141,9 +150,15 @@ def run_point(point: SweepPoint) -> Dict[str, object]:
         fingerprints, and cache/timing metadata.  A point that executes
         but disagrees with the reference is an ``"error"`` record.
     """
+    return _run_point(point)[0]
+
+
+def _run_point(point: SweepPoint) -> Tuple[Dict[str, object], int]:
+    """:func:`run_point` and the functional runs it paid (0 or 1)."""
     from ..models.common import VERIFY_TOLERANCE
 
     started = time.perf_counter()
+    paid = 0
     base = {
         "type": "result",
         "point_id": point.point_id,
@@ -165,7 +180,14 @@ def run_point(point: SweepPoint) -> Dict[str, object]:
         before = session.cache_info()
         executable = session.compile(bundle.program, schedule)
         cache_hit = session.cache_info().hits > before.hits
-        result = executable(bundle.binding)
+        key = point.stage_key()
+        run = _STAGE.get(key)
+        if run is None or run.signature != executable.compiled.signature():
+            _STAGE.clear()
+            run = executable.functional(bundle.binding)
+            _STAGE[key] = run
+            paid = 1
+        result = executable.time(run)
         max_abs_err = bundle.max_abs_err(result)
         verified = bool(max_abs_err < VERIFY_TOLERANCE)
         metrics = result.metrics
@@ -215,7 +237,7 @@ def run_point(point: SweepPoint) -> Dict[str, object]:
                 "elapsed_seconds": time.perf_counter() - started,
             }
         )
-    return base
+    return base, paid
 
 
 def _worker_main(conn, cache_dir: Optional[str]) -> None:
@@ -223,7 +245,8 @@ def _worker_main(conn, cache_dir: Optional[str]) -> None:
 
     One point in flight per worker, over a dedicated duplex pipe — that
     is what lets the supervisor attribute a crash or hang to exactly one
-    point.  A ``None`` message (or a closed pipe) is the shutdown signal.
+    point.  A result travels as ``(record, functional runs paid)``.  A
+    ``None`` message (or a closed pipe) is the shutdown signal.
     """
     set_worker_cache_dir(cache_dir)
     try:
@@ -235,7 +258,7 @@ def _worker_main(conn, cache_dir: Optional[str]) -> None:
             if message is None:
                 break
             try:
-                conn.send(run_point(SweepPoint.from_record(message)))
+                conn.send(_run_point(SweepPoint.from_record(message)))
             except (BrokenPipeError, OSError):
                 break  # supervisor went away; nothing left to report to
     finally:
@@ -246,9 +269,10 @@ def _worker_main(conn, cache_dir: Optional[str]) -> None:
 
 
 def clear_worker_caches() -> None:
-    """Drop the per-process sessions and shared bundles (tests, memory pressure)."""
+    """Drop the per-process sessions, bundles and stage cache (tests, memory pressure)."""
     _SESSIONS.clear()
     _BUNDLES.clear()
+    _STAGE.clear()
 
 
 # ----------------------------------------------------------------------
@@ -263,7 +287,8 @@ class SweepOutcome:
     ``failed`` counts every non-``"ok"`` terminal record, including
     quarantined ``"crashed"``/``"timeout"`` points; ``retries`` counts
     extra attempts the runner made recovering from crashes, hangs, and
-    transient errors (0 on a healthy run).
+    transient errors (0 on a healthy run).  ``functional_runs`` counts
+    the functional stages paid; it is not written to the results file.
     """
 
     total_points: int
@@ -273,12 +298,14 @@ class SweepOutcome:
     elapsed_seconds: float
     records: List[Dict[str, object]] = field(default_factory=list)
     retries: int = 0
+    functional_runs: int = 0
 
     def describe(self) -> str:
         """One-line human-readable summary of the run."""
         text = (
             f"{self.total_points} point(s): {self.ran} ran "
             f"({self.failed} failed), {self.skipped} resumed from store, "
+            f"{self.functional_runs} functional run(s), "
             f"{self.elapsed_seconds:.1f}s"
         )
         if self.retries:
@@ -295,16 +322,47 @@ class _PointTask:
     not_before: float = 0.0  # monotonic gate for backoff re-dispatch
 
 
+class _Groups:
+    """Pending points by stage key.  :meth:`take` gives a worker the next
+    point of the group it last ran, else of the next untouched group in
+    spec order, else of the largest group left, so no worker idles."""
+
+    def __init__(self, tasks: Iterable[_PointTask]) -> None:
+        self.pending: Dict[str, Deque[_PointTask]] = {}
+        for task in tasks:
+            self.put(task)
+        self.untouched: Deque[str] = deque(self.pending)
+
+    def __bool__(self) -> bool:
+        return bool(self.pending)
+
+    def put(self, task: _PointTask) -> None:
+        self.pending.setdefault(task.point.stage_key(), deque()).append(task)
+
+    def take(self, group: Optional[str]) -> Tuple[str, _PointTask]:
+        if group not in self.pending:
+            while self.untouched and group not in self.pending:
+                group = self.untouched.popleft()
+            if group not in self.pending:
+                group = max(self.pending, key=lambda k: len(self.pending[k]))
+        queue = self.pending[group]
+        task = queue.popleft()
+        if not queue:
+            del self.pending[group]
+        return group, task
+
+
 class _WorkerHandle:
     """One supervised worker process plus its dedicated pipe."""
 
-    __slots__ = ("process", "conn", "task", "deadline")
+    __slots__ = ("process", "conn", "task", "deadline", "group")
 
-    def __init__(self, process, conn) -> None:
+    def __init__(self, process, conn, group: Optional[str] = None) -> None:
         self.process = process
         self.conn = conn
         self.task: Optional[_PointTask] = None
         self.deadline: Optional[float] = None
+        self.group = group  # stage key of the last group dispatched here
 
     def retire(self, kill: bool = False) -> None:
         """Stop this worker (``kill=True`` = SIGKILL a hung process)."""
@@ -426,9 +484,9 @@ class SweepRunner:
                 progress(record)
 
         if self.workers == 1 or len(todo) <= 1:
-            retries = self._run_inline(todo, _collect)
+            retries, functional_runs = self._run_inline(todo, _collect)
         else:
-            retries = self._run_parallel(todo, _collect)
+            retries, functional_runs = self._run_parallel(todo, _collect)
 
         failed = sum(1 for r in records if r.get("status") != "ok")
         return SweepOutcome(
@@ -439,47 +497,54 @@ class SweepRunner:
             elapsed_seconds=time.perf_counter() - started,
             records=records,
             retries=retries,
+            functional_runs=functional_runs,
         )
 
     def _run_inline(
         self,
         todo: List[SweepPoint],
         collect: Callable[[Dict[str, object]], None],
-    ) -> int:
+    ) -> Tuple[int, int]:
         """In-process execution with transient-error retries (no pool).
 
         Crash/hang containment needs a second process and so lives in
         :meth:`_run_parallel` only; inline runs still get the bounded
-        retry-with-backoff loop for transient failures.
+        retry-with-backoff loop for transient failures.  Returns (retries,
+        functional runs paid).
         """
         if self.cache_dir is not None:
             set_worker_cache_dir(self.cache_dir)
-        retries = 0
-        for point in todo:
+        retries = functional_runs = 0
+        groups = _Groups(_PointTask(p) for p in todo)
+        group = None
+        while groups:
+            group, task = groups.take(group)
             attempts = 1
-            record = run_point(point)
+            record, paid = _run_point(task.point)
+            functional_runs += paid
             while _is_transient(record) and attempts < self.max_attempts:
                 time.sleep(self.retry_backoff * (2 ** (attempts - 1)))
                 attempts += 1
                 retries += 1
-                record = run_point(point)
+                record, paid = _run_point(task.point)
+                functional_runs += paid
             if attempts > 1:
                 # Annotated only on retried points, so a healthy sweep's
                 # records stay byte-identical to the no-retry engine.
                 record = dict(record)
                 record["attempts"] = attempts
             collect(record)
-        return retries
+        return retries, functional_runs
 
     def _run_parallel(
         self,
         todo: List[SweepPoint],
         collect: Callable[[Dict[str, object]], None],
-    ) -> int:
+    ) -> Tuple[int, int]:
         """Supervise worker processes; survive crashes, hangs, and retries.
 
         One dedicated process + duplex pipe per worker slot, one point in
-        flight per worker.  The supervisor multiplexes over every busy
+        flight per worker (from :class:`_Groups`).  The supervisor multiplexes over every busy
         worker's pipe *and* process sentinel, so three failure signals are
         distinguishable and each maps to a recovery:
 
@@ -491,7 +556,8 @@ class SweepRunner:
         * **deadline passes** with neither (worker hung) — SIGKILL the
           worker, re-spawn, re-dispatch or quarantine as ``"timeout"``.
 
-        Returns the number of extra attempts made (retries).
+        Returns the number of extra attempts made (retries) and of
+        functional runs the workers paid.
         """
         import multiprocessing
         import sys
@@ -506,7 +572,7 @@ class SweepRunner:
         else:  # pragma: no cover - non-Linux platforms
             ctx = multiprocessing.get_context()
 
-        def spawn() -> _WorkerHandle:
+        def spawn(group: Optional[str] = None) -> _WorkerHandle:
             parent_conn, child_conn = ctx.Pipe()
             process = ctx.Process(
                 target=_worker_main,
@@ -515,11 +581,16 @@ class SweepRunner:
             )
             process.start()
             child_conn.close()
-            return _WorkerHandle(process, parent_conn)
+            return _WorkerHandle(process, parent_conn, group)
 
-        ready: Deque[_PointTask] = deque(_PointTask(p) for p in todo)
+        def respawn(index: int, kill: bool = False) -> None:
+            worker = workers[index]  # its successor keeps the group
+            worker.retire(kill=kill)
+            workers[index] = spawn(worker.group)
+
+        groups = _Groups(_PointTask(p) for p in todo)
         waiting: List[_PointTask] = []  # backoff-gated re-dispatches
-        retries = 0
+        retries = functional_runs = 0
 
         def finish_or_retry(
             worker: _WorkerHandle, record: Dict[str, object]
@@ -567,14 +638,14 @@ class SweepRunner:
 
         workers = [spawn() for _ in range(min(self.workers, len(todo)))]
         try:
-            while ready or waiting or any(w.task is not None for w in workers):
+            while groups or waiting or any(w.task is not None for w in workers):
                 now = time.monotonic()
                 for task in [t for t in waiting if t.not_before <= now]:
                     waiting.remove(task)
-                    ready.append(task)
+                    groups.put(task)
                 for worker in workers:
-                    if worker.task is None and ready:
-                        task = ready.popleft()
+                    if worker.task is None and groups:
+                        worker.group, task = groups.take(worker.group)
                         task.attempts += 1
                         worker.task = task
                         worker.deadline = (
@@ -618,11 +689,10 @@ class SweepRunner:
                     task = worker.task
                     if worker.conn in signaled:
                         try:
-                            record = worker.conn.recv()
+                            record, paid = worker.conn.recv()
                         except (EOFError, OSError):
                             # Died mid-send: treat as a crash below.
-                            worker.retire()
-                            workers[index] = spawn()
+                            respawn(index)
                             redispatch_or_quarantine(
                                 task,
                                 "crashed",
@@ -632,11 +702,11 @@ class SweepRunner:
                                 f"{task.attempts}",
                             )
                             continue
+                        functional_runs += paid
                         finish_or_retry(worker, record)
                     elif worker.process.sentinel in signaled:
                         exitcode = worker.process.exitcode
-                        worker.retire()
-                        workers[index] = spawn()
+                        respawn(index)
                         redispatch_or_quarantine(
                             task,
                             "crashed",
@@ -646,8 +716,7 @@ class SweepRunner:
                             f"attempt {task.attempts}",
                         )
                     elif worker.deadline is not None and now >= worker.deadline:
-                        worker.retire(kill=True)
-                        workers[index] = spawn()
+                        respawn(index, kill=True)
                         redispatch_or_quarantine(
                             task,
                             "timeout",
@@ -665,7 +734,7 @@ class SweepRunner:
                         pass
             for worker in workers:
                 worker.retire(kill=worker.task is not None)
-        return retries
+        return retries, functional_runs
 
 
 def run_sweep(

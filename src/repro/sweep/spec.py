@@ -20,7 +20,7 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..backend.base import BACKEND_NAMES
@@ -271,6 +271,16 @@ class SweepPoint:
         if self.backend:
             parts.append(f"backend {self.backend}")
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+    def stage_key(self) -> str:
+        """Every field but ``machine`` and ``hierarchy``, rendered (an
+        unhashable model argument must not break the dispatcher): points
+        with equal keys share one functional run (``docs/sweeps.md``).  A
+        field added later lands in the key by default."""
+        timing_only = ("machine", "hierarchy")
+        return repr(
+            [(f.name, getattr(self, f.name)) for f in fields(self) if f.name not in timing_only]
+        )
 
     @property
     def point_id(self) -> str:

@@ -319,7 +319,7 @@ def _both_ways(prim, ins):
     assert set(legacy) == set(columnar)
     for port in legacy:
         assert streams_equal(columnar[port], legacy[port]), port
-    for f in ("tokens_in", "tokens_out", "ops", "dram_reads", "dram_writes"):
+    for f in ("tokens_in", "tokens_out", "ops", "dram_reads", "dram_writes", "residency"):
         assert getattr(stats_c, f) == getattr(stats_l, f), f
     return legacy, columnar
 

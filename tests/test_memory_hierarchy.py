@@ -352,6 +352,55 @@ class TestRooflineLaws:
         assert bound or model == "gpt3"
 
 
+#: SRAM capacities the residency laws sweep (``fpga-small@C``; each also
+#: pins the scratchpad the operand reads resolve at).
+_CAPACITIES = (1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 64 << 10, 1 << 20)
+
+
+class TestResidencyLaws:
+    """One functional run, timed at every on-chip capacity.
+
+    The run holds each operand read as a pending ``(access, footprint)``
+    pair; each capacity resolves it anew.  DRAM bytes never rise with
+    capacity, DRAM + SRAM bytes equal the resolved functional total, and
+    every staged result equals an unstaged ``Session.run`` bit for bit.
+    """
+
+    @pytest.mark.parametrize("model", sorted(_GOLDEN))
+    def test_capacity_laws(self, model):
+        bundle = build_bundle(SweepPoint.make(model, model_args=_GOLDEN[model]))
+        for granularity in ("unfused", "partial", "full"):
+            schedule = bundle.schedule(granularity)
+            run = None
+            last_dram = None
+            for capacity in _CAPACITIES:
+                session = Session(hierarchy=f"fpga-small@{capacity}", sim_cache=False)
+                exe = session.compile(bundle.program, schedule)
+                if run is None:
+                    run = exe.functional(bundle.binding)
+                staged = exe.time(run)
+                plain = session.run(bundle.program, bundle.binding, schedule)
+                where = (granularity, capacity)
+                assert staged.metrics == plain.metrics, where
+                for mine, theirs in zip(staged.region_results, plain.region_results):
+                    assert mine.functional.stats == theirs.functional.stats, where
+                assert staged.tensors.keys() == plain.tensors.keys()
+                for name, tensor in staged.tensors.items():
+                    assert np.array_equal(
+                        tensor.to_dense(), plain.tensors[name].to_dense()
+                    ), where
+                metrics = staged.metrics
+                resolved = sum(
+                    r.functional.total_dram_bytes() for r in staged.region_results
+                ) + sum(map(sum, run.transposes))
+                assert metrics.dram_bytes + metrics.sram_bytes == resolved, where
+                if last_dram is not None:
+                    assert metrics.dram_bytes <= last_dram, where
+                last_dram = metrics.dram_bytes
+            # Timing never charged the shared run: its reads stay pending.
+            assert any(s.residency for f in run.regions for s in f.stats.values())
+
+
 class TestSessionHierarchy:
     def test_hierarchy_configures_machine_and_pipeline(self):
         session = Session(hierarchy="fpga-small")

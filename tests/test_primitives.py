@@ -1,5 +1,7 @@
 """Unit tests for SAM/SAMML dataflow primitives against hand-derived streams."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -96,7 +98,10 @@ class TestLevelScanner:
         LevelScanner("B", 1).process(
             {"ref": [ref(0), ref(1), stop(0), done()]}, ctx, stats
         )
-        assert stats.dram_reads > 0
+        # Recorded as a pending operand read, charged at a capacity.
+        assert stats.dram_reads == 0 and len(stats.residency) == 1
+        stats.charge(1 << 16)
+        assert stats.dram_reads > 0 and stats.residency == ()
 
 
 _SCAN_FORMATS = {"csr": csr, "dcsr": dcsr, "dense": lambda: dense(2)}
@@ -136,7 +141,7 @@ def _scan_both(tensor, level, tokens, spad, dram):
         (scanner.process_columnar, columns),
     ):
         stats = NodeStats()
-        ctx = ExecutionContext({"T": tensor}, scratchpad_bytes=spad)
+        ctx = ExecutionContext({"T": tensor})
         runs.append((method({"ref": stream}, ctx, stats), stats))
     return runs
 
@@ -183,6 +188,8 @@ class TestScannerColumnarMatchesProcess:
         assert access > footprint
         for spad, charged in ((footprint, footprint), (footprint - 1, access)):
             for _out, stats in _scan_both(tensor, 1, tokens, spad, True):
+                assert stats.residency == ((access, footprint),)
+                stats.charge(spad)
                 assert stats.dram_reads == charged
 
 
@@ -388,12 +395,18 @@ class TestValArray:
 
     def test_scratchpad_caps_rereads(self):
         t = SparseTensor.from_dense(np.array([5.0]), dense(1), "v")
-        ctx = ExecutionContext({"v": t}, scratchpad_bytes=1 << 20)
+        ctx = ExecutionContext({"v": t})
         stats = NodeStats()
         ValArray("v").process(
             {"ref": [ref(0)] * 100 + [stop(0), done()]}, ctx, stats
         )
-        assert stats.dram_reads == 8  # footprint, not 800
+        # The read is pending until charged at a scratchpad capacity.
+        assert stats.residency == ((800, 8),)
+        fits, spills = dataclasses.replace(stats), dataclasses.replace(stats)
+        fits.charge(1 << 20)
+        spills.charge(7)
+        assert fits.dram_reads == 8  # footprint, not 800
+        assert spills.dram_reads == 800  # does not fit: every access
 
 
 class TestReduce:

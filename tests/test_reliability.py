@@ -309,6 +309,33 @@ class TestSweepChaos:
         finally:
             store.close()
 
+    def test_staged_grid_survives_a_crash_and_a_hang(self, tmp_path):
+        # Workers share one functional run per group; a re-spawned worker
+        # has none and recomputes its group's run.  One crash (a worker's
+        # second point) and one hang (a worker's third point, killed at
+        # the timeout), each bounded to a single fire by its fuse.
+        spec = SweepSpec(
+            name="staged-chaos",
+            models=["gcn"],
+            schedules=["unfused", "full"],
+            machines=["rda", "fpga"],
+            hierarchies=["flat", "fpga-small"],
+            model_args={"nodes": 20, "density": 0.1, "seed": 0},
+        )
+        clean = {r["point_id"]: r for r in run_sweep(spec, workers=1).records}
+        os.environ["FUSEFLOW_FAULTS"] = (
+            f"sweep.point:crash@nth=2,fuse={tmp_path / 'crash'};"
+            f"sweep.point:hang:30@nth=3,fuse={tmp_path / 'hang'}"
+        )
+        out = run_sweep(spec=spec, workers=2, point_timeout=3.0)
+        assert out.ran == 8 and out.failed == 0
+        assert out.retries == 2
+        assert sorted(r["point_id"] for r in out.records) == sorted(clean)
+        for record in out.records:
+            want = clean[record["point_id"]]
+            for key in ("metrics", "max_abs_err", "verified", "fingerprints"):
+                assert record[key] == want[key], (record["label"], key)
+
     def test_inline_transient_retry(self, tmp_path):
         # workers=1 runs inline; a once-only transient raise (fuse-
         # bounded) is retried with backoff and the record annotated.

@@ -1,5 +1,6 @@
 """Tests for the parallel experiment-sweep subsystem (repro.sweep)."""
 
+import dataclasses
 import json
 import os
 
@@ -325,6 +326,157 @@ class TestRunPoint:
         second = run_point(point_b)
         assert first["compile_cache_hit"] is False
         assert second["compile_cache_hit"] is True
+
+
+#: Builder arguments for the staged grids: small gcn plus blocked gpt3.
+STAGED_ARGS = {
+    "nodes": 20,
+    "density": 0.1,
+    "seed": 0,
+    "seq_len": 16,
+    "d_model": 8,
+    "block": 4,
+    "n_layers": 1,
+}
+
+#: A value differing from the SweepPoint defaults, for every field.
+FIELD_FLIPS = {
+    "model": "sae",
+    "dataset": "another",
+    "schedule": "full",
+    "machine": "fpga",
+    "model_args": (("nodes", 21),),
+    "par": (("x1", 2),),
+    "splits": (("x1", 4),),
+    "hierarchy": "fpga-small",
+    "backend": "interp",
+}
+
+
+def staged_spec() -> SweepSpec:
+    """4 (program, schedule) groups of 4 (machine, hierarchy) points."""
+    return SweepSpec(
+        name="staged",
+        models=["gcn", "gpt3"],
+        schedules=["unfused", "full"],
+        machines=["rda", "fpga"],
+        hierarchies=["flat", "fpga-small"],
+        model_args=dict(STAGED_ARGS),
+    )
+
+
+def _functional_view(run):
+    """What a functional run holds: signature, transposes, and per region
+    its stats (operand reads still pending), port lengths and results."""
+    return (
+        run.signature,
+        run.transposes,
+        [
+            (
+                func.stats,
+                func.lengths,
+                {
+                    name: (t.shape, t.to_dense().tolist())
+                    for name, t in func.results.items()
+                },
+            )
+            for func in run.regions
+        ],
+    )
+
+
+class TestStagedExecution:
+    """A sweep runs each (program, schedule) once per worker and times it
+    per machine and hierarchy; the records must not tell the difference."""
+
+    def setup_method(self):
+        clear_worker_caches()
+
+    def test_stage_key_covers_every_field_but_the_timing_ones(self):
+        base = SweepPoint.make("gcn")
+        for f in dataclasses.fields(SweepPoint):
+            # A new field needs a flip here; it is in the key by default.
+            flipped = dataclasses.replace(base, **{f.name: FIELD_FLIPS[f.name]})
+            assert flipped != base, f.name
+            same = flipped.stage_key() == base.stage_key()
+            assert same == (f.name in ("machine", "hierarchy")), f.name
+
+    @pytest.mark.parametrize(
+        "field_name, value", [("machine", "fpga"), ("hierarchy", "fpga-small")]
+    )
+    def test_timing_fields_leave_the_functional_run_identical(self, field_name, value):
+        from repro.sweep.runner import _session_for
+
+        base = SweepPoint.make("gcn", schedule="unfused", model_args=SMALL_ARGS)
+        flipped = dataclasses.replace(base, **{field_name: value})
+        runs = []
+        for point in (base, flipped):
+            bundle = bundle_for(point)
+            session = _session_for(point.machine, point.hierarchy, point.backend)
+            exe = session.compile(bundle.program, point.schedule_for(bundle))
+            runs.append(exe.functional(bundle.binding))
+        assert any(f.stats[n].residency for f in runs[0].regions for n in f.stats)
+        assert _functional_view(runs[0]) == _functional_view(runs[1])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_records_equal_run_point_on_fresh_caches(self, workers):
+        spec = staged_spec()
+        outcome = run_sweep(spec, workers=workers)
+        assert outcome.ran == 16 and outcome.failed == 0
+        if workers == 1:
+            assert outcome.functional_runs == 4
+        else:
+            assert 4 <= outcome.functional_runs < 16
+        got = {r["point_id"]: r for r in outcome.records}
+        for point in spec.points():
+            clear_worker_caches()
+            want = run_point(point)
+            have = got[point.point_id]
+            for key in ("metrics", "max_abs_err", "verified", "fingerprints"):
+                assert have[key] == want[key], (point.label(), key)
+            assert have["compile_cache_hit"] is False
+            assert have["elapsed_seconds"] >= have["compile_seconds"]
+
+    def test_inline_runner_dispatches_group_by_group(self):
+        spec = staged_spec()
+        spec.machines = ["rda"]
+        spec.hierarchies = ["flat", "fpga-small"]
+        outcome = run_sweep(spec, workers=1)
+        keys = [SweepPoint.from_record(r["point"]).stage_key() for r in outcome.records]
+        assert keys[0::2] == keys[1::2]
+        assert outcome.functional_runs == 4
+        assert "4 functional run(s)" in outcome.describe()
+
+    def test_unhashable_model_argument_is_an_error_record(self):
+        # The dispatcher keys groups by stage key before any point runs.
+        spec = small_spec(models=["gcn"], schedules=["full"], model_args={"nodes": [20]})
+        outcome = run_sweep(spec, workers=2)
+        assert outcome.ran == 2 and outcome.failed == 2
+        assert all("unhashable" in r["error"] for r in outcome.records)
+
+    def test_stage_cache_is_one_entry_that_clear_empties(self):
+        from repro.sweep.runner import _STAGE
+
+        first = SweepPoint.make("gcn", schedule="unfused", model_args=SMALL_ARGS)
+        run_point(first)
+        assert list(_STAGE) == [first.stage_key()]
+        run_point(dataclasses.replace(first, schedule="full"))
+        assert len(_STAGE) == 1
+        clear_worker_caches()
+        assert not _STAGE
+
+    def test_signature_mismatch_is_a_miss(self):
+        from repro.sweep.runner import _STAGE, _run_point
+
+        point = SweepPoint.make("gcn", schedule="unfused", model_args=SMALL_ARGS)
+        want, paid = _run_point(point)
+        assert paid == 1
+        assert _run_point(dataclasses.replace(point, machine="fpga"))[1] == 0
+        run = _STAGE[point.stage_key()]
+        _STAGE[point.stage_key()] = dataclasses.replace(run, signature=())
+        have, paid = _run_point(point)
+        assert paid == 1
+        assert have["metrics"] == want["metrics"]
 
 
 class TestRunner:
