@@ -301,8 +301,8 @@ def run_timed(
     graph runs through :func:`~repro.comal.functional.run_functional` with
     ``backend``/``debug_streams`` (execution backend and protocol checking),
     and the returned ``functional`` keeps ``stats``, ``results`` and
-    ``order`` but no token streams (nor their lengths) unless
-    ``debug_streams`` is on: they are only needed to time the run.
+    ``order`` but no token streams unless ``debug_streams`` is on: they
+    are only needed to time the run.
 
     This is the one simulator memo (``cache``, default on).  It is keyed
     on the bound tensors' identities, the backend, ``debug_streams`` and
@@ -351,7 +351,7 @@ def run_timed(
     # Group output port lengths by producing node once — the per-node
     # dict comprehension over *all* ports was quadratic in graph size.
     lengths_by_node: Dict[str, Dict[str, int]] = {}
-    for (nid, port), length in func.lengths.items():
+    for (nid, port), length in func.port_lengths().items():
         lengths_by_node.setdefault(nid, {})[port] = length
 
     for (
@@ -461,7 +461,7 @@ def run_timed(
         hierarchy=hier.name,
     )
     if functional is None and not debug_streams:
-        func.streams, func.lengths = {}, {}
+        func.streams = {}
     if memo_key is not None:
         pinned = [binding[n] for n in graph.input_tensor_names()]
         with _MEMO_LOCK:

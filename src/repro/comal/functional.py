@@ -112,7 +112,7 @@ def _runs_columnar(mode: str, graph: SAMGraph, order: List[str], binding) -> boo
 @dataclass
 class FunctionalResult:
     """Streams and statistics from one functional execution; ``lengths``
-    (each port's token count, all the timed engine reads) outlives them."""
+    keeps each port's token count where a staged run drops the streams."""
 
     streams: Dict[Tuple[str, str], Any] = field(default_factory=dict)
     stats: Dict[str, NodeStats] = field(default_factory=dict)
@@ -131,6 +131,10 @@ class FunctionalResult:
 
     def total_tokens(self) -> int:
         return sum(s.tokens_out for s in self.stats.values())
+
+    def port_lengths(self) -> Dict[Tuple[str, str], int]:
+        """Each port's token count: all the timed engine reads."""
+        return {key: len(s) for key, s in self.streams.items()} or self.lengths
 
     def resolved(self, scratchpad_bytes: int) -> "FunctionalResult":
         """A copy whose stats with pending operand reads are copies charged at
@@ -215,7 +219,6 @@ def run_functional(
                         f"node {node_id} port {port_name!r}: {exc}"
                     ) from exc
             result.streams[(node_id, port_name)] = stream
-            result.lengths[(node_id, port_name)] = len(stream)
     if scratchpad_bytes is not None:
         for stats in ctx.stats.values():
             if stats.residency:

@@ -10,14 +10,11 @@ and binding them as inputs of later regions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..comal.engine import SimResult, run_timed
-from ..comal.functional import (
-    FunctionalResult,
-    default_debug_streams,
-    run_functional,
-)
+from ..comal.functional import FunctionalResult, default_debug_streams, run_functional
 from ..comal.machines import Machine, RDA_MACHINE
 from ..comal.metrics import ProgramMetrics
 from ..core.einsum.ast import EinsumProgram, TensorDecl
@@ -66,10 +63,11 @@ class CompiledProgram:
         state["transpose_cache"] = {}
         return state
 
+    @cached_property
     def signature(self) -> Tuple:
         """Per region, its name and each node's (id, kind) in topological
-        order: a :class:`FunctionalRun` times only a compile whose
-        signature equals its own."""
+        order (once: regions are fixed after compile).  A
+        :class:`FunctionalRun` times only a compile of equal signature."""
         return tuple(
             (
                 r.graph.name,
@@ -129,7 +127,7 @@ class FunctionalRun:
     """The machine-free stage of one execution: per region, its functional
     result (operand reads pending, streams only under ``debug_streams``)
     and its permuted copies' DRAM bytes.  ``signature`` is the compile's
-    :meth:`CompiledProgram.signature`."""
+    :attr:`CompiledProgram.signature`."""
 
     signature: Tuple
     regions: List[FunctionalResult] = field(default_factory=list)
@@ -174,7 +172,7 @@ def execute_compiled(
     metrics = ProgramMetrics(label=compiled.schedule.name)
     produced: Dict[str, SparseTensor] = {}
     region_results: List[SimResult] = []
-    staged = FunctionalRun(compiled.signature()) if machine is None else None
+    staged = FunctionalRun(compiled.signature) if machine is None else None
     if debug_streams is None:
         debug_streams = default_debug_streams()
     for index, region in enumerate(compiled.regions):
@@ -200,7 +198,7 @@ def execute_compiled(
                 region.graph, bind, None, backend=backend, debug_streams=debug_streams
             )
             if not debug_streams:
-                func.streams = {}
+                func.lengths, func.streams = func.port_lengths(), {}
             staged.regions.append(func)
             staged.transposes.append(tuple(extras))
             results = func.results

@@ -145,20 +145,18 @@ class Executable:
             self.compiled, binding, None, backend=self.backend, debug_streams=self.debug_streams
         )
 
-    def time(
-        self, run: FunctionalRun, machine: Optional[Machine] = None
-    ) -> ProgramResult:
-        """Time a :meth:`functional` run on ``machine`` (default: this
-        executable's), bit-identical to calling it.  ``run`` may come from
-        another compile whose region graphs match this one's node for node
-        (another hierarchy's, say); ValueError otherwise."""
-        if run.signature != self.compiled.signature():
+    def time(self, run: FunctionalRun) -> ProgramResult:
+        """Time a :meth:`functional` run on this executable's machine,
+        bit-identical to calling it.  ``run`` may come from another compile
+        whose region graphs match this one's node for node (another
+        hierarchy's, say); ValueError otherwise."""
+        if run.signature != self.compiled.signature:
             raise ValueError(
                 "functional run is of a different compile: region graphs "
                 "differ in node ids or kinds"
             )
         return execute_compiled(
-            self.compiled, {}, machine or self.machine,
+            self.compiled, {}, self.machine,
             backend=self.backend, debug_streams=self.debug_streams, run=run,
         )
 

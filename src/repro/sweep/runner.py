@@ -182,7 +182,7 @@ def _run_point(point: SweepPoint) -> Tuple[Dict[str, object], int]:
         cache_hit = session.cache_info().hits > before.hits
         key = point.stage_key()
         run = _STAGE.get(key)
-        if run is None or run.signature != executable.compiled.signature():
+        if run is None or run.signature != executable.compiled.signature:
             _STAGE.clear()
             run = executable.functional(bundle.binding)
             _STAGE[key] = run

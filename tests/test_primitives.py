@@ -119,19 +119,16 @@ def _scan_case(draw):
     tensor = SparseTensor.from_dense(array.reshape(rows, cols), fmt, "T")
     level = draw(st.integers(0, 1))
     parents = 1 if level == 0 else tensor.levels[0].num_children(1)
-    # References weigh double: re-reading fibers is what pushes access
-    # bytes past the structure footprint.
+    # References weigh double, so fibers are re-read.
     refs = [st.integers(0, parents - 1).map(ref)] * 2 if parents else []
     token = st.one_of(
         st.just(EMPTY_TOKEN), st.integers(0, 2).map(stop), st.just(done()), *refs
     )
     tokens = draw(st.lists(token, max_size=16))
-    # Structure footprint either fits the scratchpad or exceeds it by a byte.
-    spad = tensor.bytes_structure() - (0 if draw(st.booleans()) else 1)
-    return tensor, level, tokens, spad, draw(st.booleans())
+    return tensor, level, tokens, draw(st.booleans())
 
 
-def _scan_both(tensor, level, tokens, spad, dram):
+def _scan_both(tensor, level, tokens, dram):
     """Run one scanner through ``process`` and ``process_columnar``."""
     scanner = LevelScanner("T", level, dram=dram)
     columns = TokenStream.from_tokens(tokens)
@@ -164,7 +161,7 @@ class TestScannerColumnarMatchesProcess:
     @settings(max_examples=50, deadline=None)
     @given(_scan_case(), st.sampled_from([crd(0), val(1.5)]), st.integers(0, 12))
     def test_bad_token_kind_raises_the_same_error(self, case, bad, at):
-        tensor, level, tokens, spad, dram = case
+        tensor, level, tokens, dram = case
         tokens = tokens[:at] + [bad] + tokens[at:]
         scanner = LevelScanner("T", level, dram=dram)
         messages = []
@@ -187,7 +184,7 @@ class TestScannerColumnarMatchesProcess:
         access = 3 * 8 + 4 * (2 + 1 + 2)
         assert access > footprint
         for spad, charged in ((footprint, footprint), (footprint - 1, access)):
-            for _out, stats in _scan_both(tensor, 1, tokens, spad, True):
+            for _out, stats in _scan_both(tensor, 1, tokens, True):
                 assert stats.residency == ((access, footprint),)
                 stats.charge(spad)
                 assert stats.dram_reads == charged

@@ -374,7 +374,7 @@ def _functional_view(run):
         [
             (
                 func.stats,
-                func.lengths,
+                func.port_lengths(),
                 {
                     name: (t.shape, t.to_dense().tolist())
                     for name, t in func.results.items()
@@ -464,6 +464,25 @@ class TestStagedExecution:
         assert len(_STAGE) == 1
         clear_worker_caches()
         assert not _STAGE
+
+    def test_lean_run_keeps_port_lengths_only(self):
+        from repro import Session
+
+        point = SweepPoint.make("gcn", schedule="unfused", model_args=SMALL_ARGS)
+        bundle = bundle_for(point)
+        results = []
+        for debug in (True, False):
+            session = Session(hierarchy="fpga-small", debug_streams=debug, sim_cache=False)
+            exe = session.compile(bundle.program, point.schedule_for(bundle))
+            run = exe.functional(bundle.binding)
+            assert all(bool(f.streams) == debug for f in run.regions)
+            assert all(bool(f.lengths) != debug for f in run.regions)
+            results.append((run, exe.time(run), exe(bundle.binding)))
+        (full, full_timed, _), (lean, lean_timed, plain) = results
+        assert [f.port_lengths() for f in full.regions] == [
+            f.lengths for f in lean.regions
+        ]
+        assert full_timed.metrics == lean_timed.metrics == plain.metrics
 
     def test_signature_mismatch_is_a_miss(self):
         from repro.sweep.runner import _STAGE, _run_point
