@@ -9,6 +9,13 @@ backend, so the check fails when ``columnar`` ran no region on the
 columnar tier for a scalar model (gcn, graphsage, sae), where that would
 leave the columnar kernels unchecked.
 
+A second pass checks the simulator memo on each model: under the
+``unfused`` and ``partial`` schedules on the ``flat`` and ``fpga-small``
+hierarchies, a repeated ``exe(binding)`` must return the identical
+result object, whose metrics and per-region stats must equal, bit for
+bit, both ``exe.time(exe.functional(binding))`` and a memo-off session's
+result.
+
 Usage: PYTHONPATH=src python scripts/diffcheck.py [model ...]
 """
 
@@ -34,6 +41,15 @@ POINTS = {
 #: Models with scalar payloads only: backend columnar must run some of
 #: their regions on the columnar tier.
 SCALAR_MODELS = ("gcn", "graphsage", "sae")
+
+#: The memo parity pass's schedules and hierarchies.
+MEMO_SCHEDULES = ("unfused", "partial")
+MEMO_HIERARCHIES = ("flat", "fpga-small")
+
+#: A region's timed figures; with its node stats, what the memo must keep.
+REGION_FIELDS = (
+    "cycles", "flops", "dram_bytes", "tokens", "sram_bytes", "spill_bytes", "fill_bytes"
+)
 
 def run_region(g, bind, backend):
     return run_functional(g, bind, RDA_MACHINE.scratchpad_bytes, backend=backend)
@@ -115,11 +131,53 @@ def check_model(model):
     return tiers
 
 
+def result_difference(want, have):
+    """First difference between two ProgramResults' metrics and region
+    stats, or None when they agree bit for bit."""
+    if want.metrics != have.metrics:
+        return f"metrics {want.metrics} != {have.metrics}"
+    for a, b in zip(want.region_results, have.region_results, strict=True):
+        for f in REGION_FIELDS:
+            if getattr(a, f) != getattr(b, f):
+                return f"region {f}: {getattr(a, f)} != {getattr(b, f)}"
+        if a.functional.stats != b.functional.stats:
+            return "region node stats differ"
+    return None
+
+
+def check_memo(model):
+    """Memo parity on ``model``: True, or False after printing the first
+    mismatch."""
+    bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
+    for hierarchy in MEMO_HIERARCHIES:
+        memo = Session(machine=RDA_MACHINE, hierarchy=hierarchy)
+        cold = Session(machine=RDA_MACHINE, hierarchy=hierarchy, sim_cache=False)
+        for gran in MEMO_SCHEDULES:
+            where = f"{model}/{gran}/{hierarchy}"
+            schedule = bundle.schedule(gran)
+            exe = memo.compile(bundle.program, schedule)
+            result = exe(bundle.binding)
+            if exe(bundle.binding) is not result:
+                print(f"MEMO MISS {where}: a repeated call was not a hit")
+                return False
+            others = {
+                "staged": exe.time(exe.functional(bundle.binding)),
+                "memo off": cold.compile(bundle.program, schedule)(bundle.binding),
+            }
+            for label, other in others.items():
+                problem = result_difference(other, result)
+                if problem is not None:
+                    print(f"MEMO MISMATCH {where} ({label}): {problem}")
+                    return False
+    print(f"{model}: memo OK (hit, staged and memo-off results agree)")
+    return True
+
+
 def main(models):
     ok = True
     for model in models:
         tiers = check_model(model)
-        if tiers is None:
+        if tiers is None or not check_memo(model):
             ok = False
         elif model in SCALAR_MODELS and not tiers["columnar"]["columnar"]:
             print(f"{model}: backend columnar ran no region on the columnar tier")

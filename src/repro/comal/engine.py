@@ -18,16 +18,14 @@ for utilization reporting.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..backend.base import resolve_backend_name
 from ..sam.graph import SAMGraph
-from .functional import FunctionalResult, default_debug_streams, run_functional
+from .functional import FunctionalResult, run_functional
 from .machines import Machine, RDA_MACHINE
 
 
@@ -257,29 +255,6 @@ def _timing_plan(graph: SAMGraph, order: List[str]) -> List[Tuple]:
     return plan
 
 
-#: Entries kept per graph in the simulator memo.  A sweep touches a handful
-#: of bindings per graph; frozen ``bench/wl_codegen.py`` rotates 6 bindings
-#: per class and must never be served by the memo, so the cap stays below 6.
-_CACHE_ENTRIES = 4
-#: Serve threads share executables, so several runs may fill one graph's
-#: memo at once: insertion and eviction hold this lock (lookups are one
-#: dict read).
-_MEMO_LOCK = threading.Lock()
-
-
-def _binding_key(graph: SAMGraph, binding: Dict[str, Any]) -> Optional[Tuple]:
-    """Identity key of the tensors this graph reads, or None if unbound.
-
-    Simulation is a pure function of the graph, the bound tensor *objects*
-    (tensors are immutable once built) and the machine, so object identity
-    is a sound memo key as long as the entry pins the tensors alive.
-    """
-    try:
-        return tuple(id(binding[name]) for name in graph.input_tensor_names())
-    except KeyError:
-        return None
-
-
 def run_timed(
     graph: SAMGraph,
     binding: Dict[str, Any],
@@ -290,48 +265,34 @@ def run_timed(
     debug_streams: Optional[bool] = None,
     cache: bool = True,
 ) -> SimResult:
-    """Run the timed simulation of ``graph`` on ``machine``.
+    """Time ``graph`` on ``machine``, running it first if no ``functional``
+    result is given.
 
-    A pre-computed functional result may be supplied to avoid re-executing
-    the graph; nothing is memoized then.  Pending operand reads (a run made
-    with ``scratchpad_bytes=None``, as a sweep's shared stage is) are
-    charged at ``machine.scratchpad_bytes`` in a copy, so the supplied
-    result is never mutated.  The engine reads port lengths, never
-    tokens.  Otherwise the
-    graph runs through :func:`~repro.comal.functional.run_functional` with
-    ``backend``/``debug_streams`` (execution backend and protocol checking),
-    and the returned ``functional`` keeps ``stats``, ``results`` and
-    ``order`` but no token streams unless ``debug_streams`` is on: they
-    are only needed to time the run.
+    Without a result the graph runs through
+    :func:`~repro.comal.functional.run_functional` with ``backend`` and
+    ``debug_streams`` (execution backend and protocol checking), charged
+    at ``machine.scratchpad_bytes``.  A supplied result is never mutated:
+    pending operand reads (a machine-free run, as
+    :meth:`~repro.driver.executable.Executable.functional` makes) are
+    charged at the machine's scratchpad in copied stats
+    (:meth:`FunctionalResult.resolved`).  The engine reads port lengths,
+    never tokens, and the returned ``functional`` keeps the run's stats,
+    results, order and streams but no port lengths.
 
-    This is the one simulator memo (``cache``, default on).  It is keyed
-    on the bound tensors' identities, the backend, ``debug_streams`` and
-    the (frozen) machine's identity, is looked up before the functional
-    run, and keeps at most :data:`_CACHE_ENTRIES` results per graph, each
-    pinning its tensors and machine so the ids stay valid.
+    Nothing is memoized here: the one simulator memo is the
+    :class:`~repro.driver.executable.Executable`'s.  ``cache`` is accepted
+    and ignored (frozen ``bench/`` passes ``cache=False``; delete at the
+    bench re-cut).
     """
-    memo_key = None
     if functional is None:
-        mode = resolve_backend_name(backend)
-        if debug_streams is None:
-            debug_streams = default_debug_streams()
-        ids = _binding_key(graph, binding) if cache else None
-        if ids is not None:
-            memo_key = (ids, mode, debug_streams, id(machine))
-            memo = graph.timed_cache
-            if memo is not None:
-                entry = memo.get(memo_key)
-                if entry is not None:
-                    return entry[0]
-        func = run_functional(
+        functional = run_functional(
             graph,
             binding,
-            scratchpad_bytes=machine.scratchpad_bytes,
-            backend=mode,
+            machine.scratchpad_bytes,
+            backend=backend,
             debug_streams=debug_streams,
         )
-    else:
-        func = functional.resolved(machine.scratchpad_bytes)
+    func = functional.resolved(machine.scratchpad_bytes)
     # On-chip buffer level: nodes the place-memory pass marked "sram" are
     # paced through their bank instead of the DRAM port.  A machine without
     # an SRAM level serves every placement from DRAM (the placement is a
@@ -351,7 +312,7 @@ def run_timed(
     # Group output port lengths by producing node once — the per-node
     # dict comprehension over *all* ports was quadratic in graph size.
     lengths_by_node: Dict[str, Dict[str, int]] = {}
-    for (nid, port), length in func.port_lengths().items():
+    for (nid, port), length in functional.port_lengths().items():
         lengths_by_node.setdefault(nid, {})[port] = length
 
     for (
@@ -446,7 +407,7 @@ def run_timed(
     cycles = max(cycles, dram_total / machine.dram_bandwidth)
     if sram is not None and bank_bytes:
         cycles = max(cycles, max(bank_bytes.values()) / sram.bandwidth)
-    result = SimResult(
+    return SimResult(
         cycles=cycles,
         flops=func.total_ops(),
         dram_bytes=func.total_dram_bytes() - sram_total,
@@ -460,15 +421,3 @@ def run_timed(
         fill_bytes=fill_total,
         hierarchy=hier.name,
     )
-    if functional is None and not debug_streams:
-        func.streams = {}
-    if memo_key is not None:
-        pinned = [binding[n] for n in graph.input_tensor_names()]
-        with _MEMO_LOCK:
-            memo = graph.timed_cache
-            if memo is None:
-                memo = graph.timed_cache = {}
-            memo[memo_key] = (result, pinned, machine)
-            while len(memo) > _CACHE_ENTRIES:
-                del memo[next(iter(memo))]
-    return result

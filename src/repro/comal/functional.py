@@ -137,10 +137,13 @@ class FunctionalResult:
         return {key: len(s) for key, s in self.streams.items()} or self.lengths
 
     def resolved(self, scratchpad_bytes: int) -> "FunctionalResult":
-        """A copy whose stats with pending operand reads are copies charged at
-        ``scratchpad_bytes`` (the rest depend on no machine and are shared)."""
+        """This result as timed on one machine: a copy whose stats with
+        pending operand reads are copies charged at ``scratchpad_bytes``
+        (the rest depend on no machine and are shared) and which leaves
+        ``lengths`` behind, so a timed result never holds them; ``self``
+        when there is neither to do."""
         pending = [nid for nid, s in self.stats.items() if s.residency]
-        if not pending:
+        if not pending and not self.lengths:
             return self
         stats = dict(self.stats)
         for nid in pending:
@@ -151,7 +154,6 @@ class FunctionalResult:
             stats=stats,
             results=dict(self.results),
             order=self.order,
-            lengths=self.lengths,
         )
 
 
@@ -180,10 +182,11 @@ def run_functional(
     leaves them pending, so :func:`repro.comal.engine.run_timed` can time
     one run on many machines (:meth:`FunctionalResult.resolved`).
 
-    Every call executes: the one simulator memo is
-    :func:`repro.comal.engine.run_timed`'s, and the result returned here
-    keeps every token stream.  ``cache`` is accepted and ignored (frozen
-    ``bench/`` passes ``cache=False``; delete at the bench re-cut).
+    Every call executes, and the result returned here keeps every token
+    stream: the one simulator memo is the
+    :class:`~repro.driver.executable.Executable`'s.  ``cache`` is
+    accepted and ignored (frozen ``bench/`` passes ``cache=False``; delete
+    at the bench re-cut).
     """
     mode = resolve_backend_name(backend)
     if debug_streams is None:

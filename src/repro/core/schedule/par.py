@@ -53,8 +53,6 @@ def scale_subgraph_factor(
             f"index {index_var!r} is not iterated by this region (order {list(order)})"
         )
     cut = positions[index_var]
-    # Timing factors change node pacing: drop any memoized timed results.
-    graph.timed_cache = None
     affected = 0
     for node in graph.nodes.values():
         if node.region == "construct":

@@ -3,8 +3,9 @@
 These dataclasses are the driver's output format: a
 :class:`CompiledProgram` is a list of per-region SAMML graphs plus the
 declaration registry grown during lowering, and :func:`execute_compiled`
-runs the region graphs in order on a machine, materializing region outputs
-and binding them as inputs of later regions.
+runs the region graphs in order (:func:`functional_stage`), materializing
+region outputs and binding them as inputs of later regions, then times
+that run on a machine (:func:`time_stage`).
 """
 
 from __future__ import annotations
@@ -47,21 +48,6 @@ class CompiledProgram:
     regions: List[CompiledRegion]
     decls: Dict[str, TensorDecl]
     compile_seconds: float = 0.0
-    # Materialized transposed views, keyed by (source tensor id, new name).
-    # Reusing them keeps binding identities stable across executions (the
-    # simulator memo keys on them); the DRAM/cycle cost of the permuted
-    # copy is still charged on every execution, as the timing model demands.
-    transpose_cache: Dict[Tuple[int, str], Any] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    def __getstate__(self):
-        # The transpose cache is keyed by live object ids; serialized (the
-        # persistent compile cache pickles CompiledPrograms to disk) those
-        # keys are dangling, so the cache travels empty and refills on use.
-        state = dict(self.__dict__)
-        state["transpose_cache"] = {}
-        return state
 
     @cached_property
     def signature(self) -> Tuple:
@@ -134,93 +120,71 @@ class FunctionalRun:
     transposes: List[Tuple[int, ...]] = field(default_factory=list)
 
 
-def execute_compiled(
+def functional_stage(
     compiled: CompiledProgram,
     binding: Dict[str, SparseTensor],
-    machine: Optional[Machine] = RDA_MACHINE,
     *,
     backend: Optional[str] = None,
     debug_streams: Optional[bool] = None,
-    cache: bool = True,
-    run: Optional[FunctionalRun] = None,
-):
-    """Run all region graphs in order, chaining materialized outputs.
-
-    Parameters
-    ----------
-    compiled:
-        The compiled program.
-    binding:
-        Tensor name -> tensor for the program's inputs; region outputs
-        are bound as they materialize.
-    machine:
-        Timing model (and memory hierarchy) the regions simulate on;
-        ``None`` returns the :class:`FunctionalRun` alone.
-    backend, debug_streams, cache:
-        Execution backend, per-stream protocol checking, and the
-        simulator memo of each region's run (see
-        :func:`repro.comal.engine.run_timed`).
-    run:
-        A :class:`FunctionalRun` to time on ``machine`` instead of
-        executing (``binding`` is then unused).
-
-    Returns
-    -------
-    ProgramResult, or FunctionalRun when ``machine`` is None.
-    """
+) -> FunctionalRun:
+    """Run every region with no machine, chaining materialized outputs:
+    permuted copies and each region's results bind as later regions'
+    inputs.  Without ``debug_streams`` each region keeps its port lengths
+    in place of its streams."""
+    if debug_streams is None:
+        debug_streams = default_debug_streams()
     bind: Dict[str, Any] = dict(binding)
+    run = FunctionalRun(compiled.signature)
+    for region in compiled.regions:
+        extras = []
+        for orig, new_name, mode_order in region.transposes:
+            if new_name not in bind:
+                source = bind[orig]
+                bind[new_name] = source.permuted_copy(mode_order, name=new_name)
+                # A permuted copy is a DRAM round trip of the whole tensor.
+                extras.append(2 * source.bytes_total())
+        func = run_functional(
+            region.graph, bind, None, backend=backend, debug_streams=debug_streams
+        )
+        if not debug_streams:
+            func.lengths, func.streams = func.port_lengths(), {}
+        run.regions.append(func)
+        run.transposes.append(tuple(extras))
+        bind.update(func.results)
+    return run
+
+
+def time_stage(
+    compiled: CompiledProgram, run: FunctionalRun, machine: Machine
+) -> ProgramResult:
+    """Time a :func:`functional_stage` run of ``compiled`` region by region
+    on ``machine``, charging each permuted copy's DRAM round trip."""
     metrics = ProgramMetrics(label=compiled.schedule.name)
     produced: Dict[str, SparseTensor] = {}
     region_results: List[SimResult] = []
-    staged = FunctionalRun(compiled.signature) if machine is None else None
-    if debug_streams is None:
-        debug_streams = default_debug_streams()
-    for index, region in enumerate(compiled.regions):
-        # Timing a run binds no copies: its functional stage recorded them.
-        extras = [] if run is None else run.transposes[index]
-        for orig, new_name, mode_order in region.transposes if run is None else ():
-            if new_name not in bind:
-                source = bind[orig]
-                tkey = (id(source), new_name)
-                copy = compiled.transpose_cache.get(tkey)
-                if copy is None:
-                    if len(compiled.transpose_cache) > 32:
-                        compiled.transpose_cache.clear()
-                    copy = source.permuted_copy(mode_order, name=new_name)
-                    compiled.transpose_cache[tkey] = copy
-                    # Keep the source pinned so its id stays valid.
-                    compiled.transpose_cache[(id(source), f"{new_name}#src")] = source
-                bind[new_name] = copy
-                # A permuted copy is a DRAM round trip of the whole tensor.
-                extras.append(2 * source.bytes_total())
-        if staged is not None:
-            func = run_functional(
-                region.graph, bind, None, backend=backend, debug_streams=debug_streams
-            )
-            if not debug_streams:
-                func.lengths, func.streams = func.port_lengths(), {}
-            staged.regions.append(func)
-            staged.transposes.append(tuple(extras))
-            results = func.results
-        else:
-            for extra in extras:
-                metrics.dram_bytes += extra
-                metrics.cycles += extra / machine.dram_bandwidth
-            result = run_timed(
-                region.graph,
-                bind,
-                machine,
-                run.regions[index] if run is not None else None,
-                backend=backend,
-                debug_streams=debug_streams,
-                cache=cache,
-            )
-            metrics.add(result, region.graph.name)
-            region_results.append(result)
-            results = result.results
-        for name, tensor in results.items():
-            bind[name] = tensor
-            produced[name] = tensor
-    if staged is not None:
-        return staged
-    return ProgramResult(metrics=metrics, tensors=produced, region_results=region_results)
+    for region, func, extras in zip(compiled.regions, run.regions, run.transposes):
+        for extra in extras:
+            metrics.dram_bytes += extra
+            metrics.cycles += extra / machine.dram_bandwidth
+        result = run_timed(region.graph, {}, machine, func)
+        metrics.add(result, region.graph.name)
+        region_results.append(result)
+        produced.update(result.results)
+    return ProgramResult(metrics, produced, region_results)
+
+
+def execute_compiled(
+    compiled: CompiledProgram,
+    binding: Dict[str, SparseTensor],
+    machine: Machine = RDA_MACHINE,
+    *,
+    backend: Optional[str] = None,
+    debug_streams: Optional[bool] = None,
+) -> ProgramResult:
+    """Run ``compiled`` on ``binding`` (:func:`functional_stage`, under
+    ``backend`` and ``debug_streams``) and time it on ``machine``
+    (:func:`time_stage`)."""
+    run = functional_stage(
+        compiled, binding, backend=backend, debug_streams=debug_streams
+    )
+    return time_stage(compiled, run, machine)

@@ -8,12 +8,16 @@ are immutable and safe to share — the Session cache hands the same object
 back for every fingerprint-identical compile.
 A call is a machine-free :meth:`Executable.functional` run timed on a
 machine by :meth:`Executable.time`; sweeps call the two stages apart.
+Calls go through the one simulator memo, kept here per executable.
 """
 
 from __future__ import annotations
 
+import threading
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
+from ..comal.functional import default_debug_streams
 from ..comal.machines import Machine
 from ..core.einsum.ast import EinsumProgram, TensorDecl
 from ..core.schedule.schedule import Schedule
@@ -24,8 +28,18 @@ from .compiled import (
     FunctionalRun,
     ProgramResult,
     execute_compiled,
+    functional_stage,
+    time_stage,
 )
 from .diagnostics import CompileDiagnostics
+
+#: Entries the simulator memo keeps per executable.  Frozen
+#: ``bench/wl_codegen.py`` rotates 6 bindings per class and must never be
+#: served by the memo, so the cap stays below 6.
+_MEMO_ENTRIES = 4
+#: Serve threads share executables, so several calls may fill one memo at
+#: once: insertion and eviction hold this lock (a lookup is one dict read).
+_MEMO_LOCK = threading.Lock()
 
 
 class Executable:
@@ -44,7 +58,7 @@ class Executable:
     backend, debug_streams, sim_cache:
         Execution options inherited from the Session: the resolved
         backend name this executable was compiled under, per-stream
-        protocol checking, and result memoization.
+        protocol checking, and the simulator memo (see :meth:`__call__`).
     """
 
     def __init__(
@@ -66,6 +80,8 @@ class Executable:
         self.backend = backend
         self.debug_streams = debug_streams
         self.sim_cache = sim_cache
+        #: The simulator memo: key -> (result, pinned tensors, machine).
+        self._memo: Dict[Tuple, Tuple] = {}
 
     # ------------------------------------------------------------------
     # Structure
@@ -102,6 +118,16 @@ class Executable:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    @cached_property
+    def _reads(self) -> Tuple[str, ...]:
+        """Every name a region may read from the caller's binding: each
+        graph's input tensors and each permuted copy's source."""
+        names: Dict[str, None] = {}
+        for region in self.compiled.regions:
+            names.update(dict.fromkeys(orig for orig, _, _ in region.transposes))
+            names.update(dict.fromkeys(region.graph.input_tensor_names()))
+        return tuple(names)
+
     def __call__(
         self,
         binding: Optional[Dict[str, SparseTensor]] = None,
@@ -109,6 +135,14 @@ class Executable:
         **tensors: SparseTensor,
     ) -> ProgramResult:
         """Simulate on ``binding`` (and/or tensors by keyword).
+
+        Calls go through the one simulator memo (``sim_cache``), keyed on
+        the identities of the tensors the program reads from the binding
+        (tensors are immutable once built), of the (frozen) machine, and
+        the resolved ``debug_streams``; a hit returns the stored result
+        itself.  It keeps at most :data:`_MEMO_ENTRIES` results, each
+        pinning its tensors and machine; their regions keep stats, results
+        and order, and streams only under ``debug_streams``.
 
         Parameters
         ----------
@@ -130,19 +164,35 @@ class Executable:
         """
         bind: Dict[str, SparseTensor] = dict(binding or {})
         bind.update(tensors)
-        return execute_compiled(
-            self.compiled,
-            bind,
-            machine or self.machine,
-            backend=self.backend,
-            debug_streams=self.debug_streams,
-            cache=self.sim_cache,
+        machine = machine or self.machine
+        debug = self.debug_streams
+        if debug is None:
+            debug = default_debug_streams()
+        key = None
+        if self.sim_cache:
+            ids = tuple(id(bind.get(name)) for name in self._reads)
+            key = (ids, id(machine), debug)
+            entry = self._memo.get(key)
+            if entry is not None:
+                return entry[0]
+        result = execute_compiled(
+            self.compiled, bind, machine, backend=self.backend, debug_streams=debug
         )
+        if key is not None:
+            pinned = [bind.get(name) for name in self._reads]
+            with _MEMO_LOCK:
+                self._memo[key] = (result, pinned, machine)
+                while len(self._memo) > _MEMO_ENTRIES:
+                    del self._memo[next(iter(self._memo))]
+        return result
 
     def functional(self, binding: Dict[str, SparseTensor]) -> FunctionalRun:
         """Run every region with no machine: all :meth:`time` needs."""
-        return execute_compiled(
-            self.compiled, binding, None, backend=self.backend, debug_streams=self.debug_streams
+        return functional_stage(
+            self.compiled,
+            binding,
+            backend=self.backend,
+            debug_streams=self.debug_streams,
         )
 
     def time(self, run: FunctionalRun) -> ProgramResult:
@@ -155,10 +205,7 @@ class Executable:
                 "functional run is of a different compile: region graphs "
                 "differ in node ids or kinds"
             )
-        return execute_compiled(
-            self.compiled, {}, self.machine,
-            backend=self.backend, debug_streams=self.debug_streams, run=run,
-        )
+        return time_stage(self.compiled, run, self.machine)
 
     def run(
         self,

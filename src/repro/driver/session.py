@@ -95,8 +95,9 @@ class Session:
     debug_streams, sim_cache:
         Simulation options threaded into every executable this session
         compiles: per-stream protocol checking (``None`` reads
-        ``FUSEFLOW_DEBUG_STREAMS`` at run time) and the simulator memo
-        (:func:`repro.comal.engine.run_timed`).
+        ``FUSEFLOW_DEBUG_STREAMS`` at run time) and the one simulator
+        memo, kept per executable (:meth:`Executable.__call__`); with
+        ``sim_cache=False`` every call simulates.
     backend:
         Execution backend name (``"interp"``, ``"columnar"``, or
         ``"codegen"``); ``None`` means ``FUSEFLOW_BACKEND``, else

@@ -72,19 +72,6 @@ class SAMGraph:
         self._topo_cache: Optional[List[str]] = None
         self._validated = False
         self._input_tensor_names_cache: Optional[List[str]] = None
-        # The simulator memo slot, owned by repro.comal.engine.run_timed;
-        # cleared on structural change.
-        self.timed_cache: Optional[Any] = None
-
-    def __getstate__(self):
-        # The simulator memo holds results keyed by tensor identity —
-        # meaningless (and potentially huge) in another process.  Dropping
-        # it keeps serialized graphs (persistent compile cache)
-        # pure structure; the structure caches (_topo_cache etc.) are plain
-        # data and travel as-is.
-        state = dict(self.__dict__)
-        state["timed_cache"] = None
-        return state
 
     # ------------------------------------------------------------------
     # Construction
@@ -116,7 +103,6 @@ class SAMGraph:
         self._topo_cache = None
         self._validated = False
         self._input_tensor_names_cache = None
-        self.timed_cache = None
         return node
 
     def port(self, node: Node | str, port: str = "out") -> Port:

@@ -3,24 +3,20 @@
 Covers the structure-of-arrays stream representation itself: lossless
 round-tripping against the legacy tuple-list form (hypothesis-generated
 streams included), the sequence protocol, vectorized validation, and the
-debug/legacy execution switches and the simulator memo.
+debug/legacy execution switches.  The simulator memo's tests live with
+the executable that keeps it (``tests/test_driver.py``).
 """
-
-import os
-import sys
-import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comal.engine import run_timed
 from repro.comal.functional import run_functional
 from repro.sam.graph import SAMGraph
 from repro.sam.primitives.base import ExecutionContext, NodeStats
 from repro.sam.primitives.joiner import Intersect, Union
-from repro.sam.primitives.scanner import CrdSource, Root
+from repro.sam.primitives.scanner import CrdSource
 from repro.sam.token import (
     CRD,
     DONE,
@@ -188,124 +184,6 @@ class TestExecutorModes:
         # With checks off the malformed stream flows through untouched.
         res = _run_source_graph(bad, backend="columnar", debug_streams=False)
         assert len(res.stream("src")) == 1
-
-
-class TestSimulationMemo:
-    def _graph_and_binding(self):
-        from repro.ftree.format import csr
-        from repro.ftree.tensor import SparseTensor
-        from repro.sam.primitives.scanner import LevelScanner
-
-        tensor = SparseTensor.from_dense(
-            np.array([[1.0, 0.0], [0.0, 2.0]]), csr(), "A"
-        )
-        graph = SAMGraph("memo")
-        root = graph.add(Root(), node_id="root")
-        graph.add(
-            LevelScanner("A", 0),
-            {"ref": graph.port(root, "ref")},
-            node_id="scan",
-        )
-        return graph, {"A": tensor}
-
-    def test_identical_binding_hits_memo(self):
-        graph, binding = self._graph_and_binding()
-        first = run_timed(graph, binding, cache=True)
-        second = run_timed(graph, binding, cache=True)
-        assert second is first
-
-    def test_cache_off_recomputes(self):
-        graph, binding = self._graph_and_binding()
-        first = run_timed(graph, binding, cache=False)
-        second = run_timed(graph, binding, cache=False)
-        assert second is not first
-        assert graph.timed_cache is None
-
-    def test_modes_do_not_share_entries(self):
-        graph, binding = self._graph_and_binding()
-        col = run_timed(graph, binding, cache=True, backend="columnar")
-        leg = run_timed(graph, binding, cache=True, backend="interp")
-        assert col is not leg
-        # conftest keeps streams, so the backend that ran shows in them.
-        assert isinstance(leg.functional.stream("scan", "crd"), list)
-        assert not isinstance(col.functional.stream("scan", "crd"), list)
-        assert len(graph.timed_cache) == 2
-        assert run_timed(graph, binding, cache=True, backend="interp") is leg
-
-    def test_different_tensors_miss(self):
-        graph, binding = self._graph_and_binding()
-        _, other = self._graph_and_binding()
-        first = run_timed(graph, binding, cache=True)
-        second = run_timed(graph, other, cache=True)
-        assert second is not first
-
-    def test_structural_change_clears_memo(self):
-        graph, binding = self._graph_and_binding()
-        run_timed(graph, binding, cache=True)
-        assert graph.timed_cache
-        graph.add(Root(), node_id="root2")
-        assert graph.timed_cache is None
-
-    def test_memo_keeps_streams_only_under_debug_streams(self):
-        graph, binding = self._graph_and_binding()
-        lean = run_timed(graph, binding, debug_streams=False)
-        assert lean.functional.streams == {}
-        assert lean.functional.stats and lean.functional.order
-        # A hit has the same shape as the miss that filled it.
-        assert run_timed(graph, binding, debug_streams=False) is lean
-        debug = run_timed(graph, binding, debug_streams=True)
-        assert debug is not lean
-        assert len(debug.functional.stream("scan", "crd")) > 0
-        assert run_timed(graph, binding, debug_streams=True) is debug
-
-    def test_memo_holds_at_most_four_entries_per_graph(self):
-        graph, _ = self._graph_and_binding()
-        for _ in range(7):
-            _, binding = self._graph_and_binding()
-            run_timed(graph, binding)
-            assert len(graph.timed_cache) <= 4
-        assert len(graph.timed_cache) == 4
-        # The newest binding is still a hit.
-        assert run_timed(graph, binding) is run_timed(graph, binding)
-
-    def test_concurrent_runs_keep_the_memo_bounded(self):
-        """More threads than cores fill one graph's memo at once."""
-        graph, _ = self._graph_and_binding()
-        bindings = [self._graph_and_binding()[1] for _ in range(6)]
-        count = min(16, (os.cpu_count() or 2) + 2)
-        start = threading.Barrier(count)
-        errors = []
-
-        def hammer(offset):
-            try:
-                start.wait(timeout=60)
-                for i in range(300):
-                    result = run_timed(graph, bindings[(offset + i) % 6])
-                    assert result.tokens > 0
-            except Exception as exc:  # reported below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer, args=(n,)) for n in range(count)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert len(graph.timed_cache) <= 4
-
-    def test_run_functional_always_executes(self):
-        graph, binding = self._graph_and_binding()
-        first = run_functional(graph, binding)
-        second = run_functional(graph, binding)
-        assert second is not first
-        assert len(second.stream("scan", "crd")) > 0
-        assert graph.timed_cache is None
 
 
 def _both_ways(prim, ins):

@@ -1,5 +1,9 @@
 """Driver API tests: Session cache, pass pipeline, diagnostics, executables."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -383,6 +387,131 @@ F(i, l) = E(i, j2) * B(l, j2)
         )
         with pytest.raises(LoweringError, match="materialize"):
             Session().compile(prog, fully_fused(prog))
+
+
+def _fresh(binding, name):
+    """``binding`` with tensor ``name`` rebuilt as a new object."""
+    tensor = binding[name]
+    rebuilt = SparseTensor.from_dense(tensor.to_dense(), tensor.fmt, name)
+    return {**binding, name: rebuilt}
+
+
+class TestSimulationMemo:
+    """The one simulator memo, kept per executable."""
+
+    def test_identical_binding_hits_memo(self, gcn_layer):
+        prog, binding, _ = gcn_layer
+        exe = Session().compile(prog, unfused(prog))
+        assert exe(binding) is exe(dict(binding))
+
+    def test_cache_off_recomputes(self, gcn_layer):
+        prog, binding, _ = gcn_layer
+        exe = Session(sim_cache=False).compile(prog, unfused(prog))
+        first, second = exe(binding), exe(binding)
+        assert second is not first
+        assert second.metrics == first.metrics
+        assert not exe._memo
+
+    def test_different_tensors_miss(self, gcn_layer):
+        prog, binding, _ = gcn_layer
+        exe = Session().compile(prog, unfused(prog))
+        first = exe(binding)
+        second = exe(_fresh(binding, "W"))
+        assert second is not first
+        assert second.metrics == first.metrics
+
+    def test_machine_override_gets_its_own_entry(self, gcn_layer):
+        prog, binding, _ = gcn_layer
+        exe = Session().compile(prog, unfused(prog))
+        rda = exe(binding)
+        fpga = exe(binding, machine=FPGA_MACHINE)
+        assert fpga is not rda
+        assert len(exe._memo) == 2
+        assert exe(binding, machine=FPGA_MACHINE) is fpga
+        assert exe(binding) is rda
+
+    def test_memo_holds_at_most_four_entries(self, gcn_layer):
+        prog, binding, _ = gcn_layer
+        exe = Session().compile(prog, unfused(prog))
+        for _ in range(7):
+            bind = _fresh(binding, "X")
+            exe(bind)
+            assert len(exe._memo) <= 4
+        assert len(exe._memo) == 4
+        # The newest binding is still a hit.
+        assert exe(bind) is exe(bind)
+
+    def test_concurrent_calls_keep_the_memo_bounded(self, gcn_layer):
+        """More threads than cores fill one executable's memo at once."""
+        prog, binding, _ = gcn_layer
+        exe = Session().compile(prog, unfused(prog))
+        bindings = [_fresh(binding, "A") for _ in range(6)]
+        count = min(16, (os.cpu_count() or 2) + 2)
+        start = threading.Barrier(count)
+        errors = []
+
+        def hammer(offset):
+            try:
+                start.wait(timeout=60)
+                for i in range(40):
+                    assert exe(bindings[(offset + i) % 6]).metrics.tokens > 0
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(n,)) for n in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(exe._memo) <= 4
+
+    def test_hit_does_no_per_region_work(self, gcn_layer, monkeypatch):
+        import repro.driver.compiled as compiled
+
+        prog, binding, _ = gcn_layer
+        exe = Session().compile(prog, unfused(prog))
+        first = exe(binding)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a memo hit ran a region")
+
+        monkeypatch.setattr(compiled, "run_functional", boom)
+        monkeypatch.setattr(compiled, "run_timed", boom)
+        assert exe(binding) is first
+        with pytest.raises(AssertionError, match="memo hit ran a region"):
+            exe(_fresh(binding, "b"))
+
+    @pytest.mark.parametrize("debug", [False, True])
+    def test_entry_keeps_streams_only_under_debug_streams(self, gcn_layer, debug):
+        prog, binding, _ = gcn_layer
+        exe = Session(debug_streams=debug).compile(prog, unfused(prog))
+        result = exe(binding)
+        (entry,) = exe._memo.values()
+        assert entry[0] is result
+        for region in result.region_results:
+            func = region.functional
+            assert func.stats and func.order and func.results
+            assert bool(func.streams) == debug
+            assert func.lengths == {}
+
+    def test_run_functional_always_executes(self, gcn_layer):
+        from repro.comal.functional import run_functional
+
+        prog, binding, _ = gcn_layer
+        exe = Session().compile(prog, fully_fused(prog))
+        graph = exe.regions[0].graph
+        first = run_functional(graph, binding)
+        second = run_functional(graph, binding)
+        assert second is not first
+        assert second.port_lengths() == first.port_lengths()
+        assert not exe._memo
 
 
 class TestAutotuneThroughSession:
