@@ -1,13 +1,14 @@
-"""Dev harness: compare every backend against interp on the golden models.
+"""Dev harness: compare the tier rule against the token tier on the golden models.
 
-The backends are ``columnar`` and ``codegen``; each must reproduce the
-``interp`` reference's streams, per-node stats, result tensors and timed
-cycles exactly.  Each model's line reports how many regions every backend
-ran on the token and on the columnar tier (read off the stream type): a
-region that reads a blocked tensor (gpt3) runs the token tier under every
-backend, so the check fails when ``columnar`` ran no region on the
-columnar tier for a scalar model (gcn, graphsage, sae), where that would
-leave the columnar kernels unchecked.
+One rule picks each region's tier: the token tier when the region reads a
+blocked tensor, the columnar tier otherwise.  Region by region, the rule
+must reproduce the token tier forced onto every region (``tier="token"``):
+streams, per-node stats, result tensors and timed cycles, exactly.  Each
+model's line reports how many regions the rule ran on the token and on the
+columnar tier (read off the stream type): gpt3's regions read blocked
+tensors and run the token tier, so the check fails when the rule ran no
+region on the columnar tier for a scalar model (gcn, graphsage, sae),
+where that would leave the columnar kernels unchecked.
 
 A second pass checks the simulator memo on each model: under the
 ``unfused`` and ``partial`` schedules on the ``flat`` and ``fpga-small``
@@ -23,7 +24,6 @@ import sys
 
 import numpy as np
 
-from repro.backend import BACKEND_NAMES
 from repro.comal.engine import run_timed
 from repro.comal.functional import run_functional
 from repro.comal.machines import RDA_MACHINE
@@ -38,8 +38,8 @@ POINTS = {
     "gpt3": {"seq_len": 16, "d_model": 8, "block": 4, "n_layers": 1, "seed": 0},
 }
 
-#: Models with scalar payloads only: backend columnar must run some of
-#: their regions on the columnar tier.
+#: Models with scalar payloads only: the rule must run some of their
+#: regions on the columnar tier.
 SCALAR_MODELS = ("gcn", "graphsage", "sae")
 
 #: The memo parity pass's schedules and hierarchies.
@@ -51,12 +51,12 @@ REGION_FIELDS = (
     "cycles", "flops", "dram_bytes", "tokens", "sram_bytes", "spill_bytes", "fill_bytes"
 )
 
-def run_region(g, bind, backend):
-    return run_functional(g, bind, RDA_MACHINE.scratchpad_bytes, backend=backend)
+#: The reference (the token tier forced onto every region), then the rule.
+TIERS = {"token": "token", "rule": None}
 
 
 def compare(where, label, fl, fc):
-    """First difference between the interp result ``fl`` and ``fc``."""
+    """First difference between the token-tier result ``fl`` and ``fc``."""
     if set(fl.streams) != set(fc.streams):
         return f"STREAM SET MISMATCH {where} ({label})"
     for key in fl.streams:
@@ -64,7 +64,7 @@ def compare(where, label, fl, fc):
         if not streams_equal(sc, sl):
             return (
                 f"STREAM MISMATCH {where} {key}\n"
-                f"  interp  : {as_token_list(sl)[:20]}\n"
+                f"  token   : {as_token_list(sl)[:20]}\n"
                 f"  {label}: {as_token_list(sc)[:20]}"
             )
     for nid in fl.stats:
@@ -73,7 +73,7 @@ def compare(where, label, fl, fc):
             if getattr(a, f) != getattr(b, f):
                 return (
                     f"STATS MISMATCH {where} {nid}.{f}: "
-                    f"interp {getattr(a, f)} {label} {getattr(b, f)}"
+                    f"token {getattr(a, f)} {label} {getattr(b, f)}"
                 )
     for name in fl.results:
         if not np.array_equal(fl.results[name].to_dense(), fc.results[name].to_dense()):
@@ -88,14 +88,13 @@ def tier_of(result):
 
 
 def check_model(model):
-    """Per-backend ``{tier: regions}`` counts, or None on a mismatch."""
+    """The rule's ``{tier: regions}`` counts, or None on a mismatch."""
     bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
     session = Session(machine=RDA_MACHINE)
-    labels = list(BACKEND_NAMES)  # interp first: the reference
-    tiers = {label: {"token": 0, "columnar": 0} for label in labels}
+    tiers = {"token": 0, "columnar": 0}
     for gran in ("unfused", "partial", "full"):
         exe = session.compile(bundle.program, bundle.schedule(gran))
-        binds = {label: dict(bundle.binding) for label in labels}
+        binds = {label: dict(bundle.binding) for label in TIERS}
         for region in exe.regions:
             for orig, new_name, mode_order in region.transposes:
                 for bind in binds.values():
@@ -105,29 +104,31 @@ def check_model(model):
                         )
             g = region.graph
             where = f"{model}/{gran}/{g.name}"
-            runs = {label: run_region(g, binds[label], label) for label in labels}
-            fl = runs["interp"]
-            rl = run_timed(g, binds["interp"], RDA_MACHINE, functional=fl)
-            for label in labels[1:]:
-                problem = compare(where, label, fl, runs[label])
-                if problem is None:
-                    rc = run_timed(g, binds[label], RDA_MACHINE, functional=runs[label])
-                    if abs(rl.cycles - rc.cycles) > 1e-9 * max(rl.cycles, 1.0):
-                        problem = (
-                            f"CYCLES MISMATCH {where}: interp {rl.cycles} "
-                            f"{label} {rc.cycles}"
-                        )
-                if problem is not None:
-                    print(problem)
-                    return None
+            runs = {
+                label: run_functional(
+                    g, binds[label], RDA_MACHINE.scratchpad_bytes, tier=tier
+                )
+                for label, tier in TIERS.items()
+            }
+            fl, fc = runs["token"], runs["rule"]
+            problem = compare(where, "rule", fl, fc)
+            if problem is None:
+                rl = run_timed(g, binds["token"], RDA_MACHINE, functional=fl)
+                rc = run_timed(g, binds["rule"], RDA_MACHINE, functional=fc)
+                if rl.cycles != rc.cycles:
+                    problem = (
+                        f"CYCLES MISMATCH {where}: token {rl.cycles} rule {rc.cycles}"
+                    )
+            if problem is not None:
+                print(problem)
+                return None
             for label, f in runs.items():
                 binds[label].update(f.results)
-                tiers[label][tier_of(f)] += 1
-    counts = "; ".join(
-        f"{label} {t['token']} token / {t['columnar']} columnar"
-        for label, t in tiers.items()
+            tiers[tier_of(fc)] += 1
+    print(
+        f"{model}: OK (rule agrees with the token tier); rule regions: "
+        f"{tiers['token']} token / {tiers['columnar']} columnar"
     )
-    print(f"{model}: OK ({', '.join(labels)} agree); regions: {counts}")
     return tiers
 
 
@@ -179,8 +180,8 @@ def main(models):
         tiers = check_model(model)
         if tiers is None or not check_memo(model):
             ok = False
-        elif model in SCALAR_MODELS and not tiers["columnar"]["columnar"]:
-            print(f"{model}: backend columnar ran no region on the columnar tier")
+        elif model in SCALAR_MODELS and not tiers["columnar"]:
+            print(f"{model}: the rule ran no region on the columnar tier")
             ok = False
     return 0 if ok else 1
 

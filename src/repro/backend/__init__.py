@@ -1,12 +1,7 @@
-"""Execution backends for lowered fusion regions.
+"""What remains of the execution backends: the code generator's shim.
 
-``repro.backend`` separates *what* a region computes (the SAM token
-protocol, defined by the executor in :mod:`repro.comal.functional`) from
-*how* it is executed.  :mod:`repro.backend.base` holds the backend names
-and the one rule that picks among them; every backend runs through the
-same node loop.
+Execution has no backend choice: :func:`repro.comal.functional.run_functional`
+picks each region's tier by one rule.  :mod:`repro.backend.codegen` keeps
+the names the frozen ``bench/`` imports; delete this package with it at
+the bench re-cut.
 """
-
-from .base import BACKEND_NAMES, resolve_backend_name
-
-__all__ = ["BACKEND_NAMES", "resolve_backend_name"]

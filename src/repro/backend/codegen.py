@@ -1,8 +1,8 @@
 """What remains of the code generator: names the frozen ``bench/`` imports.
 
-Backend ``codegen`` no longer emits code.  It is the per-region tier rule
-of :func:`repro.comal.functional.run_functional`, which runs the ordinary
-node loop, so there is no artifact, no compile cache and no kernel store.
+Nothing emits code: every region runs the ordinary node loop of
+:func:`repro.comal.functional.run_functional` on the tier its rule picks,
+so there is no artifact, no compile cache and no kernel store.
 These four functions keep their signatures and the dict keys
 ``bench/layers.py`` reads, and report that nothing was emitted.
 

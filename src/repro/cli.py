@@ -45,7 +45,6 @@ import sys
 from dataclasses import replace
 from typing import Dict, List, Optional
 
-from .backend import BACKEND_NAMES
 from .comal.hierarchy import HIERARCHIES
 from .comal.machines import MACHINES
 from .core.heuristic.model import stats_from_binding
@@ -104,7 +103,6 @@ def _point(args, par=None, splits=None) -> SweepPoint:
         par=par,
         splits=splits,
         hierarchy=args.hierarchy or "flat",
-        backend=args.backend or "",
     )
     try:
         point.validate()
@@ -117,7 +115,6 @@ def _session(args, point: SweepPoint) -> Session:
     return Session(
         machine=MACHINES[point.machine],
         hierarchy=point.hierarchy,
-        backend=point.backend or None,
         disk_cache=args.cache_dir,
         debug_streams=True if getattr(args, "debug_streams", False) else None,
         sim_cache=not getattr(args, "no_sim_cache", False),
@@ -144,19 +141,6 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
             + ", ".join(sorted(HIERARCHIES))
             + "; append @bytes to override the SRAM capacity "
             "(e.g. fpga-small@16384)"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=list(BACKEND_NAMES),
-        help=(
-            "execution backend: 'columnar' (vectorized interpreter, the "
-            "default), 'interp' (per-token reference interpreter), or "
-            "'codegen' (columnar, except that short inputs run interp; "
-            "bit-exact, the name is historical).  Regions that read "
-            "blocked tensors run interp under every backend.  Default "
-            "follows FUSEFLOW_BACKEND."
         ),
     )
     parser.add_argument(
@@ -216,7 +200,6 @@ def cmd_simulate(args) -> int:
     print(f"model      : {bundle.name}")
     print(f"schedule   : {schedule.name} ({len(schedule.regions)} regions)")
     print(f"machine    : {args.machine}")
-    print(f"backend    : {exe.diagnostics.backend}")
     print(f"hierarchy  : {session.machine.hierarchy.describe()}")
     print(f"cycles     : {m.cycles:.0f}")
     print(f"flops      : {m.flops}")
@@ -270,8 +253,8 @@ def cmd_sweep_quick(args) -> int:
 
     One point per granularity (unfused/partial/full); any ``--split``
     flags apply to every granularity rather than forming a grid axis.
-    For the full seven-axis grid (model × dataset × schedule × machine ×
-    hierarchy × splits × backend) use ``sweep run``; for guided search
+    For the full six-axis grid (model × dataset × schedule × machine ×
+    hierarchy × splits) use ``sweep run``; for guided search
     over the six schedule knobs — fusion granularity, dataflow order,
     parallelization, index splitting, mask folding, global rewrite —
     under a simulation budget, use ``tune``.
@@ -311,14 +294,6 @@ def _sweep_spec_from_args(args) -> SweepSpec:
     splits_axis = None
     if getattr(args, "splits", None):
         splits_axis = [_factors([spec], "--splits") for spec in args.splits]
-    backends_axis = None
-    if getattr(args, "backends", None):
-        # "default" names the session-default baseline (the empty string
-        # internally, which CSV parsing would otherwise drop).
-        backends_axis = [
-            "" if name == "default" else name
-            for name in _split_csv(args.backends)
-        ]
     return SweepSpec(
         name=args.name,
         models=_split_csv(args.models),
@@ -329,7 +304,6 @@ def _sweep_spec_from_args(args) -> SweepSpec:
         model_args=model_args,
         par=_factors(args.par, "--par"),
         splits=splits_axis,
-        backends=backends_axis,
         baseline_schedule=args.baseline,
     )
 
@@ -477,9 +451,6 @@ def cmd_tune(args) -> int:
         return 1
     print(f"model      : {bundle.name}")
     print(f"strategy   : {tuned.strategy} (seed {args.seed})")
-    if tuned.search_trace:
-        print(f"backend    : {tuned.search_trace[0]['backend']} "
-              f"(simulation backend; recorded per trace step)")
     print(f"evaluated  : {tuned.evaluations} simulation(s) of "
           f"{tuned.candidates_considered} candidate point(s) "
           f"(budget {args.budget})")
@@ -619,7 +590,7 @@ def main(argv: List[str] | None = None) -> int:
     p_sw_run = sweep_sub.add_parser(
         "run",
         help="execute a (model x dataset x schedule x machine x hierarchy "
-             "x splits x backend) grid",
+             "x splits) grid",
     )
     p_sw_run.add_argument("--name", default="grid", help="sweep name for reports")
     p_sw_run.add_argument("--spec", help="JSON SweepSpec file (overrides grid flags)")
@@ -640,11 +611,6 @@ def main(argv: List[str] | None = None) -> int:
                                "config ('x1=8' or 'x1=8,x7=8'; 'none' for "
                                "the unsplit baseline), gridded against "
                                "every other axis; repeatable")
-    p_sw_run.add_argument("--backends", default=None,
-                          help="comma-separated execution backends "
-                               "(interp, columnar, codegen; 'default' for "
-                               "the session default), gridded against "
-                               "every other axis")
     p_sw_run.add_argument("--baseline", default="unfused",
                           help="schedule speedups are reported against")
     p_sw_run.add_argument("--nodes", type=int, default=None, help="graph nodes / SAE dim")

@@ -261,17 +261,18 @@ def run_timed(
     machine: Machine = RDA_MACHINE,
     functional: FunctionalResult | None = None,
     *,
-    backend: Optional[str] = None,
+    tier: Optional[str] = None,
     debug_streams: Optional[bool] = None,
+    backend: Optional[str] = None,
     cache: bool = True,
 ) -> SimResult:
     """Time ``graph`` on ``machine``, running it first if no ``functional``
     result is given.
 
     Without a result the graph runs through
-    :func:`~repro.comal.functional.run_functional` with ``backend`` and
-    ``debug_streams`` (execution backend and protocol checking), charged
-    at ``machine.scratchpad_bytes``.  A supplied result is never mutated:
+    :func:`~repro.comal.functional.run_functional` with ``tier`` (the
+    test-only tier override) and ``debug_streams``, charged at
+    ``machine.scratchpad_bytes``.  A supplied result is never mutated:
     pending operand reads (a machine-free run, as
     :meth:`~repro.driver.executable.Executable.functional` makes) are
     charged at the machine's scratchpad in copied stats
@@ -280,16 +281,16 @@ def run_timed(
     results, order and streams but no port lengths.
 
     Nothing is memoized here: the one simulator memo is the
-    :class:`~repro.driver.executable.Executable`'s.  ``cache`` is accepted
-    and ignored (frozen ``bench/`` passes ``cache=False``; delete at the
-    bench re-cut).
+    :class:`~repro.driver.executable.Executable`'s.  ``backend`` and
+    ``cache`` are accepted and ignored (frozen ``bench/`` passes them;
+    delete at the bench re-cut).
     """
     if functional is None:
         functional = run_functional(
             graph,
             binding,
             machine.scratchpad_bytes,
-            backend=backend,
+            tier=tier,
             debug_streams=debug_streams,
         )
     func = functional.resolved(machine.scratchpad_bytes)

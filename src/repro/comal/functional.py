@@ -5,27 +5,18 @@ token streams of the SAM protocol.  This layer defines functional
 correctness; the timed executor in :mod:`repro.comal.engine` replays the
 same streams through a machine timing model.
 
-One node-walking loop runs all three backends; each run takes one of two
-tiers, which differ only in the primitive method each node is one call to:
-the *token tier* (tuple-list streams, per-token ``process`` loops) or the
-*columnar tier* (:class:`~repro.sam.token.TokenStream` structure-of-arrays,
-vectorized ``process_columnar`` kernels).  The tier rule:
-
-* ``"interp"`` always runs the token tier — the reference the
-  differential suites compare against;
-* under any other backend, a region that reads a tensor bound with
-  blocked payloads (gpt3's block-sparse matrices) runs the token tier:
-  a columnar stream holds scalars only, so block semantics live in
-  ``process`` alone;
-* otherwise ``"columnar"`` (default) runs the columnar tier, and
-  ``"codegen"`` (the name is historical: it once emitted a Python kernel
-  per region) runs the columnar tier only when the region's input carries
-  at least :data:`DEFAULT_SMALL_STREAM_CUTOFF` payloads — numpy's
-  per-call cost dominates short arrays.
-
-All three produce identical streams, statistics, and results —
-``tests/test_columnar_differential.py`` and
-``tests/test_codegen_differential.py`` enforce this model by model.
+One node-walking loop runs every region on one of two tiers, which
+differ only in the primitive method each node is one call to: the *token
+tier* (tuple-list streams, per-token ``process`` loops) or the *columnar
+tier* (:class:`~repro.sam.token.TokenStream` structure-of-arrays,
+vectorized ``process_columnar`` kernels).  The tier rule is one line: a
+region that reads a tensor bound with blocked payloads (gpt3's
+block-sparse matrices) runs the token tier, because a columnar stream
+holds scalars only and block semantics live in ``process`` alone; every
+other region runs the columnar tier.  Both tiers produce identical
+streams, statistics, and results — ``tests/test_columnar_differential.py``
+and ``tests/test_codegen_differential.py`` enforce this model by model,
+through the test-only ``tier=`` override of :func:`run_functional`.
 
 Per-stream protocol validation (``check_stream``) costs a pass over every
 produced stream, so it is gated behind ``debug_streams=True`` (or
@@ -38,7 +29,6 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..backend.base import resolve_backend_name
 from ..sam.graph import SAMGraph
 from ..sam.primitives.base import ExecutionContext, NodeStats
 from ..sam.token import StreamProtocolError, check_stream
@@ -51,62 +41,20 @@ def default_debug_streams() -> bool:
     return os.environ.get("FUSEFLOW_DEBUG_STREAMS", "").lower() in _TRUTHY
 
 
-#: Payload-count cutoff under which backend ``codegen`` runs a region on
-#: the token tier (``process``): numpy call overhead dominates short
-#: arrays, so plain Python loops win there.  256 separates the
-#: golden-scale sae regions (~120-150 payloads per region, faster on the
-#: token tier) from the gcn / graphsage ones (~380-670, faster columnar);
-#: blocked gpt3 takes the token tier under every backend, via the
-#: blocked-payload probe, regardless of size.
-DEFAULT_SMALL_STREAM_CUTOFF = 256
+#: The two tiers ``tier=`` may force (tests and ``scripts/diffcheck.py``).
+TIERS = ("token", "columnar")
 
 
-def _probe_spec(graph: SAMGraph, order: List[str]) -> Tuple[Tuple[str, ...], int]:
-    """Tensor names + constant token floor used to size a run's input.
-
-    The tier rule estimates how much work a run carries by summing the nnz
-    of the tensors the region reads plus the length of any replayed source
-    streams; both are knowable without executing.
-    """
-    names: Dict[str, None] = {}
-    base = 0
+def _reads_blocked(graph: SAMGraph, order: List[str], binding: Dict[str, Any]) -> bool:
+    """Whether the region reads a tensor bound with multi-dimensional
+    (blocked) payloads: the one thing that sends a run to the token tier."""
     for node_id in order:
         prim = graph.nodes[node_id].prim
         if prim.kind in ("scan", "array", "locate"):
-            names[prim.tensor_name] = None
-        elif prim.kind == "source":
-            base += len(prim.stream)
-    return tuple(names), base
-
-
-def _probe_size(probe: Tuple[Tuple[str, ...], int], binding: Dict[str, Any]):
-    """Size a run from its binding: (estimated input tokens, blocked payloads).
-
-    ``blocked`` is True when any probed tensor carries multi-dimensional
-    payloads (e.g. gpt3's block-sparse matrices): a columnar stream holds
-    scalars only, so such a run takes the token tier regardless of its
-    length.
-    """
-    names, size = probe
-    blocked = False
-    for name in names:
-        values = getattr(binding.get(name), "values", None)
-        if values is not None:
-            size += int(values.size)
-            if values.ndim > 1:
-                blocked = True
-    return size, blocked
-
-
-def _runs_columnar(mode: str, graph: SAMGraph, order: List[str], binding) -> bool:
-    """The tier a run takes: token for ``interp`` or a blocked region, else
-    columnar under ``columnar`` and the size cutoff under ``codegen``."""
-    if mode == "interp":
-        return False
-    size, blocked = _probe_size(_probe_spec(graph, order), binding)
-    if blocked:
-        return False
-    return mode == "columnar" or size >= DEFAULT_SMALL_STREAM_CUTOFF
+            values = getattr(binding.get(prim.tensor_name), "values", None)
+            if values is not None and values.ndim > 1:
+                return True
+    return False
 
 
 @dataclass
@@ -162,19 +110,20 @@ def run_functional(
     binding: Dict[str, Any],
     scratchpad_bytes: Optional[int] = 1 << 16,
     *,
-    backend: Optional[str] = None,
+    tier: Optional[str] = None,
     debug_streams: Optional[bool] = None,
+    backend: Optional[str] = None,
     cache: bool = True,
 ) -> FunctionalResult:
     """Execute ``graph`` functionally with tensors bound by name.
 
-    ``backend`` names the execution backend (``"interp"``, ``"columnar"``,
-    or ``"codegen"``, the per-region tier rule; ``None`` follows
-    :func:`repro.backend.base.resolve_backend_name`).  ``debug_streams``
-    enables per-stream protocol validation (``None`` reads
-    ``FUSEFLOW_DEBUG_STREAMS``).  Validation of the graph structure itself
-    happens once per graph object — the compile flow validates at
-    compile time, so cached executables pay nothing here.
+    The tier rule (module docstring) picks the tier; ``tier`` (one of
+    :data:`TIERS`) forces one, for the differential tests and
+    ``scripts/diffcheck.py`` only.  ``debug_streams`` enables per-stream
+    protocol validation (``None`` reads ``FUSEFLOW_DEBUG_STREAMS``).
+    Validation of the graph structure itself happens once per graph
+    object — the compile flow validates at compile time, so cached
+    executables pay nothing here.
 
     Execution is machine-free: each operand read is recorded as an
     ``(access, footprint)`` pair on its node's stats, and the run's end
@@ -184,16 +133,20 @@ def run_functional(
 
     Every call executes, and the result returned here keeps every token
     stream: the one simulator memo is the
-    :class:`~repro.driver.executable.Executable`'s.  ``cache`` is
-    accepted and ignored (frozen ``bench/`` passes ``cache=False``; delete
-    at the bench re-cut).
+    :class:`~repro.driver.executable.Executable`'s.  ``backend`` and
+    ``cache`` are accepted and ignored (frozen ``bench/`` passes them;
+    delete at the bench re-cut).
     """
-    mode = resolve_backend_name(backend)
+    if tier is not None and tier not in TIERS:
+        raise ValueError(f"unknown tier {tier!r} (choose from {', '.join(TIERS)})")
     if debug_streams is None:
         debug_streams = default_debug_streams()
     graph.ensure_validated()
     order = graph.topological_order()
-    columnar = _runs_columnar(mode, graph, order, binding)
+    if tier is None:
+        columnar = not _reads_blocked(graph, order, binding)
+    else:
+        columnar = tier == "columnar"
     ctx = ExecutionContext(binding, debug_streams=debug_streams)
     result = FunctionalResult()
     result.order = order

@@ -272,8 +272,8 @@ def autotune(
     fallback.
 
     Every simulation runs through ``session`` (a fresh default one per call
-    when omitted), on its machine and backend: build
-    ``Session(machine=..., backend=...)`` to tune for another target.
+    when omitted), on its machine: build ``Session(machine=...)`` to tune
+    for another target.
     Every simulated candidate lands in the session's compile cache, so the
     returned winner's :attr:`TunedSchedule.executable` — and any later
     ``session.compile`` of the tuned schedule — costs no further lowering.

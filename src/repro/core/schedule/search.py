@@ -34,9 +34,8 @@ randomness comes only from the seeded generator — identical invocations
 produce identical ``search_trace`` lists.  Simulation budget counts
 *successful* runs: an infeasible candidate is traced but consumes no
 budget.  All compilation goes through one
-:class:`~repro.driver.session.Session`, whose machine and backend every
-simulation uses, so revisited points and the final winner are
-compile-cache hits.
+:class:`~repro.driver.session.Session`, whose machine every simulation
+uses, so revisited points and the final winner are compile-cache hits.
 """
 
 from __future__ import annotations
@@ -302,9 +301,6 @@ class Evaluator:
 
     def __init__(self, task: SearchTask) -> None:
         self.task = task
-        # Execution backend the session simulates on; recorded per trace
-        # entry so saved traces state what produced the cycles.
-        self.backend = task.session.backend
         self.trace: List[Dict[str, object]] = []
         self.ranking: List[Tuple[str, float]] = []
         self.evaluations = 0
@@ -340,7 +336,6 @@ class Evaluator:
             "splits": dict(schedule.splits),
             "par": dict(schedule.par),
             "predicted": float(predicted),
-            "backend": self.backend,
         }
         try:
             result = self.task.session.run(

@@ -124,13 +124,14 @@ def functional_stage(
     compiled: CompiledProgram,
     binding: Dict[str, SparseTensor],
     *,
-    backend: Optional[str] = None,
+    tier: Optional[str] = None,
     debug_streams: Optional[bool] = None,
 ) -> FunctionalRun:
     """Run every region with no machine, chaining materialized outputs:
     permuted copies and each region's results bind as later regions'
     inputs.  Without ``debug_streams`` each region keeps its port lengths
-    in place of its streams."""
+    in place of its streams.  ``tier`` forces every region onto one tier
+    (tests only; see :func:`~repro.comal.functional.run_functional`)."""
     if debug_streams is None:
         debug_streams = default_debug_streams()
     bind: Dict[str, Any] = dict(binding)
@@ -144,7 +145,7 @@ def functional_stage(
                 # A permuted copy is a DRAM round trip of the whole tensor.
                 extras.append(2 * source.bytes_total())
         func = run_functional(
-            region.graph, bind, None, backend=backend, debug_streams=debug_streams
+            region.graph, bind, None, tier=tier, debug_streams=debug_streams
         )
         if not debug_streams:
             func.lengths, func.streams = func.port_lengths(), {}
@@ -178,13 +179,9 @@ def execute_compiled(
     binding: Dict[str, SparseTensor],
     machine: Machine = RDA_MACHINE,
     *,
-    backend: Optional[str] = None,
     debug_streams: Optional[bool] = None,
 ) -> ProgramResult:
-    """Run ``compiled`` on ``binding`` (:func:`functional_stage`, under
-    ``backend`` and ``debug_streams``) and time it on ``machine``
-    (:func:`time_stage`)."""
-    run = functional_stage(
-        compiled, binding, backend=backend, debug_streams=debug_streams
-    )
+    """Run ``compiled`` on ``binding`` (:func:`functional_stage`) and time
+    it on ``machine`` (:func:`time_stage`)."""
+    run = functional_stage(compiled, binding, debug_streams=debug_streams)
     return time_stage(compiled, run, machine)

@@ -64,9 +64,6 @@ class CompileDiagnostics:
     pass_seconds: Dict[str, float] = field(default_factory=dict)
     regions: List[RegionDiagnostics] = field(default_factory=list)
     compile_seconds: float = 0.0
-    # The resolved execution backend name ("interp"/"columnar"/"codegen")
-    # of the session that compiled this program.
-    backend: str = ""
 
     def order_fallbacks(self) -> int:
         """Total rejected dataflow orders across all regions."""
@@ -85,7 +82,6 @@ class CompileDiagnostics:
         lines = [
             f"compile diagnostics for {self.program} under {self.schedule}: "
             f"{len(self.regions)} region(s), {self.compile_seconds * 1e3:.1f} ms"
-            + (f", backend {self.backend}" if self.backend else "")
         ]
         for name in self.pass_names:
             seconds = self.pass_seconds.get(name, 0.0)

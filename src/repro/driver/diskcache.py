@@ -4,7 +4,7 @@ The Session cache (PR 1) is in-memory and per-process: every new process
 re-pays compilation even for the schedules autotune, sweeps, and serving
 traffic hit over and over.  :class:`DiskCache` is the second cache level —
 a directory of entries keyed by the sha256 of everything the compiler
-reads (program, schedule, compile flow, backend, hierarchy), each holding a
+reads (program, schedule, compile flow, hierarchy), each holding a
 pickled :class:`~repro.driver.compiled.CompiledProgram` plus its compile
 diagnostics and metadata.  A warm cache directory turns a cold process's
 compile into a read-and-unpickle.
@@ -98,8 +98,9 @@ def entry_key(*parts: str) -> str:
     Parameters
     ----------
     *parts:
-        Canonical fingerprint strings, typically ``(program, schedule,
-        flow, backend, hierarchy)``.  Same idiom as
+        Canonical fingerprint strings, typically a Session's
+        :meth:`~repro.driver.session.Session.cache_key` plus its
+        hierarchy.  Same idiom as
         ``EinsumProgram.fingerprint``: a sha256 over a newline-joined
         textual rendering, so the key depends only on content.
     """

@@ -55,10 +55,9 @@ class Executable:
         Structured record of what the compile flow did.
     fingerprint:
         The Session cache key this executable was stored under.
-    backend, debug_streams, sim_cache:
-        Execution options inherited from the Session: the resolved
-        backend name this executable was compiled under, per-stream
-        protocol checking, and the simulator memo (see :meth:`__call__`).
+    debug_streams, sim_cache:
+        Execution options inherited from the Session: per-stream
+        protocol checking and the simulator memo (see :meth:`__call__`).
     """
 
     def __init__(
@@ -67,7 +66,6 @@ class Executable:
         machine: Machine,
         diagnostics: CompileDiagnostics,
         fingerprint: Tuple[str, ...],
-        backend: str,
         debug_streams: Optional[bool] = None,
         sim_cache: bool = True,
     ) -> None:
@@ -77,7 +75,6 @@ class Executable:
         #: The Session cache key this executable was stored under.
         self.fingerprint = fingerprint
         #: Execution options inherited from the Session.
-        self.backend = backend
         self.debug_streams = debug_streams
         self.sim_cache = sim_cache
         #: The simulator memo: key -> (result, pinned tensors, machine).
@@ -175,9 +172,7 @@ class Executable:
             entry = self._memo.get(key)
             if entry is not None:
                 return entry[0]
-        result = execute_compiled(
-            self.compiled, bind, machine, backend=self.backend, debug_streams=debug
-        )
+        result = execute_compiled(self.compiled, bind, machine, debug_streams=debug)
         if key is not None:
             pinned = [bind.get(name) for name in self._reads]
             with _MEMO_LOCK:
@@ -189,10 +184,7 @@ class Executable:
     def functional(self, binding: Dict[str, SparseTensor]) -> FunctionalRun:
         """Run every region with no machine: all :meth:`time` needs."""
         return functional_stage(
-            self.compiled,
-            binding,
-            backend=self.backend,
-            debug_streams=self.debug_streams,
+            self.compiled, binding, debug_streams=self.debug_streams
         )
 
     def time(self, run: FunctionalRun) -> ProgramResult:

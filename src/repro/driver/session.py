@@ -20,7 +20,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from ..backend.base import resolve_backend_name
 from ..comal.hierarchy import resolve_hierarchy
 from ..comal.machines import Machine, RDA_MACHINE
 from ..core.einsum.ast import EinsumProgram
@@ -99,11 +98,9 @@ class Session:
         memo, kept per executable (:meth:`Executable.__call__`); with
         ``sim_cache=False`` every call simulates.
     backend:
-        Execution backend name (``"interp"``, ``"columnar"``, or
-        ``"codegen"``); ``None`` means ``FUSEFLOW_BACKEND``, else
-        ``"columnar"``.  Resolved here, once: :attr:`backend` is always a
-        concrete name, and it is part of the compile-cache key, so an
-        executable compiled under one backend is never served to another.
+        Accepted and ignored: one rule picks each region's execution tier
+        (:mod:`repro.comal.functional`).  Frozen ``bench/`` passes it;
+        delete at the bench re-cut.
     hierarchy:
         Memory hierarchy: a preset name (``"fpga-small"``),
         ``"preset@capacity_bytes"``, or a
@@ -149,9 +146,7 @@ class Session:
         self.pipeline = PassPipeline(machine.hierarchy)
         self.cache_size = cache_size
         #: Execution options threaded into every executable this session
-        #: compiles.  The backend is resolved here so that a typo fails at
-        #: construction and the cache key never reads the environment.
-        self.backend = resolve_backend_name(backend)
+        #: compiles.
         self.debug_streams = debug_streams
         self.sim_cache = sim_cache
         if disk_cache is None:
@@ -185,16 +180,17 @@ class Session:
         -------
         tuple of str
             ``(program.fingerprint(), schedule.fingerprint(),
-            pipeline.fingerprint(), backend)`` — every input the compiler
+            pipeline.fingerprint(), "codegen")`` — every input the compiler
             reads (the flow's fingerprint covers the hierarchy it places
-            memory in) plus the execution backend the executable will run
-            under.
+            memory in).  The last field is a constant where the execution
+            backend's name used to be; frozen ``bench/`` unpacks four
+            fields and pins it.
         """
         return (
             program.fingerprint(),
             schedule.fingerprint(),
             self.pipeline.fingerprint(),
-            self.backend,
+            "codegen",
         )
 
     def compile(
@@ -294,7 +290,6 @@ class Session:
             compile_seconds=time.perf_counter() - start,
         )
         diagnostics.compile_seconds = compiled.compile_seconds
-        diagnostics.backend = self.backend
         if self.disk_cache is not None and dkey is not None:
             self.disk_cache.put(
                 dkey,
@@ -304,7 +299,6 @@ class Session:
                     "meta": {
                         "program": program.name,
                         "schedule": schedule.name,
-                        "backend": self.backend,
                         "hierarchy": self.machine.hierarchy.describe(),
                         "compile_seconds": compiled.compile_seconds,
                         "created": time.time(),
@@ -321,7 +315,6 @@ class Session:
             self.machine,
             diagnostics,
             key,
-            self.backend,
             debug_streams=self.debug_streams,
             sim_cache=self.sim_cache,
         )

@@ -8,7 +8,7 @@ to get the number here: synthetic graphs for Table 2's datasets, machine
 timing tables for Comal, the GPU and the FPGA.
 
 Every number is simulated cycles, bytes or a count.  Those repeat exactly
-for fixed seeds and do not depend on the execution backend, so the printed
+for fixed seeds and do not depend on the execution tier, so the printed
 table is deterministic: ``REPRODUCTION.md`` is this module's output,
 committed, and ``tests/test_reproduction.py`` checks that every row passes
 and that the file is current.  The one host-timed claim (Section 8.1)

@@ -287,7 +287,7 @@ class TokenStream:
         tokens (done/empty).
 
     Every payload is a scalar: a region that reads a blocked tensor (numpy
-    block payloads) runs the token tier's ``process`` under every backend
+    block payloads) runs the token tier's ``process`` by the tier rule
     (see :mod:`repro.comal.functional`), and :meth:`from_tokens` rejects a
     block.
 

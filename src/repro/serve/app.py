@@ -3,8 +3,8 @@
 Stdlib only (:mod:`http.server`); one :class:`ServerState` owns everything
 the handler threads share:
 
-* one :class:`~repro.driver.session.Session` per (machine, hierarchy,
-  backend), all attached to one :class:`~repro.driver.diskcache.DiskCache`
+* one :class:`~repro.driver.session.Session` per (machine, hierarchy),
+  all attached to one :class:`~repro.driver.diskcache.DiskCache`
   — so a serve process restarted over a warm cache directory answers its
   first compile with a read-and-unpickle;
 * model bundles from :func:`~repro.sweep.spec.bundle_for` (tracing a
@@ -114,7 +114,7 @@ class ServerState:
         self.max_inflight = max_inflight
         self.flight = SingleFlight()
         self._lock = threading.Lock()
-        self._sessions: Dict[Tuple[str, str, str], Session] = {}
+        self._sessions: Dict[Tuple[str, str], Session] = {}
         self._requests = 0
         self._compiles = 0
         self._errors = 0
@@ -175,18 +175,15 @@ class ServerState:
     # ------------------------------------------------------------------
     # Shared resources
     # ------------------------------------------------------------------
-    def session_for(
-        self, machine: str, hierarchy: str, backend: str
-    ) -> Session:
-        """The shared Session for (machine, hierarchy, backend)."""
-        key = (machine, hierarchy, backend)
+    def session_for(self, machine: str, hierarchy: str) -> Session:
+        """The shared Session for (machine, hierarchy)."""
+        key = (machine, hierarchy)
         with self._lock:
             session = self._sessions.get(key)
             if session is None:
                 session = Session(
                     machine=MACHINES[machine],
                     hierarchy=hierarchy,
-                    backend=backend or None,
                     # False (not None): the env var is folded into this
                     # state's shared DiskCache already, so sessions must
                     # not each grow a private second instance.
@@ -237,9 +234,7 @@ class ServerState:
         # exactly what the deadline (504), the single-flight follower
         # timeout, and load shedding exist to contain.
         fault_point("serve.request", key=request.key())
-        session = self.session_for(
-            request.machine, request.hierarchy, request.backend
-        )
+        session = self.session_for(request.machine, request.hierarchy)
         bundle = None
         if request.point is not None:
             bundle = bundle_for(request.point)
@@ -258,7 +253,6 @@ class ServerState:
         if source == "compiled":
             with self._lock:
                 self._compiles += 1
-        diagnostics = executable.diagnostics
         payload: Dict[str, Any] = {
             "action": request.action,
             "label": request.label(),
@@ -266,7 +260,6 @@ class ServerState:
             "cache": source,
             "program": program.name,
             "schedule": schedule.name,
-            "backend": diagnostics.backend,
             "regions": len(executable.compiled.regions),
             "compile_seconds": executable.compiled.compile_seconds,
         }

@@ -99,7 +99,6 @@ class ServeRequest:
     action: str  # "compile" | "simulate"
     machine: str
     hierarchy: str
-    backend: str
     schedule: str
     point: Optional[SweepPoint] = None
     program_text: Optional[str] = None
@@ -126,7 +125,6 @@ class ServeRequest:
                 "schedule": self.schedule,
                 "machine": self.machine,
                 "hierarchy": self.hierarchy,
-                "backend": self.backend,
             }
         rendering = json.dumps(parts, sort_keys=True)
         return hashlib.sha256(rendering.encode("utf-8")).hexdigest()
@@ -248,7 +246,6 @@ def parse_request(raw: bytes, action: str) -> ServeRequest:
             action=action,
             machine=machine,
             hierarchy=hierarchy,
-            backend=backend,
             schedule=schedule,
             point=point,
             deadline_ms=deadline_ms,
@@ -284,7 +281,6 @@ def parse_request(raw: bytes, action: str) -> ServeRequest:
         action=action,
         machine=machine,
         hierarchy=hierarchy,
-        backend=backend,
         schedule=schedule,
         program_text=text,
         program_name=name,

@@ -4,7 +4,7 @@
 :class:`~repro.sweep.spec.SweepSpec`, skips points already completed in
 the :class:`~repro.sweep.store.ResultStore` (resume), and fans the rest
 out over worker processes.  Each worker keeps one ``Session`` per
-(machine, hierarchy, backend) and takes model bundles from
+(machine, hierarchy) and takes model bundles from
 :func:`~repro.sweep.spec.bundle_for`, so points sharing a model or a
 compile fingerprint pay tracing/lowering once per worker, not once per
 point.
@@ -91,7 +91,7 @@ def _is_transient(record: Dict[str, object]) -> bool:
 # Per-process sessions.  In a worker process these live for the pool's
 # lifetime, so every point handed to that worker shares compile work via
 # the Session cache (and tracing work via ``bundle_for``).
-_SESSIONS: Dict[Tuple[str, str, str, str], Session] = {}
+_SESSIONS: Dict[Tuple[str, str, str], Session] = {}
 
 # Per-process stage cache: the functional run of the last group run here,
 # by stage key (one entry: a worker gets its group's points back to back).
@@ -116,16 +116,15 @@ def set_worker_cache_dir(cache_dir: Optional[str]) -> None:
     _CACHE_DIR = cache_dir
 
 
-def _session_for(machine: str, hierarchy: str = "flat", backend: str = "") -> Session:
-    """The per-process Session for (machine, hierarchy, backend)."""
-    key = (machine, hierarchy, backend, _CACHE_DIR or "")
+def _session_for(machine: str, hierarchy: str = "flat") -> Session:
+    """The per-process Session for (machine, hierarchy)."""
+    key = (machine, hierarchy, _CACHE_DIR or "")
     session = _SESSIONS.get(key)
     if session is None:
         session = Session(
             machine=MACHINES[machine],
             cache_size=1024,
             hierarchy=hierarchy,
-            backend=backend or None,
             disk_cache=_CACHE_DIR,
         )
         _SESSIONS[key] = session
@@ -175,7 +174,7 @@ def _run_point(point: SweepPoint) -> Tuple[Dict[str, object], int]:
         # e.g. ``*unfused*`` without knowing content-hash point IDs.
         fault_point("sweep.point", key=point.label())
         bundle = bundle_for(point)
-        session = _session_for(point.machine, point.hierarchy, point.backend)
+        session = _session_for(point.machine, point.hierarchy)
         schedule = point.schedule_for(bundle)
         before = session.cache_info()
         executable = session.compile(bundle.program, schedule)

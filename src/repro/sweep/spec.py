@@ -23,7 +23,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
-from ..backend.base import BACKEND_NAMES
 from ..comal.hierarchy import resolve_hierarchy
 from ..comal.machines import MACHINES
 from ..core.schedule.schedule import Schedule
@@ -54,9 +53,14 @@ def compatible_datasets(model: str) -> List[str]:
     raise SweepSpecError(f"unknown model {model!r}")
 
 
+#: Names the legacy ``backend`` field of a point or ``/v1/*`` body may
+#: carry.  It only labels a point: every name runs the one tier rule.
+LEGACY_BACKENDS = ("interp", "columnar", "codegen")
+
+
 def validate_target(machine: str, hierarchy: str, backend: str) -> None:
     """Raise :class:`SweepSpecError` for an unknown machine, hierarchy or
-    backend (``""`` = session default): where any experiment runs."""
+    legacy backend name (``""`` for none): where any experiment runs."""
     if machine not in MACHINES:
         raise SweepSpecError(
             f"unknown machine {machine!r}; expected one of {sorted(MACHINES)}"
@@ -65,10 +69,10 @@ def validate_target(machine: str, hierarchy: str, backend: str) -> None:
         resolve_hierarchy(hierarchy)
     except ValueError as exc:
         raise SweepSpecError(str(exc)) from None
-    if backend and backend not in BACKEND_NAMES:
+    if backend and backend not in LEGACY_BACKENDS:
         raise SweepSpecError(
             f"unknown backend {backend!r}; expected one of "
-            f"{BACKEND_NAMES} (or '' for the session default)"
+            f"{LEGACY_BACKENDS} (or '')"
         )
 
 
@@ -140,10 +144,10 @@ class SweepPoint:
         simulator); accepts the ``preset@capacity_bytes`` form so sweeps
         can grid over buffer sizes.
     backend:
-        Execution backend name (``"interp"``, ``"columnar"``, or
-        ``"codegen"``); the empty string (default) runs under the worker
-        session's default.  Backends are bit-exact by contract, so this
-        axis changes wall-clock only, never metrics.
+        Legacy label (one of :data:`LEGACY_BACKENDS`, or ``""``, the
+        default): hashed into the point ID when set and echoed into
+        records, so results files written while it chose an execution
+        backend resume unchanged.  It changes nothing the point runs.
     """
 
     model: str
@@ -267,7 +271,7 @@ class SweepPoint:
         # Same idiom for the split axis: unsplit points keep their IDs.
         if self.splits:
             parts.append(f"splits {sorted(self.splits)}")
-        # And for the backend axis: default-backend points keep their IDs.
+        # And for the legacy backend label: unlabelled points keep their IDs.
         if self.backend:
             parts.append(f"backend {self.backend}")
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()
@@ -471,9 +475,9 @@ class SweepSpec:
     # unsplit only.  An empty dict entry is the explicit unsplit baseline,
     # so `splits=[{}, {"x1": 8}]` compares tiled vs untiled point-for-point.
     splits: Optional[List[Dict[str, int]]] = None
-    # Execution-backend axis; None means the session default only.  An
-    # empty string entry is the explicit default baseline, so
-    # `backends=["", "codegen"]` compares backends point-for-point.
+    # Legacy backend-label axis (see SweepPoint.backend); None means
+    # unlabelled points only.  Every label runs the same tier rule, so it
+    # changes point IDs, never metrics.
     backends: Optional[List[str]] = None
     # Explicit extra points appended after the grid.
     extra_points: List[SweepPoint] = field(default_factory=list)

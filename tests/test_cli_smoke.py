@@ -67,12 +67,15 @@ class TestSimulate:
     def test_simulate_mode_flags(self, capsys):
         code = cli_main(
             ["simulate", "--model", "sae", "--nodes", "16", "--profile",
-             "--backend", "interp", "--no-sim-cache", "--debug-streams"]
+             "--no-sim-cache", "--debug-streams"]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "busiest" in out
-        assert "backend    : interp" in out
+        # One rule picks each region's tier: there is no backend to name.
+        assert "backend" not in out
+        with pytest.raises(SystemExit):
+            cli_main(["simulate", "--model", "sae", "--backend", "interp"])
 
     def test_simulate_hierarchy_reports_per_level_traffic(self, capsys):
         code = cli_main(
@@ -242,8 +245,7 @@ class TestEstimateAutotuneCompile:
         hit.  The compiled program is all there is to load — no kernel is
         emitted, so none is reported — and ``simulate --profile`` runs
         under the tier rule from the same directory."""
-        argv = ["--model", "gpt3", "--seq-len", "16", "--backend", "codegen",
-                "--cache-dir", str(tmp_path)]
+        argv = ["--model", "gpt3", "--seq-len", "16", "--cache-dir", str(tmp_path)]
         outs = []
         for _ in range(2):
             assert cli_main(["compile", *argv, "--diagnostics"]) == 0
@@ -354,7 +356,7 @@ class TestHelpNamesScheduleAxes:
             cli_main(["sweep", "--help"])
         out = " ".join(capsys.readouterr().out.split())
         for axis in ("model", "dataset", "schedule", "machine", "hierarchy",
-                     "splits", "backend"):
+                     "splits"):
             assert axis in out, axis
         assert "tune" in out
 

@@ -1,272 +1,139 @@
-"""Differential tests across the backend names: interp, columnar, codegen.
+"""The tier differential of ``tests/test_columnar_differential.py``, wider.
 
-The ``interp`` interpreter is the executable specification; the other
-two backends must reproduce it *exactly* for every golden model at its
-canonical configuration, across fusion granularities and memory
-hierarchies: same streams token for token, same per-node statistics, same
-output tensors bit for bit, the same timed metrics, and the same
-per-level memory traffic.  This is the contract that lets any backend
-substitute for another without regenerating a golden trace.
-
-All three run one node loop and differ only in the tier each region runs
-on: ``interp`` is the token tier, ``columnar`` the columnar tier for every
-scalar region, and ``codegen`` the columnar tier only past a size cutoff.
-A region that reads a blocked tensor (gpt3) runs the token tier under
-every backend.  The cases
-named for the token tier check ``interp`` against ``columnar``, the ones
-named for the columnar tier check ``columnar`` against ``interp``, and the
-rest check ``codegen`` against ``interp`` — so every pair is pinned and a
-divergence in one tier cannot hide behind the rule's choice of the other.
-
-Mirrors ``tests/test_columnar_differential.py`` (the representation axis)
-and ``tests/test_split_differential.py`` (the tiling axis) for the backend
-axis, plus hypothesis round-trips of random single-region graphs.
+The same checks — the tier rule against the token tier forced onto every
+region, streams token for token, per-node statistics, tensors and timed
+cycles bit for bit — over two memory hierarchies, lean runs (stream
+checks off, streams dropped for port lengths as sweeps and serve run),
+the timed engine's own ``tier=`` path, compiles loaded from disk, the
+columnar tier forced onto every region, a stack of structurally identical
+layers, and random single-region graphs.  The module's name is
+historical: ``codegen`` was once the rule's name.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend import BACKEND_NAMES
-from repro.comal.engine import run_timed
 from repro.comal.functional import run_functional
 from repro.comal.machines import RDA_MACHINE
 from repro.core.einsum.parser import parse_program
 from repro.core.schedule.schedule import unfused
 from repro.driver import Session
+from repro.driver.compiled import functional_stage
 from repro.ftree import SparseTensor
-from repro.sam.token import streams_equal
-from repro.sweep import SweepPoint, build_bundle
-
-#: The canonical golden configurations (tests/test_golden_traces.py).
-POINTS = {
-    "gcn": {"nodes": 30, "density": 0.1, "seed": 0},
-    "graphsage": {"nodes": 30, "density": 0.1, "seed": 0},
-    "sae": {"nodes": 16, "seed": 0},
-    "gpt3": {"seq_len": 16, "d_model": 8, "block": 4, "n_layers": 1, "seed": 0},
-}
+from repro.sam.token import StreamProtocolError
+from test_columnar_differential import (
+    BLOCKED_MODELS,
+    POINTS,
+    assert_regions_match,
+    bundle_of,
+    check_end_to_end,
+    check_regions,
+)
 
 GRANULARITIES = ("unfused", "partial")
 HIERARCHIES = ("flat", "fpga-small")
 
-#: The backend that runs each tier on its own (scalar regions, for columnar).
-TIER_BACKEND = {"token": "interp", "columnar": "columnar"}
+_GRID = pytest.mark.parametrize("granularity", GRANULARITIES)
+_MODELS = pytest.mark.parametrize("model", sorted(POINTS))
+_HIERARCHIES = pytest.mark.parametrize("hierarchy", HIERARCHIES)
 
 
-def _bind_transposes(region, *bindings):
-    for orig, new_name, mode_order in region.transposes:
-        for bind in bindings:
-            if new_name not in bind:
-                bind[new_name] = bind[orig].permuted_copy(
-                    mode_order, name=new_name
-                )
-
-
-def _assert_regions_match(where, want, have):
-    """Functional results of one region: streams, full stats, tensors."""
-    assert set(have.streams) == set(want.streams), where
-    for key in want.streams:
-        assert streams_equal(have.streams[key], want.streams[key]), (
-            f"{where} stream {key} diverged"
-        )
-    assert have.stats == want.stats, where
-    assert set(have.results) == set(want.results), where
-    for name, tensor in want.results.items():
-        assert np.array_equal(
-            tensor.to_dense(), have.results[name].to_dense()
-        ), f"{where} result {name} diverged"
-
-
-def _region_by_region(model, granularity, hierarchy, backend, reference):
-    """``backend`` against ``reference``, region by region, timing included."""
-    bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
-    session = Session(machine=RDA_MACHINE, hierarchy=hierarchy)
-    exe = session.compile(bundle.program, bundle.schedule(granularity))
-    machine = session.machine
-    bind_r = dict(bundle.binding)
-    bind_b = dict(bundle.binding)
-    for region in exe.regions:
-        _bind_transposes(region, bind_r, bind_b)
-        graph = region.graph
-        where = f"{model}/{granularity}/{hierarchy}/{graph.name}"
-        want = run_functional(
-            graph, bind_r, machine.scratchpad_bytes, backend=reference
-        )
-        have = run_functional(
-            graph, bind_b, machine.scratchpad_bytes, backend=backend
-        )
-        _assert_regions_match(where, want, have)
-
-        timed_r = run_timed(graph, bind_r, machine, functional=want)
-        timed_b = run_timed(graph, bind_b, machine, functional=have)
-        assert timed_b.flops == timed_r.flops
-        assert timed_b.dram_bytes == timed_r.dram_bytes
-        assert timed_b.sram_bytes == timed_r.sram_bytes
-        assert timed_b.tokens == timed_r.tokens
-        assert timed_b.cycles == timed_r.cycles, where
-        assert timed_b.node_busy == timed_r.node_busy, where
-
-        bind_r.update(want.results)
-        bind_b.update(have.results)
-
-
-def _end_to_end(model, granularity, hierarchy, backend, reference):
-    """Full executions agree on metrics incl. per-level memory traffic."""
-    bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
-    res = {}
-    for name in (reference, backend):
-        sess = Session(
-            machine=RDA_MACHINE,
-            hierarchy=hierarchy,
-            backend=name,
-            sim_cache=False,
-            debug_streams=True,
-        )
-        exe = sess.compile(bundle.program, bundle.schedule(granularity))
-        res[name] = exe(bundle.binding)
-    want, have = res[reference].metrics, res[backend].metrics
-    where = f"{model}/{granularity}/{hierarchy}: {backend} vs {reference}"
-    assert have.flops == want.flops, where
-    assert have.tokens == want.tokens, where
-    assert have.traffic_by_level() == want.traffic_by_level(), where
-    assert have.cycles == want.cycles, where
-    assert have.kernel_cycles == want.kernel_cycles, where
-    assert set(res[backend].tensors) == set(res[reference].tensors), where
-    for name, tensor in res[reference].tensors.items():
-        assert np.array_equal(
-            tensor.to_dense(), res[backend].tensors[name].to_dense()
-        ), f"{where} tensor {name} diverged"
-
-
-@pytest.mark.parametrize("hierarchy", HIERARCHIES)
-@pytest.mark.parametrize("granularity", GRANULARITIES)
-@pytest.mark.parametrize("model", sorted(POINTS))
+@_HIERARCHIES
+@_GRID
+@_MODELS
 def test_streams_stats_and_timing_match(model, granularity, hierarchy):
-    """The tier rule, region by region: streams, stats, tensors, cycles."""
-    _region_by_region(model, granularity, hierarchy, "codegen", "interp")
+    """The rule, region by region: streams, stats, tensors, cycles."""
+    check_regions(model, granularity, hierarchy)
 
 
-@pytest.mark.parametrize("hierarchy", HIERARCHIES)
-@pytest.mark.parametrize("model", sorted(POINTS))
+@_HIERARCHIES
+@_GRID
+@_MODELS
+def test_streams_stats_and_timing_match_on_token_tier(model, granularity, hierarchy):
+    """The same, each region run by the timed engine, stream checks off."""
+    check_regions(model, granularity, hierarchy, engine=True, debug_streams=False)
+
+
+@_HIERARCHIES
+@_MODELS
 def test_end_to_end_metrics_and_traffic_match(model, hierarchy):
-    """The tier rule end to end, per-level memory traffic included."""
-    _end_to_end(model, "partial", hierarchy, "codegen", "interp")
+    """The rule end to end, per-level memory traffic included."""
+    check_end_to_end(model, "partial", hierarchy)
 
 
-@pytest.mark.parametrize("model", sorted(POINTS))
+@_HIERARCHIES
+@_MODELS
+def test_end_to_end_metrics_and_traffic_match_on_token_tier(model, hierarchy):
+    """The same on lean runs: no stream checks, port lengths only."""
+    check_end_to_end(model, "partial", hierarchy, debug_streams=False)
+
+
+@_MODELS
 def test_columnar_tier_forced_matches(model):
-    """The columnar tier on every scalar region is bit-exact on its own.
-
-    gpt3's blocked regions run the token tier here as under every backend.
-    """
-    _end_to_end(model, "partial", "flat", TIER_BACKEND["columnar"], "interp")
+    """The columnar tier forced onto every region is bit-exact; a region
+    that reads a blocked tensor refuses it."""
+    if model not in BLOCKED_MODELS:
+        check_end_to_end(model, "partial", tier="columnar")
+        return
+    bundle = bundle_of(model)
+    exe = Session(machine=RDA_MACHINE).compile(
+        bundle.program, bundle.schedule("partial")
+    )
+    with pytest.raises(StreamProtocolError, match="blocked payloads"):
+        functional_stage(exe.compiled, bundle.binding, tier="columnar")
 
 
 @pytest.mark.parametrize("granularity", ("unfused", "partial", "full"))
-@pytest.mark.parametrize("model", sorted(POINTS))
+@_MODELS
 def test_token_tier_forced_matches(model, granularity):
-    """The token tier on every region, at every granularity."""
-    _end_to_end(model, granularity, "flat", TIER_BACKEND["token"], "columnar")
+    """The rule against the token tier at every granularity."""
+    check_end_to_end(model, granularity)
 
 
 @pytest.mark.parametrize("tier", ("token", "columnar"))
 @pytest.mark.parametrize("granularity", ("unfused", "partial", "full"))
-@pytest.mark.parametrize("model", sorted(POINTS))
+@_MODELS
 def test_disk_loaded_kernels_match_interp(model, granularity, tier, tmp_path):
     """What a restarted process unpickles runs as what it compiled.
 
-    A first session fills the directory; a second one, under the backend
-    that runs ``tier``, is served the compiled program from disk and must
-    reproduce ``interp`` on a fresh compile region by region: streams
-    token for token, per-node statistics, output tensors, with stream
-    checking on.
+    A first session fills the directory; a second one is served the
+    compiled program from disk, and its regions, run on ``tier``
+    (``columnar``: the rule), must reproduce a fresh compile on the token
+    tier region by region, with stream checking on.
     """
-    bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
+    bundle = bundle_of(model)
     schedule = bundle.schedule(granularity)
-    backend = TIER_BACKEND[tier]
-    Session(
-        machine=RDA_MACHINE, backend=backend, disk_cache=str(tmp_path)
-    ).compile(bundle.program, schedule)
-    exe, source = Session(
-        machine=RDA_MACHINE, backend=backend, disk_cache=str(tmp_path)
-    ).compile_detailed(bundle.program, schedule)
-    assert source == "disk"
-    fresh = Session(machine=RDA_MACHINE, backend="interp").compile(
+    Session(machine=RDA_MACHINE, disk_cache=str(tmp_path)).compile(
         bundle.program, schedule
     )
-    bind_i = dict(bundle.binding)
-    bind_d = dict(bundle.binding)
-    for ref_region, region in zip(fresh.regions, exe.regions, strict=True):
-        _bind_transposes(ref_region, bind_i)
-        _bind_transposes(region, bind_d)
-        where = f"{model}/{granularity}/{tier}/{region.graph.name}"
-        interp = run_functional(
-            ref_region.graph, bind_i, backend="interp", debug_streams=True,
-        )
-        loaded = run_functional(
-            region.graph, bind_d, backend=backend, debug_streams=True,
-        )
-        _assert_regions_match(where, interp, loaded)
-        bind_i.update(interp.results)
-        bind_d.update(loaded.results)
-
-
-def test_shared_kernels_match_every_backend(reference="interp"):
-    """The layers of a stack compute their own results under every backend.
-
-    gpt3's decoder blocks are structurally identical regions told apart
-    only by the tensors they touch.  Outputs and metrics must stay
-    bit-exact against ``reference`` with stream checking on.
-    """
-    args = dict(POINTS["gpt3"], n_layers=2)
-    bundle = build_bundle(SweepPoint.make("gpt3", model_args=args))
-    res = {}
-    for backend in BACKEND_NAMES:
-        sess = Session(
-            machine=RDA_MACHINE,
-            backend=backend,
-            sim_cache=False,
-            debug_streams=True,
-        )
-        exe = sess.compile(bundle.program, bundle.schedule("unfused"))
-        res[backend] = exe(bundle.binding)
-    want = res[reference]
-    for backend, have in res.items():
-        assert have.metrics.flops == want.metrics.flops
-        assert have.metrics.tokens == want.metrics.tokens
-        assert have.metrics.traffic_by_level() == (
-            want.metrics.traffic_by_level()
-        )
-        assert have.metrics.cycles == want.metrics.cycles
-        assert set(have.tensors) == set(want.tensors)
-        for name, tensor in want.tensors.items():
-            assert np.array_equal(
-                tensor.to_dense(), have.tensors[name].to_dense()
-            ), f"tensor {name}: {backend} diverged from {reference}"
-
-
-# The token tier checked against the columnar one, over the same cases.
-
-
-@pytest.mark.parametrize("hierarchy", HIERARCHIES)
-@pytest.mark.parametrize("granularity", GRANULARITIES)
-@pytest.mark.parametrize("model", sorted(POINTS))
-def test_streams_stats_and_timing_match_on_token_tier(
-    model, granularity, hierarchy
-):
-    _region_by_region(
-        model, granularity, hierarchy, TIER_BACKEND["token"], "columnar"
+    loaded, source = Session(
+        machine=RDA_MACHINE, disk_cache=str(tmp_path)
+    ).compile_detailed(bundle.program, schedule)
+    assert source == "disk"
+    check_regions(
+        model,
+        granularity,
+        tier="token" if tier == "token" else None,
+        loaded=loaded,
+        debug_streams=True,
     )
 
 
-@pytest.mark.parametrize("hierarchy", HIERARCHIES)
-@pytest.mark.parametrize("model", sorted(POINTS))
-def test_end_to_end_metrics_and_traffic_match_on_token_tier(model, hierarchy):
-    _end_to_end(model, "partial", hierarchy, TIER_BACKEND["token"], "columnar")
+def test_shared_kernels_match_every_backend():
+    """The layers of a stack compute their own results.
+
+    gpt3's decoder blocks are structurally identical regions told apart
+    only by the tensors they touch; the rule must stay bit-exact against
+    the token tier with stream checking on.
+    """
+    bundle = bundle_of("gpt3", n_layers=2)
+    check_end_to_end("gpt3", "unfused", bundle=bundle)
 
 
 def test_shared_kernels_match_every_backend_on_token_tier():
-    test_shared_kernels_match_every_backend(reference=TIER_BACKEND["token"])
+    bundle = bundle_of("gpt3", n_layers=2)
+    check_end_to_end("gpt3", "unfused", bundle=bundle, debug_streams=False)
 
 
 # ----------------------------------------------------------------------
@@ -276,8 +143,8 @@ def test_shared_kernels_match_every_backend_on_token_tier():
 _UNARY = ("relu", "abs", "exp")
 
 
-def _single_region_graphs(kind, density, unary, seed):
-    """Compile one random statement and yield its lowered region graphs."""
+def _single_region_graph(kind, density, unary, seed):
+    """Compile one random statement: its one region graph and a binding."""
     if kind == "spmm":
         text = (
             "tensor A(6, 7): csr\ntensor X(7, 4): dense\n"
@@ -298,9 +165,9 @@ def _single_region_graphs(kind, density, unary, seed):
         if decl.fmt.name() == "csr":
             data = data * (rng.random(decl.shape) < density)
         binding[name] = SparseTensor.from_dense(data, decl.fmt, name)
-    session = Session(machine=RDA_MACHINE)
-    exe = session.compile(program, unfused(program))
-    return exe, binding
+    exe = Session(machine=RDA_MACHINE).compile(program, unfused(program))
+    (region,) = exe.regions
+    return region.graph, binding
 
 
 @settings(max_examples=20, deadline=None)
@@ -311,15 +178,13 @@ def _single_region_graphs(kind, density, unary, seed):
     seed=st.integers(0, 10_000),
 )
 def test_random_single_region_round_trip(kind, density, unary, seed):
-    """Random single-region graphs run bit-exactly under every backend."""
-    exe, binding = _single_region_graphs(kind, density, unary, seed)
-    assert len(exe.regions) == 1
-    graph = exe.regions[0].graph
+    """Random single-region graphs run bit-exactly on both tiers."""
+    graph, binding = _single_region_graph(kind, density, unary, seed)
     want = run_functional(
-        graph, binding, RDA_MACHINE.scratchpad_bytes, backend="interp",
+        graph, binding, RDA_MACHINE.scratchpad_bytes, tier="token"
     )
-    for backend in ("columnar", "codegen"):
+    for tier in (None, "columnar"):
         have = run_functional(
-            graph, binding, RDA_MACHINE.scratchpad_bytes, backend=backend,
+            graph, binding, RDA_MACHINE.scratchpad_bytes, tier=tier
         )
-        _assert_regions_match(backend, want, have)
+        assert_regions_match(tier, want, have)

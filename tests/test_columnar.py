@@ -170,19 +170,19 @@ def _run_source_graph(stream, **kwargs):
 
 class TestExecutorModes:
     def test_columnar_mode_produces_token_streams(self):
-        res = _run_source_graph([crd(0), stop(0), done()], backend="columnar")
+        res = _run_source_graph([crd(0), stop(0), done()], tier="columnar")
         assert isinstance(res.stream("src"), TokenStream)
 
     def test_legacy_mode_produces_lists(self):
-        res = _run_source_graph([crd(0), stop(0), done()], backend="interp")
+        res = _run_source_graph([crd(0), stop(0), done()], tier="token")
         assert isinstance(res.stream("src"), list)
 
     def test_debug_streams_flags_protocol_violations(self):
         bad = [crd(0)]  # no done token
         with pytest.raises(StreamProtocolError, match="node src"):
-            _run_source_graph(bad, backend="columnar", debug_streams=True)
+            _run_source_graph(bad, tier="columnar", debug_streams=True)
         # With checks off the malformed stream flows through untouched.
-        res = _run_source_graph(bad, backend="columnar", debug_streams=False)
+        res = _run_source_graph(bad, tier="columnar", debug_streams=False)
         assert len(res.stream("src")) == 1
 
 
@@ -210,7 +210,7 @@ def _process(prim, ins):
 class TestKernelFallbacks:
     """Payload shapes off the columnar kernels' vectorized paths.
 
-    Blocked payloads run on the token tier under every backend, so their
+    Blocked payloads run on the token tier by the tier rule, so their
     cases check ``process`` alone; the scalar cases check that both
     kernels agree.
     """

@@ -120,7 +120,97 @@ class TestFingerprints:
             prog, schedule
         )
         assert small[2][:16] == "11f2cbca2c875711"
-        assert small[3] == "columnar"
+        # Where the backend name used to be: a constant, for every name.
+        assert small[3] == "codegen"
+
+
+#: Golden configurations (tests/test_golden_traces.py).
+GOLDEN_POINTS = {
+    "gcn": {"nodes": 30, "density": 0.1, "seed": 0},
+    "graphsage": {"nodes": 30, "density": 0.1, "seed": 0},
+    "sae": {"nodes": 16, "seed": 0},
+    "gpt3": {"seq_len": 16, "d_model": 8, "block": 4, "n_layers": 1, "seed": 0},
+}
+
+
+class TestKeyCompleteness:
+    """Every ``Session`` option either reaches the compile keys or
+    provably leaves every output unchanged.
+
+    ``KEYED`` options change ``cache_key()`` or the disk cache's
+    ``entry_key`` (which adds the hierarchy).  Flipping an ``INERT``
+    option leaves both keys alone, and the flipped session's executable,
+    timed on the base session's machine, returns equal metrics and equal
+    result tensors on the four golden models.  A new option fails
+    :meth:`test_every_option_is_classified` until it joins one of them.
+    """
+
+    KEYED = {"hierarchy": "fpga-small"}
+    INERT = (
+        "machine",
+        "pipeline",
+        "cache_size",
+        "debug_streams",
+        "sim_cache",
+        "backend",
+        "disk_cache",
+    )
+
+    @staticmethod
+    def _flips(tmp_path):
+        from repro.comal.functional import default_debug_streams
+
+        return {
+            "machine": FPGA_MACHINE,
+            "pipeline": "ignored",
+            "cache_size": 1,
+            "debug_streams": not default_debug_streams(),
+            "sim_cache": False,
+            "backend": "interp",
+            "disk_cache": str(tmp_path),
+        }
+
+    @staticmethod
+    def _keys(session, program, schedule):
+        key = session.cache_key(program, schedule)
+        return key, session._disk_key(key)
+
+    def test_every_option_is_classified(self):
+        import inspect
+
+        options = set(inspect.signature(Session).parameters)
+        assert options == set(self.KEYED) | set(self.INERT)
+
+    def test_keyed_options_change_a_key(self, gcn_layer):
+        prog, _, _ = gcn_layer
+        schedule = fully_fused(prog)
+        base = self._keys(Session(), prog, schedule)
+        for name, value in self.KEYED.items():
+            flipped = self._keys(Session(**{name: value}), prog, schedule)
+            assert flipped[0] != base[0] or flipped[1] != base[1], name
+
+    @pytest.mark.parametrize("model", sorted(GOLDEN_POINTS))
+    def test_inert_options_leave_keys_and_outputs_unchanged(self, model, tmp_path):
+        from repro.sweep import SweepPoint, build_bundle
+
+        bundle = build_bundle(SweepPoint.make(model, model_args=GOLDEN_POINTS[model]))
+        schedule = bundle.schedule("partial")
+        base_session = Session(disk_cache=False)
+        keys = self._keys(base_session, bundle.program, schedule)
+        want = base_session.compile(bundle.program, schedule)(bundle.binding)
+        # The disk_cache flip is then served the entry from disk.
+        Session(disk_cache=str(tmp_path)).compile(bundle.program, schedule)
+        for name, value in self._flips(tmp_path).items():
+            session = Session(**{name: value})
+            assert self._keys(session, bundle.program, schedule) == keys, name
+            exe = session.compile(bundle.program, schedule)
+            have = exe(bundle.binding, machine=base_session.machine)
+            assert have.metrics == want.metrics, name
+            assert set(have.tensors) == set(want.tensors), name
+            for tensor, result in want.tensors.items():
+                assert np.array_equal(
+                    result.to_dense(), have.tensors[tensor].to_dense()
+                ), (name, tensor)
 
 
 class TestSessionCache:

@@ -52,6 +52,21 @@ def _get(server, path: str):
         return resp.status, dict(resp.headers), json.loads(resp.read())
 
 
+def _settled_stats(server, timeout: float = 10.0) -> dict:
+    """``/v1/stats`` once no request is in flight, or at ``timeout``.
+
+    A handler flushes its reply before it leaves the in-flight count (so
+    a drain never exits with a reply unsent), so a client can read the
+    stats while the request it just got an answer to still counts.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        _, _, stats = _get(server, "/v1/stats")
+        if stats["active_requests"] == 0 or time.monotonic() > deadline:
+            return stats
+        time.sleep(0.01)
+
+
 def _post(server, path: str, body: dict):
     request = urllib.request.Request(
         _url(server, path),
@@ -340,7 +355,7 @@ class TestServer:
         status, closing, payload = _post_declaring(server, declared, b"{}")
         assert (status, closing) == (400, True)
         assert "Content-Length" in payload["error"]
-        _, _, stats = _get(server, "/v1/stats")
+        stats = _settled_stats(server)
         assert (stats["errors"], stats["active_requests"]) == (1, 0)
 
     def test_oversized_body_is_413_unread(self, server):
@@ -351,7 +366,7 @@ class TestServer:
         )
         assert (status, closing) == (413, True)
         assert str(MAX_BODY_BYTES) in payload["error"]
-        _, _, stats = _get(server, "/v1/stats")
+        stats = _settled_stats(server)
         assert (stats["errors"], stats["active_requests"]) == (1, 0)
         # The cap itself is still a body the handler reads and parses.
         padded = json.dumps({"model": "nope"}).encode().ljust(MAX_BODY_BYTES)

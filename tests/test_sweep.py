@@ -156,6 +156,30 @@ class TestSpec:
         codegen = SweepPoint.make("sae", backend="codegen")
         assert codegen.point_id == "8cb264dd7583c6f9"
 
+    def test_record_pins(self):
+        """A result record's deterministic fields, byte for byte, for a
+        point without and one with the legacy backend label (sha256 of
+        the sorted JSON, literal values read before the label stopped
+        choosing an execution backend): old stores resume unchanged."""
+        import hashlib
+
+        fields = ("type", "status", "point_id", "label", "point", "fingerprints", "metrics")
+        pins = {
+            SweepPoint.make("gcn", model_args={"nodes": 12}): (
+                "a7b9301e1bf72c5f",
+                "b1d378637e888680e60976fe7abbe4c66bd6e4cfd7305e3c50ec6b1e6ceb4214",
+            ),
+            SweepPoint.make("sae", backend="codegen", model_args={"nodes": 12}): (
+                "0cc2b6991daa3be7",
+                "6729fa4220c85a2de44ec7b42170469d809e658dc844ffb9241ab70cc9e9fbe1",
+            ),
+        }
+        for point, (point_id, digest) in pins.items():
+            record = run_point(point)
+            assert record["point_id"] == point_id
+            text = json.dumps({k: record[k] for k in fields}, sort_keys=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
     def test_default_pipeline_records_still_load(self):
         """Records written with the configurable pipeline carry its default
         order, with or without split-indices; both name the fixed flow."""
@@ -412,7 +436,7 @@ class TestStagedExecution:
         runs = []
         for point in (base, flipped):
             bundle = bundle_for(point)
-            session = _session_for(point.machine, point.hierarchy, point.backend)
+            session = _session_for(point.machine, point.hierarchy)
             exe = session.compile(bundle.program, point.schedule_for(bundle))
             runs.append(exe.functional(bundle.binding))
         assert any(f.stats[n].residency for f in runs[0].regions for n in f.stats)
