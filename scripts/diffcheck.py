@@ -17,6 +17,12 @@ result object, whose metrics and per-region stats must equal, bit for
 bit, both ``exe.time(exe.functional(binding))`` and a memo-off session's
 result.
 
+A third pass checks the region table: each model under each granularity,
+compiled on the ``flat`` and ``fpga-small`` hierarchies by sessions that
+share one table (as a sweep worker's do, so the second hierarchy's
+compiles are served lowered regions), must equal fresh sessions' compiles
+bit for bit: region graphs, placement maps, metrics and tensors.
+
 Usage: PYTHONPATH=src python scripts/diffcheck.py [model ...]
 """
 
@@ -28,6 +34,7 @@ from repro.comal.engine import run_timed
 from repro.comal.functional import run_functional
 from repro.comal.machines import RDA_MACHINE
 from repro.driver import Session
+from repro.driver.pipeline import RegionTable
 from repro.sam.token import TokenStream, as_token_list, streams_equal
 from repro.sweep import SweepPoint, build_bundle
 
@@ -45,6 +52,9 @@ SCALAR_MODELS = ("gcn", "graphsage", "sae")
 #: The memo parity pass's schedules and hierarchies.
 MEMO_SCHEDULES = ("unfused", "partial")
 MEMO_HIERARCHIES = ("flat", "fpga-small")
+
+#: The region table pass's hierarchies, compiled in this order.
+TABLE_HIERARCHIES = ("flat", "fpga-small")
 
 #: A region's timed figures; with its node stats, what the memo must keep.
 REGION_FIELDS = (
@@ -113,8 +123,14 @@ def check_model(model):
             fl, fc = runs["token"], runs["rule"]
             problem = compare(where, "rule", fl, fc)
             if problem is None:
-                rl = run_timed(g, binds["token"], RDA_MACHINE, functional=fl)
-                rc = run_timed(g, binds["rule"], RDA_MACHINE, functional=fc)
+                rl = run_timed(
+                    g, binds["token"], RDA_MACHINE, functional=fl,
+                    placement=region.placement,
+                )
+                rc = run_timed(
+                    g, binds["rule"], RDA_MACHINE, functional=fc,
+                    placement=region.placement,
+                )
                 if rl.cycles != rc.cycles:
                     problem = (
                         f"CYCLES MISMATCH {where}: token {rl.cycles} rule {rc.cycles}"
@@ -174,11 +190,65 @@ def check_memo(model):
     return True
 
 
+def tensors_difference(want, have):
+    """First materialized tensor two ProgramResults disagree on, or None."""
+    if set(want.tensors) != set(have.tensors):
+        return f"tensor sets {sorted(want.tensors)} != {sorted(have.tensors)}"
+    for name, tensor in want.tensors.items():
+        if not np.array_equal(tensor.to_dense(), have.tensors[name].to_dense()):
+            return f"tensor {name}"
+    return None
+
+
+def check_table(model):
+    """Region table parity on ``model``: True, or False after printing the
+    first mismatch."""
+    bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
+    table = RegionTable()
+    shared = {}
+    for hierarchy in TABLE_HIERARCHIES:
+        shared[hierarchy] = Session(machine=RDA_MACHINE, hierarchy=hierarchy)
+        shared[hierarchy].pipeline.table = table
+    # Every compile first, every check after: a compile that disturbed a
+    # region another executable shares shows up in that executable.
+    compiled = {
+        (gran, hierarchy): session.compile(bundle.program, bundle.schedule(gran))
+        for gran in ("unfused", "partial", "full")
+        for hierarchy, session in shared.items()
+    }
+    for (gran, hierarchy), have in compiled.items():
+        where = f"{model}/{gran}/{hierarchy}"
+        fresh = Session(machine=RDA_MACHINE, hierarchy=hierarchy)
+        want = fresh.compile(bundle.program, bundle.schedule(gran))
+        for a, b in zip(want.regions, have.regions, strict=True):
+            if a.graph.describe() != b.graph.describe():
+                print(f"TABLE GRAPH MISMATCH {where}/{a.graph.name}")
+                return False
+            if a.placement != b.placement:
+                print(f"TABLE PLACEMENT MISMATCH {where}/{a.graph.name}")
+                return False
+        want_result, have_result = want(bundle.binding), have(bundle.binding)
+        problem = result_difference(want_result, have_result) or (
+            tensors_difference(want_result, have_result)
+        )
+        if problem is not None:
+            print(f"TABLE MISMATCH {where}: {problem}")
+            return False
+    if not table.hits:
+        print(f"{model}: the region table served no region")
+        return False
+    print(
+        f"{model}: region table OK ({table.lowered} region(s) lowered, "
+        f"{table.hits} served)"
+    )
+    return True
+
+
 def main(models):
     ok = True
     for model in models:
         tiers = check_model(model)
-        if tiers is None or not check_memo(model):
+        if tiers is None or not check_memo(model) or not check_table(model):
             ok = False
         elif model in SCALAR_MODELS and not tiers["columnar"]:
             print(f"{model}: the rule ran no region on the columnar tier")

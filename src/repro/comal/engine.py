@@ -26,6 +26,7 @@ import numpy as np
 
 from ..sam.graph import SAMGraph
 from .functional import FunctionalResult, run_functional
+from .hierarchy import UNPLACED, Placement
 from .machines import Machine, RDA_MACHINE
 
 
@@ -224,10 +225,14 @@ _NO_PORTS: Dict[str, Any] = {}
 #: Per-graph timing plans: node id, timing class, input port keys, and the
 #: node object (read live for its parallel factor).  Keyed weakly by graph;
 #: invalidated by identity of the topological-order list, which the graph
-#: rebuilds on any structural change.
+#: rebuilds on any structural change.  Plans hold no placement: compiles
+#: for different hierarchies share one graph.
 _PLAN_CACHE: "weakref.WeakKeyDictionary[SAMGraph, Tuple[Any, List[Tuple]]]" = (
     weakref.WeakKeyDictionary()
 )
+
+#: The placement map of a graph nothing placed: every node unplaced.
+_NO_PLACEMENT: Dict[str, Placement] = {}
 
 
 def _timing_plan(graph: SAMGraph, order: List[str]) -> List[Tuple]:
@@ -238,19 +243,7 @@ def _timing_plan(graph: SAMGraph, order: List[str]) -> List[Tuple]:
     for node_id in order:
         node = graph.nodes[node_id]
         in_keys = tuple(src.key() for src in node.inputs.values())
-        # Placement metadata is written once at compile time by the
-        # place-memory pass; hand-built graphs default to flat DRAM.
-        plan.append(
-            (
-                node_id,
-                node.prim.timing_class(),
-                in_keys,
-                node,
-                node.meta.get("mem_level", "dram"),
-                node.meta.get("mem_role", "io"),
-                node.meta.get("mem_bank", 0),
-            )
-        )
+        plan.append((node_id, node.prim.timing_class(), in_keys, node))
     _PLAN_CACHE[graph] = (order, plan)
     return plan
 
@@ -265,6 +258,7 @@ def run_timed(
     debug_streams: Optional[bool] = None,
     backend: Optional[str] = None,
     cache: bool = True,
+    placement: Optional[Dict[str, Placement]] = None,
 ) -> SimResult:
     """Time ``graph`` on ``machine``, running it first if no ``functional``
     result is given.
@@ -280,6 +274,10 @@ def run_timed(
     never tokens, and the returned ``functional`` keeps the run's stats,
     results, order and streams but no port lengths.
 
+    ``placement`` is the compiled region's placement map (node id ->
+    :class:`~repro.comal.hierarchy.Placement`, from ``place-memory``); a
+    node it does not name is unplaced, served from DRAM as plain I/O.
+
     Nothing is memoized here: the one simulator memo is the
     :class:`~repro.driver.executable.Executable`'s.  ``backend`` and
     ``cache`` are accepted and ignored (frozen ``bench/`` passes them;
@@ -294,6 +292,8 @@ def run_timed(
             debug_streams=debug_streams,
         )
     func = functional.resolved(machine.scratchpad_bytes)
+    if placement is None:
+        placement = _NO_PLACEMENT
     # On-chip buffer level: nodes the place-memory pass marked "sram" are
     # paced through their bank instead of the DRAM port.  A machine without
     # an SRAM level serves every placement from DRAM (the placement is a
@@ -316,15 +316,8 @@ def run_timed(
     for (nid, port), length in functional.port_lengths().items():
         lengths_by_node.setdefault(nid, {})[port] = length
 
-    for (
-        node_id,
-        tclass,
-        in_keys,
-        par_node,
-        mem_level,
-        mem_role,
-        mem_bank,
-    ) in _timing_plan(graph, func.order):
+    for node_id, tclass, in_keys, par_node in _timing_plan(graph, func.order):
+        mem_level, mem_role, mem_bank, _ = placement.get(node_id, UNPLACED)
         par = par_node.par_factor
         ii = machine.ii_of(tclass) / (par if par > 1 else 1)
         lat = machine.latency_of(tclass)

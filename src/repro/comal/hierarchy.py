@@ -13,9 +13,11 @@ Placement is decided at compile time by the ``place-memory`` pass
 (:func:`repro.driver.passes.place_memory`): intermediates that cross fusion
 regions are kept in the on-chip buffer while capacity lasts, and *spill* to
 DRAM once it runs out; reads of a spilled intermediate are *fills*.  The
-timed engine (:mod:`repro.comal.engine`) then paces each node's traffic
-through the level it was placed in and reports per-level byte counts in
-:class:`~repro.comal.engine.SimResult`.
+pass writes one :class:`Placement` per memory-touching node into the
+compiled region's placement map (never into the graph, which compiles of
+other hierarchies share); the timed engine (:mod:`repro.comal.engine`)
+paces each node's traffic through the level it was placed in and reports
+per-level byte counts in :class:`~repro.comal.engine.SimResult`.
 
 The ``flat`` hierarchy (no SRAM level) reproduces the pre-hierarchy
 simulator bit for bit: every placement request falls through to DRAM, and
@@ -35,7 +37,27 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
+
+
+class Placement(NamedTuple):
+    """Where ``place-memory`` put one node's memory traffic.
+
+    ``level`` is ``"sram"`` or ``"dram"``; ``role`` is ``"input"``,
+    ``"output"``, ``"intermediate"``, ``"spill"`` or ``"fill"``; ``bank``
+    is the on-chip bank (0 off-chip); ``tile_scale`` is the split divisor
+    the capacity check applied to a cross-region intermediate (1 when it
+    did not enter the decision).
+    """
+
+    level: str
+    role: str
+    bank: int = 0
+    tile_scale: int = 1
+
+
+#: What a node with no placement (hand-built graphs) is served as.
+UNPLACED = Placement("dram", "io")
 
 
 @dataclass(frozen=True)

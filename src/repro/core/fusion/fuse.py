@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..einsum.ast import (
     Access,
@@ -114,12 +114,48 @@ class FusedEinsum:
         return f"forall {' '.join(order)}: {body}"
 
 
+@dataclass
+class ProgramUses:
+    """One scan of a program: the statements reading each tensor, and the
+    program outputs.  Fusing a region asks which of its tensors are read
+    outside it; with this built once per compile, that costs a lookup per
+    tensor instead of a scan of every statement per region."""
+
+    readers: Dict[str, List[int]]
+    outputs: FrozenSet[str]
+
+    @classmethod
+    def of(cls, program: EinsumProgram) -> "ProgramUses":
+        readers: Dict[str, List[int]] = {}
+        for stmt in program.statements:
+            sid = stmt.sid
+            for acc in stmt.operands:
+                sids = readers.get(acc.tensor)
+                if sids is None:
+                    readers[acc.tensor] = [sid]
+                elif sids[-1] != sid:
+                    sids.append(sid)
+        # EinsumProgram.outputs(): produced, never consumed.
+        outputs = frozenset(
+            s.lhs.tensor for s in program.statements if s.lhs.tensor not in readers
+        )
+        return cls(readers, outputs)
+
+    def kept(self, tensor: str, sids: AbstractSet[int]) -> bool:
+        """Must ``tensor`` outlive a region of ``sids``: a program output,
+        or read by a statement outside the region?"""
+        if tensor in self.outputs:
+            return True
+        return any(sid not in sids for sid in self.readers.get(tensor, ()))
+
+
 def fuse_region(
     program: EinsumProgram,
     sids: Sequence[int],
     name: str = "region",
     extra_orders: Dict[int, Sequence[str]] | None = None,
     decls: Dict[str, object] | None = None,
+    uses: Optional[ProgramUses] = None,
 ) -> FusedEinsum:
     """Fuse the statements with ids ``sids`` into one :class:`FusedEinsum`.
 
@@ -127,9 +163,13 @@ def fuse_region(
     (keyed by sid) on top of orders embedded in the statements.  ``decls``
     extends the program's declarations with tensors materialized by earlier
     regions (their storage formats constrain this region's POG too).
+    ``uses`` is the program's :class:`ProgramUses`, scanned here when not
+    given.
     """
     sids = list(sids)
     sid_set = set(sids)
+    if uses is None:
+        uses = ProgramUses.of(program)
     stmts = [program.statements[sid] for sid in sids]
     extra_orders = extra_orders or {}
     all_decls = dict(program.decls)
@@ -259,20 +299,13 @@ def fuse_region(
         ci += 1
 
     # Dead-statement elimination: clones may orphan original statements.
-    consumed_outside: Set[str] = set()
-    for other in program.statements:
-        if other.sid in sid_set:
-            continue
-        consumed_outside.update(a.tensor for a in other.operands)
-    program_outputs = set(program.outputs())
-    keep_always = consumed_outside | program_outputs
     changed_dce = True
     while changed_dce:
         changed_dce = False
         used = {a.tensor for s in work for a in s.operands}
         for i in range(len(work) - 1, -1, -1):
             t = work[i].lhs.tensor
-            if t not in used and t not in keep_always:
+            if t not in used and not uses.kept(t, sid_set):
                 del work[i]
                 del orig_sids[i]
                 changed_dce = True
@@ -393,11 +426,7 @@ def fuse_region(
     # ------------------------------------------------------------------
     # Region outputs: consumed outside the region, or program outputs.
     # ------------------------------------------------------------------
-    outputs = [
-        s.lhs.tensor
-        for s in unified
-        if s.lhs.tensor in consumed_outside or s.lhs.tensor in program_outputs
-    ]
+    outputs = [s.lhs.tensor for s in unified if uses.kept(s.lhs.tensor, sid_set)]
 
     fused = FusedEinsum(
         name=name,
@@ -607,6 +636,7 @@ def front_end(
     extra_orders: Dict[int, Sequence[str]] | None = None,
     decls: Dict[str, object] | None = None,
     seconds: Dict[str, float] | None = None,
+    uses: Optional[ProgramUses] = None,
 ) -> FusedEinsum:
     """The compile flow's first three passes over one region.
 
@@ -614,11 +644,11 @@ def front_end(
     ``merge-contractions`` unless ``skips`` (from :func:`front_end_skips`)
     names them.  The compiler and the fusion heuristic both fuse through
     here; ``seconds``, when given, accumulates each pass's wall time under
-    its name.
+    its name.  ``uses`` is passed on to :func:`fuse_region`.
     """
     start = time.perf_counter()
     fused = fuse_region(
-        program, sids, name=name, extra_orders=extra_orders, decls=decls
+        program, sids, name=name, extra_orders=extra_orders, decls=decls, uses=uses
     )
     ends = [("fuse-regions", time.perf_counter())]
     for pass_name, rewrite in (

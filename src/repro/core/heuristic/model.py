@@ -35,7 +35,7 @@ import numpy as np
 from ...comal.machines import RDA_MACHINE
 from ...sam.primitives.base import residency_charge
 from ..einsum.ast import EinsumProgram, MULTIPLICATIVE_OPS, Statement
-from ..fusion.fuse import FusedEinsum, front_end, front_end_skips
+from ..fusion.fuse import FusedEinsum, ProgramUses, front_end, front_end_skips
 from ..schedule.schedule import Schedule, unfused
 
 
@@ -124,6 +124,7 @@ class FusionHeuristic:
         self.program = program
         self.stats = dict(stats)
         self.sizes = program.index_sizes()
+        self._uses = ProgramUses.of(program)
         # On-chip residency threshold, matching the simulator's
         # scratchpad.  Pass the target machine's value (rank_schedules
         # and the cost models do) so hierarchy-pinned operand budgets
@@ -150,7 +151,9 @@ class FusionHeuristic:
             if region is None:
                 # The compiler's own front end, though without the grown
                 # declarations and statement orders the compiler passes.
-                fused = front_end(self.program, sids, skips, name="h-r")
+                fused = front_end(
+                    self.program, sids, skips, name="h-r", uses=self._uses
+                )
                 region = self._fused[key] = _FusedRegion(fused)
             order = schedule.orders.get(pos) or region.first_order()
             flops, nbytes = self._region_cost(key, region, order, known_stats)

@@ -290,13 +290,34 @@ class SearchTask:
     candidates: Optional[List[Schedule]] = None
 
 
+def resolved_program(exe) -> Tuple:
+    """What a compiled schedule's simulation depends on besides the
+    program, binding and machine: its regions, each region's lowered order
+    (the split prefix included), ``par``, statement orders and the two
+    rewrite flags.  Schedules that differ only in name, in a pinned order
+    equal to the compiler's own pick, or in splits no region iterates
+    resolve alike."""
+    schedule = exe.schedule
+    return (
+        tuple(tuple(sids) for sids in schedule.regions),
+        tuple(tuple(region.order) for region in exe.regions),
+        tuple(sorted(schedule.par.items())),
+        tuple(sorted((sid, tuple(o)) for sid, o in schedule.stmt_orders.items())),
+        schedule.fold_masks,
+        schedule.global_rewrite,
+    )
+
+
 class Evaluator:
     """The one place a search simulates a schedule.
 
     Deduplicates by schedule content fingerprint, counts only successful
     simulations against the budget, and appends one JSON-safe trace entry
     per *attempted* evaluation (failures included, with the exception
-    type as the reason, so a trace replays the search exactly).
+    type as the reason, so a trace replays the search exactly).  A
+    candidate whose compile resolves to a program already simulated
+    (:func:`resolved_program`) reuses that outcome: it is traced and
+    counted like any other, without simulating again.
     """
 
     def __init__(self, task: SearchTask) -> None:
@@ -307,6 +328,8 @@ class Evaluator:
         self.best: Optional[Schedule] = None
         self.best_cycles = float("inf")
         self._measured: Dict[str, Optional[float]] = {}
+        # Resolved program -> its cycles, or the name of the error it raised.
+        self._programs: Dict[Tuple, object] = {}
 
     def exhausted(self) -> bool:
         return self.evaluations >= self.task.budget
@@ -338,16 +361,24 @@ class Evaluator:
             "predicted": float(predicted),
         }
         try:
-            result = self.task.session.run(
-                self.task.program, self.task.binding, schedule
-            )
-            cycles = float(result.metrics.cycles)
+            exe = self.task.session.compile(self.task.program, schedule)
+            program = resolved_program(exe)
+            outcome = self._programs.get(program)
+            if outcome is None:
+                try:
+                    outcome = float(exe(self.task.binding).metrics.cycles)
+                except Exception as exc:
+                    outcome = type(exc).__name__
+                self._programs[program] = outcome
         except Exception as exc:
+            outcome = type(exc).__name__
+        if isinstance(outcome, str):
             self._measured[fingerprint] = None
             entry["status"] = "error"
-            entry["error"] = type(exc).__name__
+            entry["error"] = outcome
             self.trace.append(entry)
             return None
+        cycles = outcome
         self._measured[fingerprint] = cycles
         self.evaluations += 1
         entry["status"] = "ok"

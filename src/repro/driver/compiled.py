@@ -16,6 +16,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..comal.engine import SimResult, run_timed
 from ..comal.functional import FunctionalResult, default_debug_streams, run_functional
+from ..comal.hierarchy import Placement
 from ..comal.machines import Machine, RDA_MACHINE
 from ..comal.metrics import ProgramMetrics
 from ..core.einsum.ast import EinsumProgram, TensorDecl
@@ -28,7 +29,13 @@ from ..sam.graph import SAMGraph
 
 @dataclass
 class CompiledRegion:
-    """One fused region's compiled form."""
+    """One fused region's compiled form.
+
+    ``graph`` and ``fused`` may be shared with other compiles of the same
+    region (another hierarchy's, say) and are never mutated after
+    compile; ``placement`` (node id -> where ``place-memory`` put its
+    traffic) is this compile's own.
+    """
 
     graph: SAMGraph
     fused: FusedEinsum
@@ -37,6 +44,7 @@ class CompiledRegion:
     table_text: str
     # Permuted copies to materialize: (original tensor, new name, mode order).
     transposes: List[Tuple[str, str, Tuple[int, ...]]] = field(default_factory=list)
+    placement: Dict[str, Placement] = field(default_factory=dict)
 
 
 @dataclass
@@ -167,7 +175,7 @@ def time_stage(
         for extra in extras:
             metrics.dram_bytes += extra
             metrics.cycles += extra / machine.dram_bandwidth
-        result = run_timed(region.graph, {}, machine, func)
+        result = run_timed(region.graph, {}, machine, func, placement=region.placement)
         metrics.add(result, region.graph.name)
         region_results.append(result)
         produced.update(result.results)

@@ -69,7 +69,7 @@ __all__ = [
 
 #: File magic + on-disk format version.  Bump when the entry layout or the
 #: pickled object graph changes incompatibly.
-ENTRY_MAGIC = b"FFDC0002"
+ENTRY_MAGIC = b"FFDC0003"
 
 _DIGEST_BYTES = 32  # sha256
 _SUFFIX = ".ffc"

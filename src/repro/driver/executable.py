@@ -13,9 +13,12 @@ Calls go through the one simulator memo, kept here per executable.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..comal.functional import default_debug_streams
 from ..comal.machines import Machine
@@ -40,6 +43,21 @@ _MEMO_ENTRIES = 4
 #: Serve threads share executables, so several calls may fill one memo at
 #: once: insertion and eviction hold this lock (a lookup is one dict read).
 _MEMO_LOCK = threading.Lock()
+
+
+def _content_digest(tensor: Optional[SparseTensor]) -> Optional[bytes]:
+    """A hash of everything a tensor stores: shape, format, each level's
+    coordinates and the values."""
+    if tensor is None:
+        return None
+    digest = hashlib.sha256(repr((tensor.shape, tensor.fmt)).encode())
+    for level in tensor.levels:
+        digest.update(f"{level.kind} {level.size};".encode())
+        if level.kind == "compressed":
+            digest.update(np.asarray(level.pos, dtype=np.int64).tobytes())
+            digest.update(np.asarray(level.crd, dtype=np.int64).tobytes())
+    digest.update(np.ascontiguousarray(tensor.values).tobytes())
+    return digest.digest()
 
 
 class Executable:
@@ -77,7 +95,8 @@ class Executable:
         #: Execution options inherited from the Session.
         self.debug_streams = debug_streams
         self.sim_cache = sim_cache
-        #: The simulator memo: key -> (result, pinned tensors, machine).
+        #: The simulator memo: key -> (result, pinned tensors, machine,
+        #: their content digests under ``debug_streams``, else None).
         self._memo: Dict[Tuple, Tuple] = {}
 
     # ------------------------------------------------------------------
@@ -139,7 +158,10 @@ class Executable:
         the resolved ``debug_streams``; a hit returns the stored result
         itself.  It keeps at most :data:`_MEMO_ENTRIES` results, each
         pinning its tensors and machine; their regions keep stats, results
-        and order, and streams only under ``debug_streams``.
+        and order, and streams only under ``debug_streams``.  Under
+        ``debug_streams`` an entry also keeps its tensors' content digests,
+        and a hit on a tensor mutated in place since raises RuntimeError
+        instead of returning a stale result.
 
         Parameters
         ----------
@@ -171,15 +193,29 @@ class Executable:
             key = (ids, id(machine), debug)
             entry = self._memo.get(key)
             if entry is not None:
+                if debug:
+                    self._check_unmutated(entry)
                 return entry[0]
         result = execute_compiled(self.compiled, bind, machine, debug_streams=debug)
         if key is not None:
             pinned = [bind.get(name) for name in self._reads]
+            digests = [_content_digest(t) for t in pinned] if debug else None
             with _MEMO_LOCK:
-                self._memo[key] = (result, pinned, machine)
+                self._memo[key] = (result, pinned, machine, digests)
                 while len(self._memo) > _MEMO_ENTRIES:
                     del self._memo[next(iter(self._memo))]
         return result
+
+    def _check_unmutated(self, entry: Tuple) -> None:
+        """Raise if a tensor a memo entry pinned changed since it ran."""
+        _, pinned, _, digests = entry
+        for name, tensor, digest in zip(self._reads, pinned, digests):
+            if _content_digest(tensor) != digest:
+                raise RuntimeError(
+                    f"tensor {name!r} was mutated in place after a memoized "
+                    "call read it; the memo would return a stale result "
+                    "(bind a new tensor instead)"
+                )
 
     def functional(self, binding: Dict[str, SparseTensor]) -> FunctionalRun:
         """Run every region with no machine: all :meth:`time` needs."""

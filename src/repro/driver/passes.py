@@ -13,6 +13,12 @@ declarations (materialized outputs) that constrain the fusion of region
 *i + 1* — the stages cannot be globally barriered without losing that
 dataflow.  A pass mutates the :class:`RegionState` it is given and records
 what it did in the region's diagnostics.
+
+Every pass but ``place-memory`` is a function of the region's lowering
+context alone, never of the hierarchy, so its graph can be shared by the
+compiles of every hierarchy (:class:`~repro.driver.pipeline.RegionTable`):
+``place-memory`` writes its decisions into the region's placement map,
+never into the graph.
 """
 
 from __future__ import annotations
@@ -20,9 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..comal.hierarchy import FLAT_HIERARCHY, HierarchySpec, dense_estimate_bytes
+from ..comal.hierarchy import (
+    FLAT_HIERARCHY,
+    HierarchySpec,
+    Placement,
+    dense_estimate_bytes,
+)
 from ..core.einsum.ast import EinsumProgram, TensorDecl
-from ..core.fusion.fuse import FusedEinsum
+from ..core.fusion.fuse import FusedEinsum, ProgramUses
 from ..core.schedule.par import apply_parallelization
 from ..core.schedule.schedule import Schedule
 from ..core.schedule.split import (
@@ -54,6 +65,8 @@ class RegionState:
     output_specs: List[OutputSpec] = field(default_factory=list)
     table_text: str = ""
     transposes: List[Tuple[str, str, Tuple[int, ...]]] = field(default_factory=list)
+    # Node id -> where place-memory put its traffic.
+    placement: Dict[str, Placement] = field(default_factory=dict)
 
 
 @dataclass
@@ -79,6 +92,10 @@ class PassContext:
         Bytes of on-chip buffer capacity already granted to resident
         intermediates (the allocation is program-lifetime: regions execute
         back to back and resident tensors persist across the boundary).
+    uses, last_read:
+        The program's readers and outputs, and per tensor the last region
+        position that reads it: scanned once per compile, so fusing and
+        placing a region never rescan the whole program.
     """
 
     program: EinsumProgram
@@ -89,6 +106,16 @@ class PassContext:
     decls: Dict[str, TensorDecl] = field(default_factory=dict)
     placements: Dict[str, str] = field(default_factory=dict)
     sram_reserved: int = 0
+    uses: ProgramUses = field(init=False)
+    last_read: Dict[str, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.uses = ProgramUses.of(self.program)
+        self.last_read = {}
+        for position, sids in enumerate(self.schedule.regions):
+            for sid in sids:
+                for acc in self.program.statements[sid].operands:
+                    self.last_read[acc.tensor] = position
 
 
 #: The orders ``lower-region`` tries per region before giving up.
@@ -161,10 +188,6 @@ def lower_region(ctx: PassContext, region: RegionState) -> None:
         (_original_tensor(region.fused, key), name, mode_order)
         for key, (name, mode_order) in lowerer.transpose_requests.items()
     ]
-    for spec in lowerer.output_specs:
-        ctx.decls[spec.name] = TensorDecl(
-            spec.name, spec.shape, spec.fmt, is_input=False
-        )
     region.diag.node_count = graph.node_count()
     region.diag.transposed_views = len(region.fused.transposed_views)
 
@@ -256,16 +279,24 @@ def _original_tensor(fused: FusedEinsum, key: Tuple[int, int]) -> str:
     raise KeyError(key)
 
 
+def register_outputs(ctx: PassContext, region: RegionState) -> None:
+    """Declare the region's materialized outputs for the regions after it."""
+    for spec in region.output_specs:
+        ctx.decls[spec.name] = TensorDecl(
+            spec.name, spec.shape, spec.fmt, is_input=False
+        )
+
+
 def place_memory(ctx: PassContext, region: RegionState) -> None:
     """``place-memory``: decide which hierarchy level serves each node.
 
     Runs after ``lower-region``: the region's SAMML graph exists, so every
-    scanner/locate/array/writer node can be annotated with the level of the
-    tensor it touches (``node.meta["mem_level"]``), its traffic role
-    (``mem_role``), and — for on-chip placements — a bank assignment
-    (``mem_bank``).  The timed engine reads these annotations to pace each
+    scanner/locate/array/writer node gets a
+    :class:`~repro.comal.hierarchy.Placement` in ``region.placement``: the
+    level of the tensor it touches, its traffic role, and — for on-chip
+    placements — a bank.  The timed engine reads the map to pace each
     node's traffic through the right level (see
-    :mod:`repro.comal.hierarchy`).
+    :mod:`repro.comal.hierarchy`).  The graph itself is left untouched.
 
     Placement policy (the paper's fused-vs-unfused story made explicit):
 
@@ -283,11 +314,10 @@ def place_memory(ctx: PassContext, region: RegionState) -> None:
     reporting.
     """
     hier = ctx.hierarchy
-    program_outputs = set(ctx.program.outputs())
-    consumed_later = _consumed_later(ctx, region.position)
+    placement = region.placement
     placed_sram = 0
     spilled = 0
-    for node in region.graph.nodes.values():
+    for node_id, node in region.graph.nodes.items():
         prim = node.prim
         if not prim.touches_dram():
             continue
@@ -296,9 +326,7 @@ def place_memory(ctx: PassContext, region: RegionState) -> None:
             continue
         tile_scale = 1
         if prim.kind == "write":
-            level, role, tile_scale = _place_output(
-                ctx, prim, tensor_name, program_outputs, consumed_later, region
-            )
+            level, role, tile_scale = _place_output(ctx, prim, tensor_name, region)
             if role == "spill":
                 spilled += 1
         else:
@@ -312,16 +340,11 @@ def place_memory(ctx: PassContext, region: RegionState) -> None:
                 level, role = "dram", "fill"
             else:
                 level, role = "dram", "input"
-        node.meta["mem_level"] = level
-        node.meta["mem_role"] = role
-        if tile_scale > 1:
-            # Recorded only when the scaled estimate actually entered
-            # the capacity decision (cross-region intermediates) —
-            # program outputs are placed in DRAM before any scaling.
-            node.meta["mem_tile_scale"] = tile_scale
+        bank = 0
         if level == "sram":
-            node.meta["mem_bank"] = hier.sram.bank_of(tensor_name)
+            bank = hier.sram.bank_of(tensor_name)
             placed_sram += 1
+        placement[node_id] = Placement(level, role, bank, tile_scale)
     region.diag.sram_placed = placed_sram
     region.diag.spilled_outputs = spilled
     region.diag.sram_reserved = ctx.sram_reserved
@@ -331,23 +354,8 @@ def place_memory(ctx: PassContext, region: RegionState) -> None:
         )
 
 
-def _consumed_later(ctx: PassContext, position: int) -> set:
-    """Tensor names read by statements in regions after ``position``."""
-    later: set = set()
-    for sids in ctx.schedule.regions[position + 1 :]:
-        for sid in sids:
-            for acc in ctx.program.statements[sid].operands:
-                later.add(acc.tensor)
-    return later
-
-
 def _place_output(
-    ctx: PassContext,
-    prim,
-    tensor_name: str,
-    program_outputs: set,
-    consumed_later: set,
-    region: RegionState,
+    ctx: PassContext, prim, tensor_name: str, region: RegionState
 ) -> Tuple[str, str, int]:
     """Place one writer's tensor; returns (level, role, tile scale).
 
@@ -355,7 +363,10 @@ def _place_output(
     check used; 1 for program outputs, whose DRAM placement never
     consults the estimate.
     """
-    if tensor_name in program_outputs or tensor_name not in consumed_later:
+    if (
+        tensor_name in ctx.uses.outputs
+        or ctx.last_read.get(tensor_name, -1) <= region.position
+    ):
         return "dram", "output", 1
     estimate = dense_estimate_bytes(prim.shape, getattr(prim, "fmt", None))
     # Index splitting shrinks the *resident* footprint: with a mode of
@@ -406,7 +417,10 @@ def parallelize(ctx: PassContext, region: RegionState) -> None:
         )
 
 
-#: The back-end passes, in flow order, after the front end's three.
+#: The back-end passes, in flow order, after the front end's three.  All
+#: but ``place-memory`` lower the region once per lowering context; the
+#: flow runs ``place-memory`` on every compile (see
+#: :class:`~repro.driver.pipeline.RegionTable`).
 BACK_END: Tuple[Tuple[str, Callable[[PassContext, RegionState], None]], ...] = (
     ("split-indices", split_indices),
     ("lower-region", lower_region),

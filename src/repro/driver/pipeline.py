@@ -11,21 +11,45 @@ the schedule's or the hierarchy's say, never the flow's:
 * ``parallelize`` — ``Schedule.par``.
 
 ``run`` times every pass and collects :class:`CompileDiagnostics`.
+
+Only ``place-memory`` reads the hierarchy.  The other six passes lower a
+region the same way for every hierarchy and machine, so flows that share
+a :class:`RegionTable` (a sweep worker's sessions) keep their result — a
+placement-free :class:`LoweredRegion` — keyed by the region's lowering
+context, and a compile that finds its region there runs ``place-memory``
+alone.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
-from typing import Dict, List, Sequence, Tuple
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..comal.hierarchy import FLAT_HIERARCHY, resolve_hierarchy
 from ..core.einsum.ast import EinsumProgram, TensorDecl
-from ..core.fusion.fuse import FRONT_END_PASSES, front_end, front_end_skips
+from ..core.fusion.fuse import (
+    FRONT_END_PASSES,
+    FusedEinsum,
+    front_end,
+    front_end_skips,
+)
 from ..core.schedule.schedule import Schedule
+from ..core.tables.lower import LoweringError, OutputSpec
+from ..sam.graph import SAMGraph
 from .compiled import CompiledRegion
 from .diagnostics import CompileDiagnostics, RegionDiagnostics
-from .passes import BACK_END, MAX_ORDER_ATTEMPTS, PassContext, RegionState
+from .passes import (
+    BACK_END,
+    MAX_ORDER_ATTEMPTS,
+    PassContext,
+    RegionState,
+    place_memory,
+    register_outputs,
+)
 
 #: The compile flow (paper Figure 6 plus memory placement and index
 #: splitting): splitting is scheduled *before* lowering (the tile decision
@@ -38,8 +62,127 @@ DEFAULT_PASS_ORDER: Tuple[str, ...] = (
 )
 
 
+#: The placement-free passes after the front end, in flow order.
+_LOWERING = tuple((name, run) for name, run in BACK_END if name != "place-memory")
+
+
 class PipelineError(RuntimeError):
     """Raised when asked for a pass order other than the compile flow's."""
+
+
+@dataclass
+class LoweredRegion:
+    """A region as every pass but ``place-memory`` leaves it.
+
+    Shared, never copied, by every compile that looks it up, and never
+    mutated: the compiled regions hold its graph and lists, and ``diag``
+    is a template each compile copies before placement adds its own
+    figures.
+    """
+
+    fused: FusedEinsum
+    graph: SAMGraph
+    order: List[str]
+    # The splits lowering materialized (place-memory scales footprints).
+    splits: Dict[str, int]
+    output_specs: List[OutputSpec]
+    table_text: str
+    transposes: List[Tuple[str, str, Tuple[int, ...]]]
+    diag: RegionDiagnostics
+
+
+#: A table entry: the lowered region, or the error lowering it raised.
+RegionEntry = Union[LoweredRegion, LoweringError]
+
+
+class RegionTable:
+    """Lowered regions by lowering context, shared by every flow that holds it.
+
+    The key (:func:`region_key`) is everything the six placement-free
+    passes read: the program's fingerprint, the region's name and
+    statements, the front-end skips, its statement orders, pinned order,
+    splits and ``par``, and the shape and format of each materialized
+    tensor it touches.  The machine and the hierarchy are not in it.
+    Thread-safe; least recently used entries go past ``max_entries``.
+    ``lowered`` counts the regions lowered into the table, ``hits`` the
+    lookups it served.
+    """
+
+    def __init__(self, max_entries: int = 4096) -> None:
+        self.max_entries = max_entries
+        self._entries: "OrderedDict[Hashable, RegionEntry]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.lowered = 0
+        self.hits = 0
+
+    def get(self, key: Hashable):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+            return entry
+
+    def put(self, key: Hashable, entry: RegionEntry) -> None:
+        with self._lock:
+            self._entries[key] = entry
+            self.lowered += 1
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        """Drop every entry and reset the counters."""
+        with self._lock:
+            self._entries.clear()
+            self.lowered = 0
+            self.hits = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+def region_key(
+    ctx: PassContext,
+    fingerprint: str,
+    position: int,
+    name: str,
+    sids: Sequence[int],
+    skips: Dict[str, str],
+) -> Tuple:
+    """The :class:`RegionTable` key of one region of ``ctx``'s compile.
+
+    The region's name is part of it because lowering renders the name into
+    the graph, the fusion table and the fused region.  Of the declarations
+    the compile grew, only those of tensors the region's statements touch
+    enter (the program's own are in its fingerprint).
+    """
+    program, schedule = ctx.program, ctx.schedule
+    sid_set = set(sids)
+    materialized = []
+    for sid in sids:
+        stmt = program.statements[sid]
+        for acc in (stmt.lhs, *stmt.operands):
+            decl = ctx.decls.get(acc.tensor)
+            if decl is not None and decl is not program.decls.get(acc.tensor):
+                materialized.append((acc.tensor, tuple(decl.shape), decl.fmt))
+    pinned = schedule.orders.get(position)
+    return (
+        fingerprint,
+        name,
+        tuple(sids),
+        tuple(skips.items()),
+        tuple(
+            sorted(
+                (sid, tuple(order))
+                for sid, order in schedule.stmt_orders.items()
+                if sid in sid_set
+            )
+        ),
+        None if pinned is None else tuple(pinned),
+        tuple(schedule.splits.items()),
+        tuple(schedule.par.items()),
+        tuple(materialized),
+    )
 
 
 class PassPipeline:
@@ -57,6 +200,10 @@ class PassPipeline:
     def __init__(self, hierarchy=None) -> None:
         spec = resolve_hierarchy(hierarchy)
         self.hierarchy = spec if spec.has_sram else FLAT_HIERARCHY
+        #: Lowered regions this flow reuses.  None lowers every region of
+        #: every compile; flows given one table (a sweep worker's
+        #: sessions) lower each region once between them.
+        self.table: Optional[RegionTable] = None
 
     @classmethod
     def default(cls) -> "PassPipeline":
@@ -100,7 +247,10 @@ class PassPipeline:
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
     def run(
-        self, program: EinsumProgram, schedule: Schedule
+        self,
+        program: EinsumProgram,
+        schedule: Schedule,
+        fingerprint: Optional[str] = None,
     ) -> Tuple[List[CompiledRegion], Dict[str, TensorDecl], CompileDiagnostics]:
         """Compile every region of ``schedule`` through the flow.
 
@@ -110,6 +260,9 @@ class PassPipeline:
             The (validated) Einsum program.
         schedule:
             The schedule whose regions drive the region-by-region flow.
+        fingerprint:
+            ``program.fingerprint()`` when the caller already has it (the
+            region table keys on it).
 
         Returns
         -------
@@ -133,53 +286,146 @@ class PassPipeline:
             hierarchy=self.hierarchy,
             decls=dict(program.decls),
         )
+        if fingerprint is None and self.table is not None:
+            fingerprint = program.fingerprint()
         seconds = diagnostics.pass_seconds
         regions: List[CompiledRegion] = []
         for position, sids in enumerate(schedule.regions):
             name = f"{schedule.name}-r{position}"
+            lowered = self._lowered(
+                ctx, fingerprint, position, list(sids), name, seconds
+            )
             state = RegionState(
                 position=position,
                 sids=list(sids),
                 name=name,
-                diag=RegionDiagnostics(name=name, position=position, sids=list(sids)),
+                diag=_own_copy(lowered.diag),
+                fused=lowered.fused,
+                graph=lowered.graph,
+                order=lowered.order,
+                splits=lowered.splits,
+                output_specs=lowered.output_specs,
+                table_text=lowered.table_text,
+                transposes=lowered.transposes,
             )
             diagnostics.regions.append(state.diag)
-            skips = front_end_skips(schedule, sids)
-            state.diag.skipped_passes.update(skips)
-            state.fused = front_end(
-                program,
-                sids,
-                skips,
-                name=name,
-                extra_orders={
-                    sid: order
-                    for sid, order in schedule.stmt_orders.items()
-                    if sid in sids
-                },
-                decls=ctx.decls,
-                seconds=seconds,
+            register_outputs(ctx, state)
+            start = time.perf_counter()
+            place_memory(ctx, state)
+            seconds["place-memory"] = (
+                seconds.get("place-memory", 0.0) + time.perf_counter() - start
             )
-            state.diag.statements = len(state.fused.statements)
-            for pass_name, run_pass in BACK_END:
-                start = time.perf_counter()
-                run_pass(ctx, state)
-                seconds[pass_name] = (
-                    seconds.get(pass_name, 0.0) + time.perf_counter() - start
-                )
-            # Validate at compile time so executions (which may replay a
-            # cached Executable thousands of times) never re-validate.
-            state.graph.validate()
+            # Skip reasons in flow order, as a pass-by-pass run leaves them.
+            skipped = state.diag.skipped_passes
+            state.diag.skipped_passes = {
+                pass_name: skipped[pass_name]
+                for pass_name in DEFAULT_PASS_ORDER
+                if pass_name in skipped
+            }
             regions.append(
                 CompiledRegion(
                     graph=state.graph,
                     fused=state.fused,
-                    order=list(state.order),
-                    output_specs=list(state.output_specs),
+                    order=state.order,
+                    output_specs=state.output_specs,
                     table_text=state.table_text,
-                    transposes=list(state.transposes),
+                    transposes=state.transposes,
+                    placement=state.placement,
                 )
             )
         return regions, ctx.decls, diagnostics
 
+    def _lowered(
+        self,
+        ctx: PassContext,
+        fingerprint: Optional[str],
+        position: int,
+        sids: List[int],
+        name: str,
+        seconds: Dict[str, float],
+    ) -> LoweredRegion:
+        """One region through the placement-free passes, or out of the
+        table when it holds the region's lowering context."""
+        skips = front_end_skips(ctx.schedule, sids)
+        if self.table is None:
+            return _lower(ctx, position, sids, name, skips, seconds)
+        key = region_key(ctx, fingerprint, position, name, sids, skips)
+        lowered = self.table.get(key)
+        if lowered is None:
+            try:
+                lowered = _lower(ctx, position, sids, name, skips, seconds)
+            except LoweringError as exc:
+                # A fresh copy: the raised one holds this compile's frames.
+                self.table.put(key, type(exc)(*exc.args))
+                raise
+            self.table.put(key, lowered)
+        elif isinstance(lowered, LoweringError):
+            raise type(lowered)(*lowered.args)
+        return lowered
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PassPipeline({self.hierarchy.name!r})"
+
+
+def _own_copy(diag: RegionDiagnostics) -> RegionDiagnostics:
+    """A copy of a lowered region's diagnostics that owns its containers."""
+    fresh = RegionDiagnostics.__new__(RegionDiagnostics)
+    fresh.__dict__.update(
+        diag.__dict__,
+        sids=list(diag.sids),
+        orders_tried=list(diag.orders_tried),
+        split_indices=dict(diag.split_indices),
+        skipped_passes=dict(diag.skipped_passes),
+    )
+    return fresh
+
+
+def _lower(
+    ctx: PassContext,
+    position: int,
+    sids: List[int],
+    name: str,
+    skips: Dict[str, str],
+    seconds: Dict[str, float],
+) -> LoweredRegion:
+    """Run the front end and the placement-free back-end passes on one
+    region, timing each pass into ``seconds``."""
+    state = RegionState(
+        position=position,
+        sids=sids,
+        name=name,
+        diag=RegionDiagnostics(name=name, position=position, sids=list(sids)),
+    )
+    state.diag.skipped_passes.update(skips)
+    state.fused = front_end(
+        ctx.program,
+        sids,
+        skips,
+        name=name,
+        extra_orders={
+            sid: order
+            for sid, order in ctx.schedule.stmt_orders.items()
+            if sid in sids
+        },
+        decls=ctx.decls,
+        seconds=seconds,
+        uses=ctx.uses,
+    )
+    state.diag.statements = len(state.fused.statements)
+    for pass_name, run_pass in _LOWERING:
+        start = time.perf_counter()
+        run_pass(ctx, state)
+        seconds[pass_name] = seconds.get(pass_name, 0.0) + time.perf_counter() - start
+    # Validate at compile time so executions (which may replay a cached
+    # Executable thousands of times) never re-validate.
+    state.graph.validate()
+    return LoweredRegion(
+        fused=state.fused,
+        graph=state.graph,
+        order=state.order,
+        splits=state.splits,
+        output_specs=state.output_specs,
+        table_text=state.table_text,
+        transposes=state.transposes,
+        diag=state.diag,
+    )

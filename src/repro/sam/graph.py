@@ -9,14 +9,16 @@ arrays name the tensors they read, and an execution binds names to actual
 
 The graph deliberately mirrors the three regions of a SAM graph (input
 iteration, computation, tensor construction); each node carries a ``region``
-tag plus optional metadata such as the index variable it iterates and a
-parallelization factor used by the timed simulator.
+tag plus the index variable it iterates and the parallelization and tile
+factors the timed simulator reads.  Memory placement is not on the graph:
+compiles for different hierarchies share one graph, each with its own
+placement map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .primitives.base import Primitive
 
@@ -47,7 +49,6 @@ class Node:
     # boundary costing one pipeline fill/drain in the timed engine.  1 means
     # flat (un-tiled) execution — bit-identical to the pre-splitting model.
     tile_factor: int = 1
-    meta: Dict[str, Any] = field(default_factory=dict)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Node({self.node_id}: {self.prim.describe()})"

@@ -98,10 +98,16 @@ def check_regions(
     fresh = session.compile(bundle.program, bundle.schedule(granularity))
     machine = session.machine
 
-    def timed(graph, bind, run_tier):
+    def timed(region, bind, run_tier):
+        graph, placement = region.graph, region.placement
         if engine:
             return run_timed(
-                graph, bind, machine, tier=run_tier, debug_streams=debug_streams
+                graph,
+                bind,
+                machine,
+                tier=run_tier,
+                debug_streams=debug_streams,
+                placement=placement,
             )
         func = run_functional(
             graph,
@@ -110,15 +116,15 @@ def check_regions(
             tier=run_tier,
             debug_streams=debug_streams,
         )
-        return run_timed(graph, bind, machine, functional=func)
+        return run_timed(graph, bind, machine, functional=func, placement=placement)
 
     bind_want, bind_have = dict(bundle.binding), dict(bundle.binding)
     for ref, region in zip(fresh.regions, (loaded or fresh).regions, strict=True):
         bind_transposes(ref, bind_want)
         bind_transposes(region, bind_have)
         where = f"{model}/{granularity}/{hierarchy}/{region.graph.name}"
-        want = timed(ref.graph, bind_want, "token")
-        have = timed(region.graph, bind_have, tier)
+        want = timed(ref, bind_want, "token")
+        have = timed(region, bind_have, tier)
         columnar = tier == "columnar" or (tier is None and model not in BLOCKED_MODELS)
         assert ran_columnar(have.functional) is columnar, where
         assert_regions_match(where, want.functional, have.functional)

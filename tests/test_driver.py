@@ -604,6 +604,212 @@ class TestSimulationMemo:
         assert not exe._memo
 
 
+    def test_debug_streams_catches_a_pinned_tensor_mutated_in_place(self, gcn_layer):
+        prog, binding, _ = gcn_layer
+        exe = Session(debug_streams=True).compile(prog, unfused(prog))
+        first = exe(binding)
+        assert exe(binding) is first
+        binding["W"].values[0] += 1.0
+        with pytest.raises(RuntimeError, match="'W' was mutated in place"):
+            exe(binding)
+        # A new tensor with the new content is a plain miss.
+        assert exe(_fresh(binding, "W")) is not first
+
+    def test_mutation_check_costs_nothing_without_debug_streams(self, gcn_layer):
+        prog, binding, _ = gcn_layer
+        exe = Session(debug_streams=False).compile(prog, unfused(prog))
+        exe(binding)
+        (entry,) = exe._memo.values()
+        assert entry[3] is None
+
+
+class TestRegionTable:
+    """The compile flow's placement-free lowered regions, shared between
+    sessions that hold one table."""
+
+    @staticmethod
+    def _shared(table, **options):
+        session = Session(**options)
+        session.pipeline.table = table
+        return session
+
+    @classmethod
+    def _keys(cls, program, schedule):
+        from repro.driver.pipeline import RegionTable
+
+        table = RegionTable()
+        cls._shared(table).compile(program, schedule)
+        return list(table._entries)
+
+    def test_a_session_on_its_own_lowers_every_compile(self, gcn_layer):
+        prog, _, _ = gcn_layer
+        session = Session()
+        assert session.pipeline.table is None
+        session.compile(prog, unfused(prog))
+        assert session.pipeline.table is None
+
+    def test_schedule_knobs_change_the_key(self, gcn_layer):
+        from dataclasses import replace
+
+        prog, _, _ = gcn_layer
+        base = fused_groups(prog, [[0, 1], [2, 3]], name="g")
+        first = self._keys(prog, base)[0]
+        order = list(Session().compile(prog, base).regions[0].order)
+        flips = {
+            "orders": {0: order},
+            "stmt_orders": {0: ("i", "k", "f")},
+            "splits": {"i": 2},
+            "par": {"i": 2},
+            "fold_masks": False,
+            "global_rewrite": True,
+        }
+        for name, value in flips.items():
+            flipped = replace(base, **{name: value})
+            assert self._keys(prog, flipped)[0] != first, name
+
+    def test_materialized_operand_shape_and_format_change_the_key(self, gcn_layer):
+        from repro.core.einsum.ast import TensorDecl
+        from repro.core.fusion.fuse import front_end_skips
+        from repro.driver.passes import PassContext
+        from repro.driver.pipeline import region_key
+
+        prog, _, _ = gcn_layer
+        schedule = unfused(prog)
+        ctx = PassContext(program=prog, schedule=schedule, decls=dict(prog.decls))
+        sids = schedule.regions[1]  # T1 reads the materialized T0
+
+        def key(shape, fmt):
+            ctx.decls["T0"] = TensorDecl("T0", shape, fmt, is_input=False)
+            skips = front_end_skips(schedule, sids)
+            return region_key(ctx, prog.fingerprint(), 1, "unfused-r1", sids, skips)
+
+        base = key((12, 6), dense(2))
+        assert key((12, 6), dense(2)) == base
+        assert key((12, 7), dense(2)) != base
+        assert key((12, 6), csr()) != base
+
+    def test_machine_and_hierarchy_leave_the_key_alone(self, gcn_layer):
+        from repro.comal import RDA_MACHINE
+        from repro.driver.pipeline import RegionTable
+
+        prog, _, _ = gcn_layer
+        table = RegionTable()
+        for machine in (RDA_MACHINE, FPGA_MACHINE):
+            for hierarchy in ("flat", "fpga-small"):
+                session = self._shared(table, machine=machine, hierarchy=hierarchy)
+                session.compile(prog, unfused(prog))
+        regions = len(prog.statements)
+        assert (table.lowered, table.hits, len(table)) == (regions, 3 * regions, regions)
+
+    @pytest.mark.parametrize("model", sorted(GOLDEN_POINTS))
+    def test_hit_equals_a_fresh_compile(self, model):
+        import re
+
+        from repro.driver.pipeline import RegionTable
+        from repro.sweep import SweepPoint, build_bundle
+
+        bundle = build_bundle(SweepPoint.make(model, model_args=GOLDEN_POINTS[model]))
+
+        def untimed(text):
+            return re.sub(r" +[\d.]+ ms", " ms", text)
+
+        table = RegionTable()
+        for granularity in ("unfused", "partial", "full"):
+            schedule = bundle.schedule(granularity)
+            warm = self._shared(table, hierarchy="flat").compile(
+                bundle.program, schedule
+            )
+            lowered = table.lowered
+            hit = self._shared(table, hierarchy="fpga-small").compile(
+                bundle.program, schedule
+            )
+            assert table.lowered == lowered, "the second compile lowered a region"
+            fresh = Session(hierarchy="fpga-small").compile(bundle.program, schedule)
+            assert untimed(hit.describe()) == untimed(fresh.describe())
+            assert hit.compiled.signature == fresh.compiled.signature
+            assert hit.diagnostics.regions == fresh.diagnostics.regions
+            for have, want in zip(hit.regions, fresh.regions, strict=True):
+                assert have.table_text == want.table_text
+                assert have.order == want.order
+                assert have.placement == want.placement
+                assert have.graph.describe() == want.graph.describe()
+            assert hit(bundle.binding).metrics == fresh(bundle.binding).metrics
+            # The hit left the first compile's placement alone.
+            flat = Session(hierarchy="flat").compile(bundle.program, schedule)
+            assert [r.placement for r in warm.regions] == [
+                r.placement for r in flat.regions
+            ]
+
+    def test_concurrent_compiles_share_one_bounded_table(self, gcn_layer):
+        """More threads than cores compile through fresh sessions sharing
+        one table too small for the program, so entries churn."""
+        from repro.driver.pipeline import RegionTable
+
+        prog, binding, _ = gcn_layer
+        hierarchies = ("flat", "fpga-small")
+        want = {
+            h: Session(hierarchy=h).compile(prog, unfused(prog))(binding).metrics
+            for h in hierarchies
+        }
+        table = RegionTable(max_entries=3)
+        count = min(16, (os.cpu_count() or 2) + 2)
+        start = threading.Barrier(count)
+        errors = []
+
+        def hammer(offset):
+            try:
+                start.wait(timeout=60)
+                for i in range(8):
+                    hierarchy = hierarchies[(offset + i) % 2]
+                    session = self._shared(table, hierarchy=hierarchy)
+                    exe = session.compile(prog, unfused(prog))
+                    assert exe(binding).metrics == want[hierarchy]
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(n,)) for n in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(table) <= 3 and table.hits > 0
+
+    def test_cached_lowering_error_names_this_compiles_region(self):
+        from repro.driver.pipeline import RegionTable
+
+        prog = parse_program(
+            """
+tensor B(5, 5): csr
+tensor C(5, 5): csr
+E(i, j) = B(i, k) * C(k, j)
+F(i, l) = E(i, j2) * B(l, j2)
+"""
+        )
+        table = RegionTable()
+        errors = []
+        for hierarchy in ("flat", "fpga-small"):
+            with pytest.raises(LoweringError, match="materialize") as caught:
+                self._shared(table, hierarchy=hierarchy).compile(
+                    prog, fully_fused(prog, name="whole")
+                )
+            errors.append(caught.value)
+        assert (table.lowered, table.hits) == (1, 1)
+        assert errors[1] is not errors[0]
+        assert str(errors[1]) == str(errors[0])
+        assert "region whole-r0" in str(errors[1])
+        # Another schedule's region is its own entry, named for itself.
+        with pytest.raises(LoweringError, match="region other-r0"):
+            self._shared(table).compile(prog, fully_fused(prog, name="other"))
+        assert table.lowered == 2
+
+
 class TestAutotuneThroughSession:
     @pytest.fixture(scope="class")
     def bundle(self):

@@ -178,47 +178,62 @@ class TestPlacement:
         # T is 16x4 doubles = 512 B dense estimate; give it ample room.
         session = Session(hierarchy="fpga-small")
         exe = session.compile(prog, unfused(prog))
-        (t_writer,) = _writer_nodes(exe.regions[0].graph)
-        assert t_writer.meta["mem_level"] == "sram"
-        assert t_writer.meta["mem_role"] == "intermediate"
-        assert "mem_bank" in t_writer.meta
-        for reader in _readers_of(exe.regions[1].graph, "T"):
-            assert reader.meta["mem_level"] == "sram"
+        first, second = exe.regions
+        (t_writer,) = _writer_nodes(first.graph)
+        t_placed = first.placement[t_writer.node_id]
+        assert t_placed.level == "sram"
+        assert t_placed.role == "intermediate"
+        assert t_placed.bank == session.machine.hierarchy.sram.bank_of("T")
+        for reader in _readers_of(second.graph, "T"):
+            assert second.placement[reader.node_id].level == "sram"
         # The program output always lives in DRAM.
-        (u_writer,) = _writer_nodes(exe.regions[1].graph)
-        assert u_writer.meta["mem_level"] == "dram"
-        assert u_writer.meta["mem_role"] == "output"
+        (u_writer,) = _writer_nodes(second.graph)
+        assert second.placement[u_writer.node_id][:2] == ("dram", "output")
         # Program inputs live in DRAM too.
-        for reader in _readers_of(exe.regions[0].graph, "A"):
-            assert reader.meta["mem_level"] == "dram"
-            assert reader.meta["mem_role"] == "input"
+        for reader in _readers_of(first.graph, "A"):
+            assert first.placement[reader.node_id][:2] == ("dram", "input")
 
     def test_intermediate_spills_when_capacity_exhausted(self, two_stage):
         prog, binding, reference = two_stage
         session = Session(hierarchy="fpga-small@256")  # T needs 512 B
         exe = session.compile(prog, unfused(prog))
-        (t_writer,) = _writer_nodes(exe.regions[0].graph)
-        assert t_writer.meta["mem_level"] == "dram"
-        assert t_writer.meta["mem_role"] == "spill"
-        for reader in _readers_of(exe.regions[1].graph, "T"):
-            assert reader.meta["mem_level"] == "dram"
-            assert reader.meta["mem_role"] == "fill"
+        first, second = exe.regions
+        (t_writer,) = _writer_nodes(first.graph)
+        assert first.placement[t_writer.node_id][:2] == ("dram", "spill")
+        for reader in _readers_of(second.graph, "T"):
+            assert second.placement[reader.node_id][:2] == ("dram", "fill")
 
     def test_flat_hierarchy_labels_without_placing(self, two_stage):
         prog, binding, reference = two_stage
         exe = Session().compile(prog, unfused(prog))
-        (t_writer,) = _writer_nodes(exe.regions[0].graph)
-        assert t_writer.meta["mem_level"] == "dram"
-        assert t_writer.meta["mem_role"] == "spill"
+        first = exe.regions[0]
+        (t_writer,) = _writer_nodes(first.graph)
+        assert first.placement[t_writer.node_id][:2] == ("dram", "spill")
         diag = exe.diagnostics.regions[0]
         assert "place-memory" in diag.skipped_passes
 
     def test_fused_region_has_no_intermediate_edges(self, two_stage):
         prog, binding, reference = two_stage
         exe = Session(hierarchy="fpga-small").compile(prog, fully_fused(prog))
-        (graph,) = [r.graph for r in exe.regions]
-        for writer in _writer_nodes(graph):
-            assert writer.meta["mem_role"] == "output"
+        (region,) = exe.regions
+        for writer in _writer_nodes(region.graph):
+            assert region.placement[writer.node_id].role == "output"
+
+    def test_hierarchies_share_graphs_not_placements(self, two_stage):
+        from repro.driver.pipeline import RegionTable
+
+        prog, binding, reference = two_stage
+        table = RegionTable()
+        compiled = {}
+        for hierarchy in ("flat", "fpga-small"):
+            session = Session(hierarchy=hierarchy)
+            session.pipeline.table = table
+            compiled[hierarchy] = session.compile(prog, unfused(prog))
+        flat, small = compiled["flat"].regions, compiled["fpga-small"].regions
+        assert all(a.graph is b.graph for a, b in zip(flat, small))
+        (t_writer,) = _writer_nodes(flat[0].graph)
+        assert flat[0].placement[t_writer.node_id].role == "spill"
+        assert small[0].placement[t_writer.node_id].role == "intermediate"
 
     def test_diagnostics_record_reservations(self, two_stage):
         prog, binding, reference = two_stage

@@ -269,10 +269,10 @@ class TestSplitIndicesPass:
         schedule.splits = intermediate_row_splits(base_exe.compiled, 8)
         exe = session.compile(gcn_bundle.program, schedule)
         scales = [
-            node.meta["mem_tile_scale"]
+            placed.tile_scale
             for region in exe.regions
-            for node in region.graph.nodes.values()
-            if "mem_tile_scale" in node.meta
+            for placed in region.placement.values()
+            if placed.tile_scale > 1
         ]
         assert scales and all(s == 8 for s in scales)
 

@@ -508,6 +508,40 @@ class TestStagedExecution:
         ]
         assert full_timed.metrics == lean_timed.metrics == plain.metrics
 
+    def test_group_lowers_each_region_once_per_worker(self, monkeypatch):
+        import repro.driver.pipeline as pipeline
+        from repro.sweep.runner import _REGIONS
+
+        lowerings = []
+
+        def counted(run):
+            def lower_region(ctx, region):
+                lowerings.append(region.name)
+                run(ctx, region)
+
+            return lower_region
+
+        monkeypatch.setattr(
+            pipeline,
+            "_LOWERING",
+            tuple(
+                (name, counted(run) if name == "lower-region" else run)
+                for name, run in pipeline._LOWERING
+            ),
+        )
+        spec = staged_spec()
+        spec.models, spec.schedules = ["gcn"], ["unfused"]
+        points = spec.points()
+        assert len({p.stage_key() for p in points}) == 1 and len(points) == 4
+        records = [run_point(point) for point in points]
+        assert all(r["status"] == "ok" for r in records)
+        assert not any(r["compile_cache_hit"] for r in records)
+        regions = len(points[0].schedule_for(bundle_for(points[0])).regions)
+        assert sorted(lowerings) == sorted(set(lowerings)) and len(lowerings) == regions
+        assert (_REGIONS.lowered, _REGIONS.hits) == (regions, 3 * regions)
+        clear_worker_caches()
+        assert len(_REGIONS) == 0
+
     def test_signature_mismatch_is_a_miss(self):
         from repro.sweep.runner import _STAGE, _run_point
 
