@@ -17,11 +17,12 @@ result object, whose metrics and per-region stats must equal, bit for
 bit, both ``exe.time(exe.functional(binding))`` and a memo-off session's
 result.
 
-A third pass checks the region table: each model under each granularity,
-compiled on the ``flat`` and ``fpga-small`` hierarchies by sessions that
-share one table (as a sweep worker's do, so the second hierarchy's
-compiles are served lowered regions), must equal fresh sessions' compiles
-bit for bit: region graphs, placement maps, metrics and tensors.
+A third pass checks the shared lowering: each model under each
+granularity, compiled on the ``flat`` and then the ``fpga-small``
+hierarchy by sessions that share one lowering (as a sweep worker's do,
+so the second hierarchy's compile is served the first one's lowered
+regions), must equal fresh sessions' compiles bit for bit: region
+graphs, placement maps, metrics and tensors.
 
 Usage: PYTHONPATH=src python scripts/diffcheck.py [model ...]
 """
@@ -34,7 +35,7 @@ from repro.comal.engine import run_timed
 from repro.comal.functional import run_functional
 from repro.comal.machines import RDA_MACHINE
 from repro.driver import Session
-from repro.driver.pipeline import RegionTable
+from repro.driver.pipeline import SharedLowering
 from repro.sam.token import TokenStream, as_token_list, streams_equal
 from repro.sweep import SweepPoint, build_bundle
 
@@ -53,8 +54,8 @@ SCALAR_MODELS = ("gcn", "graphsage", "sae")
 MEMO_SCHEDULES = ("unfused", "partial")
 MEMO_HIERARCHIES = ("flat", "fpga-small")
 
-#: The region table pass's hierarchies, compiled in this order.
-TABLE_HIERARCHIES = ("flat", "fpga-small")
+#: The shared lowering pass's hierarchies, compiled in this order.
+SHARED_HIERARCHIES = ("flat", "fpga-small")
 
 #: A region's timed figures; with its node stats, what the memo must keep.
 REGION_FIELDS = (
@@ -200,17 +201,17 @@ def tensors_difference(want, have):
     return None
 
 
-def check_table(model):
-    """Region table parity on ``model``: True, or False after printing the
-    first mismatch."""
+def check_shared(model):
+    """Shared lowering parity on ``model``: True, or False after printing
+    the first mismatch."""
     bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
-    table = RegionTable()
+    lowering = SharedLowering()
     shared = {}
-    for hierarchy in TABLE_HIERARCHIES:
+    for hierarchy in SHARED_HIERARCHIES:
         shared[hierarchy] = Session(machine=RDA_MACHINE, hierarchy=hierarchy)
-        shared[hierarchy].pipeline.table = table
+        shared[hierarchy].pipeline.shared = lowering
     # Every compile first, every check after: a compile that disturbed a
-    # region another executable shares shows up in that executable.
+    # graph another executable shares shows up in that executable.
     compiled = {
         (gran, hierarchy): session.compile(bundle.program, bundle.schedule(gran))
         for gran in ("unfused", "partial", "full")
@@ -222,24 +223,24 @@ def check_table(model):
         want = fresh.compile(bundle.program, bundle.schedule(gran))
         for a, b in zip(want.regions, have.regions, strict=True):
             if a.graph.describe() != b.graph.describe():
-                print(f"TABLE GRAPH MISMATCH {where}/{a.graph.name}")
+                print(f"SHARED GRAPH MISMATCH {where}/{a.graph.name}")
                 return False
             if a.placement != b.placement:
-                print(f"TABLE PLACEMENT MISMATCH {where}/{a.graph.name}")
+                print(f"SHARED PLACEMENT MISMATCH {where}/{a.graph.name}")
                 return False
         want_result, have_result = want(bundle.binding), have(bundle.binding)
         problem = result_difference(want_result, have_result) or (
             tensors_difference(want_result, have_result)
         )
         if problem is not None:
-            print(f"TABLE MISMATCH {where}: {problem}")
+            print(f"SHARED MISMATCH {where}: {problem}")
             return False
-    if not table.hits:
-        print(f"{model}: the region table served no region")
+    if not lowering.hits:
+        print(f"{model}: the shared lowering served no compile")
         return False
     print(
-        f"{model}: region table OK ({table.lowered} region(s) lowered, "
-        f"{table.hits} served)"
+        f"{model}: shared lowering OK ({lowering.lowered} compile(s) lowered, "
+        f"{lowering.hits} served)"
     )
     return True
 
@@ -248,7 +249,7 @@ def main(models):
     ok = True
     for model in models:
         tiers = check_model(model)
-        if tiers is None or not check_memo(model) or not check_table(model):
+        if tiers is None or not check_memo(model) or not check_shared(model):
             ok = False
         elif model in SCALAR_MODELS and not tiers["columnar"]:
             print(f"{model}: the rule ran no region on the columnar tier")

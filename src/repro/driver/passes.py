@@ -14,9 +14,9 @@ declarations (materialized outputs) that constrain the fusion of region
 dataflow.  A pass mutates the :class:`RegionState` it is given and records
 what it did in the region's diagnostics.
 
-Every pass but ``place-memory`` is a function of the region's lowering
-context alone, never of the hierarchy, so its graph can be shared by the
-compiles of every hierarchy (:class:`~repro.driver.pipeline.RegionTable`):
+Every pass but ``place-memory`` is a function of the program and the
+schedule alone, never of the hierarchy, so its graph can be shared by the
+compiles of every hierarchy (:class:`~repro.driver.pipeline.SharedLowering`):
 ``place-memory`` writes its decisions into the region's placement map,
 never into the graph.
 """
@@ -418,9 +418,9 @@ def parallelize(ctx: PassContext, region: RegionState) -> None:
 
 
 #: The back-end passes, in flow order, after the front end's three.  All
-#: but ``place-memory`` lower the region once per lowering context; the
-#: flow runs ``place-memory`` on every compile (see
-#: :class:`~repro.driver.pipeline.RegionTable`).
+#: but ``place-memory`` can be shared by compiles of one (program,
+#: schedule); the flow runs ``place-memory`` on every compile (see
+#: :class:`~repro.driver.pipeline.SharedLowering`).
 BACK_END: Tuple[Tuple[str, Callable[[PassContext, RegionState], None]], ...] = (
     ("split-indices", split_indices),
     ("lower-region", lower_region),

@@ -13,21 +13,20 @@ the schedule's or the hierarchy's say, never the flow's:
 ``run`` times every pass and collects :class:`CompileDiagnostics`.
 
 Only ``place-memory`` reads the hierarchy.  The other six passes lower a
-region the same way for every hierarchy and machine, so flows that share
-a :class:`RegionTable` (a sweep worker's sessions) keep their result — a
-placement-free :class:`LoweredRegion` — keyed by the region's lowering
-context, and a compile that finds its region there runs ``place-memory``
+(program, schedule) the same way for every hierarchy and machine, so
+flows that share a :class:`SharedLowering` (a sweep worker's sessions)
+keep their result — one placement-free :class:`LoweredRegion` per region
+— and a compile of the same (program, schedule) runs ``place-memory``
 alone.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..comal.hierarchy import FLAT_HIERARCHY, resolve_hierarchy
 from ..core.einsum.ast import EinsumProgram, TensorDecl
@@ -91,98 +90,50 @@ class LoweredRegion:
     diag: RegionDiagnostics
 
 
-#: A table entry: the lowered region, or the error lowering it raised.
-RegionEntry = Union[LoweredRegion, LoweringError]
+@dataclass
+class LoweredProgram:
+    """Every region of one (program, schedule) as lowering left it: the
+    regions lowered in flow order, then the error that stopped lowering
+    (None when every region lowered)."""
+
+    regions: List[LoweredRegion]
+    error: Optional[LoweringError] = None
 
 
-class RegionTable:
-    """Lowered regions by lowering context, shared by every flow that holds it.
+class SharedLowering:
+    """The last (program, schedule) lowered by the flows that hold this.
 
-    The key (:func:`region_key`) is everything the six placement-free
-    passes read: the program's fingerprint, the region's name and
-    statements, the front-end skips, its statement orders, pinned order,
-    splits and ``par``, and the shape and format of each materialized
-    tensor it touches.  The machine and the hierarchy are not in it.
-    Thread-safe; least recently used entries go past ``max_entries``.
-    ``lowered`` counts the regions lowered into the table, ``hits`` the
-    lookups it served.
+    Keyed by the program's and the schedule's fingerprints, the first two
+    fields of the compile cache's key; the machine and the hierarchy are
+    not in it.  One record, like a sweep worker's stage cache: a worker
+    gets a group's points — one (program, schedule) on each machine and
+    hierarchy — back to back.  ``lowered`` counts the compiles that lowered
+    a record, ``hits`` the compiles a record served.
     """
 
-    def __init__(self, max_entries: int = 4096) -> None:
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[Hashable, RegionEntry]" = OrderedDict()
-        self._lock = threading.Lock()
+    def __init__(self) -> None:
+        # (key, record), replaced whole so a reader never pairs a key with
+        # another key's record.
+        self._last: Optional[Tuple[Tuple[str, str], LoweredProgram]] = None
         self.lowered = 0
         self.hits = 0
 
-    def get(self, key: Hashable):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-            return entry
+    def get(self, key: Tuple[str, str]) -> Optional[LoweredProgram]:
+        last = self._last
+        if last is None or last[0] != key:
+            return None
+        self.hits += 1
+        return last[1]
 
-    def put(self, key: Hashable, entry: RegionEntry) -> None:
-        with self._lock:
-            self._entries[key] = entry
-            self.lowered += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+    def put(self, key: Tuple[str, str], record: LoweredProgram) -> None:
+        self._last = (key, record)
+        self.lowered += 1
 
     def clear(self) -> None:
-        """Drop every entry and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self.lowered = 0
-            self.hits = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-def region_key(
-    ctx: PassContext,
-    fingerprint: str,
-    position: int,
-    name: str,
-    sids: Sequence[int],
-    skips: Dict[str, str],
-) -> Tuple:
-    """The :class:`RegionTable` key of one region of ``ctx``'s compile.
-
-    The region's name is part of it because lowering renders the name into
-    the graph, the fusion table and the fused region.  Of the declarations
-    the compile grew, only those of tensors the region's statements touch
-    enter (the program's own are in its fingerprint).
-    """
-    program, schedule = ctx.program, ctx.schedule
-    sid_set = set(sids)
-    materialized = []
-    for sid in sids:
-        stmt = program.statements[sid]
-        for acc in (stmt.lhs, *stmt.operands):
-            decl = ctx.decls.get(acc.tensor)
-            if decl is not None and decl is not program.decls.get(acc.tensor):
-                materialized.append((acc.tensor, tuple(decl.shape), decl.fmt))
-    pinned = schedule.orders.get(position)
-    return (
-        fingerprint,
-        name,
-        tuple(sids),
-        tuple(skips.items()),
-        tuple(
-            sorted(
-                (sid, tuple(order))
-                for sid, order in schedule.stmt_orders.items()
-                if sid in sid_set
-            )
-        ),
-        None if pinned is None else tuple(pinned),
-        tuple(schedule.splits.items()),
-        tuple(schedule.par.items()),
-        tuple(materialized),
-    )
+        """Drop the record and reset the counters."""
+        self._last = None
+        self.lowered = 0
+        self.hits = 0
 
 
 class PassPipeline:
@@ -200,10 +151,10 @@ class PassPipeline:
     def __init__(self, hierarchy=None) -> None:
         spec = resolve_hierarchy(hierarchy)
         self.hierarchy = spec if spec.has_sram else FLAT_HIERARCHY
-        #: Lowered regions this flow reuses.  None lowers every region of
-        #: every compile; flows given one table (a sweep worker's
-        #: sessions) lower each region once between them.
-        self.table: Optional[RegionTable] = None
+        #: The lowering this flow reuses.  None lowers every compile; flows
+        #: given one (a sweep worker's sessions) lower a (program,
+        #: schedule) once between them.
+        self.shared: Optional[SharedLowering] = None
 
     @classmethod
     def default(cls) -> "PassPipeline":
@@ -250,7 +201,7 @@ class PassPipeline:
         self,
         program: EinsumProgram,
         schedule: Schedule,
-        fingerprint: Optional[str] = None,
+        fingerprints: Optional[Tuple[str, str]] = None,
     ) -> Tuple[List[CompiledRegion], Dict[str, TensorDecl], CompileDiagnostics]:
         """Compile every region of ``schedule`` through the flow.
 
@@ -260,9 +211,9 @@ class PassPipeline:
             The (validated) Einsum program.
         schedule:
             The schedule whose regions drive the region-by-region flow.
-        fingerprint:
-            ``program.fingerprint()`` when the caller already has it (the
-            region table keys on it).
+        fingerprints:
+            ``(program.fingerprint(), schedule.fingerprint())`` when the
+            caller already has them (:class:`SharedLowering` keys on them).
 
         Returns
         -------
@@ -286,15 +237,32 @@ class PassPipeline:
             hierarchy=self.hierarchy,
             decls=dict(program.decls),
         )
-        if fingerprint is None and self.table is not None:
-            fingerprint = program.fingerprint()
+        record = built = None
+        if self.shared is not None:
+            if fingerprints is None:
+                fingerprints = (program.fingerprint(), schedule.fingerprint())
+            record = self.shared.get(fingerprints)
+            if record is None:
+                built = LoweredProgram(regions=[])
         seconds = diagnostics.pass_seconds
         regions: List[CompiledRegion] = []
         for position, sids in enumerate(schedule.regions):
             name = f"{schedule.name}-r{position}"
-            lowered = self._lowered(
-                ctx, fingerprint, position, list(sids), name, seconds
-            )
+            if record is None:
+                try:
+                    lowered = _lower(ctx, position, list(sids), name, seconds)
+                except LoweringError as exc:
+                    if built is not None:
+                        # A fresh copy: the raised one holds this compile's frames.
+                        built.error = type(exc)(*exc.args)
+                        self.shared.put(fingerprints, built)
+                    raise
+                if built is not None:
+                    built.regions.append(lowered)
+            elif position < len(record.regions):
+                lowered = record.regions[position]
+            else:
+                raise type(record.error)(*record.error.args)
             state = RegionState(
                 position=position,
                 sids=list(sids),
@@ -333,35 +301,9 @@ class PassPipeline:
                     placement=state.placement,
                 )
             )
+        if built is not None:
+            self.shared.put(fingerprints, built)
         return regions, ctx.decls, diagnostics
-
-    def _lowered(
-        self,
-        ctx: PassContext,
-        fingerprint: Optional[str],
-        position: int,
-        sids: List[int],
-        name: str,
-        seconds: Dict[str, float],
-    ) -> LoweredRegion:
-        """One region through the placement-free passes, or out of the
-        table when it holds the region's lowering context."""
-        skips = front_end_skips(ctx.schedule, sids)
-        if self.table is None:
-            return _lower(ctx, position, sids, name, skips, seconds)
-        key = region_key(ctx, fingerprint, position, name, sids, skips)
-        lowered = self.table.get(key)
-        if lowered is None:
-            try:
-                lowered = _lower(ctx, position, sids, name, skips, seconds)
-            except LoweringError as exc:
-                # A fresh copy: the raised one holds this compile's frames.
-                self.table.put(key, type(exc)(*exc.args))
-                raise
-            self.table.put(key, lowered)
-        elif isinstance(lowered, LoweringError):
-            raise type(lowered)(*lowered.args)
-        return lowered
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PassPipeline({self.hierarchy.name!r})"
@@ -369,15 +311,13 @@ class PassPipeline:
 
 def _own_copy(diag: RegionDiagnostics) -> RegionDiagnostics:
     """A copy of a lowered region's diagnostics that owns its containers."""
-    fresh = RegionDiagnostics.__new__(RegionDiagnostics)
-    fresh.__dict__.update(
-        diag.__dict__,
+    return dataclasses.replace(
+        diag,
         sids=list(diag.sids),
         orders_tried=list(diag.orders_tried),
         split_indices=dict(diag.split_indices),
         skipped_passes=dict(diag.skipped_passes),
     )
-    return fresh
 
 
 def _lower(
@@ -385,7 +325,6 @@ def _lower(
     position: int,
     sids: List[int],
     name: str,
-    skips: Dict[str, str],
     seconds: Dict[str, float],
 ) -> LoweredRegion:
     """Run the front end and the placement-free back-end passes on one
@@ -396,6 +335,7 @@ def _lower(
         name=name,
         diag=RegionDiagnostics(name=name, position=position, sids=list(sids)),
     )
+    skips = front_end_skips(ctx.schedule, sids)
     state.diag.skipped_passes.update(skips)
     state.fused = front_end(
         ctx.program,

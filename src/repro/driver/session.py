@@ -281,7 +281,7 @@ class Session:
         # serve deadlines are tested against.
         fault_point("compile", key=key[0])
         start = time.perf_counter()
-        regions, decls, diagnostics = self.pipeline.run(program, schedule, key[0])
+        regions, decls, diagnostics = self.pipeline.run(program, schedule, key[:2])
         compiled = CompiledProgram(
             program=program,
             schedule=schedule,

@@ -623,37 +623,30 @@ class TestSimulationMemo:
         assert entry[3] is None
 
 
-class TestRegionTable:
-    """The compile flow's placement-free lowered regions, shared between
-    sessions that hold one table."""
+class TestSharedLowering:
+    """The compile flow's placement-free lowering of one (program,
+    schedule), shared between sessions that hold one record."""
 
     @staticmethod
-    def _shared(table, **options):
+    def _shared(shared, **options):
         session = Session(**options)
-        session.pipeline.table = table
+        session.pipeline.shared = shared
         return session
-
-    @classmethod
-    def _keys(cls, program, schedule):
-        from repro.driver.pipeline import RegionTable
-
-        table = RegionTable()
-        cls._shared(table).compile(program, schedule)
-        return list(table._entries)
 
     def test_a_session_on_its_own_lowers_every_compile(self, gcn_layer):
         prog, _, _ = gcn_layer
         session = Session()
-        assert session.pipeline.table is None
+        assert session.pipeline.shared is None
         session.compile(prog, unfused(prog))
-        assert session.pipeline.table is None
+        assert session.pipeline.shared is None
 
     def test_schedule_knobs_change_the_key(self, gcn_layer):
         from dataclasses import replace
 
+        from repro.driver.pipeline import SharedLowering
+
         prog, _, _ = gcn_layer
         base = fused_groups(prog, [[0, 1], [2, 3]], name="g")
-        first = self._keys(prog, base)[0]
         order = list(Session().compile(prog, base).regions[0].order)
         flips = {
             "orders": {0: order},
@@ -664,48 +657,58 @@ class TestRegionTable:
             "global_rewrite": True,
         }
         for name, value in flips.items():
-            flipped = replace(base, **{name: value})
-            assert self._keys(prog, flipped)[0] != first, name
+            shared = SharedLowering()
+            self._shared(shared).compile(prog, base)
+            self._shared(shared).compile(prog, replace(base, **{name: value}))
+            assert (shared.lowered, shared.hits) == (2, 0), name
 
-    def test_materialized_operand_shape_and_format_change_the_key(self, gcn_layer):
-        from repro.core.einsum.ast import TensorDecl
-        from repro.core.fusion.fuse import front_end_skips
-        from repro.driver.passes import PassContext
-        from repro.driver.pipeline import region_key
+    def test_materialized_operand_shape_and_format_change_the_key(self):
+        from repro.driver.pipeline import SharedLowering
 
-        prog, _, _ = gcn_layer
-        schedule = unfused(prog)
-        ctx = PassContext(program=prog, schedule=schedule, decls=dict(prog.decls))
-        sids = schedule.regions[1]  # T1 reads the materialized T0
-
-        def key(shape, fmt):
-            ctx.decls["T0"] = TensorDecl("T0", shape, fmt, is_input=False)
-            skips = front_end_skips(schedule, sids)
-            return region_key(ctx, prog.fingerprint(), 1, "unfused-r1", sids, skips)
-
-        base = key((12, 6), dense(2))
-        assert key((12, 6), dense(2)) == base
-        assert key((12, 7), dense(2)) != base
-        assert key((12, 6), csr()) != base
+        text = """
+tensor A({rows}, 4): dense
+tensor B(4, 3): {fmt}
+T(i, j) = A(i, k) * B(k, j)
+Y(i, j) = T(i, j) * T(i, j)
+"""
+        shared = SharedLowering()
+        materialized = []
+        for rows, fmt in ((6, "dense"), (7, "dense"), (6, "csr")):
+            prog = parse_program(text.format(rows=rows, fmt=fmt))
+            exe = self._shared(shared).compile(prog, unfused(prog))
+            materialized.append(exe.compiled.decls["T"])
+        assert (shared.lowered, shared.hits) == (3, 0)
+        assert len({(d.shape, str(d.fmt)) for d in materialized}) == 3
 
     def test_machine_and_hierarchy_leave_the_key_alone(self, gcn_layer):
         from repro.comal import RDA_MACHINE
-        from repro.driver.pipeline import RegionTable
+        from repro.driver.pipeline import SharedLowering
 
         prog, _, _ = gcn_layer
-        table = RegionTable()
+        shared = SharedLowering()
         for machine in (RDA_MACHINE, FPGA_MACHINE):
             for hierarchy in ("flat", "fpga-small"):
-                session = self._shared(table, machine=machine, hierarchy=hierarchy)
+                session = self._shared(shared, machine=machine, hierarchy=hierarchy)
                 session.compile(prog, unfused(prog))
-        regions = len(prog.statements)
-        assert (table.lowered, table.hits, len(table)) == (regions, 3 * regions, regions)
+        assert (shared.lowered, shared.hits) == (1, 3)
+
+    def test_another_compile_replaces_the_record(self, gcn_layer):
+        from repro.driver.pipeline import SharedLowering
+
+        prog, binding, _ = gcn_layer
+        shared = SharedLowering()
+        schedules = [unfused(prog), fully_fused(prog), unfused(prog)]
+        for hierarchy, schedule in zip(("flat", "fpga-small", "flat"), schedules):
+            exe = self._shared(shared, hierarchy=hierarchy).compile(prog, schedule)
+            want = Session(hierarchy=hierarchy).compile(prog, schedule)
+            assert exe(binding).metrics == want(binding).metrics
+        assert (shared.lowered, shared.hits) == (3, 0)
 
     @pytest.mark.parametrize("model", sorted(GOLDEN_POINTS))
     def test_hit_equals_a_fresh_compile(self, model):
         import re
 
-        from repro.driver.pipeline import RegionTable
+        from repro.driver.pipeline import SharedLowering
         from repro.sweep import SweepPoint, build_bundle
 
         bundle = build_bundle(SweepPoint.make(model, model_args=GOLDEN_POINTS[model]))
@@ -713,17 +716,17 @@ class TestRegionTable:
         def untimed(text):
             return re.sub(r" +[\d.]+ ms", " ms", text)
 
-        table = RegionTable()
+        shared = SharedLowering()
         for granularity in ("unfused", "partial", "full"):
             schedule = bundle.schedule(granularity)
-            warm = self._shared(table, hierarchy="flat").compile(
+            warm = self._shared(shared, hierarchy="flat").compile(
                 bundle.program, schedule
             )
-            lowered = table.lowered
-            hit = self._shared(table, hierarchy="fpga-small").compile(
+            lowered = shared.lowered
+            hit = self._shared(shared, hierarchy="fpga-small").compile(
                 bundle.program, schedule
             )
-            assert table.lowered == lowered, "the second compile lowered a region"
+            assert shared.lowered == lowered, "the second compile lowered"
             fresh = Session(hierarchy="fpga-small").compile(bundle.program, schedule)
             assert untimed(hit.describe()) == untimed(fresh.describe())
             assert hit.compiled.signature == fresh.compiled.signature
@@ -740,49 +743,8 @@ class TestRegionTable:
                 r.placement for r in flat.regions
             ]
 
-    def test_concurrent_compiles_share_one_bounded_table(self, gcn_layer):
-        """More threads than cores compile through fresh sessions sharing
-        one table too small for the program, so entries churn."""
-        from repro.driver.pipeline import RegionTable
-
-        prog, binding, _ = gcn_layer
-        hierarchies = ("flat", "fpga-small")
-        want = {
-            h: Session(hierarchy=h).compile(prog, unfused(prog))(binding).metrics
-            for h in hierarchies
-        }
-        table = RegionTable(max_entries=3)
-        count = min(16, (os.cpu_count() or 2) + 2)
-        start = threading.Barrier(count)
-        errors = []
-
-        def hammer(offset):
-            try:
-                start.wait(timeout=60)
-                for i in range(8):
-                    hierarchy = hierarchies[(offset + i) % 2]
-                    session = self._shared(table, hierarchy=hierarchy)
-                    exe = session.compile(prog, unfused(prog))
-                    assert exe(binding).metrics == want[hierarchy]
-            except Exception as exc:  # reported below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer, args=(n,)) for n in range(count)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert len(table) <= 3 and table.hits > 0
-
     def test_cached_lowering_error_names_this_compiles_region(self):
-        from repro.driver.pipeline import RegionTable
+        from repro.driver.pipeline import SharedLowering
 
         prog = parse_program(
             """
@@ -792,22 +754,22 @@ E(i, j) = B(i, k) * C(k, j)
 F(i, l) = E(i, j2) * B(l, j2)
 """
         )
-        table = RegionTable()
+        shared = SharedLowering()
         errors = []
         for hierarchy in ("flat", "fpga-small"):
             with pytest.raises(LoweringError, match="materialize") as caught:
-                self._shared(table, hierarchy=hierarchy).compile(
+                self._shared(shared, hierarchy=hierarchy).compile(
                     prog, fully_fused(prog, name="whole")
                 )
             errors.append(caught.value)
-        assert (table.lowered, table.hits) == (1, 1)
+        assert (shared.lowered, shared.hits) == (1, 1)
         assert errors[1] is not errors[0]
         assert str(errors[1]) == str(errors[0])
         assert "region whole-r0" in str(errors[1])
-        # Another schedule's region is its own entry, named for itself.
+        # Another schedule is its own record, its region named for itself.
         with pytest.raises(LoweringError, match="region other-r0"):
-            self._shared(table).compile(prog, fully_fused(prog, name="other"))
-        assert table.lowered == 2
+            self._shared(shared).compile(prog, fully_fused(prog, name="other"))
+        assert shared.lowered == 2
 
 
 class TestAutotuneThroughSession:

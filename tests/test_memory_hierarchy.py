@@ -220,14 +220,14 @@ class TestPlacement:
             assert region.placement[writer.node_id].role == "output"
 
     def test_hierarchies_share_graphs_not_placements(self, two_stage):
-        from repro.driver.pipeline import RegionTable
+        from repro.driver.pipeline import SharedLowering
 
         prog, binding, reference = two_stage
-        table = RegionTable()
+        shared = SharedLowering()
         compiled = {}
         for hierarchy in ("flat", "fpga-small"):
             session = Session(hierarchy=hierarchy)
-            session.pipeline.table = table
+            session.pipeline.shared = shared
             compiled[hierarchy] = session.compile(prog, unfused(prog))
         flat, small = compiled["flat"].regions, compiled["fpga-small"].regions
         assert all(a.graph is b.graph for a, b in zip(flat, small))

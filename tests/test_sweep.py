@@ -510,7 +510,7 @@ class TestStagedExecution:
 
     def test_group_lowers_each_region_once_per_worker(self, monkeypatch):
         import repro.driver.pipeline as pipeline
-        from repro.sweep.runner import _REGIONS
+        from repro.sweep.runner import _LOWERED
 
         lowerings = []
 
@@ -538,9 +538,9 @@ class TestStagedExecution:
         assert not any(r["compile_cache_hit"] for r in records)
         regions = len(points[0].schedule_for(bundle_for(points[0])).regions)
         assert sorted(lowerings) == sorted(set(lowerings)) and len(lowerings) == regions
-        assert (_REGIONS.lowered, _REGIONS.hits) == (regions, 3 * regions)
+        assert (_LOWERED.lowered, _LOWERED.hits) == (1, 3)
         clear_worker_caches()
-        assert len(_REGIONS) == 0
+        assert _LOWERED._last is None
 
     def test_signature_mismatch_is_a_miss(self):
         from repro.sweep.runner import _STAGE, _run_point
