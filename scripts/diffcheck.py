@@ -17,12 +17,15 @@ result object, whose metrics and per-region stats must equal, bit for
 bit, both ``exe.time(exe.functional(binding))`` and a memo-off session's
 result.
 
-A third pass checks the shared lowering: each model under each
-granularity, compiled on the ``flat`` and then the ``fpga-small``
-hierarchy by sessions that share one lowering (as a sweep worker's do,
-so the second hierarchy's compile is served the first one's lowered
-regions), must equal fresh sessions' compiles bit for bit: region
-graphs, placement maps, metrics and tensors.
+A third pass checks the region store: each model's ``unfused``,
+``partial`` and ``full`` schedules and every search-space neighbour of
+``partial`` (merges, region splits, order swaps, a split and a par
+configuration), compiled on the ``flat`` and the ``fpga-small``
+hierarchies by sessions that share one store (as a sweep worker's do, so
+a region lowered for one schedule or hierarchy is served to every other
+compile that gives it the same lowering context, under that compile's
+region names), must equal fresh sessions' compiles bit for bit: region
+graphs, placement maps, metrics and tensors, or the same lowering error.
 
 Usage: PYTHONPATH=src python scripts/diffcheck.py [model ...]
 """
@@ -35,7 +38,8 @@ from repro.comal.engine import run_timed
 from repro.comal.functional import run_functional
 from repro.comal.machines import RDA_MACHINE
 from repro.driver import Session
-from repro.driver.pipeline import SharedLowering
+from repro.core.schedule.search import SearchPoint, SearchSpace
+from repro.driver.pipeline import RegionStore
 from repro.sam.token import TokenStream, as_token_list, streams_equal
 from repro.sweep import SweepPoint, build_bundle
 
@@ -54,8 +58,8 @@ SCALAR_MODELS = ("gcn", "graphsage", "sae")
 MEMO_SCHEDULES = ("unfused", "partial")
 MEMO_HIERARCHIES = ("flat", "fpga-small")
 
-#: The shared lowering pass's hierarchies, compiled in this order.
-SHARED_HIERARCHIES = ("flat", "fpga-small")
+#: The store pass's hierarchies, compiled in this order.
+STORE_HIERARCHIES = ("flat", "fpga-small")
 
 #: A region's timed figures; with its node stats, what the memo must keep.
 REGION_FIELDS = (
@@ -201,46 +205,90 @@ def tensors_difference(want, have):
     return None
 
 
-def check_shared(model):
-    """Shared lowering parity on ``model``: True, or False after printing
-    the first mismatch."""
+def store_schedules(bundle):
+    """The granularities, then every search-space neighbour of ``partial``
+    (a split and a par configuration on its first region's outer index)."""
+    program = bundle.program
+    partial = bundle.schedule("partial")
+    index = Session().compile(program, partial).regions[0].order[0]
+    space = SearchSpace(program, split_configs=[{index: 2}], par_configs=[{index: 2}])
+    edges = [len(sids) for sids in partial.regions]
+    cuts = tuple(sum(edges[:i]) for i in range(1, len(edges)))
+    point = SearchPoint(cuts=cuts, order_choice=(0,) * len(partial.regions))
+    assert space.schedule_for(point).regions == partial.regions
+    return [bundle.schedule(g) for g in ("unfused", "partial", "full")] + [
+        space.schedule_for(neighbor) for _, neighbor in space.neighbors(point)
+    ]
+
+
+def call_or_error(function, *args):
+    """``function(*args)``, or the text of the error it raised."""
+    try:
+        return function(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def check_store(model):
+    """Region store parity on ``model``: True, or False after printing the
+    first mismatch."""
     bundle = build_bundle(SweepPoint.make(model, model_args=POINTS[model]))
-    lowering = SharedLowering()
-    shared = {}
-    for hierarchy in SHARED_HIERARCHIES:
-        shared[hierarchy] = Session(machine=RDA_MACHINE, hierarchy=hierarchy)
-        shared[hierarchy].pipeline.shared = lowering
+    store = RegionStore()
+    sessions = {}
+    for hierarchy in STORE_HIERARCHIES:
+        sessions[hierarchy] = Session(machine=RDA_MACHINE, hierarchy=hierarchy)
+        sessions[hierarchy].pipeline.store = store
+    schedules = store_schedules(bundle)
     # Every compile first, every check after: a compile that disturbed a
     # graph another executable shares shows up in that executable.
     compiled = {
-        (gran, hierarchy): session.compile(bundle.program, bundle.schedule(gran))
-        for gran in ("unfused", "partial", "full")
-        for hierarchy, session in shared.items()
-    }
-    for (gran, hierarchy), have in compiled.items():
-        where = f"{model}/{gran}/{hierarchy}"
-        fresh = Session(machine=RDA_MACHINE, hierarchy=hierarchy)
-        want = fresh.compile(bundle.program, bundle.schedule(gran))
-        for a, b in zip(want.regions, have.regions, strict=True):
-            if a.graph.describe() != b.graph.describe():
-                print(f"SHARED GRAPH MISMATCH {where}/{a.graph.name}")
-                return False
-            if a.placement != b.placement:
-                print(f"SHARED PLACEMENT MISMATCH {where}/{a.graph.name}")
-                return False
-        want_result, have_result = want(bundle.binding), have(bundle.binding)
-        problem = result_difference(want_result, have_result) or (
-            tensors_difference(want_result, have_result)
+        (schedule.name, hierarchy): call_or_error(
+            session.compile, bundle.program, schedule
         )
-        if problem is not None:
-            print(f"SHARED MISMATCH {where}: {problem}")
-            return False
-    if not lowering.hits:
-        print(f"{model}: the shared lowering served no compile")
+        for schedule in schedules
+        for hierarchy, session in sessions.items()
+    }
+    failed = 0
+    for schedule in schedules:
+        for hierarchy in STORE_HIERARCHIES:
+            have = compiled[schedule.name, hierarchy]
+            where = f"{model}/{schedule.name}/{hierarchy}"
+            fresh = Session(machine=RDA_MACHINE, hierarchy=hierarchy)
+            want = call_or_error(fresh.compile, bundle.program, schedule)
+            if isinstance(want, str) or isinstance(have, str):
+                if want != have:
+                    print(f"STORE ERROR MISMATCH {where}: {want!r} != {have!r}")
+                    return False
+                failed += 1
+                continue
+            for a, b in zip(want.regions, have.regions, strict=True):
+                if a.graph.describe() != b.graph.describe():
+                    print(f"STORE GRAPH MISMATCH {where}/{a.graph.name}")
+                    return False
+                if a.placement != b.placement:
+                    print(f"STORE PLACEMENT MISMATCH {where}/{a.graph.name}")
+                    return False
+            want_result = call_or_error(want, bundle.binding)
+            have_result = call_or_error(have, bundle.binding)
+            if isinstance(want_result, str) or isinstance(have_result, str):
+                if want_result != have_result:
+                    print(f"STORE RUN MISMATCH {where}: {want_result!r} != {have_result!r}")
+                    return False
+                failed += 1
+                continue
+            problem = result_difference(want_result, have_result) or (
+                tensors_difference(want_result, have_result)
+            )
+            if problem is not None:
+                print(f"STORE MISMATCH {where}: {problem}")
+                return False
+    if not store.hits:
+        print(f"{model}: the region store served no region")
         return False
     print(
-        f"{model}: shared lowering OK ({lowering.lowered} compile(s) lowered, "
-        f"{lowering.hits} served)"
+        f"{model}: region store OK ({len(schedules)} schedules x "
+        f"{len(STORE_HIERARCHIES)} hierarchies, {failed} failing alike; "
+        f"{store.lowered} region(s) lowered, {store.hits} served)"
     )
     return True
 
@@ -249,7 +297,7 @@ def main(models):
     ok = True
     for model in models:
         tiers = check_model(model)
-        if tiers is None or not check_memo(model) or not check_shared(model):
+        if tiers is None or not check_memo(model) or not check_store(model):
             ok = False
         elif model in SCALAR_MODELS and not tiers["columnar"]:
             print(f"{model}: the rule ran no region on the columnar tier")

@@ -26,7 +26,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..einsum.ast import (
     Access,
@@ -39,10 +49,23 @@ from .pog import OrderConflictError, PartialOrderGraph
 
 
 class _UnionFind:
-    """Union-find over index names."""
+    """Union-find over index names, refusing unions that merge two indices
+    of one statement.
+
+    ``owners`` maps each index to the indices of the statement that owns
+    it; ``members`` lists each class by its root, so a union checks only
+    the statements owning an index of the smaller class it merges.
+    """
 
     def __init__(self) -> None:
         self.parent: Dict[str, str] = {}
+        self.members: Dict[str, List[str]] = {}
+        self.owners: Dict[str, Tuple[str, ...]] = {}
+
+    def own(self, indices: Tuple[str, ...]) -> None:
+        """Register one statement's indices."""
+        for idx in indices:
+            self.owners[idx] = indices
 
     def find(self, x: str) -> str:
         self.parent.setdefault(x, x)
@@ -53,10 +76,46 @@ class _UnionFind:
             self.parent[x], x = root, self.parent[x]
         return root
 
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
+    def _root(self, x: str) -> str:
+        # No path compression: a refused union is undone by unlinking
+        # the roots it linked, which compression would have bypassed.
+        parent = self.parent
+        while True:
+            up = parent.get(x, x)
+            if up == x:
+                return x
+            x = up
+
+    def unify(self, pairs: Iterable[Tuple[str, str]]) -> bool:
+        """Union every pair in turn; if one would merge two indices of a
+        statement (a diagonal collapse), undo this call's unions and
+        return False."""
+        done: List[Tuple[str, str, int]] = []
+        for a, b in pairs:
+            ra, rb = self._root(a), self._root(b)
+            if ra == rb:
+                continue
+            class_a = self.members.setdefault(ra, [ra])
+            class_b = self.members.get(rb) or [rb]
+            small, other = (class_a, rb) if len(class_a) <= len(class_b) else (class_b, ra)
+            if any(
+                self._root(y) == other
+                for x in small
+                for y in self.owners[x]
+                if y != x
+            ):
+                for root, child, size in reversed(done):
+                    self.parent[child] = child
+                    merged = self.members[root]
+                    self.members[child] = merged[size:]
+                    del merged[size:]
+                return False
             self.parent[rb] = ra
+            self.parent.setdefault(ra, ra)
+            done.append((ra, rb, len(class_a)))
+            class_a.extend(class_b)
+            self.members.pop(rb, None)
+        return True
 
 
 @dataclass
@@ -204,6 +263,8 @@ def fuse_region(
     # space of recomputation (paper Section 5, step 4).
     # ------------------------------------------------------------------
     uf = _UnionFind()
+    for stmt in work:
+        uf.own(stmt.all_indices())
     clone_counter = 0
 
     def producer_index(tensor: str, limit: int) -> Optional[int]:
@@ -212,19 +273,14 @@ def fuse_region(
                 return i
         return None
 
-    def collides() -> bool:
-        for stmt in work:
-            indices = stmt.all_indices()
-            roots = {uf.find(i) for i in indices}
-            if len(roots) < len(indices):
-                return True
-        return False
-
-    def clone_chain(pi: int, before: int) -> Tuple[str, int]:
+    def clone_chain(
+        pi: int, before: int, unions: List[Tuple[str, str]]
+    ) -> Tuple[str, int]:
         """Clone work[pi]'s transitive producer chain with fresh indices.
 
         Returns the clone's lhs tensor name and the number of statements
-        inserted before position ``before``.
+        inserted before position ``before``; appends the index pairs that
+        unify each clone with its cloned producers to ``unions``.
         """
         nonlocal clone_counter
         clone_counter += 1
@@ -235,7 +291,7 @@ def fuse_region(
         for acc in producer.operands:
             sub = producer_index(acc.tensor, before + inserted)
             if sub is not None:
-                sub_name, sub_inserted = clone_chain(sub, before + inserted)
+                sub_name, sub_inserted = clone_chain(sub, before + inserted, unions)
                 inserted += sub_inserted
                 new_operands.append(Access(sub_name, acc.indices))
             else:
@@ -250,6 +306,7 @@ def fuse_region(
             operands=tuple(new_operands),
         ).rename_indices(mapping)
         clone.sid = producer.sid
+        uf.own(clone.all_indices())
         work.insert(before + inserted, clone)
         orig_sids.insert(before + inserted, orig_sids[pi])
         inserted += 1
@@ -257,8 +314,7 @@ def fuse_region(
         for acc in clone.operands:
             sub = producer_index(acc.tensor, before + inserted - 1)
             if sub is not None:
-                for a, b in zip(acc.indices, work[sub].lhs.indices):
-                    uf.union(a, b)
+                unions.extend(zip(acc.indices, work[sub].lhs.indices))
         return clone.lhs.tensor, inserted
 
     ci = 0
@@ -274,12 +330,9 @@ def fuse_region(
                 raise EinsumError(
                     f"access {acc} does not match producer output {producer.lhs}"
                 )
-            snapshot = dict(uf.parent)
-            for a, b in zip(acc.indices, producer.lhs.indices):
-                uf.union(a, b)
-            if collides():
-                uf.parent = snapshot
-                clone_name, inserted = clone_chain(pi, ci)
+            if not uf.unify(zip(acc.indices, producer.lhs.indices)):
+                unions: List[Tuple[str, str]] = []
+                clone_name, inserted = clone_chain(pi, ci, unions)
                 ci += inserted
                 stmt = work[ci]
                 new_ops = list(stmt.operands)
@@ -290,9 +343,8 @@ def fuse_region(
                 stmt = replaced
                 clone_producer = producer_index(clone_name, ci)
                 assert clone_producer is not None
-                for a, b in zip(acc.indices, work[clone_producer].lhs.indices):
-                    uf.union(a, b)
-                if collides():
+                unions.extend(zip(acc.indices, work[clone_producer].lhs.indices))
+                if not uf.unify(unions):
                     raise OrderConflictError(
                         f"use {acc} cannot be unified even after cloning"
                     )

@@ -47,7 +47,7 @@ import numpy as np
 
 from ...driver.session import Session
 from ..einsum.ast import EinsumProgram
-from ..fusion.fuse import fuse_region
+from ..fusion.fuse import ProgramUses, fuse_region
 from ..heuristic.costmodel import HeuristicCostModel
 from ..heuristic.model import TensorStats
 from .autotune import (
@@ -108,6 +108,7 @@ class SearchSpace:
         self.split_configs = _dedupe_configs(split_configs, validate_split_item)
         self.par_configs = _dedupe_configs(par_configs, validate_par_item)
         self._orders: Dict[Tuple[int, ...], List[Optional[List[str]]]] = {}
+        self._uses = ProgramUses.of(program)
 
     # ------------------------------------------------------------------
     # Coordinates
@@ -136,7 +137,9 @@ class SearchSpace:
         if cached is None:
             cached = [None]
             try:
-                fused = fuse_region(self.program, list(key), name="search-orders")
+                fused = fuse_region(
+                    self.program, list(key), name="search-orders", uses=self._uses
+                )
                 # The compiler's default pick is already choice 0;
                 # re-listing it would burn simulation budget on a
                 # byte-identical compile.

@@ -14,11 +14,11 @@ declarations (materialized outputs) that constrain the fusion of region
 dataflow.  A pass mutates the :class:`RegionState` it is given and records
 what it did in the region's diagnostics.
 
-Every pass but ``place-memory`` is a function of the program and the
-schedule alone, never of the hierarchy, so its graph can be shared by the
-compiles of every hierarchy (:class:`~repro.driver.pipeline.SharedLowering`):
-``place-memory`` writes its decisions into the region's placement map,
-never into the graph.
+Every pass but ``place-memory`` is a function of the region's lowering
+context alone, never of the hierarchy, so its graph can be shared by the
+compiles of every hierarchy and schedule
+(:class:`~repro.driver.pipeline.RegionStore`): ``place-memory`` writes its
+decisions into the region's placement map, never into the graph.
 """
 
 from __future__ import annotations
@@ -93,24 +93,24 @@ class PassContext:
         intermediates (the allocation is program-lifetime: regions execute
         back to back and resident tensors persist across the boundary).
     uses, last_read:
-        The program's readers and outputs, and per tensor the last region
-        position that reads it: scanned once per compile, so fusing and
-        placing a region never rescan the whole program.
+        The program's readers and outputs (scanned once per program, see
+        :class:`~repro.driver.pipeline.RegionStore`), and per tensor the
+        last region position that reads it: fusing and placing a region
+        never rescan the whole program.
     """
 
     program: EinsumProgram
     schedule: Schedule
+    uses: ProgramUses
     hierarchy: HierarchySpec = FLAT_HIERARCHY
     # Starts as the program's declarations; lowering appends materialized
     # region outputs so later regions see their shapes and formats.
     decls: Dict[str, TensorDecl] = field(default_factory=dict)
     placements: Dict[str, str] = field(default_factory=dict)
     sram_reserved: int = 0
-    uses: ProgramUses = field(init=False)
     last_read: Dict[str, int] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.uses = ProgramUses.of(self.program)
         self.last_read = {}
         for position, sids in enumerate(self.schedule.regions):
             for sid in sids:
@@ -120,6 +120,10 @@ class PassContext:
 
 #: The orders ``lower-region`` tries per region before giving up.
 MAX_ORDER_ATTEMPTS = 200
+
+#: How the error of a region no order lowers begins; the fused region's
+#: name follows.
+NO_ORDER_LOWERS = "no valid dataflow order lowers region "
 
 
 def split_indices(ctx: PassContext, region: RegionState) -> None:
@@ -227,7 +231,7 @@ def _lower_with_fallback(
         except LoweringError as exc:
             errors.append(str(exc))
     raise LoweringError(
-        f"no valid dataflow order lowers region {fused.name}; "
+        f"{NO_ORDER_LOWERS}{fused.name}; "
         f"last error: {errors[-1] if errors else 'none'}"
     )
 
@@ -418,9 +422,9 @@ def parallelize(ctx: PassContext, region: RegionState) -> None:
 
 
 #: The back-end passes, in flow order, after the front end's three.  All
-#: but ``place-memory`` can be shared by compiles of one (program,
-#: schedule); the flow runs ``place-memory`` on every compile (see
-#: :class:`~repro.driver.pipeline.SharedLowering`).
+#: but ``place-memory`` can be shared by compiles that give a region the
+#: same lowering context; the flow runs ``place-memory`` on every compile
+#: (see :class:`~repro.driver.pipeline.RegionStore`).
 BACK_END: Tuple[Tuple[str, Callable[[PassContext, RegionState], None]], ...] = (
     ("split-indices", split_indices),
     ("lower-region", lower_region),

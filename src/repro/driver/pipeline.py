@@ -13,26 +13,30 @@ the schedule's or the hierarchy's say, never the flow's:
 ``run`` times every pass and collects :class:`CompileDiagnostics`.
 
 Only ``place-memory`` reads the hierarchy.  The other six passes lower a
-(program, schedule) the same way for every hierarchy and machine, so
-flows that share a :class:`SharedLowering` (a sweep worker's sessions)
-keep their result — one placement-free :class:`LoweredRegion` per region
-— and a compile of the same (program, schedule) runs ``place-memory``
-alone.
+region the same way for every hierarchy, machine and schedule that gives
+it the same lowering context (its statements, front-end skips, pinned
+and statement orders, the schedule's splits and par, and the tensors it
+names that earlier regions materialized).  A flow keeps what they leave,
+one placement-free :class:`LoweredRegion` per context, in its
+:class:`RegionStore`; a region whose context the store holds runs
+``place-memory`` alone, under the compiling schedule's region name.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..comal.hierarchy import FLAT_HIERARCHY, resolve_hierarchy
 from ..core.einsum.ast import EinsumProgram, TensorDecl
 from ..core.fusion.fuse import (
     FRONT_END_PASSES,
     FusedEinsum,
+    ProgramUses,
     front_end,
     front_end_skips,
 )
@@ -44,6 +48,7 @@ from .diagnostics import CompileDiagnostics, RegionDiagnostics
 from .passes import (
     BACK_END,
     MAX_ORDER_ATTEMPTS,
+    NO_ORDER_LOWERS,
     PassContext,
     RegionState,
     place_memory,
@@ -76,7 +81,9 @@ class LoweredRegion:
     Shared, never copied, by every compile that looks it up, and never
     mutated: the compiled regions hold its graph and lists, and ``diag``
     is a template each compile copies before placement adds its own
-    figures.
+    figures.  The region's name and position are the compile's that
+    lowered it (``diag.name``, ``diag.position``); :meth:`render` puts
+    another compile's in their place.
     """
 
     fused: FusedEinsum
@@ -89,49 +96,142 @@ class LoweredRegion:
     transposes: List[Tuple[str, str, Tuple[int, ...]]]
     diag: RegionDiagnostics
 
+    def render(self, name: str, position: int) -> RegionState:
+        """This region as a compile naming it ``name`` at ``position``
+        receives it: the fused region, graph and fusion table under that
+        name (graphs shared, only the name differs), and its own copy of
+        the diagnostics."""
+        diag = dataclasses.replace(
+            self.diag,
+            name=name,
+            position=position,
+            sids=list(self.diag.sids),
+            orders_tried=list(self.diag.orders_tried),
+            split_indices=dict(self.diag.split_indices),
+            skipped_passes=dict(self.diag.skipped_passes),
+        )
+        state = RegionState(
+            position=position,
+            sids=list(diag.sids),
+            name=name,
+            diag=diag,
+            fused=self.fused,
+            graph=self.graph,
+            order=self.order,
+            splits=self.splits,
+            output_specs=self.output_specs,
+            table_text=self.table_text,
+            transposes=self.transposes,
+        )
+        if name != self.diag.name:
+            # merge-contractions suffixes the fused region's name.
+            fused_name = name + self.fused.name[len(self.diag.name):]
+            state.fused = copy.copy(self.fused)
+            state.fused.name = fused_name
+            state.graph = self.graph.renamed(fused_name)
+            head = f"fusion table {self.fused.name}"
+            state.table_text = f"fusion table {fused_name}" + self.table_text[len(head):]
+        return state
+
 
 @dataclass
-class LoweredProgram:
-    """Every region of one (program, schedule) as lowering left it: the
-    regions lowered in flow order, then the error that stopped lowering
-    (None when every region lowered)."""
+class FailedRegion:
+    """A region whose lowering raised ``error`` in the compile that named
+    it ``name``."""
 
-    regions: List[LoweredRegion]
-    error: Optional[LoweringError] = None
+    error: LoweringError
+    name: str
+
+    def error_for(self, name: str) -> LoweringError:
+        """A fresh copy of the error, as a compile naming the region
+        ``name`` raises it."""
+        message = str(self.error)
+        head = NO_ORDER_LOWERS + self.name
+        if name != self.name and message.startswith(head):
+            message = NO_ORDER_LOWERS + name + message[len(head):]
+        return type(self.error)(message)
 
 
-class SharedLowering:
-    """The last (program, schedule) lowered by the flows that hold this.
+class _ProgramTable:
+    """One program's lowered regions, keyed by lowering context, and the
+    region entries of each schedule compiled against it."""
 
-    Keyed by the program's and the schedule's fingerprints, the first two
-    fields of the compile cache's key; the machine and the hierarchy are
-    not in it.  One record, like a sweep worker's stage cache: a worker
-    gets a group's points — one (program, schedule) on each machine and
-    hierarchy — back to back.  ``lowered`` counts the compiles that lowered
-    a record, ``hits`` the compiles a record served.
+    def __init__(self, program: EinsumProgram, fingerprint: Optional[str]) -> None:
+        self.fingerprint = fingerprint
+        self.uses = ProgramUses.of(program)
+        # sid -> the tensors its statement names.
+        self.names: Dict[int, Tuple[str, ...]] = {
+            stmt.sid: (stmt.lhs.tensor, *(acc.tensor for acc in stmt.operands))
+            for stmt in program.statements
+        }
+        self.regions: Dict[Tuple, Union[LoweredRegion, FailedRegion]] = {}
+        # Schedule fingerprint -> its entries in region order (the last
+        # one failed when lowering stopped there).
+        self.schedules: Dict[str, List[Union[LoweredRegion, FailedRegion]]] = {}
+
+    def key(
+        self,
+        ctx: PassContext,
+        position: int,
+        sids: Sequence[int],
+        skips: Dict[str, str],
+    ) -> Tuple:
+        """A region's full lowering context.  The program is the table's;
+        machine, hierarchy and region name are not in it."""
+        schedule = ctx.schedule
+        pinned = schedule.orders.get(position)
+        stmt_orders = schedule.stmt_orders
+        program_decls = ctx.program.decls
+        materialized = []
+        for tensor in dict.fromkeys(t for sid in sids for t in self.names[sid]):
+            decl = ctx.decls.get(tensor)
+            if decl is not program_decls.get(tensor):
+                materialized.append((tensor, decl.shape, decl.fmt))
+        return (
+            tuple(sids),
+            tuple(skips.items()),
+            None if pinned is None else tuple(pinned),
+            tuple((sid, tuple(stmt_orders[sid])) for sid in sids if sid in stmt_orders),
+            tuple(schedule.splits.items()),
+            tuple(schedule.par.items()),
+            tuple(materialized),
+        )
+
+
+class RegionStore:
+    """The lowered regions of the last program the flows holding this
+    store compiled.
+
+    Each region is lowered once per lowering context (:meth:`_ProgramTable.key`),
+    whatever schedule it belongs to; a compile under a schedule the store
+    has seen takes its entries in one lookup.  Compiling another program
+    starts a fresh table.  A compile takes the table once and the store
+    replaces it whole, so concurrent compiles need no lock.  ``lowered``
+    counts the regions lowered into the store, ``hits`` the regions it
+    served.
     """
 
     def __init__(self) -> None:
-        # (key, record), replaced whole so a reader never pairs a key with
-        # another key's record.
-        self._last: Optional[Tuple[Tuple[str, str], LoweredProgram]] = None
+        self._table: Optional[_ProgramTable] = None
         self.lowered = 0
         self.hits = 0
 
-    def get(self, key: Tuple[str, str]) -> Optional[LoweredProgram]:
-        last = self._last
-        if last is None or last[0] != key:
-            return None
-        self.hits += 1
-        return last[1]
-
-    def put(self, key: Tuple[str, str], record: LoweredProgram) -> None:
-        self._last = (key, record)
-        self.lowered += 1
+    def table(
+        self, program: EinsumProgram, fingerprint: Optional[str]
+    ) -> _ProgramTable:
+        """The table of the program with ``fingerprint``, validating the
+        program when the store binds to it (the fingerprint covers all
+        that validation reads)."""
+        table = self._table
+        if table is None or table.fingerprint != fingerprint:
+            program.validate()
+            table = _ProgramTable(program, fingerprint)
+            self._table = table
+        return table
 
     def clear(self) -> None:
-        """Drop the record and reset the counters."""
-        self._last = None
+        """Drop the table and reset the counters."""
+        self._table = None
         self.lowered = 0
         self.hits = 0
 
@@ -151,10 +251,10 @@ class PassPipeline:
     def __init__(self, hierarchy=None) -> None:
         spec = resolve_hierarchy(hierarchy)
         self.hierarchy = spec if spec.has_sram else FLAT_HIERARCHY
-        #: The lowering this flow reuses.  None lowers every compile; flows
-        #: given one (a sweep worker's sessions) lower a (program,
-        #: schedule) once between them.
-        self.shared: Optional[SharedLowering] = None
+        #: The lowered regions this flow reuses; flows given one store (a
+        #: sweep worker's sessions) lower each region context once between
+        #: them.
+        self.store = RegionStore()
 
     @classmethod
     def default(cls) -> "PassPipeline":
@@ -208,12 +308,14 @@ class PassPipeline:
         Parameters
         ----------
         program:
-            The (validated) Einsum program.
+            The Einsum program.
         schedule:
             The schedule whose regions drive the region-by-region flow.
         fingerprints:
-            ``(program.fingerprint(), schedule.fingerprint())`` when the
-            caller already has them (:class:`SharedLowering` keys on them).
+            ``(program.fingerprint(), schedule.fingerprint())``, the
+            compile cache's first two key fields.  Given, the flow looks
+            regions up in :attr:`store` and keeps what it lowers there;
+            without them it lowers every region and keeps nothing.
 
         Returns
         -------
@@ -224,7 +326,10 @@ class PassPipeline:
             :class:`~repro.driver.diagnostics.CompileDiagnostics` (with
             per-pass ``pass_seconds``).
         """
-        program.validate()
+        # Without fingerprints, a store of this compile's own.
+        store = self.store if fingerprints is not None else RegionStore()
+        program_fp, schedule_fp = fingerprints or (None, None)
+        table = store.table(program, program_fp)
         schedule.validate(program)
         diagnostics = CompileDiagnostics(
             program=program.name,
@@ -236,46 +341,44 @@ class PassPipeline:
             schedule=schedule,
             hierarchy=self.hierarchy,
             decls=dict(program.decls),
+            uses=table.uses,
         )
-        record = built = None
-        if self.shared is not None:
-            if fingerprints is None:
-                fingerprints = (program.fingerprint(), schedule.fingerprint())
-            record = self.shared.get(fingerprints)
-            if record is None:
-                built = LoweredProgram(regions=[])
+        # Published once complete (or ended by a failure), so a concurrent
+        # compile of this schedule never reads a partial list.
+        entries = table.schedules.get(schedule_fp)
+        indexed = entries is not None
+        if not indexed:
+            entries = []
         seconds = diagnostics.pass_seconds
         regions: List[CompiledRegion] = []
+        error: Optional[LoweringError] = None
         for position, sids in enumerate(schedule.regions):
             name = f"{schedule.name}-r{position}"
-            if record is None:
-                try:
-                    lowered = _lower(ctx, position, list(sids), name, seconds)
-                except LoweringError as exc:
-                    if built is not None:
-                        # A fresh copy: the raised one holds this compile's frames.
-                        built.error = type(exc)(*exc.args)
-                        self.shared.put(fingerprints, built)
-                    raise
-                if built is not None:
-                    built.regions.append(lowered)
-            elif position < len(record.regions):
-                lowered = record.regions[position]
+            if indexed:
+                entry = entries[position]
+                store.hits += 1
             else:
-                raise type(record.error)(*record.error.args)
-            state = RegionState(
-                position=position,
-                sids=list(sids),
-                name=name,
-                diag=_own_copy(lowered.diag),
-                fused=lowered.fused,
-                graph=lowered.graph,
-                order=lowered.order,
-                splits=lowered.splits,
-                output_specs=lowered.output_specs,
-                table_text=lowered.table_text,
-                transposes=lowered.transposes,
-            )
+                skips = front_end_skips(schedule, sids)
+                key = table.key(ctx, position, sids, skips)
+                entry = table.regions.get(key)
+                if entry is not None:
+                    store.hits += 1
+                else:
+                    try:
+                        entry = _lower(ctx, position, list(sids), name, skips, seconds)
+                    except LoweringError as exc:
+                        # Kept as a fresh copy: the raised one holds this
+                        # compile's frames.
+                        entry = FailedRegion(type(exc)(*exc.args), name)
+                        error = exc
+                    table.regions[key] = entry
+                    store.lowered += 1
+                entries.append(entry)
+            if isinstance(entry, FailedRegion):
+                if not indexed:
+                    table.schedules[schedule_fp] = entries
+                raise error or entry.error_for(name)
+            state = entry.render(name, position)
             diagnostics.regions.append(state.diag)
             register_outputs(ctx, state)
             start = time.perf_counter()
@@ -301,23 +404,12 @@ class PassPipeline:
                     placement=state.placement,
                 )
             )
-        if built is not None:
-            self.shared.put(fingerprints, built)
+        if not indexed:
+            table.schedules[schedule_fp] = entries
         return regions, ctx.decls, diagnostics
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PassPipeline({self.hierarchy.name!r})"
-
-
-def _own_copy(diag: RegionDiagnostics) -> RegionDiagnostics:
-    """A copy of a lowered region's diagnostics that owns its containers."""
-    return dataclasses.replace(
-        diag,
-        sids=list(diag.sids),
-        orders_tried=list(diag.orders_tried),
-        split_indices=dict(diag.split_indices),
-        skipped_passes=dict(diag.skipped_passes),
-    )
 
 
 def _lower(
@@ -325,17 +417,18 @@ def _lower(
     position: int,
     sids: List[int],
     name: str,
+    skips: Dict[str, str],
     seconds: Dict[str, float],
 ) -> LoweredRegion:
-    """Run the front end and the placement-free back-end passes on one
-    region, timing each pass into ``seconds``."""
+    """Run the front end (minus the passes ``skips`` names) and the
+    placement-free back-end passes on one region, timing each pass into
+    ``seconds``."""
     state = RegionState(
         position=position,
         sids=sids,
         name=name,
         diag=RegionDiagnostics(name=name, position=position, sids=list(sids)),
     )
-    skips = front_end_skips(ctx.schedule, sids)
     state.diag.skipped_passes.update(skips)
     state.fused = front_end(
         ctx.program,

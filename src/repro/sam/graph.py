@@ -17,6 +17,7 @@ placement map.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -105,6 +106,13 @@ class SAMGraph:
         self._validated = False
         self._input_tensor_names_cache = None
         return node
+
+    def renamed(self, name: str) -> "SAMGraph":
+        """This graph under another name, sharing its nodes, outputs and
+        structure caches; neither may be mutated afterwards."""
+        view = copy.copy(self)
+        view.name = name
+        return view
 
     def port(self, node: Node | str, port: str = "out") -> Port:
         """Build a :class:`Port` handle for ``node``'s output ``port``."""

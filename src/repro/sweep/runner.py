@@ -41,7 +41,7 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..comal.machines import MACHINES
 from ..driver.compiled import FunctionalRun
-from ..driver.pipeline import SharedLowering
+from ..driver.pipeline import RegionStore
 from ..driver.session import Session
 from ..reliability import fault_point
 from .spec import _BUNDLES, SweepPoint, SweepSpec, bundle_for
@@ -94,11 +94,11 @@ def _is_transient(record: Dict[str, object]) -> bool:
 # the Session cache (and tracing work via ``bundle_for``).
 _SESSIONS: Dict[Tuple[str, str, str], Session] = {}
 
-# The lowering shared by the per-process sessions: a group's points differ
-# only in machine and hierarchy, which lowering never reads, so a worker
-# lowers its group's (program, schedule) once and every other point of the
-# group runs placement alone.
-_LOWERED = SharedLowering()
+# The region store shared by the per-process sessions: a group's points
+# differ only in machine and hierarchy, which lowering never reads, so a
+# worker lowers each region of its group's (program, schedule) once and
+# every other point of the group runs placement alone.
+_STORE = RegionStore()
 
 # Per-process stage cache: the functional run of the last group run here,
 # by stage key (one entry: a worker gets its group's points back to back).
@@ -134,7 +134,7 @@ def _session_for(machine: str, hierarchy: str = "flat") -> Session:
             hierarchy=hierarchy,
             disk_cache=_CACHE_DIR,
         )
-        session.pipeline.shared = _LOWERED
+        session.pipeline.store = _STORE
         _SESSIONS[key] = session
     return session
 
@@ -276,10 +276,10 @@ def _worker_main(conn, cache_dir: Optional[str]) -> None:
 
 
 def clear_worker_caches() -> None:
-    """Drop the per-process sessions, bundles, shared lowering and stage
+    """Drop the per-process sessions, bundles, region store and stage
     cache (tests, memory pressure)."""
     _SESSIONS.clear()
-    _LOWERED.clear()
+    _STORE.clear()
     _BUNDLES.clear()
     _STAGE.clear()
 

@@ -624,127 +624,227 @@ class TestSimulationMemo:
 
 
 class TestSharedLowering:
-    """The compile flow's placement-free lowering of one (program,
-    schedule), shared between sessions that hold one record."""
+    """The compile flow's region store: each region lowered once per
+    lowering context, served to every compile (any schedule, machine or
+    hierarchy) that gives the region that context."""
 
     @staticmethod
-    def _shared(shared, **options):
+    def _shared(store, **options):
         session = Session(**options)
-        session.pipeline.shared = shared
+        session.pipeline.store = store
         return session
+
+    @staticmethod
+    def _untimed(text):
+        import re
+
+        return re.sub(r" +[\d.]+ ms", " ms", text)
+
+    def _assert_equal_compiles(self, have, want):
+        assert self._untimed(have.describe()) == self._untimed(want.describe())
+        assert have.compiled.signature == want.compiled.signature
+        assert have.diagnostics.regions == want.diagnostics.regions
+        assert self._untimed(have.diagnostics.describe()) == self._untimed(
+            want.diagnostics.describe()
+        )
+        for a, b in zip(have.regions, want.regions, strict=True):
+            assert a.fused.name == b.fused.name
+            assert a.table_text == b.table_text
+            assert a.order == b.order
+            assert a.placement == b.placement
+            assert a.graph.describe() == b.graph.describe()
 
     def test_a_session_on_its_own_lowers_every_compile(self, gcn_layer):
         prog, _, _ = gcn_layer
-        session = Session()
-        assert session.pipeline.shared is None
-        session.compile(prog, unfused(prog))
-        assert session.pipeline.shared is None
+        schedule = unfused(prog)
+        sessions = [Session(), Session()]
+        assert sessions[0].pipeline.store is not sessions[1].pipeline.store
+        for session in sessions:
+            session.compile(prog, schedule)
+            store = session.pipeline.store
+            assert (store.lowered, store.hits) == (len(schedule.regions), 0)
 
     def test_schedule_knobs_change_the_key(self, gcn_layer):
         from dataclasses import replace
 
-        from repro.driver.pipeline import SharedLowering
+        from repro.driver.pipeline import RegionStore
 
         prog, _, _ = gcn_layer
         base = fused_groups(prog, [[0, 1], [2, 3]], name="g")
         order = list(Session().compile(prog, base).regions[0].order)
+        # Knob -> (new value, regions whose lowering context it changes).
         flips = {
-            "orders": {0: order},
-            "stmt_orders": {0: ("i", "k", "f")},
-            "splits": {"i": 2},
-            "par": {"i": 2},
-            "fold_masks": False,
-            "global_rewrite": True,
+            "orders": ({0: order}, 1),
+            "stmt_orders": ({0: ("i", "k", "f")}, 1),
+            "splits": ({"i": 2}, 2),
+            "par": ({"i": 2}, 2),
+            "fold_masks": (False, 2),
+            "global_rewrite": (True, 2),
         }
-        for name, value in flips.items():
-            shared = SharedLowering()
-            self._shared(shared).compile(prog, base)
-            self._shared(shared).compile(prog, replace(base, **{name: value}))
-            assert (shared.lowered, shared.hits) == (2, 0), name
+        for name, (value, changed) in flips.items():
+            store = RegionStore()
+            self._shared(store).compile(prog, base)
+            self._shared(store).compile(prog, replace(base, **{name: value}))
+            assert (store.lowered, store.hits) == (2 + changed, 2 - changed), name
+
+    def test_region_key_covers_the_lowering_context(self, gcn_layer):
+        from dataclasses import replace
+
+        from repro.comal.hierarchy import resolve_hierarchy
+        from repro.core.fusion.fuse import front_end_skips
+        from repro.driver.passes import PassContext
+        from repro.driver.pipeline import RegionStore
+
+        prog, _, _ = gcn_layer
+        base = fused_groups(prog, [[0, 1], [2, 3]], name="g")
+        decls = Session().compile(prog, base).compiled.decls
+        table = RegionStore().table(prog, prog.fingerprint())
+
+        def key(schedule, position=1, hierarchy="flat", **changed):
+            ctx = PassContext(
+                program=prog,
+                schedule=schedule,
+                uses=table.uses,
+                hierarchy=resolve_hierarchy(hierarchy),
+                decls={**decls, **changed},
+            )
+            sids = schedule.regions[position]
+            return table.key(ctx, position, sids, front_end_skips(schedule, sids))
+
+        t1 = decls["T1"]
+        assert t1 is not prog.decls.get("T1"), "T1 is materialized by region 0"
+        assert t1.fmt != csr()
+        want = key(base)
+        changes = {
+            "sids": key(fused_groups(prog, [[0, 1], [2], [3]], name="g"), 1),
+            "skips": key(replace(base, fold_masks=False)),
+            "pinned order": key(replace(base, orders={1: ["i", "h"]})),
+            "stmt_orders": key(replace(base, stmt_orders={2: ("h", "i")})),
+            "splits": key(replace(base, splits={"i": 2})),
+            "par": key(replace(base, par={"h": 2})),
+            "materialized shape": key(base, T1=replace(t1, shape=(12, 5))),
+            "materialized format": key(base, T1=replace(t1, fmt=csr())),
+        }
+        for field, changed in changes.items():
+            assert changed != want, field
+        assert len(set(changes.values())) == len(changes)
+        # Neither the hierarchy nor the schedule's name is in the key; the
+        # machine never reaches lowering.
+        assert key(base, hierarchy="fpga-small") == want
+        assert key(replace(base, name="renamed")) == want
 
     def test_materialized_operand_shape_and_format_change_the_key(self):
-        from repro.driver.pipeline import SharedLowering
+        from dataclasses import replace
 
-        text = """
-tensor A({rows}, 4): dense
-tensor B(4, 3): {fmt}
+        from repro.core.fusion.fuse import front_end_skips
+        from repro.driver.passes import PassContext
+        from repro.driver.pipeline import RegionStore
+        from repro.ftree import dense
+
+        prog = parse_program(
+            """
+tensor A(6, 4): dense
+tensor B(4, 3): dense
 T(i, j) = A(i, k) * B(k, j)
 Y(i, j) = T(i, j) * T(i, j)
 """
-        shared = SharedLowering()
-        materialized = []
-        for rows, fmt in ((6, "dense"), (7, "dense"), (6, "csr")):
-            prog = parse_program(text.format(rows=rows, fmt=fmt))
-            exe = self._shared(shared).compile(prog, unfused(prog))
-            materialized.append(exe.compiled.decls["T"])
-        assert (shared.lowered, shared.hits) == (3, 0)
-        assert len({(d.shape, str(d.fmt)) for d in materialized}) == 3
+        )
+        schedule = unfused(prog)
+        decls = Session().compile(prog, schedule).compiled.decls
+        table = RegionStore().table(prog, prog.fingerprint())
+        keys = set()
+        for t in (decls["T"], replace(decls["T"], shape=(7, 3)),
+                  replace(decls["T"], fmt=csr())):
+            ctx = PassContext(
+                program=prog, schedule=schedule, uses=table.uses, decls={**decls, "T": t}
+            )
+            keys.add(table.key(ctx, 1, [1], front_end_skips(schedule, [1])))
+        assert len(keys) == 3
+        assert decls["T"].fmt != csr() and decls["T"].fmt == dense(2)
 
     def test_machine_and_hierarchy_leave_the_key_alone(self, gcn_layer):
         from repro.comal import RDA_MACHINE
-        from repro.driver.pipeline import SharedLowering
+        from repro.driver.pipeline import RegionStore
 
         prog, _, _ = gcn_layer
-        shared = SharedLowering()
+        store = RegionStore()
         for machine in (RDA_MACHINE, FPGA_MACHINE):
             for hierarchy in ("flat", "fpga-small"):
-                session = self._shared(shared, machine=machine, hierarchy=hierarchy)
+                session = self._shared(store, machine=machine, hierarchy=hierarchy)
                 session.compile(prog, unfused(prog))
-        assert (shared.lowered, shared.hits) == (1, 3)
+        regions = len(prog.statements)
+        assert (store.lowered, store.hits) == (regions, 3 * regions)
 
     def test_another_compile_replaces_the_record(self, gcn_layer):
-        from repro.driver.pipeline import SharedLowering
+        from repro.driver.pipeline import RegionStore
 
         prog, binding, _ = gcn_layer
-        shared = SharedLowering()
-        schedules = [unfused(prog), fully_fused(prog), unfused(prog)]
-        for hierarchy, schedule in zip(("flat", "fpga-small", "flat"), schedules):
-            exe = self._shared(shared, hierarchy=hierarchy).compile(prog, schedule)
-            want = Session(hierarchy=hierarchy).compile(prog, schedule)
+        other = parse_program(GCN_LAYER.replace("relu", "sigmoid"))
+        store = RegionStore()
+        regions = len(prog.statements)
+        for hierarchy, program in zip(("flat", "fpga-small", "flat"), (prog, other, prog)):
+            exe = self._shared(store, hierarchy=hierarchy).compile(program, unfused(program))
+            want = Session(hierarchy=hierarchy).compile(program, unfused(program))
             assert exe(binding).metrics == want(binding).metrics
-        assert (shared.lowered, shared.hits) == (3, 0)
+            assert store._table.fingerprint == program.fingerprint()
+        # Each program change started a fresh table: nothing was served.
+        assert (store.lowered, store.hits) == (3 * regions, 0)
 
     @pytest.mark.parametrize("model", sorted(GOLDEN_POINTS))
     def test_hit_equals_a_fresh_compile(self, model):
-        import re
+        from dataclasses import replace
 
-        from repro.driver.pipeline import SharedLowering
+        from repro.driver.pipeline import RegionStore
         from repro.sweep import SweepPoint, build_bundle
 
         bundle = build_bundle(SweepPoint.make(model, model_args=GOLDEN_POINTS[model]))
-
-        def untimed(text):
-            return re.sub(r" +[\d.]+ ms", " ms", text)
-
-        shared = SharedLowering()
+        store = RegionStore()
         for granularity in ("unfused", "partial", "full"):
             schedule = bundle.schedule(granularity)
-            warm = self._shared(shared, hierarchy="flat").compile(
+            warm = self._shared(store, hierarchy="flat").compile(
                 bundle.program, schedule
             )
-            lowered = shared.lowered
-            hit = self._shared(shared, hierarchy="fpga-small").compile(
-                bundle.program, schedule
+            lowered = store.lowered
+            # The same regions under another schedule's name.
+            renamed = replace(schedule, name=f"{schedule.name}-again")
+            hit = self._shared(store, hierarchy="fpga-small").compile(
+                bundle.program, renamed
             )
-            assert shared.lowered == lowered, "the second compile lowered"
-            fresh = Session(hierarchy="fpga-small").compile(bundle.program, schedule)
-            assert untimed(hit.describe()) == untimed(fresh.describe())
-            assert hit.compiled.signature == fresh.compiled.signature
-            assert hit.diagnostics.regions == fresh.diagnostics.regions
-            for have, want in zip(hit.regions, fresh.regions, strict=True):
-                assert have.table_text == want.table_text
-                assert have.order == want.order
-                assert have.placement == want.placement
-                assert have.graph.describe() == want.graph.describe()
+            assert store.lowered == lowered, "the second compile lowered"
+            fresh = Session(hierarchy="fpga-small").compile(bundle.program, renamed)
+            self._assert_equal_compiles(hit, fresh)
             assert hit(bundle.binding).metrics == fresh(bundle.binding).metrics
-            # The hit left the first compile's placement alone.
+            # The hit left the first compile's names and placement alone.
             flat = Session(hierarchy="flat").compile(bundle.program, schedule)
-            assert [r.placement for r in warm.regions] == [
-                r.placement for r in flat.regions
-            ]
+            self._assert_equal_compiles(warm, flat)
+
+    def test_two_schedules_share_a_region_under_different_names(self, gcn_layer):
+        from dataclasses import replace
+
+        from repro.driver.pipeline import RegionStore
+
+        prog, binding, _ = gcn_layer
+        for rewrite in (False, True):
+            store = RegionStore()
+            first = replace(
+                fused_groups(prog, [[0, 1], [2, 3]], name="first"),
+                global_rewrite=rewrite,
+            )
+            second = replace(
+                fused_groups(prog, [[0, 1], [2], [3]], name="second"),
+                global_rewrite=rewrite,
+            )
+            self._shared(store).compile(prog, first)
+            have = self._shared(store, hierarchy="fpga-small").compile(prog, second)
+            # [0, 1] was served; [2] and [3] are new contexts.
+            assert (store.lowered, store.hits) == (4, 1)
+            want = Session(hierarchy="fpga-small").compile(prog, second)
+            self._assert_equal_compiles(have, want)
+            assert have.regions[0].graph.name.startswith("second-r0")
+            assert have(binding).metrics == want(binding).metrics
 
     def test_cached_lowering_error_names_this_compiles_region(self):
-        from repro.driver.pipeline import SharedLowering
+        from repro.driver.pipeline import RegionStore
 
         prog = parse_program(
             """
@@ -754,22 +854,165 @@ E(i, j) = B(i, k) * C(k, j)
 F(i, l) = E(i, j2) * B(l, j2)
 """
         )
-        shared = SharedLowering()
+        store = RegionStore()
         errors = []
         for hierarchy in ("flat", "fpga-small"):
             with pytest.raises(LoweringError, match="materialize") as caught:
-                self._shared(shared, hierarchy=hierarchy).compile(
+                self._shared(store, hierarchy=hierarchy).compile(
                     prog, fully_fused(prog, name="whole")
                 )
             errors.append(caught.value)
-        assert (shared.lowered, shared.hits) == (1, 1)
+        assert (store.lowered, store.hits) == (1, 1)
         assert errors[1] is not errors[0]
         assert str(errors[1]) == str(errors[0])
         assert "region whole-r0" in str(errors[1])
-        # Another schedule is its own record, its region named for itself.
-        with pytest.raises(LoweringError, match="region other-r0"):
-            self._shared(shared).compile(prog, fully_fused(prog, name="other"))
-        assert shared.lowered == 2
+        # Another schedule with the region replays its failure, named for
+        # itself, without lowering it again.
+        with pytest.raises(LoweringError, match="region other-r0") as caught:
+            self._shared(store).compile(prog, fully_fused(prog, name="other"))
+        assert "whole" not in str(caught.value)
+        assert (store.lowered, store.hits) == (1, 2)
+
+    def test_replayed_failure_places_the_regions_before_it(self, monkeypatch):
+        import repro.driver.pipeline as pipeline
+        from repro.driver.pipeline import RegionStore
+
+        prog = parse_program(
+            """
+tensor B(5, 5): csr
+tensor C(5, 5): csr
+D(i, j) = B(i, j) * C(i, j)
+E(i, j) = B(i, k) * C(k, j)
+F(i, l) = E(i, j2) * B(l, j2)
+"""
+        )
+        placed = []
+        place_memory = pipeline.place_memory
+
+        def counted(ctx, state):
+            placed.append(state.name)
+            place_memory(ctx, state)
+
+        monkeypatch.setattr(pipeline, "place_memory", counted)
+        store = RegionStore()
+        for name in ("first", "second"):
+            with pytest.raises(LoweringError) as caught:
+                self._shared(store).compile(
+                    prog, fused_groups(prog, [[0], [1, 2]], name=name)
+                )
+            assert str(caught.value).startswith(
+                f"no valid dataflow order lowers region {name}-r1; "
+            )
+        assert placed == ["first-r0", "second-r0"]
+        assert (store.lowered, store.hits) == (2, 2)
+        fresh = Session()
+        with pytest.raises(LoweringError) as caught:
+            fresh.compile(prog, fused_groups(prog, [[0], [1, 2]], name="second"))
+        assert str(caught.value).startswith(
+            "no valid dataflow order lowers region second-r1; "
+        )
+
+    def test_concurrent_compiles_match_fresh_ones(self, gcn_layer):
+        """Threads compile schedules of two programs through one store, with
+        no lock: the table is taken once per compile and replaced whole,
+        and a schedule's entries are published only when complete."""
+        from repro.driver.pipeline import RegionStore
+
+        prog, _, _ = gcn_layer
+        other = parse_program(GCN_LAYER.replace("relu", "sigmoid"))
+        jobs = [
+            (program, schedule)
+            for program in (prog, other)
+            for schedule in (
+                unfused(program),
+                fully_fused(program),
+                fused_groups(program, [[0, 1], [2, 3]], name="g"),
+                fused_groups(program, [[0], [1, 2, 3]], name="h"),
+            )
+        ]
+
+        def rendered(exe):
+            return (
+                self._untimed(exe.describe()),
+                exe.compiled.signature,
+                [r.table_text for r in exe.regions],
+            )
+
+        want = [rendered(Session().compile(p, s)) for p, s in jobs]
+        store = RegionStore()
+        failures = []
+
+        done = []
+
+        def work(offset):
+            for step in range(3 * len(jobs)):
+                index = (offset + step) % len(jobs)
+                try:
+                    exe = self._shared(store).compile(*jobs[index])
+                except Exception as exc:
+                    failures.append(f"{jobs[index][1].name}: {exc!r}")
+                    continue
+                if rendered(exe) != want[index]:
+                    failures.append(jobs[index][1].name)
+            done.append(offset)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert sorted(done) == list(range(8))
+        assert store.hits > 0
+
+    def test_beam_search_lowers_each_context_once(self, monkeypatch):
+        import repro.driver.pipeline as pipeline
+        from repro.core.heuristic.model import stats_from_binding
+        from repro.driver.pipeline import RegionStore, _ProgramTable
+        from repro.sweep import SweepPoint, build_bundle
+
+        bundle = build_bundle(
+            SweepPoint.make(
+                "gpt3",
+                model_args=dict(seq_len=16, d_model=8, block=4, n_layers=1, seed=0),
+            )
+        )
+        stats = stats_from_binding(bundle.binding)
+        lowerings = []
+        lower = pipeline._lower
+
+        def counted(ctx, position, sids, name, skips, seconds):
+            lowerings.append(tuple(sids))
+            return lower(ctx, position, sids, name, skips, seconds)
+
+        monkeypatch.setattr(pipeline, "_lower", counted)
+
+        def search(session):
+            return autotune(
+                bundle.program, bundle.binding, stats, session=session,
+                strategy="beam", budget=2, seed=0, model_name="gpt3",
+            )
+
+        session = Session()
+        shared = search(session)
+        store = session.pipeline.store
+        assert len(lowerings) == store.lowered == len(store._table.regions)
+        assert store.hits > store.lowered
+        # The same search with a table per compile: the trace is unchanged.
+        monkeypatch.setattr(
+            RegionStore, "table", lambda self, program, fp: _ProgramTable(program, fp)
+        )
+        cold = search(Session())
+        assert len(lowerings) > 2 * store.lowered
+        assert cold.search_trace == shared.search_trace
+        assert cold.measured_cycles == shared.measured_cycles
+        assert cold.best.name == shared.best.name
 
 
 class TestAutotuneThroughSession:
