@@ -15,6 +15,9 @@ parameters.  Three machines are provided:
 ``GPU_MACHINE``
     A throughput-oriented model with wide vector lanes and high-latency
     memory, used by the Figure 1 utilization motivation experiment.
+
+:data:`MACHINES` also names two scaled copies of ``RDA_MACHINE`` that the
+scorecard's fusion sweeps run on, ``rda-membound`` and ``rda-balanced``.
 """
 
 from __future__ import annotations
@@ -190,6 +193,16 @@ GPU_MACHINE = Machine(
 )
 
 MACHINES = {m.name: m for m in (RDA_MACHINE, FPGA_MACHINE, GPU_MACHINE)}
+# Scaled RDA configurations: bandwidth-dominated (large graphs against fixed
+# HBM: 16x vector compute, 4 B/cycle DRAM) and balanced (8x compute against
+# 8 B/cycle, so both recomputation FLOPs and data movement matter).
+for _name, _lanes, _bandwidth in (("rda-membound", 16, 4.0), ("rda-balanced", 8, 8.0)):
+    MACHINES[_name] = RDA_MACHINE.scaled(
+        name=_name,
+        dram_bandwidth=_bandwidth,
+        default_ii=1 / _lanes,
+        ii={k: v / _lanes for k, v in RDA_MACHINE.ii.items()},
+    )
 
 #: Re-exported hierarchy presets so machine configuration is one import:
 #: ``MACHINES["rda"].with_hierarchy("fpga-small")``.

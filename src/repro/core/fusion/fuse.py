@@ -492,6 +492,9 @@ def fuse_region(
     # (including tensors materialized by earlier regions) and propagated
     # through producer/consumer unification.
     sizes: Dict[str, int] = {}
+    producers: Dict[str, Statement] = {}
+    for stmt in unified:
+        producers.setdefault(stmt.lhs.tensor, stmt)
     changed = True
     while changed:
         changed = False
@@ -508,10 +511,8 @@ def fuse_region(
                         if idx not in sizes:
                             sizes[idx] = extent
                             changed = True
-                elif any(s.lhs.tensor == acc.tensor for s in unified):
-                    producer = next(
-                        s for s in unified if s.lhs.tensor == acc.tensor
-                    )
+                elif acc.tensor in producers:
+                    producer = producers[acc.tensor]
                     for idx, p_idx in zip(acc.indices, producer.lhs.indices):
                         if idx not in sizes and p_idx in sizes:
                             sizes[idx] = sizes[p_idx]

@@ -7,6 +7,11 @@ number, the inequality that decides pass/fail, and the substitution made
 to get the number here: synthetic graphs for Table 2's datasets, machine
 timing tables for Comal, the GPU and the FPGA.
 
+A grid-shaped row reads its numbers only from the records of one
+``run_sweep`` over its spec in :data:`SPECS`, so ``fuseflow sweep run``
+re-runs it; a record that is not ``"ok"`` raises instead of rendering.
+Rows that read what records do not carry run on a ``Session``.
+
 Every number is simulated cycles, bytes or a count.  Those repeat exactly
 for fixed seeds and do not depend on the execution tier, so the printed
 table is deterministic: ``REPRODUCTION.md`` is this module's output,
@@ -23,12 +28,12 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from .comal import FPGA_MACHINE, GPU_MACHINE, RDA_MACHINE
+from .comal import FPGA_MACHINE, RDA_MACHINE
 from .core.einsum import EinsumProgram, parse_program
 from .core.fusion import (
     enumerate_orders,
@@ -60,28 +65,12 @@ from .models import (
     gcn_on_synthetic,
     graphsage_on_synthetic,
 )
-from .sweep import SweepPoint, build_bundle
+from .sweep import SweepPoint, SweepSpec, bundle_for, run_sweep
+from .sweep.runner import clear_worker_caches
 
-#: One compile cache for every experiment: a row that revisits another
-#: row's (program, schedule) pays no compile.  Executables are
+#: The compile cache of the rows that run on a Session.  Executables are
 #: machine-independent; each run names its machine.
 SESSION = Session(cache_size=1024)
-
-#: Bandwidth-dominated configuration (large graphs against fixed HBM):
-#: 16x vector compute, 4 B/cycle DRAM.
-MEMORY_BOUND_MACHINE = RDA_MACHINE.scaled(
-    dram_bandwidth=4.0,
-    default_ii=1 / 16,
-    ii={k: v / 16 for k, v in RDA_MACHINE.ii.items()},
-)
-
-#: Fusion-granularity configuration: 8x vector compute against 8 B/cycle,
-#: so both recomputation FLOPs and data movement matter.
-BALANCED_MACHINE = RDA_MACHINE.scaled(
-    dram_bandwidth=8.0,
-    default_ii=1 / 8,
-    ii={k: v / 8 for k, v in RDA_MACHINE.ii.items()},
-)
 
 #: Parallelization configuration: DRAM never binds.
 COMPUTE_BOUND_MACHINE = RDA_MACHINE.scaled(dram_bandwidth=1e9, dram_latency=1.0)
@@ -89,6 +78,8 @@ COMPUTE_BOUND_MACHINE = RDA_MACHINE.scaled(dram_bandwidth=1e9, dram_latency=1.0)
 GRAPHS = "synthetic graphs (Table 2 sparsity class, 90-160 nodes) for the datasets"
 SCALED_RDA = "RDA_MACHINE scaled to {} for Comal"
 GRANULARITIES = ("unfused", "partial", "full")
+#: Builder arguments of gcn and graphsage on the Table 2 stand-in graphs.
+GRAPH_ARGS = {"hidden": 8, "classes": 4}
 
 
 @dataclass(frozen=True)
@@ -103,33 +94,6 @@ class Row:
     substitution: str
 
 
-def verified_run(bundle, schedule, machine=RDA_MACHINE):
-    """Run a model bundle and assert it matches the dense reference."""
-    result = SESSION.compile(bundle.program, schedule)(bundle.binding, machine=machine)
-    bundle.verify(result)
-    return result
-
-
-def fusion_sweep(bundle, machine=RDA_MACHINE, granularities=GRANULARITIES):
-    """Speedup over the first granularity, per granularity, all verified."""
-    results = SESSION.compare_schedules(
-        bundle.program, bundle.binding, bundle.schedules(granularities), machine
-    )
-    cycles = {}
-    for granularity, result in zip(granularities, results.values()):
-        bundle.verify(result)
-        cycles[granularity] = result.metrics.cycles
-    return {g: cycles[granularities[0]] / c for g, c in cycles.items()}
-
-
-@functools.cache
-def graph_bundle(model: str, dataset: str):
-    """The gcn/graphsage bundle on one Table 2 stand-in graph (shared)."""
-    builder = build_gcn if model == "gcn" else build_graphsage
-    entry, adj, feats = graph_dataset(dataset)
-    return builder(adj, feats, hidden=8, classes=4, seed=entry.seed)
-
-
 def _x(value: float) -> str:
     return f"{value:.2f}x"
 
@@ -140,23 +104,114 @@ def _span(values) -> str:
 
 
 # ----------------------------------------------------------------------
+# The grid rows' sweeps
+# ----------------------------------------------------------------------
+
+FIG15_SPARSITIES = (0.5, 0.7, 0.9, 0.95)
+FIG15_PATTERNS = ("uniform", "powerlaw", "blockdiag")
+#: Figure 15's 48-node graphs, per pattern and sparsity.
+FIG15_ARGS = [
+    {"nodes": 48, "features": 8, "density": 1.0 - s, "pattern": p, "seed": 5}
+    for p in FIG15_PATTERNS
+    for s in FIG15_SPARSITIES
+]
+#: The seq-64 BigBird decoder: 2 layers per block size (Figure 12), and
+#: 1 layer at block 8 (Table 3).
+FIG12_BLOCKS = (4, 8, 16)
+FIG12_GPT3_ARGS = [
+    {"seq_len": 64, "d_model": 16, "block": b, "n_layers": 2, "seed": 31} for b in FIG12_BLOCKS
+]
+TAB3_GPT3_ARGS = {"seq_len": 64, "d_model": 16, "block": 8, "n_layers": 1, "seed": 31}
+#: The capacity rows' models under one broadcast argument set (each model
+#: reads its own): gcn at 96 nodes so its intermediates outgrow the small
+#: presets, gpt3 at its golden configuration.
+CAPACITY_MODELS = ("gcn", "gpt3")
+CAPACITY_ARGS = dict(nodes=96, density=0.06, seq_len=16, d_model=8, block=4, n_layers=1, seed=0)
+HIERARCHY_ORDER = ("flat", "fpga-small", "asic-small", "asic-large")
+SRAM_PRESETS = ("fpga-small", "asic-small")
+FABRIC_ARGS = {"nodes": 96, "density": 0.08, "seed": 7}
+
+
+def _sweep(name: str, models, machine: str, schedules=GRANULARITIES, **fields) -> SweepSpec:
+    return SweepSpec(name, list(models), schedules=list(schedules), machines=[machine], **fields)
+
+
+def _points(model: str, arg_sets, machine: str) -> List[SweepPoint]:
+    """One point per (argument set, granularity): a grid over builder
+    arguments, which a spec's broadcast ``model_args`` cannot express."""
+    return [
+        SweepPoint.make(model, schedule=g, machine=machine, model_args=args)
+        for args in arg_sets
+        for g in GRANULARITIES
+    ]
+
+
+#: One sweep spec per grid row, by row id: ``fuseflow sweep run --spec``
+#: re-runs a row from ``SPECS[row].save(path)``.
+SPECS: Dict[str, SweepSpec] = {
+    spec.name: spec
+    for spec in (
+        _sweep("fig1", ["gcn"], "gpu", ["unfused"],
+               datasets=list(GRAPH_DATASETS), model_args=GRAPH_ARGS),
+        _sweep("fig4", ["gcn"], "rda-membound", ["unfused", "cs", "partial"],
+               datasets=["collab"], model_args=GRAPH_ARGS),
+        _sweep("fig12-sae", ["sae"], "rda-balanced", datasets=list(SAE_DATASETS)),
+        _sweep("fig12-gcn", ["gcn"], "rda-balanced",
+               datasets=list(GRAPH_DATASETS), model_args=GRAPH_ARGS),
+        _sweep("fig12-graphsage", ["graphsage"], "rda-balanced",
+               datasets=list(GRAPH_DATASETS), model_args=GRAPH_ARGS),
+        _sweep("fig12-gpt3", [], "rda-balanced",
+               extra_points=_points("gpt3", FIG12_GPT3_ARGS, "rda-balanced")),
+        _sweep("fig15", [], "rda-balanced",
+               extra_points=_points("gcn", FIG15_ARGS, "rda-balanced")),
+        _sweep("tab3", ["gcn", "graphsage"], "rda", datasets=["collab"], model_args=GRAPH_ARGS,
+               extra_points=_points("gpt3", [TAB3_GPT3_ARGS], "rda")),
+        _sweep("ours-fused-dram", CAPACITY_MODELS, "rda",
+               hierarchies=list(HIERARCHY_ORDER), model_args=CAPACITY_ARGS),
+        _sweep("ours-fabric", ["gcn", "graphsage"], "rda", model_args=FABRIC_ARGS),
+    )
+}
+# A row that reads another row's points shares its spec: no point runs twice.
+SPECS["fig14"] = SPECS["fig12-gcn"]
+SPECS["ours-spill-capacity"] = SPECS["ours-fused-dram"]
+
+#: Each spec's metrics by point, by spec fingerprint; emptied by scorecard().
+_GRIDS: Dict[str, Dict[SweepPoint, Dict[str, float]]] = {}
+
+
+def grid(row: str) -> Dict[SweepPoint, Dict[str, float]]:
+    """The record metrics of every point of ``SPECS[row]``, in spec order, from
+    one ``run_sweep``; raises if a point failed or disagrees with its reference."""
+    spec = SPECS[row]
+    key = spec.fingerprint()
+    if key not in _GRIDS:
+        records = {r["point_id"]: r for r in run_sweep(spec, workers=1).records}
+        failed = [f"{r['label']}: {r['error']}" for r in records.values() if r["status"] != "ok"]
+        if failed:
+            raise RuntimeError(f"{row}: {len(failed)} point(s) not ok: " + "; ".join(failed))
+        _GRIDS[key] = {p: records[p.point_id]["metrics"] for p in spec.points()}
+    return _GRIDS[key]
+
+
+def speedups(row: str) -> List[Dict[str, float]]:
+    """Per group of the row's points that differ only in schedule, in spec
+    order: each schedule's speedup over the spec's baseline schedule."""
+    baseline = SPECS[row].baseline_schedule
+    cycles: Dict[SweepPoint, Dict[str, float]] = {}
+    for point, metrics in grid(row).items():
+        cycles.setdefault(replace(point, schedule=""), {})[point.schedule] = metrics["cycles"]
+    return [{g: c[baseline] / v for g, v in c.items()} for c in cycles.values()]
+
+
+# ----------------------------------------------------------------------
 # The paper's rows
 # ----------------------------------------------------------------------
 
 
 def fig01() -> Row:
-    sm_util, mem_util = [], []
-    for name in GRAPH_DATASETS:
-        bundle = graph_bundle("gcn", name)
-        result = verified_run(bundle, bundle.schedule("unfused"), GPU_MACHINE)
-        cycles = result.metrics.cycles
-        regions = result.region_results
-        sm_util.append(
-            100.0 * sum(r.compute_utilization(GPU_MACHINE) * r.cycles for r in regions) / cycles
-        )
-        mem_util.append(
-            100.0 * sum(r.memory_utilization(GPU_MACHINE) * r.cycles for r in regions) / cycles
-        )
+    runs = grid("fig1").values()
+    sm_util = [100.0 * m["compute_utilization"] for m in runs]
+    mem_util = [100.0 * m["memory_utilization"] for m in runs]
     return Row(
         "fig1",
         "Unfused sparse GCN leaves a GPU idle: 16.7% SM, ~1% memory utilization",
@@ -169,9 +224,8 @@ def fig01() -> Row:
 
 
 def fig04() -> Row:
-    bundle = graph_bundle("gcn", "collab")
-    speedups = fusion_sweep(bundle, MEMORY_BOUND_MACHINE, ("unfused", "cs", "partial"))
-    cs, ours = speedups["cs"], speedups["partial"]
+    (collab,) = speedups("fig4")
+    cs, ours = collab["cs"], collab["partial"]
     return Row(
         "fig4",
         "GCN on OGB-Collab: Custard+Stardust rewrite 1.97x, FuseFlow 2.63x over unfused",
@@ -183,18 +237,11 @@ def fig04() -> Row:
     )
 
 
-def fig12_graph_series(model: str) -> Dict[str, Dict[str, float]]:
-    return {
-        name: fusion_sweep(graph_bundle(model, name), BALANCED_MACHINE)
-        for name in GRAPH_DATASETS
-    }
-
-
 def _fig12_graph(model: str, label: str, paper: str) -> Row:
-    series = fig12_graph_series(model)
-    partial = [s["partial"] for s in series.values()]
-    full = [s["full"] for s in series.values()]
-    degraded = sum(s["full"] < s["partial"] for s in series.values())
+    series = speedups(f"fig12-{model}")
+    partial = [s["partial"] for s in series]
+    full = [s["full"] for s in series]
+    degraded = sum(s["full"] < s["partial"] for s in series)
     return Row(
         f"fig12-{model}",
         f"{label}: partial fusion is best ({paper}); full fusion degrades",
@@ -207,18 +254,15 @@ def _fig12_graph(model: str, label: str, paper: str) -> Row:
 
 
 def fig12_sae() -> Row:
-    series = {}
-    for name in SAE_DATASETS:
-        entry, x = sae_dataset(name)
-        series[name] = fusion_sweep(build_sae(x, seed=entry.seed), BALANCED_MACHINE)
-    full = [s["full"] for s in series.values()]
-    partial = [s["partial"] for s in series.values()]
+    series = speedups("fig12-sae")
+    full = [s["full"] for s in series]
+    partial = [s["partial"] for s in series]
     return Row(
         "fig12-sae",
         "SAE: full fusion ~1.94x, partial ~1.01x",
         f"full {_span(full)}, partial {_span(partial)}",
         "full > 1.2x and full > partial on all 3 datasets",
-        all(s["full"] > 1.2 and s["full"] > s["partial"] for s in series.values()),
+        all(s["full"] > 1.2 and s["full"] > s["partial"] for s in series),
         "uniform random inputs at 32-48 features for the image sets; "
         + SCALED_RDA.format("8 B/cycle DRAM, 8x lanes"),
     )
@@ -233,13 +277,7 @@ def fig12_graphsage() -> Row:
 
 
 def fig12_gpt3() -> Row:
-    series = {
-        block: fusion_sweep(
-            build_gpt3(seq_len=64, d_model=16, block=block, n_layers=2, seed=31),
-            BALANCED_MACHINE,
-        )
-        for block in (4, 8, 16)
-    }
+    series = dict(zip(FIG12_BLOCKS, speedups("fig12-gpt3")))
     full = [s["full"] for s in series.values()]
     return Row(
         "fig12-gpt3",
@@ -280,24 +318,19 @@ def fig13() -> Row:
 
 
 def fig14() -> Row:
+    m = {(p.dataset, p.schedule): metrics for p, metrics in grid("fig14").items()}
     checks, bytes_norm, flops_norm = [], [], []
     for name in ("cora", "dblp", "collab"):
-        bundle = graph_bundle("gcn", name)
-        m = {
-            g: verified_run(bundle, bundle.schedule(g), BALANCED_MACHINE).metrics
-            for g in GRANULARITIES
-        }
-        unfused, partial, full = (m[g] for g in GRANULARITIES)
-        oi = {g: m[g].operational_intensity() for g in GRANULARITIES}
+        unfused, partial, full = (m[name, g] for g in GRANULARITIES)
         checks.append(
-            partial.flops == unfused.flops
-            and partial.dram_bytes < unfused.dram_bytes
-            and oi["partial"] > oi["unfused"]
-            and full.flops > partial.flops
-            and oi["full"] > oi["partial"]
+            partial["flops"] == unfused["flops"]
+            and partial["dram_bytes"] < unfused["dram_bytes"]
+            and partial["operational_intensity"] > unfused["operational_intensity"]
+            and full["flops"] > partial["flops"]
+            and full["operational_intensity"] > partial["operational_intensity"]
         )
-        bytes_norm.append(partial.dram_bytes / unfused.dram_bytes)
-        flops_norm.append(full.flops / unfused.flops)
+        bytes_norm.append(partial["dram_bytes"] / unfused["dram_bytes"])
+        flops_norm.append(full["flops"] / unfused["flops"])
     return Row(
         "fig14",
         "Partial fusion cuts bytes at equal FLOPs; full fusion's recompute "
@@ -311,23 +344,9 @@ def fig14() -> Row:
     )
 
 
-FIG15_SPARSITIES = (0.5, 0.7, 0.9, 0.95)
-FIG15_PATTERNS = ("uniform", "powerlaw", "blockdiag")
-
-
 def fig15() -> Row:
-    data = {
-        pattern: {
-            sparsity: fusion_sweep(
-                gcn_on_synthetic(
-                    nodes=48, features=8, density=1.0 - sparsity, pattern=pattern, seed=5
-                ),
-                BALANCED_MACHINE,
-            )
-            for sparsity in FIG15_SPARSITIES
-        }
-        for pattern in FIG15_PATTERNS
-    }
+    series = iter(speedups("fig15"))  # in FIG15_ARGS order
+    data = {p: {s: next(series) for s in FIG15_SPARSITIES} for p in FIG15_PATTERNS}
     dense_end, sparse_end = FIG15_SPARSITIES[0], FIG15_SPARSITIES[-1]
     grows = all(
         s[sparse_end]["partial"] >= 0.9 * s[dense_end]["partial"] for s in data.values()
@@ -521,26 +540,18 @@ def tab02() -> Row:
 
 
 def tab03() -> Row:
-    bundles = {
-        "GCN": graph_bundle("gcn", "collab"),
-        "GraphSAGE": graph_bundle("graphsage", "collab"),
-        "GPT-3": build_gpt3(seq_len=64, d_model=16, block=8, n_layers=1, seed=31),
-    }
-    errors = {}
-    for model, bundle in bundles.items():
+    errors: Dict[str, Tuple[List[float], List[float]]] = {}
+    for point, measured in grid("tab3").items():
+        bundle = bundle_for(point)
         heuristic = FusionHeuristic(bundle.program, stats_from_binding(bundle.binding))
-        flops_err, bytes_err = [], []
-        for granularity in GRANULARITIES:
-            schedule = bundle.schedule(granularity)
-            estimate = heuristic.estimate(schedule)
-            measured = verified_run(bundle, schedule).metrics
-            flops_err.append(abs(estimate.flops - measured.flops) / measured.flops)
-            bytes_err.append(
-                abs(estimate.dram_bytes - measured.dram_bytes) / measured.dram_bytes
-            )
-        errors[model] = (100 * np.mean(flops_err), 100 * np.mean(bytes_err))
-    worst_flops = max(f for f, _ in errors.values())
-    worst_bytes = max(b for _, b in errors.values())
+        estimate = heuristic.estimate(point.schedule_for(bundle))
+        flops_err, bytes_err = errors.setdefault(point.model, ([], []))
+        flops_err.append(abs(estimate.flops - measured["flops"]) / measured["flops"])
+        bytes_err.append(
+            abs(estimate.dram_bytes - measured["dram_bytes"]) / measured["dram_bytes"]
+        )
+    worst_flops = max(100 * np.mean(f) for f, _ in errors.values())
+    worst_bytes = max(100 * np.mean(b) for _, b in errors.values())
     return Row(
         "tab3",
         "Heuristic error: FLOPs 1.8-2.8%, bytes 5.7-11.5%",
@@ -558,7 +569,7 @@ TAB04_CAP = 2 * 10**8  # the paper caps its search space at 2x10^8
 def tab04() -> Row:
     reductions = {}
     for model in ("gcn", "graphsage"):
-        bundle = graph_bundle(model, "collab")
+        bundle = bundle_for(SweepPoint.make(model, dataset="collab", model_args=GRAPH_ARGS))
         schedule = bundle.schedule("full")
         # Pin every contraction to its Gustavson order: outer output,
         # reductions, then inner outputs.
@@ -593,8 +604,10 @@ def tab04() -> Row:
 def sec81_compile_time() -> Row:
     _, x = sae_dataset("imagenet")
     bundles = (
-        graph_bundle("gcn", "collab"),
-        graph_bundle("graphsage", "collab"),
+        *(
+            bundle_for(SweepPoint.make(model, dataset="collab", model_args=GRAPH_ARGS))
+            for model in ("gcn", "graphsage")
+        ),
         build_sae(x, seed=21),
         build_gpt3(seq_len=64, d_model=16, block=8, n_layers=2, seed=31),
     )
@@ -619,30 +632,17 @@ def sec81_compile_time() -> Row:
 # Rows this reproduction adds
 # ----------------------------------------------------------------------
 
-#: The capacity rows' models: gcn at 96 nodes so its intermediates
-#: outgrow the small presets, gpt3 at its golden configuration.
-CAPACITY_POINTS = {
-    "gcn": {"nodes": 96, "density": 0.06, "seed": 0},
-    "gpt3": {"seq_len": 16, "d_model": 8, "block": 4, "n_layers": 1, "seed": 0},
-}
 #: gcn unfused maximizes capacity pressure; gpt3 partial shows tiling
 #: composing with fusion.
 TILED_GRANULARITY = {"gcn": "unfused", "gpt3": "partial"}
 TILE_COUNTS = (1, 2, 4, 8)
-HIERARCHY_ORDER = ("flat", "fpga-small", "asic-small", "asic-large")
-SRAM_PRESETS = ("fpga-small", "asic-small")
-
-
-@functools.cache
-def capacity_bundle(model: str):
-    return build_bundle(SweepPoint.make(model, model_args=CAPACITY_POINTS[model]))
 
 
 def ours_tiling() -> Row:
     session = Session(hierarchy="fpga-small")
     ok, ours = True, []
     for model, granularity in TILED_GRANULARITY.items():
-        bundle = capacity_bundle(model)
+        bundle = bundle_for(SweepPoint.make(model, model_args=CAPACITY_ARGS))
         base = session.compile(bundle.program, bundle.schedule(granularity))
         runs = {}
         for tiles in TILE_COUNTS:
@@ -678,37 +678,22 @@ def ours_tiling() -> Row:
     )
 
 
-@functools.cache
-def hierarchy_sweep():
-    """Metrics per (model, hierarchy, granularity), all verified."""
-    out = {}
-    for model in CAPACITY_POINTS:
-        bundle = capacity_bundle(model)
-        for hierarchy in HIERARCHY_ORDER:
-            session = Session(hierarchy=hierarchy)
-            for g in GRANULARITIES:
-                result = session.compile(bundle.program, bundle.schedule(g))(bundle.binding)
-                bundle.verify(result)
-                out[model, hierarchy, g] = result.metrics
-    return out
-
-
 def ours_fused_dram() -> Row:
-    m = hierarchy_sweep()
+    m = {(p.model, p.hierarchy, p.schedule): v for p, v in grid("ours-fused-dram").items()}
     ratios = {
-        (model, preset): m[model, preset, "unfused"].dram_bytes
-        / min(m[model, preset, g].dram_bytes for g in ("partial", "full"))
-        for model in CAPACITY_POINTS
+        (model, preset): m[model, preset, "unfused"]["dram_bytes"]
+        / min(m[model, preset, g]["dram_bytes"] for g in ("partial", "full"))
+        for model in CAPACITY_MODELS
         for preset in SRAM_PRESETS
     }
     absorbed = all(
-        any(m[model, h, "unfused"].sram_bytes > 0 for h in SRAM_PRESETS)
-        for model in CAPACITY_POINTS
+        any(m[model, h, "unfused"]["sram_bytes"] > 0 for h in SRAM_PRESETS)
+        for model in CAPACITY_MODELS
     )
     flat = all(
-        m[model, "flat", g].sram_bytes == 0
-        and m[model, "flat", g].spill_bytes <= m[model, "flat", g].dram_bytes
-        for model in CAPACITY_POINTS
+        m[model, "flat", g]["sram_bytes"] == 0
+        and m[model, "flat", g]["spill_bytes"] <= m[model, "flat", g]["dram_bytes"]
+        for model in CAPACITY_MODELS
         for g in GRANULARITIES
     )
     return Row(
@@ -724,10 +709,10 @@ def ours_fused_dram() -> Row:
 
 
 def ours_spill_capacity() -> Row:
-    m = hierarchy_sweep()
+    m = {(p.model, p.hierarchy, p.schedule): v for p, v in grid("ours-spill-capacity").items()}
     spills = {
-        model: [m[model, h, "unfused"].spill_bytes for h in HIERARCHY_ORDER]
-        for model in CAPACITY_POINTS
+        model: [m[model, h, "unfused"]["spill_bytes"] for h in HIERARCHY_ORDER]
+        for model in CAPACITY_MODELS
     }
     return Row(
         "ours-spill-capacity",
@@ -812,15 +797,8 @@ def ours_search() -> Row:
     )
 
 
-FABRIC_ARGS = {"nodes": 96, "density": 0.08, "seed": 7}
-
-
 def ours_fabric() -> Row:
-    cycles = {}
-    for model in ("gcn", "graphsage"):
-        bundle = build_bundle(SweepPoint.make(model, model_args=FABRIC_ARGS))
-        for g in GRANULARITIES:
-            cycles[model, g] = verified_run(bundle, bundle.schedule(g)).metrics.cycles
+    cycles = {(p.model, p.schedule): m["cycles"] for p, m in grid("ours-fabric").items()}
     same_fused = all(cycles["gcn", g] == cycles["graphsage", g] for g in ("partial", "full"))
     return Row(
         "ours-fabric",
@@ -864,8 +842,13 @@ ROWS: Tuple[Callable[[], Row], ...] = (
 
 
 def scorecard() -> List[Row]:
-    """Run every experiment and return its row, in table order."""
-    return [row() for row in ROWS]
+    """Run every experiment and return its row, in table order.  The sweep
+    metrics and the sweep worker caches are dropped afterwards."""
+    try:
+        return [row() for row in ROWS]
+    finally:
+        _GRIDS.clear()
+        clear_worker_caches()
 
 
 HEADER = """\

@@ -230,7 +230,8 @@ class TestClosedFormsBitExact:
 
 class TestMachines:
     def test_registry(self):
-        assert set(MACHINES) == {"rda", "fpga", "gpu"}
+        assert set(MACHINES) == {"rda", "fpga", "gpu", "rda-membound", "rda-balanced"}
+        assert all(name == m.name for name, m in MACHINES.items())
 
     def test_ii_lookup_defaults(self):
         assert RDA_MACHINE.ii_of("scan") == 1.0
