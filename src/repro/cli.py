@@ -11,8 +11,10 @@ points: ``estimate`` ranks schedules with the analytical heuristic, and
 ``beam``/``evolutionary`` run guided search steered by the same
 heuristic.  Every verb describes its experiment as one
 :class:`~repro.sweep.spec.SweepPoint` (the record a sweep spec and a serve
-body also build), and all compilation goes through one driver
-:class:`~repro.driver.Session` per invocation, so sweeps and search steps
+body also build).  ``run``, ``simulate`` and ``sweep quick`` run their
+points through the sweep runner (``run_point``), so they report what a
+sweep record of the same point does; the other verbs compile through one
+driver :class:`~repro.driver.Session` per invocation, so search steps
 reuse compiled executables instead of re-lowering.
 
 Examples::
@@ -47,23 +49,26 @@ from typing import Dict, List, Optional
 
 from .comal.hierarchy import HIERARCHIES
 from .comal.machines import MACHINES
+from .comal.trace import node_reports
 from .core.heuristic.model import stats_from_binding
 from .core.heuristic.prune import rank_schedules
 from .core.schedule.autotune import autotune
 from .core.schedule.search import STRATEGIES as SEARCH_STRATEGIES
 from .driver import Session
-from .models.common import VERIFY_TOLERANCE
 from .sweep import (
     ResultStore,
     SweepPoint,
     SweepSpec,
     SweepSpecError,
     build_bundle,
+    bundle_for,
     render_summary,
     run_sweep,
+    set_worker_cache_dir,
     summarize,
     write_summary_json,
 )
+from .sweep.runner import _run_point, _session_for, run_record
 
 #: Builder arguments every model verb passes explicitly, defaults included,
 #: so a CLI run and ``run_point`` of the point it builds are one experiment.
@@ -116,8 +121,6 @@ def _session(args, point: SweepPoint) -> Session:
         machine=MACHINES[point.machine],
         hierarchy=point.hierarchy,
         disk_cache=args.cache_dir,
-        debug_streams=True if getattr(args, "debug_streams", False) else None,
-        sim_cache=not getattr(args, "no_sim_cache", False),
     )
 
 
@@ -168,113 +171,104 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_run(args) -> int:
+    """``run`` and ``simulate``: ``run_point`` of the flags' point, its
+    record printed; ``--profile`` adds the busiest nodes and each region's
+    traffic.  Exits 1, printing the error, unless the record is ``"ok"``."""
     point = _point(args, _factors(args.par, "--par"), _factors(args.split, "--split"))
-    bundle = build_bundle(point)
-    schedule = point.schedule_for(bundle)
-    exe = _session(args, point).compile(bundle.program, schedule)
-    result = exe(bundle.binding)
-    err = bundle.max_abs_err(result)
-    m = result.metrics
-    print(f"model      : {bundle.name}")
-    print(f"schedule   : {schedule.name} ({len(schedule.regions)} regions)")
-    print(f"cycles     : {m.cycles:.0f}")
-    print(f"flops      : {m.flops}")
-    print(f"dram bytes : {m.dram_bytes}")
-    if m.sram_bytes or m.spill_bytes or m.fill_bytes:
-        print(f"sram bytes : {m.sram_bytes}")
-        print(f"spill/fill : {m.spill_bytes} / {m.fill_bytes}")
-    print(f"op intensity: {m.operational_intensity():.3f} flops/byte")
-    print(f"max |err|  : {err:.3e} (vs dense reference)")
-    return 0 if err < VERIFY_TOLERANCE else 1
-
-
-def cmd_simulate(args) -> int:
-    """Simulate one schedule; ``--profile`` prints the busiest nodes."""
-    point = _point(args, _factors(args.par, "--par"), _factors(args.split, "--split"))
-    bundle = build_bundle(point)
-    schedule = point.schedule_for(bundle)
-    session = _session(args, point)
-    exe = session.compile(bundle.program, schedule)
-    result = exe(bundle.binding)
-    m = result.metrics
-    print(f"model      : {bundle.name}")
-    print(f"schedule   : {schedule.name} ({len(schedule.regions)} regions)")
-    print(f"machine    : {args.machine}")
-    print(f"hierarchy  : {session.machine.hierarchy.describe()}")
-    print(f"cycles     : {m.cycles:.0f}")
-    print(f"flops      : {m.flops}")
-    print(f"dram bytes : {m.dram_bytes}")
-    print(f"sram bytes : {m.sram_bytes}")
-    print(f"spill/fill : {m.spill_bytes} / {m.fill_bytes}")
-    print(f"tokens     : {m.tokens}")
-    if args.profile:
-        rows = []
-        for region, sim in zip(exe.regions, result.region_results):
-            graph = region.graph
-            for node_id, busy in sim.node_busy.items():
-                node = graph.nodes[node_id]
-                rows.append(
-                    (
-                        busy,
-                        sim.node_finish.get(node_id, 0.0),
-                        graph.name,
-                        node_id,
-                        node.prim.describe(),
-                    )
-                )
-        rows.sort(key=lambda r: r[0], reverse=True)
-        total = max(m.cycles, 1e-9)
-        print()
-        print(f"top {args.top} busiest nodes (of {len(rows)}):")
-        print(f"{'busy':>10s} {'finish':>10s} {'util%':>6s}  node")
-        for busy, finish, gname, node_id, desc in rows[: args.top]:
-            print(
-                f"{busy:10.1f} {finish:10.1f} {100 * busy / total:6.1f}  "
-                f"{gname}/{node_id} ({desc})"
+    set_worker_cache_dir(args.cache_dir)
+    try:
+        record, _, result = _run_point(point)
+        if result is not None:
+            bundle = bundle_for(point)
+            # A memory hit: the executable _run_point just ran.
+            exe = _session_for(point.machine, point.hierarchy).compile(
+                bundle.program, point.schedule_for(bundle)
             )
-        print()
-        print("memory traffic per region (bytes):")
-        print(f"{'region':24s} {'dram':>10s} {'sram':>10s} {'spill':>9s} {'fill':>9s}")
-        for region, sim in zip(exe.regions, result.region_results):
-            print(
-                f"{region.graph.name:24s} {sim.dram_bytes:10d} "
-                f"{sim.sram_bytes:10d} {sim.spill_bytes:9d} {sim.fill_bytes:9d}"
-            )
-        levels = m.traffic_by_level()
-        print(
-            f"{'total':24s} {levels['dram']:10d} {levels['sram']:10d} "
-            f"{levels['spill']:9d} {levels['fill']:9d}"
-        )
+    finally:
+        set_worker_cache_dir(None)
+    if result is not None:
+        m = record["metrics"]
+        print(f"model      : {bundle.name}")
+        print(f"schedule   : {exe.schedule.name} ({len(exe.regions)} regions)")
+        print(f"machine    : {point.machine}")
+        print(f"hierarchy  : {exe.machine.hierarchy.describe()}")
+        print(f"cycles     : {m['cycles']:.0f}")
+        print(f"flops      : {m['flops']}")
+        print(f"dram bytes : {m['dram_bytes']}")
+        print(f"sram bytes : {m['sram_bytes']}")
+        print(f"spill/fill : {m['spill_bytes']} / {m['fill_bytes']}")
+        print(f"tokens     : {m['tokens']}")
+        print(f"op intensity: {m['operational_intensity']:.3f} flops/byte")
+        print(f"max |err|  : {record['max_abs_err']:.3e} (vs dense reference)")
+        if getattr(args, "profile", False):
+            _print_profile(exe, result, args.top)
+    if record["status"] != "ok":
+        print(f"{args.command} failed: {record['error']}", file=sys.stderr)
+        return 1
     return 0
+
+
+def _print_profile(exe, result, top: int) -> None:
+    """The ``top`` busiest nodes over every region, then each region's
+    traffic per memory level."""
+    rows = [
+        (report, region.graph)
+        for region, sim in zip(exe.regions, result.region_results)
+        for report in node_reports(region.graph, sim)
+    ]
+    rows.sort(key=lambda row: row[0].busy_cycles, reverse=True)
+    print()
+    print(f"top {top} busiest nodes (of {len(rows)}):")
+    print(f"{'busy':>10s} {'finish':>10s} {'util%':>6s}  node")
+    for report, graph in rows[:top]:
+        print(
+            f"{report.busy_cycles:10.1f} {report.finish_cycle:10.1f} "
+            f"{100 * report.utilization:6.1f}  {graph.name}/{report.node_id} "
+            f"({graph.nodes[report.node_id].prim.describe()})"
+        )
+    print()
+    print("memory traffic per region (bytes):")
+    print(f"{'region':24s} {'dram':>10s} {'sram':>10s} {'spill':>9s} {'fill':>9s}")
+    for region, sim in zip(exe.regions, result.region_results):
+        print(
+            f"{region.graph.name:24s} {sim.dram_bytes:10d} "
+            f"{sim.sram_bytes:10d} {sim.spill_bytes:9d} {sim.fill_bytes:9d}"
+        )
+    levels = result.metrics.traffic_by_level()
+    print(
+        f"{'total':24s} {levels['dram']:10d} {levels['sram']:10d} "
+        f"{levels['spill']:9d} {levels['fill']:9d}"
+    )
 
 
 def cmd_sweep_quick(args) -> int:
     """Single-model fusion-granularity comparison (the original sweep).
 
-    One point per granularity (unfused/partial/full); any ``--split``
-    flags apply to every granularity rather than forming a grid axis.
-    For the full six-axis grid (model × dataset × schedule × machine ×
-    hierarchy × splits) use ``sweep run``; for guided search
-    over the six schedule knobs — fusion granularity, dataflow order,
-    parallelization, index splitting, mask folding, global rewrite —
-    under a simulation budget, use ``tune``.
+    One point per granularity (unfused/partial/full), run as a sweep on
+    one worker; any ``--split`` flags apply to every granularity rather
+    than forming a grid axis.  For the full six-axis grid (model × dataset
+    × schedule × machine × hierarchy × splits) use ``sweep run``; for
+    guided search over the six schedule knobs — fusion granularity,
+    dataflow order, parallelization, index splitting, mask folding,
+    global rewrite — under a simulation budget, use ``tune``.
     """
     point = _point(args, splits=_factors(args.split, "--split"))
-    bundle = build_bundle(point)
-    granularities = ("unfused", "partial", "full")
-    schedules = [
-        replace(point, schedule=gran).schedule_for(bundle) for gran in granularities
-    ]
-    results = _session(args, point).compare_schedules(
-        bundle.program, bundle.binding, schedules
-    ).values()
-    baseline = next(iter(results)).metrics.cycles
+    points = [replace(point, schedule=g) for g in ("unfused", "partial", "full")]
+    spec = SweepSpec("quick", models=[], extra_points=points)
+    outcome = run_sweep(spec, workers=1, cache_dir=args.cache_dir)
+    records = {record["point_id"]: record for record in outcome.records}
+    failed = [r for r in records.values() if r["status"] != "ok"]
+    for record in failed:
+        print(f"sweep quick failed: {record['label']}: {record['error']}", file=sys.stderr)
+    if failed:
+        return 1
+    baseline = records[points[0].point_id]["metrics"]["cycles"]
     print(f"{'granularity':12s} {'cycles':>12s} {'speedup':>8s} {'flops':>12s} {'bytes':>12s}")
-    for gran, result in zip(granularities, results):
-        m = result.metrics
+    for p in points:
+        m = records[p.point_id]["metrics"]
         print(
-            f"{gran:12s} {m.cycles:12.0f} {baseline / m.cycles:8.2f} "
-            f"{m.flops:12d} {m.dram_bytes:12d}"
+            f"{p.schedule:12s} {m['cycles']:12.0f} {baseline / m['cycles']:8.2f} "
+            f"{m['flops']:12d} {m['dram_bytes']:12d}"
         )
     return 0
 
@@ -478,9 +472,9 @@ def cmd_tune(args) -> int:
         print(f"trace      : {len(tuned.search_trace)} step(s) written to "
               f"{args.trace_out}")
     if args.verify:
-        err = bundle.max_abs_err(exe(bundle.binding))
-        print(f"max |err|  : {err:.3e} (vs dense reference)")
-        return 0 if err < VERIFY_TOLERANCE else 1
+        record = run_record(bundle, exe(bundle.binding), session.machine)
+        print(f"max |err|  : {record['max_abs_err']:.3e} (vs dense reference)")
+        return 0 if record["verified"] else 1
     return 0
 
 
@@ -576,11 +570,7 @@ def main(argv: List[str] | None = None) -> int:
     p_sim.add_argument("--profile", action="store_true",
                        help="print the top-k busiest nodes (node_busy/node_finish)")
     p_sim.add_argument("--top", type=int, default=8, help="rows shown by --profile")
-    p_sim.add_argument("--debug-streams", action="store_true",
-                       help="validate the token protocol on every stream")
-    p_sim.add_argument("--no-sim-cache", action="store_true",
-                       help="disable the simulator result memo")
-    p_sim.set_defaults(fn=cmd_simulate)
+    p_sim.set_defaults(fn=cmd_run)
 
     p_sweep = sub.add_parser(
         "sweep", help="parallel experiment sweeps over the design space"

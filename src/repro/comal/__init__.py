@@ -10,7 +10,7 @@ from .hierarchy import (
     resolve_hierarchy,
 )
 from .machines import FPGA_MACHINE, GPU_MACHINE, MACHINES, RDA_MACHINE, Machine
-from .metrics import ProgramMetrics, format_table, speedup_table
+from .metrics import ProgramMetrics, format_table
 from .trace import bottleneck, busy_by_class, chrome_trace, node_reports, render_report
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "FLAT_HIERARCHY",
     "resolve_hierarchy",
     "ProgramMetrics",
-    "speedup_table",
     "format_table",
     "node_reports",
     "bottleneck",

@@ -9,7 +9,7 @@ operational intensity, utilization percentages).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .engine import SimResult
 from .machines import Machine
@@ -92,21 +92,6 @@ class ProgramMetrics:
         if self.cycles == 0:
             return 0.0
         return self.dram_bytes / (self.cycles * machine.dram_bandwidth)
-
-    def speedup_over(self, baseline: "ProgramMetrics") -> float:
-        """Baseline cycles / our cycles (``> 1`` means we are faster)."""
-        if self.cycles <= 0:
-            return float("inf")
-        return baseline.cycles / self.cycles
-
-
-def speedup_table(
-    metrics: Dict[str, ProgramMetrics], baseline: str
-) -> Dict[str, float]:
-    """Speedups of each configuration relative to ``baseline``."""
-    base = metrics[baseline]
-    return {name: m.speedup_over(base) if name != baseline else 1.0
-            for name, m in metrics.items()}
 
 
 def format_table(rows: List[List[str]], header: List[str]) -> str:

@@ -15,7 +15,7 @@ This package is the redesigned public compile API:
   the hierarchy decide what each pass does.
 
 :func:`default_session` is the process-wide session for callers that hold
-none of their own (``ModelBundle.run``, the tracing frontend).
+none of their own (the tracing frontend).
 """
 
 from .compiled import (

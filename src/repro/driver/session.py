@@ -18,7 +18,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..comal.hierarchy import resolve_hierarchy
 from ..comal.machines import Machine, RDA_MACHINE
@@ -347,30 +347,6 @@ class Session:
         """
         return self.compile(program, schedule)(binding, machine=machine)
 
-    def compare_schedules(
-        self,
-        program: EinsumProgram,
-        binding: Dict[str, SparseTensor],
-        schedules: Sequence[Schedule],
-        machine: Optional[Machine] = None,
-    ) -> Dict[str, ProgramResult]:
-        """Run the program under several schedules (fusion sweeps).
-
-        The one in-process schedule loop: every compile is cached, and the
-        first schedule that fails to compile or run raises.  (Schedule
-        search, which skips infeasible candidates, is
-        :func:`~repro.core.schedule.autotune.autotune`.)
-
-        Returns
-        -------
-        dict
-            Schedule name -> :class:`ProgramResult`, in input order.
-        """
-        return {
-            schedule.name: self.run(program, binding, schedule, machine)
-            for schedule in schedules
-        }
-
     # ------------------------------------------------------------------
     # Cache management
     # ------------------------------------------------------------------
@@ -417,7 +393,7 @@ _DEFAULT_SESSION: Optional[Session] = None
 
 
 def default_session() -> Session:
-    """The process-wide Session behind ``ModelBundle.run`` and the frontend.
+    """The process-wide Session behind the tracing frontend.
 
     Sharing one cache is what keeps callers that hold no session of their
     own from recompiling on every call: compiled artifacts depend only on

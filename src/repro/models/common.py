@@ -78,8 +78,9 @@ class ModelBundle:
     def verify(self, result, tolerance: float = VERIFY_TOLERANCE) -> float:
         """Assert a run matches the dense reference; returns the error.
 
-        The single source of the correctness check that the CLI, the sweep
-        subsystem, and the benchmark harness all report.
+        For callers that want an exception; a run that is reported (sweep
+        records, the CLI, ``/v1/simulate``) is verified by
+        :func:`repro.sweep.runner.run_record` instead.
         """
         err = self.max_abs_err(result)
         if not err < tolerance:
@@ -88,18 +89,6 @@ class ModelBundle:
                 "vs dense reference"
             )
         return err
-
-    def executable(self, granularity: str = "partial", session=None):
-        """Compile this model at a granularity via the driver Session.
-
-        Returns a callable :class:`~repro.driver.Executable`; pass a
-        session to control the machine/hierarchy or share a compile cache,
-        otherwise the process-wide default session is used.
-        """
-        from ..driver.session import default_session
-
-        session = session or default_session()
-        return session.compile(self.program, self.schedule(granularity))
 
 
 def softmax_rows(x: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:

@@ -16,8 +16,9 @@ a first-class workload instead of shell loops:
   — best-per-model, speedup-vs-baseline, and utilization aggregation, as
   text or JSON.
 
-One program under several schedules in-process is
-``Session.compare_schedules``.
+A CLI ``run``, ``simulate`` or ``sweep quick`` is a sweep point too: each
+runs through :func:`run_point`, and :func:`~repro.sweep.runner.run_record`
+verifies and reports every run, ``/v1/simulate``'s included.
 
 CLI: ``fuseflow sweep run|resume|report|quick``.
 """

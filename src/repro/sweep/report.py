@@ -2,9 +2,8 @@
 
 Turns a pile of per-point result records into the quantities the paper's
 figures report: best configuration per model, speedup of each schedule over
-the baseline schedule within its (model, dataset, machine, hierarchy,
-splits) group,
-and utilization tables per machine.  The same summary renders as fixed-width
+the baseline schedule among points that differ only in schedule, and
+utilization tables per machine.  The same summary renders as fixed-width
 text (``fuseflow sweep report``) and as a JSON document for downstream
 tooling.
 """
@@ -15,26 +14,36 @@ import json
 from typing import Dict, List, Tuple
 
 from ..comal.metrics import format_table
+from .spec import SweepPoint, _filtered_args
 
-GroupKey = Tuple[str, str, str, str, str]
+#: A speedup group's fields: every point field but the schedule.
+_GROUP_FIELDS = (
+    "model", "dataset", "machine", "hierarchy", "model_args", "par", "splits", "backend",
+)
 
 
-def _group_key(record: Dict[str, object]) -> GroupKey:
-    """Speedup grouping: everything but the schedule must match.
+def _group_key(record: Dict[str, object]) -> Tuple[str, ...]:
+    """Speedup grouping: every point field but the schedule must match.
 
-    The splits axis is part of the key (like the hierarchy axis): a tiled
-    and an untiled point share a schedule name, so omitting it would let
-    them overwrite each other's cycles in the speedup table.  Pre-splitting
-    records have no ``splits`` field and group under the empty config.
+    Points that differ in builder arguments (those the model reads),
+    ``par``, splits or hierarchy share schedule names, so leaving any of
+    them out would let them overwrite each other's cycles in the speedup
+    table.  Records from before a field existed load it at its default.
     """
-    point = record["point"]
-    splits = point.get("splits") or {}
+    point = SweepPoint.from_record(record["point"])
+
+    def render(items) -> str:
+        return ",".join(f"{k}={v}" for k, v in sorted(dict(items).items()))
+
     return (
-        point["model"],
-        point["dataset"],
-        point["machine"],
-        point.get("hierarchy", "flat"),
-        ",".join(f"{k}={v}" for k, v in sorted(splits.items())),
+        point.model,
+        point.dataset,
+        point.machine,
+        point.hierarchy,
+        render(_filtered_args(point.model, dict(point.model_args))),
+        render(point.par),
+        render(point.splits),
+        point.backend,
     )
 
 
@@ -55,8 +64,8 @@ def summarize(
         Per-point result records (:func:`~repro.sweep.runner.run_point`
         output / :meth:`~repro.sweep.store.ResultStore.records`).
     baseline_schedule:
-        The schedule speedups are computed against, within each
-        (model, dataset, machine, hierarchy, splits) group.
+        The schedule speedups are computed against, within each group of
+        points that differ only in schedule.
     name:
         Sweep name echoed into the summary.
 
@@ -86,9 +95,9 @@ def summarize(
                 "machine": record["point"]["machine"],
             }
 
-    # Speedup of each schedule over the baseline schedule, grouped by
-    # (model, dataset, machine, hierarchy, splits).
-    groups: Dict[GroupKey, Dict[str, float]] = {}
+    # Speedup of each schedule over the baseline schedule, among points
+    # that differ only in schedule.
+    groups: Dict[Tuple[str, ...], Dict[str, float]] = {}
     for record in ok:
         key = _group_key(record)
         groups.setdefault(key, {})[record["point"]["schedule"]] = record[
@@ -97,21 +106,17 @@ def summarize(
     speedups: List[Dict[str, object]] = []
     for key, cycles_by_schedule in sorted(groups.items()):
         base = cycles_by_schedule.get(baseline_schedule)
-        entry: Dict[str, object] = {
-            "model": key[0],
-            "dataset": key[1],
-            "machine": key[2],
-            "hierarchy": key[3],
-            "splits": key[4],
-            "cycles": cycles_by_schedule,
-            "baseline": baseline_schedule,
-            "speedup": {
+        entry: Dict[str, object] = dict(zip(_GROUP_FIELDS, key))
+        entry.update(
+            cycles=cycles_by_schedule,
+            baseline=baseline_schedule,
+            speedup={
                 schedule: (base / cycles if base and cycles > 0 else None)
                 for schedule, cycles in cycles_by_schedule.items()
             }
             if base is not None
             else {},
-        }
+        )
         speedups.append(entry)
 
     utilization = [
@@ -177,8 +182,11 @@ def render_summary(summary: Dict[str, object]) -> str:
             group = f"{entry['model']}/{entry['dataset']}/{entry['machine']}"
             if entry.get("hierarchy", "flat") != "flat":
                 group += f"/{entry['hierarchy']}"
-            if entry.get("splits"):
-                group += f"/split:{entry['splits']}"
+            for field, prefix in (
+                ("model_args", ""), ("par", ""), ("splits", "split:"), ("backend", "backend:")
+            ):
+                if entry.get(field):
+                    group += f"/{prefix}{entry[field]}"
             for schedule, speedup in sorted(entry["speedup"].items()):
                 rows.append(
                     [

@@ -39,10 +39,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
-from ..comal.machines import MACHINES
-from ..driver.compiled import FunctionalRun
+from ..comal.machines import MACHINES, Machine
+from ..driver.compiled import FunctionalRun, ProgramResult
 from ..driver.pipeline import RegionStore
 from ..driver.session import Session
+from ..models.common import VERIFY_TOLERANCE, ModelBundle
 from ..reliability import fault_point
 from .spec import _BUNDLES, SweepPoint, SweepSpec, bundle_for
 from .store import ResultStore, ResultStoreError
@@ -52,6 +53,7 @@ __all__ = [
     "SweepOutcome",
     "run_sweep",
     "run_point",
+    "run_record",
     "clear_worker_caches",
     "default_workers",
     "set_worker_cache_dir",
@@ -139,6 +141,50 @@ def _session_for(machine: str, hierarchy: str = "flat") -> Session:
     return session
 
 
+def run_record(
+    bundle: ModelBundle, result: ProgramResult, machine: Machine
+) -> Dict[str, object]:
+    """Verify one run of a model and turn it into reported numbers.
+
+    The one place that happens: sweep records, ``/v1/simulate`` payloads
+    and ``fuseflow tune --verify`` all come from here.
+
+    Returns
+    -------
+    dict
+        ``metrics`` (cycles, FLOPs, per-level memory traffic, and the
+        utilizations on ``machine``), ``max_abs_err`` vs the bundle's dense
+        reference and ``verified`` (below :data:`VERIFY_TOLERANCE`); an
+        unverified run also gets an ``error`` saying so.
+    """
+    max_abs_err = bundle.max_abs_err(result)
+    verified = bool(max_abs_err < VERIFY_TOLERANCE)
+    metrics = result.metrics
+    record: Dict[str, object] = {
+        "metrics": {
+            "cycles": metrics.cycles,
+            "flops": metrics.flops,
+            "dram_bytes": metrics.dram_bytes,
+            "sram_bytes": metrics.sram_bytes,
+            "spill_bytes": metrics.spill_bytes,
+            "fill_bytes": metrics.fill_bytes,
+            "tokens": metrics.tokens,
+            "num_kernels": metrics.num_kernels,
+            "operational_intensity": metrics.operational_intensity(),
+            "compute_utilization": metrics.compute_utilization(machine),
+            "memory_utilization": metrics.memory_utilization(machine),
+        },
+        "max_abs_err": max_abs_err,
+        "verified": verified,
+    }
+    if not verified:
+        record["error"] = (
+            f"verification failed: max |err| {max_abs_err:.3e} >= "
+            f"{VERIFY_TOLERANCE:.0e} vs dense reference"
+        )
+    return record
+
+
 def run_point(point: SweepPoint) -> Dict[str, object]:
     """Execute one sweep point; never raises — failures become records.
 
@@ -151,19 +197,19 @@ def run_point(point: SweepPoint) -> Dict[str, object]:
     Returns
     -------
     dict
-        A JSON-safe result record: ``status`` (``"ok"``/``"error"``),
-        ``metrics`` (cycles, FLOPs, per-level memory traffic,
-        utilizations), ``max_abs_err`` vs the dense reference,
-        fingerprints, and cache/timing metadata.  A point that executes
-        but disagrees with the reference is an ``"error"`` record.
+        A JSON-safe result record: ``status`` (``"ok"``/``"error"``), the
+        :func:`run_record` fields, fingerprints, and cache/timing
+        metadata.  A point that executes but disagrees with the reference
+        is an ``"error"`` record.
     """
     return _run_point(point)[0]
 
 
-def _run_point(point: SweepPoint) -> Tuple[Dict[str, object], int]:
-    """:func:`run_point` and the functional runs it paid (0 or 1)."""
-    from ..models.common import VERIFY_TOLERANCE
-
+def _run_point(
+    point: SweepPoint,
+) -> Tuple[Dict[str, object], int, Optional[ProgramResult]]:
+    """:func:`run_point`, the functional runs it paid (0 or 1) and the
+    run's :class:`ProgramResult` (``None`` when it raised)."""
     started = time.perf_counter()
     paid = 0
     base = {
@@ -195,31 +241,14 @@ def _run_point(point: SweepPoint) -> Tuple[Dict[str, object], int]:
             _STAGE[key] = run
             paid = 1
         result = executable.time(run)
-        max_abs_err = bundle.max_abs_err(result)
-        verified = bool(max_abs_err < VERIFY_TOLERANCE)
-        metrics = result.metrics
-        machine = MACHINES[point.machine]
+        measured = run_record(bundle, result, MACHINES[point.machine])
         base.update(
             {
                 # A point that executes but disagrees with the dense
                 # reference is a failure: nonzero exit codes, counted in
                 # points_failed, and retried by resume.
-                "status": "ok" if verified else "error",
-                "metrics": {
-                    "cycles": metrics.cycles,
-                    "flops": metrics.flops,
-                    "dram_bytes": metrics.dram_bytes,
-                    "sram_bytes": metrics.sram_bytes,
-                    "spill_bytes": metrics.spill_bytes,
-                    "fill_bytes": metrics.fill_bytes,
-                    "tokens": metrics.tokens,
-                    "num_kernels": metrics.num_kernels,
-                    "operational_intensity": metrics.operational_intensity(),
-                    "compute_utilization": metrics.compute_utilization(machine),
-                    "memory_utilization": metrics.memory_utilization(machine),
-                },
-                "max_abs_err": max_abs_err,
-                "verified": verified,
+                "status": "ok" if measured["verified"] else "error",
+                **measured,
                 "fingerprints": {
                     "program": bundle.program.fingerprint(),
                     "schedule": schedule.fingerprint(),
@@ -230,12 +259,8 @@ def _run_point(point: SweepPoint) -> Tuple[Dict[str, object], int]:
                 "elapsed_seconds": time.perf_counter() - started,
             }
         )
-        if not verified:
-            base["error"] = (
-                f"verification failed: max |err| {max_abs_err:.3e} >= "
-                f"{VERIFY_TOLERANCE:.0e} vs dense reference"
-            )
     except Exception as exc:
+        result = None
         base.update(
             {
                 "status": "error",
@@ -244,7 +269,7 @@ def _run_point(point: SweepPoint) -> Tuple[Dict[str, object], int]:
                 "elapsed_seconds": time.perf_counter() - started,
             }
         )
-    return base, paid
+    return base, paid, result
 
 
 def _worker_main(conn, cache_dir: Optional[str]) -> None:
@@ -252,8 +277,9 @@ def _worker_main(conn, cache_dir: Optional[str]) -> None:
 
     One point in flight per worker, over a dedicated duplex pipe — that
     is what lets the supervisor attribute a crash or hang to exactly one
-    point.  A result travels as ``(record, functional runs paid)``.  A
-    ``None`` message (or a closed pipe) is the shutdown signal.
+    point.  A result travels as ``(record, functional runs paid)``, never
+    the run itself.  A ``None`` message (or a closed pipe) is the shutdown
+    signal.
     """
     set_worker_cache_dir(cache_dir)
     try:
@@ -264,8 +290,9 @@ def _worker_main(conn, cache_dir: Optional[str]) -> None:
                 break
             if message is None:
                 break
+            record, paid, _ = _run_point(SweepPoint.from_record(message))
             try:
-                conn.send(_run_point(SweepPoint.from_record(message)))
+                conn.send((record, paid))
             except (BrokenPipeError, OSError):
                 break  # supervisor went away; nothing left to report to
     finally:
@@ -529,13 +556,13 @@ class SweepRunner:
         while groups:
             group, task = groups.take(group)
             attempts = 1
-            record, paid = _run_point(task.point)
+            record, paid, _ = _run_point(task.point)
             functional_runs += paid
             while _is_transient(record) and attempts < self.max_attempts:
                 time.sleep(self.retry_backoff * (2 ** (attempts - 1)))
                 attempts += 1
                 retries += 1
-                record, paid = _run_point(task.point)
+                record, paid, _ = _run_point(task.point)
                 functional_runs += paid
             if attempts > 1:
                 # Annotated only on retried points, so a healthy sweep's

@@ -15,6 +15,8 @@ import sys
 import pytest
 
 from repro.cli import main as cli_main
+from repro.reliability import injected_faults
+from repro.sweep.runner import clear_worker_caches
 
 SMALL = ["--nodes", "24", "--density", "0.1"]
 
@@ -64,10 +66,10 @@ class TestSimulate:
         # Rows name region/node and the primitive.
         assert "scan(" in out or "alu(" in out or "array(" in out
 
-    def test_simulate_mode_flags(self, capsys):
+    def test_simulate_mode_flags(self, capsys, monkeypatch):
+        monkeypatch.setenv("FUSEFLOW_DEBUG_STREAMS", "1")
         code = cli_main(
-            ["simulate", "--model", "sae", "--nodes", "16", "--profile",
-             "--no-sim-cache", "--debug-streams"]
+            ["simulate", "--model", "sae", "--nodes", "16", "--profile"]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -76,6 +78,33 @@ class TestSimulate:
         assert "backend" not in out
         with pytest.raises(SystemExit):
             cli_main(["simulate", "--model", "sae", "--backend", "interp"])
+        for gone in ("--no-sim-cache", "--debug-streams"):
+            with pytest.raises(SystemExit):
+                cli_main(["simulate", "--model", "sae", "--nodes", "16", gone])
+
+    @pytest.mark.parametrize("verb", ["run", "simulate"])
+    def test_failed_point_prints_its_error_and_exits_1(self, verb, capsys):
+        """The verb runs its point through run_point: a compile failure is
+        the record's error on stderr and exit 1, never a traceback."""
+        clear_worker_caches()  # a cached compile would skip the fault site
+        with injected_faults("compile:raise"):
+            code = cli_main([verb, "--model", "sae", "--nodes", "16"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"{verb} failed: InjectedFault: injected fault at site 'compile'" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_unverified_point_reports_and_exits_1(self, capsys, monkeypatch):
+        """A run that disagrees with the dense reference still prints its
+        numbers, then the record's verification error, and exits 1."""
+        from repro.sweep import runner
+
+        monkeypatch.setattr(runner, "VERIFY_TOLERANCE", 0.0)
+        code = cli_main(["run", "--model", "sae", "--nodes", "16"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "cycles" in captured.out and "max |err|" in captured.out
+        assert "run failed: verification failed: max |err|" in captured.err
 
     def test_simulate_hierarchy_reports_per_level_traffic(self, capsys):
         code = cli_main(

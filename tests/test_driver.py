@@ -258,16 +258,17 @@ class TestSessionCache:
         info = session.cache_info()
         assert info.entries == 0 and info.misses == 0
 
-    def test_run_and_compare_schedules_share_cache(self, gcn_layer):
+    def test_runs_share_cache(self, gcn_layer):
         prog, binding, expected = gcn_layer
         session = Session()
         result = session.run(prog, binding, fully_fused(prog))
         np.testing.assert_allclose(
             result.tensors["Y"].to_dense(), expected, atol=1e-12
         )
-        results = session.compare_schedules(
-            prog, binding, [unfused(prog), fully_fused(prog)]
-        )
+        results = {
+            s.name: session.run(prog, binding, s)
+            for s in (unfused(prog), fully_fused(prog))
+        }
         assert set(results) == {"unfused", "fully-fused"}
         # The fully-fused compile was served from cache.
         assert session.cache_info().hits == 1
@@ -1105,14 +1106,6 @@ class TestFrontendSessionAPI:
         out = result.tensors[builder.program.outputs()[0]].to_dense()
         np.testing.assert_allclose(out, a @ b, atol=1e-12)
         assert builder.compile(session=session) is exe
-
-    def test_model_bundle_executable(self):
-        bundle = gcn_on_synthetic(nodes=20, density=0.2, seed=0)
-        session = Session()
-        exe = bundle.executable("full", session=session)
-        out = exe(bundle.binding).tensors[bundle.output].to_dense()
-        assert np.abs(out - bundle.reference).max() < 1e-6
-        assert bundle.executable("full", session=session) is exe
 
 
 class TestCLI:

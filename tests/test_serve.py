@@ -18,6 +18,7 @@ import urllib.request
 import pytest
 
 from repro.serve import SingleFlight, ServeError, make_server, parse_request
+from repro.sweep import run_point
 
 MM_PROGRAM = """
 tensor A(8, 8): csr
@@ -295,15 +296,17 @@ class TestServer:
         assert payload["cache"] == "memory"
 
     def test_simulate_runs_and_verifies(self, server):
-        status, headers, payload = _post(
-            server,
-            "/v1/simulate",
-            {"model": "gcn", "model_args": {"nodes": 20}, "schedule": "partial"},
-        )
+        body = {"model": "gcn", "model_args": {"nodes": 20}, "schedule": "partial"}
+        status, headers, payload = _post(server, "/v1/simulate", body)
         assert status == 200
         assert payload["verified"] is True
         assert payload["max_abs_err"] < 1e-6
         assert payload["metrics"]["cycles"] > 0
+        # One record builder: the sweep record of the same point reports
+        # the same numbers, field for field.
+        record = run_point(parse_request(json.dumps(body).encode(), "simulate").point)
+        assert payload["metrics"] == record["metrics"]
+        assert payload["max_abs_err"] == record["max_abs_err"]
 
     def test_compile_ms_header_times_the_compile_only(self, server):
         # The header is the time inside compile_detailed, not the whole

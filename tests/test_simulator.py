@@ -17,7 +17,6 @@ from repro.comal import (
     format_table,
     run_functional,
     run_timed,
-    speedup_table,
 )
 from repro.core.einsum.parser import parse_program
 from repro.core.fusion.fuse import fuse_region
@@ -293,18 +292,6 @@ class TestProgramMetrics:
         assert metrics.num_kernels == 2
         assert metrics.cycles == pytest.approx(2 * r.cycles)
         assert metrics.flops == 2 * r.flops
-
-    def test_speedup_table(self, spmm_graph):
-        graph, binding, _, _ = spmm_graph
-        r = run_timed(graph, binding)
-        slow = ProgramMetrics("slow")
-        slow.add(r)
-        slow.add(r)
-        fast = ProgramMetrics("fast")
-        fast.add(r)
-        table = speedup_table({"slow": slow, "fast": fast}, baseline="slow")
-        assert table["slow"] == 1.0
-        assert table["fast"] == pytest.approx(2.0)
 
     def test_format_table(self):
         text = format_table([["a", "1"], ["bb", "22"]], ["name", "val"])

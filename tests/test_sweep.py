@@ -546,12 +546,12 @@ class TestStagedExecution:
         from repro.sweep.runner import _STAGE, _run_point
 
         point = SweepPoint.make("gcn", schedule="unfused", model_args=SMALL_ARGS)
-        want, paid = _run_point(point)
+        want, paid, _ = _run_point(point)
         assert paid == 1
         assert _run_point(dataclasses.replace(point, machine="fpga"))[1] == 0
         run = _STAGE[point.stage_key()]
         _STAGE[point.stage_key()] = dataclasses.replace(run, signature=())
-        have, paid = _run_point(point)
+        have, paid, _ = _run_point(point)
         assert paid == 1
         assert have["metrics"] == want["metrics"]
 
@@ -729,12 +729,10 @@ class TestScheduleSweep:
         from repro.driver import Session
 
         bundle = build_bundle(SweepPoint.make("gcn", model_args=SMALL_ARGS))
+        session = Session()
         with pytest.raises(ScheduleError):
-            Session().compare_schedules(
-                bundle.program,
-                bundle.binding,
-                [Schedule(name="bad", regions=[[0]])],
-            )
+            for schedule in [Schedule(name="bad", regions=[[0]]), *bundle.schedules()]:
+                session.run(bundle.program, bundle.binding, schedule)
 
 
 class TestReport:
@@ -789,6 +787,35 @@ class TestReport:
         text = render_summary(summarize(records, name="t"))
         assert "speedup" in text and "best point" in text
         assert "gcn/synthetic/partial/rda" in text
+
+    def test_groups_split_on_builder_arguments_and_par(self):
+        """fig15's 36 points are 12 argument sets x 3 granularities: 12
+        speedup groups, each holding its own set's cycles."""
+        from repro.reproduce import SPECS
+
+        points = SPECS["fig15"].points()
+        records = []
+        for n, point in enumerate(points):
+            metrics = dict.fromkeys(
+                ["compute_utilization", "memory_utilization", "operational_intensity"], 0.0
+            )
+            metrics.update(cycles=100.0 + n, flops=1, dram_bytes=1)
+            records.append(
+                {"status": "ok", "point_id": point.point_id, "label": point.label(),
+                 "point": point.to_record(), "metrics": metrics,
+                 "max_abs_err": 0.0, "verified": True}
+            )
+        summary = summarize(records, name="fig15")
+        assert len(points) == 36 and len(summary["speedups"]) == 12
+        cycles = sorted(c for e in summary["speedups"] for c in e["cycles"].values())
+        assert cycles == [100.0 + n for n in range(36)]
+        assert len({e["model_args"] for e in summary["speedups"]}) == 12
+        # par is a group field too.
+        par = dataclasses.replace(points[0], par=(("i", 2),))
+        records.append(dict(records[0], point=par.to_record(), point_id=par.point_id))
+        summary = summarize(records, name="fig15")
+        assert len(summary["speedups"]) == 13
+        assert "/i=2" in render_summary(summary)
 
     def test_json_output(self, records, tmp_path):
         summary = summarize(records, name="t")
