@@ -64,11 +64,10 @@ from .sweep import (
     bundle_for,
     render_summary,
     run_sweep,
-    set_worker_cache_dir,
     summarize,
     write_summary_json,
 )
-from .sweep.runner import _run_point, _session_for, run_record
+from .sweep.runner import _run_point, _session_for, run_record, worker_cache_dir
 
 #: Builder arguments every model verb passes explicitly, defaults included,
 #: so a CLI run and ``run_point`` of the point it builds are one experiment.
@@ -175,8 +174,7 @@ def cmd_run(args) -> int:
     record printed; ``--profile`` adds the busiest nodes and each region's
     traffic.  Exits 1, printing the error, unless the record is ``"ok"``."""
     point = _point(args, _factors(args.par, "--par"), _factors(args.split, "--split"))
-    set_worker_cache_dir(args.cache_dir)
-    try:
+    with worker_cache_dir(args.cache_dir):
         record, _, result = _run_point(point)
         if result is not None:
             bundle = bundle_for(point)
@@ -184,8 +182,6 @@ def cmd_run(args) -> int:
             exe = _session_for(point.machine, point.hierarchy).compile(
                 bundle.program, point.schedule_for(bundle)
             )
-    finally:
-        set_worker_cache_dir(None)
     if result is not None:
         m = record["metrics"]
         print(f"model      : {bundle.name}")

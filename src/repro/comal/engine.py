@@ -14,6 +14,11 @@ global roofline per level over the whole graph's bytes.
 The result is a cycle count for the whole graph (the time the last token —
 and the last memory write — lands), plus per-node busy/finish accounting used
 for utilization reporting.
+
+``_VECTOR_THRESHOLD`` is not a tuning knob: the Python recurrences below it
+and the numpy closed forms above it round differently off dyadic times, so
+moving it moves cycle counts.  What the engine skips instead is work that
+cannot change a timestamp (a prefix max over an array with no descent).
 """
 
 from __future__ import annotations
@@ -90,8 +95,13 @@ class SimResult:
 
 #: Below this length the pure-Python recurrences win: a handful of numpy
 #: array allocations cost more than a few dozen loop iterations.  Above it
-#: the ``np.maximum.accumulate`` closed forms take over.
+#: the ``np.maximum.accumulate`` closed forms take over.  Not a tuning
+#: knob (see the module docstring).
 _VECTOR_THRESHOLD = 96
+
+#: Below this length :func:`_ramp_max` accumulates without first checking
+#: for a descent: on short arrays the check costs more than it saves.
+_DESCENT_GATE = 1024
 
 
 def _emission_schedule(
@@ -126,7 +136,8 @@ def _emission_schedule(
     # ii*k for k = 0..length: the ramp is its first `length` entries,
     # the ii*(k+1) floor its last `length`.
     steps = np.arange(length + 1, dtype=np.float64)
-    steps *= ii
+    if ii != 1.0:  # x * 1.0 == x exactly
+        steps *= ii
     ramp = steps[:-1]
     if n_in == length:
         run = np.subtract(driver, ramp)
@@ -172,9 +183,13 @@ def _ramp_max(run, steps, start):
     long schedule allocates no temporaries; ``start=None`` adds nothing.
     Each step is the operation the expression names, on the same
     operands, so the result is bit-identical to evaluating it with
-    temporaries.
+    temporaries.  A ``run`` with no descent is its own prefix max (up to
+    the sign of a zero, which adding the nonnegative ramp erases), so from
+    :data:`_DESCENT_GATE` elements on the accumulate runs only where a node
+    stalls.
     """
-    np.maximum.accumulate(run, out=run)
+    if len(run) < _DESCENT_GATE or not (run[1:] >= run[:-1]).all():
+        np.maximum.accumulate(run, out=run)
     run += steps[:-1]
     floor = steps[1:]
     if start is not None:
@@ -205,22 +220,27 @@ def _port_times(schedule, n: int, max_len: int, lat: float):
     The node emits on ``schedule`` (``max_len`` entries, one per token of
     its longest port); a shorter port's token ``k`` leaves with emission
     ``k * max_len // n``, and every token arrives ``lat`` later.  Short
-    ports resample in Python, long ones with one numpy gather.
+    ports resample in Python, long ones with one numpy gather.  The result
+    is read-only (a tuple or a non-writeable array): ports of one length
+    share it.
     """
     if n == max_len:
         if isinstance(schedule, list):
-            return [t + lat for t in schedule]
-        return schedule + lat
-    if n == 0:
+            return tuple([t + lat for t in schedule])
+        times = schedule + lat
+    elif n == 0:
         return ()
-    if n < _VECTOR_THRESHOLD:
-        return [schedule[(k * max_len) // n] + lat for k in range(n)]
-    idx = np.minimum(max_len - 1, (np.arange(n, dtype=np.int64) * max_len) // n)
-    return np.asarray(schedule)[idx] + lat
+    elif n < _VECTOR_THRESHOLD:
+        return tuple([schedule[(k * max_len) // n] + lat for k in range(n)])
+    else:
+        idx = np.minimum(max_len - 1, (np.arange(n, dtype=np.int64) * max_len) // n)
+        times = np.asarray(schedule)[idx] + lat
+    times.flags.writeable = False
+    return times
 
 
-#: Shared empty out-port map (avoids allocating one per portless node).
-_NO_PORTS: Dict[str, Any] = {}
+#: The :attr:`FunctionalResult.out_ports` entry of a portless node.
+_NO_PORTS: Tuple[int, Tuple] = (0, ())
 
 #: Per-graph timing plans: node id, timing class, input port keys, and the
 #: node object (read live for its parallel factor).  Keyed weakly by graph;
@@ -310,12 +330,7 @@ def run_timed(
     node_finish: Dict[str, float] = {}
     node_busy: Dict[str, float] = {}
 
-    # Group output port lengths by producing node once — the per-node
-    # dict comprehension over *all* ports was quadratic in graph size.
-    lengths_by_node: Dict[str, Dict[str, int]] = {}
-    for (nid, port), length in functional.port_lengths().items():
-        lengths_by_node.setdefault(nid, {})[port] = length
-
+    out_ports_of = functional.out_ports
     for node_id, tclass, in_keys, par_node in _timing_plan(graph, func.order):
         mem_level, mem_role, mem_bank, _ = placement.get(node_id, UNPLACED)
         par = par_node.par_factor
@@ -333,8 +348,7 @@ def run_timed(
                 n_driver = len(arr)
         start = float(driver[0]) if n_driver else 0.0
 
-        out_ports = lengths_by_node.get(node_id, _NO_PORTS)
-        max_len = max(out_ports.values(), default=0)
+        max_len, out_ports = out_ports_of.get(node_id, _NO_PORTS)
 
         schedule = _emission_schedule(driver, max_len, ii, start)
         if tiles > 1 and max_len:
@@ -381,10 +395,11 @@ def run_timed(
                 elif mem_role == "fill" or mem_role == "intermediate":
                     fill_total += traffic
 
-        for port, length in out_ports.items():
-            port_times[(node_id, port)] = _port_times(
-                schedule, length, max_len, lat
-            )
+        # One arrival array per distinct port length, shared read-only.
+        for length, ports in out_ports:
+            times = _port_times(schedule, length, max_len, lat)
+            for port in ports:
+                port_times[(node_id, port)] = times
 
         busy = max_len * ii
         node_busy[node_id] = busy

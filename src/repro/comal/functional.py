@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..sam.graph import SAMGraph
@@ -83,6 +84,18 @@ class FunctionalResult:
     def port_lengths(self) -> Dict[Tuple[str, str], int]:
         """Each port's token count: all the timed engine reads."""
         return {key: len(s) for key, s in self.streams.items()} or self.lengths
+
+    @cached_property
+    def out_ports(self) -> Dict[str, Tuple[int, List[Tuple[int, List[str]]]]]:
+        """Per node: its longest port's length and its ports grouped by
+        length, computed once however often the result is timed."""
+        by_node: Dict[str, Dict[int, List[str]]] = {}
+        for (nid, port), length in self.port_lengths().items():
+            by_node.setdefault(nid, {}).setdefault(length, []).append(port)
+        return {
+            nid: (max(groups), list(groups.items()))
+            for nid, groups in by_node.items()
+        }
 
     def resolved(self, scratchpad_bytes: int) -> "FunctionalResult":
         """This result as timed on one machine: a copy whose stats with

@@ -39,7 +39,8 @@ lazily on the first site call, so worker processes — forked *or* spawned
             | "times=" n        # at most n fires (per process, or per
                                 # fuse directory when fuse= is set)
             | "match=" text     # only at calls whose key contains text
-                                # (or fnmatch-globs it, e.g. "*unfused*")
+                                # (or fnmatch-globs it, e.g. "*unfused*");
+                                # "\\," in text is a literal comma
             | "seed=" n         # RNG seed for p= (default 0)
             | "fuse=" dir       # claim fire tokens as files in dir, so
                                 # "times" bounds fires ACROSS processes
@@ -55,6 +56,7 @@ from __future__ import annotations
 import fnmatch
 import os
 import random
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -269,7 +271,9 @@ class FaultPlan:
                 f"fault kind {kind!r} takes no argument, got {kind_text!r}"
             )
         rule = FaultRule(site=site, kind=kind, seconds=seconds)
-        for part in filter(None, (p.strip() for p in trigger_text.split(","))):
+        # Split on unescaped commas: "\," is a literal one (sweep labels).
+        triggers = re.split(r"(?<!\\),", trigger_text)
+        for part in filter(None, (p.strip().replace("\\,", ",") for p in triggers)):
             name, sep, value = part.partition("=")
             if not sep:
                 raise FaultSpecError(

@@ -36,8 +36,9 @@ import os
 import time
 import traceback
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..comal.machines import MACHINES, Machine
 from ..driver.compiled import FunctionalRun, ProgramResult
@@ -123,6 +124,17 @@ def set_worker_cache_dir(cache_dir: Optional[str]) -> None:
     """
     global _CACHE_DIR
     _CACHE_DIR = cache_dir
+
+
+@contextmanager
+def worker_cache_dir(cache_dir: Optional[str]) -> Iterator[None]:
+    """:func:`set_worker_cache_dir` for one block; the previous comes back."""
+    previous = _CACHE_DIR
+    set_worker_cache_dir(cache_dir)
+    try:
+        yield
+    finally:
+        set_worker_cache_dir(previous)
 
 
 def _session_for(machine: str, hierarchy: str = "flat") -> Session:
@@ -249,11 +261,10 @@ def _run_point(
                 # points_failed, and retried by resume.
                 "status": "ok" if measured["verified"] else "error",
                 **measured,
-                "fingerprints": {
-                    "program": bundle.program.fingerprint(),
-                    "schedule": schedule.fingerprint(),
-                    "pipeline": session.pipeline.fingerprint(),
-                },
+                # The compile key: program, schedule, pipeline.
+                "fingerprints": dict(
+                    zip(("program", "schedule", "pipeline"), executable.fingerprint)
+                ),
                 "compile_cache_hit": cache_hit,
                 "compile_seconds": executable.compiled.compile_seconds,
                 "elapsed_seconds": time.perf_counter() - started,
@@ -545,32 +556,32 @@ class SweepRunner:
 
         Crash/hang containment needs a second process and so lives in
         :meth:`_run_parallel` only; inline runs still get the bounded
-        retry-with-backoff loop for transient failures.  Returns (retries,
-        functional runs paid).
+        retry-with-backoff loop for transient failures.  Sessions attach to
+        ``cache_dir`` for this run only, as a worker's do.  Returns
+        (retries, functional runs paid).
         """
-        if self.cache_dir is not None:
-            set_worker_cache_dir(self.cache_dir)
-        retries = functional_runs = 0
-        groups = _Groups(_PointTask(p) for p in todo)
-        group = None
-        while groups:
-            group, task = groups.take(group)
-            attempts = 1
-            record, paid, _ = _run_point(task.point)
-            functional_runs += paid
-            while _is_transient(record) and attempts < self.max_attempts:
-                time.sleep(self.retry_backoff * (2 ** (attempts - 1)))
-                attempts += 1
-                retries += 1
+        with worker_cache_dir(self.cache_dir):
+            retries = functional_runs = 0
+            groups = _Groups(_PointTask(p) for p in todo)
+            group = None
+            while groups:
+                group, task = groups.take(group)
+                attempts = 1
                 record, paid, _ = _run_point(task.point)
                 functional_runs += paid
-            if attempts > 1:
-                # Annotated only on retried points, so a healthy sweep's
-                # records stay byte-identical to the no-retry engine.
-                record = dict(record)
-                record["attempts"] = attempts
-            collect(record)
-        return retries, functional_runs
+                while _is_transient(record) and attempts < self.max_attempts:
+                    time.sleep(self.retry_backoff * (2 ** (attempts - 1)))
+                    attempts += 1
+                    retries += 1
+                    record, paid, _ = _run_point(task.point)
+                    functional_runs += paid
+                if attempts > 1:
+                    # Annotated only on retried points, so a healthy sweep's
+                    # records stay byte-identical to the no-retry engine.
+                    record = dict(record)
+                    record["attempts"] = attempts
+                collect(record)
+            return retries, functional_runs
 
     def _run_parallel(
         self,

@@ -12,6 +12,7 @@ import pytest
 from repro.comal import (
     FLAT_HIERARCHY,
     HIERARCHIES,
+    MACHINES,
     RDA_MACHINE,
     BufferLevel,
     HierarchySpec,
@@ -22,6 +23,7 @@ from repro.comal import (
 from repro.core.einsum.parser import parse_program
 from repro.core.schedule.schedule import fully_fused, unfused
 from repro.driver import PassPipeline, Session
+from repro.driver.compiled import time_stage
 from repro.ftree import SparseTensor, csr, dense
 from repro.sweep import SweepPoint, SweepSpec, build_bundle, run_point
 
@@ -414,6 +416,53 @@ class TestResidencyLaws:
                 last_dram = metrics.dram_bytes
             # Timing never charged the shared run: its reads stay pending.
             assert any(s.residency for f in run.regions for s in f.stats.values())
+
+
+def _slower_machines(machine):
+    """``machine`` with each ii or latency entry (defaults included) raised
+    by one cycle, one entry at a time."""
+    for table in ("ii", "latency"):
+        entries = getattr(machine, table)
+        for name in entries:
+            yield f"{table}[{name}]", machine.scaled(
+                **{table: {**entries, name: entries[name] + 1.0}}
+            )
+        default = f"default_{table}"
+        yield default, machine.scaled(**{default: getattr(machine, default) + 1.0})
+
+
+class TestMachineMonotonicityLaws:
+    """More memory bandwidth never costs cycles, and a slower unit never
+    saves any: one functional run, timed on each perturbed machine."""
+
+    @pytest.mark.parametrize("model", ["gcn", "sae"])
+    def test_bandwidth_and_unit_speed_are_monotone(self, model):
+        bundle = build_bundle(SweepPoint.make(model, model_args=_GOLDEN[model]))
+        schedule = bundle.schedule("partial")
+        run = None
+        for hierarchy in ("flat", "fpga-small"):
+            for name in ("rda", "fpga"):
+                session = Session(machine=MACHINES[name], hierarchy=hierarchy)
+                exe = session.compile(bundle.program, schedule)
+                if run is None:
+                    run = exe.functional(bundle.binding)
+                machine = exe.machine
+                base = time_stage(exe.compiled, run, machine).metrics.cycles
+                where = (hierarchy, name)
+                # Doubling along a ladder through the machine's own bandwidth:
+                # small points are DRAM-bound only at its low end.
+                ladder = [
+                    time_stage(
+                        exe.compiled,
+                        run,
+                        machine.scaled(dram_bandwidth=machine.dram_bandwidth * 2.0**k),
+                    ).metrics.cycles
+                    for k in range(-4, 2)
+                ]
+                assert ladder == sorted(ladder, reverse=True), (*where, ladder)
+                for entry, slower in _slower_machines(machine):
+                    cycles = time_stage(exe.compiled, run, slower).metrics.cycles
+                    assert cycles >= base, (*where, entry)
 
 
 class TestSessionHierarchy:

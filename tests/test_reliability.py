@@ -43,7 +43,7 @@ from repro.sweep.runner import (
     _is_transient,
     run_sweep,
 )
-from repro.sweep.spec import SweepSpec
+from repro.sweep.spec import SweepPoint, SweepSpec
 from repro.sweep.store import ResultStore
 
 
@@ -155,6 +155,24 @@ class TestTriggers:
         install_plan(FaultPlan.parse("sweep.point:raise@match=unfused"))
         with pytest.raises(InjectedFault):
             fault_point("sweep.point", key="sae/synthetic/unfused/rda")
+
+    def test_match_names_a_multi_argument_point(self):
+        # A label joins model arguments with commas; "\," escapes them.
+        spec = SweepSpec(
+            name="labels",
+            models=[],
+            extra_points=[
+                SweepPoint.make("sae", schedule="unfused", model_args={"nodes": 12, "seed": s})
+                for s in (1, 2)
+            ],
+        )
+        target = spec.points()[0].label()
+        assert "," in target
+        escaped = target.replace(",", "\\,")
+        install_plan(FaultPlan.parse(f"sweep.point:raise@match={escaped},times=5"))
+        out = run_sweep(spec=spec, workers=1, max_attempts=1)
+        status = {r["label"]: r["status"] for r in out.records}
+        assert status == {target: "error", spec.points()[1].label(): "ok"}
 
     def test_fuse_caps_fires_across_plans(self, tmp_path):
         # Two plans (standing in for two processes) share one fuse dir:

@@ -226,6 +226,42 @@ class TestClosedFormsBitExact:
         assert np.array_equal(np.signbit(have), np.signbit(want))
         assert np.array_equal(np.asarray(times, dtype=np.float64), before)
 
+    @pytest.mark.parametrize(
+        "case, ii, skips",
+        [
+            ("spaced", 0.5, True),
+            ("plateaus", 0.0, True),
+            ("first-descent", 0.5, False),
+            ("last-descent", 0.5, False),
+            ("signed-zeros", 0.0, True),
+        ],
+    )
+    def test_above_descent_gate(self, case, ii, skips):
+        """Inputs long enough for the descent check: those without a
+        descent skip the prefix max, and the results stay bit-exact."""
+        n = 2 * engine._DESCENT_GATE
+        k = np.arange(n, dtype=np.float64)
+        times = {
+            # Arrivals at least ii apart (dyadic, so the ramp is exact).
+            "spaced": 3.0 + ii * k + 0.25 * (k // 3),
+            "plateaus": np.repeat(np.arange(n // 8, dtype=np.float64), 8),
+            "first-descent": np.concatenate(([10.0], ii * k[1:])),
+            "last-descent": np.concatenate((ii * k[:-1] + 1.0, [0.0])),
+            "signed-zeros": np.where(k % 3 == 1, -0.0, 0.0),
+        }[case]
+        run = times - ii * k
+        assert bool(np.all(run[1:] >= run[:-1])) == skips
+        for start in (0.0, -0.0, 7.0):
+            have = engine._emission_schedule(times, n, ii, start)
+            want = _emission_reference(times, n, ii, start)
+            assert np.array_equal(have, want)
+            assert np.array_equal(np.signbit(have), np.signbit(want))
+        for latency in (0.0, 2.0):
+            have = engine._paced_times(times, ii, latency)
+            want = _paced_reference(times, ii, latency)
+            assert np.array_equal(have, want)
+            assert np.array_equal(np.signbit(have), np.signbit(want))
+
 
 class TestMachines:
     def test_registry(self):
@@ -280,6 +316,46 @@ class TestTimedRun:
         graph, binding, _, _ = spmm_graph
         result = run_timed(graph, binding)
         assert result.operational_intensity() > 0
+
+    def test_ports_of_one_length_share_a_read_only_array(self):
+        prog = parse_program(
+            "tensor A(32, 32): csr\ntensor X(32, 8): dense\nT(i, j) = A(i, k) * X(k, j)"
+        )
+        graph = RegionLowerer(fuse_region(prog, [0]), prog.decls).lower()
+        rng = np.random.default_rng(1)
+        binding = {
+            "A": SparseTensor.from_dense(
+                (rng.random((32, 32)) < 0.4) * rng.random((32, 32)), csr(), "A"
+            ),
+            "X": SparseTensor.from_dense(rng.random((32, 8)), dense(2), "X"),
+        }
+        func = run_functional(graph, binding)
+        port_times = engine._port_times
+        calls = []
+
+        def spy(*args):
+            calls.append((args, port_times(*args)))
+            return calls[-1][1]
+
+        with mock.patch.object(engine, "_port_times", spy):
+            run_timed(graph, binding, functional=func)
+        # One call per distinct port length of each node, in timing order.
+        groups = [
+            (nid, ports)
+            for nid in func.order
+            for _, ports in func.out_ports.get(nid, (0, ()))[1]
+        ]
+        assert len(calls) == len(groups)
+        assert any(len(ports) > 1 for _, ports in groups)
+        assert any(isinstance(times, np.ndarray) for _, times in calls)
+        lengths = func.port_lengths()
+        for ((schedule, _, max_len, lat), times), (nid, ports) in zip(calls, groups):
+            for port in ports:
+                alone = port_times(schedule, lengths[(nid, port)], max_len, lat)
+                assert np.array_equal(times, alone)
+            if len(times):
+                with pytest.raises((TypeError, ValueError)):
+                    times[0] = 0.0
 
 
 class TestProgramMetrics:

@@ -308,6 +308,26 @@ class TestRunPoint:
         # JSON-serializable end to end (the store writes it verbatim).
         json.dumps(record)
 
+    def test_fingerprints_are_the_compile_key(self):
+        """Fresh and memory-hit compiles alike: a record's fingerprints
+        are the ones the compile key is made of."""
+        from repro.sweep.runner import _session_for
+
+        points = [
+            SweepPoint.make("gcn", schedule="partial", model_args={**SMALL_ARGS, "seed": s})
+            for s in (0, 1)
+        ]
+        records = [run_point(p) for p in points]
+        assert [r["compile_cache_hit"] for r in records] == [False, True]
+        for point, record in zip(points, records):
+            bundle = bundle_for(point)
+            session = _session_for(point.machine, point.hierarchy)
+            assert record["fingerprints"] == {
+                "program": bundle.program.fingerprint(),
+                "schedule": point.schedule_for(bundle).fingerprint(),
+                "pipeline": session.pipeline.fingerprint(),
+            }
+
     def test_failure_becomes_error_record(self):
         # The SAE has no C+S rewrite grouping, so schedule 'cs' must fail
         # as a recorded error, not an exception.
@@ -681,7 +701,6 @@ class TestResumeSpecGuard:
 class TestSweepDiskCache:
     def test_cache_dir_populates_and_warm_starts(self, tmp_path):
         from repro.driver import DiskCache
-        from repro.sweep import set_worker_cache_dir
         from repro.sweep.runner import _SESSIONS
 
         cache_dir = str(tmp_path / "cache")
@@ -700,7 +719,24 @@ class TestSweepDiskCache:
             session = next(iter(_SESSIONS.values()))
             assert session.cache_info().disk_hits >= 2
         finally:
-            set_worker_cache_dir(None)
+            clear_worker_caches()
+
+    def test_inline_cache_dir_does_not_outlive_the_sweep(self, tmp_path):
+        from repro.sweep import runner
+
+        before = runner._CACHE_DIR
+        cache = tmp_path / "cache"
+        spec = small_spec(models=["sae"], machines=["rda"], schedules=["unfused"])
+        try:
+            assert run_sweep(spec, workers=1, cache_dir=str(cache)).failed == 0
+            assert runner._CACHE_DIR == before
+            written = sorted(cache.rglob("*"))
+            assert written
+            clear_worker_caches()
+            point = SweepPoint.make("sae", schedule="partial", model_args=SMALL_ARGS)
+            assert run_point(point)["status"] == "ok"
+            assert sorted(cache.rglob("*")) == written
+        finally:
             clear_worker_caches()
 
 
