@@ -23,9 +23,8 @@ cannot change a timestamp (a prefix max over an array with no descent).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,8 +34,40 @@ from .hierarchy import UNPLACED, Placement
 from .machines import Machine, RDA_MACHINE
 
 
+class Utilization:
+    """The utilization formulas over ``cycles``, ``flops`` and
+    ``dram_bytes``, shared by one kernel's :class:`SimResult` and a
+    program's :class:`~repro.comal.metrics.ProgramMetrics`."""
+
+    def _check_cycles(self) -> None:
+        if self.cycles < 0:
+            raise ValueError(
+                f"{type(self).__name__} has negative cycle count {self.cycles}; "
+                "this is a simulator bug (timestamps must be non-negative), "
+                "not a utilization of zero"
+            )
+
+    def compute_utilization(self, machine: Machine) -> float:
+        """Achieved FLOPs/cycle over peak — the Figure 1 "SM util" proxy."""
+        self._check_cycles()
+        if self.cycles == 0:
+            return 0.0
+        return self.flops / (self.cycles * machine.peak_flops_per_cycle)
+
+    def memory_utilization(self, machine: Machine) -> float:
+        """Achieved DRAM bytes/cycle over peak bandwidth."""
+        self._check_cycles()
+        if self.cycles == 0:
+            return 0.0
+        return self.dram_bytes / (self.cycles * machine.dram_bandwidth)
+
+    def operational_intensity(self) -> float:
+        """FLOPs per off-chip (DRAM) byte."""
+        return self.flops / self.dram_bytes if self.dram_bytes else float("inf")
+
+
 @dataclass
-class SimResult:
+class SimResult(Utilization):
     """Outcome of one timed simulation of a SAMML graph.
 
     ``dram_bytes`` counts traffic served by the off-chip level only;
@@ -65,32 +96,6 @@ class SimResult:
     def results(self) -> Dict[str, Any]:
         """Tensors produced by writer nodes."""
         return self.functional.results if self.functional else {}
-
-    def _check_cycles(self) -> None:
-        if self.cycles < 0:
-            raise ValueError(
-                f"SimResult has negative cycle count {self.cycles}; this is "
-                "a simulator bug (timestamps must be non-negative), not a "
-                "utilization of zero"
-            )
-
-    def compute_utilization(self, machine: Machine) -> float:
-        """Achieved FLOPs/cycle over peak — the Figure 1 "SM util" proxy."""
-        self._check_cycles()
-        if self.cycles == 0:
-            return 0.0
-        return self.flops / (self.cycles * machine.peak_flops_per_cycle)
-
-    def memory_utilization(self, machine: Machine) -> float:
-        """Achieved DRAM bytes/cycle over peak bandwidth."""
-        self._check_cycles()
-        if self.cycles == 0:
-            return 0.0
-        return self.dram_bytes / (self.cycles * machine.dram_bandwidth)
-
-    def operational_intensity(self) -> float:
-        """FLOPs per DRAM byte."""
-        return self.flops / self.dram_bytes if self.dram_bytes else float("inf")
 
 
 #: Below this length the pure-Python recurrences win: a handful of numpy
@@ -242,30 +247,8 @@ def _port_times(schedule, n: int, max_len: int, lat: float):
 #: The :attr:`FunctionalResult.out_ports` entry of a portless node.
 _NO_PORTS: Tuple[int, Tuple] = (0, ())
 
-#: Per-graph timing plans: node id, timing class, input port keys, and the
-#: node object (read live for its parallel factor).  Keyed weakly by graph;
-#: invalidated by identity of the topological-order list, which the graph
-#: rebuilds on any structural change.  Plans hold no placement: compiles
-#: for different hierarchies share one graph.
-_PLAN_CACHE: "weakref.WeakKeyDictionary[SAMGraph, Tuple[Any, List[Tuple]]]" = (
-    weakref.WeakKeyDictionary()
-)
-
 #: The placement map of a graph nothing placed: every node unplaced.
 _NO_PLACEMENT: Dict[str, Placement] = {}
-
-
-def _timing_plan(graph: SAMGraph, order: List[str]) -> List[Tuple]:
-    cached = _PLAN_CACHE.get(graph)
-    if cached is not None and cached[0] is order:
-        return cached[1]
-    plan = []
-    for node_id in order:
-        node = graph.nodes[node_id]
-        in_keys = tuple(src.key() for src in node.inputs.values())
-        plan.append((node_id, node.prim.timing_class(), in_keys, node))
-    _PLAN_CACHE[graph] = (order, plan)
-    return plan
 
 
 def run_timed(
@@ -331,7 +314,7 @@ def run_timed(
     node_busy: Dict[str, float] = {}
 
     out_ports_of = functional.out_ports
-    for node_id, tclass, in_keys, par_node in _timing_plan(graph, func.order):
+    for node_id, tclass, in_keys, par_node in graph.timing_plan():
         mem_level, mem_role, mem_bank, _ = placement.get(node_id, UNPLACED)
         par = par_node.par_factor
         ii = machine.ii_of(tclass) / (par if par > 1 else 1)

@@ -105,13 +105,11 @@ RDA_MACHINE = Machine(
         "intersect": 1.0,
         "union": 1.0,
         "repeat": 1.0,
-        "repsig": 1.0,
         "alu": 1.0,
         "ualu": 1.0,
         "array": 1.0,
         "reduce": 1.0,
         "vreduce": 1.0,
-        "crddrop": 1.0,
         "aligncheck": 1.0,
         "write": 1.0,
         "softmax": 2.0,
@@ -148,13 +146,11 @@ FPGA_MACHINE = Machine(
         "intersect": 2.0,
         "union": 2.0,
         "repeat": 1.0,
-        "repsig": 1.0,
         "alu": 1.0,
         "ualu": 2.0,
         "array": 2.0,
         "reduce": 1.0,
         "vreduce": 2.0,
-        "crddrop": 1.0,
         "aligncheck": 1.0,
         "write": 2.0,
         "softmax": 4.0,

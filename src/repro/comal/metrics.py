@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from .engine import SimResult
-from .machines import Machine
+from .engine import SimResult, Utilization
 
 
 @dataclass
-class ProgramMetrics:
+class ProgramMetrics(Utilization):
     """Cycles/FLOPs/bytes accumulated over the kernels of one program.
 
     ``dram_bytes`` counts off-chip traffic only; ``sram_bytes`` counts
@@ -36,9 +35,8 @@ class ProgramMetrics:
     spill_bytes: int = 0
     fill_bytes: int = 0
     kernel_cycles: List[float] = field(default_factory=list)
-    kernel_labels: List[str] = field(default_factory=list)
 
-    def add(self, result: SimResult, label: str = "") -> None:
+    def add(self, result: SimResult) -> None:
         """Accumulate one kernel's :class:`SimResult` into this program."""
         self.cycles += result.cycles
         self.flops += result.flops
@@ -48,15 +46,10 @@ class ProgramMetrics:
         self.spill_bytes += result.spill_bytes
         self.fill_bytes += result.fill_bytes
         self.kernel_cycles.append(result.cycles)
-        self.kernel_labels.append(label or f"kernel{len(self.kernel_cycles)}")
 
     @property
     def num_kernels(self) -> int:
         return len(self.kernel_cycles)
-
-    def operational_intensity(self) -> float:
-        """FLOPs per off-chip (DRAM) byte."""
-        return self.flops / self.dram_bytes if self.dram_bytes else float("inf")
 
     def traffic_by_level(self) -> Dict[str, int]:
         """Byte traffic per memory level, plus the spill/fill breakdown.
@@ -73,25 +66,6 @@ class ProgramMetrics:
             "spill": self.spill_bytes,
             "fill": self.fill_bytes,
         }
-
-    def _check_cycles(self) -> None:
-        if self.cycles < 0:
-            raise ValueError(
-                f"ProgramMetrics has negative cycle count {self.cycles}; "
-                "this is a simulator bug, not a utilization of zero"
-            )
-
-    def compute_utilization(self, machine: Machine) -> float:
-        self._check_cycles()
-        if self.cycles == 0:
-            return 0.0
-        return self.flops / (self.cycles * machine.peak_flops_per_cycle)
-
-    def memory_utilization(self, machine: Machine) -> float:
-        self._check_cycles()
-        if self.cycles == 0:
-            return 0.0
-        return self.dram_bytes / (self.cycles * machine.dram_bandwidth)
 
 
 def format_table(rows: List[List[str]], header: List[str]) -> str:

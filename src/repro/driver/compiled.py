@@ -176,7 +176,7 @@ def time_stage(
             metrics.dram_bytes += extra
             metrics.cycles += extra / machine.dram_bandwidth
         result = run_timed(region.graph, {}, machine, func, placement=region.placement)
-        metrics.add(result, region.graph.name)
+        metrics.add(result)
         region_results.append(result)
         produced.update(result.results)
     return ProgramResult(metrics, produced, region_results)

@@ -12,7 +12,6 @@ from .faults import (
     FaultRule,
     FaultSpecError,
     InjectedFault,
-    active_plan,
     clear_plan,
     fault_point,
     injected_faults,
@@ -26,7 +25,6 @@ __all__ = [
     "FaultRule",
     "FaultSpecError",
     "InjectedFault",
-    "active_plan",
     "clear_plan",
     "fault_point",
     "injected_faults",

@@ -389,11 +389,6 @@ def clear_plan() -> None:
     _ENV_SPEC = None
 
 
-def active_plan() -> Optional[FaultPlan]:
-    """The plan :func:`fault_point` currently consults, if any."""
-    return _PLAN or _env_plan()
-
-
 class injected_faults:
     """Context manager: install a plan (or spec string) for a ``with`` block.
 

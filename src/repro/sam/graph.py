@@ -17,7 +17,6 @@ placement map.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -59,8 +58,16 @@ class GraphError(ValueError):
     """Raised on malformed graph construction or validation failure."""
 
 
+#: One node of the timed engine's walk: id, timing class, input port
+#: keys, and the node (read live for its parallel and tile factors).
+PlanStep = Tuple[str, str, Tuple[Tuple[str, str], ...], Node]
+
+
 class SAMGraph:
     """A SAMML dataflow graph: primitives wired by named streams."""
+
+    #: Class default, so a graph unpickled without a plan builds one.
+    _plan_cache: Optional[List[PlanStep]] = None
 
     def __init__(self, name: str = "kernel") -> None:
         self.name = name
@@ -69,9 +76,11 @@ class SAMGraph:
         self.outputs: Dict[str, Port] = {}
         self._counter = 0
         # Structure caches, invalidated by add()/set_output(): simulation
-        # re-runs the same graph many times, so the topological sort and the
-        # validation result are computed once per structural change.
+        # re-runs the same graph many times, so the topological sort, the
+        # timing plan and the validation result are computed once per
+        # structural change.
         self._topo_cache: Optional[List[str]] = None
+        self._plan_cache = None
         self._validated = False
         self._input_tensor_names_cache: Optional[List[str]] = None
 
@@ -103,6 +112,7 @@ class SAMGraph:
         node = Node(node_id=node_id, prim=prim, inputs=inputs, region=region, index_var=index_var)
         self.nodes[node_id] = node
         self._topo_cache = None
+        self._plan_cache = None
         self._validated = False
         self._input_tensor_names_cache = None
         return node
@@ -110,9 +120,17 @@ class SAMGraph:
     def renamed(self, name: str) -> "SAMGraph":
         """This graph under another name, sharing its nodes, outputs and
         structure caches; neither may be mutated afterwards."""
-        view = copy.copy(self)
+        view = object.__new__(SAMGraph)
+        view.__dict__.update(self.__dict__)
         view.name = name
         return view
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The timing plan derives from the structure: a pickle (a disk
+        # cache entry) leaves it out, and the loaded graph rebuilds it.
+        state = dict(self.__dict__)
+        state.pop("_plan_cache", None)
+        return state
 
     def port(self, node: Node | str, port: str = "out") -> Port:
         """Build a :class:`Port` handle for ``node``'s output ``port``."""
@@ -176,6 +194,19 @@ class SAMGraph:
         self._topo_cache = order
         return order
 
+    def timing_plan(self) -> List[PlanStep]:
+        """The timed engine's walk, one :data:`PlanStep` per node in
+        topological order.  Built at validation and cached with the order,
+        so :meth:`renamed` views share it."""
+        if self._plan_cache is None:
+            plan = []
+            for node_id in self.topological_order():
+                node = self.nodes[node_id]
+                in_keys = tuple(src.key() for src in node.inputs.values())
+                plan.append((node_id, node.prim.timing_class(), in_keys, node))
+            self._plan_cache = plan
+        return self._plan_cache
+
     def input_tensor_names(self) -> List[str]:
         """Tensor names this graph *reads* (scanners/locators/arrays).
 
@@ -203,7 +234,7 @@ class SAMGraph:
                     raise GraphError(
                         f"node {node.node_id} missing required input {required!r}"
                     )
-        self.topological_order()
+        self.timing_plan()
         for label, port in self.outputs.items():
             if port.node_id not in self.nodes:
                 raise GraphError(f"output {label!r} references unknown node")

@@ -2,10 +2,10 @@
 
 from .base import ExecutionContext, NodeStats, Primitive
 from .compute import BinaryALU, UnaryALU, ValArray
-from .fiberops import FiberMax, FiberNorm, FiberOp, FiberSoftmax
+from .fiberops import FiberNorm, FiberOp, FiberSoftmax
 from .joiner import Intersect, Union
-from .reduce import AlignCheck, CrdDrop, Reduce, VectorReducer
-from .repeat import Repeat, RepeatSigGen, ScalarRepeat
+from .reduce import AlignCheck, Reduce, VectorReducer
+from .repeat import Repeat, ScalarRepeat
 from .scanner import CrdSource, LevelScanner, Locate, Root
 from .writer import TensorWriter
 
@@ -21,17 +21,14 @@ __all__ = [
     "Union",
     "Repeat",
     "ScalarRepeat",
-    "RepeatSigGen",
     "BinaryALU",
     "UnaryALU",
     "ValArray",
     "Reduce",
     "VectorReducer",
-    "CrdDrop",
     "AlignCheck",
     "TensorWriter",
     "FiberOp",
     "FiberSoftmax",
     "FiberNorm",
-    "FiberMax",
 ]

@@ -8,8 +8,8 @@ per-node statistics accumulator used by the simulator's cost model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 from ..token import Stream, TokenStream
 
@@ -103,7 +103,7 @@ class Primitive:
 
     Subclasses define ``kind`` (a short identifier used by the timing model),
     ``in_ports``/``out_ports`` (names of stream ports), and implement
-    :meth:`process`.
+    :meth:`process` and :meth:`process_columnar`.
     """
 
     kind: str = "prim"
@@ -122,22 +122,10 @@ class Primitive:
         ctx: ExecutionContext,
         stats: NodeStats,
     ) -> Dict[str, TokenStream]:
-        """Columnar-path counterpart of :meth:`process`.
-
-        Every in-tree primitive overrides this with a vectorized numpy
-        kernel over scalar payloads; the default bridges through the
-        legacy tuple-list implementation so out-of-tree primitives stay
-        correct without a rewrite.  Either way the observable semantics
-        — streams, stats, errors — match the legacy path token for token.
-        """
-        legacy_ins = {
-            port: stream.to_tokens() if isinstance(stream, TokenStream) else stream
-            for port, stream in ins.items()
-        }
-        outs = self.process(legacy_ins, ctx, stats)
-        return {
-            port: TokenStream.from_tokens(stream) for port, stream in outs.items()
-        }
+        """Columnar-tier counterpart of :meth:`process`: the same streams,
+        stats and errors over :class:`~repro.sam.token.TokenStream`
+        columns.  Every primitive implements both."""
+        raise NotImplementedError
 
     def timing_class(self) -> str:
         return self.op_class or self.kind

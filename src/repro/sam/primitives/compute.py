@@ -284,15 +284,14 @@ class ValArray(Primitive):
     in_ports = ("ref",)
     out_ports = ("val",)
 
-    def __init__(self, tensor_name: str, dram: bool = True) -> None:
+    def __init__(self, tensor_name: str) -> None:
         self.tensor_name = tensor_name
-        self.dram = dram
 
     def describe(self) -> str:
         return f"array({self.tensor_name})"
 
     def touches_dram(self) -> bool:
-        return self.dram
+        return True
 
     def process(self, ins, ctx: ExecutionContext, stats: NodeStats) -> Dict[str, Stream]:
         tensor = ctx.tensor(self.tensor_name)
@@ -314,8 +313,7 @@ class ValArray(Primitive):
                 out.append(token)
             else:
                 raise StreamProtocolError(f"array got unexpected token kind {kind}")
-        if self.dram:
-            stats.read_operand(access_bytes, int(values.size) * 8)
+        stats.read_operand(access_bytes, int(values.size) * 8)
         stats.tokens_out += len(out)
         return {"val": out}
 
@@ -341,7 +339,6 @@ class ValArray(Primitive):
         out_kinds = np.where(is_ref | is_empty, np.int8(VAL), kinds)
         out_data = np.where(is_ref | is_empty, 0.0, ref_in.data)
         out_data[ref_pos] = values[idx]
-        if self.dram:
-            stats.read_operand(8 * len(ref_pos), int(values.size) * 8)
+        stats.read_operand(8 * len(ref_pos), int(values.size) * 8)
         stats.tokens_out += n
         return {"val": TokenStream(out_kinds, out_data)}

@@ -160,12 +160,3 @@ class FiberNorm(FiberOp):
     def _fn(self, x: np.ndarray, axis: int) -> np.ndarray:
         return _layernorm(x, axis)
 
-
-class FiberMax(FiberOp):
-    """Running max across a fiber, broadcast back to each element."""
-
-    kind = "fibermax"
-    flops_per_elem = 1
-
-    def _fn(self, x: np.ndarray, axis: int) -> np.ndarray:
-        return np.broadcast_to(np.max(x, axis=axis, keepdims=True), x.shape).copy()

@@ -469,59 +469,6 @@ class VectorReducer(Primitive):
         return outs
 
 
-class CrdDrop(Primitive):
-    """Drop zero-valued entries from aligned (crd, val) innermost streams.
-
-    Implements SAM's coordinate dropper at the value granularity: explicit
-    zeros produced by reductions over empty intersections are removed before
-    tensor construction.
-    """
-
-    kind = "crddrop"
-    in_ports = ("crd", "val")
-    out_ports = ("crd", "val")
-
-    def process(self, ins, ctx: ExecutionContext, stats: NodeStats) -> Dict[str, Stream]:
-        crd_in, val_in = ins["crd"], ins["val"]
-        if len(crd_in) != len(val_in):
-            raise StreamProtocolError("crddrop: crd/val misaligned")
-        stats.tokens_in += len(crd_in) + len(val_in)
-        out_crd: Stream = []
-        out_val: Stream = []
-        for tc, tv in zip(crd_in, val_in):
-            if tc[0] == CRD:
-                value = tv[1]
-                is_zero = (
-                    float(np.abs(value).max()) == 0.0
-                    if isinstance(value, np.ndarray)
-                    else value == 0.0
-                )
-                if not is_zero:
-                    out_crd.append(tc)
-                    out_val.append(tv)
-            else:
-                out_crd.append(tc)
-                out_val.append(tv)
-        stats.tokens_out += len(out_crd) + len(out_val)
-        return {"crd": out_crd, "val": out_val}
-
-    def process_columnar(self, ins, ctx: ExecutionContext, stats: NodeStats) -> Dict[str, TokenStream]:
-        crd_in, val_in = ins["crd"], ins["val"]
-        if len(crd_in) != len(val_in):
-            raise StreamProtocolError("crddrop: crd/val misaligned")
-        n = len(crd_in)
-        stats.tokens_in += 2 * n
-        is_crd = crd_in.kinds == CRD
-        # EMPTY val tokens are never "zero": their legacy payload is None,
-        # which the zero test keeps — only real zero *values* are dropped.
-        zero = (val_in.data == 0.0) & (val_in.kinds != EMPTY)
-        keep = np.nonzero(~(is_crd & zero))[0]
-        out_crd = crd_in.gather(keep)
-        out_val = val_in.gather(keep)
-        stats.tokens_out += len(out_crd) + len(out_val)
-        return {"crd": out_crd, "val": out_val}
-
-
 class AlignCheck(Primitive):
     """Assert two coordinate streams are identical, passing the first through.
 

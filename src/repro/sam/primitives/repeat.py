@@ -171,32 +171,6 @@ class Repeat(Primitive):
         return {"out": out}
 
 
-class RepeatSigGen(Primitive):
-    """Identity view of a coordinate stream used as a repeat signal.
-
-    SAM separates repeat-signal generation from repetition; in this
-    implementation the signal *is* the coordinate stream, so the generator is
-    a pass-through kept for graph fidelity (it shows up as an explicit node
-    in generated graphs, mirroring the paper's diagrams).
-    """
-
-    kind = "repsig"
-    in_ports = ("crd",)
-    out_ports = ("out",)
-
-    def process(self, ins, ctx: ExecutionContext, stats: NodeStats) -> Dict[str, Stream]:
-        stream = list(ins["crd"])
-        stats.tokens_in += len(stream)
-        stats.tokens_out += len(stream)
-        return {"out": stream}
-
-    def process_columnar(self, ins, ctx: ExecutionContext, stats: NodeStats) -> Dict[str, TokenStream]:
-        stream = ins["crd"]
-        stats.tokens_in += len(stream)
-        stats.tokens_out += len(stream)
-        return {"out": stream}
-
-
 class ScalarRepeat(Primitive):
     """Broadcast a single payload across every coordinate of a rep stream.
 

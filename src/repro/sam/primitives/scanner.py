@@ -61,25 +61,24 @@ class LevelScanner(Primitive):
         Name bound to a :class:`~repro.ftree.tensor.SparseTensor` at run time.
     level:
         Storage level index this scanner traverses.
-    dram:
-        Whether the tensor structure resides off-chip; compressed levels then
-        charge 4 bytes per pos/crd touch to DRAM.
+
+    The tensor structure resides off-chip: a compressed level charges 4
+    bytes per pos/crd touch to DRAM.
     """
 
     kind = "scan"
     in_ports = ("ref",)
     out_ports = ("crd", "ref")
 
-    def __init__(self, tensor_name: str, level: int, dram: bool = True) -> None:
+    def __init__(self, tensor_name: str, level: int) -> None:
         self.tensor_name = tensor_name
         self.level = level
-        self.dram = dram
 
     def describe(self) -> str:
         return f"scan({self.tensor_name}.L{self.level})"
 
     def touches_dram(self) -> bool:
-        return self.dram
+        return True
 
     def process(self, ins, ctx: ExecutionContext, stats: NodeStats) -> Dict[str, Stream]:
         tensor = ctx.tensor(self.tensor_name)
@@ -100,7 +99,7 @@ class LevelScanner(Primitive):
                 for c, child in zip(coords, children):
                     crd_out.append((CRD, c))
                     ref_out.append((REF, child))
-                if compressed and self.dram:
+                if compressed:
                     # pos pair + one crd entry per nonzero, 4 bytes each.
                     access_bytes += 8 + 4 * len(list(coords))
                 open_fiber = True
@@ -121,7 +120,7 @@ class LevelScanner(Primitive):
                 ref_out.append(DONE_TOKEN)
             else:
                 raise StreamProtocolError(f"scanner got unexpected token kind {kind}")
-        if compressed and self.dram:
+        if compressed:
             stats.read_operand(access_bytes, tensor.bytes_structure())
         stats.tokens_out += len(crd_out) + len(ref_out)
         return {"crd": crd_out, "ref": ref_out}
@@ -200,7 +199,7 @@ class LevelScanner(Primitive):
             children = np.repeat(starts, lens) + within
             crd_data[slots] = within if level.kind == "dense" else crd[children]
             ref_data[slots] = children
-        if level.kind == "compressed" and self.dram:
+        if level.kind == "compressed":
             # pos pair per fiber + one crd entry per nonzero, 4 bytes each.
             stats.read_operand(8 * n_fibers + 4 * nnz, tensor.bytes_structure())
         stats.tokens_out += 2 * total
@@ -226,16 +225,15 @@ class Locate(Primitive):
     in_ports = ("crd",)
     out_ports = ("ref",)
 
-    def __init__(self, tensor_name: str, level: int, dram: bool = True) -> None:
+    def __init__(self, tensor_name: str, level: int) -> None:
         self.tensor_name = tensor_name
         self.level = level
-        self.dram = dram
 
     def describe(self) -> str:
         return f"locate({self.tensor_name}.L{self.level})"
 
     def touches_dram(self) -> bool:
-        return self.dram
+        return True
 
     def process(self, ins, ctx: ExecutionContext, stats: NodeStats) -> Dict[str, Stream]:
         tensor = ctx.tensor(self.tensor_name)
@@ -257,8 +255,7 @@ class Locate(Primitive):
                             break
                     if not found:
                         out.append(EMPTY_TOKEN)
-                    if self.dram:
-                        stats.dram_reads += 8
+                    stats.dram_reads += 8
             elif kind in (STOP, DONE, EMPTY):
                 out.append(token)
             else:
@@ -299,8 +296,7 @@ class Locate(Primitive):
         crd_pos = np.nonzero(is_crd)[0]
         out_kinds[crd_pos] = np.where(found, np.int8(REF), np.int8(EMPTY))
         out_data[crd_pos] = np.where(found, (child_base + clipped).astype(np.float64), 0.0)
-        if self.dram:
-            stats.dram_reads += 8 * len(queries)
+        stats.dram_reads += 8 * len(queries)
         return self._finish(out_kinds, out_data, stats)
 
     def _finish(self, kinds: np.ndarray, data: np.ndarray, stats: NodeStats) -> Dict[str, TokenStream]:

@@ -45,21 +45,17 @@ class TensorWriter(Primitive):
         tensor_name: str,
         shape: Tuple[int, ...],
         fmt: Format,
-        dram: bool = True,
-        drop_zeros: bool = True,
     ) -> None:
         self.tensor_name = tensor_name
         self.shape = tuple(shape)
         self.fmt = fmt
-        self.dram = dram
-        self.drop_zeros = drop_zeros
         self.in_ports = tuple(f"crd{d}" for d in range(len(shape))) + ("val",)
 
     def describe(self) -> str:
         return f"write({self.tensor_name})"
 
     def touches_dram(self) -> bool:
-        return self.dram
+        return True
 
     def process(self, ins, ctx: ExecutionContext, stats: NodeStats) -> Dict[str, Stream]:
         n = len(self.shape)
@@ -86,12 +82,11 @@ class TensorWriter(Primitive):
                     rec(depth + 1, [f[i] for f in frames[1:]], vals[i], path)
 
         rec(0, nests, val_nest, ())
-        if self.drop_zeros:
-            coords = {
-                p: v
-                for p, v in coords.items()
-                if (np.abs(v).max() if isinstance(v, np.ndarray) else abs(v)) != 0.0
-            }
+        coords = {
+            p: v
+            for p, v in coords.items()
+            if (np.abs(v).max() if isinstance(v, np.ndarray) else abs(v)) != 0.0
+        }
         return self._build(coords, ctx, stats)
 
     def _build(
@@ -100,8 +95,7 @@ class TensorWriter(Primitive):
         tensor = SparseTensor.from_coords(
             self.shape, self.fmt, coords, name=self.tensor_name
         )
-        if self.dram:
-            stats.dram_writes += tensor.bytes_total()
+        stats.dram_writes += tensor.bytes_total()
         ctx.results[self.tensor_name] = tensor
         # Emit a sentinel stream so the writer participates in timing.
         out: Stream = []
@@ -159,10 +153,9 @@ class TensorWriter(Primitive):
                 cols.append(payloads[group] if m else payloads[:0])
 
         vals = val.data[val_pos]
-        if self.drop_zeros:
-            keep = vals != 0.0
-            vals = vals[keep]
-            cols = [c[keep] for c in cols]
+        keep = vals != 0.0
+        vals = vals[keep]
+        cols = [c[keep] for c in cols]
 
         paths = zip(*(c.tolist() for c in cols)) if n else iter(())
         coords = dict(zip(paths, vals.tolist()))

@@ -87,12 +87,6 @@ def empty() -> Token:
     return EMPTY_TOKEN
 
 
-def is_payload(token: Token) -> bool:
-    """Return True for crd/ref/val/empty tokens."""
-    kind = token[0]
-    return kind == CRD or kind == REF or kind == VAL or kind == EMPTY
-
-
 def token_str(token: Token) -> str:
     """Render one token compactly, e.g. ``3``, ``S0``, ``D``."""
     kind, payload = token
@@ -142,11 +136,6 @@ def check_stream(stream: Sequence[Token], *, allow_empty_tokens: bool = True) ->
             raise StreamProtocolError(f"bad stop level {token[1]!r} at position {i}")
         if kind == EMPTY and not allow_empty_tokens:
             raise StreamProtocolError(f"unexpected empty token at position {i}")
-
-
-def payload_tokens(stream: Iterable[Token]) -> List[Any]:
-    """Return the payloads of all non-control tokens, in order."""
-    return [tok[1] for tok in stream if is_payload(tok)]
 
 
 def segments(stream: Sequence[Token], level: int = 0) -> Iterator[List[Token]]:
@@ -246,13 +235,6 @@ def stream_to_nest(stream: Sequence[Token], depth: int, *, check: bool = True) -
                 stack[idx - 1].append(stack[idx])
                 stack[idx] = []
     return stack[0]
-
-
-def count_kind(stream: Iterable[Token], kind: int) -> int:
-    """Count tokens of a given kind in a stream."""
-    if isinstance(stream, TokenStream):
-        return int(np.count_nonzero(stream.kinds == kind))
-    return sum(1 for tok in stream if tok[0] == kind)
 
 
 # ----------------------------------------------------------------------

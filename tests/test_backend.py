@@ -8,8 +8,8 @@ Covers how a region gets executed, end to end:
 * the per-region tier rule: the token tier (``process``) for a region
   that reads a blocked tensor, the columnar tier for every other region,
   and the test-only ``tier=`` override forcing either;
-* out-of-tree primitives the executor has never heard of, run on both
-  tiers;
+* a primitive without a columnar kernel: the token tier runs it, the
+  columnar tier raises (there is no bridge between the tiers);
 * errors raised while a region runs keep their type and message on both
   tiers.
 """
@@ -128,12 +128,12 @@ class TestCompileCache:
 
 
 # ----------------------------------------------------------------------
-# Out-of-tree primitives: run as a call to the primitive itself
+# A primitive with one kernel: no bridge between the tiers
 # ----------------------------------------------------------------------
 
 
 class _Doubler(Primitive):
-    """A primitive the executor has never heard of."""
+    """A primitive with a token-tier kernel only."""
 
     kind = "doubler2x"
     in_ports = ("a",)
@@ -161,19 +161,17 @@ def _doubler_graph():
     return graph
 
 
-class TestFallback:
-    """An unknown kind runs on both tiers, and under the rule."""
+class TestMissingKernel:
+    """``process_columnar`` has no default: a primitive that lacks it
+    runs on the token tier and raises on the columnar tier, forced or
+    chosen by the rule."""
 
-    def test_fallback_execution_matches_interpreter(self):
-        reference = run_functional(_doubler_graph(), {}, tier="token", debug_streams=True)
-        for tier in _TIER_CHOICES:
-            have = run_functional(_doubler_graph(), {}, tier=tier, debug_streams=True)
-            assert set(have.streams) == set(reference.streams)
-            for key in reference.streams:
-                assert streams_equal(
-                    have.streams[key], reference.streams[key]
-                ), (tier, key)
-            assert have.stats == reference.stats, tier
+    def test_columnar_tier_raises_without_a_kernel(self):
+        run = run_functional(_doubler_graph(), {}, tier="token", debug_streams=True)
+        assert [t[1] for t in run.stream("dbl") if t[0] == VAL] == [2.0, 5.0, -6.0]
+        for tier in (None, "columnar"):
+            with pytest.raises(NotImplementedError):
+                run_functional(_doubler_graph(), {}, tier=tier)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ from repro.sam.primitives.scanner import CrdSource
 from repro.sam.token import (
     CRD,
     DONE,
-    EMPTY,
     REF,
     STOP,
     VAL,
@@ -274,17 +273,6 @@ class TestKernelFallbacks:
         out = _process(ScalarRepeat(), {"base": base, "rep": rep})["out"]
         assert [t[1] is b for t in out if t[0] == VAL] == [True] * 3
 
-    def test_crddrop_keeps_empty_val_tokens(self):
-        # Union padding: an EMPTY val token is not a zero *value* — the
-        # legacy kernel keeps its (crd, EMPTY) pair, and so must we.
-        from repro.sam.primitives.reduce import CrdDrop
-
-        crds = [crd(0), crd(1), crd(2), stop(0), done()]
-        vals = [val(5.0), empty(), val(0.0), stop(0), done()]
-        legacy, columnar = _both_ways(CrdDrop(), {"crd": crds, "val": vals})
-        assert legacy["crd"] == [crd(0), crd(1), stop(0), done()]
-        assert legacy["val"] == [val(5.0), empty(), stop(0), done()]
-
     def test_value_array_blocked_tensor_stays_on_token_tier(self):
         from repro.ftree import SparseTensor, blocked_csr
         from repro.sam.primitives.compute import ValArray
@@ -298,15 +286,24 @@ class TestKernelFallbacks:
         with pytest.raises(StreamProtocolError, match=r"array\(B\): blocked payloads"):
             ValArray("B").process_columnar({"ref": as_columnar(refs)}, ctx, NodeStats())
 
-    def test_crddrop_blocked_zero_blocks(self):
-        from repro.sam.primitives.reduce import CrdDrop
+    def test_writer_drops_zero_blocks(self):
+        from repro.ftree import blocked_csr
+        from repro.sam.primitives.writer import TensorWriter
 
         zero = np.zeros((2, 2))
         b = np.ones((2, 2))
-        crds = [crd(0), crd(1), crd(2), stop(0), done()]
-        vals = [val(b), val(zero), val(2 * b), stop(0), done()]
-        out = _process(CrdDrop(), {"crd": crds, "val": vals})
-        assert out["crd"] == [crd(0), crd(2), stop(0), done()]  # zero block dropped
+        ins = {
+            "crd0": [crd(0), crd(1), stop(0), done()],
+            "crd1": [crd(0), crd(2), stop(0), crd(1), stop(1), done()],
+            "val": [val(b), val(zero), stop(0), val(2 * b), stop(1), done()],
+        }
+        ctx = ExecutionContext({})
+        TensorWriter("W", (4, 6), blocked_csr(2, 2)).process(ins, ctx, NodeStats())
+        assert ctx.results["W"].nnz() == 2  # the zero block is not stored
+        want = np.zeros((4, 6))
+        want[:2, :2] = 1.0
+        want[2:, 2:4] = 2.0
+        assert np.array_equal(ctx.results["W"].to_dense(), want)
 
     def test_repeat_empty_base_fibers(self):
         from repro.sam.primitives.repeat import Repeat

@@ -431,6 +431,27 @@ def _slower_machines(machine):
         yield default, machine.scaled(**{default: getattr(machine, default) + 1.0})
 
 
+def _assert_laws(exe, run, where=()):
+    """Assert both laws for ``run`` on ``exe``'s machine and return the
+    cycles along a doubling ladder through the machine's own DRAM
+    bandwidth (1/16x .. 2x), slowest first."""
+    machine = exe.machine
+    ladder = [
+        time_stage(
+            exe.compiled,
+            run,
+            machine.scaled(dram_bandwidth=machine.dram_bandwidth * 2.0**k),
+        ).metrics.cycles
+        for k in range(-4, 2)
+    ]
+    assert ladder == sorted(ladder, reverse=True), (*where, ladder)
+    base = time_stage(exe.compiled, run, machine).metrics.cycles
+    for entry, slower in _slower_machines(machine):
+        cycles = time_stage(exe.compiled, run, slower).metrics.cycles
+        assert cycles >= base, (*where, entry)
+    return ladder
+
+
 class TestMachineMonotonicityLaws:
     """More memory bandwidth never costs cycles, and a slower unit never
     saves any: one functional run, timed on each perturbed machine."""
@@ -446,23 +467,22 @@ class TestMachineMonotonicityLaws:
                 exe = session.compile(bundle.program, schedule)
                 if run is None:
                     run = exe.functional(bundle.binding)
-                machine = exe.machine
-                base = time_stage(exe.compiled, run, machine).metrics.cycles
-                where = (hierarchy, name)
-                # Doubling along a ladder through the machine's own bandwidth:
-                # small points are DRAM-bound only at its low end.
-                ladder = [
-                    time_stage(
-                        exe.compiled,
-                        run,
-                        machine.scaled(dram_bandwidth=machine.dram_bandwidth * 2.0**k),
-                    ).metrics.cycles
-                    for k in range(-4, 2)
-                ]
-                assert ladder == sorted(ladder, reverse=True), (*where, ladder)
-                for entry, slower in _slower_machines(machine):
-                    cycles = time_stage(exe.compiled, run, slower).metrics.cycles
-                    assert cycles >= base, (*where, entry)
+                # Small partial points are DRAM-bound only at the ladder's
+                # low end; the DRAM-bound test below makes that half bite.
+                _assert_laws(exe, run, (hierarchy, name))
+
+    @pytest.mark.parametrize("name", ["rda-membound", "rda-balanced"])
+    def test_dram_bound_point_obeys_the_laws(self, name):
+        """sae ``unfused`` under ``fpga-small`` on the scaled RDA machines
+        is DRAM-bound: per-node DRAM pacing sets its cycles at every step
+        of the ladder, which must lower them at three or more of its five
+        steps."""
+        bundle = build_bundle(SweepPoint.make("sae", model_args=_GOLDEN["sae"]))
+        session = Session(machine=MACHINES[name], hierarchy="fpga-small")
+        exe = session.compile(bundle.program, bundle.schedule("unfused"))
+        ladder = _assert_laws(exe, exe.functional(bundle.binding))
+        moves = sum(faster < slower for slower, faster in zip(ladder, ladder[1:]))
+        assert moves >= 3, ladder
 
 
 class TestSessionHierarchy:

@@ -10,7 +10,6 @@ from repro.ftree import SparseTensor, csr, dcsr, dense, sparse_vector
 from repro.sam.primitives import (
     AlignCheck,
     BinaryALU,
-    CrdDrop,
     ExecutionContext,
     FiberNorm,
     FiberSoftmax,
@@ -125,12 +124,12 @@ def _scan_case(draw):
         st.just(EMPTY_TOKEN), st.integers(0, 2).map(stop), st.just(done()), *refs
     )
     tokens = draw(st.lists(token, max_size=16))
-    return tensor, level, tokens, draw(st.booleans())
+    return tensor, level, tokens
 
 
-def _scan_both(tensor, level, tokens, dram):
+def _scan_both(tensor, level, tokens):
     """Run one scanner through ``process`` and ``process_columnar``."""
-    scanner = LevelScanner("T", level, dram=dram)
+    scanner = LevelScanner("T", level)
     columns = TokenStream.from_tokens(tokens)
     runs = []
     for method, stream in (
@@ -161,9 +160,9 @@ class TestScannerColumnarMatchesProcess:
     @settings(max_examples=50, deadline=None)
     @given(_scan_case(), st.sampled_from([crd(0), val(1.5)]), st.integers(0, 12))
     def test_bad_token_kind_raises_the_same_error(self, case, bad, at):
-        tensor, level, tokens, dram = case
+        tensor, level, tokens = case
         tokens = tokens[:at] + [bad] + tokens[at:]
-        scanner = LevelScanner("T", level, dram=dram)
+        scanner = LevelScanner("T", level)
         messages = []
         for method, stream in (
             (scanner.process, tokens),
@@ -184,7 +183,7 @@ class TestScannerColumnarMatchesProcess:
         access = 3 * 8 + 4 * (2 + 1 + 2)
         assert access > footprint
         for spad, charged in ((footprint, footprint), (footprint - 1, access)):
-            for _out, stats in _scan_both(tensor, 1, tokens, True):
+            for _out, stats in _scan_both(tensor, 1, tokens):
                 assert stats.residency == ((access, footprint),)
                 stats.charge(spad)
                 assert stats.dram_reads == charged
@@ -690,14 +689,6 @@ class TestRepeatColumnarMatchesProcess:
                 method({p: wrap(t) for p, t in ins.items()}, ExecutionContext({}), NodeStats())
 
 
-class TestCrdDrop:
-    def test_drops_zeros(self):
-        crds = nest_to_stream([0, 1, 2], CRD)
-        vals = nest_to_stream([1.0, 0.0, 2.0], VAL)
-        outs, _ = process(CrdDrop(), {"crd": crds, "val": vals})
-        assert pretty(outs["crd"]) == "0 2 S0 D"
-
-
 class TestAlignCheck:
     def test_pass_through(self):
         s = nest_to_stream([0, 1], CRD)
@@ -748,3 +739,38 @@ class TestTensorWriter:
         expected[1, 1] = 2.0
         np.testing.assert_allclose(out, expected)
         assert ctx.results["out"].nnz() == 2  # zero was dropped
+
+
+class TestEmittedPrimitives:
+    """The package exports only primitives the compiler emits: every
+    concrete export is built by lowering on the golden models at some
+    granularity, except ``CrdSource``, the source node of hand-built
+    graphs.  A primitive nothing emits is a second kernel pair to keep
+    correct for no program."""
+
+    def test_exports_equal_what_lowering_emits(self):
+        import repro.sam.primitives as prims
+        from repro.driver import Session
+        from repro.sweep import build_bundle
+        from test_golden_traces import GOLDEN_POINTS, GRANULARITIES
+
+        exported = {
+            obj
+            for obj in (getattr(prims, name) for name in prims.__all__)
+            if isinstance(obj, type) and issubclass(obj, prims.Primitive)
+        }
+        # Concrete: no exported class derives from it (drops the bases).
+        concrete = {
+            cls
+            for cls in exported
+            if not any(other is not cls and issubclass(other, cls) for other in exported)
+        }
+        emitted = {prims.CrdSource}
+        for point in GOLDEN_POINTS.values():
+            bundle = build_bundle(point)
+            session = Session()
+            for granularity in GRANULARITIES:
+                exe = session.compile(bundle.program, bundle.schedule(granularity))
+                for region in exe.compiled.regions:
+                    emitted |= {type(node.prim) for node in region.graph.nodes.values()}
+        assert sorted(c.__name__ for c in concrete) == sorted(c.__name__ for c in emitted)

@@ -286,6 +286,24 @@ class TestTimedRun:
         # Gustavson SpMM: one fma per (nnz, column) pair.
         assert result.flops == pytest.approx(2 * np.count_nonzero(a) * x.shape[1], rel=0.5)
 
+    def test_renamed_views_share_the_plan_and_pickles_drop_it(self, spmm_graph):
+        import pickle
+
+        graph, binding, _, _ = spmm_graph
+        plan = graph.timing_plan()  # filled when lowering validated it
+        view = graph.renamed("view")
+        assert view.timing_plan() is plan
+        run_timed(view, binding)
+        assert view.timing_plan() is plan  # the run re-derives nothing
+        loaded = pickle.loads(pickle.dumps(view))
+        assert "_plan_cache" not in vars(loaded)
+        assert [step[:3] for step in loaded.timing_plan()] == [
+            step[:3] for step in plan
+        ]
+        assert repr(run_timed(loaded, binding).node_finish) == repr(
+            run_timed(graph, binding).node_finish
+        )
+
     def test_functional_reuse(self, spmm_graph):
         graph, binding, _, _ = spmm_graph
         func = run_functional(graph, binding)
@@ -363,8 +381,8 @@ class TestProgramMetrics:
         graph, binding, _, _ = spmm_graph
         r = run_timed(graph, binding)
         metrics = ProgramMetrics("test")
-        metrics.add(r, "k1")
-        metrics.add(r, "k2")
+        metrics.add(r)
+        metrics.add(r)
         assert metrics.num_kernels == 2
         assert metrics.cycles == pytest.approx(2 * r.cycles)
         assert metrics.flops == 2 * r.flops

@@ -10,11 +10,9 @@ from repro.sam.token import (
     VAL,
     StreamProtocolError,
     check_stream,
-    count_kind,
     crd,
     done,
     nest_to_stream,
-    payload_tokens,
     pretty,
     segments,
     stop,
@@ -84,21 +82,12 @@ class TestNestConversion:
         nested = [[1], [], [2]]
         assert stream_to_nest(nest_to_stream(nested), 2) == nested
 
-    def test_payloads(self):
-        stream = nest_to_stream([[1, 2], [3]])
-        assert payload_tokens(stream) == [1, 2, 3]
-
 
 class TestSegments:
     def test_splits_on_level0(self):
         stream = nest_to_stream([[1, 2], [3]])
         segs = list(segments(stream, 0))
         assert [[t[1] for t in s] for s in segs] == [[1, 2], [3]]
-
-    def test_count_kind(self):
-        stream = nest_to_stream([[1, 2], [3]])
-        assert count_kind(stream, VAL) == 3
-        assert count_kind(stream, STOP) == 2
 
 
 # Hypothesis strategy for nested value lists with fixed depth.
