@@ -2,8 +2,9 @@
 
 One rule picks each region's tier: the token tier when the region reads a
 blocked tensor, the columnar tier otherwise.  Region by region, the rule
-must reproduce the token tier forced onto every region (``tier="token"``):
-streams, per-node stats, result tensors and timed cycles, exactly.  Each
+must reproduce the token tier forced onto every region (by patching the
+rule, as the tests' ``force_tier`` fixture does): streams, per-node
+stats, result tensors and timed cycles, exactly.  Each
 model's line reports how many regions the rule ran on the token and on the
 columnar tier (read off the stream type): gpt3's regions read blocked
 tensors and run the token tier, so the check fails when the rule ran no
@@ -31,9 +32,12 @@ Usage: PYTHONPATH=src python scripts/diffcheck.py [model ...]
 """
 
 import sys
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 
+from repro.comal import functional
 from repro.comal.engine import run_timed
 from repro.comal.functional import run_functional
 from repro.comal.machines import RDA_MACHINE
@@ -67,7 +71,10 @@ REGION_FIELDS = (
 )
 
 #: The reference (the token tier forced onto every region), then the rule.
-TIERS = {"token": "token", "rule": None}
+RUNS = {
+    "token": lambda: mock.patch.object(functional, "_reads_blocked", lambda *_: True),
+    "rule": nullcontext,
+}
 
 
 def compare(where, label, fl, fc):
@@ -109,7 +116,7 @@ def check_model(model):
     tiers = {"token": 0, "columnar": 0}
     for gran in ("unfused", "partial", "full"):
         exe = session.compile(bundle.program, bundle.schedule(gran))
-        binds = {label: dict(bundle.binding) for label in TIERS}
+        binds = {label: dict(bundle.binding) for label in RUNS}
         for region in exe.regions:
             for orig, new_name, mode_order in region.transposes:
                 for bind in binds.values():
@@ -119,12 +126,12 @@ def check_model(model):
                         )
             g = region.graph
             where = f"{model}/{gran}/{g.name}"
-            runs = {
-                label: run_functional(
-                    g, binds[label], RDA_MACHINE.scratchpad_bytes, tier=tier
-                )
-                for label, tier in TIERS.items()
-            }
+            runs = {}
+            for label, forced in RUNS.items():
+                with forced():
+                    runs[label] = run_functional(
+                        g, binds[label], RDA_MACHINE.scratchpad_bytes
+                    )
             fl, fc = runs["token"], runs["rule"]
             problem = compare(where, "rule", fl, fc)
             if problem is None:

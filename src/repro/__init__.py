@@ -35,7 +35,6 @@ from .driver import (
     PassPipeline,
     ProgramResult,
     Session,
-    default_session,
 )
 from .frontend.api import Linear, ModelBuilder
 from .ftree import Format, SparseTensor, csr, dcsr, dense, sparse_vector
@@ -61,7 +60,6 @@ __all__ = [
     "CompiledProgram",
     "ProgramResult",
     "Session",
-    "default_session",
     "Executable",
     "PassPipeline",
     "CompileDiagnostics",

@@ -50,11 +50,10 @@ def artifact_for(graph, tier: str = "columnar") -> SimpleNamespace:
     graph:
         A region :class:`~repro.sam.graph.SAMGraph`.
     tier:
-        ``"token"`` or ``"columnar"``, echoed back.
+        ``"token"`` or ``"columnar"`` (unused).
     """
     return SimpleNamespace(
         region=graph.name,
-        tier=tier,
         fn=None,
         loc=0,
         emit_seconds=0.0,

@@ -67,7 +67,7 @@ from .sweep import (
     summarize,
     write_summary_json,
 )
-from .sweep.runner import _run_point, _session_for, run_record, worker_cache_dir
+from .sweep.runner import _run_point, _session_for, run_record
 
 #: Builder arguments every model verb passes explicitly, defaults included,
 #: so a CLI run and ``run_point`` of the point it builds are one experiment.
@@ -163,8 +163,8 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "persistent compile-cache directory: compiles are served from "
-            "it when warm and written back when cold (default follows "
-            "FUSEFLOW_CACHE_DIR; unset = in-memory cache only)"
+            "it when warm and written back when cold; this flag is the one "
+            "way to name one (default: in-memory cache only)"
         ),
     )
 
@@ -174,15 +174,13 @@ def cmd_run(args) -> int:
     record printed; ``--profile`` adds the busiest nodes and each region's
     traffic.  Exits 1, printing the error, unless the record is ``"ok"``."""
     point = _point(args, _factors(args.par, "--par"), _factors(args.split, "--split"))
-    with worker_cache_dir(args.cache_dir):
-        record, _, result = _run_point(point)
-        if result is not None:
-            bundle = bundle_for(point)
-            # A memory hit: the executable _run_point just ran.
-            exe = _session_for(point.machine, point.hierarchy).compile(
-                bundle.program, point.schedule_for(bundle)
-            )
+    record, _, result = _run_point(point, args.cache_dir)
     if result is not None:
+        bundle = bundle_for(point)
+        # A memory hit: the executable _run_point just ran.
+        exe = _session_for(point.machine, point.hierarchy, args.cache_dir).compile(
+            bundle.program, point.schedule_for(bundle)
+        )
         m = record["metrics"]
         print(f"model      : {bundle.name}")
         print(f"schedule   : {exe.schedule.name} ({len(exe.regions)} regions)")
@@ -615,7 +613,8 @@ def main(argv: List[str] | None = None) -> int:
     p_sw_run.add_argument("--quiet", action="store_true", help="no per-point progress")
     p_sw_run.add_argument("--cache-dir", default=None,
                           help="persistent compile-cache directory shared by "
-                               "all workers (default: $FUSEFLOW_CACHE_DIR)")
+                               "all workers; this flag is the one way to "
+                               "name one (default: none)")
     p_sw_run.add_argument("--point-timeout", type=float, default=None,
                           metavar="SECONDS",
                           help="per-point wall-clock timeout; a hung worker "
@@ -671,8 +670,8 @@ def main(argv: List[str] | None = None) -> int:
     p_serve.add_argument("--port", type=int, default=8177,
                          help="bind port (0 picks an ephemeral port)")
     p_serve.add_argument("--cache-dir", default=None,
-                         help="persistent compile-cache directory "
-                              "(default: $FUSEFLOW_CACHE_DIR)")
+                         help="persistent compile-cache directory; this flag "
+                              "is the one way to name one (default: none)")
     p_serve.add_argument("--quiet", action="store_true",
                          help="suppress per-request access logs")
     p_serve.add_argument("--deadline", type=float, default=None,

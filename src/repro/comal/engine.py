@@ -257,7 +257,6 @@ def run_timed(
     machine: Machine = RDA_MACHINE,
     functional: FunctionalResult | None = None,
     *,
-    tier: Optional[str] = None,
     debug_streams: Optional[bool] = None,
     backend: Optional[str] = None,
     cache: bool = True,
@@ -267,8 +266,8 @@ def run_timed(
     result is given.
 
     Without a result the graph runs through
-    :func:`~repro.comal.functional.run_functional` with ``tier`` (the
-    test-only tier override) and ``debug_streams``, charged at
+    :func:`~repro.comal.functional.run_functional` with ``debug_streams``,
+    charged at
     ``machine.scratchpad_bytes``.  A supplied result is never mutated:
     pending operand reads (a machine-free run, as
     :meth:`~repro.driver.executable.Executable.functional` makes) are
@@ -288,11 +287,7 @@ def run_timed(
     """
     if functional is None:
         functional = run_functional(
-            graph,
-            binding,
-            machine.scratchpad_bytes,
-            tier=tier,
-            debug_streams=debug_streams,
+            graph, binding, machine.scratchpad_bytes, debug_streams=debug_streams
         )
     func = functional.resolved(machine.scratchpad_bytes)
     if placement is None:

@@ -16,7 +16,8 @@ holds scalars only and block semantics live in ``process`` alone; every
 other region runs the columnar tier.  Both tiers produce identical
 streams, statistics, and results — ``tests/test_columnar_differential.py``
 and ``tests/test_codegen_differential.py`` enforce this model by model,
-through the test-only ``tier=`` override of :func:`run_functional`.
+forcing a tier by patching the rule, :func:`_reads_blocked`.  Why two
+tiers and not one: ``docs/performance.md``, "Why two tiers".
 
 Per-stream protocol validation (``check_stream``) costs a pass over every
 produced stream, so it is gated behind ``debug_streams=True`` (or
@@ -40,10 +41,6 @@ _TRUTHY = ("1", "true", "yes", "on")
 def default_debug_streams() -> bool:
     """Per-stream protocol checks only when FUSEFLOW_DEBUG_STREAMS is set."""
     return os.environ.get("FUSEFLOW_DEBUG_STREAMS", "").lower() in _TRUTHY
-
-
-#: The two tiers ``tier=`` may force (tests and ``scripts/diffcheck.py``).
-TIERS = ("token", "columnar")
 
 
 def _reads_blocked(graph: SAMGraph, order: List[str], binding: Dict[str, Any]) -> bool:
@@ -123,17 +120,15 @@ def run_functional(
     binding: Dict[str, Any],
     scratchpad_bytes: Optional[int] = 1 << 16,
     *,
-    tier: Optional[str] = None,
     debug_streams: Optional[bool] = None,
     backend: Optional[str] = None,
     cache: bool = True,
 ) -> FunctionalResult:
     """Execute ``graph`` functionally with tensors bound by name.
 
-    The tier rule (module docstring) picks the tier; ``tier`` (one of
-    :data:`TIERS`) forces one, for the differential tests and
-    ``scripts/diffcheck.py`` only.  ``debug_streams`` enables per-stream
-    protocol validation (``None`` reads ``FUSEFLOW_DEBUG_STREAMS``).
+    The tier rule (module docstring) picks the tier.  ``debug_streams``
+    enables per-stream protocol validation (``None`` reads
+    ``FUSEFLOW_DEBUG_STREAMS``).
     Validation of the graph structure itself happens once per graph
     object — the compile flow validates at compile time, so cached
     executables pay nothing here.
@@ -150,16 +145,11 @@ def run_functional(
     ``cache`` are accepted and ignored (frozen ``bench/`` passes them;
     delete at the bench re-cut).
     """
-    if tier is not None and tier not in TIERS:
-        raise ValueError(f"unknown tier {tier!r} (choose from {', '.join(TIERS)})")
     if debug_streams is None:
         debug_streams = default_debug_streams()
     graph.ensure_validated()
     order = graph.topological_order()
-    if tier is None:
-        columnar = not _reads_blocked(graph, order, binding)
-    else:
-        columnar = tier == "columnar"
+    columnar = not _reads_blocked(graph, order, binding)
     ctx = ExecutionContext(binding, debug_streams=debug_streams)
     result = FunctionalResult()
     result.order = order

@@ -263,14 +263,6 @@ class EinsumProgram:
             out[stmt.lhs.tensor] = stmt
         return out
 
-    def consumers(self) -> Dict[str, List[Statement]]:
-        """Map tensor name -> statements consuming it."""
-        out: Dict[str, List[Statement]] = {}
-        for stmt in self.statements:
-            for acc in stmt.operands:
-                out.setdefault(acc.tensor, []).append(stmt)
-        return out
-
     def intermediates(self) -> Set[str]:
         """Tensors that are both produced and consumed."""
         produced = {s.lhs.tensor for s in self.statements}

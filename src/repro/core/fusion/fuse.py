@@ -161,11 +161,6 @@ class FusedEinsum:
                     seen.append(idx)
         return seen
 
-    def intermediates(self) -> Set[str]:
-        produced = {s.lhs.tensor for s in self.statements}
-        consumed = {a.tensor for s in self.statements for a in s.operands}
-        return produced & consumed
-
     def fused_einsum_string(self) -> str:
         """Render the single fully fused Einsum (paper Figure 8c)."""
         order = self.first_order()

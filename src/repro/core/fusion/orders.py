@@ -28,13 +28,6 @@ class OrderSpace:
     unconstrained: int
     constrained: int
 
-    @property
-    def reduction(self) -> float:
-        """Fractional shrink of the space from local constraints."""
-        if self.unconstrained == 0:
-            return 0.0
-        return 1.0 - self.constrained / self.unconstrained
-
 
 def order_space(
     fused: FusedEinsum,

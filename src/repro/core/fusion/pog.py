@@ -216,10 +216,3 @@ class PartialOrderGraph:
                 if dp[mask | bit] > cap:
                     dp[mask | bit] = cap
         return min(dp[(1 << n) - 1], cap)
-
-    def describe(self) -> str:
-        lines = ["POG:"]
-        for u, v in sorted(self._edges()):
-            tags = ",".join(sorted(self._succ[u][v]["tags"]))
-            lines.append(f"  {u} -> {v}  [{tags}]")
-        return "\n".join(lines)

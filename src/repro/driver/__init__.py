@@ -13,9 +13,6 @@ This package is the redesigned public compile API:
   ``split-indices``, ``lower-region``, ``place-memory``, ``parallelize``
   (:data:`DEFAULT_PASS_ORDER`), with per-pass timings.  The schedule and
   the hierarchy decide what each pass does.
-
-:func:`default_session` is the process-wide session for callers that hold
-none of their own (the tracing frontend).
 """
 
 from .compiled import (
@@ -29,11 +26,10 @@ from .diagnostics import CompileDiagnostics, RegionDiagnostics
 from .diskcache import DiskCache, DiskCacheInfo
 from .executable import Executable
 from .pipeline import DEFAULT_PASS_ORDER, PassPipeline, PipelineError
-from .session import CacheInfo, Session, default_session
+from .session import CacheInfo, Session
 
 __all__ = [
     "Session",
-    "default_session",
     "CacheInfo",
     "DiskCache",
     "DiskCacheInfo",

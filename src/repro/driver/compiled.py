@@ -132,14 +132,12 @@ def functional_stage(
     compiled: CompiledProgram,
     binding: Dict[str, SparseTensor],
     *,
-    tier: Optional[str] = None,
     debug_streams: Optional[bool] = None,
 ) -> FunctionalRun:
     """Run every region with no machine, chaining materialized outputs:
     permuted copies and each region's results bind as later regions'
     inputs.  Without ``debug_streams`` each region keeps its port lengths
-    in place of its streams.  ``tier`` forces every region onto one tier
-    (tests only; see :func:`~repro.comal.functional.run_functional`)."""
+    in place of its streams."""
     if debug_streams is None:
         debug_streams = default_debug_streams()
     bind: Dict[str, Any] = dict(binding)
@@ -152,9 +150,7 @@ def functional_stage(
                 bind[new_name] = source.permuted_copy(mode_order, name=new_name)
                 # A permuted copy is a DRAM round trip of the whole tensor.
                 extras.append(2 * source.bytes_total())
-        func = run_functional(
-            region.graph, bind, None, tier=tier, debug_streams=debug_streams
-        )
+        func = run_functional(region.graph, bind, None, debug_streams=debug_streams)
         if not debug_streams:
             func.lengths, func.streams = func.port_lengths(), {}
         run.regions.append(func)

@@ -13,7 +13,6 @@ dictionary-lookup cost.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -112,9 +111,8 @@ class Session:
     disk_cache:
         Second cache level behind the in-memory one: a
         :class:`~repro.driver.diskcache.DiskCache`, a cache-directory
-        path, ``None`` to follow the ``FUSEFLOW_CACHE_DIR`` environment
-        variable (no disk cache when unset), or ``False`` to disable even
-        when the variable is set.  An in-memory miss consults the disk
+        path, or ``None``/``False`` for none: this argument is the one way
+        to name a cache directory.  An in-memory miss consults the disk
         cache before compiling, and fresh compiles are written back, so a
         warm directory makes cold-process compiles a read-and-unpickle.
 
@@ -149,9 +147,7 @@ class Session:
         #: compiles.
         self.debug_streams = debug_streams
         self.sim_cache = sim_cache
-        if disk_cache is None:
-            disk_cache = os.environ.get("FUSEFLOW_CACHE_DIR") or False
-        if disk_cache is False:
+        if disk_cache is None or disk_cache is False:
             self.disk_cache: Optional[DiskCache] = None
         elif isinstance(disk_cache, DiskCache):
             self.disk_cache = disk_cache
@@ -388,19 +384,3 @@ class Session:
             f"hierarchy={self.machine.hierarchy.name!r} cache={self.cache_info()}>"
         )
 
-
-_DEFAULT_SESSION: Optional[Session] = None
-
-
-def default_session() -> Session:
-    """The process-wide Session behind the tracing frontend.
-
-    Sharing one cache is what keeps callers that hold no session of their
-    own from recompiling on every call: compiled artifacts depend only on
-    program/schedule/hierarchy content, never on tensor data, so reuse
-    across callers is sound.
-    """
-    global _DEFAULT_SESSION
-    if _DEFAULT_SESSION is None:
-        _DEFAULT_SESSION = Session()
-    return _DEFAULT_SESSION

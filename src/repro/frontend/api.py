@@ -209,22 +209,6 @@ class ModelBuilder:
         return self._ewise("mul", x, mask, label)
 
     # ------------------------------------------------------------------
-    # Compilation
-    # ------------------------------------------------------------------
-    def compile(self, schedule=None, session=None):
-        """Compile the traced program into an :class:`~repro.driver.Executable`.
-
-        Uses the process-wide default session unless one is given, so
-        repeated compiles of an identical trace are served from cache.
-        The driver import is deferred: the frontend layer otherwise only
-        depends on the Einsum IR.
-        """
-        from ..driver.session import default_session
-
-        session = session or default_session()
-        return session.compile(self.program, schedule)
-
-    # ------------------------------------------------------------------
     # Bookkeeping helpers for schedules
     # ------------------------------------------------------------------
     def sids(self, *labels: str) -> List[int]:

@@ -233,13 +233,6 @@ class SparseTensor:
     def block_shape(self) -> Tuple[int, ...]:
         return self.fmt.block_shape
 
-    def num_positions(self, depth: int) -> int:
-        """Number of positions entering storage level ``depth``."""
-        count = 1
-        for level in self.levels[:depth]:
-            count = level.num_children(count)
-        return count
-
     def nnz(self) -> int:
         """Number of stored values (blocks count once)."""
         return int(self.values.shape[0]) if self.values.ndim > 0 else 1

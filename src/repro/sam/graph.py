@@ -18,7 +18,7 @@ placement map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .primitives.base import Primitive
 
@@ -72,10 +72,8 @@ class SAMGraph:
     def __init__(self, name: str = "kernel") -> None:
         self.name = name
         self.nodes: Dict[str, Node] = {}
-        # Named graph outputs: label -> producing port.
-        self.outputs: Dict[str, Port] = {}
         self._counter = 0
-        # Structure caches, invalidated by add()/set_output(): simulation
+        # Structure caches, invalidated by add(): simulation
         # re-runs the same graph many times, so the topological sort, the
         # timing plan and the validation result are computed once per
         # structural change.
@@ -118,8 +116,8 @@ class SAMGraph:
         return node
 
     def renamed(self, name: str) -> "SAMGraph":
-        """This graph under another name, sharing its nodes, outputs and
-        structure caches; neither may be mutated afterwards."""
+        """This graph under another name, sharing its nodes and structure
+        caches; neither may be mutated afterwards."""
         view = object.__new__(SAMGraph)
         view.__dict__.update(self.__dict__)
         view.name = name
@@ -142,21 +140,9 @@ class SAMGraph:
             )
         return Port(node_id, port)
 
-    def set_output(self, label: str, port: Port) -> None:
-        """Mark a port as a named graph output."""
-        self.outputs[label] = port
-        self._validated = False
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def successors(self, node_id: str) -> Iterator[str]:
-        for other in self.nodes.values():
-            for port in other.inputs.values():
-                if port.node_id == node_id:
-                    yield other.node_id
-                    break
-
     def topological_order(self) -> List[str]:
         """Kahn topological sort; raises on cycles (SAM graphs are DAGs).
 
@@ -227,7 +213,7 @@ class SAMGraph:
         return len(self.nodes)
 
     def validate(self) -> None:
-        """Check structural invariants: ports wired, DAG, outputs exist."""
+        """Check structural invariants: ports wired, DAG."""
         for node in self.nodes.values():
             for required in node.prim.in_ports:
                 if required not in node.inputs:
@@ -235,9 +221,6 @@ class SAMGraph:
                         f"node {node.node_id} missing required input {required!r}"
                     )
         self.timing_plan()
-        for label, port in self.outputs.items():
-            if port.node_id not in self.nodes:
-                raise GraphError(f"output {label!r} references unknown node")
         self._validated = True
 
     def ensure_validated(self) -> None:
@@ -262,6 +245,4 @@ class SAMGraph:
             par = f" x{node.par_factor}" if node.par_factor > 1 else ""
             tiles = f" t{node.tile_factor}" if node.tile_factor > 1 else ""
             lines.append(f"  {nid}: {node.prim.describe()}{tag}{par}{tiles} ({ins})")
-        for label, port in sorted(self.outputs.items()):
-            lines.append(f"  output {label} = {port.node_id}.{port.port}")
         return "\n".join(lines)

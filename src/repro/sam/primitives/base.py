@@ -41,14 +41,6 @@ class NodeStats:
     dram_writes: int = 0
     residency: Tuple[Tuple[int, int], ...] = ()
 
-    def merge(self, other: "NodeStats") -> None:
-        self.tokens_in += other.tokens_in
-        self.tokens_out += other.tokens_out
-        self.ops += other.ops
-        self.dram_reads += other.dram_reads
-        self.dram_writes += other.dram_writes
-        self.residency += other.residency
-
     def read_operand(self, access: int, footprint: int) -> None:
         """Record a read of ``access`` bytes from a ``footprint``-byte tensor."""
         self.residency += ((access, footprint),)

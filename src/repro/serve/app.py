@@ -47,7 +47,6 @@ Overload and failure behavior (see ``docs/reliability.md``):
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from dataclasses import asdict
@@ -84,8 +83,8 @@ class ServerState:
     Parameters
     ----------
     cache_dir:
-        Persistent compile-cache directory every session shares; ``None``
-        follows ``FUSEFLOW_CACHE_DIR`` (no disk cache when unset).
+        Persistent compile-cache directory every session shares; ``None``:
+        no disk cache.  This argument is the one way to name one.
     deadline:
         Per-request response deadline in seconds; a request not answered
         in time is a 504.  ``None`` disables deadlines (a per-request
@@ -101,8 +100,6 @@ class ServerState:
         deadline: Optional[float] = None,
         max_inflight: Optional[int] = None,
     ) -> None:
-        if cache_dir is None:
-            cache_dir = os.environ.get("FUSEFLOW_CACHE_DIR") or None
         if deadline is not None and deadline <= 0:
             raise ValueError("deadline must be positive (or None)")
         if max_inflight is not None and max_inflight < 1:

@@ -29,7 +29,6 @@ from .runner import (
     SweepRunner,
     run_point,
     run_sweep,
-    set_worker_cache_dir,
 )
 from .spec import (
     SYNTHETIC,
@@ -54,7 +53,6 @@ __all__ = [
     "SweepOutcome",
     "run_sweep",
     "run_point",
-    "set_worker_cache_dir",
     "ResultStore",
     "ResultStoreError",
     "summarize",

@@ -36,9 +36,8 @@ import os
 import time
 import traceback
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..comal.machines import MACHINES, Machine
 from ..driver.compiled import FunctionalRun, ProgramResult
@@ -57,7 +56,6 @@ __all__ = [
     "run_record",
     "clear_worker_caches",
     "default_workers",
-    "set_worker_cache_dir",
 ]
 
 #: Exception type names (the prefix of an error record's ``error`` field)
@@ -107,46 +105,19 @@ _STORE = RegionStore()
 # by stage key (one entry: a worker gets its group's points back to back).
 _STAGE: Dict[str, FunctionalRun] = {}
 
-# Persistent compile-cache directory worker sessions attach to.  ``None``
-# defers to Session's own resolution (the FUSEFLOW_CACHE_DIR environment
-# variable, else no disk cache).  Set via :func:`set_worker_cache_dir` —
-# which also serves as the process-pool initializer, so spawned workers
-# (not just forked ones) see the runner's choice.
-_CACHE_DIR: Optional[str] = None
-
-
-def set_worker_cache_dir(cache_dir: Optional[str]) -> None:
-    """Point this process's worker sessions at a persistent compile cache.
-
-    Doubles as the worker-pool initializer: :class:`SweepRunner` passes its
-    ``cache_dir`` through here so every worker's sessions warm-start from
-    (and write back to) the same on-disk cache as the parent.
-    """
-    global _CACHE_DIR
-    _CACHE_DIR = cache_dir
-
-
-@contextmanager
-def worker_cache_dir(cache_dir: Optional[str]) -> Iterator[None]:
-    """:func:`set_worker_cache_dir` for one block; the previous comes back."""
-    previous = _CACHE_DIR
-    set_worker_cache_dir(cache_dir)
-    try:
-        yield
-    finally:
-        set_worker_cache_dir(previous)
-
-
-def _session_for(machine: str, hierarchy: str = "flat") -> Session:
-    """The per-process Session for (machine, hierarchy)."""
-    key = (machine, hierarchy, _CACHE_DIR or "")
+def _session_for(
+    machine: str, hierarchy: str = "flat", cache_dir: Optional[str] = None
+) -> Session:
+    """The per-process Session for (machine, hierarchy), attached to the
+    persistent compile cache ``cache_dir`` (``None``: none)."""
+    key = (machine, hierarchy, cache_dir or "")
     session = _SESSIONS.get(key)
     if session is None:
         session = Session(
             machine=MACHINES[machine],
             cache_size=1024,
             hierarchy=hierarchy,
-            disk_cache=_CACHE_DIR,
+            disk_cache=cache_dir,
         )
         session.pipeline.store = _STORE
         _SESSIONS[key] = session
@@ -218,10 +189,12 @@ def run_point(point: SweepPoint) -> Dict[str, object]:
 
 
 def _run_point(
-    point: SweepPoint,
+    point: SweepPoint, cache_dir: Optional[str] = None
 ) -> Tuple[Dict[str, object], int, Optional[ProgramResult]]:
-    """:func:`run_point`, the functional runs it paid (0 or 1) and the
-    run's :class:`ProgramResult` (``None`` when it raised)."""
+    """:func:`run_point` with its session attached to the persistent
+    compile cache ``cache_dir``: the record, the functional runs it paid
+    (0 or 1) and the run's :class:`ProgramResult` (``None`` when it
+    raised)."""
     started = time.perf_counter()
     paid = 0
     base = {
@@ -240,7 +213,7 @@ def _run_point(
         # e.g. ``*unfused*`` without knowing content-hash point IDs.
         fault_point("sweep.point", key=point.label())
         bundle = bundle_for(point)
-        session = _session_for(point.machine, point.hierarchy)
+        session = _session_for(point.machine, point.hierarchy, cache_dir)
         schedule = point.schedule_for(bundle)
         before = session.cache_info()
         executable = session.compile(bundle.program, schedule)
@@ -290,9 +263,8 @@ def _worker_main(conn, cache_dir: Optional[str]) -> None:
     is what lets the supervisor attribute a crash or hang to exactly one
     point.  A result travels as ``(record, functional runs paid)``, never
     the run itself.  A ``None`` message (or a closed pipe) is the shutdown
-    signal.
+    signal.  Every point's session attaches to ``cache_dir``.
     """
-    set_worker_cache_dir(cache_dir)
     try:
         while True:
             try:
@@ -301,7 +273,7 @@ def _worker_main(conn, cache_dir: Optional[str]) -> None:
                 break
             if message is None:
                 break
-            record, paid, _ = _run_point(SweepPoint.from_record(message))
+            record, paid, _ = _run_point(SweepPoint.from_record(message), cache_dir)
             try:
                 conn.send((record, paid))
             except (BrokenPipeError, OSError):
@@ -450,8 +422,8 @@ class SweepRunner:
         (:class:`~repro.driver.diskcache.DiskCache`); worker sessions —
         inline and in pool processes — warm-start compiles from it and
         write new entries back, so repeated sweeps over the same grid pay
-        lowering once per entry, not once per process.  ``None`` defers to
-        ``FUSEFLOW_CACHE_DIR``.
+        lowering once per entry, not once per process.  ``None``: no disk
+        cache.
     point_timeout:
         Per-point wall-clock timeout in seconds.  A worker still busy on
         one point past this is presumed hung, killed, and re-spawned; the
@@ -557,31 +529,30 @@ class SweepRunner:
         Crash/hang containment needs a second process and so lives in
         :meth:`_run_parallel` only; inline runs still get the bounded
         retry-with-backoff loop for transient failures.  Sessions attach to
-        ``cache_dir`` for this run only, as a worker's do.  Returns
-        (retries, functional runs paid).
+        ``cache_dir``, as a worker's do.  Returns (retries, functional
+        runs paid).
         """
-        with worker_cache_dir(self.cache_dir):
-            retries = functional_runs = 0
-            groups = _Groups(_PointTask(p) for p in todo)
-            group = None
-            while groups:
-                group, task = groups.take(group)
-                attempts = 1
-                record, paid, _ = _run_point(task.point)
+        retries = functional_runs = 0
+        groups = _Groups(_PointTask(p) for p in todo)
+        group = None
+        while groups:
+            group, task = groups.take(group)
+            attempts = 1
+            record, paid, _ = _run_point(task.point, self.cache_dir)
+            functional_runs += paid
+            while _is_transient(record) and attempts < self.max_attempts:
+                time.sleep(self.retry_backoff * (2 ** (attempts - 1)))
+                attempts += 1
+                retries += 1
+                record, paid, _ = _run_point(task.point, self.cache_dir)
                 functional_runs += paid
-                while _is_transient(record) and attempts < self.max_attempts:
-                    time.sleep(self.retry_backoff * (2 ** (attempts - 1)))
-                    attempts += 1
-                    retries += 1
-                    record, paid, _ = _run_point(task.point)
-                    functional_runs += paid
-                if attempts > 1:
-                    # Annotated only on retried points, so a healthy sweep's
-                    # records stay byte-identical to the no-retry engine.
-                    record = dict(record)
-                    record["attempts"] = attempts
-                collect(record)
-            return retries, functional_runs
+            if attempts > 1:
+                # Annotated only on retried points, so a healthy sweep's
+                # records stay byte-identical to the no-retry engine.
+                record = dict(record)
+                record["attempts"] = attempts
+            collect(record)
+        return retries, functional_runs
 
     def _run_parallel(
         self,

@@ -25,10 +25,10 @@ from repro.core.tables.lower import RegionLowerer
 from repro.core.einsum.parser import parse_program
 from repro.ftree import SparseTensor, csr, dense
 from repro.models.gcn import gcn_on_synthetic
-from repro.driver.session import default_session
+from repro.driver.session import Session
 
 # One shared session: its compile cache spans this module's tests.
-run = default_session().run
+run = Session().run
 
 
 class TestContiguousPartitions:

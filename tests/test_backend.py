@@ -7,7 +7,8 @@ Covers how a region gets executed, end to end:
   every name compiles to the same cache key and runs the same rule;
 * the per-region tier rule: the token tier (``process``) for a region
   that reads a blocked tensor, the columnar tier for every other region,
-  and the test-only ``tier=`` override forcing either;
+  and the ``force_tier`` fixture (``conftest.py``) forcing either by
+  patching the rule;
 * a primitive without a columnar kernel: the token tier runs it, the
   columnar tier raises (there is no bridge between the tiers);
 * errors raised while a region runs keep their type and message on both
@@ -17,7 +18,7 @@ Covers how a region gets executed, end to end:
 import numpy as np
 import pytest
 
-from repro.comal.functional import TIERS, _reads_blocked, run_functional
+from repro.comal.functional import _reads_blocked, run_functional
 from repro.comal.machines import RDA_MACHINE
 from repro.core.einsum.parser import parse_program
 from repro.core.schedule.schedule import unfused
@@ -45,8 +46,8 @@ _PROGRAM = (
     "T(i, j) = A(i, k) * X(k, j)"
 )
 
-#: Every way a run may pick its tier: the rule (None) and both overrides.
-_TIER_CHOICES = (None, *TIERS)
+#: Every way a run may pick its tier: the rule (None) and both forced.
+_TIER_CHOICES = (None, "token", "columnar")
 
 
 def _program_and_binding(seed=0):
@@ -166,12 +167,13 @@ class TestMissingKernel:
     runs on the token tier and raises on the columnar tier, forced or
     chosen by the rule."""
 
-    def test_columnar_tier_raises_without_a_kernel(self):
-        run = run_functional(_doubler_graph(), {}, tier="token", debug_streams=True)
+    def test_columnar_tier_raises_without_a_kernel(self, force_tier):
+        with force_tier("token"):
+            run = run_functional(_doubler_graph(), {}, debug_streams=True)
         assert [t[1] for t in run.stream("dbl") if t[0] == VAL] == [2.0, 5.0, -6.0]
         for tier in (None, "columnar"):
-            with pytest.raises(NotImplementedError):
-                run_functional(_doubler_graph(), {}, tier=tier)
+            with force_tier(tier), pytest.raises(NotImplementedError):
+                run_functional(_doubler_graph(), {})
 
 
 # ----------------------------------------------------------------------
@@ -192,31 +194,28 @@ class TestKernelErrors:
         )
         return graph
 
-    def test_missing_tensor_keeps_keyerror_with_context(self):
+    def test_missing_tensor_keeps_keyerror_with_context(self, force_tier):
         for tier in _TIER_CHOICES:
-            with pytest.raises(KeyError) as excinfo:
-                run_functional(self._scan_graph(), {}, tier=tier)
+            with force_tier(tier), pytest.raises(KeyError) as excinfo:
+                run_functional(self._scan_graph(), {})
             assert "tensor 'A' not bound (have [])" in str(excinfo.value)
 
-    def test_protocol_error_keeps_type_and_message(self):
+    def test_protocol_error_keeps_type_and_message(self, force_tier):
         for tier in _TIER_CHOICES:
             graph = SAMGraph("badproto")
             graph.add(CrdSource([crd(0)], "s"), node_id="src")  # no done token
-            with pytest.raises(StreamProtocolError) as excinfo:
-                run_functional(graph, {}, tier=tier, debug_streams=True)
+            with force_tier(tier), pytest.raises(StreamProtocolError) as excinfo:
+                run_functional(graph, {}, debug_streams=True)
             assert "node src port 'out'" in str(excinfo.value), tier
 
-    def test_checks_off_matches_interpreter_leniency(self):
+    def test_checks_off_matches_interpreter_leniency(self, force_tier):
         # With debug_streams off the malformed stream flows through.
         for tier in _TIER_CHOICES:
             graph = SAMGraph("lenient")
             graph.add(CrdSource([crd(0)], "s"), node_id="src")
-            res = run_functional(graph, {}, tier=tier, debug_streams=False)
+            with force_tier(tier):
+                res = run_functional(graph, {}, debug_streams=False)
             assert len(res.stream("src")) == 1, tier
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError, match="unknown tier"):
-            run_functional(_doubler_graph(), {}, tier="interp")
 
 
 # ----------------------------------------------------------------------
@@ -234,14 +233,16 @@ def _ran_columnar(result) -> bool:
 
 
 class TestEmissionTiers:
-    def test_both_tiers_match_the_interpreter(self):
+    def test_both_tiers_match_the_interpreter(self, force_tier):
         # The token tier, the columnar tier and the rule choosing between
         # them reproduce the same streams and stats exactly.
         program, binding = _program_and_binding()
         graph = Session(machine=RDA_MACHINE).compile(program).regions[0].graph
-        want = run_functional(graph, binding, tier="token")
+        with force_tier("token"):
+            want = run_functional(graph, binding)
         for tier in _TIER_CHOICES:
-            have = run_functional(graph, binding, tier=tier)
+            with force_tier(tier):
+                have = run_functional(graph, binding)
             for key in want.streams:
                 assert streams_equal(have.streams[key], want.streams[key]), (
                     tier,
@@ -264,7 +265,7 @@ class TestEmissionTiers:
         assert _reads_blocked(graph, order, dict(binding, A=_Blocked()))
 
     @pytest.mark.parametrize("backend", ["columnar", "codegen"])
-    def test_tier_rule_pins(self, backend):
+    def test_tier_rule_pins(self, force_tier, backend):
         # A region that reads blocked weights (gpt3's first) runs the
         # token tier, a scalar region of any size the columnar tier; the
         # legacy ``backend`` keyword changes neither.
@@ -279,7 +280,8 @@ class TestEmissionTiers:
         program, binding = _program_and_binding()
         graph = Session(machine=RDA_MACHINE).compile(program).regions[0].graph
         assert _ran_columnar(run_functional(graph, binding, backend=backend))
-        assert not _ran_columnar(run_functional(graph, binding, tier="token"))
+        with force_tier("token"):
+            assert not _ran_columnar(run_functional(graph, binding))
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,14 @@ The same checks — the tier rule against the token tier forced onto every
 region, streams token for token, per-node statistics, tensors and timed
 cycles bit for bit — over two memory hierarchies, lean runs (stream
 checks off, streams dropped for port lengths as sweeps and serve run),
-the timed engine's own ``tier=`` path, compiles loaded from disk, the
-columnar tier forced onto every region, a stack of structurally identical
-layers, and random single-region graphs.  The module's name is
-historical: ``codegen`` was once the rule's name.
+regions run by the timed engine itself, whole executions end to end,
+compiles loaded from disk, the columnar tier forced onto every region, a
+stack of structurally identical layers, and random single-region graphs.
+Each comparison runs once: the rule against the token tier end to end at
+``partial`` is ``test_end_to_end_metrics_and_traffic_match``, and
+``test_token_tier_forced_matches`` adds the other granularities.  A tier
+is forced through the ``force_tier`` fixture (``conftest.py``).  The
+module's name is historical: ``codegen`` was once the rule's name.
 """
 
 import numpy as np
@@ -42,59 +46,67 @@ _HIERARCHIES = pytest.mark.parametrize("hierarchy", HIERARCHIES)
 @_HIERARCHIES
 @_GRID
 @_MODELS
-def test_streams_stats_and_timing_match(model, granularity, hierarchy):
+def test_streams_stats_and_timing_match(force_tier, model, granularity, hierarchy):
     """The rule, region by region: streams, stats, tensors, cycles."""
-    check_regions(model, granularity, hierarchy)
+    check_regions(force_tier, model, granularity, hierarchy)
 
 
 @_HIERARCHIES
 @_GRID
 @_MODELS
-def test_streams_stats_and_timing_match_on_token_tier(model, granularity, hierarchy):
+def test_streams_stats_and_timing_match_on_token_tier(
+    force_tier, model, granularity, hierarchy
+):
     """The same, each region run by the timed engine, stream checks off."""
-    check_regions(model, granularity, hierarchy, engine=True, debug_streams=False)
+    check_regions(
+        force_tier, model, granularity, hierarchy, engine=True, debug_streams=False
+    )
 
 
 @_HIERARCHIES
 @_MODELS
-def test_end_to_end_metrics_and_traffic_match(model, hierarchy):
+def test_end_to_end_metrics_and_traffic_match(force_tier, model, hierarchy):
     """The rule end to end, per-level memory traffic included."""
-    check_end_to_end(model, "partial", hierarchy)
+    check_end_to_end(force_tier, model, "partial", hierarchy)
 
 
 @_HIERARCHIES
 @_MODELS
-def test_end_to_end_metrics_and_traffic_match_on_token_tier(model, hierarchy):
+def test_end_to_end_metrics_and_traffic_match_on_token_tier(force_tier, model, hierarchy):
     """The same on lean runs: no stream checks, port lengths only."""
-    check_end_to_end(model, "partial", hierarchy, debug_streams=False)
+    check_end_to_end(force_tier, model, "partial", hierarchy, debug_streams=False)
 
 
 @_MODELS
-def test_columnar_tier_forced_matches(model):
+def test_columnar_tier_forced_matches(force_tier, model):
     """The columnar tier forced onto every region is bit-exact; a region
     that reads a blocked tensor refuses it."""
     if model not in BLOCKED_MODELS:
-        check_end_to_end(model, "partial", tier="columnar")
+        check_end_to_end(force_tier, model, "partial", tier="columnar")
         return
     bundle = bundle_of(model)
     exe = Session(machine=RDA_MACHINE).compile(
         bundle.program, bundle.schedule("partial")
     )
-    with pytest.raises(StreamProtocolError, match="blocked payloads"):
-        functional_stage(exe.compiled, bundle.binding, tier="columnar")
+    with force_tier("columnar"):
+        with pytest.raises(StreamProtocolError, match="blocked payloads"):
+            functional_stage(exe.compiled, bundle.binding)
 
 
-@pytest.mark.parametrize("granularity", ("unfused", "partial", "full"))
+@pytest.mark.parametrize("granularity", ("unfused", "full"))
 @_MODELS
-def test_token_tier_forced_matches(model, granularity):
-    """The rule against the token tier at every granularity."""
-    check_end_to_end(model, granularity)
+def test_token_tier_forced_matches(force_tier, model, granularity):
+    """The rule against the token tier at the granularities other than
+    ``partial`` (``test_end_to_end_metrics_and_traffic_match`` runs it)."""
+    check_end_to_end(force_tier, model, granularity)
 
 
 @pytest.mark.parametrize("tier", ("token", "columnar"))
 @pytest.mark.parametrize("granularity", ("unfused", "partial", "full"))
 @_MODELS
-def test_disk_loaded_kernels_match_interp(model, granularity, tier, tmp_path):
+def test_disk_loaded_kernels_match_interp(
+    force_tier, model, granularity, tier, tmp_path
+):
     """What a restarted process unpickles runs as what it compiled.
 
     A first session fills the directory; a second one is served the
@@ -112,6 +124,7 @@ def test_disk_loaded_kernels_match_interp(model, granularity, tier, tmp_path):
     ).compile_detailed(bundle.program, schedule)
     assert source == "disk"
     check_regions(
+        force_tier,
         model,
         granularity,
         tier="token" if tier == "token" else None,
@@ -120,7 +133,7 @@ def test_disk_loaded_kernels_match_interp(model, granularity, tier, tmp_path):
     )
 
 
-def test_shared_kernels_match_every_backend():
+def test_shared_kernels_match_every_backend(force_tier):
     """The layers of a stack compute their own results.
 
     gpt3's decoder blocks are structurally identical regions told apart
@@ -128,12 +141,14 @@ def test_shared_kernels_match_every_backend():
     the token tier with stream checking on.
     """
     bundle = bundle_of("gpt3", n_layers=2)
-    check_end_to_end("gpt3", "unfused", bundle=bundle)
+    check_end_to_end(force_tier, "gpt3", "unfused", bundle=bundle)
 
 
-def test_shared_kernels_match_every_backend_on_token_tier():
+def test_shared_kernels_match_every_backend_on_token_tier(force_tier):
     bundle = bundle_of("gpt3", n_layers=2)
-    check_end_to_end("gpt3", "unfused", bundle=bundle, debug_streams=False)
+    check_end_to_end(
+        force_tier, "gpt3", "unfused", bundle=bundle, debug_streams=False
+    )
 
 
 # ----------------------------------------------------------------------
@@ -177,14 +192,12 @@ def _single_region_graph(kind, density, unary, seed):
     unary=st.sampled_from(_UNARY),
     seed=st.integers(0, 10_000),
 )
-def test_random_single_region_round_trip(kind, density, unary, seed):
+def test_random_single_region_round_trip(force_tier, kind, density, unary, seed):
     """Random single-region graphs run bit-exactly on both tiers."""
     graph, binding = _single_region_graph(kind, density, unary, seed)
-    want = run_functional(
-        graph, binding, RDA_MACHINE.scratchpad_bytes, tier="token"
-    )
+    with force_tier("token"):
+        want = run_functional(graph, binding, RDA_MACHINE.scratchpad_bytes)
     for tier in (None, "columnar"):
-        have = run_functional(
-            graph, binding, RDA_MACHINE.scratchpad_bytes, tier=tier
-        )
+        with force_tier(tier):
+            have = run_functional(graph, binding, RDA_MACHINE.scratchpad_bytes)
         assert_regions_match(tier, want, have)

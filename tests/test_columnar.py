@@ -169,19 +169,21 @@ def _run_source_graph(stream, **kwargs):
 
 class TestExecutorModes:
     def test_columnar_mode_produces_token_streams(self):
-        res = _run_source_graph([crd(0), stop(0), done()], tier="columnar")
+        # A region that reads no blocked tensor runs the columnar tier.
+        res = _run_source_graph([crd(0), stop(0), done()])
         assert isinstance(res.stream("src"), TokenStream)
 
-    def test_legacy_mode_produces_lists(self):
-        res = _run_source_graph([crd(0), stop(0), done()], tier="token")
+    def test_legacy_mode_produces_lists(self, force_tier):
+        with force_tier("token"):
+            res = _run_source_graph([crd(0), stop(0), done()])
         assert isinstance(res.stream("src"), list)
 
     def test_debug_streams_flags_protocol_violations(self):
         bad = [crd(0)]  # no done token
         with pytest.raises(StreamProtocolError, match="node src"):
-            _run_source_graph(bad, tier="columnar", debug_streams=True)
+            _run_source_graph(bad, debug_streams=True)
         # With checks off the malformed stream flows through untouched.
-        res = _run_source_graph(bad, tier="columnar", debug_streams=False)
+        res = _run_source_graph(bad, debug_streams=False)
         assert len(res.stream("src")) == 1
 
 

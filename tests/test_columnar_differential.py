@@ -6,15 +6,17 @@ the executable specification) or the columnar tier (vectorized
 payloads to the token tier and every other region to the columnar one.
 For every golden model at its canonical configuration and every fusion
 granularity, the rule must reproduce the token tier forced onto every
-region (``tier="token"``) *exactly*: same streams token for token, same
+region (the ``force_tier`` fixture of ``conftest.py``, which patches the
+rule) *exactly*: same streams token for token, same
 per-node statistics, same output tensors bit for bit, and the same timed
 metrics.  This is the contract that lets the golden traces in
 ``tests/golden/`` stand unregenerated.
 
 gpt3 reads blocked tensors in every region: its cases pin that the rule
 keeps it on the token tier.  The helpers here are shared with
-``tests/test_codegen_differential.py``, which runs the same checks over
-memory hierarchies, lean runs, disk-loaded compiles and random graphs.
+``tests/test_codegen_differential.py``, which runs the same checks on
+whole executions end to end and over memory hierarchies, lean runs,
+disk-loaded compiles and random graphs.
 """
 
 import numpy as np
@@ -77,6 +79,7 @@ def ran_columnar(result) -> bool:
 
 
 def check_regions(
+    force,
     model,
     granularity,
     hierarchy="flat",
@@ -87,7 +90,8 @@ def check_regions(
     debug_streams=None,
 ):
     """``tier`` (``None``: the rule) against the forced token tier, region
-    by region: streams, stats, tensors and timed figures.
+    by region: streams, stats, tensors and timed figures.  ``force`` is the
+    ``force_tier`` fixture.
 
     ``loaded`` is the executable under test (a disk-loaded compile, say),
     checked against a fresh compile; ``engine`` lets the timed engine run
@@ -100,22 +104,18 @@ def check_regions(
 
     def timed(region, bind, run_tier):
         graph, placement = region.graph, region.placement
-        if engine:
-            return run_timed(
-                graph,
-                bind,
-                machine,
-                tier=run_tier,
-                debug_streams=debug_streams,
-                placement=placement,
+        with force(run_tier):
+            if engine:
+                return run_timed(
+                    graph,
+                    bind,
+                    machine,
+                    debug_streams=debug_streams,
+                    placement=placement,
+                )
+            func = run_functional(
+                graph, bind, machine.scratchpad_bytes, debug_streams=debug_streams
             )
-        func = run_functional(
-            graph,
-            bind,
-            machine.scratchpad_bytes,
-            tier=run_tier,
-            debug_streams=debug_streams,
-        )
         return run_timed(graph, bind, machine, functional=func, placement=placement)
 
     bind_want, bind_have = dict(bundle.binding), dict(bundle.binding)
@@ -135,11 +135,18 @@ def check_regions(
 
 
 def check_end_to_end(
-    model, granularity, hierarchy="flat", *, tier=None, debug_streams=True, bundle=None
+    force,
+    model,
+    granularity,
+    hierarchy="flat",
+    *,
+    tier=None,
+    debug_streams=True,
+    bundle=None,
 ):
     """A whole execution under ``tier`` (``None``: ``exe(binding)``, the
     rule) against the staged forced token tier: metrics, per-level traffic
-    and tensors, bit for bit."""
+    and tensors, bit for bit.  ``force`` is the ``force_tier`` fixture."""
     bundle = bundle or bundle_of(model)
     session = Session(
         machine=RDA_MACHINE,
@@ -150,9 +157,10 @@ def check_end_to_end(
     exe = session.compile(bundle.program, bundle.schedule(granularity))
 
     def staged(run_tier):
-        run = functional_stage(
-            exe.compiled, bundle.binding, tier=run_tier, debug_streams=debug_streams
-        )
+        with force(run_tier):
+            run = functional_stage(
+                exe.compiled, bundle.binding, debug_streams=debug_streams
+            )
         return time_stage(exe.compiled, run, exe.machine)
 
     want = staged("token")
@@ -169,14 +177,8 @@ def check_end_to_end(
 
 @pytest.mark.parametrize("granularity", GRANULARITIES)
 @pytest.mark.parametrize("model", sorted(POINTS))
-def test_streams_stats_and_timing_match(model, granularity):
-    check_regions(model, granularity)
-
-
-@pytest.mark.parametrize("model", sorted(POINTS))
-def test_end_to_end_metrics_match(model):
-    """Full executable runs agree between the rule and the token tier."""
-    check_end_to_end(model, "partial")
+def test_streams_stats_and_timing_match(force_tier, model, granularity):
+    check_regions(force_tier, model, granularity)
 
 
 def test_memoized_executions_reuse_results():

@@ -21,10 +21,10 @@ from repro.data.registry import (
 from repro.data.text import bigbird_mask, mask_sparsity, token_embeddings
 from repro.frontend.api import Linear, ModelBuilder
 from repro.ftree import csr
-from repro.driver.session import default_session
+from repro.driver.session import Session
 
 # One shared session: its compile cache spans this module's tests.
-run = default_session().run
+run = Session().run
 
 
 class TestGraphGenerators:

@@ -369,15 +369,17 @@ class TestSessionDiskCache:
         assert (info.disk_hits, info.disk_misses) == (0, 1)
         assert "disk 0/1" in str(info)
 
-    def test_env_var_configures_disk_cache(self, tmp_path, monkeypatch):
-        cache_dir = str(tmp_path / "envcache")
-        monkeypatch.setenv("FUSEFLOW_CACHE_DIR", cache_dir)
-        assert Session().disk_cache is not None
-        assert Session().disk_cache.root == os.path.abspath(cache_dir)
-        # Explicit False wins over the environment.
-        assert Session(disk_cache=False).disk_cache is None
-        monkeypatch.delenv("FUSEFLOW_CACHE_DIR")
+    def test_environment_names_no_disk_cache(self, tmp_path, monkeypatch):
+        # ``disk_cache=`` / ``cache_dir=`` is the one way to name a cache
+        # directory: no environment variable names one.
+        from repro.serve.app import ServerState
+
+        monkeypatch.setenv("FUSEFLOW_CACHE_DIR", str(tmp_path / "envcache"))
         assert Session().disk_cache is None
+        assert ServerState().disk_cache is None
+        assert not (tmp_path / "envcache").exists()
+        named = Session(disk_cache=str(tmp_path / "named")).disk_cache
+        assert named.root == os.path.abspath(tmp_path / "named")
 
     @pytest.mark.parametrize(
         "entry",

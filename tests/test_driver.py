@@ -1101,11 +1101,11 @@ class TestFrontendSessionAPI:
         y = builder.input("B", b)
         builder.matmul(x, y)
         session = Session()
-        exe = builder.compile(session=session)
+        exe = session.compile(builder.program)
         result = exe(builder.binding)
         out = result.tensors[builder.program.outputs()[0]].to_dense()
         np.testing.assert_allclose(out, a @ b, atol=1e-12)
-        assert builder.compile(session=session) is exe
+        assert session.compile(builder.program) is exe
 
 
 class TestCLI:

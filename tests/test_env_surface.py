@@ -14,12 +14,9 @@ SRC = ROOT / "src" / "repro"
 SWITCHES = {
     "FUSEFLOW_DEBUG_STREAMS",
     "FUSEFLOW_FAULTS",
-    "FUSEFLOW_CACHE_DIR",
 }
 ENV_READERS = {
     "comal/functional.py",
-    "driver/session.py",
-    "serve/app.py",
     "reliability/faults.py",
 }
 

@@ -15,10 +15,10 @@ from repro.core.einsum.parser import parse_program
 from repro.core.schedule.autotune import contiguous_partitions
 from repro.core.schedule.schedule import cs_rewrite, fully_fused, fused_groups, unfused
 from repro.ftree import SparseTensor, csr, dense
-from repro.driver.session import default_session
+from repro.driver.session import Session
 
 # One shared session: its compile cache spans this module's tests.
-run = default_session().run
+run = Session().run
 
 
 def _chain_program(n_layers, dims, ops):

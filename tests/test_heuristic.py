@@ -16,10 +16,10 @@ from repro.core.heuristic.prune import rank_schedules, roofline_score
 from repro.core.schedule.schedule import Schedule
 from repro.comal import RDA_MACHINE
 from repro.models.gcn import gcn_on_synthetic
-from repro.driver.session import default_session
+from repro.driver.session import Session
 
 # One shared session: its compile cache spans this module's tests.
-run = default_session().run
+run = Session().run
 
 
 @pytest.fixture(scope="module")

@@ -11,10 +11,10 @@ from repro.models.gcn import build_gcn, gcn_on_synthetic
 from repro.models.gpt3 import build_gpt3
 from repro.models.graphsage import graphsage_on_synthetic
 from repro.models.sae import build_sae
-from repro.driver.session import default_session
+from repro.driver.session import Session
 
 # One shared session: its compile cache spans this module's tests.
-run = default_session().run
+run = Session().run
 
 GRANULARITIES = ("unfused", "partial", "full")
 

@@ -17,10 +17,10 @@ from repro.core.tables.lower import RegionLowerer
 from repro.comal import run_timed
 from repro.ftree import SparseTensor, csr, dense
 from repro.models.gcn import gcn_on_synthetic
-from repro.driver.session import default_session
+from repro.driver.session import Session
 
 # One shared session: its compile cache spans this module's tests.
-run = default_session().run
+run = Session().run
 
 
 @pytest.fixture

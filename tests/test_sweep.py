@@ -722,17 +722,19 @@ class TestSweepDiskCache:
             clear_worker_caches()
 
     def test_inline_cache_dir_does_not_outlive_the_sweep(self, tmp_path):
-        from repro.sweep import runner
+        from repro.sweep.runner import _session_for
 
-        before = runner._CACHE_DIR
         cache = tmp_path / "cache"
         spec = small_spec(models=["sae"], machines=["rda"], schedules=["unfused"])
         try:
             assert run_sweep(spec, workers=1, cache_dir=str(cache)).failed == 0
-            assert runner._CACHE_DIR == before
             written = sorted(cache.rglob("*"))
             assert written
+            # A session named without a directory has no disk cache, even
+            # beside the sweep's sessions still cached in this process.
+            assert _session_for("rda", "flat").disk_cache is None
             clear_worker_caches()
+            assert _session_for("rda", "flat").disk_cache is None
             point = SweepPoint.make("sae", schedule="partial", model_args=SMALL_ARGS)
             assert run_point(point)["status"] == "ok"
             assert sorted(cache.rglob("*")) == written
